@@ -6,11 +6,11 @@ from .stepfn import StepFunction, haar_mother
 from .translate_frame import (Generator, GeneratorRejected, RademacherSpec,
                               ValidationReport, analysis_function,
                               biorthogonality_matrix, build_rademacher_generator,
-                              frame_vector, generator_certificates, sign_pattern,
+                              frame_vector, generator_certificates,
+                              rademacher_function, sign_pattern,
                               synthesis_over_set, translate_series,
                               validate_generator, young_check)
-from .pettis import (exact_set_supremum, suppression_constant_lower_bound,
-                     unconditionality_scan)
+from .pettis import exact_set_supremum, unconditionality_scan
 from .wavelet_frame import (GridIndex, StudyRow, WaveletSystem,
                             averaged_conjugate_reconstruction, box_reconstruct,
                             convergence_study, discrete_partial_reconstruct,
@@ -40,11 +40,11 @@ __all__ = [
     "counterexample_report", "default_window", "discrete_partial_reconstruct",
     "estimate_tail_dual_norm", "exact_set_supremum", "frame_vector",
     "full_grid", "generator_certificates", "grid_partial_sum", "haar_mother",
-    "member", "member_snapped", "project_frame", "reconstruction_identity_gap",
-    "reconstruction_matrix", "sample_frame", "sampling_sweep",
-    "sign_pattern", "snap_deviation_report", "snap_to_grid",
-    "suppression_constant_lower_bound", "suppression_ratio_scan",
-    "synthesis_over_set", "tail_dual_norm", "tail_functional", "tail_report",
+    "member", "member_snapped", "project_frame", "rademacher_function",
+    "reconstruction_identity_gap", "reconstruction_matrix", "sample_frame",
+    "sampling_sweep", "sign_pattern", "snap_deviation_report", "snap_to_grid",
+    "suppression_ratio_scan", "synthesis_over_set", "tail_dual_norm",
+    "tail_functional", "tail_report",
     "translate_series", "unconditionality_scan", "unit_vector_frame",
     "validate_generator", "young_check",
 ]

@@ -4,7 +4,8 @@ One subcommand per experiment kind plus ``run <config.json>``.  Every
 experiment is described by a config record (kind, seed, tol, out, params);
 subcommand flags assemble the same record, so a flag invocation and a
 config file invocation of the same experiment are interchangeable and
-produce byte-identical reports.
+produce byte-identical reports.  Each kind is declared once, in ``KINDS``,
+by the decorator on its runner; config checks and flags derive from it.
 
 Exit codes: 0 success, 1 malformed config, 2 failed generator validation,
 3 invariant breach (the breach message names the violated assertion).
@@ -26,9 +27,10 @@ from .pettis import unconditionality_scan
 from .reports import (ARTIFACT_VERSION, config_digest, write_csv, write_json_report)
 from .sampling import sampling_sweep
 from .stepfn import StepFunction, haar_mother
-from .translate_frame import (GeneratorRejected, RademacherSpec,
+from .translate_frame import (GeneratorRejected, RademacherSpec, biorthogonality_matrix,
                               build_rademacher_generator, generator_certificates,
-                              synthesis_over_set, validate_generator, young_check)
+                              rademacher_function, synthesis_over_set,
+                              validate_generator, young_check)
 from .wavelet_frame import (WaveletSystem, convergence_study,
                             reconstruction_identity_gap)
 
@@ -42,7 +44,15 @@ class ConfigError(ValueError):
     """Malformed experiment config; maps to exit code 1."""
 
 
-# -- param schema ------------------------------------------------------------
+# -- param checks ---------------------------------------------------------------
+
+
+def _is_real(value):
+    """True for a finite int or float; bools, strings, NaN and inf are not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _check_int(name, value, lo, hi):
@@ -54,7 +64,7 @@ def _check_int(name, value, lo, hi):
 
 
 def _check_p(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise ConfigError(f"{name} must be a number")
     value = float(value)
     if not (1.0 < value <= MAX_P):
@@ -62,27 +72,16 @@ def _check_p(name, value):
     return value
 
 
-def _check_p_list(name, value):
+def _check_step(name, value):
+    if not (_is_real(value) and value > 0):
+        raise ConfigError(f"{name} must be a positive number")
+    return float(value)
+
+
+def _check_list(name, value, what, check, *bounds):
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a nonempty list of exponents")
-    return [_check_p(f"{name}[{i}]", v) for i, v in enumerate(value)]
-
-
-def _check_int_list(name, value, lo, hi):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a nonempty list of integers")
-    return [_check_int(f"{name}[{i}]", v, lo, hi) for i, v in enumerate(value)]
-
-
-def _check_step_list(name, value):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a nonempty list of lattice steps")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
-            raise ConfigError(f"{name}[{i}] must be a positive number")
-        out.append(float(v))
-    return out
+        raise ConfigError(f"{name} must be a nonempty list of {what}")
+    return [check(f"{name}[{i}]", v, *bounds) for i, v in enumerate(value)]
 
 
 def _check_generator(name, value):
@@ -102,6 +101,12 @@ def _check_generator(name, value):
                 or not all(isinstance(e, list) and len(e) == 2 for e in coeffs)):
             raise ConfigError(
                 f"{name}.rademacher.coefficients must be a list of [index, value] pairs")
+        for i, (n, c) in enumerate(coeffs):
+            _check_int(f"{name}.rademacher.coefficients[{i}] index", n,
+                       -MAX_WINDOW, MAX_WINDOW)
+            if not _is_real(c):
+                raise ConfigError(f"{name}.rademacher.coefficients[{i}] value "
+                                  "must be a finite number")
         resolution = body.get("resolution", 1)
         _check_int(f"{name}.rademacher.resolution", resolution, 1, 16)
     elif key == "step_function":
@@ -114,8 +119,15 @@ def _check_generator(name, value):
 def _require_step_record(name, body):
     if not isinstance(body, dict) or set(body) != {"breakpoints", "values"}:
         raise ConfigError(f"{name} must be {{breakpoints: [...], values: [...]}}")
-    if not isinstance(body["breakpoints"], list) or not isinstance(body["values"], list):
+    bp, vals = body["breakpoints"], body["values"]
+    if not isinstance(bp, list) or not isinstance(vals, list):
         raise ConfigError(f"{name} fields must be lists")
+    if not vals or len(bp) != len(vals) + 1:
+        raise ConfigError(f"{name} needs n >= 1 values and n + 1 breakpoints")
+    if not all(_is_real(v) for v in bp + vals):
+        raise ConfigError(f"{name} breakpoints and values must be finite numbers")
+    if not all(float(a) < float(b) for a, b in zip(bp, bp[1:])):
+        raise ConfigError(f"{name}.breakpoints must be strictly increasing")
 
 
 def _check_target(name, value):
@@ -129,10 +141,8 @@ def _check_target(name, value):
             raise ConfigError(f"{name}.named must be 'haar'")
     elif key == "indicator":
         if (not isinstance(body, list) or len(body) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in body)
-                or not body[0] < body[1]):
-            raise ConfigError(f"{name}.indicator must be [a, b] with a < b")
+                or not all(_is_real(v) for v in body) or not body[0] < body[1]):
+            raise ConfigError(f"{name}.indicator must be [a, b] with finite a < b")
     elif key == "step_function":
         _require_step_record(f"{name}.step_function", body)
     else:
@@ -140,85 +150,75 @@ def _check_target(name, value):
     return value
 
 
-_DEFAULT_GENERATOR = {"rademacher": {"coefficients": [[0, 1.0]], "resolution": 1}}
-_DEFAULT_TARGET = {"named": "haar"}
+# -- the kind registry ------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class Param:
+    """One experiment parameter: config check, default, and flag text parser.
+
+    Its flag is ``"--" + name.replace("_", "-")``; ``parse`` turns the flag
+    text into the config value, which then goes through ``check``.
+    """
     check: object
     default: object = None
     required: bool = False
+    parse: object = None
 
 
-SCHEMAS = {
-    "validate-generator": {
-        "generator": Param(_check_generator, required=True),
-        "lag_range": Param(lambda n, v: _check_int(n, v, 1, MAX_WINDOW), default=None),
-    },
-    "biorthogonality": {
-        "generator": Param(_check_generator, default=_DEFAULT_GENERATOR),
-        "window": Param(lambda n, v: _check_int(n, v, 1, MAX_WINDOW), default=8),
-    },
-    "reconstruct": {
-        "generator": Param(_check_generator, default=_DEFAULT_GENERATOR),
-        "window": Param(lambda n, v: _check_int(n, v, 1, MAX_WINDOW), default=8),
-        "num_vectors": Param(lambda n, v: _check_int(n, v, 1, 10 ** 6), default=100),
-        "p_list": Param(_check_p_list, default=[1.5, 2.0, 3.0]),
-    },
-    "suppression-scan": {
-        "generator": Param(_check_generator, default=_DEFAULT_GENERATOR),
-        "window": Param(lambda n, v: _check_int(n, v, 1, MAX_WINDOW), default=8),
-        "trials": Param(lambda n, v: _check_int(n, v, 1, 10 ** 6), default=200),
-        "p": Param(_check_p, default=2.0),
-    },
-    "young-fuzz": {
-        "draws": Param(lambda n, v: _check_int(n, v, 1, 10 ** 6), default=200),
-        "p_list": Param(_check_p_list, default=[1.5, 2.0, 3.0]),
-        "max_terms": Param(lambda n, v: _check_int(n, v, 1, 8), default=4),
-    },
-    "wavelet-reconstruct": {
-        "target": Param(_check_target, default=_DEFAULT_TARGET),
-        "p": Param(_check_p, default=2.0),
-        "M_list": Param(lambda n, v: _check_int_list(n, v, 1, MAX_M), default=[1, 2, 3]),
-        "N_list": Param(lambda n, v: _check_int_list(n, v, 1, MAX_N), default=[1, 2, 4]),
-    },
-    "wavelet-identity": {
-        "target": Param(_check_target, default=_DEFAULT_TARGET),
-        "p_list": Param(_check_p_list, default=[1.5, 2.0, 3.0]),
-        "M_list": Param(lambda n, v: _check_int_list(n, v, 1, MAX_M), default=[1, 2]),
-        "N_list": Param(lambda n, v: _check_int_list(n, v, 1, MAX_N), default=[1, 2]),
-    },
-    "counterexample": {
-        "K": Param(lambda n, v: _check_int(n, v, 1, MAX_WINDOW), default=50),
-        "reconstruction_limit": Param(lambda n, v: _check_int(n, v, 1, MAX_WINDOW),
-                                      default=50),
-    },
-    "diagnostics": {
-        "window": Param(lambda n, v: _check_int(n, v, 2, MAX_WINDOW), default=12),
-        "p": Param(_check_p, default=2.0),
-    },
-    "sampling-sweep": {
-        "generator": Param(_check_generator, default=_DEFAULT_GENERATOR),
-        "steps": Param(_check_step_list,
-                       default=[1 / 3, 1 / 6, 1 / 12, 1 / 24]),
-        "window": Param(lambda n, v: _check_int(n, v, 1, 64), default=4),
-        "p": Param(_check_p, default=2.0),
-    },
-}
+@dataclasses.dataclass(frozen=True)
+class Kind:
+    """One experiment kind: its runner, default tolerance and parameters."""
+    run: object
+    tol: float
+    params: dict
 
-_DEFAULT_TOL = {
-    "validate-generator": 1e-10,
-    "biorthogonality": 1e-10,
-    "reconstruct": 1e-10,
-    "suppression-scan": 1e-8,
-    "young-fuzz": 1e-12,
-    "wavelet-reconstruct": 1e-9,
-    "wavelet-identity": 1e-9,
-    "counterexample": 0.0,
-    "diagnostics": 0.0,
-    "sampling-sweep": 1e-10,
-}
+
+KINDS = {}
+
+
+def _kind(name, tol, **params):
+    """Register the decorated runner as experiment kind ``name``."""
+    def register(run):
+        KINDS[name] = Kind(run, tol, params)
+        return run
+    return register
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _split(convert):
+    return lambda text: [convert(tok) for tok in text.split(",") if tok]
+
+
+def _int(lo, hi, default):
+    return Param(lambda n, v: _check_int(n, v, lo, hi), default, parse=int)
+
+
+def _int_list(lo, hi, default):
+    return Param(lambda n, v: _check_list(n, v, "integers", _check_int, lo, hi),
+                 default, parse=_split(int))
+
+
+def _p():
+    return Param(_check_p, 2.0, parse=float)
+
+
+def _p_list():
+    return Param(lambda n, v: _check_list(n, v, "exponents", _check_p),
+                 [1.5, 2.0, 3.0], parse=_split(float))
+
+
+def _generator(required=False):
+    default = None if required else {
+        "rademacher": {"coefficients": [[0, 1.0]], "resolution": 1}}
+    return Param(_check_generator, default, required, parse=json.loads)
+
+
+def _target():
+    return Param(_check_target, {"named": "haar"}, parse=json.loads)
 
 
 def validate_config(raw):
@@ -229,18 +229,17 @@ def validate_config(raw):
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     kind = raw.get("kind")
-    if kind not in SCHEMAS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(
-            f"kind must be one of {sorted(SCHEMAS)}, got {kind!r}")
-    seed = raw.get("seed", 0)
-    seed = _check_int("seed", seed, 0, 2 ** 32 - 1)
-    tol = raw.get("tol", _DEFAULT_TOL[kind])
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol < 0:
-        raise ConfigError("tol must be a nonnegative number")
+            f"kind must be one of {sorted(KINDS)}, got {kind!r}")
+    seed = _check_int("seed", raw.get("seed", 0), 0, 2 ** 32 - 1)
+    tol = raw.get("tol", KINDS[kind].tol)
+    if not (_is_real(tol) and tol >= 0):
+        raise ConfigError("tol must be a finite nonnegative number")
     out = raw.get("out", kind)
     if not isinstance(out, str) or not out:
         raise ConfigError("out must be a nonempty path string")
-    schema = SCHEMAS[kind]
+    schema = KINDS[kind].params
     raw_params = raw.get("params", {})
     if not isinstance(raw_params, dict):
         raise ConfigError("params must be an object")
@@ -262,31 +261,30 @@ def validate_config(raw):
 # -- object construction from config ------------------------------------------
 
 
-def _build_generator(obj):
-    key = next(iter(obj))
+def _generator_function(obj):
+    """The candidate generator step function of a checked generator record."""
+    [(key, body)] = obj.items()
     if key == "rademacher":
-        body = obj[key]
-        coeffs = CoordinateVector({int(n): float(c) for n, c in body["coefficients"]})
-        spec = RademacherSpec(coefficients=coeffs,
-                              resolution=int(body.get("resolution", 1)))
-        return build_rademacher_generator(spec)
-    body = obj[key]
-    f = StepFunction(body["breakpoints"], body["values"])
-    return validate_generator(f)
-
-
-def _build_target(obj):
-    key = next(iter(obj))
-    if key == "named":
-        return haar_mother()
-    if key == "indicator":
-        a, b = obj[key]
-        return StepFunction.indicator(float(a), float(b))
-    body = obj[key]
+        coeffs = CoordinateVector({n: float(c) for n, c in body["coefficients"]})
+        return rademacher_function(RademacherSpec(coefficients=coeffs,
+                                                  resolution=body.get("resolution", 1)))
     return StepFunction(body["breakpoints"], body["values"])
 
 
-# -- experiment executors -------------------------------------------------------
+def _build_generator(obj):
+    return validate_generator(_generator_function(obj))
+
+
+def _build_target(obj):
+    [(key, body)] = obj.items()
+    if key == "named":
+        return haar_mother()
+    if key == "indicator":
+        return StepFunction.indicator(float(body[0]), float(body[1]))
+    return StepFunction(body["breakpoints"], body["values"])
+
+
+# -- experiment runners -----------------------------------------------------------
 
 
 @dataclasses.dataclass
@@ -297,38 +295,25 @@ class ExperimentResult:
     generator_failure: bool = False
 
 
+# wall-clock CSV column; execute blanks it unless timings are requested
+TIMING_COLUMN = "runtime_ms"
+
+
+@_kind("validate-generator", 1e-10, generator=_generator(required=True),
+       lag_range=_int(1, MAX_WINDOW, None))
 def _run_validate_generator(params, seed, tol, rng):
-    obj = params["generator"]
-    key = next(iter(obj))
-    if key == "rademacher":
-        try:
-            g = _build_generator(obj)
-        except GeneratorRejected as exc:
-            return ExperimentResult(payload={"report": exc.report.to_dict()},
-                                    failures=tuple(exc.report.failures),
-                                    generator_failure=True)
-        payload = {"report": {
-            "l1_norm": g.l1_norm,
-            "periodized_sup": g.periodized_sup,
-            "ortho_residual": g.ortho_residual,
-            "lag_range": g.lag_range,
-            "tol": tol,
-            "failures": [],
-            "ok": True,
-        }, "suppression_constant": g.suppression_constant}
-        return ExperimentResult(payload=payload)
-    f = StepFunction(obj[key]["breakpoints"], obj[key]["values"])
+    f = _generator_function(params["generator"])
     report = generator_certificates(f, params["lag_range"], tol)
-    payload = {"report": report.to_dict()}
-    if report.ok:
-        payload["suppression_constant"] = report.l1_norm * report.periodized_sup
-        return ExperimentResult(payload=payload)
-    return ExperimentResult(payload=payload, failures=tuple(report.failures),
-                            generator_failure=True)
+    if not report.ok:
+        raise GeneratorRejected(report)
+    return ExperimentResult(payload={
+        "report": report.to_dict(),
+        "suppression_constant": report.l1_norm * report.periodized_sup})
 
 
+@_kind("biorthogonality", 1e-10, generator=_generator(),
+       window=_int(1, MAX_WINDOW, 8))
 def _run_biorthogonality(params, seed, tol, rng):
-    from .translate_frame import biorthogonality_matrix
     g = _build_generator(params["generator"])
     window = params["window"]
     mat = biorthogonality_matrix(g, window)
@@ -342,6 +327,8 @@ def _run_biorthogonality(params, seed, tol, rng):
     return ExperimentResult(payload=payload, failures=tuple(failures))
 
 
+@_kind("reconstruct", 1e-10, generator=_generator(), window=_int(1, MAX_WINDOW, 8),
+       num_vectors=_int(1, 10 ** 6, 100), p_list=_p_list())
 def _run_reconstruct(params, seed, tol, rng):
     g = _build_generator(params["generator"])
     window = params["window"]
@@ -370,6 +357,8 @@ def _run_reconstruct(params, seed, tol, rng):
     return ExperimentResult(payload=payload, failures=tuple(failures))
 
 
+@_kind("suppression-scan", 1e-8, generator=_generator(), window=_int(1, MAX_WINDOW, 8),
+       trials=_int(1, 10 ** 6, 200), p=_p())
 def _run_suppression_scan(params, seed, tol, rng):
     g = _build_generator(params["generator"])
     bs, bu = unconditionality_scan(g, params["trials"], params["window"],
@@ -404,6 +393,9 @@ def _random_unit_l2(rng, max_terms):
     return CoordinateVector({int(n): float(v) for n, v in zip(idx, vals)})
 
 
+# max_terms <= 7: _random_unit_l2 draws that many distinct indices from -3..3
+@_kind("young-fuzz", 1e-12, draws=_int(1, 10 ** 6, 200), p_list=_p_list(),
+       max_terms=_int(1, 7, 4))
 def _run_young_fuzz(params, seed, tol, rng):
     worst_ratio = 0.0
     failures = []
@@ -436,7 +428,9 @@ def _run_young_fuzz(params, seed, tol, rng):
     return ExperimentResult(payload=payload, failures=tuple(failures))
 
 
-def _run_wavelet_reconstruct(params, seed, tol, rng, timings=False):
+@_kind("wavelet-reconstruct", 1e-9, target=_target(), p=_p(),
+       M_list=_int_list(1, MAX_M, [1, 2, 3]), N_list=_int_list(1, MAX_N, [1, 2, 4]))
+def _run_wavelet_reconstruct(params, seed, tol, rng):
     x = _build_target(params["target"])
     ws = WaveletSystem.haar(params["p"])
     rows = convergence_study(ws, x, params["M_list"], params["N_list"])
@@ -446,9 +440,9 @@ def _run_wavelet_reconstruct(params, seed, tol, rng, timings=False):
             failures.append(
                 f"box error {row.error!r} exceeds oracle bound "
                 f"{row.oracle_bound!r} at M={row.M} N={row.N}")
-    header = ["M", "N", "p", "error", "oracle_bound", "runtime_ms"]
-    table_rows = [[row.M, row.N, row.p, row.error, row.oracle_bound,
-                   row.runtime_ms if timings else ""] for row in rows]
+    header = ["M", "N", "p", "error", "oracle_bound", TIMING_COLUMN]
+    table_rows = [[row.M, row.N, row.p, row.error, row.oracle_bound, row.runtime_ms]
+                  for row in rows]
     payload = {
         "p": params["p"],
         "rows": [{"M": r.M, "N": r.N, "error": r.error,
@@ -459,6 +453,8 @@ def _run_wavelet_reconstruct(params, seed, tol, rng, timings=False):
                             failures=tuple(failures))
 
 
+@_kind("wavelet-identity", 1e-9, target=_target(), p_list=_p_list(),
+       M_list=_int_list(1, MAX_M, [1, 2]), N_list=_int_list(1, MAX_N, [1, 2]))
 def _run_wavelet_identity(params, seed, tol, rng):
     x = _build_target(params["target"])
     gaps = []
@@ -479,6 +475,8 @@ def _run_wavelet_identity(params, seed, tol, rng):
     return ExperimentResult(payload=payload, failures=tuple(failures))
 
 
+@_kind("counterexample", 0.0, K=_int(1, MAX_WINDOW, 50),
+       reconstruction_limit=_int(1, MAX_WINDOW, 50))
 def _run_counterexample(params, seed, tol, rng):
     report = counterexample_report(params["K"], params["reconstruction_limit"])
     failures = []
@@ -493,6 +491,7 @@ def _run_counterexample(params, seed, tol, rng):
     return ExperimentResult(payload=payload, failures=tuple(failures))
 
 
+@_kind("diagnostics", 0.0, window=_int(2, MAX_WINDOW, 12), p=_p())
 def _run_diagnostics(params, seed, tol, rng):
     window = params["window"]
     p = params["p"]
@@ -534,6 +533,10 @@ def _run_diagnostics(params, seed, tol, rng):
     return ExperimentResult(payload=payload, failures=tuple(failures))
 
 
+@_kind("sampling-sweep", 1e-10, generator=_generator(),
+       steps=Param(lambda n, v: _check_list(n, v, "lattice steps", _check_step),
+                   [1 / 3, 1 / 6, 1 / 12, 1 / 24], parse=_split(float)),
+       window=_int(1, 64, 4), p=_p())
 def _run_sampling_sweep(params, seed, tol, rng):
     g = _build_generator(params["generator"])
     rows = sampling_sweep(g, params["steps"], params["window"],
@@ -550,20 +553,6 @@ def _run_sampling_sweep(params, seed, tol, rng):
     return ExperimentResult(payload=payload, table=(header, table_rows))
 
 
-EXECUTORS = {
-    "validate-generator": _run_validate_generator,
-    "biorthogonality": _run_biorthogonality,
-    "reconstruct": _run_reconstruct,
-    "suppression-scan": _run_suppression_scan,
-    "young-fuzz": _run_young_fuzz,
-    "wavelet-reconstruct": _run_wavelet_reconstruct,
-    "wavelet-identity": _run_wavelet_identity,
-    "counterexample": _run_counterexample,
-    "diagnostics": _run_diagnostics,
-    "sampling-sweep": _run_sampling_sweep,
-}
-
-
 def execute(config, quiet=False, timings=False):
     """Run a validated config; write reports; return the process exit code."""
     kind = config["kind"]
@@ -571,12 +560,7 @@ def execute(config, quiet=False, timings=False):
                             "tol": config["tol"], "params": config["params"]})
     rng = np.random.default_rng(config["seed"])
     try:
-        if kind == "wavelet-reconstruct":
-            result = EXECUTORS[kind](config["params"], config["seed"],
-                                     config["tol"], rng, timings=timings)
-        else:
-            result = EXECUTORS[kind](config["params"], config["seed"],
-                                     config["tol"], rng)
+        result = KINDS[kind].run(config["params"], config["seed"], config["tol"], rng)
     except GeneratorRejected as exc:
         result = ExperimentResult(payload={"report": exc.report.to_dict()},
                                   failures=tuple(exc.report.failures),
@@ -595,6 +579,9 @@ def execute(config, quiet=False, timings=False):
     if result.table is not None:
         csv_path = config["out"] + ".csv"
         header, rows = result.table
+        if not timings and TIMING_COLUMN in header:
+            col = header.index(TIMING_COLUMN)
+            rows = [[*row[:col], "", *row[col + 1:]] for row in rows]
         write_csv(csv_path, header, rows, digest, config["seed"])
         written.append(csv_path)
     if not quiet:
@@ -624,46 +611,6 @@ def _add_common(sub):
                      help="include wall-clock columns (breaks byte-identical reruns)")
 
 
-def _json_flag(text, flag):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{flag} is not valid JSON: {exc}") from None
-
-
-def _int_list_flag(text, flag):
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise ConfigError(f"{flag} must be comma separated integers") from None
-
-
-def _float_list_flag(text, flag):
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise ConfigError(f"{flag} must be comma separated numbers") from None
-
-
-_FLAG_PARAMS = {
-    "generator": ("--generator", "json"),
-    "target": ("--target", "json"),
-    "lag_range": ("--lag-range", "int"),
-    "window": ("--window", "int"),
-    "num_vectors": ("--num-vectors", "int"),
-    "p_list": ("--p-list", "float_list"),
-    "p": ("--p", "float"),
-    "trials": ("--trials", "int"),
-    "draws": ("--draws", "int"),
-    "max_terms": ("--max-terms", "int"),
-    "M_list": ("--M-list", "int_list"),
-    "N_list": ("--N-list", "int_list"),
-    "K": ("--K", "int"),
-    "reconstruction_limit": ("--reconstruction-limit", "int"),
-    "steps": ("--steps", "float_list"),
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="framelab",
@@ -674,19 +621,13 @@ def build_parser():
     runner.add_argument("config", help="path to a JSON experiment config")
     _add_common(runner)
 
-    for kind, schema in SCHEMAS.items():
+    for kind, spec in KINDS.items():
         sub = subs.add_parser(kind, help=f"run the {kind} experiment")
         _add_common(sub)
         sub.add_argument("--config", dest="config",
                          help="JSON file holding config fields for this kind")
-        for name in schema:
-            flag, flag_type = _FLAG_PARAMS[name]
-            if flag_type == "int":
-                sub.add_argument(flag, dest=f"param_{name}", type=int)
-            elif flag_type == "float":
-                sub.add_argument(flag, dest=f"param_{name}", type=float)
-            else:
-                sub.add_argument(flag, dest=f"param_{name}")
+        for name in spec.params:
+            sub.add_argument(_flag(name), dest=f"param_{name}")
     return parser
 
 
@@ -719,20 +660,17 @@ def _collect_config(args):
             raise ConfigError("config must be a JSON object")
         raw = dict(raw)
         raw["kind"] = args.command
-        params = dict(raw.get("params", {}) or {})
-        for name in SCHEMAS[args.command]:
-            value = getattr(args, f"param_{name}", None)
-            if value is None:
-                continue
-            _, flag_type = _FLAG_PARAMS[name]
-            flag = _FLAG_PARAMS[name][0]
-            if flag_type == "json":
-                value = _json_flag(value, flag)
-            elif flag_type == "int_list":
-                value = _int_list_flag(value, flag)
-            elif flag_type == "float_list":
-                value = _float_list_flag(value, flag)
-            params[name] = value
+        params = raw.get("params") or {}
+        if not isinstance(params, dict):
+            raise ConfigError("params must be an object")
+        params = dict(params)
+        for name, spec in KINDS[args.command].params.items():
+            text = getattr(args, f"param_{name}")
+            if text is not None:
+                try:
+                    params[name] = spec.parse(text)
+                except ValueError as exc:
+                    raise ConfigError(f"{_flag(name)}: {exc}") from None
         raw["params"] = params
     if args.out is not None:
         raw["out"] = args.out

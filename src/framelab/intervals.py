@@ -43,10 +43,6 @@ class IntervalSet:
     def empty(cls):
         return cls(())
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls(pairs)
-
     def to_pairs(self):
         return tuple(tuple(iv) for iv in self.intervals)
 

@@ -30,10 +30,6 @@ class CoordinateVector:
     def unit(cls, n, value=1):
         return cls({n: value})
 
-    @classmethod
-    def from_entries(cls, pairs):
-        return cls(pairs)
-
     def to_entries(self):
         return tuple((n, self._entries[n]) for n in self.support())
 

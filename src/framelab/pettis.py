@@ -70,13 +70,3 @@ def unconditionality_scan(g, trials, window, p, seed=0):
         best_unconditional = max(best_unconditional,
                                  c.multiply(d).abs_integral() / denom)
     return best_suppression, best_unconditional
-
-
-def suppression_constant_lower_bound(g, trials, window, p, seed=0):
-    """Largest observed suppression ratio; a certified lower bound for the constant.
-
-    Together with the generator certificate this brackets the true
-    suppression constant inside [lower bound, g.suppression_constant].
-    """
-    lower, _ = unconditionality_scan(g, trials, window, p, seed)
-    return lower

@@ -21,17 +21,14 @@ from .lp import CoordinateVector
 
 @dataclasses.dataclass(frozen=True)
 class SamplingPlan:
-    """Lattice step, offset, parameter window and quadrature weight rule."""
+    """Lattice step, offset and parameter window; samples carry Riemann weight h."""
     step: float
     window: IntervalSet
     offset: float = 0.0
-    weight_rule: str = "riemann"
 
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("lattice step must be positive")
-        if self.weight_rule != "riemann":
-            raise ValueError("only the 'riemann' weight rule is supported")
         if not isinstance(self.window, IntervalSet):
             raise TypeError("window must be an IntervalSet")
 

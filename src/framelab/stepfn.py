@@ -42,6 +42,22 @@ def _canonicalize(bp, vals):
     return bp, vals
 
 
+def _merged_cells(a, b):
+    """Union grid of two breakpoint arrays, points within MERGE_TOL merged.
+
+    Returns (grid, cell midpoints), or None when no cell remains.
+    """
+    grid = np.union1d(a, b)
+    if grid.size:
+        keep = np.empty(grid.size, dtype=bool)
+        keep[0] = True
+        keep[1:] = np.diff(grid) > MERGE_TOL
+        grid = grid[keep]
+    if grid.size < 2:
+        return None
+    return grid, 0.5 * (grid[:-1] + grid[1:])
+
+
 class StepFunction:
     """Piecewise constant function, zero outside its breakpoint span.
 
@@ -127,15 +143,10 @@ class StepFunction:
     # -- algebra -----------------------------------------------------------
 
     def _combine(self, other, op):
-        grid = np.union1d(self.breakpoints, other.breakpoints)
-        if grid.size:
-            keep = np.empty(grid.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = np.diff(grid) > MERGE_TOL
-            grid = grid[keep]
-        if grid.size < 2:
+        cells = _merged_cells(self.breakpoints, other.breakpoints)
+        if cells is None:
             return StepFunction.zero()
-        mids = 0.5 * (grid[:-1] + grid[1:])
+        grid, mids = cells
         vals = op(self.evaluate(mids), other.evaluate(mids))
         return StepFunction(grid, vals)
 
@@ -235,14 +246,10 @@ class StepFunction:
         """Exact integral of the pointwise product of two step functions."""
         if self.values.size == 0 or other.values.size == 0:
             return 0.0
-        grid = np.union1d(self.breakpoints, other.breakpoints)
-        keep = np.empty(grid.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(grid) > MERGE_TOL
-        grid = grid[keep]
-        if grid.size < 2:
+        cells = _merged_cells(self.breakpoints, other.breakpoints)
+        if cells is None:
             return 0.0
-        mids = 0.5 * (grid[:-1] + grid[1:])
+        grid, mids = cells
         return float(np.dot(self.evaluate(mids) * other.evaluate(mids),
                             np.diff(grid)))
 

@@ -119,13 +119,14 @@ def sign_pattern(depth):
     return StepFunction(bp, vals)
 
 
-def build_rademacher_generator(spec):
-    """Assemble sum_n a_n * (sign pattern translated to [n, n+1)) and certify it.
+def rademacher_function(spec):
+    """The uncertified step function sum_n a_n * (sign pattern translated to [n, n+1)).
 
     The active coefficient of rank j (by increasing index) gets the pattern
     of dyadic depth j + resolution, so distinct ranks are orthogonal on a
     shared unit interval and disjoint translates never interact.  All
-    breakpoints are dyadic rationals, hence exact in floats.
+    breakpoints are dyadic rationals, hence exact in floats.  Raises
+    GeneratorRejected for an empty or non-unit coefficient vector.
     """
     coeffs = spec.coefficients
     if not isinstance(coeffs, CoordinateVector):
@@ -144,8 +145,12 @@ def build_rademacher_generator(spec):
     pieces = []
     for rank, (n, a) in enumerate(coeffs.items()):
         pieces.append(sign_pattern(rank + spec.resolution).translate(n).scale(a))
-    f = StepFunction.sum(pieces)
-    return validate_generator(f)
+    return StepFunction.sum(pieces)
+
+
+def build_rademacher_generator(spec):
+    """Certify :func:`rademacher_function` of ``spec`` as a Generator."""
+    return validate_generator(rademacher_function(spec))
 
 
 def frame_vector(g, t, window):

@@ -1,12 +1,13 @@
 """Tests for config validation, report determinism and CLI exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from framelab.cli import ConfigError, main, validate_config
+from framelab.cli import KINDS, ConfigError, build_parser, main, validate_config
 from framelab.reports import ARTIFACT_VERSION, config_digest
 
 
@@ -26,6 +27,8 @@ def test_config_rejects_unknown_top_level_field():
 def test_config_rejects_unknown_kind_and_params():
     with pytest.raises(ConfigError):
         validate_config({"kind": "nonsense"})
+    with pytest.raises(ConfigError):
+        validate_config({"kind": ["counterexample"]})
     with pytest.raises(ConfigError):
         validate_config({"kind": "counterexample", "params": {"bogus": 1}})
 
@@ -56,6 +59,47 @@ def test_config_range_checks():
         validate_config({"kind": "counterexample", "seed": -1})
     with pytest.raises(ConfigError):
         validate_config({"kind": "counterexample", "tol": -0.5})
+    with pytest.raises(ConfigError):
+        validate_config({"kind": "counterexample", "tol": float("nan")})
+    # the draw takes max_terms distinct indices from the 7 values -3..3
+    with pytest.raises(ConfigError):
+        validate_config({"kind": "young-fuzz", "params": {"max_terms": 8}})
+
+
+# -- the kind registry ----------------------------------------------------------
+
+COMMON_FLAGS = {"-h", "--help", "--out", "--seed", "--tol", "--quiet", "--timings",
+                "--config"}
+UNIT_GENERATOR = {"rademacher": {"coefficients": [[0, 1.0]]}}
+
+
+def test_each_kind_exposes_exactly_its_derived_flags():
+    parser = build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subs) == {"run", *KINDS}
+    every_flag = set()
+    for kind, spec in KINDS.items():
+        flags = {"--" + name.replace("_", "-") for name in spec.params}
+        exposed = {opt for action in subs[kind]._actions for opt in action.option_strings}
+        assert exposed == COMMON_FLAGS | flags, kind
+        every_flag |= flags
+    assert every_flag == {
+        "--generator", "--target", "--lag-range", "--window", "--num-vectors",
+        "--p-list", "--p", "--trials", "--draws", "--max-terms", "--M-list",
+        "--N-list", "--K", "--reconstruction-limit", "--steps"}
+
+
+def test_each_kind_defaults_pass_their_own_check():
+    for kind, spec in KINDS.items():
+        required = {name: UNIT_GENERATOR for name, param in spec.params.items()
+                    if param.required}
+        # a None default means "derived at run time", not a value to check
+        explicit = {name: param.default for name, param in spec.params.items()
+                    if param.default is not None}
+        assert (validate_config({"kind": kind, "tol": spec.tol,
+                                 "params": {**required, **explicit}})
+                == validate_config({"kind": kind, "params": required})), kind
 
 
 def test_config_fills_defaults():
@@ -125,6 +169,43 @@ def test_rejected_generator_exits_2_and_writes_report(tmp_path, capsys):
     assert payload["report"]["failures"]
 
 
+@pytest.mark.parametrize("kind, flag, record", [
+    ("validate-generator", "--generator",
+     {"rademacher": {"coefficients": [["a", 1]]}}),
+    ("validate-generator", "--generator",
+     {"step_function": {"breakpoints": ["x", 1], "values": [1.0]}}),
+    ("validate-generator", "--generator",
+     {"step_function": {"breakpoints": [1, 0], "values": [1.0]}}),
+    ("validate-generator", "--generator",
+     {"step_function": {"breakpoints": [0, 1], "values": [float("nan")]}}),
+    ("wavelet-identity", "--target",
+     {"step_function": {"breakpoints": [0, 1], "values": [float("inf")]}}),
+    ("wavelet-identity", "--target", {"indicator": [0, float("inf")]}),
+], ids=["coefficient-index-text", "breakpoint-text", "breakpoints-decreasing",
+        "generator-value-nan", "target-value-inf", "indicator-inf"])
+def test_malformed_record_is_a_config_error(tmp_path, capsys, kind, flag, record):
+    code = main([kind, flag, json.dumps(record), "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rademacher_validation_applies_lag_range_and_tol(tmp_path):
+    # squares sum to 1 + 1.6e-13: unit norm within the spec's 1e-12, but the
+    # orthonormality residual is nonzero, so only a zero tolerance rejects it
+    gen = json.dumps({"rademacher": {"coefficients": [[0, 0.6], [1, 0.8 + 1e-13]]}})
+    out = str(tmp_path / "lagged")
+    args = ["validate-generator", "--generator", gen, "--lag-range", "5",
+            "--out", out, "--quiet"]
+    assert main([*args, "--tol", "1e-10"]) == 0
+    report = json.loads((tmp_path / "lagged.json").read_text())["report"]
+    assert (report["lag_range"], report["tol"], report["ok"]) == (5, 1e-10, True)
+    assert 0.0 < report["ortho_residual"] < 1e-10
+    assert main([*args, "--tol", "0"]) == 2
+    report = json.loads((tmp_path / "lagged.json").read_text())["report"]
+    assert (report["lag_range"], report["tol"], report["ok"]) == (5, 0.0, False)
+
+
 def test_tolerance_failure_exits_3(tmp_path):
     # the 0.6/0.8 generator leaves float dust, so a zero tolerance must trip
     out = tmp_path / "strict"
@@ -170,6 +251,15 @@ def test_run_refuses_to_overwrite_its_config(tmp_path, capsys):
 def test_bad_flag_value_exits_1(tmp_path, capsys):
     assert main(["counterexample", "--K", "0"]) == 1
     capsys.readouterr()
+
+
+def test_kind_config_file_params_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"params": [1]}))
+    assert main(["counterexample", "--config", str(path), "--K", "3",
+                 "--out", str(tmp_path / "cx")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "cx.json").exists()
 
 
 # -- subprocess behaviour and artifact determinism --------------------------------

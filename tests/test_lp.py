@@ -30,10 +30,10 @@ def test_integer_entries_stay_integers():
     assert v.pair(v) == 13 and isinstance(v.pair(v), int)
 
 
-def test_unit_and_from_entries():
+def test_unit_and_to_entries():
     e = CoordinateVector.unit(4)
     assert e[4] == 1 and e.support() == (4,)
-    v = CoordinateVector.from_entries([(0, 1.0), (2, 3.0)])
+    v = CoordinateVector([(0, 1.0), (2, 3.0)])
     assert v[2] == 3.0
     assert v.to_entries() == ((0, 1.0), (2, 3.0))
 

@@ -10,7 +10,6 @@ from framelab import (
     build_rademacher_generator,
     exact_set_supremum,
     haar_mother,
-    suppression_constant_lower_bound,
     unconditionality_scan,
 )
 from framelab.intervals import random_interval_set
@@ -78,12 +77,6 @@ def test_scan_is_deterministic():
     a = unconditionality_scan(g, trials=40, window=5, p=1.5, seed=7)
     b = unconditionality_scan(g, trials=40, window=5, p=1.5, seed=7)
     assert a == b
-
-
-def test_lower_bound_wrapper_matches_scan():
-    g = build_rademacher_generator(RademacherSpec(coefficients={0: 1.0}))
-    lb = suppression_constant_lower_bound(g, trials=30, window=5, p=2.0, seed=3)
-    assert lb == unconditionality_scan(g, trials=30, window=5, p=2.0, seed=3)[0]
 
 
 def random_step(rng):

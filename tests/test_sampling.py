@@ -34,8 +34,6 @@ def test_plan_validation():
     window = IntervalSet([(0.0, 1.0)])
     with pytest.raises(ValueError):
         SamplingPlan(step=0.0, window=window)
-    with pytest.raises(ValueError):
-        SamplingPlan(step=0.5, window=window, weight_rule="simpson")
     with pytest.raises(TypeError):
         SamplingPlan(step=0.5, window=(0.0, 1.0))
 
