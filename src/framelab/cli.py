@@ -35,6 +35,12 @@ from .wavelet_frame import (WaveletSystem, convergence_study,
                             reconstruction_identity_gap)
 
 MAX_WINDOW = 2 ** 14
+# the biorthogonality matrix is dense: (2 * 512 + 1)^2 entries is 8 MB
+MAX_GRAM_WINDOW = 2 ** 9
+# Cap on the work the unit fold of a generator costs one job, in cell
+# products (see _fold_work).  It also bounds the tables the job holds:
+# 2^22 float64 cells is 32 MB.
+MAX_FOLD_WORK = 2 ** 22
 MAX_M = 8
 MAX_N = 16
 MAX_P = 16.0
@@ -116,6 +122,27 @@ def _check_generator(name, value):
     return value
 
 
+def _fold_work(generator, window):
+    """Cell products the unit fold of a checked generator record costs a job.
+
+    The fold holds units x cells entries, cells being the fractional cells
+    per unit (for a Rademacher record the finest sign pattern's 2^depth, for
+    a step function at most one per breakpoint plus one).  Its Gram lags
+    correlate each entry with up to ``units`` rows, and a series over the
+    2 * window + 1 translates of a window adds one row per translate.
+    """
+    [(key, body)] = generator.items()
+    if key == "rademacher":
+        indices = [n for n, _ in body["coefficients"]]
+        units = max(indices) - min(indices) + 1
+        cells = 2 ** min(len(indices) - 1 + body.get("resolution", 1), 64)
+    else:
+        bp = body["breakpoints"]
+        units = math.ceil(bp[-1]) - math.floor(bp[0])
+        cells = len(bp) + 1
+    return units * cells * (units + 2 * window + 1)
+
+
 def _require_step_record(name, body):
     if not isinstance(body, dict) or set(body) != {"breakpoints", "values"}:
         raise ConfigError(f"{name} must be {{breakpoints: [...], values: [...]}}")
@@ -148,6 +175,11 @@ def _check_target(name, value):
     else:
         raise ConfigError(f"{name} kind must be 'named', 'indicator' or 'step_function'")
     return value
+
+
+def _worst(a, b):
+    """max(a, b) that keeps a NaN from either side, so that its check fails."""
+    return b if (b > a or b != b) else a
 
 
 # -- the kind registry ------------------------------------------------------------
@@ -254,6 +286,13 @@ def validate_config(raw):
             raise ConfigError(f"missing required param: {name}")
         else:
             params[name] = spec.default
+    if params.get("generator") is not None:
+        work = _fold_work(params["generator"], params.get("window", 0))
+        if work > MAX_FOLD_WORK:
+            raise ConfigError(
+                f"generator too large: its unit fold needs about "
+                f"2^{work.bit_length() - 1} cell products, over the cap of "
+                f"2^{MAX_FOLD_WORK.bit_length() - 1}")
     return {"kind": kind, "seed": seed, "tol": float(tol), "out": out,
             "params": params}
 
@@ -312,14 +351,14 @@ def _run_validate_generator(params, seed, tol, rng):
 
 
 @_kind("biorthogonality", 1e-10, generator=_generator(),
-       window=_int(1, MAX_WINDOW, 8))
+       window=_int(1, MAX_GRAM_WINDOW, 8))
 def _run_biorthogonality(params, seed, tol, rng):
     g = _build_generator(params["generator"])
     window = params["window"]
     mat = biorthogonality_matrix(g, window)
     deviation = float(np.max(np.abs(mat - np.eye(mat.shape[0]))))
     failures = []
-    if deviation > tol:
+    if not (deviation <= tol):
         failures.append(
             f"biorthogonality deviation {deviation!r} exceeds tol {tol!r}")
     payload = {"window": window, "matrix_size": mat.shape[0],
@@ -344,10 +383,10 @@ def _run_reconstruct(params, seed, tol, rng):
         for p in params["p_list"]:
             denom = x.norm(p)
             if denom > 0:
-                worst[p] = max(worst[p], diff.norm(p) / denom)
+                worst[p] = _worst(worst[p], diff.norm(p) / denom)
     failures = [
         f"reconstruction error {err!r} at p={p} exceeds tol {tol!r}"
-        for p, err in worst.items() if err > tol]
+        for p, err in worst.items() if not (err <= tol)]
     payload = {
         "window": window,
         "num_vectors": params["num_vectors"],
@@ -364,13 +403,13 @@ def _run_suppression_scan(params, seed, tol, rng):
     bs, bu = unconditionality_scan(g, params["trials"], params["window"],
                                    params["p"], seed)
     failures = []
-    if bs > g.suppression_constant + tol:
+    if not (bs <= g.suppression_constant + tol):
         failures.append(
             f"suppression lower bound {bs!r} exceeds certificate "
             f"{g.suppression_constant!r}")
-    if bs > bu + tol:
+    if not (bs <= bu + tol):
         failures.append("suppression bound exceeds unconditional bound")
-    if bu > 2.0 * bs + tol:
+    if not (bu <= 2.0 * bs + tol):
         failures.append("unconditional bound exceeds twice the suppression bound")
     payload = {
         "suppression_constant": g.suppression_constant,
@@ -410,17 +449,17 @@ def _run_young_fuzz(params, seed, tol, rng):
                               for n, v in zip(idx, rng.standard_normal(size))})
         p = p_list[i % len(p_list)]
         lhs, rhs = young_check(g.f, a, p)
-        if lhs > rhs * (1.0 + 1e-12) + 1e-12:
+        if not (lhs <= rhs * (1.0 + 1e-12) + 1e-12):
             failures.append(
                 f"series bound violated at draw {i}: lhs {lhs!r} > rhs {rhs!r}")
         if rhs > 0:
-            worst_ratio = max(worst_ratio, lhs / rhs)
+            worst_ratio = _worst(worst_ratio, lhs / rhs)
     equality_gap = 0.0
     for p in p_list:
         lhs, rhs = young_check(StepFunction.indicator(0.0, 1.0),
                                CoordinateVector.unit(0, 1.0), p)
-        equality_gap = max(equality_gap, abs(lhs - rhs))
-    if equality_gap > tol:
+        equality_gap = _worst(equality_gap, abs(lhs - rhs))
+    if not (equality_gap <= tol):
         failures.append(
             f"unit indicator equality gap {equality_gap!r} exceeds tol {tol!r}")
     payload = {"draws": params["draws"], "max_ratio": worst_ratio,
@@ -436,7 +475,7 @@ def _run_wavelet_reconstruct(params, seed, tol, rng):
     rows = convergence_study(ws, x, params["M_list"], params["N_list"])
     failures = []
     for row in rows:
-        if row.error > row.oracle_bound + tol:
+        if not (row.error <= row.oracle_bound + tol):
             failures.append(
                 f"box error {row.error!r} exceeds oracle bound "
                 f"{row.oracle_bound!r} at M={row.M} N={row.N}")
@@ -465,7 +504,7 @@ def _run_wavelet_identity(params, seed, tol, rng):
             for N in params["N_list"]:
                 gap = reconstruction_identity_gap(ws, x, M, N)
                 gaps.append({"p": p, "M": M, "N": N, "gap": gap})
-                if gap > tol:
+                if not (gap <= tol):
                     failures.append(
                         f"identity gap {gap!r} exceeds tol {tol!r} "
                         f"at p={p} M={M} N={N}")

@@ -95,7 +95,16 @@ class CoordinateVector:
             return float(max(abs(v) for v in self._entries.values()))
         if not p >= 1:
             raise ValueError("norm requires p >= 1 or p = inf")
-        total = sum(abs(self._entries[n]) ** p for n in sorted(self._entries))
+        try:
+            total = sum(abs(self._entries[n]) ** p for n in sorted(self._entries))
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            # a p-th power left the float range: rescale by the largest entry
+            big = float(max(abs(v) for v in self._entries.values()))
+            if big < math.inf:
+                return big * CoordinateVector(
+                    {n: v / big for n, v in self._entries.items()}).norm(p)
         return float(total ** (1.0 / p))
 
     def pair(self, other):

@@ -4,17 +4,23 @@ Reports must be byte identical when an experiment is rerun with the same
 config and seed, so everything funnels through canonical JSON (sorted
 keys, shortest round-trip floats) and CSV with '.' decimals, '\n' line
 ends and a mandatory header.  Every file embeds the artifact version and
-a digest of the config that produced it.
+a digest of the config that produced it.  JSON has no token for a
+non-finite float, so one is written as the string Python's ``repr`` gives
+it, "inf", "-inf" or "nan", the same text a CSV cell holds.
 """
 
 import hashlib
 import json
+import math
 
 ARTIFACT_VERSION = "0.1.0"
 
 
 def sanitize(obj):
-    """Coerce numpy scalars and containers to plain JSON-ready Python values."""
+    """Coerce numpy scalars and containers to plain JSON-ready Python values.
+
+    A non-finite float becomes its ``repr`` string: "inf", "-inf" or "nan".
+    """
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -24,12 +30,14 @@ def sanitize(obj):
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         obj = obj.item()
     if isinstance(obj, float):
-        return float(obj)
+        obj = float(obj)
+        return obj if math.isfinite(obj) else repr(obj)
     return obj
 
 
 def canonical_json(obj):
-    return json.dumps(sanitize(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(sanitize(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def config_digest(config):
@@ -58,6 +66,6 @@ def write_csv(path, header, rows, digest, seed):
 
 
 def write_json_report(path, payload):
-    text = json.dumps(sanitize(payload), sort_keys=True, indent=2)
+    text = json.dumps(sanitize(payload), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")

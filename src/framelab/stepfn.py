@@ -8,8 +8,6 @@ Dyadic breakpoints and dyadic translations therefore compose without any
 drift, which is what the reconstruction experiments lean on.
 """
 
-import math
-
 import numpy as np
 
 from .intervals import IntervalSet
@@ -56,6 +54,33 @@ def _merged_cells(a, b):
     if grid.size < 2:
         return None
     return grid, 0.5 * (grid[:-1] + grid[1:])
+
+
+def _folded(f):
+    """Cut f at the integers and fold it onto [0, 1).
+
+    Returns ``(k0, grid, table)``: ``k0`` is the integer (held as a float)
+    where the first unit of the support starts, ``grid`` is the fractional
+    grid 0 = G[0] < ... < G[-1] = 1 of every breakpoint's fractional part,
+    points within MERGE_TOL merged as in :func:`_merged_cells`, and
+    ``table[j, i] = f(k0 + j + mid_i)`` holds one row per unit
+    [k0 + j, k0 + j + 1) of the support and one column per cell of ``grid``.
+    The zero function folds to a table with no rows.
+    """
+    if f.values.size == 0:
+        return 0.0, np.array([0.0, 1.0]), np.zeros((0, 1))
+    bp = f.breakpoints
+    k0 = float(np.floor(bp[0]))
+    units = int(np.ceil(bp[-1]) - k0)
+    grid = np.union1d(bp - np.floor(bp), (0.0, 1.0))
+    keep = np.empty(grid.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = np.diff(grid) > MERGE_TOL
+    grid = grid[keep]
+    grid[-1] = 1.0      # a part just below 1 may have absorbed the end point
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    table = f.evaluate((k0 + np.arange(units, dtype=float))[:, None] + mids)
+    return k0, grid, table
 
 
 class StepFunction:
@@ -256,37 +281,16 @@ class StepFunction:
     def periodized_l1_sup(self):
         """sup over t of the 1-periodization of |f|.
 
-        Folds every cell of |f| onto [0, 1) and takes the maximum of the
-        accumulated step function.  Finiteness is automatic for compactly
-        supported step functions; the point of computing it exactly is that
-        it certifies the frame bound of a translated generator.
+        The largest column sum of |F| in the unit fold of f (see
+        :func:`_folded`), each column summed in increasing unit.
+        Finiteness is automatic for compactly supported step functions; the
+        point of computing it exactly is that it certifies the frame bound of
+        a translated generator.
         """
         if self.values.size == 0:
             return 0.0
-        frags = []
-        for s, e, v in zip(self.breakpoints[:-1], self.breakpoints[1:],
-                           np.abs(self.values)):
-            if v == 0.0:
-                continue
-            pos = s
-            while pos < e:
-                k = math.floor(pos)
-                seg_end = min(e, k + 1.0)
-                frags.append((pos - k, seg_end - k, v))
-                pos = seg_end
-        if not frags:
-            return 0.0
-        points = {0.0, 1.0}
-        for fs, fe, _ in frags:
-            points.add(fs)
-            points.add(fe)
-        grid = np.array(sorted(points))
-        acc = np.zeros(grid.size - 1)
-        for fs, fe, v in frags:
-            i0 = np.searchsorted(grid, fs)
-            i1 = np.searchsorted(grid, fe)
-            acc[i0:i1] += v
-        return float(acc.max())
+        _, _, table = _folded(self)
+        return float(np.add.reduce(np.abs(table), axis=0).max())
 
     # -- comparisons ---------------------------------------------------------
 

@@ -71,7 +71,7 @@ class WaveletSystem:
         """Build a system from custom step wavelets, enforcing biorthogonality."""
         ws = cls(mother, dual_mother, float(p))
         residual = ws.biorthogonality_residual(window)
-        if residual > tol:
+        if not (residual <= tol):
             raise ValueError(
                 f"wavelet pair fails biorthogonality: residual {residual:.3e} > {tol:.1e}")
         return ws

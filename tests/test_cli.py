@@ -2,18 +2,30 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from framelab.cli import KINDS, ConfigError, build_parser, main, validate_config
-from framelab.reports import ARTIFACT_VERSION, config_digest
+from framelab import CoordinateVector, cli
+from framelab.cli import (KINDS, MAX_FOLD_WORK, ConfigError, build_parser, main,
+                          validate_config)
+from framelab.reports import ARTIFACT_VERSION, canonical_json, config_digest
 
 
-def run_cli(args, cwd, env):
+def run_cli(args, cwd, env, timeout=None):
     return subprocess.run([sys.executable, "-m", "framelab.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def strict_json(text):
+    """json.loads that refuses the bare NaN/Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 # -- config validation ----------------------------------------------------------
@@ -326,3 +338,85 @@ def test_sampling_sweep_csv_has_exact_column(tmp_path):
     assert lines[2].endswith("true")
     payload = json.loads((tmp_path / "sweep.json").read_text())
     assert payload["nonincreasing"] is True
+
+
+# -- bounded work and non-finite values ---------------------------------------------
+
+EIGHT_TERMS = {"rademacher": {"coefficients": [[n, 1 / math.sqrt(8)] for n in range(8)]}}
+
+
+@pytest.mark.parametrize("args", [
+    ["validate-generator", "--generator",
+     json.dumps({"step_function": {"breakpoints": [0, 1e308], "values": [1]}})],
+    ["biorthogonality", "--window", "2", "--generator",
+     json.dumps({"step_function": {"breakpoints": [0, 1e6], "values": [1e-3]}})],
+    ["validate-generator", "--generator",
+     json.dumps({"rademacher": {"coefficients": [[n, 1 / math.sqrt(30)]
+                                                 for n in range(30)]}})],
+], ids=["span-1e308", "span-1e6-biorthogonality", "rademacher-depth-30"])
+def test_oversized_generator_is_a_config_error(tmp_path, cli_env, args):
+    proc = run_cli([*args, "--out", "big"], cwd=tmp_path, env=cli_env, timeout=2)
+    assert proc.returncode == 1
+    assert "config error: generator too large" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_work_cap_admits_the_benchmark_and_test_generators():
+    # the benchmark's 8-coefficient generator folds to 8 units x 256 cells
+    assert cli._fold_work(EIGHT_TERMS, 16) == 8 * 256 * (8 + 33)
+    for kind, window in (("biorthogonality", 16), ("reconstruct", 8),
+                         ("suppression-scan", 8), ("sampling-sweep", 4)):
+        validate_config({"kind": kind, "params": {"generator": EIGHT_TERMS,
+                                                  "window": window}})
+    validate_config({"kind": "validate-generator", "params": {"generator": EIGHT_TERMS}})
+    step = {"step_function": {"breakpoints": [0, 1e6], "values": [1e-3]}}
+    assert cli._fold_work(step, 0) > MAX_FOLD_WORK
+    # the dense biorthogonality matrix bounds its own window
+    validate_config({"kind": "biorthogonality", "params": {"window": 512}})
+    with pytest.raises(ConfigError):
+        validate_config({"kind": "biorthogonality", "params": {"window": 513}})
+
+
+def test_huge_rademacher_coefficient_is_rejected_with_a_report(tmp_path, cli_env):
+    gen = json.dumps({"rademacher": {"coefficients": [[0, 1e308]]}})
+    proc = run_cli(["validate-generator", "--generator", gen, "--out", "huge"],
+                   cwd=tmp_path, env=cli_env, timeout=2)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    report = strict_json((tmp_path / "huge.json").read_text())["report"]
+    assert report["ok"] is False
+    assert report["failures"] == ["coefficients must have unit l2 norm, got 1e+308"]
+    assert report["ortho_residual"] == "inf"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_generator_writes_finite_json(tmp_path, capsys):
+    gen = json.dumps({"step_function": {"breakpoints": [0, 1, 2], "values": [1, 1e308]}})
+    assert main(["validate-generator", "--generator", gen,
+                 "--out", str(tmp_path / "over"), "--quiet"]) == 2
+    report = strict_json((tmp_path / "over.json").read_text())["report"]
+    assert report["ortho_residual"] == "inf"
+    assert report["ok"] is False
+    capsys.readouterr()
+
+
+def test_non_finite_floats_are_written_as_strings():
+    assert canonical_json({"a": math.nan, "b": [math.inf, -math.inf],
+                           "c": np.float64(math.nan), "d": 0.5}) == \
+        '{"a":"nan","b":["inf","-inf"],"c":"nan","d":0.5}'
+
+
+@pytest.mark.parametrize("kind, target, fake", [
+    ("biorthogonality", "biorthogonality_matrix", lambda g, w: np.full((3, 3), math.nan)),
+    ("reconstruct", "synthesis_over_set",
+     lambda g, x, region, w: CoordinateVector({0: math.nan})),
+    ("young-fuzz", "young_check", lambda f, a, p: (math.nan, math.nan)),
+    ("wavelet-identity", "reconstruction_identity_gap", lambda ws, x, M, N: math.nan),
+])
+def test_nan_results_fail_their_check(tmp_path, monkeypatch, capsys, kind, target, fake):
+    monkeypatch.setattr(cli, target, fake)
+    extra = {"reconstruct": ["--num-vectors", "2"], "young-fuzz": ["--draws", "2"]}
+    assert main([kind, *extra.get(kind, []), "--out", str(tmp_path / "nan")]) == 3
+    assert "FAIL" in capsys.readouterr().out
+    payload = strict_json((tmp_path / "nan.json").read_text())
+    assert payload["passed"] is False

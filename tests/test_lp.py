@@ -93,3 +93,15 @@ def test_items_sorted_and_equality():
     assert v == CoordinateVector({3: 3.0, 5: 1.0, -2: 2.0})
     assert hash(v) == hash(CoordinateVector({-2: 2.0, 3: 3.0, 5: 1.0}))
     assert v != CoordinateVector({3: 3.0})
+
+
+def test_norm_survives_float_overflow():
+    # a p-th power past the float range rescales instead of raising or giving inf
+    assert CoordinateVector({0: 1e308}).norm(2) == 1e308
+    assert CoordinateVector({0: 1e200, 3: -1e200}).norm(2) == pytest.approx(
+        math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert CoordinateVector({0: 1e300, 1: 2e300}).norm(3.5) == pytest.approx(
+        (1.0 + 2.0 ** 3.5) ** (1 / 3.5) * 1e300, rel=1e-14)
+    # integer entries keep their exact sums
+    assert CoordinateVector({0: 3, 1: 4}).norm(2) == 5.0
+    assert CoordinateVector({n: 1 for n in range(10 ** 3)}).norm(1) == 1000.0
