@@ -14,9 +14,8 @@ from .pettis import exact_set_supremum, unconditionality_scan
 from .wavelet_frame import (GridIndex, StudyRow, WaveletSystem,
                             averaged_conjugate_reconstruction, box_reconstruct,
                             convergence_study, discrete_partial_reconstruct,
-                            full_grid, grid_partial_sum, member, member_snapped,
-                            reconstruction_identity_gap, snap_deviation_report,
-                            snap_to_grid)
+                            full_grid, grid_partial_sum, member,
+                            reconstruction_identity_gap, snap_to_grid)
 from .diagnostics import (CompletenessReport, CounterexampleReport, DiscreteFrame,
                           SpaceTag, TailReport, boundedly_complete_probe,
                           counterexample_frame, counterexample_report,
@@ -40,9 +39,9 @@ __all__ = [
     "counterexample_report", "default_window", "discrete_partial_reconstruct",
     "estimate_tail_dual_norm", "exact_set_supremum", "frame_vector",
     "full_grid", "generator_certificates", "grid_partial_sum", "haar_mother",
-    "member", "member_snapped", "project_frame", "rademacher_function",
+    "member", "project_frame", "rademacher_function",
     "reconstruction_identity_gap", "reconstruction_matrix", "sample_frame",
-    "sampling_sweep", "sign_pattern", "snap_deviation_report", "snap_to_grid",
+    "sampling_sweep", "sign_pattern", "snap_to_grid",
     "suppression_ratio_scan", "synthesis_over_set", "tail_dual_norm",
     "tail_functional", "tail_report",
     "translate_series", "unconditionality_scan", "unit_vector_frame",

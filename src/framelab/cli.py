@@ -41,6 +41,9 @@ MAX_GRAM_WINDOW = 2 ** 9
 # products (see _fold_work).  It also bounds the tables the job holds:
 # 2^22 float64 cells is 32 MB.
 MAX_FOLD_WORK = 2 ** 22
+# Cap on the lattice members one wavelet job evaluates (see _lattice_work):
+# eight rows at the schema maximum M = 8, N = 16.
+MAX_LATTICE_WORK = 2 ** 20
 MAX_M = 8
 MAX_N = 16
 MAX_P = 16.0
@@ -141,6 +144,18 @@ def _fold_work(generator, window):
         units = math.ceil(bp[-1]) - math.floor(bp[0])
         cells = len(bp) + 1
     return units * cells * (units + 2 * window + 1)
+
+
+def _lattice_work(params):
+    """Lattice members a wavelet job evaluates.
+
+    Each (M, N) row sums (2M)^2 N^2 members for the box, as many again for
+    the conjugate route (the oracle bound or the averaged sum), once per
+    exponent.
+    """
+    members = sum(2 * (2 * M) ** 2 * N ** 2
+                  for M in params["M_list"] for N in params["N_list"])
+    return members * len(params.get("p_list", [params.get("p")]))
 
 
 def _require_step_record(name, body):
@@ -293,6 +308,12 @@ def validate_config(raw):
                 f"generator too large: its unit fold needs about "
                 f"2^{work.bit_length() - 1} cell products, over the cap of "
                 f"2^{MAX_FOLD_WORK.bit_length() - 1}")
+    if "M_list" in params:
+        work = _lattice_work(params)
+        if work > MAX_LATTICE_WORK:
+            raise ConfigError(
+                f"wavelet job too large: {work} lattice members, over the cap of "
+                f"2^{MAX_LATTICE_WORK.bit_length() - 1}")
     return {"kind": kind, "seed": seed, "tol": float(tol), "out": out,
             "params": params}
 

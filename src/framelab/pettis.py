@@ -8,6 +8,8 @@ of a translated-generator frame; the generator certificate provides the
 matching upper bound.
 """
 
+import math
+
 import numpy as np
 
 from .intervals import IntervalSet
@@ -20,9 +22,11 @@ def _sign_parts(vals, lens):
     """Integrals of the positive and of the negative part (both >= 0).
 
     ``vals * lens`` are the signed cell integrals; each part is summed by
-    ``np.add.reduce`` in cell order.
+    ``np.add.reduce`` in cell order.  A NaN cell makes both parts NaN.
     """
     weighted = (vals * lens).ravel()
+    if np.isnan(weighted).any():
+        return math.nan, math.nan
     return (float(np.add.reduce(weighted[weighted > 0])),
             float(np.add.reduce(-weighted[weighted < 0])))
 
@@ -56,7 +60,8 @@ def unconditionality_scan(g, trials, window, p, seed=0):
     scan are exact lower bounds for the corresponding frame constants.
     The analysis functions stay rows on the unit fold of the generator, and
     the sup over sets is the larger of the product's positive and negative
-    parts.  Degenerate pairs with ||x||*||x*|| < 1e-9 are skipped.
+    parts.  Degenerate pairs with ||x||*||x*|| < 1e-9 are skipped; a NaN
+    ratio makes its bound NaN.
     """
     if not p > 1:
         raise ValueError("scan requires p > 1")
@@ -64,8 +69,8 @@ def unconditionality_scan(g, trials, window, p, seed=0):
     rng = np.random.default_rng(seed)
     _, grid, table = _folded(g.f)
     lens = np.diff(grid)
-    best_suppression = 0.0
-    best_unconditional = 0.0
+    suppression = [0.0]
+    unconditional = [0.0]
     for _ in range(trials):
         x = rng.standard_normal(2 * window + 1)
         xs = rng.standard_normal(2 * window + 1)
@@ -74,6 +79,7 @@ def unconditionality_scan(g, trials, window, p, seed=0):
         if denom < 1e-9:
             continue
         pos, neg = _sign_parts(_series(table, x) * _series(table, xs), lens)
-        best_suppression = max(best_suppression, max(pos, neg) / denom)
-        best_unconditional = max(best_unconditional, (pos + neg) / denom)
-    return best_suppression, best_unconditional
+        suppression.append(max(pos, neg) / denom)
+        unconditional.append((pos + neg) / denom)
+    # np.max keeps a NaN, which Python's max would drop
+    return float(np.max(suppression)), float(np.max(unconditional))

@@ -40,6 +40,15 @@ def _canonicalize(bp, vals):
     return bp, vals
 
 
+def _evaluate(bp, vals, t):
+    """Values at the points of array ``t`` of the step function with cells (bp, vals)."""
+    if vals.size == 0:
+        return np.zeros_like(t)
+    idx = np.searchsorted(bp, t, side="right") - 1
+    inside = (idx >= 0) & (idx < vals.size)
+    return np.where(inside, vals[np.clip(idx, 0, vals.size - 1)], 0.0)
+
+
 def _merged_cells(a, b):
     """Union grid of two breakpoint arrays, points within MERGE_TOL merged.
 
@@ -151,14 +160,7 @@ class StepFunction:
     def evaluate(self, t):
         """Pointwise value; accepts a scalar or an array of points."""
         arr = np.asarray(t, dtype=float)
-        if self.values.size == 0:
-            out = np.zeros_like(arr)
-        else:
-            idx = np.searchsorted(self.breakpoints, arr, side="right") - 1
-            inside = (idx >= 0) & (idx < self.values.size)
-            out = np.where(inside,
-                           self.values[np.clip(idx, 0, self.values.size - 1)],
-                           0.0)
+        out = _evaluate(self.breakpoints, self.values, arr)
         if arr.ndim == 0:
             return float(out)
         return out
@@ -219,19 +221,6 @@ class StepFunction:
         return self.scale(other)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def sum(funcs):
-        """Balanced pairwise summation of a sequence of step functions."""
-        items = list(funcs)
-        if not items:
-            return StepFunction.zero()
-        while len(items) > 1:
-            nxt = [items[i].add(items[i + 1]) for i in range(0, len(items) - 1, 2)]
-            if len(items) % 2:
-                nxt.append(items[-1])
-            items = nxt
-        return items[0]
 
     # -- integrals and norms -------------------------------------------------
 

@@ -217,8 +217,10 @@ def _gram_lags(grid, table, count):
     """<f, f(. - m)> for m = 0 .. count - 1, from the rows of the fold of f."""
     lens = np.diff(grid)
     units = table.shape[0]
-    return np.array([np.add.reduce((table[m:] * table[:units - m] * lens).ravel())
-                     for m in range(count)])
+    # a lag past the float range is inf, and the report carries it
+    with np.errstate(over="ignore"):
+        return np.array([np.add.reduce((table[m:] * table[:units - m] * lens).ravel())
+                         for m in range(count)])
 
 
 def _cell_weights(start, units, grid, region):

@@ -12,20 +12,28 @@ times member over the box [-M, M]^2 collapses to an exact finite sum
 An independent route to the same sum conjugates the target by the
 fractional dilation-translation pair, applies the plain integer-grid
 partial reconstruction, transforms back and averages
-(``averaged_conjugate_reconstruction``).  The two paths share no code and
-agree up to float rounding; their difference is the identity check the
-experiments report.  The reconstruction error of the box sum is bounded
-by the worst conjugated partial-sum error, which is what
-``convergence_study`` tabulates.
+(``averaged_conjugate_reconstruction``).  Both routes run on one lattice
+kernel: every coefficient is a rise of the target's antiderivative across
+a member's cells, read for all members by one interpolation
+(``_coefficients``), and every sum of members is one sort of their jumps
+and one cumulative sum (``_jump_sum``).  What differs is the lattice and
+the target: the box sum takes the fractional lattice a = l + r/N,
+b = m + s 2^l / N against x, the averaged route the integer lattice
+(l, m) against each conjugated y_{r,s}, whose members it moves back one
+by one.  The two agree up to float rounding; their difference is the
+identity check the experiments report.  The reconstruction error of the
+box sum is bounded by the worst conjugated partial-sum error, which is
+what ``convergence_study`` tabulates.
 """
 
 import dataclasses
+import functools
 import math
 import time
 
 import numpy as np
 
-from .stepfn import StepFunction, haar_mother
+from .stepfn import _EMPTY, MERGE_TOL, StepFunction, _evaluate, _merged_cells, haar_mother
 
 _BIORTHO_TOL = 1e-10
 
@@ -76,17 +84,30 @@ class WaveletSystem:
                 f"wavelet pair fails biorthogonality: residual {residual:.3e} > {tol:.1e}")
         return ws
 
+    @functools.cached_property
+    def _unit_cells(self):
+        """Cells (breakpoints, values) of the primal and the dual member at (0, 0)."""
+        cells = {}
+        for side in ("primal", "dual"):
+            f = member(self, 0.0, 0.0, side)
+            cells[side] = (f.breakpoints, f.values)
+        return cells
+
     def biorthogonality_residual(self, window=4):
-        """Worst |<primal(n,k), dual(n',k')> - delta| over |n|,|k|,|n'|,|k'| <= window."""
-        rng = range(-window, window + 1)
-        primal = {(n, k): member(self, n, k, "primal") for n in rng for k in rng}
-        dual = {(n, k): member(self, n, k, "dual") for n in rng for k in rng}
-        worst = 0.0
-        for (n, k), fp in primal.items():
-            for (n2, k2), fd in dual.items():
-                target = 1.0 if (n, k) == (n2, k2) else 0.0
-                worst = max(worst, abs(fp.inner(fd) - target))
-        return worst
+        """Worst |<primal(n,k), dual(n',k')> - delta| over |n|,|k|,|n'|,|k'| <= window.
+
+        Each primal member is analysed against every dual member at once;
+        the maximum is taken by np.max, which keeps a NaN.
+        """
+        n, k = _pairs(-window, window + 1)
+        pb, pv = self._unit_cells["primal"]
+        gaps = []
+        for i in range(n.size):
+            gram = _coefficients(self, (pb + k[i]) * 2.0 ** (-n[i]),
+                                 pv * 2.0 ** (n[i] / self.p), n, k)
+            gram[i] -= 1.0
+            gaps.append(np.abs(gram))
+        return float(np.max(gaps))
 
 
 def member(ws, a, b, side="primal"):
@@ -133,21 +154,108 @@ def snap_to_grid(a, b, N):
     return GridIndex(l=l, r=r, m=m, s=s, N=N), a_snap, b_snap
 
 
-def member_snapped(ws, a, b, N, side="primal"):
-    """Family member at the grid-snapped parameters."""
-    _, a_snap, b_snap = snap_to_grid(a, b, N)
-    return member(ws, a_snap, b_snap, side)
+# -- the lattice kernel -----------------------------------------------------------
+
+
+def _pairs(lo, hi):
+    """Every (u, v) with lo <= u, v < hi as two float arrays, u outer."""
+    u, v = np.meshgrid(np.arange(lo, hi, dtype=float), np.arange(lo, hi, dtype=float),
+                       indexing="ij")
+    return u.ravel(), v.ravel()
+
+
+def _box_lattice(M, N):
+    """Snapped parameters (a, b) of every box cell, in the order r, l, s, m."""
+    r, l, s, m = (v.ravel() for v in np.meshgrid(
+        np.arange(N), np.arange(-M, M), np.arange(N), np.arange(-M, M), indexing="ij"))
+    return l + r / N, m + s * 2.0 ** l / N
+
+
+def _coefficients(ws, xb, xv, a, b):
+    """<x, dual(a_k, b_k)> for every k, for x with cells (xb, xv).
+
+    Over each cell of a dual member, the integral of x is the rise of its
+    piecewise linear antiderivative X, read at the member's breakpoints
+    (b_k + t_j) 2^(-a_k) by one interpolation for all k; each coefficient
+    sums value times rise in cell order.
+    """
+    if xv.size == 0:
+        return np.zeros(a.size)
+    db, dv = ws._unit_cells["dual"]
+    X = np.concatenate(([0.0], np.cumsum(xv * np.diff(xb))))
+    rise = np.diff(np.interp((b[:, None] + db) * 2.0 ** (-a[:, None]), xb, X), axis=1)
+    return np.add.reduce(rise * dv, axis=1) * 2.0 ** (a / ws.p_conj)
+
+
+def _members(ws, xb, xv, a, b, weight):
+    """Cells of weight * <x, dual_k> primal_k for each k whose coefficient is not 0.
+
+    Returns ``(breakpoints, values)``, one row per kept member.
+    """
+    coef = _coefficients(ws, xb, xv, a, b)
+    kept = coef != 0.0
+    a, b = a[kept, None], b[kept, None]
+    pb, pv = ws._unit_cells["primal"]
+    return ((b + pb) * 2.0 ** (-a),
+            (pv * 2.0 ** (a / ws.p)) * (coef[kept, None] * weight))
+
+
+def _jump_sum(bp, vals):
+    """Cells (grid, values) of the sum of the step functions in the rows of (bp, vals).
+
+    Each row turns into jumps at its breakpoints.  The union of all
+    breakpoints is sorted once, points within MERGE_TOL merged as in
+    ``_merged_cells``; ``np.bincount`` adds the jumps at their grid points
+    in row order and one cumulative sum gives the values.  A cell that no
+    row covers is exactly 0: an integer count of covering rows decides.
+    """
+    points, at = np.unique(bp.ravel(), return_inverse=True)
+    if points.size < 2:
+        return _EMPTY, _EMPTY
+    keep = np.empty(points.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = np.diff(points) > MERGE_TOL
+    grid = points[keep]
+    at = (np.cumsum(keep) - 1)[at].reshape(bp.shape)
+    jumps = np.bincount(at.ravel(), np.diff(vals, axis=1, prepend=0.0, append=0.0).ravel(),
+                        grid.size)
+    covering = np.cumsum(np.bincount(at[:, 0], minlength=grid.size)
+                         - np.bincount(at[:, -1], minlength=grid.size))
+    return grid, np.where(covering[:-1] > 0, np.cumsum(jumps)[:-1], 0.0)
+
+
+def _lattice_sum(ws, x, a, b, weight):
+    """weight * sum_k <x, dual(a_k, b_k)> primal(a_k, b_k) as one step function."""
+    return StepFunction(*_jump_sum(*_members(ws, x.breakpoints, x.values, a, b, weight)))
+
+
+def _lp_distance(f, g, p):
+    """||f - g||_p for step functions given as cells (breakpoints, values)."""
+    cells = _merged_cells(f[0], g[0])
+    if cells is None:
+        return 0.0
+    grid, mids = cells
+    diff = _evaluate(*f, mids) - _evaluate(*g, mids)
+    return float(np.add.reduce(np.abs(diff) ** p * np.diff(grid)) ** (1.0 / p))
+
+
+def _conjugated(ws, x, N):
+    """(r, s, cells of y_{r,s}) for every fractional pair.
+
+    y_{r,s} is x dilated by -r/N, then translated by -s/N.
+    """
+    for r in range(N):
+        for s in range(N):
+            yield (r, s, (x.breakpoints * 2.0 ** (r / N) + (-s / N),
+                          x.values * 2.0 ** ((-r / N) / ws.p)))
+
+
+# -- reconstructions ---------------------------------------------------------------
 
 
 def discrete_partial_reconstruct(ws, x, M):
     """Integer-grid partial reconstruction over scales and shifts in [-M, M-1]."""
-    terms = []
-    for l in range(-M, M):
-        for m in range(-M, M):
-            coef = x.inner(member(ws, l, m, "dual"))
-            if coef != 0.0:
-                terms.append(member(ws, l, m, "primal").scale(coef))
-    return StepFunction.sum(terms)
+    return _lattice_sum(ws, x, *_pairs(-M, M), 1.0)
 
 
 def box_reconstruct(ws, x, M, N):
@@ -162,43 +270,25 @@ def box_reconstruct(ws, x, M, N):
         raise ValueError("M must be a positive integer")
     if N < 1:
         raise ValueError("N must be a positive integer")
-    weight = 1.0 / (N * N)
-    terms = []
-    for r in range(N):
-        for l in range(-M, M):
-            a = l + r / N
-            for s in range(N):
-                for m in range(-M, M):
-                    b = m + s * (2.0 ** l) / N
-                    coef = x.inner(member(ws, a, b, "dual"))
-                    if coef != 0.0:
-                        terms.append(member(ws, a, b, "primal").scale(coef * weight))
-    return StepFunction.sum(terms)
-
-
-def conjugated_targets(ws, x, M, N):
-    """The conjugated vectors y_{r,s} and their integer-grid partial sums.
-
-    y_{r,s} is x dilated by -r/N then translated by -s/N; the returned list
-    holds ``(r, s, y, partial)`` for every fractional pair.
-    """
-    out = []
-    for r in range(N):
-        for s in range(N):
-            y = x.dilate(-r / N, ws.p).translate(-s / N)
-            out.append((r, s, y, discrete_partial_reconstruct(ws, y, M)))
-    return out
+    return _lattice_sum(ws, x, *_box_lattice(M, N), 1.0 / (N * N))
 
 
 def averaged_conjugate_reconstruction(ws, x, M, N):
     """Second route to the box sum: conjugate, reconstruct on the integer grid,
-    transform back, average over the N^2 fractional offsets."""
+    transform back, average over the N^2 fractional offsets.
+
+    Each conjugated partial sum stays a set of member cells; translating
+    them by s/N and dilating by r/N moves every member back, and all N^2
+    sets are summed by one jump sort.
+    """
     weight = 1.0 / (N * N)
-    terms = []
-    for r, s, _, partial in conjugated_targets(ws, x, M, N):
-        back = partial.translate(s / N).dilate(r / N, ws.p)
-        terms.append(back.scale(weight))
-    return StepFunction.sum(terms)
+    l, m = _pairs(-M, M)
+    bps, vals = [], []
+    for r, s, (yb, yv) in _conjugated(ws, x, N):
+        bp, v = _members(ws, yb, yv, l, m, 1.0)
+        bps.append((bp + s / N) * 2.0 ** (-(r / N)))
+        vals.append(v * 2.0 ** ((r / N) / ws.p) * weight)
+    return StepFunction(*_jump_sum(np.concatenate(bps), np.concatenate(vals)))
 
 
 def reconstruction_identity_gap(ws, x, M, N):
@@ -226,50 +316,21 @@ def convergence_study(ws, x, M_list, N_list):
     which dominates the error because the fractional dilation-translation
     pair is an isometry of Lp.
     """
+    cells = (x.breakpoints, x.values)
     rows = []
     for M in M_list:
+        l, m = _pairs(-M, M)
         for N in N_list:
             start = time.perf_counter()
             approx = box_reconstruct(ws, x, M, N)
-            error = x.add(approx.scale(-1.0)).lp_norm(ws.p)
-            bound = 0.0
-            for _, _, y, partial in conjugated_targets(ws, x, M, N):
-                bound = max(bound, y.add(partial.scale(-1.0)).lp_norm(ws.p))
+            error = _lp_distance(cells, (approx.breakpoints, approx.values), ws.p)
+            # np.max keeps a NaN, which Python's max would drop
+            bound = float(np.max([
+                _lp_distance(y, _jump_sum(*_members(ws, *y, l, m, 1.0)), ws.p)
+                for _, _, y in _conjugated(ws, x, N)]))
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             rows.append(StudyRow(M=M, N=N, p=ws.p, error=error,
                                  oracle_bound=bound, runtime_ms=elapsed_ms))
-    return rows
-
-
-def snap_deviation_report(ws, x, f, M, N_list, samples_per_unit=8):
-    """Riemann averages of the snapping deviation over the parameter box.
-
-    For each N the report row holds the average over sampled (a, b) in
-    [-M, M)^2 of |<x, dual snapped - dual exact>| and of
-    |<f, primal snapped - primal exact>|.  Both shrink as N grows; this is
-    numerical evidence for the limit hypotheses behind the box formula,
-    not a proof.
-    """
-    offsets = (np.arange(samples_per_unit) + 0.5) / samples_per_unit
-    base = np.arange(-M, M)
-    points = (base[:, None] + offsets[None, :]).ravel()
-    rows = []
-    for N in N_list:
-        coef_dev = 0.0
-        member_dev = 0.0
-        count = 0
-        for a in points:
-            for b in points:
-                dual_exact = member(ws, a, b, "dual")
-                dual_snap = member_snapped(ws, a, b, N, "dual")
-                coef_dev += abs(x.inner(dual_snap) - x.inner(dual_exact))
-                primal_exact = member(ws, a, b, "primal")
-                primal_snap = member_snapped(ws, a, b, N, "primal")
-                member_dev += abs(f.inner(primal_snap) - f.inner(primal_exact))
-                count += 1
-        rows.append({"N": int(N),
-                     "mean_coefficient_deviation": coef_dev / count,
-                     "mean_member_deviation": member_dev / count})
     return rows
 
 
@@ -279,18 +340,12 @@ def grid_partial_sum(ws, x, M, N, keep):
     Used to probe suppression behaviour of the snapped family: dropping
     cells must not blow up the sum beyond the measured constant.
     """
-    keep = set(keep)
-    weight = 1.0 / (N * N)
-    terms = []
-    for (l, m, r, s) in keep:
+    cells = sorted(set(keep))
+    for (l, m, r, s) in cells:
         if not (-M <= l < M and -M <= m < M and 0 <= r < N and 0 <= s < N):
             raise ValueError(f"cell {(l, m, r, s)} outside the box grid")
-        a = l + r / N
-        b = m + s * (2.0 ** l) / N
-        coef = x.inner(member(ws, a, b, "dual"))
-        if coef != 0.0:
-            terms.append(member(ws, a, b, "primal").scale(coef * weight))
-    return StepFunction.sum(terms)
+    l, m, r, s = np.array(cells, dtype=float).reshape(-1, 4).T
+    return _lattice_sum(ws, x, l + r / N, m + s * 2.0 ** l / N, 1.0 / (N * N))
 
 
 def full_grid(M, N):

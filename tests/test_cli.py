@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from framelab import CoordinateVector, cli
-from framelab.cli import (KINDS, MAX_FOLD_WORK, ConfigError, build_parser, main,
-                          validate_config)
+from framelab.cli import (KINDS, MAX_FOLD_WORK, MAX_LATTICE_WORK, MAX_M, MAX_N,
+                          ConfigError, build_parser, main, validate_config)
 from framelab.reports import ARTIFACT_VERSION, canonical_json, config_digest
 
 
@@ -389,7 +389,6 @@ def test_huge_rademacher_coefficient_is_rejected_with_a_report(tmp_path, cli_env
     assert report["ortho_residual"] == "inf"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_generator_writes_finite_json(tmp_path, capsys):
     gen = json.dumps({"step_function": {"breakpoints": [0, 1, 2], "values": [1, 1e308]}})
     assert main(["validate-generator", "--generator", gen,
@@ -398,6 +397,60 @@ def test_overflowing_generator_writes_finite_json(tmp_path, capsys):
     assert report["ortho_residual"] == "inf"
     assert report["ok"] is False
     capsys.readouterr()
+
+
+def test_overflowing_gram_lags_print_no_warning(tmp_path, cli_env):
+    gen = json.dumps({"step_function": {"breakpoints": [0, 1, 2], "values": [1, 1e308]}})
+    proc = run_cli(["validate-generator", "--generator", gen, "--out", "over", "--quiet"],
+                   cwd=tmp_path, env=cli_env, timeout=5)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert strict_json((tmp_path / "over.json").read_text())["report"][
+        "ortho_residual"] == "inf"
+
+
+@pytest.mark.parametrize("args", [
+    ["wavelet-reconstruct", "--M-list", ",".join(["8"] * 9), "--N-list", "16"],
+    ["wavelet-identity", "--p-list", "1.5,2,3", "--M-list", "8,8,8", "--N-list", "16"],
+    ["wavelet-reconstruct", "--M-list", ",".join(["8"] * 1000), "--N-list", "16"],
+], ids=["nine-max-rows", "identity-nine-max-rows", "thousand-max-rows"])
+def test_oversized_wavelet_job_is_a_config_error(tmp_path, cli_env, args):
+    proc = run_cli([*args, "--out", "big"], cwd=tmp_path, env=cli_env, timeout=5)
+    assert proc.returncode == 1
+    assert "config error: wavelet job too large" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("wavelet-reconstruct", ["--p", "2"]),
+    ("wavelet-identity", ["--p-list", "2"]),
+])
+def test_schema_maximum_wavelet_row_runs_and_passes(tmp_path, cli_env, kind, flags):
+    proc = run_cli([kind, *flags, "--M-list", str(MAX_M), "--N-list", str(MAX_N),
+                    "--target", json.dumps({"indicator": [0.0, 0.3]}),
+                    "--out", "max", "--quiet"], cwd=tmp_path, env=cli_env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert strict_json((tmp_path / "max.json").read_text())["passed"] is True
+
+
+def test_lattice_cap_admits_the_benchmark_and_default_jobs():
+    # one schema-maximum row, and eight of them, fit under the cap
+    row = {"M_list": [MAX_M], "N_list": [MAX_N]}
+    assert cli._lattice_work({**row, "p": 2.0}) == 2 * (2 * MAX_M) ** 2 * MAX_N ** 2
+    validate_config({"kind": "wavelet-reconstruct",
+                     "params": {"M_list": [MAX_M] * 8, "N_list": [MAX_N]}})
+    assert cli._lattice_work({**row, "p_list": [1.5, 2.0]}) == \
+        2 * cli._lattice_work({**row, "p": 2.0})
+    # the benchmark's wavelet-grid jobs and every kind's defaults
+    for params in ({"M_list": [1, 2, 3], "N_list": [1, 2, 4]},
+                   {"M_list": [3], "N_list": [8]}):
+        validate_config({"kind": "wavelet-reconstruct", "params": params})
+    validate_config({"kind": "wavelet-identity",
+                     "params": {"p_list": [1.5, 2.0, 3.0], "M_list": [1, 2],
+                                "N_list": [1, 2]}})
+    for kind in ("wavelet-reconstruct", "wavelet-identity"):
+        config = validate_config({"kind": kind})
+        assert cli._lattice_work(config["params"]) <= MAX_LATTICE_WORK
 
 
 def test_non_finite_floats_are_written_as_strings():

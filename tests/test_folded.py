@@ -5,6 +5,8 @@ generator (``stepfn._folded``).  Each folded path is compared with
 
 * the per-translate ``StepFunction`` code it replaced, kept verbatim below
   as the reference (``reference_*``), on Gaussian and non-dyadic data;
+  where it summed with the deleted ``StepFunction.sum`` it now adds one
+  term at a time (``left_fold``);
 * exact ``fractions.Fraction`` arithmetic on dyadic generators, driven by
   ``hypothesis``; dyadic data with few bits keeps every float sum exact,
   so the folded results must equal the oracle exactly.
@@ -46,9 +48,17 @@ from framelab.translate_frame import Generator, _series
 # -- the replaced per-translate code, verbatim ----------------------------------
 
 
+def left_fold(funcs):
+    """The sum of step functions, added one at a time from the left."""
+    total = StepFunction.zero()
+    for f in funcs:
+        total = total.add(f)
+    return total
+
+
 def reference_translate_series(f, x):
     """sum_n x_n * f(. - n) as a step function."""
-    return StepFunction.sum([f.translate(n).scale(c) for n, c in x.items()])
+    return left_fold([f.translate(n).scale(c) for n, c in x.items()])
 
 
 def reference_ortho_residual(f, lag_range):
@@ -131,7 +141,7 @@ def reference_rademacher_function(spec):
     pieces = []
     for rank, (n, a) in enumerate(coeffs.items()):
         pieces.append(sign_pattern(rank + spec.resolution).translate(n).scale(a))
-    return StepFunction.sum(pieces)
+    return left_fold(pieces)
 
 
 def reference_scan(g, trials, window, p, seed=0):

@@ -1,5 +1,7 @@
 """Tests for set-restricted integral suprema and unconditionality scans."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from framelab import (
     haar_mother,
     unconditionality_scan,
 )
+from framelab import pettis
 from framelab.intervals import random_interval_set
+from framelab.translate_frame import Generator
 
 
 def test_haar_against_indicator():
@@ -83,3 +87,25 @@ def random_step(rng):
     n = int(rng.integers(1, 6))
     grid = np.sort(rng.choice(np.arange(-80, 81), size=n + 1, replace=False)) / 16.0
     return StepFunction(grid, rng.standard_normal(n))
+
+
+def test_scan_keeps_a_nan_ratio(monkeypatch):
+    g = build_rademacher_generator(RademacherSpec(coefficients={0: 1.0}))
+    calls = [0]
+    original = pettis._sign_parts
+
+    def one_nan(vals, lens):
+        calls[0] += 1
+        return (math.nan, math.nan) if calls[0] == 2 else original(vals, lens)
+
+    monkeypatch.setattr(pettis, "_sign_parts", one_nan)
+    bs, bu = unconditionality_scan(g, trials=5, window=2, p=2.0, seed=0)
+    assert calls[0] == 5
+    assert math.isnan(bs) and math.isnan(bu)
+
+
+def test_scan_of_a_nan_generator_reports_nan():
+    f = StepFunction([0.0, 0.5, 1.0], [math.nan, 1.0])
+    bs, bu = unconditionality_scan(Generator(f, 0.0, 0.0, 0.0, 0.0, 0), trials=3,
+                                   window=1, p=2.0)
+    assert math.isnan(bs) and math.isnan(bu)

@@ -1,9 +1,12 @@
 """Unit and property tests for the exact step-function calculus."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import IntervalSet, StepFunction, haar_mother
 
@@ -207,17 +210,6 @@ def test_periodized_sup_integer_translation_invariant():
             f.periodized_l1_sup(), rel=1e-12)
 
 
-def test_balanced_sum_matches_sequential():
-    rng = np.random.default_rng(10)
-    funcs = [dyadic_step(rng) for _ in range(9)]
-    total = StepFunction.sum(funcs)
-    seq = StepFunction.zero()
-    for f in funcs:
-        seq = seq.add(f)
-    assert (total - seq).lp_norm(2) == pytest.approx(0.0, abs=1e-12)
-    assert StepFunction.sum([]).is_zero()
-
-
 def test_serialization_round_trip():
     f = StepFunction([0.0, 0.5, 2.0], [1.5, -2.5])
     assert StepFunction.from_dict(f.to_dict()) == f
@@ -230,3 +222,60 @@ def test_abs_integral_and_lp_norm():
     assert f.lp_norm(2) == pytest.approx(math.sqrt(6.0))
     with pytest.raises(ValueError):
         f.lp_norm(0.5)
+
+
+# -- the exact rational oracle for add, inner and integrate ----------------------------
+
+
+def exact_value(f, t):
+    for left, right, v in zip(f.breakpoints[:-1], f.breakpoints[1:], f.values):
+        if Fraction(float(left)) <= t < Fraction(float(right)):
+            return Fraction(float(v))
+    return Fraction(0)
+
+
+def exact_cells(*point_lists):
+    pts = sorted({Fraction(float(t)) for points in point_lists for t in points})
+    return [(a, b, (a + b) / 2) for a, b in zip(pts[:-1], pts[1:])]
+
+
+# breakpoints on (1/8)Z, values on (1/4)Z: every float sum and product stays exact
+exact_steps = st.lists(st.integers(-32, 32), min_size=2, max_size=7, unique=True).flatmap(
+    lambda qs: st.tuples(st.just(sorted(qs)),
+                         st.lists(st.integers(-8, 8), min_size=len(qs) - 1,
+                                  max_size=len(qs) - 1))).map(
+    lambda e: StepFunction([q / 8 for q in e[0]], [v / 4 for v in e[1]]))
+exact_regions = st.lists(st.integers(-40, 40), min_size=0, max_size=8, unique=True).map(
+    lambda q: IntervalSet([(sorted(q)[i] / 8, sorted(q)[i + 1] / 8)
+                           for i in range(0, len(q) - 1, 2)]))
+
+EXACT = settings(max_examples=60, deadline=None)
+
+
+@EXACT
+@given(exact_steps, exact_steps)
+def test_add_is_exact(f, g):
+    total = f.add(g)
+    for _, _, mid in exact_cells(f.breakpoints, g.breakpoints, [0.0]):
+        assert Fraction(total(float(mid))) == exact_value(f, mid) + exact_value(g, mid)
+
+
+@EXACT
+@given(exact_steps, exact_steps)
+def test_inner_is_exact(f, g):
+    exact = sum(((b - a) * exact_value(f, mid) * exact_value(g, mid)
+                 for a, b, mid in exact_cells(f.breakpoints, g.breakpoints)), Fraction(0))
+    assert Fraction(f.inner(g)) == exact
+
+
+@EXACT
+@given(exact_steps, exact_regions)
+def test_integrate_over_a_region_is_exact(f, region):
+    ends = [t for piece in region.intervals for t in piece]
+    exact = sum(((b - a) * exact_value(f, mid)
+                 for a, b, mid in exact_cells(f.breakpoints, ends)
+                 if region.contains(float(mid))), Fraction(0))
+    assert Fraction(f.integrate(region)) == exact
+    assert Fraction(f.integrate()) == sum(
+        ((b - a) * exact_value(f, mid) for a, b, mid in exact_cells(f.breakpoints)),
+        Fraction(0))

@@ -17,9 +17,7 @@ from framelab import (
     grid_partial_sum,
     haar_mother,
     member,
-    member_snapped,
     reconstruction_identity_gap,
-    snap_deviation_report,
     snap_to_grid,
 )
 
@@ -96,20 +94,6 @@ def test_snap_constant_on_lattice_cells():
         b = m + (s + float(rng.uniform(0.01, 0.99))) / N
         idx, _, _ = snap_to_grid(a, b, N)
         assert idx == GridIndex(l=l, r=r, m=m, s=s, N=N)
-
-
-def test_member_snapped_matches_member_at_snapped_parameters():
-    ws = WaveletSystem.haar(2.0)
-    rng = np.random.default_rng(22)
-    ts = np.linspace(-4.0, 4.0, 257)
-    for _ in range(50):
-        a = float(rng.uniform(-3, 3))
-        b = float(rng.uniform(-3, 3))
-        N = int(rng.integers(1, 9))
-        _, a_snap, b_snap = snap_to_grid(a, b, N)
-        direct = member(ws, a_snap, b_snap, "dual")
-        snapped = member_snapped(ws, a, b, N, "dual")
-        assert np.allclose(direct(ts), snapped(ts), rtol=0, atol=1e-12)
 
 
 def test_dilation_group_law():
@@ -202,19 +186,6 @@ def test_convergence_rows_respect_oracle_bound():
     by_key = {(r.M, r.N): r.error for r in rows}
     assert by_key[(2, 1)] <= by_key[(1, 1)] + 1e-12
     assert by_key[(1, 1)] == pytest.approx(math.sqrt(0.165), abs=1e-12)
-
-
-def test_snap_deviation_shrinks_with_resolution():
-    ws = WaveletSystem.haar(2.0)
-    x = StepFunction.indicator(0.0, 0.3)
-    f = haar_mother()
-    rows = snap_deviation_report(ws, x, f, M=1, N_list=[1, 2, 4],
-                                 samples_per_unit=4)
-    coef = [r["mean_coefficient_deviation"] for r in rows]
-    memb = [r["mean_member_deviation"] for r in rows]
-    assert coef[1] <= coef[0] + 1e-12 and coef[2] <= coef[1] + 1e-12
-    assert memb[1] <= memb[0] + 1e-12 and memb[2] <= memb[1] + 1e-12
-    assert coef[2] < coef[0] and memb[2] < memb[0]
 
 
 def test_grid_partial_sum_full_grid_matches_box():
