@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .diagnostics import (SpaceTag, boundedly_complete_probe, counterexample_report,
-                          tail_dual_norm, unit_vector_frame)
+                          tail_dual_norms, unit_vector_frame)
 from .lp import CoordinateVector
 from .pettis import unconditionality_scan
 from .reports import (ARTIFACT_VERSION, config_digest, write_csv, write_json_report)
@@ -556,26 +556,23 @@ def _run_diagnostics(params, seed, tol, rng):
     window = params["window"]
     p = params["p"]
     failures = []
+    nesting = [range(j + 1) for j in range(window)]
 
     frame_l1 = unit_vector_frame(SpaceTag.l1(), range(window))
     ones = CoordinateVector({n: 1 for n in range(window)})
-    l1_tails = [tail_dual_norm(frame_l1, ones, range(j + 1))
-                for j in range(window - 1)]
+    l1_tails = tail_dual_norms(frame_l1, ones, nesting[:-1])
     if any(v != 1.0 for v in l1_tails):
         failures.append("l1 all-ones tail norms are not identically 1")
 
     frame_lp = unit_vector_frame(SpaceTag.lp(p), range(window))
     support = min(6, window)
     f = CoordinateVector({n: 1.0 / (n + 1) for n in range(support)})
-    lp_tails = [tail_dual_norm(frame_lp, f, range(j + 1))
-                for j in range(window)]
+    lp_tails = tail_dual_norms(frame_lp, f, nesting)
     if any(v != 0.0 for v in lp_tails[support - 1:]):
         failures.append("lp tail norms do not vanish past the functional support")
 
     frame_c0 = unit_vector_frame(SpaceTag.c0(), range(window))
-    xss = CoordinateVector({n: 1 for n in range(window)})
-    nesting = [range(j + 1) for j in range(window)]
-    probe = boundedly_complete_probe(frame_c0, xss, nesting)
+    probe = boundedly_complete_probe(frame_c0, ones, nesting)
     if any(v != 1.0 for v in probe.increments):
         failures.append("c0 all-ones increments are not identically 1")
     if not probe.non_cauchy:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .lp import CoordinateVector
+from .lp import CoordinateVector, sup_abs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,28 +148,118 @@ class TailReport:
     estimate: float
 
 
+_NOT_A_CHAIN = "nesting is not a chain: a set holds a position its successor lacks"
+
+
+def _resolved(frame, positions):
+    """Pair positions resolved as ``reconstruct`` resolves them.
+
+    ``range(len(frame.pairs))[j]`` counts a negative position from the end
+    and raises IndexError for an out-of-range one.  A nonempty step-1 range
+    of in-range positions stays a range, so that two of them with the same
+    start are compared and diffed in O(1).
+    """
+    slots = range(len(frame.pairs))
+    if (isinstance(positions, range) and positions and positions.step == 1
+            and positions.start >= 0 and positions.stop <= len(slots)):
+        return positions
+    return frozenset(slots[j] for j in positions)
+
+
+def _added(small, big):
+    """Positions of ``big`` outside ``small`` in increasing order; ValueError
+    unless ``small`` lies inside ``big``."""
+    if (isinstance(small, range) and isinstance(big, range)
+            and small.start == big.start):
+        if small.stop > big.stop:
+            raise ValueError(_NOT_A_CHAIN)
+        return range(small.stop, big.stop)
+    extra = set(big).difference(small)
+    if len(big) - len(extra) != len(small):
+        raise ValueError(_NOT_A_CHAIN)
+    return sorted(extra)
+
+
+def _accumulate(total, terms):
+    """Add c * v_n to coordinate n of ``total`` for each (c, v) of ``terms``.
+
+    Zero weights c are skipped.  Returns the coordinates touched and whether
+    any of them was already held when it was touched.
+    """
+    touched = []
+    held = False
+    for c, vec in terms:
+        if c != 0:
+            for n, v in vec.items():
+                held = held or n in total
+                total[n] = total.get(n, 0) + c * v
+                touched.append(n)
+    return touched, held
+
+
+def _tail_terms(frame, f, positions):
+    """(f(x_j), f_j) for each listed pair j."""
+    for j in positions:
+        vec, fun = frame.pairs[j]
+        yield f.pair(vec), fun
+
+
 def tail_functional(frame, f, positions):
     """Coordinates of x -> f(sum_{j outside positions} f_j(x) x_j)."""
-    inside = set(positions)
+    inside = _resolved(frame, positions)
+    outside = (j for j in range(len(frame.pairs)) if j not in inside)
     total = {}
-    for j in range(len(frame.pairs)):
-        if j in inside:
-            continue
-        vec, fun = frame.pairs[j]
-        weight = f.pair(vec)
-        if weight != 0:
-            for n, v in fun.items():
-                total[n] = total.get(n, 0) + weight * v
+    _accumulate(total, _tail_terms(frame, f, outside))
     return CoordinateVector(total)
+
+
+def tail_dual_norms(frame, f, nesting):
+    """Exact dual-space norms of the tail functionals outside each set of a chain.
+
+    ``nesting`` must be nested, E_1 inside E_2 inside ..., or ValueError is
+    raised; positions resolve as in ``reconstruct``.  The chain is walked
+    from its last set backwards: the tail outside E_k is the tail outside
+    E_{k+1} plus the pairs in E_{k+1} but not in E_k, so f meets each frame
+    vector once.  The l1 tag's dual (sup) norm is a running maximum,
+    recomputed over the tail only when a step changes a coordinate the tail
+    already holds; the other dual norms are summed over the whole tail in
+    coordinate order.  Integer data stay exact; with float data, a
+    coordinate that several pairs touch may be summed in another order than
+    a single ``tail_functional`` uses.
+    """
+    sets = [_resolved(frame, positions) for positions in nesting]
+    steps = [_added(a, b) for a, b in zip(sets, sets[1:])]
+    if not sets:
+        return []
+    space = frame.space
+    outside_last = [j for j in range(len(frame.pairs)) if j not in sets[-1]]
+    total = {}
+    top = 0
+    norms = []
+    for added in [outside_last, *reversed(steps)]:
+        touched, held = _accumulate(total, _tail_terms(frame, f, added))
+        if space.kind != "l1":
+            norms.append(space.dual_norm(CoordinateVector(total)))
+            continue
+        if held:
+            top = sup_abs(total.values())
+        elif touched:
+            top = sup_abs([top, *(total[n] for n in touched)])
+        norms.append(float(top))
+    norms.reverse()
+    return norms
 
 
 def tail_dual_norm(frame, f, positions):
     """Exact dual-space norm of the tail functional outside the given positions.
 
-    For a unit-vector frame this is just the dual norm of f restricted to
-    the coordinates not covered by ``positions``.
+    The one-set case of ``tail_dual_norms``; for the tails outside each set
+    of a nested chain, call that function once, so that each tail is built
+    from the next by adding only the pairs the smaller set lacks.  For a
+    unit-vector frame this is just the dual norm of f restricted to the
+    coordinates not covered by ``positions``.
     """
-    return frame.space.dual_norm(tail_functional(frame, f, positions))
+    return tail_dual_norms(frame, f, [positions])[0]
 
 
 def _unit_sphere_draw(rng, space, coordinates):
@@ -242,33 +332,30 @@ class CompletenessReport:
 
     @property
     def non_cauchy(self):
-        """True when the last nested increment has not decayed below tol."""
-        return bool(self.increments and self.increments[-1] > self.tol)
+        """True unless the last nested increment has decayed to tol or below;
+        a NaN increment counts as not decayed."""
+        return bool(self.increments and not self.increments[-1] <= self.tol)
 
 
 def boundedly_complete_probe(frame, xss, nesting, tol=1e-10):
     """Norms of partial-sum increments against double-dual coefficients.
 
     ``xss`` plays the role of a double-dual element acting on the frame
-    functionals by coordinate pairing.  For each consecutive pair E inside F
-    of ``nesting`` the report holds || P_F(xss) - P_E(xss) || in the frame's
-    space norm.  A flat, non-decaying increment sequence flags the limit as
-    escaping the space.
+    functionals by coordinate pairing.  ``nesting`` must be nested, E_1
+    inside E_2 inside ..., or ValueError is raised; positions resolve as in
+    ``reconstruct``.  For each consecutive pair E inside F the report holds
+    || P_F(xss) - P_E(xss) || in the frame's space norm, computed from the
+    pairs in F but not in E alone.  A flat, non-decaying increment sequence
+    flags the limit as escaping the space.
     """
-    partials = []
-    for positions in nesting:
+    sets = [_resolved(frame, positions) for positions in nesting]
+    increments = []
+    for small, big in zip(sets, sets[1:]):
+        pairs = [frame.pairs[j] for j in _added(small, big)]
         total = {}
-        for j in positions:
-            vec, fun = frame.pairs[j]
-            c = xss.pair(fun)
-            if c != 0:
-                for n, v in vec.items():
-                    total[n] = total.get(n, 0) + c * v
-        partials.append(CoordinateVector(total))
-    increments = tuple(
-        float(frame.space.norm(b.sub(a)))
-        for a, b in zip(partials[:-1], partials[1:]))
-    return CompletenessReport(increments=increments, tol=tol)
+        _accumulate(total, ((xss.pair(fun), vec) for vec, fun in pairs))
+        increments.append(float(frame.space.norm(CoordinateVector(total))))
+    return CompletenessReport(increments=tuple(increments), tol=tol)
 
 
 # -- suppression behaviour -----------------------------------------------------

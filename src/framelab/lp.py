@@ -9,6 +9,21 @@ the numeric type they were given, so integer constructions stay exact
 import math
 
 
+def sup_abs(values):
+    """Largest |v| over the values (0 when there are none), or NaN if any v is.
+
+    Python's ``max`` keeps a NaN only when it comes first; here any NaN wins.
+    """
+    top = 0
+    for v in values:
+        a = abs(v)
+        if not a <= top:
+            top = a
+            if a != a:
+                break
+    return top
+
+
 class CoordinateVector:
     """Immutable sparse vector {index: value} with exact zero dropping."""
 
@@ -92,7 +107,7 @@ class CoordinateVector:
         if not self._entries:
             return 0.0
         if p == math.inf:
-            return float(max(abs(v) for v in self._entries.values()))
+            return float(sup_abs(self._entries.values()))
         if not p >= 1:
             raise ValueError("norm requires p >= 1 or p = inf")
         try:
@@ -101,7 +116,7 @@ class CoordinateVector:
             total = math.inf
         if total == math.inf:
             # a p-th power left the float range: rescale by the largest entry
-            big = float(max(abs(v) for v in self._entries.values()))
+            big = float(sup_abs(self._entries.values()))
             if big < math.inf:
                 return big * CoordinateVector(
                     {n: v / big for n, v in self._entries.items()}).norm(p)

@@ -11,7 +11,7 @@ import pytest
 
 from framelab import CoordinateVector, cli
 from framelab.cli import (KINDS, MAX_FOLD_WORK, MAX_LATTICE_WORK, MAX_M, MAX_N,
-                          ConfigError, build_parser, main, validate_config)
+                          MAX_WINDOW, ConfigError, build_parser, main, validate_config)
 from framelab.reports import ARTIFACT_VERSION, canonical_json, config_digest
 
 
@@ -429,6 +429,19 @@ def test_schema_maximum_wavelet_row_runs_and_passes(tmp_path, cli_env, kind, fla
     proc = run_cli([kind, *flags, "--M-list", str(MAX_M), "--N-list", str(MAX_N),
                     "--target", json.dumps({"indicator": [0.0, 0.3]}),
                     "--out", "max", "--quiet"], cwd=tmp_path, env=cli_env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert strict_json((tmp_path / "max.json").read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("diagnostics", ["--window", str(MAX_WINDOW)]),
+    ("counterexample", ["--K", str(MAX_WINDOW),
+                        "--reconstruction-limit", str(MAX_WINDOW)]),
+])
+def test_schema_maximum_frame_job_runs_and_passes(tmp_path, cli_env, kind, flags):
+    # the nested-chain probes are linear in the window, so no work cap is needed
+    proc = run_cli([kind, *flags, "--out", "max", "--quiet"], cwd=tmp_path,
+                   env=cli_env, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert strict_json((tmp_path / "max.json").read_text())["passed"] is True
 

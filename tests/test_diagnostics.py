@@ -1,9 +1,20 @@
-"""Tests for discrete frame diagnostics and the sign-cancellation frame."""
+"""Tests for discrete frame diagnostics and the sign-cancellation frame.
+
+The batched tail norms (``tail_dual_norms``) and the increment-only probe
+are compared exactly with the per-set code they replaced, kept verbatim
+below as ``reference_*``, on random integer frames from ``hypothesis``.
+"""
+
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import (
+    CompletenessReport,
     CoordinateVector,
     DiscreteFrame,
     SpaceTag,
@@ -18,7 +29,8 @@ from framelab import (
     tail_report,
     unit_vector_frame,
 )
-from framelab.diagnostics import _restricted_dual_functional
+from framelab import cli
+from framelab.diagnostics import _restricted_dual_functional, tail_dual_norms
 
 
 def test_space_tag_validation():
@@ -271,3 +283,252 @@ def test_counterexample_report_all_green():
     assert report.restricted_escapes_c0
     assert report.dual_series_matches_direct
     assert report.dual_action_matches_sum
+
+
+# -- the replaced per-set code, verbatim -------------------------------------------
+
+
+def reference_tail_functional(frame, f, positions):
+    """Coordinates of x -> f(sum_{j outside positions} f_j(x) x_j)."""
+    inside = set(positions)
+    total = {}
+    for j in range(len(frame.pairs)):
+        if j in inside:
+            continue
+        vec, fun = frame.pairs[j]
+        weight = f.pair(vec)
+        if weight != 0:
+            for n, v in fun.items():
+                total[n] = total.get(n, 0) + weight * v
+    return CoordinateVector(total)
+
+
+def reference_tail_dual_norm(frame, f, positions):
+    return frame.space.dual_norm(reference_tail_functional(frame, f, positions))
+
+
+def reference_boundedly_complete_probe(frame, xss, nesting, tol=1e-10):
+    partials = []
+    for positions in nesting:
+        total = {}
+        for j in positions:
+            vec, fun = frame.pairs[j]
+            c = xss.pair(fun)
+            if c != 0:
+                for n, v in vec.items():
+                    total[n] = total.get(n, 0) + c * v
+        partials.append(CoordinateVector(total))
+    increments = tuple(
+        float(frame.space.norm(b.sub(a)))
+        for a, b in zip(partials[:-1], partials[1:]))
+    return CompletenessReport(increments=increments, tol=tol)
+
+
+# -- batched tails and increments against the references -----------------------------
+
+ORACLE = settings(max_examples=150, deadline=None)
+SPACES = (SpaceTag.lp(1.5), SpaceTag.lp(2.0), SpaceTag.lp(3.0), SpaceTag.c0(),
+          SpaceTag.l1())
+
+# few coordinates, so that functionals overlap and a step often changes a
+# coordinate the tail already holds
+small_ints = st.integers(-4, 4)
+vectors = st.dictionaries(st.integers(0, 4), small_ints, max_size=3).map(
+    CoordinateVector)
+
+
+@st.composite
+def frames_and_chains(draw):
+    """A random integer frame with a nested chain of its positions.
+
+    The chain is either step-1 ranges with one start or prefixes of a random
+    order of the positions, each given as a list, a set or (when it is one)
+    a range.
+    """
+    size = draw(st.integers(0, 9))
+    pairs = tuple(draw(st.tuples(vectors, vectors)) for _ in range(size))
+    frame = DiscreteFrame(pairs=pairs, space=draw(st.sampled_from(SPACES)))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, size))
+        stops = sorted(draw(st.lists(st.integers(start, size), max_size=6)))
+        chain = [range(start, stop) for stop in stops]
+    else:
+        order = draw(st.permutations(range(size)))
+        cuts = sorted(draw(st.lists(st.integers(0, size), max_size=6)))
+        chain = []
+        for cut in cuts:
+            prefix = list(order[:cut])
+            form = draw(st.sampled_from(("list", "set", "range")))
+            if form == "set":
+                prefix = set(prefix)
+            elif form == "range" and prefix and \
+                    sorted(prefix) == list(range(min(prefix), max(prefix) + 1)):
+                prefix = range(min(prefix), max(prefix) + 1)
+            chain.append(prefix)
+    return frame, chain
+
+
+@ORACLE
+@given(frames_and_chains(), vectors)
+def test_tail_dual_norms_equal_the_per_set_reference(frame_chain, f):
+    frame, chain = frame_chain
+    assert tail_dual_norms(frame, f, chain) == \
+        [reference_tail_dual_norm(frame, f, positions) for positions in chain]
+    for positions in chain:
+        assert tail_functional(frame, f, positions) == \
+            reference_tail_functional(frame, f, positions)
+        assert tail_dual_norm(frame, f, positions) == \
+            reference_tail_dual_norm(frame, f, positions)
+
+
+@ORACLE
+@given(frames_and_chains(), vectors)
+def test_probe_increments_equal_the_from_scratch_reference(frame_chain, xss):
+    frame, chain = frame_chain
+    assert boundedly_complete_probe(frame, xss, chain) == \
+        reference_boundedly_complete_probe(frame, xss, chain)
+
+
+@ORACLE
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
+       st.sampled_from(SPACES), st.data())
+def test_float_unit_frames_equal_the_reference(values, space, data):
+    # each coordinate meets one pair, so no float sum changes order
+    frame = unit_vector_frame(space, range(len(values)))
+    f = CoordinateVector(dict(enumerate(values)))
+    stops = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=6)))
+    chain = [range(stop) for stop in stops]
+    assert tail_dual_norms(frame, f, chain) == \
+        [reference_tail_dual_norm(frame, f, positions) for positions in chain]
+    assert boundedly_complete_probe(frame, f, chain) == \
+        reference_boundedly_complete_probe(frame, f, chain)
+
+
+def test_single_set_keeps_the_increasing_position_order():
+    # coordinate 1 sums to 0.0 in increasing position order and to 1.0 in
+    # decreasing order; one set is summed in increasing order, as before
+    frame = DiscreteFrame(pairs=(
+        (CoordinateVector.unit(0), CoordinateVector({1: 1.0})),
+        (CoordinateVector.unit(0), CoordinateVector({1: 1e16})),
+        (CoordinateVector.unit(0), CoordinateVector({1: -1e16})),
+    ), space=SpaceTag.l1())
+    f = CoordinateVector.unit(0)
+    assert tail_functional(frame, f, []).is_zero()
+    assert tail_dual_norm(frame, f, []) == 0.0
+    assert tail_dual_norm(frame, f, []) == reference_tail_dual_norm(frame, f, [])
+
+
+def test_running_sup_recomputes_when_a_held_coordinate_drops():
+    # the tail outside {0} holds -3 at coordinate 0; adding pair 0 cancels it,
+    # so the sup norm falls from 3 to 1 and must be recomputed, not kept
+    frame = DiscreteFrame(pairs=(
+        (CoordinateVector.unit(0), CoordinateVector({0: 3})),
+        (CoordinateVector.unit(0), CoordinateVector({0: -3, 1: 1})),
+    ), space=SpaceTag.l1())
+    f = CoordinateVector.unit(0)
+    chain = [range(0), range(1), range(2)]
+    assert tail_dual_norms(frame, f, chain) == [1.0, 3.0, 0.0]
+    assert tail_dual_norms(frame, f, chain) == \
+        [reference_tail_dual_norm(frame, f, positions) for positions in chain]
+
+
+def test_cli_diagnostics_payload_equals_the_reference(tmp_path, monkeypatch):
+    def run(name, p):
+        out = tmp_path / f"{name}_{p}"
+        assert cli.main(["diagnostics", "--window", "37", "--p", str(p),
+                         "--out", str(out), "--quiet"]) == 0
+        return (tmp_path / f"{name}_{p}.json").read_bytes()
+
+    batched = {p: run("batched", p) for p in (1.5, 2, 2.5, 3, 4)}
+    monkeypatch.setattr(cli, "tail_dual_norms", lambda frame, f, nesting: [
+        reference_tail_dual_norm(frame, f, positions) for positions in nesting])
+    monkeypatch.setattr(cli, "boundedly_complete_probe",
+                        reference_boundedly_complete_probe)
+    for p, artifact in batched.items():
+        assert artifact == run("reference", p)
+        assert json.loads(artifact)["passed"] is True
+
+
+# -- positions resolve as in reconstruct ----------------------------------------------
+
+
+def _three_pair_l1_frame():
+    return (unit_vector_frame(SpaceTag.l1(), range(3)),
+            CoordinateVector({0: 1, 1: 2, 2: 5}))
+
+
+def test_negative_positions_count_from_the_end():
+    frame, f = _three_pair_l1_frame()
+    # -1 is the last pair, as in reconstruct, so the tail keeps coordinates 0, 1
+    assert frame.reconstruct(f, [-1]) == CoordinateVector.unit(2, 5)
+    assert tail_dual_norm(frame, f, [-1]) == 2.0
+    assert tail_functional(frame, f, [-1]) == CoordinateVector({0: 1, 1: 2})
+    assert tail_dual_norms(frame, f, [[-1], [-1, 0]]) == [2.0, 2.0]
+    assert boundedly_complete_probe(frame, f, [[-1], [2, 1]]).increments == (2.0,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda frame, f: frame.reconstruct(f, [7]),
+    lambda frame, f: tail_dual_norm(frame, f, [7]),
+    lambda frame, f: tail_functional(frame, f, [0, -4]),
+    lambda frame, f: tail_dual_norms(frame, f, [range(1), range(4)]),
+    lambda frame, f: boundedly_complete_probe(frame, f, [[0], [0, 3]]),
+], ids=["reconstruct", "tail_dual_norm", "tail_functional", "tail_dual_norms",
+        "probe"])
+def test_out_of_range_positions_raise(call):
+    frame, f = _three_pair_l1_frame()
+    with pytest.raises(IndexError):
+        call(frame, f)
+
+
+@pytest.mark.parametrize("chain", [
+    [[0, 1], [0]],
+    [range(2), range(1)],
+    [range(1, 3), range(0, 2)],
+    [{0}, {1}],
+    [[0], [0, 1], [1, 2]],
+], ids=["lists", "ranges", "shifted-ranges", "sets", "late-break"])
+def test_a_chain_that_is_not_nested_raises(chain):
+    frame, f = _three_pair_l1_frame()
+    with pytest.raises(ValueError, match="not a chain"):
+        boundedly_complete_probe(frame, f, chain)
+    with pytest.raises(ValueError, match="not a chain"):
+        tail_dual_norms(frame, f, chain)
+
+
+# -- NaN fails closed ---------------------------------------------------------------
+
+
+def test_sup_norm_keeps_a_nan_in_any_place():
+    assert math.isnan(CoordinateVector({0: 1.0, 1: math.nan}).norm(math.inf))
+    assert math.isnan(CoordinateVector({0: math.nan, 1: 1.0}).norm(math.inf))
+    assert math.isnan(CoordinateVector({0: 1.0, 1: math.nan, 2: 5.0}).norm(math.inf))
+    assert CoordinateVector({0: 1.0, 1: -7.0}).norm(math.inf) == 7.0
+
+
+def test_nan_increment_is_not_cauchy():
+    frame = unit_vector_frame(SpaceTag.c0(), range(3))
+    xss = CoordinateVector({0: 1, 1: 1, 2: math.nan})
+    report = boundedly_complete_probe(frame, xss, [range(1), range(2), range(3)])
+    assert report.increments[0] == 1.0
+    assert math.isnan(report.increments[1])
+    assert report.non_cauchy
+    assert CompletenessReport(increments=(math.nan,), tol=1.0).non_cauchy
+    assert not CompletenessReport(increments=(0.5,), tol=1.0).non_cauchy
+
+
+def test_running_sup_keeps_a_nan():
+    frame = unit_vector_frame(SpaceTag.l1(), range(4))
+    # NaN first in the tail, then behind larger entries
+    f = CoordinateVector({0: 1.0, 1: 9.0, 2: math.nan, 3: 2.0})
+    norms = tail_dual_norms(frame, f, [range(j) for j in range(5)])
+    assert all(math.isnan(v) for v in norms[:3])
+    assert norms[3:] == [2.0, 0.0]
+    # a NaN made by inf - inf at a coordinate the tail already holds
+    frame = DiscreteFrame(pairs=(
+        (CoordinateVector.unit(0), CoordinateVector({0: -math.inf})),
+        (CoordinateVector.unit(0), CoordinateVector({0: math.inf, 1: 1.0})),
+    ), space=SpaceTag.l1())
+    norms = tail_dual_norms(frame, CoordinateVector.unit(0), [range(0), range(1)])
+    assert math.isnan(norms[0])
+    assert norms[1] == math.inf
