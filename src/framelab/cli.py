@@ -518,6 +518,7 @@ def _run_wavelet_reconstruct(params, seed, tol, rng):
 def _run_wavelet_identity(params, seed, tol, rng):
     x = _build_target(params["target"])
     gaps = []
+    max_gap = 0.0
     failures = []
     for p in params["p_list"]:
         ws = WaveletSystem.haar(p)
@@ -525,13 +526,12 @@ def _run_wavelet_identity(params, seed, tol, rng):
             for N in params["N_list"]:
                 gap = reconstruction_identity_gap(ws, x, M, N)
                 gaps.append({"p": p, "M": M, "N": N, "gap": gap})
+                max_gap = _worst(max_gap, gap)
                 if not (gap <= tol):
                     failures.append(
                         f"identity gap {gap!r} exceeds tol {tol!r} "
                         f"at p={p} M={M} N={N}")
-    payload = {"gaps": gaps,
-               "max_gap": max((g["gap"] for g in gaps), default=0.0),
-               "passed": not failures}
+    payload = {"gaps": gaps, "max_gap": max_gap, "passed": not failures}
     return ExperimentResult(payload=payload, failures=tuple(failures))
 
 

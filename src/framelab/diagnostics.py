@@ -16,8 +16,6 @@ import dataclasses
 import functools
 import math
 
-import numpy as np
-
 from .lp import CoordinateVector, sup_abs
 
 
@@ -62,9 +60,6 @@ class SpaceTag:
         if self.kind == "c0":
             return v.norm(1)
         return v.norm(math.inf)
-
-    def label(self):
-        return f"lp({self.p})" if self.kind == "lp" else self.kind
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,15 +108,6 @@ class DiscreteFrame:
                     total[n] = total.get(n, 0) + c * v
         return CoordinateVector(total)
 
-    def max_unit_reconstruction_error(self, coordinates):
-        """Worst space-norm error reconstructing unit vectors at the given coordinates."""
-        worst = 0.0
-        for n in coordinates:
-            e = CoordinateVector.unit(n)
-            err = self.space.norm(self.reconstruct(e).sub(e))
-            worst = max(worst, err)
-        return worst
-
 
 def unit_vector_frame(space, coordinates):
     """The coordinate frame (e_n, e_n*) over the listed coordinates."""
@@ -130,22 +116,7 @@ def unit_vector_frame(space, coordinates):
     return DiscreteFrame(pairs=pairs, space=space)
 
 
-def project_frame(frame, kept_coordinates):
-    """Push the frame through a coordinate projection (vectors and functionals)."""
-    keep = set(kept_coordinates)
-    pairs = tuple((vec.restrict(keep), fun.restrict(keep))
-                  for vec, fun in frame.pairs)
-    return DiscreteFrame(pairs=pairs, space=frame.space)
-
-
 # -- tail functionals ---------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class TailReport:
-    positions: tuple
-    tail_dual_norm: float
-    estimate: float
 
 
 _NOT_A_CHAIN = "nesting is not a chain: a set holds a position its successor lacks"
@@ -204,15 +175,6 @@ def _tail_terms(frame, f, positions):
         yield f.pair(vec), fun
 
 
-def tail_functional(frame, f, positions):
-    """Coordinates of x -> f(sum_{j outside positions} f_j(x) x_j)."""
-    inside = _resolved(frame, positions)
-    outside = (j for j in range(len(frame.pairs)) if j not in inside)
-    total = {}
-    _accumulate(total, _tail_terms(frame, f, outside))
-    return CoordinateVector(total)
-
-
 def tail_dual_norms(frame, f, nesting):
     """Exact dual-space norms of the tail functionals outside each set of a chain.
 
@@ -225,7 +187,7 @@ def tail_dual_norms(frame, f, nesting):
     already holds; the other dual norms are summed over the whole tail in
     coordinate order.  Integer data stay exact; with float data, a
     coordinate that several pairs touch may be summed in another order than
-    a single ``tail_functional`` uses.
+    for a single set, whose tail adds its pairs in increasing position.
     """
     sets = [_resolved(frame, positions) for positions in nesting]
     steps = [_added(a, b) for a, b in zip(sets, sets[1:])]
@@ -262,66 +224,6 @@ def tail_dual_norm(frame, f, positions):
     return tail_dual_norms(frame, f, [positions])[0]
 
 
-def _unit_sphere_draw(rng, space, coordinates):
-    vals = rng.standard_normal(len(coordinates))
-    v = CoordinateVector({n: float(c) for n, c in zip(coordinates, vals)})
-    norm = space.norm(v)
-    if norm == 0.0:
-        return None
-    return v.scale(1.0 / norm)
-
-
-def _dual_witnesses(space, g):
-    """Unit vectors at which a coordinate functional attains its dual norm."""
-    support = g.support()
-    if not support:
-        return []
-    out = [CoordinateVector.unit(n) for n in support]
-    if space.kind == "c0":
-        out.append(CoordinateVector({n: 1.0 if g[n] > 0 else -1.0 for n in support}))
-    elif space.kind == "lp":
-        q = space.p / (space.p - 1.0)
-        w = CoordinateVector({n: math.copysign(abs(g[n]) ** (q - 1.0), g[n])
-                              for n in support})
-        norm = space.norm(w)
-        if norm > 0.0:
-            out.append(w.scale(1.0 / norm))
-    else:
-        top = max(support, key=lambda n: abs(g[n]))
-        out.append(CoordinateVector.unit(top, 1.0 if g[top] > 0 else -1.0))
-    return out
-
-
-def estimate_tail_dual_norm(frame, f, positions, trials=10000, seed=0):
-    """Maximize |f(tail reconstruction of x)| over random unit x plus witnesses.
-
-    A lower-bound estimator for the exact route; included so the two can be
-    cross-checked.  The witness vectors make the estimate attain the exact
-    value for all three space tags.
-    """
-    g = tail_functional(frame, f, positions)
-    if g.is_zero():
-        return 0.0
-    coordinates = sorted({n for vec, fun in frame.pairs
-                          for n in vec.support()} | set(g.support()))
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for x in _dual_witnesses(frame.space, g):
-        best = max(best, abs(g.pair(x)))
-    for _ in range(trials):
-        x = _unit_sphere_draw(rng, frame.space, coordinates)
-        if x is not None:
-            best = max(best, abs(g.pair(x)))
-    return best
-
-
-def tail_report(frame, f, positions, trials=10000, seed=0):
-    return TailReport(positions=tuple(sorted(positions)),
-                      tail_dual_norm=tail_dual_norm(frame, f, positions),
-                      estimate=estimate_tail_dual_norm(frame, f, positions,
-                                                       trials, seed))
-
-
 # -- bounded completeness probe ----------------------------------------------
 
 
@@ -356,24 +258,6 @@ def boundedly_complete_probe(frame, xss, nesting, tol=1e-10):
         _accumulate(total, ((xss.pair(fun), vec) for vec, fun in pairs))
         increments.append(float(frame.space.norm(CoordinateVector(total))))
     return CompletenessReport(increments=tuple(increments), tol=tol)
-
-
-# -- suppression behaviour -----------------------------------------------------
-
-
-def suppression_ratio_scan(frame, trials=200, seed=0):
-    """Max of ||restricted reconstruction|| / ||x|| over random x and index subsets."""
-    coordinates = sorted({n for vec, _ in frame.pairs for n in vec.support()})
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = _unit_sphere_draw(rng, frame.space, coordinates)
-        if x is None:
-            continue
-        mask = rng.integers(0, 2, size=len(frame.pairs)).astype(bool)
-        positions = [j for j in range(len(frame.pairs)) if mask[j]]
-        worst = max(worst, frame.space.norm(frame.reconstruct(x, positions)))
-    return worst
 
 
 # -- the alternating triple frame ----------------------------------------------

@@ -5,8 +5,6 @@ reconstruction integrates over.  All operations are closed form on the
 interval endpoints; no quadrature is involved anywhere.
 """
 
-import numpy as np
-
 
 class IntervalSet:
     """Sorted disjoint half open intervals on the real line.
@@ -86,10 +84,6 @@ class IntervalSet:
     def difference(self, other):
         return self._boolean(other, lambda a, b: a and not b)
 
-    def complement_within(self, lo, hi):
-        """Relative complement inside the window [lo, hi)."""
-        return IntervalSet([(float(lo), float(hi))]).difference(self)
-
     def __eq__(self, other):
         if not isinstance(other, IntervalSet):
             return NotImplemented
@@ -101,10 +95,3 @@ class IntervalSet:
     def __repr__(self):
         body = ", ".join(f"[{l}, {r})" for l, r in self.intervals)
         return f"IntervalSet({body})"
-
-
-def random_interval_set(rng, lo, hi, max_pieces=4):
-    """Random interval set inside [lo, hi), for fuzzing set-indexed bounds."""
-    n = int(rng.integers(1, max_pieces + 1))
-    points = np.sort(rng.uniform(lo, hi, size=2 * n))
-    return IntervalSet((points[2 * i], points[2 * i + 1]) for i in range(n))

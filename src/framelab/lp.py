@@ -45,9 +45,6 @@ class CoordinateVector:
     def unit(cls, n, value=1):
         return cls({n: value})
 
-    def to_entries(self):
-        return tuple((n, self._entries[n]) for n in self.support())
-
     # -- queries -------------------------------------------------------------
 
     def support(self):
@@ -86,10 +83,6 @@ class CoordinateVector:
     def shift(self, k):
         """Move every entry from index n to index n + k."""
         return CoordinateVector({n + k: v for n, v in self._entries.items()})
-
-    def restrict(self, indices):
-        keep = set(indices)
-        return CoordinateVector({n: v for n, v in self._entries.items() if n in keep})
 
     def __add__(self, other):
         return self.add(other)

@@ -2,7 +2,7 @@
 
 For step functions the supremum over measurable sets E of |integral_E c*d|
 is attained on the set where the product is positive (or negative), so it
-is computed exactly together with an attaining witness set.  Randomized
+is the larger of the integrals of the product's two sign parts.  Randomized
 scans turn that into certified lower bounds for the suppression constant
 of a translated-generator frame; the generator certificate provides the
 matching upper bound.
@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .intervals import IntervalSet
 from .lp import CoordinateVector
 from .stepfn import _folded
 from .translate_frame import _series
@@ -29,25 +28,6 @@ def _sign_parts(vals, lens):
         return math.nan, math.nan
     return (float(np.add.reduce(weighted[weighted > 0])),
             float(np.add.reduce(-weighted[weighted < 0])))
-
-
-def exact_set_supremum(c, d):
-    """Exact sup over measurable sets of |integral_E c*d| plus a witness set.
-
-    Returns ``(sup, witness)`` where witness is the IntervalSet of cells on
-    which the product has the dominating sign.  Ties go to the positive
-    part, so the result is deterministic.
-    """
-    product = c.multiply(d)
-    if product.is_zero():
-        return 0.0, IntervalSet.empty()
-    vals = product.values
-    pos, neg = _sign_parts(vals, np.diff(product.breakpoints))
-    take_positive = pos >= neg
-    mask = vals > 0 if take_positive else vals < 0
-    pieces = [(product.breakpoints[i], product.breakpoints[i + 1])
-              for i in np.flatnonzero(mask)]
-    return (pos if take_positive else neg), IntervalSet(pieces)
 
 
 def unconditionality_scan(g, trials, window, p, seed=0):

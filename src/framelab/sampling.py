@@ -15,8 +15,6 @@ import math
 import numpy as np
 
 from .intervals import IntervalSet
-from .diagnostics import DiscreteFrame, SpaceTag
-from .lp import CoordinateVector
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,22 +48,6 @@ def _coefficient_rows(g, ts, window):
     if len(ts) == 0:
         return ns, np.zeros((0, ns.size))
     return ns, g.f.evaluate(np.asarray(ts)[:, None] - ns[None, :])
-
-
-def sample_frame(g, plan, window, p=2.0):
-    """Discrete frame of Riemann-weighted samples of the continuous family.
-
-    Pair j is (coefficient vector at t_j, h * same vector); coordinates run
-    over |n| <= window.
-    """
-    ts = plan.points()
-    ns, rows = _coefficient_rows(g, ts, window)
-    pairs = []
-    for row in rows:
-        vec = CoordinateVector({int(n): float(v)
-                                for n, v in zip(ns, row) if v != 0.0})
-        pairs.append((vec, vec.scale(plan.step)))
-    return DiscreteFrame(pairs=tuple(pairs), space=SpaceTag.lp(p))
 
 
 def default_window(g, window):
@@ -115,12 +97,13 @@ def sampling_sweep(g, steps, window, p=2.0, offset=0.0, exact_tol=1e-10):
         plan = SamplingPlan(step=float(h), window=region, offset=offset)
         mat = reconstruction_matrix(g, plan, window)
         size = mat.shape[0]
-        worst = 0.0
+        errors = []
         for i in range(size):
             diff = mat[i].copy()
             diff[i] -= 1.0
-            err = float(np.sum(np.abs(diff) ** p) ** (1.0 / p))
-            worst = max(worst, err)
+            errors.append(float(np.sum(np.abs(diff) ** p) ** (1.0 / p)))
+        # np.max keeps a NaN, which Python's max would drop
+        worst = float(np.max(errors))
         rows.append(SweepRow(step=float(h),
                              num_samples=len(plan.points()),
                              max_error=worst,

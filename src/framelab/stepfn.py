@@ -135,14 +135,6 @@ class StepFunction:
             raise ValueError("indicator needs a < b")
         return cls((a, b), (1.0,))
 
-    @classmethod
-    def from_dict(cls, record):
-        return cls(record["breakpoints"], record["values"])
-
-    def to_dict(self):
-        return {"breakpoints": [float(t) for t in self.breakpoints],
-                "values": [float(v) for v in self.values]}
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
@@ -153,9 +145,6 @@ class StepFunction:
         if self.values.size == 0:
             return None
         return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
-
-    def num_cells(self):
-        return int(self.values.size)
 
     def evaluate(self, t):
         """Pointwise value; accepts a scalar or an array of points."""

@@ -117,16 +117,6 @@ def validate_generator(f, lag_range=None, tol=VALIDATION_TOL):
     )
 
 
-def sign_pattern(depth):
-    """Alternating +1/-1 step function on [0,1) with 2^depth cells, starting at +1."""
-    if depth < 1:
-        raise ValueError("depth must be a positive integer")
-    cells = 2 ** depth
-    bp = np.arange(cells + 1) / cells
-    vals = np.where(np.arange(cells) % 2 == 0, 1.0, -1.0)
-    return StepFunction(bp, vals)
-
-
 def rademacher_function(spec):
     """The uncertified step function sum_n a_n * (sign pattern translated to [n, n+1)).
 
@@ -164,13 +154,6 @@ def rademacher_function(spec):
 def build_rademacher_generator(spec):
     """Certify :func:`rademacher_function` of ``spec`` as a Generator."""
     return validate_generator(rademacher_function(spec))
-
-
-def frame_vector(g, t, window):
-    """Coefficient vector (f(t - n))_n for |n| <= window; vector and functional alike."""
-    ns = np.arange(-window, window + 1)
-    vals = g.f.evaluate(float(t) - ns)
-    return CoordinateVector({int(n): float(v) for n, v in zip(ns, vals) if v != 0.0})
 
 
 def _runs(x, units):
@@ -238,20 +221,6 @@ def _cell_weights(start, units, grid, region):
     for l, r in region.intervals:
         weights += np.clip(np.minimum(right, r) - np.maximum(left, l), 0.0, None)
     return weights
-
-
-def translate_series(f, x):
-    """sum_n x_n * f(. - n) as a step function."""
-    if x.is_zero() or f.is_zero():
-        return StepFunction.zero()
-    k0, grid, table = _folded(f)
-    return _unfold(grid, [(k0 + n0, _series(table, a))
-                          for n0, a in _runs(x, table.shape[0])])
-
-
-def analysis_function(g, x):
-    """The frame coefficient function t -> sum_n x_n f(t - n)."""
-    return translate_series(g.f, x)
 
 
 def synthesis_over_set(g, x, region, window):

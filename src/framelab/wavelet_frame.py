@@ -28,30 +28,11 @@ what ``convergence_study`` tabulates.
 
 import dataclasses
 import functools
-import math
 import time
 
 import numpy as np
 
 from .stepfn import _EMPTY, MERGE_TOL, StepFunction, _evaluate, _merged_cells, haar_mother
-
-_BIORTHO_TOL = 1e-10
-
-
-@dataclasses.dataclass(frozen=True)
-class GridIndex:
-    """Snapped lattice position: scale cell (l, r/N), translation cell (m, s/N)."""
-    l: int
-    r: int
-    m: int
-    s: int
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be a positive integer")
-        if not (0 <= self.r < self.N and 0 <= self.s < self.N):
-            raise ValueError("fractional indices must lie in {0, ..., N-1}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,16 +55,6 @@ class WaveletSystem:
         """Self-dual Haar system; the default for every experiment."""
         return cls(haar_mother(), haar_mother(), float(p))
 
-    @classmethod
-    def validated(cls, mother, dual_mother, p, window=4, tol=_BIORTHO_TOL):
-        """Build a system from custom step wavelets, enforcing biorthogonality."""
-        ws = cls(mother, dual_mother, float(p))
-        residual = ws.biorthogonality_residual(window)
-        if not (residual <= tol):
-            raise ValueError(
-                f"wavelet pair fails biorthogonality: residual {residual:.3e} > {tol:.1e}")
-        return ws
-
     @functools.cached_property
     def _unit_cells(self):
         """Cells (breakpoints, values) of the primal and the dual member at (0, 0)."""
@@ -92,22 +63,6 @@ class WaveletSystem:
             f = member(self, 0.0, 0.0, side)
             cells[side] = (f.breakpoints, f.values)
         return cells
-
-    def biorthogonality_residual(self, window=4):
-        """Worst |<primal(n,k), dual(n',k')> - delta| over |n|,|k|,|n'|,|k'| <= window.
-
-        Each primal member is analysed against every dual member at once;
-        the maximum is taken by np.max, which keeps a NaN.
-        """
-        n, k = _pairs(-window, window + 1)
-        pb, pv = self._unit_cells["primal"]
-        gaps = []
-        for i in range(n.size):
-            gram = _coefficients(self, (pb + k[i]) * 2.0 ** (-n[i]),
-                                 pv * 2.0 ** (n[i] / self.p), n, k)
-            gram[i] -= 1.0
-            gaps.append(np.abs(gram))
-        return float(np.max(gaps))
 
 
 def member(ws, a, b, side="primal"):
@@ -121,37 +76,6 @@ def member(ws, a, b, side="primal"):
     if side == "dual":
         return ws.dual_mother.translate(b).dilate(a, ws.p_conj)
     raise ValueError("side must be 'primal' or 'dual'")
-
-
-def _snap_index(u, N):
-    """Largest (integer, fraction-of-N) pair with base + k/N <= u."""
-    base = math.floor(u)
-    k = math.floor((u - base) * N)
-    if k > N - 1:
-        k = N - 1
-    # float rounding can land one cell off; fix against the defining inequality
-    while k + 1 <= N - 1 and base + (k + 1) / N <= u:
-        k += 1
-    while k > 0 and base + k / N > u:
-        k -= 1
-    return base, k
-
-
-def snap_to_grid(a, b, N):
-    """Snap continuous parameters to the resolution-N lattice.
-
-    Returns ``(GridIndex, a_snap, b_snap)`` with
-    ``a_snap = l + r/N`` and ``b_snap = m + s * 2^l / N``; the translation
-    step grows with the integer scale so that members at snapped
-    parameters factor through integer-grid members.
-    """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    l, r = _snap_index(a, N)
-    m, s = _snap_index(b, N)
-    a_snap = l + r / N
-    b_snap = m + s * (2.0 ** l) / N
-    return GridIndex(l=l, r=r, m=m, s=s, N=N), a_snap, b_snap
 
 
 # -- the lattice kernel -----------------------------------------------------------
@@ -253,11 +177,6 @@ def _conjugated(ws, x, N):
 # -- reconstructions ---------------------------------------------------------------
 
 
-def discrete_partial_reconstruct(ws, x, M):
-    """Integer-grid partial reconstruction over scales and shifts in [-M, M-1]."""
-    return _lattice_sum(ws, x, *_pairs(-M, M), 1.0)
-
-
 def box_reconstruct(ws, x, M, N):
     """Exact value of the snapped reconstruction integral over the box [-M, M]^2.
 
@@ -332,24 +251,3 @@ def convergence_study(ws, x, M_list, N_list):
             rows.append(StudyRow(M=M, N=N, p=ws.p, error=error,
                                  oracle_bound=bound, runtime_ms=elapsed_ms))
     return rows
-
-
-def grid_partial_sum(ws, x, M, N, keep):
-    """Box sum restricted to a subset of lattice cells (l, m, r, s).
-
-    Used to probe suppression behaviour of the snapped family: dropping
-    cells must not blow up the sum beyond the measured constant.
-    """
-    cells = sorted(set(keep))
-    for (l, m, r, s) in cells:
-        if not (-M <= l < M and -M <= m < M and 0 <= r < N and 0 <= s < N):
-            raise ValueError(f"cell {(l, m, r, s)} outside the box grid")
-    l, m, r, s = np.array(cells, dtype=float).reshape(-1, 4).T
-    return _lattice_sum(ws, x, l + r / N, m + s * 2.0 ** l / N, 1.0 / (N * N))
-
-
-def full_grid(M, N):
-    """All lattice cells of the box: (l, m, r, s) with l, m in [-M, M-1]."""
-    return [(l, m, r, s)
-            for l in range(-M, M) for m in range(-M, M)
-            for r in range(N) for s in range(N)]

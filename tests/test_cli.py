@@ -486,3 +486,15 @@ def test_nan_results_fail_their_check(tmp_path, monkeypatch, capsys, kind, targe
     assert "FAIL" in capsys.readouterr().out
     payload = strict_json((tmp_path / "nan.json").read_text())
     assert payload["passed"] is False
+
+
+def test_identity_max_gap_keeps_a_nan_in_any_place(tmp_path, capsys):
+    # the gap at M = 1 is 0.0 and the gap at M = 2 overflows to NaN
+    target = json.dumps({"step_function": {"breakpoints": [0, 0.25, 0.5, 0.75, 1],
+                                           "values": [1e308, -1e308, 1e308, -1e308]}})
+    assert main(["wavelet-identity", "--target", target, "--p-list", "2",
+                 "--M-list", "1,2", "--N-list", "1", "--out", str(tmp_path / "gap")]) == 3
+    capsys.readouterr()
+    payload = strict_json((tmp_path / "gap.json").read_text())
+    assert [g["gap"] for g in payload["gaps"]] == [0.0, "nan"]
+    assert payload["max_gap"] == "nan"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from framelab import IntervalSet
-from framelab.intervals import random_interval_set
 
 
 def test_normalization_merges_touching_pieces():
@@ -38,13 +37,6 @@ def test_union_intersect_difference():
     assert a.intersect(IntervalSet.empty()).is_empty()
 
 
-def test_complement_within():
-    s = IntervalSet([(1.0, 2.0), (3.0, 4.0)])
-    c = s.complement_within(0.0, 5.0)
-    assert c.to_pairs() == ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0))
-    assert IntervalSet.empty().complement_within(0.0, 1.0).to_pairs() == ((0.0, 1.0),)
-
-
 def test_hull_and_shift():
     s = IntervalSet([(0.0, 1.0), (4.0, 5.0)])
     assert s.hull() == (0.0, 5.0)
@@ -52,7 +44,7 @@ def test_hull_and_shift():
     assert IntervalSet.empty().hull() is None
 
 
-def test_boolean_ops_match_pointwise_membership():
+def test_boolean_ops_match_pointwise_membership(random_interval_set):
     rng = np.random.default_rng(11)
     probes = rng.uniform(-0.5, 10.5, 400)
     for _ in range(40):
@@ -65,7 +57,7 @@ def test_boolean_ops_match_pointwise_membership():
             assert a.difference(b).contains(t) == (a.contains(t) and not b.contains(t))
 
 
-def test_measure_additivity_for_disjoint_sets():
+def test_measure_additivity_for_disjoint_sets(random_interval_set):
     rng = np.random.default_rng(12)
     for _ in range(40):
         a = random_interval_set(rng, 0.0, 10.0)

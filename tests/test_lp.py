@@ -35,7 +35,7 @@ def test_unit_and_to_entries():
     assert e[4] == 1 and e.support() == (4,)
     v = CoordinateVector([(0, 1.0), (2, 3.0)])
     assert v[2] == 3.0
-    assert v.to_entries() == ((0, 1.0), (2, 3.0))
+    assert list(v.items()) == [(0, 1.0), (2, 3.0)]
 
 
 def test_norm_values():
@@ -57,8 +57,6 @@ def test_add_sub_scale_shift_restrict():
     assert v.scale(0.0).is_zero()
     assert v.scale(2.0)[1] == 4.0
     assert v.shift(5).support() == (5, 6)
-    assert v.restrict([1, 7])[1] == 2.0
-    assert v.restrict([1, 7])[0] == 0
 
 
 def test_pair_is_symmetric_and_bilinear():

@@ -1,4 +1,8 @@
-"""Tests for set-restricted integral suprema and unconditionality scans."""
+"""Tests for set-restricted integral suprema and unconditionality scans.
+
+The sup over measurable sets E of |integral_E c*d| is the larger of the
+two sign parts of the product (``pettis._sign_parts``).
+"""
 
 import math
 
@@ -10,38 +14,47 @@ from framelab import (
     RademacherSpec,
     StepFunction,
     build_rademacher_generator,
-    exact_set_supremum,
     haar_mother,
     unconditionality_scan,
 )
 from framelab import pettis
-from framelab.intervals import random_interval_set
+from framelab.pettis import _sign_parts
 from framelab.translate_frame import Generator
 
 
+def sign_parts(c, d):
+    """(positive part, negative part) of the integral of c*d."""
+    product = c.multiply(d)
+    return _sign_parts(product.values, np.diff(product.breakpoints))
+
+
 def test_haar_against_indicator():
-    # product is +1 on [0, 1/2) and -1 on [1/2, 1); the positive part wins
-    sup, witness = exact_set_supremum(haar_mother(),
-                                      StepFunction.indicator(0.0, 1.0))
-    assert sup == 0.5
-    assert witness.to_pairs() == ((0.0, 0.5),)
+    # product is +1 on [0, 1/2) and -1 on [1/2, 1): both parts are 1/2
+    assert sign_parts(haar_mother(), StepFunction.indicator(0.0, 1.0)) == (0.5, 0.5)
+    assert sign_parts(haar_mother(), StepFunction.indicator(0.0, 0.75)) == (0.5, 0.25)
 
 
 def test_witness_attains_supremum():
+    # each part is attained on the cells where the product has that sign
     rng = np.random.default_rng(17)
     for _ in range(60):
         c = random_step(rng)
         d = random_step(rng)
-        sup, witness = exact_set_supremum(c, d)
-        attained = abs(c.multiply(d).integrate(witness))
-        assert attained == pytest.approx(sup, rel=1e-12, abs=1e-12)
+        product = c.multiply(d)
+        cells = list(zip(product.breakpoints[:-1], product.breakpoints[1:],
+                         product.values))
+        positive = IntervalSet((l, r) for l, r, v in cells if v > 0)
+        negative = IntervalSet((l, r) for l, r, v in cells if v < 0)
+        pos, neg = sign_parts(c, d)
+        assert product.integrate(positive) == pytest.approx(pos, rel=1e-12, abs=1e-12)
+        assert -product.integrate(negative) == pytest.approx(neg, rel=1e-12, abs=1e-12)
 
 
-def test_random_sets_stay_below_supremum():
+def test_random_sets_stay_below_supremum(random_interval_set):
     rng = np.random.default_rng(18)
     c = random_step(rng)
     d = random_step(rng)
-    sup, _ = exact_set_supremum(c, d)
+    sup = max(sign_parts(c, d))
     lo, hi = (-6.0, 6.0)
     for _ in range(1000):
         region = random_interval_set(rng, lo, hi)
@@ -54,18 +67,17 @@ def test_supremum_symmetry_and_homogeneity():
         c = random_step(rng)
         d = random_step(rng)
         alpha = float(rng.uniform(0.1, 3.0))
-        s1, _ = exact_set_supremum(c, d)
-        s2, _ = exact_set_supremum(d, c)
-        s3, _ = exact_set_supremum(c.scale(alpha), d)
+        s1 = max(sign_parts(c, d))
+        s2 = max(sign_parts(d, c))
+        s3 = max(sign_parts(c.scale(alpha), d))
         assert s1 == pytest.approx(s2, rel=1e-12, abs=1e-14)
         assert s3 == pytest.approx(alpha * s1, rel=1e-12, abs=1e-14)
 
 
 def test_zero_product_gives_empty_witness():
-    sup, witness = exact_set_supremum(StepFunction.indicator(0.0, 1.0),
-                                      StepFunction.indicator(2.0, 3.0))
-    assert sup == 0.0
-    assert witness.is_empty()
+    # disjoint supports: the product has no cell and both parts are 0
+    assert sign_parts(StepFunction.indicator(0.0, 1.0),
+                      StepFunction.indicator(2.0, 3.0)) == (0.0, 0.0)
 
 
 def test_scan_ordering_on_shared_draws():

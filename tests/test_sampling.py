@@ -7,19 +7,22 @@ import pytest
 
 from framelab import (
     CoordinateVector,
+    DiscreteFrame,
     IntervalSet,
     RademacherSpec,
     SamplingPlan,
+    SpaceTag,
     StepFunction,
     build_rademacher_generator,
     commensurate_step,
     default_window,
     reconstruction_matrix,
-    sample_frame,
     sampling_sweep,
     synthesis_over_set,
     validate_generator,
 )
+from framelab.sampling import _coefficient_rows
+from framelab.translate_frame import Generator
 
 WINDOW = 4
 
@@ -68,20 +71,32 @@ def test_commensurate_step_rejects_irrational_grid():
         commensurate_step(fake, max_halvings=20)
 
 
+def sample_frame(g, plan, window):
+    """Discrete frame of the samples: pair j is (f(t_j - .), h * f(t_j - .))."""
+    ns, rows = _coefficient_rows(g, plan.points(), window)
+    pairs = []
+    for row in rows:
+        vec = CoordinateVector(zip(ns.tolist(), row.tolist()))
+        pairs.append((vec, vec.scale(plan.step)))
+    return DiscreteFrame(pairs=tuple(pairs), space=SpaceTag.lp(2.0))
+
+
 def test_sample_frame_pairs_carry_riemann_weight():
+    # four samples of e_0 on [0, 1), each weighted by h = 1/4, sum to e_0
     g = validate_generator(StepFunction.indicator(0.0, 1.0))
     plan = SamplingPlan(step=0.25, window=IntervalSet([(0.0, 1.0)]))
-    frame = sample_frame(g, plan, window=2)
-    assert len(frame) == 4
-    for vec, fun in frame.pairs:
-        assert vec == CoordinateVector({0: 1.0})
-        assert fun == vec.scale(0.25)
+    _, rows = _coefficient_rows(g, plan.points(), window=2)
+    assert rows.tolist() == [[0.0, 0.0, 1.0, 0.0, 0.0]] * 4
+    mat = reconstruction_matrix(g, plan, window=2)
+    assert mat.tolist() == np.diag([0.0, 0.0, 1.0, 0.0, 0.0]).tolist()
 
 
 def test_empty_window_gives_empty_frame():
     g = validate_generator(StepFunction.indicator(0.0, 1.0))
     plan = SamplingPlan(step=0.25, window=IntervalSet.empty())
-    assert len(sample_frame(g, plan, window=2)) == 0
+    _, rows = _coefficient_rows(g, plan.points(), window=2)
+    assert rows.shape == (0, 5)
+    assert not reconstruction_matrix(g, plan, window=2).any()
 
 
 def test_default_window_covers_all_integrands():
@@ -156,3 +171,11 @@ def test_incommensurate_refinement_shrinks_error():
     assert all(not r.exact for r in rows)
     counts = [r.num_samples for r in rows]
     assert counts[0] < counts[1] < counts[2]
+
+
+def test_sweep_of_a_nan_generator_reports_nan():
+    f = StepFunction([0.0, 0.5, 1.0], [np.nan, 1.0])
+    g = Generator(f, np.nan, np.nan, np.nan, np.nan, 1)
+    for row in sampling_sweep(g, [0.25, 0.5], window=2):
+        assert np.isnan(row.max_error)
+        assert not row.exact

@@ -43,10 +43,10 @@ def test_zero_function_is_empty_cell_list():
 def test_canonicalization_trims_and_merges():
     f = StepFunction([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 5.0, 5.0, 0.0])
     assert f.support() == (1.0, 3.0)
-    assert f.num_cells() == 1
+    assert f.values.size == 1
     # interior zero cells must survive
     g = StepFunction([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0])
-    assert g.num_cells() == 3
+    assert g.values.size == 3
     assert g.evaluate(1.5) == 0.0
 
 
@@ -75,7 +75,7 @@ def test_combine_merges_close_breakpoints():
     g = StepFunction([1e-13, 1.0], [1.0])
     s = f.add(g)
     # the two left endpoints differ by less than the merge tolerance
-    assert s.num_cells() == 1
+    assert s.values.size == 1
     assert s(0.5) == 2.0
 
 
@@ -208,11 +208,6 @@ def test_periodized_sup_integer_translation_invariant():
         k = int(rng.integers(-7, 8))
         assert f.translate(k).periodized_l1_sup() == pytest.approx(
             f.periodized_l1_sup(), rel=1e-12)
-
-
-def test_serialization_round_trip():
-    f = StepFunction([0.0, 0.5, 2.0], [1.5, -2.5])
-    assert StepFunction.from_dict(f.to_dict()) == f
 
 
 def test_abs_integral_and_lp_norm():

@@ -11,17 +11,17 @@ from framelab import (
     IntervalSet,
     RademacherSpec,
     StepFunction,
-    analysis_function,
     biorthogonality_matrix,
     build_rademacher_generator,
-    frame_vector,
     generator_certificates,
-    sign_pattern,
+    rademacher_function,
     synthesis_over_set,
-    translate_series,
     validate_generator,
     young_check,
 )
+from framelab.sampling import _coefficient_rows
+from framelab.stepfn import _folded
+from framelab.translate_frame import _series, _unfold
 
 
 def single_coeff_generator():
@@ -33,10 +33,15 @@ def two_coeff_generator():
     return build_rademacher_generator(RademacherSpec(coefficients={0: c, 1: c}))
 
 
+def sign_pattern(depth):
+    """The single-coefficient Rademacher function: the sign pattern of 2^depth cells."""
+    return rademacher_function(RademacherSpec(coefficients={0: 1.0}, resolution=depth))
+
+
 def test_sign_pattern_structure():
     for depth in range(1, 6):
         r = sign_pattern(depth)
-        assert r.num_cells() == 2 ** depth
+        assert r.values.size == 2 ** depth
         assert r.support() == (0.0, 1.0)
         assert set(r.values.tolist()) == {1.0, -1.0}
         assert r.values[0] == 1.0
@@ -77,8 +82,8 @@ def test_resolution_refines_cells():
     base = build_rademacher_generator(RademacherSpec(coefficients={0: 1.0}))
     fine = build_rademacher_generator(
         RademacherSpec(coefficients={0: 1.0}, resolution=3))
-    assert base.f.num_cells() == 2
-    assert fine.f.num_cells() == 8
+    assert base.f.values.size == 2
+    assert fine.f.values.size == 8
     assert fine.suppression_constant == pytest.approx(1.0, abs=1e-12)
 
 
@@ -121,26 +126,25 @@ def test_certificates_report_shape():
 
 
 def test_frame_vector_values():
+    # row j of the sampled coefficients is the frame vector (f(t_j - n))_n
     g = single_coeff_generator()
-    assert frame_vector(g, 0.1, window=4) == CoordinateVector({0: 1.0})
+    ns, rows = _coefficient_rows(g, [0.1, 0.6, 1.2], window=4)
+    assert ns.tolist() == list(range(-4, 5))
+    assert rows[0].tolist() == [0.0] * 4 + [1.0] + [0.0] * 4
     # second half of the base pattern carries the opposite sign
-    assert frame_vector(g, 0.6, window=4) == CoordinateVector({0: -1.0})
-    assert frame_vector(g, 1.2, window=4) == CoordinateVector({1: 1.0})
-    assert frame_vector(g, -3.9, window=2).is_zero()   # clipped by the window
+    assert rows[1].tolist() == [0.0] * 4 + [-1.0] + [0.0] * 4
+    assert rows[2].tolist() == [0.0] * 5 + [1.0] + [0.0] * 3
+    _, rows = _coefficient_rows(g, [-3.9], window=2)
+    assert not rows.any()   # clipped by the window
 
 
 def test_analysis_of_unit_vector_recovers_generator():
+    # the series of e_n is one row of the fold per unit, unfolded at unit n
     g = two_coeff_generator()
-    c = analysis_function(g, CoordinateVector.unit(0))
-    assert (c - g.f).lp_norm(2) == pytest.approx(0.0, abs=1e-12)
-    shifted = analysis_function(g, CoordinateVector.unit(5))
-    assert (shifted - g.f.translate(5.0)).lp_norm(2) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_translate_series_matches_analysis():
-    g = two_coeff_generator()
-    x = CoordinateVector({-1: 0.5, 2: -1.5})
-    assert translate_series(g.f, x) == analysis_function(g, x)
+    k0, grid, table = _folded(g.f)
+    for n in (0, 5):
+        c = _unfold(grid, [(k0 + n, _series(table, np.ones(1)))])
+        assert (c - g.f.translate(float(n))).lp_norm(2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_line_synthesis_recovers_coordinates():

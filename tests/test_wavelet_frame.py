@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 
 from framelab import (
-    GridIndex,
     StepFunction,
     WaveletSystem,
     averaged_conjugate_reconstruction,
     box_reconstruct,
     convergence_study,
-    discrete_partial_reconstruct,
-    full_grid,
-    grid_partial_sum,
     haar_mother,
     member,
     reconstruction_identity_gap,
-    snap_to_grid,
 )
+from framelab.wavelet_frame import _box_lattice, _lattice_sum, _pairs
+
+
+def discrete_partial_reconstruct(ws, x, M):
+    """Integer-grid partial reconstruction over scales and shifts in [-M, M-1]."""
+    return _lattice_sum(ws, x, *_pairs(-M, M), 1.0)
 
 
 def test_system_validation():
@@ -27,10 +28,6 @@ def test_system_validation():
         WaveletSystem.haar(1.0)
     ws = WaveletSystem.haar(3.0)
     assert ws.p_conj == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        GridIndex(l=0, r=5, m=0, s=0, N=4)
-    with pytest.raises(ValueError):
-        GridIndex(l=0, r=0, m=0, s=0, N=0)
 
 
 def test_mother_is_unit_norm_in_every_exponent():
@@ -50,50 +47,6 @@ def test_member_primal_and_dual_normalization():
         [2.0 ** (2.0 / 3.0), -(2.0 ** (2.0 / 3.0))])
     with pytest.raises(ValueError):
         member(ws, 0, 0, "both")
-
-
-def test_snap_examples():
-    idx, a_snap, b_snap = snap_to_grid(1.3, 0.25, 10)
-    assert idx == GridIndex(l=1, r=3, m=0, s=2, N=10)
-    assert a_snap == pytest.approx(1.3)
-    # translation step at scale cell l=1 is 2^1/10, so s=2 lands at 0.4
-    assert b_snap == pytest.approx(0.4)
-
-    idx, a_snap, _ = snap_to_grid(0.3, 0.7, 10)
-    assert (idx.l, idx.r) == (0, 3)
-    assert a_snap == pytest.approx(0.3)
-
-    idx, a_snap, b_snap = snap_to_grid(-0.2, 0.3, 4)
-    assert (idx.l, idx.r, idx.m, idx.s) == (-1, 3, 0, 1)
-    assert a_snap == pytest.approx(-0.25)
-    assert b_snap == pytest.approx(0.125)   # 1 * 2^-1 / 4
-
-
-def test_snap_defining_inequalities():
-    rng = np.random.default_rng(20)
-    for _ in range(500):
-        a = float(rng.uniform(-5, 5))
-        b = float(rng.uniform(-5, 5))
-        N = int(rng.integers(1, 17))
-        idx, a_snap, _ = snap_to_grid(a, b, N)
-        assert a_snap <= a < idx.l + (idx.r + 1) / N
-        assert idx.m + idx.s / N <= b < idx.m + (idx.s + 1) / N
-        assert a_snap == idx.l + idx.r / N
-
-
-def test_snap_constant_on_lattice_cells():
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        N = int(rng.integers(1, 13))
-        l = int(rng.integers(-4, 5))
-        r = int(rng.integers(0, N))
-        m = int(rng.integers(-4, 5))
-        s = int(rng.integers(0, N))
-        # jitter strictly inside the cell; snapping must not move
-        a = l + (r + float(rng.uniform(0.01, 0.99))) / N
-        b = m + (s + float(rng.uniform(0.01, 0.99))) / N
-        idx, _, _ = snap_to_grid(a, b, N)
-        assert idx == GridIndex(l=l, r=r, m=m, s=s, N=N)
 
 
 def test_dilation_group_law():
@@ -127,14 +80,15 @@ def test_adjoint_transfer_identity():
 
 
 def test_biorthogonality_residual_haar():
+    # <primal(n, k), dual(n', k')> = delta over |n|, |k|, |n'|, |k'| <= 2
+    grid = [(n, k) for n in range(-2, 3) for k in range(-2, 3)]
     for p in (1.5, 2.0, 3.0):
-        assert WaveletSystem.haar(p).biorthogonality_residual(window=2) <= 1e-12
-
-
-def test_validated_rejects_mismatched_dual():
-    with pytest.raises(ValueError):
-        WaveletSystem.validated(haar_mother(), haar_mother().scale(2.0), 2.0,
-                                window=1)
+        ws = WaveletSystem.haar(p)
+        duals = [member(ws, n, k, "dual") for n, k in grid]
+        for i, (n, k) in enumerate(grid):
+            primal = member(ws, n, k, "primal")
+            for j, dual in enumerate(duals):
+                assert abs(primal.inner(dual) - (i == j)) <= 1e-12
 
 
 def test_basis_member_reconstructs_exactly():
@@ -189,25 +143,24 @@ def test_convergence_rows_respect_oracle_bound():
 
 
 def test_grid_partial_sum_full_grid_matches_box():
+    # the box lattice summed in reverse order gives the box sum
     ws = WaveletSystem.haar(2.0)
     x = StepFunction([0.0, 0.4, 1.0], [1.0, 0.5])
-    cells = full_grid(2, 2)
-    assert len(cells) == 4 * 4 * 2 * 2
-    total = grid_partial_sum(ws, x, 2, 2, cells)
+    a, b = _box_lattice(2, 2)
+    assert a.size == 4 * 4 * 2 * 2
+    total = _lattice_sum(ws, x, a[::-1], b[::-1], 1.0 / 4)
     assert (total - box_reconstruct(ws, x, 2, 2)).lp_norm(2) <= 1e-12
 
 
 def test_grid_partial_sum_complement_additivity():
     ws = WaveletSystem.haar(2.0)
     x = StepFunction([0.0, 0.4, 1.0], [1.0, 0.5])
-    cells = full_grid(2, 2)
+    a, b = _box_lattice(2, 2)
     rng = np.random.default_rng(25)
     for _ in range(10):
-        mask = rng.random(len(cells)) < 0.5
-        kept = [c for c, keep in zip(cells, mask) if keep]
-        rest = [c for c, keep in zip(cells, mask) if not keep]
-        together = grid_partial_sum(ws, x, 2, 2, kept).add(
-            grid_partial_sum(ws, x, 2, 2, rest))
+        mask = rng.random(a.size) < 0.5
+        together = _lattice_sum(ws, x, a[mask], b[mask], 1.0 / 4).add(
+            _lattice_sum(ws, x, a[~mask], b[~mask], 1.0 / 4))
         assert (together - box_reconstruct(ws, x, 2, 2)).lp_norm(2) <= 1e-12
 
 
@@ -216,42 +169,33 @@ def test_grid_partial_sum_triangle_bound():
     ws = WaveletSystem.haar(2.0)
     x = StepFunction([0.0, 0.4, 1.0], [1.0, 0.5])
     M, N = 2, 2
-    cells = full_grid(M, N)
+    a, b = _box_lattice(M, N)
     budget = 0.0
-    for (l, m, r, s) in cells:
-        a = l + r / N
-        b = m + s * (2.0 ** l) / N
-        coef = x.inner(member(ws, a, b, "dual"))
-        budget += abs(coef) * member(ws, a, b, "primal").lp_norm(2) / (N * N)
+    for ak, bk in zip(a, b):
+        coef = x.inner(member(ws, ak, bk, "dual"))
+        budget += abs(coef) * member(ws, ak, bk, "primal").lp_norm(2) / (N * N)
     rng = np.random.default_rng(26)
     for _ in range(25):
-        mask = rng.random(len(cells)) < rng.uniform(0.2, 0.8)
-        kept = [c for c, keep in zip(cells, mask) if keep]
-        assert grid_partial_sum(ws, x, M, N, kept).lp_norm(2) <= budget + 1e-12
+        mask = rng.random(a.size) < rng.uniform(0.2, 0.8)
+        partial = _lattice_sum(ws, x, a[mask], b[mask], 1.0 / (N * N))
+        assert partial.lp_norm(2) <= budget + 1e-12
 
 
 def test_grid_partial_sum_orthonormal_case_has_unit_constant():
     # at N=1 and p=2 the kept members are orthonormal, so every subset
     # partial sum satisfies |<g, P x>| <= ||g||_2 ||x||_2 with constant 1
     ws = WaveletSystem.haar(2.0)
-    M, N = 2, 1
-    cells = full_grid(M, N)
+    a, b = _box_lattice(2, 1)
     rng = np.random.default_rng(30)
     for _ in range(40):
         grid = np.sort(rng.choice(np.arange(-32, 33), 4, replace=False)) / 8.0
         x = StepFunction(grid, rng.standard_normal(3))
         grid = np.sort(rng.choice(np.arange(-32, 33), 4, replace=False)) / 8.0
         g = StepFunction(grid, rng.standard_normal(3))
-        kept = [c for c in cells if rng.random() < 0.5]
-        partial = grid_partial_sum(ws, x, M, N, kept)
+        mask = rng.random(a.size) < 0.5
+        partial = _lattice_sum(ws, x, a[mask], b[mask], 1.0)
         assert abs(g.inner(partial)) <= (
             g.lp_norm(2) * x.lp_norm(2) * (1.0 + 1e-12) + 1e-12)
-
-
-def test_grid_partial_sum_rejects_out_of_range_cell():
-    ws = WaveletSystem.haar(2.0)
-    with pytest.raises(ValueError):
-        grid_partial_sum(ws, haar_mother(), 1, 1, [(1, 0, 0, 0)])
 
 
 def test_averaged_route_is_isometric_in_the_window():
