@@ -26,7 +26,7 @@ from .lp import CoordinateVector
 from .pettis import unconditionality_scan
 from .reports import (ARTIFACT_VERSION, config_digest, write_csv, write_json_report)
 from .sampling import sampling_sweep
-from .stepfn import StepFunction, haar_mother
+from .stepfn import MERGE_ULPS, StepFunction, _merge, haar_mother
 from .translate_frame import (GeneratorRejected, RademacherSpec, biorthogonality_matrix,
                               build_rademacher_generator, generator_certificates,
                               rademacher_function, synthesis_over_set,
@@ -158,6 +158,12 @@ def _lattice_work(params):
     return members * len(params.get("p_list", [params.get("p")]))
 
 
+def _separated(points):
+    """True when ``points`` increase and no two of them merge in a cell grid."""
+    points = np.array(points, dtype=float)
+    return np.array_equal(_merge(points), points)
+
+
 def _require_step_record(name, body):
     if not isinstance(body, dict) or set(body) != {"breakpoints", "values"}:
         raise ConfigError(f"{name} must be {{breakpoints: [...], values: [...]}}")
@@ -168,8 +174,9 @@ def _require_step_record(name, body):
         raise ConfigError(f"{name} needs n >= 1 values and n + 1 breakpoints")
     if not all(_is_real(v) for v in bp + vals):
         raise ConfigError(f"{name} breakpoints and values must be finite numbers")
-    if not all(float(a) < float(b) for a, b in zip(bp, bp[1:])):
-        raise ConfigError(f"{name}.breakpoints must be strictly increasing")
+    if not _separated(bp):
+        raise ConfigError(f"{name}.breakpoints must increase by more than "
+                          f"{MERGE_ULPS} ulps of the largest |breakpoint|")
 
 
 def _check_target(name, value):
@@ -183,8 +190,9 @@ def _check_target(name, value):
             raise ConfigError(f"{name}.named must be 'haar'")
     elif key == "indicator":
         if (not isinstance(body, list) or len(body) != 2
-                or not all(_is_real(v) for v in body) or not body[0] < body[1]):
-            raise ConfigError(f"{name}.indicator must be [a, b] with finite a < b")
+                or not all(_is_real(v) for v in body) or not _separated(body)):
+            raise ConfigError(f"{name}.indicator must be [a, b] with finite a < b "
+                              f"more than {MERGE_ULPS} ulps of max(|a|, |b|) apart")
     elif key == "step_function":
         _require_step_record(f"{name}.step_function", body)
     else:
@@ -617,7 +625,9 @@ def execute(config, quiet=False, timings=False):
                             "tol": config["tol"], "params": config["params"]})
     rng = np.random.default_rng(config["seed"])
     try:
-        result = KINDS[kind].run(config["params"], config["seed"], config["tol"], rng)
+        # an overflow leaves inf or NaN, which the report's checks fail on
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = KINDS[kind].run(config["params"], config["seed"], config["tol"], rng)
     except GeneratorRejected as exc:
         result = ExperimentResult(payload={"report": exc.report.to_dict()},
                                   failures=tuple(exc.report.failures),

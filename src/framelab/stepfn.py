@@ -12,8 +12,7 @@ import numpy as np
 
 from .intervals import IntervalSet
 
-# breakpoints closer than this are merged when two cell grids are combined
-MERGE_TOL = 1e-12
+MERGE_ULPS = 64     # derived points (0.1 against 1.1 - 1) differ by a few ulps
 
 _EMPTY = np.empty(0, dtype=float)
 
@@ -49,20 +48,27 @@ def _evaluate(bp, vals, t):
     return np.where(inside, vals[np.clip(idx, 0, vals.size - 1)], 0.0)
 
 
-def _merged_cells(a, b):
-    """Union grid of two breakpoint arrays, points within MERGE_TOL merged.
-
-    Returns (grid, cell midpoints), or None when no cell remains.
-    """
-    grid = np.union1d(a, b)
-    if grid.size:
-        keep = np.empty(grid.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(grid) > MERGE_TOL
-        grid = grid[keep]
+def _merge(points, magnitude=None):
+    """Sorted grid of ``points``, each point within MERGE_ULPS * np.spacing(magnitude)
+    of the one before it merged into that one; ``magnitude`` defaults to the
+    largest |point|.  Every cell grid is built here, and nowhere else."""
+    grid = np.unique(points)
     if grid.size < 2:
-        return None
-    return grid, 0.5 * (grid[:-1] + grid[1:])
+        return grid
+    if magnitude is None:
+        magnitude = max(-grid[0], grid[-1])
+    keep = np.ones(grid.size, dtype=bool)
+    keep[1:] = np.diff(grid) > MERGE_ULPS * np.spacing(magnitude)
+    return grid[keep]
+
+
+def _combined(f, g, op):
+    """Cells (grid, values) of op(f, g) on one merged grid; f, g are (breakpoints, values)."""
+    grid = _merge(np.concatenate((f[0], g[0])))
+    if grid.size < 2:
+        return _EMPTY, _EMPTY
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    return grid, op(_evaluate(*f, mids), _evaluate(*g, mids))
 
 
 def _folded(f):
@@ -71,7 +77,7 @@ def _folded(f):
     Returns ``(k0, grid, table)``: ``k0`` is the integer (held as a float)
     where the first unit of the support starts, ``grid`` is the fractional
     grid 0 = G[0] < ... < G[-1] = 1 of every breakpoint's fractional part,
-    points within MERGE_TOL merged as in :func:`_merged_cells`, and
+    merged by :func:`_merge` at the magnitude of the unfolded points, and
     ``table[j, i] = f(k0 + j + mid_i)`` holds one row per unit
     [k0 + j, k0 + j + 1) of the support and one column per cell of ``grid``.
     The zero function folds to a table with no rows.
@@ -81,15 +87,19 @@ def _folded(f):
     bp = f.breakpoints
     k0 = float(np.floor(bp[0]))
     units = int(np.ceil(bp[-1]) - k0)
-    grid = np.union1d(bp - np.floor(bp), (0.0, 1.0))
-    keep = np.empty(grid.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(grid) > MERGE_TOL
-    grid = grid[keep]
+    grid = _merge(np.concatenate((bp - np.floor(bp), (0.0, 1.0))), max(-bp[0], bp[-1], 1.0))
+    if grid.size == 1:  # past 2^46 the merge distance passes 1, and 0 absorbs 1
+        grid = np.array([0.0, 1.0])
     grid[-1] = 1.0      # a part just below 1 may have absorbed the end point
     mids = 0.5 * (grid[:-1] + grid[1:])
     table = f.evaluate((k0 + np.arange(units, dtype=float))[:, None] + mids)
     return k0, grid, table
+
+
+def _periodized_sup(table):
+    """Largest column sum of |table|, summed in increasing row: for the
+    table of the unit fold of f, the sup of the 1-periodization of |f|."""
+    return float(np.add.reduce(np.abs(table), axis=0).max())
 
 
 class StepFunction:
@@ -159,12 +169,8 @@ class StepFunction:
     # -- algebra -----------------------------------------------------------
 
     def _combine(self, other, op):
-        cells = _merged_cells(self.breakpoints, other.breakpoints)
-        if cells is None:
-            return StepFunction.zero()
-        grid, mids = cells
-        vals = op(self.evaluate(mids), other.evaluate(mids))
-        return StepFunction(grid, vals)
+        return StepFunction(*_combined((self.breakpoints, self.values),
+                                       (other.breakpoints, other.values), op))
 
     def add(self, other):
         return self._combine(other, np.add)
@@ -249,26 +255,18 @@ class StepFunction:
         """Exact integral of the pointwise product of two step functions."""
         if self.values.size == 0 or other.values.size == 0:
             return 0.0
-        cells = _merged_cells(self.breakpoints, other.breakpoints)
-        if cells is None:
-            return 0.0
-        grid, mids = cells
-        return float(np.dot(self.evaluate(mids) * other.evaluate(mids),
-                            np.diff(grid)))
+        grid, product = _combined((self.breakpoints, self.values),
+                                  (other.breakpoints, other.values), np.multiply)
+        return float(np.dot(product, np.diff(grid)))
 
     def periodized_l1_sup(self):
         """sup over t of the 1-periodization of |f|.
 
-        The largest column sum of |F| in the unit fold of f (see
-        :func:`_folded`), each column summed in increasing unit.
         Finiteness is automatic for compactly supported step functions; the
         point of computing it exactly is that it certifies the frame bound of
         a translated generator.
         """
-        if self.values.size == 0:
-            return 0.0
-        _, _, table = _folded(self)
-        return float(np.add.reduce(np.abs(table), axis=0).max())
+        return _periodized_sup(_folded(self)[2])
 
     # -- comparisons ---------------------------------------------------------
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .intervals import IntervalSet
 from .lp import CoordinateVector
-from .stepfn import StepFunction, _folded
+from .stepfn import StepFunction, _folded, _periodized_sup
 
 VALIDATION_TOL = 1e-10
 
@@ -98,7 +98,7 @@ def generator_certificates(f, lag_range=None, tol=VALIDATION_TOL):
     if not (residual <= tol):
         failures.append(
             f"translates are not orthonormal: residual {residual:.3e} > {tol:.1e}")
-    sup = f.periodized_l1_sup()
+    sup = _periodized_sup(table)
     return ValidationReport(l1, sup, residual, lag_range, tol, tuple(failures))
 
 
@@ -200,10 +200,8 @@ def _gram_lags(grid, table, count):
     """<f, f(. - m)> for m = 0 .. count - 1, from the rows of the fold of f."""
     lens = np.diff(grid)
     units = table.shape[0]
-    # a lag past the float range is inf, and the report carries it
-    with np.errstate(over="ignore"):
-        return np.array([np.add.reduce((table[m:] * table[:units - m] * lens).ravel())
-                         for m in range(count)])
+    return np.array([np.add.reduce((table[m:] * table[:units - m] * lens).ravel())
+                     for m in range(count)])
 
 
 def _cell_weights(start, units, grid, region):
@@ -281,12 +279,12 @@ def young_check(f, a, p):
     """
     if not p > 1:
         raise ValueError("young_check requires p > 1")
+    _, grid, table = _folded(f)
     lhs = 0.0
     if not (a.is_zero() or f.is_zero()):
-        _, grid, table = _folded(f)
         for _, run in _runs(a, table.shape[0]):
             series = _series(table, run)
             lhs += float(np.add.reduce((np.abs(series) ** p * np.diff(grid)).ravel()))
     pconj = p / (p - 1.0)
-    rhs = f.abs_integral() * a.norm(p) ** p * f.periodized_l1_sup() ** (p / pconj)
+    rhs = f.abs_integral() * a.norm(p) ** p * _periodized_sup(table) ** (p / pconj)
     return lhs, rhs

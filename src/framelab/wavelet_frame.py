@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from .stepfn import _EMPTY, MERGE_TOL, StepFunction, _evaluate, _merged_cells, haar_mother
+from .stepfn import _EMPTY, StepFunction, _combined, _merge, haar_mother
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,19 +128,16 @@ def _jump_sum(bp, vals):
     """Cells (grid, values) of the sum of the step functions in the rows of (bp, vals).
 
     Each row turns into jumps at its breakpoints.  The union of all
-    breakpoints is sorted once, points within MERGE_TOL merged as in
-    ``_merged_cells``; ``np.bincount`` adds the jumps at their grid points
-    in row order and one cumulative sum gives the values.  A cell that no
-    row covers is exactly 0: an integer count of covering rows decides.
+    breakpoints is merged into one grid by ``_merge`` and each breakpoint
+    is placed at the last grid point at or below it; ``np.bincount`` adds
+    the jumps at their grid points in row order and one cumulative sum
+    gives the values.  A cell that no row covers is exactly 0: an integer
+    count of covering rows decides.
     """
-    points, at = np.unique(bp.ravel(), return_inverse=True)
-    if points.size < 2:
+    grid = _merge(bp.ravel())
+    if grid.size < 2:
         return _EMPTY, _EMPTY
-    keep = np.empty(points.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(points) > MERGE_TOL
-    grid = points[keep]
-    at = (np.cumsum(keep) - 1)[at].reshape(bp.shape)
+    at = np.searchsorted(grid, bp, side="right") - 1
     jumps = np.bincount(at.ravel(), np.diff(vals, axis=1, prepend=0.0, append=0.0).ravel(),
                         grid.size)
     covering = np.cumsum(np.bincount(at[:, 0], minlength=grid.size)
@@ -155,11 +152,7 @@ def _lattice_sum(ws, x, a, b, weight):
 
 def _lp_distance(f, g, p):
     """||f - g||_p for step functions given as cells (breakpoints, values)."""
-    cells = _merged_cells(f[0], g[0])
-    if cells is None:
-        return 0.0
-    grid, mids = cells
-    diff = _evaluate(*f, mids) - _evaluate(*g, mids)
+    grid, diff = _combined(f, g, np.subtract)
     return float(np.add.reduce(np.abs(diff) ** p * np.diff(grid)) ** (1.0 / p))
 
 

@@ -193,8 +193,13 @@ def test_rejected_generator_exits_2_and_writes_report(tmp_path, capsys):
     ("wavelet-identity", "--target",
      {"step_function": {"breakpoints": [0, 1], "values": [float("inf")]}}),
     ("wavelet-identity", "--target", {"indicator": [0, float("inf")]}),
+    # points closer than the merge distance would fold into one grid point
+    ("validate-generator", "--generator",
+     {"step_function": {"breakpoints": [0, 1e-15, 1], "values": [1e15, 1]}}),
+    ("wavelet-identity", "--target", {"indicator": [1, 1 + 1e-15]}),
 ], ids=["coefficient-index-text", "breakpoint-text", "breakpoints-decreasing",
-        "generator-value-nan", "target-value-inf", "indicator-inf"])
+        "generator-value-nan", "target-value-inf", "indicator-inf",
+        "breakpoints-merge", "indicator-merges"])
 def test_malformed_record_is_a_config_error(tmp_path, capsys, kind, flag, record):
     code = main([kind, flag, json.dumps(record), "--out", str(tmp_path / "bad")])
     assert code == 1
@@ -407,6 +412,28 @@ def test_overflowing_gram_lags_print_no_warning(tmp_path, cli_env):
     assert proc.stderr == ""
     assert strict_json((tmp_path / "over.json").read_text())["report"][
         "ortho_residual"] == "inf"
+    # the wavelet kinds overflow in the lattice sums and the Lp distances
+    target = json.dumps({"step_function": {"breakpoints": [0, 0.25, 0.5, 0.75, 1],
+                                           "values": [1e308, -1e308, 1e308, -1e308]}})
+    proc = run_cli(["wavelet-identity", "--target", target, "--p-list", "2",
+                    "--M-list", "1,2", "--N-list", "1", "--out", "gap", "--quiet"],
+                   cwd=tmp_path, env=cli_env, timeout=5)
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert strict_json((tmp_path / "gap.json").read_text())["max_gap"] == "nan"
+
+
+def test_a_narrow_spike_generator_is_rejected(tmp_path, capsys):
+    # <f, f> is about 1e13: the 1e-13 wide cell is wider than the merge
+    # distance at magnitude 1, so no grid drops it
+    gen = json.dumps({"step_function": {"breakpoints": [0, 1e-13, 1],
+                                        "values": [1e13, 1]}})
+    assert main(["validate-generator", "--generator", gen,
+                 "--out", str(tmp_path / "spike"), "--quiet"]) == 2
+    report = strict_json((tmp_path / "spike.json").read_text())["report"]
+    assert report["ok"] is False
+    assert report["ortho_residual"] == pytest.approx(1e13, rel=1e-12)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("args", [

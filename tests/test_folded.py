@@ -37,7 +37,7 @@ from framelab import (
     young_check,
 )
 from framelab.pettis import _sign_parts
-from framelab.stepfn import MERGE_TOL, _folded
+from framelab.stepfn import _folded, _merge
 from framelab import translate_frame
 from framelab.translate_frame import Generator, _series
 
@@ -224,7 +224,7 @@ def test_fold_merges_non_dyadic_fractional_parts():
     k0, grid, table = _folded(NON_DYADIC)
     assert k0 == 0.0
     assert grid[0] == 0.0 and grid[-1] == 1.0
-    assert np.min(np.diff(grid)) > MERGE_TOL
+    assert np.array_equal(_merge(grid), grid)
     # fractional parts 0.1, 0.35, 0.6 (0.1 and 1.1 - 1 merged) plus 0 and 1
     assert grid.size == 5
     assert table.shape == (3, 4)
@@ -233,6 +233,18 @@ def test_fold_merges_non_dyadic_fractional_parts():
     # [0.1, 1.1 - 1) where three units overlap and read 1.75 there.
     assert NON_DYADIC.periodized_l1_sup() == 1.25
     assert reference_periodized_l1_sup(NON_DYADIC) == 1.75
+    # shifted past the binade at 65536, 65535.1 and 65536.1 have fractional
+    # parts 7.3e-12 apart, wider than 1e-12 but under 64 ulps of 65537: the
+    # same rounding residue, merged at the magnitude of the unfolded points
+    far = NON_DYADIC.translate(65535.0)
+    k0, grid, table = _folded(far)
+    assert (k0, grid.size, table.shape) == (65535.0, 5, (3, 4))
+    assert np.array_equal(_merge(grid), grid)
+    assert far.periodized_l1_sup() == 1.25
+    # past 2^46 every fractional part merges into 0; one cell [0, 1) is left
+    huge = StepFunction([2.0 ** 50, 2.0 ** 50 + 256], [1.0])
+    assert _folded(huge)[1].tolist() == [0.0, 1.0]
+    assert huge.periodized_l1_sup() == 256.0
 
 
 def test_rademacher_rows_match_summed_patterns_bit_for_bit():
@@ -398,8 +410,16 @@ dyadic_vectors = st.dictionaries(st.integers(-4, 4), st.integers(-4, 4).filter(b
                                  min_size=1, max_size=5)
 
 
-def build(quarters, halves):
-    f = StepFunction([q / 4 for q in quarters], [h / 2 for h in halves])
+# (offset, scale) that put the breakpoints on offset + scale * q instead: cells
+# of 2^-42 (2.3e-13), narrower than 1e-12, and offsets of 1e5 and across the
+# binade at 65536, where one ulp is wider than 1e-12.  Sums stay exact, and
+# every cell is wider than the merge distance, so the fold keeps each one.
+fold_grids = st.sampled_from([(0.0, 0.25), (0.0, 2.0 ** -42), (65536.0, 2.0 ** -28),
+                              (65536.0, 0.25), (1e5, 0.25)])
+
+
+def build(quarters, halves, offset=0.0, scale=0.25):
+    f = StepFunction([offset + q * scale for q in quarters], [h / 2 for h in halves])
     return f, Generator(f, 0.0, 0.0, 0.0, 0.0, 0)
 
 
@@ -423,9 +443,9 @@ def test_translate_series_is_exact(gen, raw):
 
 
 @ORACLE
-@given(dyadic_generators)
-def test_gram_lags_and_residual_are_exact(gen):
-    f, g = build(*gen)
+@given(dyadic_generators, fold_grids)
+def test_gram_lags_and_residual_are_exact(gen, grid):
+    f, g = build(*gen, *grid)
     bp, vals = as_fractions(f)
     window = 4
     lags = []
@@ -444,9 +464,9 @@ def test_gram_lags_and_residual_are_exact(gen):
 
 
 @ORACLE
-@given(dyadic_generators)
-def test_periodized_sup_is_exact(gen):
-    f, _ = build(*gen)
+@given(dyadic_generators, fold_grids)
+def test_periodized_sup_is_exact(gen, grid):
+    f, _ = build(*gen, *grid)
     bp, vals = as_fractions(f)
     points = {Fraction(0), Fraction(1)} | {b - math.floor(b) for b in bp}
     units = range(math.floor(bp[0]), math.ceil(bp[-1]))

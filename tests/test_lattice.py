@@ -36,7 +36,7 @@ from framelab import (
     reconstruction_identity_gap,
 )
 from framelab import wavelet_frame
-from framelab.stepfn import MERGE_TOL
+from framelab.stepfn import MERGE_ULPS, _merge
 from framelab.wavelet_frame import _coefficients, _jump_sum, _lattice_sum, _pairs
 
 
@@ -244,15 +244,28 @@ def test_uncovered_cells_are_exactly_zero():
 
 
 def test_jump_sum_merges_breakpoints_within_merge_tol():
-    # the second row starts 1e-13 after the first ends: one grid point
-    bp = np.array([[0.0, 1.0], [1.0 + 1e-13, 2.0]])
+    # the merge distance is MERGE_ULPS ulps of the largest |point|, here 2
+    within = MERGE_ULPS * np.spacing(2.0)
+    # the second row starts within it after the first ends: one grid point
+    bp = np.array([[0.0, 1.0], [1.0 + within, 2.0]])
     grid, values = _jump_sum(bp, np.array([[1.0], [3.0]]))
     assert grid.tolist() == [0.0, 1.0, 2.0]
     assert values.tolist() == [1.0, 3.0]
+    # a chain of points, each within it of the one before, is one grid point
+    # even where the chain is longer than the distance
+    bp = np.array([[0.0, 1.0], [1.0 + within, 2.0], [1.0 + 2 * within, 2.0]])
+    grid, values = _jump_sum(bp, np.array([[1.0], [3.0], [5.0]]))
+    assert grid.tolist() == [0.0, 1.0, 2.0]
+    assert values.tolist() == [1.0, 8.0]
+    # a 1e-13 gap is far wider at this magnitude: it stays, covered by no row
+    bp = np.array([[0.0, 1.0], [1.0 + 1e-13, 2.0]])
+    grid, values = _jump_sum(bp, np.array([[1.0], [3.0]]))
+    assert grid.tolist() == [0.0, 1.0, 1.0 + 1e-13, 2.0]
+    assert values.tolist() == [1.0, 0.0, 3.0]
     # members snapped to thirds meet at points that differ in the last bits
     for ws in systems():
         total = box_reconstruct(ws, NON_DYADIC, 3, 3)
-        assert np.min(np.diff(total.breakpoints)) > MERGE_TOL
+        assert np.array_equal(_merge(total.breakpoints), total.breakpoints)
 
 
 # -- the exact rational oracle -------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import IntervalSet, StepFunction, haar_mother
+from framelab.stepfn import MERGE_ULPS
 
 
 def dyadic_step(rng, max_cells=6, depth=4, span=4):
@@ -71,12 +72,27 @@ def test_add_and_multiply():
 
 
 def test_combine_merges_close_breakpoints():
+    # points within MERGE_ULPS ulps of the largest |point| are one grid point
     f = StepFunction([0.0, 1.0], [1.0])
-    g = StepFunction([1e-13, 1.0], [1.0])
-    s = f.add(g)
-    # the two left endpoints differ by less than the merge tolerance
+    s = f.add(StepFunction([MERGE_ULPS * np.spacing(1.0), 1.0], [1.0]))
     assert s.values.size == 1
     assert s(0.5) == 2.0
+    # at magnitude 1, a 1e-13 wide cell is far wider than that and is kept
+    s = f.add(StepFunction([1e-13, 1.0], [1.0]))
+    assert s.breakpoints.tolist() == [0.0, 1e-13, 1.0]
+    assert s.values.tolist() == [1.0, 2.0]
+    # the distance scales with the points: 5e-10 is under 64 ulps of 1e5
+    big = StepFunction([1e5, 1e5 + 1.0], [1.0])
+    assert big.add(StepFunction([1e5 + 5e-10, 1e5 + 1.0], [1.0])).values.size == 1
+    assert big.add(StepFunction([1e5 + 1e-8, 1e5 + 1.0], [1.0])).values.size == 2
+
+
+def test_a_narrow_spike_keeps_its_mass():
+    # 1e13 on a 1e-13 wide cell: no grid may merge the cell away
+    f = StepFunction([0.0, 1e-13], [1e13])
+    assert f.integrate() == 1.0
+    assert f.inner(f) == 1e13
+    assert (f + StepFunction.indicator(0.0, 1.0)).integrate() == 2.0
 
 
 def test_scale_and_subtract():
@@ -234,12 +250,25 @@ def exact_cells(*point_lists):
     return [(a, b, (a + b) / 2) for a, b in zip(pts[:-1], pts[1:])]
 
 
+def exact_steps_on(offset, scale):
+    """Step functions with breakpoints on offset + scale * Z and values on (1/4)Z."""
+    return st.lists(st.integers(-32, 32), min_size=2, max_size=7, unique=True).flatmap(
+        lambda qs: st.tuples(st.just(sorted(qs)),
+                             st.lists(st.integers(-8, 8), min_size=len(qs) - 1,
+                                      max_size=len(qs) - 1))).map(
+        lambda e: StepFunction([offset + q * scale for q in e[0]], [v / 4 for v in e[1]]))
+
+
 # breakpoints on (1/8)Z, values on (1/4)Z: every float sum and product stays exact
-exact_steps = st.lists(st.integers(-32, 32), min_size=2, max_size=7, unique=True).flatmap(
-    lambda qs: st.tuples(st.just(sorted(qs)),
-                         st.lists(st.integers(-8, 8), min_size=len(qs) - 1,
-                                  max_size=len(qs) - 1))).map(
-    lambda e: StepFunction([q / 8 for q in e[0]], [v / 4 for v in e[1]]))
+exact_steps = exact_steps_on(0.0, 1 / 8)
+# (offset, scale of f, scale of g): cells of 2^-42 (2.3e-13), narrower than
+# 1e-12, alone and beside (1/8)Z; and offsets of 1e5 and across the binade at
+# 65536, where one ulp is wider than 1e-12.  Every sum and product stays
+# exact, and every cell is wider than the merge distance, so no grid drops one.
+exact_pairs = st.sampled_from([
+    (0.0, 1 / 8, 1 / 8), (0.0, 2.0 ** -42, 2.0 ** -42), (0.0, 2.0 ** -42, 1 / 8),
+    (65536.0, 2.0 ** -28, 1 / 8), (65536.0, 1 / 8, 1 / 8), (1e5, 1 / 8, 1 / 8),
+]).flatmap(lambda g: st.tuples(exact_steps_on(g[0], g[1]), exact_steps_on(g[0], g[2])))
 exact_regions = st.lists(st.integers(-40, 40), min_size=0, max_size=8, unique=True).map(
     lambda q: IntervalSet([(sorted(q)[i] / 8, sorted(q)[i + 1] / 8)
                            for i in range(0, len(q) - 1, 2)]))
@@ -248,16 +277,18 @@ EXACT = settings(max_examples=60, deadline=None)
 
 
 @EXACT
-@given(exact_steps, exact_steps)
-def test_add_is_exact(f, g):
+@given(exact_pairs)
+def test_add_is_exact(pair):
+    f, g = pair
     total = f.add(g)
     for _, _, mid in exact_cells(f.breakpoints, g.breakpoints, [0.0]):
         assert Fraction(total(float(mid))) == exact_value(f, mid) + exact_value(g, mid)
 
 
 @EXACT
-@given(exact_steps, exact_steps)
-def test_inner_is_exact(f, g):
+@given(exact_pairs)
+def test_inner_is_exact(pair):
+    f, g = pair
     exact = sum(((b - a) * exact_value(f, mid) * exact_value(g, mid)
                  for a, b, mid in exact_cells(f.breakpoints, g.breakpoints)), Fraction(0))
     assert Fraction(f.inner(g)) == exact
