@@ -120,6 +120,10 @@ def _check_generator(name, value):
         _check_int(f"{name}.rademacher.resolution", resolution, 1, 16)
     elif key == "step_function":
         _require_step_record(f"{name}.step_function", body)
+        # the unit fold merges fractional parts at magnitude 1
+        bp = np.array(body["breakpoints"], dtype=float)
+        _require_separated(f"{name}.step_function's distinct fractional parts",
+                           np.unique(np.concatenate((bp - np.floor(bp), (0.0, 1.0)))))
     else:
         raise ConfigError(f"{name} kind must be 'rademacher' or 'step_function', got {key!r}")
     return value
@@ -158,10 +162,13 @@ def _lattice_work(params):
     return members * len(params.get("p_list", [params.get("p")]))
 
 
-def _separated(points):
-    """True when ``points`` increase and no two of them merge in a cell grid."""
+def _require_separated(name, points, reach=1.0):
+    """Config error unless ``points`` increase and no two merge in a grid
+    that reaches ``reach`` or their largest |point|."""
     points = np.array(points, dtype=float)
-    return np.array_equal(_merge(points), points)
+    magnitude = max(np.abs(points).max(initial=0.0), reach)
+    if not np.array_equal(_merge(points, magnitude), points):
+        raise ConfigError(f"{name} must rise by over {MERGE_ULPS} ulps of {magnitude:g}")
 
 
 def _require_step_record(name, body):
@@ -174,9 +181,7 @@ def _require_step_record(name, body):
         raise ConfigError(f"{name} needs n >= 1 values and n + 1 breakpoints")
     if not all(_is_real(v) for v in bp + vals):
         raise ConfigError(f"{name} breakpoints and values must be finite numbers")
-    if not _separated(bp):
-        raise ConfigError(f"{name}.breakpoints must increase by more than "
-                          f"{MERGE_ULPS} ulps of the largest |breakpoint|")
+    _require_separated(f"{name}.breakpoints", bp)
 
 
 def _check_target(name, value):
@@ -190,13 +195,18 @@ def _check_target(name, value):
             raise ConfigError(f"{name}.named must be 'haar'")
     elif key == "indicator":
         if (not isinstance(body, list) or len(body) != 2
-                or not all(_is_real(v) for v in body) or not _separated(body)):
-            raise ConfigError(f"{name}.indicator must be [a, b] with finite a < b "
-                              f"more than {MERGE_ULPS} ulps of max(|a|, |b|) apart")
+                or not all(_is_real(v) for v in body) or not body[0] < body[1]):
+            raise ConfigError(f"{name}.indicator must be [a, b] with finite a < b")
     elif key == "step_function":
         _require_step_record(f"{name}.step_function", body)
     else:
         raise ConfigError(f"{name} kind must be 'named', 'indicator' or 'step_function'")
+    # The errors compare the target and its conjugates (scaled by up to 2,
+    # shifted by up to 1) with lattice sums whose members reach 2^MAX_M past
+    # them; at twice that magnitude no rounding closes a cell.
+    bp = _build_target(value).breakpoints
+    reach = 2.0 * (2.0 * float(np.abs(bp).max(initial=0.0)) + 1.0 + 2.0 ** MAX_M)
+    _require_separated(f"{name} breakpoints", bp, reach)
     return value
 
 

@@ -41,11 +41,7 @@ def _canonicalize(bp, vals):
 
 def _evaluate(bp, vals, t):
     """Values at the points of array ``t`` of the step function with cells (bp, vals)."""
-    if vals.size == 0:
-        return np.zeros_like(t)
-    idx = np.searchsorted(bp, t, side="right") - 1
-    inside = (idx >= 0) & (idx < vals.size)
-    return np.where(inside, vals[np.clip(idx, 0, vals.size - 1)], 0.0)
+    return np.concatenate(([0.0], vals, [0.0]))[np.searchsorted(bp, t, side="right")]
 
 
 def _merge(points, magnitude=None):
@@ -76,8 +72,8 @@ def _folded(f):
 
     Returns ``(k0, grid, table)``: ``k0`` is the integer (held as a float)
     where the first unit of the support starts, ``grid`` is the fractional
-    grid 0 = G[0] < ... < G[-1] = 1 of every breakpoint's fractional part,
-    merged by :func:`_merge` at the magnitude of the unfolded points, and
+    grid 0 = G[0] < ... < G[-1] = 1 of every breakpoint's fractional part
+    (exact but for a point in (-1, 0)), merged by :func:`_merge` at 1, and
     ``table[j, i] = f(k0 + j + mid_i)`` holds one row per unit
     [k0 + j, k0 + j + 1) of the support and one column per cell of ``grid``.
     The zero function folds to a table with no rows.
@@ -85,15 +81,18 @@ def _folded(f):
     if f.values.size == 0:
         return 0.0, np.array([0.0, 1.0]), np.zeros((0, 1))
     bp = f.breakpoints
-    k0 = float(np.floor(bp[0]))
+    whole = np.floor(bp)
+    k0 = float(whole[0])
     units = int(np.ceil(bp[-1]) - k0)
-    grid = _merge(np.concatenate((bp - np.floor(bp), (0.0, 1.0))), max(-bp[0], bp[-1], 1.0))
-    if grid.size == 1:  # past 2^46 the merge distance passes 1, and 0 absorbs 1
-        grid = np.array([0.0, 1.0])
+    frac = bp - whole
+    grid = _merge(np.concatenate((frac, (0.0, 1.0))))
     grid[-1] = 1.0      # a part just below 1 may have absorbed the end point
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    table = f.evaluate((k0 + np.arange(units, dtype=float))[:, None] + mids)
-    return k0, grid, table
+    # f evaluated at k0 + j + mid_i may round onto a breakpoint far from 0, so
+    # evaluate it on cell numbers j * cells + i, the breakpoints' among them
+    cells = grid.size - 1
+    starts = (whole - k0) * cells + np.searchsorted(grid, frac, side="right") - 1
+    table = _evaluate(starts, f.values, np.arange(units * cells, dtype=float))
+    return k0, grid, table.reshape(units, cells)
 
 
 def _periodized_sup(table):

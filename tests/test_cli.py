@@ -193,13 +193,25 @@ def test_rejected_generator_exits_2_and_writes_report(tmp_path, capsys):
     ("wavelet-identity", "--target",
      {"step_function": {"breakpoints": [0, 1], "values": [float("inf")]}}),
     ("wavelet-identity", "--target", {"indicator": [0, float("inf")]}),
-    # points closer than the merge distance would fold into one grid point
+    # points closer than the merge distance would fold into one grid point;
+    # below 1 the distance is that of the fold and of grids reaching 1
     ("validate-generator", "--generator",
      {"step_function": {"breakpoints": [0, 1e-15, 1], "values": [1e15, 1]}}),
     ("wavelet-identity", "--target", {"indicator": [1, 1 + 1e-15]}),
+    ("validate-generator", "--generator",
+     {"step_function": {"breakpoints": [0.25, 0.25 + 1e-14, 0.75],
+                        "values": [1e14, 1.4142135623730951]}}),
+    ("wavelet-identity", "--target", {"indicator": [0.5, 0.5 + 1e-14]}),
+    # 1.5 - 2e-14 and 1.5 + 1e-14 are apart, but the fractional part of
+    # 1.5 + 1e-14 folds into that of 0.5: the fold would read residual 0
+    # where <f, f> is 1.25
+    ("validate-generator", "--generator",
+     {"step_function": {"breakpoints": [0.5, 1.5 - 2e-14, 1.5 + 1e-14],
+                        "values": [0.7071067811865546, 5001999.393226282]}}),
 ], ids=["coefficient-index-text", "breakpoint-text", "breakpoints-decreasing",
         "generator-value-nan", "target-value-inf", "indicator-inf",
-        "breakpoints-merge", "indicator-merges"])
+        "breakpoints-merge", "indicator-merges", "breakpoints-merge-below-1",
+        "indicator-merges-below-1", "fractional-parts-merge"])
 def test_malformed_record_is_a_config_error(tmp_path, capsys, kind, flag, record):
     code = main([kind, flag, json.dumps(record), "--out", str(tmp_path / "bad")])
     assert code == 1
@@ -423,17 +435,42 @@ def test_overflowing_gram_lags_print_no_warning(tmp_path, cli_env):
     assert strict_json((tmp_path / "gap.json").read_text())["max_gap"] == "nan"
 
 
-def test_a_narrow_spike_generator_is_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("breakpoints, values, residual", [
     # <f, f> is about 1e13: the 1e-13 wide cell is wider than the merge
     # distance at magnitude 1, so no grid drops it
-    gen = json.dumps({"step_function": {"breakpoints": [0, 1e-13, 1],
-                                        "values": [1e13, 1]}})
+    ([0, 1e-13, 1], [1e13, 1], 1e13),
+    # fractional parts 0.5 and 0.5 + 5e-10 from two units: the fold merges at
+    # magnitude 1 wherever the units lie, so lags 1 + 5e-10 and 5e-10 show
+    ([1e5 + 0.5, 1e5 + 1.5 + 5e-10], [1], 4.947651177644730e-10),
+], ids=["spike", "far-sliver"])
+def test_a_narrow_cell_generator_is_rejected(tmp_path, capsys, breakpoints, values,
+                                             residual):
+    gen = json.dumps({"step_function": {"breakpoints": breakpoints, "values": values}})
     assert main(["validate-generator", "--generator", gen,
-                 "--out", str(tmp_path / "spike"), "--quiet"]) == 2
-    report = strict_json((tmp_path / "spike.json").read_text())["report"]
+                 "--out", str(tmp_path / "narrow"), "--quiet"]) == 2
+    report = strict_json((tmp_path / "narrow.json").read_text())["report"]
     assert report["ok"] is False
-    assert report["ortho_residual"] == pytest.approx(1e13, rel=1e-12)
+    assert report["ortho_residual"] == pytest.approx(residual, rel=1e-12)
     capsys.readouterr()
+
+
+def test_target_cells_must_outlast_the_lattice_merge_distance(tmp_path, capsys):
+    # the errors compare the target with lattice sums reaching 2^M: at M = 8 a
+    # 1e-12 wide cell of height 1e12 would merge away and the error read 5.7,
+    # not 1e6; a 1e-11 wide cell is kept
+    def run(width, out):
+        target = {"step_function": {"breakpoints": [0.25, 0.25 + width, 0.75],
+                                    "values": [1 / width, 1]}}
+        return main(["wavelet-reconstruct", "--target", json.dumps(target),
+                     "--M-list", "8", "--N-list", "1", "--quiet",
+                     "--out", str(tmp_path / out)])
+
+    assert run(1e-12, "narrow") == 1
+    assert "config error: target breakpoints" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert run(1e-11, "wide") == 0
+    rows = strict_json((tmp_path / "wide.json").read_text())["rows"]
+    assert rows[0]["error"] == pytest.approx(math.sqrt(1e11), rel=1e-3)
 
 
 @pytest.mark.parametrize("args", [

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelab import (
@@ -234,17 +234,15 @@ def test_fold_merges_non_dyadic_fractional_parts():
     assert NON_DYADIC.periodized_l1_sup() == 1.25
     assert reference_periodized_l1_sup(NON_DYADIC) == 1.75
     # shifted past the binade at 65536, 65535.1 and 65536.1 have fractional
-    # parts 7.3e-12 apart, wider than 1e-12 but under 64 ulps of 65537: the
-    # same rounding residue, merged at the magnitude of the unfolded points
+    # parts 7.3e-12 apart.  Fractional parts past 1 are exact and the fold
+    # merges at magnitude 1, so it keeps that sliver, where three units
+    # overlap, and reads it by cell number although one ulp of 65536 is
+    # wider than the sliver.
     far = NON_DYADIC.translate(65535.0)
     k0, grid, table = _folded(far)
-    assert (k0, grid.size, table.shape) == (65535.0, 5, (3, 4))
+    assert (k0, grid.size, table.shape) == (65535.0, 6, (3, 5))
     assert np.array_equal(_merge(grid), grid)
-    assert far.periodized_l1_sup() == 1.25
-    # past 2^46 every fractional part merges into 0; one cell [0, 1) is left
-    huge = StepFunction([2.0 ** 50, 2.0 ** 50 + 256], [1.0])
-    assert _folded(huge)[1].tolist() == [0.0, 1.0]
-    assert huge.periodized_l1_sup() == 256.0
+    assert far.periodized_l1_sup() == reference_periodized_l1_sup(far) == 1.75
 
 
 def test_rademacher_rows_match_summed_patterns_bit_for_bit():
@@ -414,8 +412,13 @@ dyadic_vectors = st.dictionaries(st.integers(-4, 4), st.integers(-4, 4).filter(b
 # of 2^-42 (2.3e-13), narrower than 1e-12, and offsets of 1e5 and across the
 # binade at 65536, where one ulp is wider than 1e-12.  Sums stay exact, and
 # every cell is wider than the merge distance, so the fold keeps each one.
-fold_grids = st.sampled_from([(0.0, 0.25), (0.0, 2.0 ** -42), (65536.0, 2.0 ** -28),
-                              (65536.0, 0.25), (1e5, 0.25)])
+FOLD_GRIDS = [(0.0, 0.25), (0.0, 2.0 ** -42), (65536.0, 2.0 ** -28), (65536.0, 0.25),
+              (1e5, 0.25)]
+fold_grids = st.sampled_from(FOLD_GRIDS)
+# Sums of |values| stay exact on any breakpoints.  Tenths from 65535 on cross
+# the binade at 65536, where fractional parts of different units lie 7.3e-12
+# apart: slivers narrower than an ulp of the unfolded points.
+sup_grids = st.sampled_from(FOLD_GRIDS + [(65535.0, 0.1)])
 
 
 def build(quarters, halves, offset=0.0, scale=0.25):
@@ -464,7 +467,8 @@ def test_gram_lags_and_residual_are_exact(gen, grid):
 
 
 @ORACLE
-@given(dyadic_generators, fold_grids)
+@given(dyadic_generators, sup_grids)
+@example(([1, 11], [1]), (65535.0, 0.1))    # units 0 and 1 overlap on the sliver
 def test_periodized_sup_is_exact(gen, grid):
     f, _ = build(*gen, *grid)
     bp, vals = as_fractions(f)
