@@ -72,39 +72,61 @@ class DiscreteFrame:
         return len(self.pairs)
 
     @functools.cached_property
-    def _positions_by_coordinate(self):
-        """Coordinate n -> increasing positions of the pairs whose functional
-        is nonzero at n; built on first use and kept with the frame."""
+    def _coordinate_index(self):
+        """Coordinate n -> [j, f_j[n], j', f_j'[n], ...] over the pairs whose
+        functional is nonzero at n, in increasing position; built on first
+        use and kept with the frame.  One flat list per coordinate rather
+        than a tuple per pair leaves the garbage collector one object per
+        coordinate to track, not one per pair."""
         index = {}
         for j, (_, fun) in enumerate(self.pairs):
-            for n in fun.support():
-                index.setdefault(n, []).append(j)
+            for n, c in fun._entries.items():
+                column = index.get(n)
+                if column is None:
+                    index[n] = [j, c]
+                else:
+                    column += (j, c)
         return index
+
+    def _coefficients(self, x):
+        """Position j -> f_j(x) for every pair whose functional meets the
+        support of x.
+
+        Each f_j(x) adds f_j[n] * x[n] to 0 in increasing n, the terms and
+        the order of ``CoordinateVector.pair``, so floats round alike.
+        """
+        index = self._coordinate_index
+        coef = {}
+        for n, v in x._entries.items():
+            column = iter(index.get(n, ()))
+            for j, c in zip(column, column):
+                coef[j] = coef.get(j, 0) + c * v
+        return coef
 
     def reconstruct(self, x, positions=None):
         """sum over j of f_j(x) * x_j, restricted to the given pair positions.
 
         Positions default to all pairs in increasing order; explicit positions
-        keep their order and repeats.  A pair whose functional misses the
-        support of x pairs to 0 and is skipped, so only pairs found through
-        the coordinate index are visited.
+        keep their order and repeats, a negative one counts from the end and
+        an out-of-range one raises IndexError.  Every coefficient f_j(x) comes
+        from one pass over the coordinate index, walking x in increasing
+        coordinate order; a pair whose functional misses the support of x, or
+        pairs with x to 0, adds nothing and is skipped.
         """
-        touching = set()
-        for n in x.support():
-            touching.update(self._positions_by_coordinate.get(n, ()))
+        coef = self._coefficients(x)
         if positions is None:
-            positions = sorted(touching)
+            positions = sorted(coef)
         else:
             # range(...)[j] resolves negative positions and raises IndexError
             # for out-of-range ones, exactly as self.pairs[j] does
             slots = range(len(self.pairs))
-            positions = [j for j in positions if slots[j] in touching]
+            positions = [slots[j] for j in positions]
+        pairs = self.pairs
         total = {}
         for j in positions:
-            vec, fun = self.pairs[j]
-            c = fun.pair(x)
+            c = coef.get(j, 0)
             if c != 0:
-                for n, v in vec.items():
+                for n, v in pairs[j][0]._entries.items():
                     total[n] = total.get(n, 0) + c * v
         return CoordinateVector(total)
 
@@ -356,22 +378,17 @@ def counterexample_report(K, reconstruction_limit=50):
     f = CoordinateVector({1: 3, 2: -2, 5: 7})
     rng_positions = [n for n in range(1, 3 * K + 1) if n % 3 == 0]
     series = _restricted_dual_functional(f, rng_positions, K)
+    listed = [frame.pairs[n - 1] for n in rng_positions]
+    # f(x_n) for each listed pair, taken once for both checks below
+    weights = [f.pair(vec) for vec, _ in listed]
     direct_terms = {}
-    for n in rng_positions:
-        vec, fun = frame.pairs[n - 1]
-        w = f.pair(vec)
-        if w != 0:
-            for idx, v in fun.items():
-                direct_terms[idx] = direct_terms.get(idx, 0) + w * v
-    direct = CoordinateVector(direct_terms)
-    series_ok = series == direct
+    _accumulate(direct_terms, zip(weights, (fun for _, fun in listed)))
+    series_ok = series == CoordinateVector(direct_terms)
 
     x = CoordinateVector({1: 2, 2: -1, 5: 4})
     lhs = series.pair(x)
-    rhs = 0
-    for n in rng_positions:
-        vec, fun = frame.pairs[n - 1]
-        rhs += fun.pair(x) * f.pair(vec)
+    coef = frame._coefficients(x)
+    rhs = sum(coef.get(n - 1, 0) * w for n, w in zip(rng_positions, weights))
     action_ok = lhs == rhs
 
     return CounterexampleReport(

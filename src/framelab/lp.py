@@ -4,9 +4,15 @@ The same object models vectors in lp, c0 or l1 and their coordinate
 functionals; which norm applies is decided by the caller.  Entries keep
 the numeric type they were given, so integer constructions stay exact
 (Python ints never round).
+
+Order invariant: a vector holds its entries in increasing index order
+from construction on (the constructor sorts only keys that arrive out of
+order), so every query and every sum walks them in that order without
+sorting.
 """
 
 import math
+from operator import index
 
 
 def sup_abs(values):
@@ -25,7 +31,11 @@ def sup_abs(values):
 
 
 class CoordinateVector:
-    """Immutable sparse vector {index: value} with exact zero dropping."""
+    """Immutable sparse vector {index: value} with exact zero dropping.
+
+    Indices must be integers (Python or numpy ints); any other index raises
+    TypeError instead of being truncated.
+    """
 
     __slots__ = ("_entries",)
 
@@ -33,9 +43,17 @@ class CoordinateVector:
         data = {}
         if entries is not None:
             items = entries.items() if hasattr(entries, "items") else entries
+            ordered = True
+            last = -math.inf
             for n, c in items:
+                n = index(n)
                 if c != 0:
-                    data[int(n)] = c
+                    if n <= last:
+                        ordered = False
+                    last = n
+                    data[n] = c
+            if not ordered:
+                data = {n: data[n] for n in sorted(data)}
         object.__setattr__(self, "_entries", data)
 
     def __setattr__(self, name, value):
@@ -48,12 +66,11 @@ class CoordinateVector:
     # -- queries -------------------------------------------------------------
 
     def support(self):
-        return tuple(sorted(self._entries))
+        return tuple(self._entries)
 
     def items(self):
-        """Entries in increasing index order (deterministic iteration)."""
-        for n in sorted(self._entries):
-            yield n, self._entries[n]
+        """Entries in increasing index order: the order the vector holds them in."""
+        return self._entries.items()
 
     def __getitem__(self, n):
         return self._entries.get(n, 0)
@@ -104,7 +121,7 @@ class CoordinateVector:
         if not p >= 1:
             raise ValueError("norm requires p >= 1 or p = inf")
         try:
-            total = sum(abs(self._entries[n]) ** p for n in sorted(self._entries))
+            total = sum(abs(v) ** p for v in self._entries.values())
         except OverflowError:
             total = math.inf
         if total == math.inf:
@@ -122,9 +139,9 @@ class CoordinateVector:
         else:
             small, big = self._entries, other._entries
         total = 0
-        for n in sorted(small):
+        for n, c in small.items():
             if n in big:
-                total += small[n] * big[n]
+                total += c * big[n]
         return total
 
     # -- comparisons -------------------------------------------------------------
@@ -135,7 +152,7 @@ class CoordinateVector:
         return self._entries == other._entries
 
     def __hash__(self):
-        return hash(tuple(sorted(self._entries.items())))
+        return hash(tuple(self._entries.items()))
 
     def __repr__(self):
         body = ", ".join(f"{n}: {v}" for n, v in self.items())

@@ -129,7 +129,7 @@ def rademacher_function(spec):
     """
     coeffs = spec.coefficients
     if not isinstance(coeffs, CoordinateVector):
-        coeffs = CoordinateVector({int(n): v for n, v in dict(coeffs).items()})
+        coeffs = CoordinateVector(dict(coeffs))
     if coeffs.is_zero():
         raise GeneratorRejected(ValidationReport(
             0.0, 0.0, math.inf, 0, VALIDATION_TOL,

@@ -7,10 +7,11 @@ are compared exactly with the per-set code they replaced, kept below as
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelab import (
@@ -105,6 +106,125 @@ def test_indexed_reconstruct_matches_definition():
     assert frame.reconstruct(missing).is_zero()
     with pytest.raises(IndexError):
         frame.reconstruct(several, [0, 8])
+
+
+def _plain_reconstruct(pairs, x, positions=None):
+    """sum over positions of f_j(x) * x_j on plain {index: value} dicts.
+
+    Each sum runs in increasing index, sorted here, and starts from 0;
+    ``pairs[j]`` resolves a position as a tuple does.  Returns the
+    coefficients {j: f_j(x)} of the pairs whose functional meets x and the
+    result's nonzero entries in increasing index order.
+    """
+    coefficients = {}
+    for j, (_, fun) in enumerate(pairs):
+        common = sorted(set(fun) & set(x))
+        if common:
+            c = 0
+            for n in common:
+                c += fun[n] * x[n]
+            coefficients[j] = c
+    if positions is None:
+        positions = range(len(pairs))
+    total = {}
+    for j in positions:
+        vec, _ = pairs[j]
+        c = coefficients.get(j % len(pairs), 0)
+        if c != 0:
+            for n in sorted(vec):
+                total[n] = total.get(n, 0) + c * vec[n]
+    return coefficients, [(n, total[n]) for n in sorted(total) if total[n] != 0]
+
+
+def _bits(value):
+    """A number with its type, floats spelled by their bits (so -0.0 != 0.0)."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+# few coordinates, so that functionals overlap; +-1e16 cancels 1.0 in one
+# summation order and not in another
+float_entries = st.sampled_from([1.0, -1.0, 0.5, -0.25, 3.0, 0.1, 1e16, -1e16,
+                                 -0.0, 0])
+fraction_entries = st.sampled_from([Fraction(1, 3), Fraction(-2, 7), Fraction(5),
+                                    Fraction(-1, 2), 0])
+
+
+@st.composite
+def plain_frames(draw, entries):
+    """(pool, pairs, x, positions): plain dicts, zero entries dropped.
+
+    Each pair names a vector and a functional in a small pool of dicts, so
+    that one object serves several pairs; positions repeat and run past
+    both ends.
+    """
+    plain = st.dictionaries(st.integers(0, 5), entries, max_size=4).map(
+        lambda d: {n: v for n, v in d.items() if v != 0})
+    pool = draw(st.lists(plain, min_size=1, max_size=4))
+    slots = st.integers(0, len(pool) - 1)
+    size = draw(st.integers(1, 8))
+    pairs = [(draw(slots), draw(slots)) for _ in range(size)]
+    positions = draw(st.none() | st.lists(st.integers(-size - 2, size + 1),
+                                          max_size=12))
+    return pool, pairs, draw(plain), positions
+
+
+def _check_indexed_reconstruct(pool, pairs, plain_x, positions):
+    shared = [CoordinateVector(d) for d in pool]
+    frame = DiscreteFrame(pairs=tuple((shared[v], shared[f]) for v, f in pairs),
+                          space=SpaceTag.c0())
+    x = CoordinateVector(plain_x)
+    if positions is not None and any(not -len(pairs) <= j < len(pairs)
+                                      for j in positions):
+        with pytest.raises(IndexError):
+            frame.reconstruct(x, positions)
+        return None
+    coefficients, expected = _plain_reconstruct(
+        [(pool[v], pool[f]) for v, f in pairs], plain_x, positions)
+    assert sorted((j, _bits(c)) for j, c in frame._coefficients(x).items()) == \
+        [(j, _bits(c)) for j, c in sorted(coefficients.items())]
+    got = frame.reconstruct(x, positions)
+    assert [(n, _bits(v)) for n, v in got._entries.items()] == \
+        [(n, _bits(v)) for n, v in expected]
+    return got
+
+
+# f_0(x) is 0.0 summed in increasing coordinate order and 1.0 in decreasing
+# order; coordinate 0 of the result is 1.0 in the listed order and 0.0 sorted
+@example(([{0: 1.0}, {0: 1.0, 1: 1e16, 2: -1e16}], [(0, 1), (0, 1)],
+          {0: 1.0, 1: 1.0, 2: 1.0}, None))
+@example(([{0: 1.0}, {0: 1e16}, {0: -1e16}], [(0, 0), (1, 0), (2, 0)],
+          {0: 1.0}, [1, 2, 0]))
+@settings(max_examples=300, deadline=None)
+@given(plain_frames(float_entries))
+def test_indexed_reconstruct_matches_plain_dicts_bit_for_bit(case):
+    _check_indexed_reconstruct(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_frames(fraction_entries))
+def test_indexed_reconstruct_is_exact_on_fractions(case):
+    got = _check_indexed_reconstruct(*case)
+    if got is not None:
+        assert all(isinstance(v, (Fraction, int)) for v in got._entries.values())
+
+
+def test_analysis_operator_pairs_no_vectors(monkeypatch):
+    # f_j(x) comes from the coordinate index; CoordinateVector.pair is left
+    # to the report's f(x_n) weights, once per listed pair, and one check
+    K = 10000
+    calls = [0]
+    pair = CoordinateVector.pair
+
+    def counted(self, other):
+        calls[0] += 1
+        return pair(self, other)
+
+    monkeypatch.setattr(CoordinateVector, "pair", counted)
+    e_1 = CoordinateVector.unit(1)
+    assert counterexample_frame(K).reconstruct(e_1) == e_1
+    assert calls[0] == 0
+    assert counterexample_report(K, 50).ok
+    assert calls[0] <= K + 1
 
 
 def test_indexed_reconstruct_matches_definition_on_triple_frame():

@@ -1,11 +1,19 @@
-"""Tests for sparse sequence-space vectors."""
+"""Tests for sparse sequence-space vectors.
+
+``SortingVector`` below is the implementation that sorted its keys on every
+query, kept verbatim apart from its name; the order-invariant tests compare
+the kept-in-order vector with it bit for bit on random ``hypothesis`` input.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import CoordinateVector
+from framelab.lp import sup_abs
 
 
 def random_vector(rng, max_support=8, span=20):
@@ -103,3 +111,199 @@ def test_norm_survives_float_overflow():
     # integer entries keep their exact sums
     assert CoordinateVector({0: 3, 1: 4}).norm(2) == 5.0
     assert CoordinateVector({n: 1 for n in range(10 ** 3)}).norm(1) == 1000.0
+
+
+# -- indices are integers ------------------------------------------------------
+
+
+@pytest.mark.parametrize("entries", [
+    {1.2: 1.0, 1.7: 5.0},
+    {"3": 1},
+    [(2.0, 1.0)],
+    [(None, 1.0)],
+    {np.float64(4.0): 1.0},
+    {1.5: 0.0},
+], ids=["fractional", "string", "integral-float", "none", "numpy-float", "zero-entry"])
+def test_non_integral_index_raises(entries):
+    with pytest.raises(TypeError):
+        CoordinateVector(entries)
+
+
+def test_shift_by_a_non_integer_raises():
+    with pytest.raises(TypeError):
+        CoordinateVector({1: 1.0}).shift(0.5)
+    with pytest.raises(TypeError):
+        CoordinateVector.unit(2.0)
+
+
+def test_numpy_integer_indices_become_python_ints():
+    v = CoordinateVector({np.int64(3): 1.0, np.int32(-1): 2.0})
+    assert v.support() == (-1, 3)
+    assert all(type(n) is int for n in v.support())
+    assert v == CoordinateVector({-1: 2.0, 3: 1.0})
+
+
+# -- the order invariant against the sorting implementation ---------------------
+
+
+class SortingVector:
+    """Immutable sparse vector {index: value} with exact zero dropping."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries=None):
+        data = {}
+        if entries is not None:
+            items = entries.items() if hasattr(entries, "items") else entries
+            for n, c in items:
+                if c != 0:
+                    data[int(n)] = c
+        object.__setattr__(self, "_entries", data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SortingVector is immutable")
+
+    @classmethod
+    def unit(cls, n, value=1):
+        return cls({n: value})
+
+    # -- queries -------------------------------------------------------------
+
+    def support(self):
+        return tuple(sorted(self._entries))
+
+    def items(self):
+        """Entries in increasing index order (deterministic iteration)."""
+        for n in sorted(self._entries):
+            yield n, self._entries[n]
+
+    def __getitem__(self, n):
+        return self._entries.get(n, 0)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def is_zero(self):
+        return not self._entries
+
+    # -- algebra -------------------------------------------------------------
+
+    def add(self, other):
+        data = dict(self._entries)
+        for n, c in other._entries.items():
+            data[n] = data.get(n, 0) + c
+        return SortingVector(data)
+
+    def sub(self, other):
+        return self.add(other.scale(-1))
+
+    def scale(self, c):
+        if c == 0:
+            return SortingVector()
+        return SortingVector({n: c * v for n, v in self._entries.items()})
+
+    def shift(self, k):
+        """Move every entry from index n to index n + k."""
+        return SortingVector({n + k: v for n, v in self._entries.items()})
+
+    def __add__(self, other):
+        return self.add(other)
+
+    def __sub__(self, other):
+        return self.sub(other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    # -- norms and pairing -----------------------------------------------------
+
+    def norm(self, p):
+        """lp norm; p may be any real >= 1 or math.inf (the sup norm)."""
+        if not self._entries:
+            return 0.0
+        if p == math.inf:
+            return float(sup_abs(self._entries.values()))
+        if not p >= 1:
+            raise ValueError("norm requires p >= 1 or p = inf")
+        try:
+            total = sum(abs(self._entries[n]) ** p for n in sorted(self._entries))
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            # a p-th power left the float range: rescale by the largest entry
+            big = float(sup_abs(self._entries.values()))
+            if big < math.inf:
+                return big * SortingVector(
+                    {n: v / big for n, v in self._entries.items()}).norm(p)
+        return float(total ** (1.0 / p))
+
+    def pair(self, other):
+        """Duality pairing sum_n x_n f_n; exact for integer entries."""
+        if len(other._entries) < len(self._entries):
+            small, big = other._entries, self._entries
+        else:
+            small, big = self._entries, other._entries
+        total = 0
+        for n in sorted(small):
+            if n in big:
+                total += small[n] * big[n]
+        return total
+
+    # -- comparisons -------------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, SortingVector):
+            return NotImplemented
+        return self._entries == other._entries
+
+    def __hash__(self):
+        return hash(tuple(sorted(self._entries.items())))
+
+
+def _bits(value):
+    """A number with its type, floats spelled by their bits (so -0.0 != 0.0)."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+# large magnitudes overflow a p-th power (the rescaled norm) and cancel in sums
+entry_values = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 0.5, -1.25, 0.1, 1e16, -1e16, 1e200, -1e300,
+                     5e-324]),
+    st.floats(-1e6, 1e6))
+entry_lists = st.lists(st.tuples(st.integers(-6, 6), entry_values), max_size=10)
+NORM_EXPONENTS = (1, 1.5, 2, 3, math.inf)
+
+
+def _constructions(cls, entries, other, c, k):
+    """The same vectors of ``cls`` by every construction path."""
+    a = cls(dict(entries))
+    b = cls(dict(other))
+    return [a, b, cls(entries), cls((n, v) for n, v in entries),
+            a.add(b), a.sub(b), a + b, a - b, -a, a.scale(c), a.shift(k),
+            a.shift(-abs(k) - 1), cls.unit(k, c)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_lists, entry_lists, entry_values, st.integers(-5, 5))
+def test_every_construction_keeps_entries_in_index_order(entries, other, c, k):
+    for v, ref in zip(_constructions(CoordinateVector, entries, other, c, k),
+                      _constructions(SortingVector, entries, other, c, k)):
+        assert list(v._entries) == sorted(v._entries)
+        assert [(n, _bits(x)) for n, x in v.items()] == \
+            [(n, _bits(x)) for n, x in ref.items()]
+        assert v.support() == ref.support()
+        for p in NORM_EXPONENTS:
+            assert _bits(v.norm(p)) == _bits(ref.norm(p))
+        assert hash(v) == hash(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_lists, entry_lists)
+def test_pairing_and_equality_match_the_sorting_vector(entries, other):
+    u, w = CoordinateVector(entries), CoordinateVector(other[::-1])
+    ref_u, ref_w = SortingVector(entries), SortingVector(other[::-1])
+    assert _bits(u.pair(w)) == _bits(ref_u.pair(ref_w))
+    assert _bits(w.pair(u)) == _bits(ref_w.pair(ref_u))
+    assert (u == w) == (ref_u == ref_w)
+    assert u == CoordinateVector(u.items()) == CoordinateVector(reversed(u.items()))
