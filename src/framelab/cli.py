@@ -44,6 +44,9 @@ MAX_FOLD_WORK = 2 ** 22
 # Cap on the lattice members one wavelet job evaluates (see _lattice_work):
 # eight rows at the schema maximum M = 8, N = 16.
 MAX_LATTICE_WORK = 2 ** 20
+# Cap on the matrix entries one sampling-sweep job fills (see
+# _sampling_work); 2^20 float64 entries is 8 MB.
+MAX_SAMPLING_WORK = 2 ** 20
 MAX_M = 8
 MAX_N = 16
 MAX_P = 16.0
@@ -116,6 +119,8 @@ def _check_generator(name, value):
             if not _is_real(c):
                 raise ConfigError(f"{name}.rademacher.coefficients[{i}] value "
                                   "must be a finite number")
+        if len({n for n, _ in coeffs}) != len(coeffs):
+            raise ConfigError(f"{name}.rademacher.coefficients repeats an index")
         resolution = body.get("resolution", 1)
         _check_int(f"{name}.rademacher.resolution", resolution, 1, 16)
     elif key == "step_function":
@@ -129,6 +134,15 @@ def _check_generator(name, value):
     return value
 
 
+def _units(generator):
+    """Unit intervals [n, n + 1) that the support of a checked generator record meets."""
+    [(key, body)] = generator.items()
+    if key == "rademacher":
+        indices = [n for n, _ in body["coefficients"]]
+        return max(indices) - min(indices) + 1
+    return math.ceil(body["breakpoints"][-1]) - math.floor(body["breakpoints"][0])
+
+
 def _fold_work(generator, window):
     """Cell products the unit fold of a checked generator record costs a job.
 
@@ -140,14 +154,22 @@ def _fold_work(generator, window):
     """
     [(key, body)] = generator.items()
     if key == "rademacher":
-        indices = [n for n, _ in body["coefficients"]]
-        units = max(indices) - min(indices) + 1
-        cells = 2 ** min(len(indices) - 1 + body.get("resolution", 1), 64)
+        cells = 2 ** min(len(body["coefficients"]) - 1 + body.get("resolution", 1), 64)
     else:
-        bp = body["breakpoints"]
-        units = math.ceil(bp[-1]) - math.floor(bp[0])
-        cells = len(bp) + 1
+        cells = len(body["breakpoints"]) + 1
+    units = _units(generator)
     return units * cells * (units + 2 * window + 1)
+
+
+def _sampling_work(params):
+    """Matrix entries a sampling-sweep job fills, a float that may be inf.
+
+    Each step h fills one row of the 2 window + 1 coordinates for each of at
+    most width / h + 1 samples, and one square matrix over the coordinates.
+    """
+    coords = 2 * params["window"] + 1
+    width = _units(params["generator"]) + 2 * params["window"]
+    return sum(width / h + 1 + coords for h in params["steps"]) * coords
 
 
 def _lattice_work(params):
@@ -160,6 +182,14 @@ def _lattice_work(params):
     members = sum(2 * (2 * M) ** 2 * N ** 2
                   for M in params["M_list"] for N in params["N_list"])
     return members * len(params.get("p_list", [params.get("p")]))
+
+
+def _cap(what, unit, work, cap):
+    """Config error when a job's estimated ``work`` (an int, or a float that may
+    be inf) exceeds ``cap``."""
+    if work > cap:
+        raise ConfigError(f"{what} too large: about 2^{math.log2(work):.1f} {unit}, "
+                          f"over the cap of 2^{math.log2(cap):.0f}")
 
 
 def _require_separated(name, points, reach=1.0):
@@ -320,18 +350,12 @@ def validate_config(raw):
         else:
             params[name] = spec.default
     if params.get("generator") is not None:
-        work = _fold_work(params["generator"], params.get("window", 0))
-        if work > MAX_FOLD_WORK:
-            raise ConfigError(
-                f"generator too large: its unit fold needs about "
-                f"2^{work.bit_length() - 1} cell products, over the cap of "
-                f"2^{MAX_FOLD_WORK.bit_length() - 1}")
+        _cap("generator", "unit fold cell products",
+             _fold_work(params["generator"], params.get("window", 0)), MAX_FOLD_WORK)
     if "M_list" in params:
-        work = _lattice_work(params)
-        if work > MAX_LATTICE_WORK:
-            raise ConfigError(
-                f"wavelet job too large: {work} lattice members, over the cap of "
-                f"2^{MAX_LATTICE_WORK.bit_length() - 1}")
+        _cap("wavelet job", "lattice members", _lattice_work(params), MAX_LATTICE_WORK)
+    if "steps" in params:
+        _cap("sampling job", "matrix entries", _sampling_work(params), MAX_SAMPLING_WORK)
     return {"kind": kind, "seed": seed, "tol": float(tol), "out": out,
             "params": params}
 
@@ -370,11 +394,18 @@ class ExperimentResult:
     payload: dict
     table: tuple | None = None       # (header, rows)
     failures: tuple = ()
-    generator_failure: bool = False
 
 
-# wall-clock CSV column; execute blanks it unless timings are requested
-TIMING_COLUMN = "runtime_ms"
+def _gate(failures, check, value, bound):
+    """Record a failure of ``check`` unless value <= bound; a NaN fails."""
+    if not value <= bound:
+        failures.append(f"{check}: {value!r} exceeds {bound!r}")
+
+
+def _verdict(payload, failures, table=None):
+    """The result of a runner whose gates recorded ``failures``; it passed if none did."""
+    return ExperimentResult(payload={**payload, "passed": not failures}, table=table,
+                            failures=tuple(failures))
 
 
 @_kind("validate-generator", 1e-10, generator=_generator(required=True),
@@ -384,9 +415,8 @@ def _run_validate_generator(params, seed, tol, rng):
     report = generator_certificates(f, params["lag_range"], tol)
     if not report.ok:
         raise GeneratorRejected(report)
-    return ExperimentResult(payload={
-        "report": report.to_dict(),
-        "suppression_constant": report.l1_norm * report.periodized_sup})
+    return ExperimentResult(payload={"report": report.to_dict(),
+                                     "suppression_constant": report.suppression_constant})
 
 
 @_kind("biorthogonality", 1e-10, generator=_generator(),
@@ -397,12 +427,9 @@ def _run_biorthogonality(params, seed, tol, rng):
     mat = biorthogonality_matrix(g, window)
     deviation = float(np.max(np.abs(mat - np.eye(mat.shape[0]))))
     failures = []
-    if not (deviation <= tol):
-        failures.append(
-            f"biorthogonality deviation {deviation!r} exceeds tol {tol!r}")
-    payload = {"window": window, "matrix_size": mat.shape[0],
-               "max_abs_deviation": deviation, "passed": not failures}
-    return ExperimentResult(payload=payload, failures=tuple(failures))
+    _gate(failures, "biorthogonality deviation", deviation, tol)
+    return _verdict({"window": window, "matrix_size": mat.shape[0],
+                     "max_abs_deviation": deviation}, failures)
 
 
 @_kind("reconstruct", 1e-10, generator=_generator(), window=_int(1, MAX_WINDOW, 8),
@@ -423,16 +450,12 @@ def _run_reconstruct(params, seed, tol, rng):
             denom = x.norm(p)
             if denom > 0:
                 worst[p] = _worst(worst[p], diff.norm(p) / denom)
-    failures = [
-        f"reconstruction error {err!r} at p={p} exceeds tol {tol!r}"
-        for p, err in worst.items() if not (err <= tol)]
-    payload = {
-        "window": window,
-        "num_vectors": params["num_vectors"],
-        "max_relative_error": {str(p): err for p, err in worst.items()},
-        "passed": not failures,
-    }
-    return ExperimentResult(payload=payload, failures=tuple(failures))
+    failures = []
+    for p, err in worst.items():
+        _gate(failures, f"reconstruction error at p={p}", err, tol)
+    return _verdict({"window": window, "num_vectors": params["num_vectors"],
+                     "max_relative_error": {str(p): err for p, err in worst.items()}},
+                    failures)
 
 
 @_kind("suppression-scan", 1e-8, generator=_generator(), window=_int(1, MAX_WINDOW, 8),
@@ -442,15 +465,12 @@ def _run_suppression_scan(params, seed, tol, rng):
     bs, bu = unconditionality_scan(g, params["trials"], params["window"],
                                    params["p"], seed)
     failures = []
-    if not (bs <= g.suppression_constant + tol):
-        failures.append(
-            f"suppression lower bound {bs!r} exceeds certificate "
-            f"{g.suppression_constant!r}")
-    if not (bs <= bu + tol):
-        failures.append("suppression bound exceeds unconditional bound")
-    if not (bu <= 2.0 * bs + tol):
-        failures.append("unconditional bound exceeds twice the suppression bound")
-    payload = {
+    _gate(failures, "suppression lower bound over the certificate", bs,
+          g.suppression_constant + tol)
+    _gate(failures, "suppression lower bound over the unconditional bound", bs, bu + tol)
+    _gate(failures, "unconditional bound over twice the suppression bound", bu,
+          2.0 * bs + tol)
+    return _verdict({
         "suppression_constant": g.suppression_constant,
         "suppression_lower_bound": bs,
         "unconditional_lower_bound": bu,
@@ -458,9 +478,7 @@ def _run_suppression_scan(params, seed, tol, rng):
         "trials": params["trials"],
         "window": params["window"],
         "p": params["p"],
-        "passed": not failures,
-    }
-    return ExperimentResult(payload=payload, failures=tuple(failures))
+    }, failures)
 
 
 def _random_unit_l2(rng, max_terms):
@@ -488,9 +506,7 @@ def _run_young_fuzz(params, seed, tol, rng):
                               for n, v in zip(idx, rng.standard_normal(size))})
         p = p_list[i % len(p_list)]
         lhs, rhs = young_check(g.f, a, p)
-        if not (lhs <= rhs * (1.0 + 1e-12) + 1e-12):
-            failures.append(
-                f"series bound violated at draw {i}: lhs {lhs!r} > rhs {rhs!r}")
+        _gate(failures, f"series bound at draw {i}", lhs, rhs * (1.0 + 1e-12) + 1e-12)
         if rhs > 0:
             worst_ratio = _worst(worst_ratio, lhs / rhs)
     equality_gap = 0.0
@@ -498,12 +514,9 @@ def _run_young_fuzz(params, seed, tol, rng):
         lhs, rhs = young_check(StepFunction.indicator(0.0, 1.0),
                                CoordinateVector.unit(0, 1.0), p)
         equality_gap = _worst(equality_gap, abs(lhs - rhs))
-    if not (equality_gap <= tol):
-        failures.append(
-            f"unit indicator equality gap {equality_gap!r} exceeds tol {tol!r}")
-    payload = {"draws": params["draws"], "max_ratio": worst_ratio,
-               "equality_gap": equality_gap, "passed": not failures}
-    return ExperimentResult(payload=payload, failures=tuple(failures))
+    _gate(failures, "unit indicator equality gap", equality_gap, tol)
+    return _verdict({"draws": params["draws"], "max_ratio": worst_ratio,
+                     "equality_gap": equality_gap}, failures)
 
 
 @_kind("wavelet-reconstruct", 1e-9, target=_target(), p=_p(),
@@ -514,21 +527,14 @@ def _run_wavelet_reconstruct(params, seed, tol, rng):
     rows = convergence_study(ws, x, params["M_list"], params["N_list"])
     failures = []
     for row in rows:
-        if not (row.error <= row.oracle_bound + tol):
-            failures.append(
-                f"box error {row.error!r} exceeds oracle bound "
-                f"{row.oracle_bound!r} at M={row.M} N={row.N}")
-    header = ["M", "N", "p", "error", "oracle_bound", TIMING_COLUMN]
-    table_rows = [[row.M, row.N, row.p, row.error, row.oracle_bound, row.runtime_ms]
-                  for row in rows]
-    payload = {
-        "p": params["p"],
-        "rows": [{"M": r.M, "N": r.N, "error": r.error,
-                  "oracle_bound": r.oracle_bound} for r in rows],
-        "passed": not failures,
-    }
-    return ExperimentResult(payload=payload, table=(header, table_rows),
-                            failures=tuple(failures))
+        _gate(failures, f"box error at M={row.M} N={row.N}", row.error,
+              row.oracle_bound + tol)
+    header = ["M", "N", "p", "error", "oracle_bound"]
+    table_rows = [[row.M, row.N, row.p, row.error, row.oracle_bound] for row in rows]
+    return _verdict({"p": params["p"],
+                     "rows": [{"M": r.M, "N": r.N, "error": r.error,
+                               "oracle_bound": r.oracle_bound} for r in rows]},
+                    failures, table=(header, table_rows))
 
 
 @_kind("wavelet-identity", 1e-9, target=_target(), p_list=_p_list(),
@@ -545,12 +551,8 @@ def _run_wavelet_identity(params, seed, tol, rng):
                 gap = reconstruction_identity_gap(ws, x, M, N)
                 gaps.append({"p": p, "M": M, "N": N, "gap": gap})
                 max_gap = _worst(max_gap, gap)
-                if not (gap <= tol):
-                    failures.append(
-                        f"identity gap {gap!r} exceeds tol {tol!r} "
-                        f"at p={p} M={M} N={N}")
-    payload = {"gaps": gaps, "max_gap": max_gap, "passed": not failures}
-    return ExperimentResult(payload=payload, failures=tuple(failures))
+                _gate(failures, f"identity gap at p={p} M={M} N={N}", gap, tol)
+    return _verdict({"gaps": gaps, "max_gap": max_gap}, failures)
 
 
 @_kind("counterexample", 0.0, K=_int(1, MAX_WINDOW, 50),
@@ -558,15 +560,9 @@ def _run_wavelet_identity(params, seed, tol, rng):
 def _run_counterexample(params, seed, tol, rng):
     report = counterexample_report(params["K"], params["reconstruction_limit"])
     failures = []
-    if not report.ok:
-        for field in ("full_reconstruction_exact", "restricted_coordinates_all_one",
-                      "restricted_escapes_c0", "dual_series_matches_direct",
-                      "dual_action_matches_sum"):
-            if not getattr(report, field):
-                failures.append(f"counterexample check failed: {field}")
-    payload = dataclasses.asdict(report)
-    payload["passed"] = report.ok
-    return ExperimentResult(payload=payload, failures=tuple(failures))
+    for name in report.CHECKS:
+        _gate(failures, name, int(not getattr(report, name)), 0)
+    return _verdict(dataclasses.asdict(report), failures)
 
 
 @_kind("diagnostics", 0.0, window=_int(2, MAX_WINDOW, 12), p=_p())
@@ -579,33 +575,30 @@ def _run_diagnostics(params, seed, tol, rng):
     frame_l1 = unit_vector_frame(SpaceTag.l1(), range(window))
     ones = CoordinateVector({n: 1 for n in range(window)})
     l1_tails = tail_dual_norms(frame_l1, ones, nesting[:-1])
-    if any(v != 1.0 for v in l1_tails):
-        failures.append("l1 all-ones tail norms are not identically 1")
+    _gate(failures, "l1 all-ones tail norms other than 1", sum(v != 1.0 for v in l1_tails), 0)
 
     frame_lp = unit_vector_frame(SpaceTag.lp(p), range(window))
     support = min(6, window)
     f = CoordinateVector({n: 1.0 / (n + 1) for n in range(support)})
     lp_tails = tail_dual_norms(frame_lp, f, nesting)
-    if any(v != 0.0 for v in lp_tails[support - 1:]):
-        failures.append("lp tail norms do not vanish past the functional support")
+    _gate(failures, "lp tail norms past the functional support other than 0",
+          sum(v != 0.0 for v in lp_tails[support - 1:]), 0)
 
     frame_c0 = unit_vector_frame(SpaceTag.c0(), range(window))
     probe = boundedly_complete_probe(frame_c0, ones, nesting)
-    if any(v != 1.0 for v in probe.increments):
-        failures.append("c0 all-ones increments are not identically 1")
-    if not probe.non_cauchy:
-        failures.append("c0 all-ones probe failed to flag a non-Cauchy net")
+    _gate(failures, "c0 all-ones increments other than 1",
+          sum(v != 1.0 for v in probe.increments), 0)
+    _gate(failures, "c0 all-ones probe nets not flagged non-Cauchy",
+          int(not probe.non_cauchy), 0)
 
-    payload = {
+    return _verdict({
         "window": window,
         "p": p,
         "l1_allones_tail_norms": l1_tails,
         "lp_tail_norms": lp_tails,
         "c0_allones_increments": list(probe.increments),
         "c0_non_cauchy": probe.non_cauchy,
-        "passed": not failures,
-    }
-    return ExperimentResult(payload=payload, failures=tuple(failures))
+    }, failures)
 
 
 @_kind("sampling-sweep", 1e-10, generator=_generator(),
@@ -628,7 +621,7 @@ def _run_sampling_sweep(params, seed, tol, rng):
     return ExperimentResult(payload=payload, table=(header, table_rows))
 
 
-def execute(config, quiet=False, timings=False):
+def execute(config, quiet=False):
     """Run a validated config; write reports; return the process exit code."""
     kind = config["kind"]
     digest = config_digest({"kind": kind, "seed": config["seed"],
@@ -638,10 +631,11 @@ def execute(config, quiet=False, timings=False):
         # an overflow leaves inf or NaN, which the report's checks fail on
         with np.errstate(over="ignore", invalid="ignore"):
             result = KINDS[kind].run(config["params"], config["seed"], config["tol"], rng)
+        code = 3 if result.failures else 0
     except GeneratorRejected as exc:
         result = ExperimentResult(payload={"report": exc.report.to_dict()},
-                                  failures=tuple(exc.report.failures),
-                                  generator_failure=True)
+                                  failures=tuple(exc.report.failures))
+        code = 2
     payload = {
         "kind": kind,
         "artifact_version": ARTIFACT_VERSION,
@@ -655,11 +649,7 @@ def execute(config, quiet=False, timings=False):
     written = [json_path]
     if result.table is not None:
         csv_path = config["out"] + ".csv"
-        header, rows = result.table
-        if not timings and TIMING_COLUMN in header:
-            col = header.index(TIMING_COLUMN)
-            rows = [[*row[:col], "", *row[col + 1:]] for row in rows]
-        write_csv(csv_path, header, rows, digest, config["seed"])
+        write_csv(csv_path, *result.table, digest, config["seed"])
         written.append(csv_path)
     if not quiet:
         if result.failures:
@@ -669,11 +659,7 @@ def execute(config, quiet=False, timings=False):
             print(f"PASS {kind}")
         for path in written:
             print(f"wrote {path}")
-    if result.generator_failure:
-        return 2
-    if result.failures:
-        return 3
-    return 0
+    return code
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -684,8 +670,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, help="RNG seed echoed into the report")
     sub.add_argument("--tol", type=float, help="tolerance override")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout lines")
-    sub.add_argument("--timings", action="store_true",
-                     help="include wall-clock columns (breaks byte-identical reruns)")
 
 
 def build_parser():
@@ -771,7 +755,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return execute(config, quiet=args.quiet, timings=args.timings)
+    return execute(config, quiet=args.quiet)
 
 
 def console_main():

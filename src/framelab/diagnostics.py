@@ -341,13 +341,14 @@ class CounterexampleReport:
     dual_series_matches_direct: bool
     dual_action_matches_sum: bool
 
+    # the exact checks, in the order a failing run lists them
+    CHECKS = ("full_reconstruction_exact", "restricted_coordinates_all_one",
+              "restricted_escapes_c0", "dual_series_matches_direct",
+              "dual_action_matches_sum")
+
     @property
     def ok(self):
-        return (self.full_reconstruction_exact
-                and self.restricted_coordinates_all_one
-                and self.restricted_escapes_c0
-                and self.dual_series_matches_direct
-                and self.dual_action_matches_sum)
+        return all(getattr(self, name) for name in self.CHECKS)
 
 
 def counterexample_report(K, reconstruction_limit=50):

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 def sanitize(obj):

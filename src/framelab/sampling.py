@@ -111,7 +111,10 @@ def sampling_sweep(g, steps, window, p=2.0, offset=0.0, exact_tol=1e-10):
     return rows
 
 
-def commensurate_step(g, max_halvings=40):
+MAX_HALVINGS = 40
+
+
+def commensurate_step(g):
     """A lattice step h with every breakpoint of the generator in h*Z and 1/h integer.
 
     Starts from the narrowest cell and halves until the divisibility test
@@ -119,7 +122,7 @@ def commensurate_step(g, max_halvings=40):
     """
     bp = g.f.breakpoints
     w = float(np.min(np.diff(bp)))
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         ratios = bp / w
         unit = 1.0 / w
         if (np.all(np.abs(ratios - np.round(ratios)) < 1e-9)

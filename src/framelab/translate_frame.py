@@ -42,16 +42,12 @@ class ValidationReport:
     def ok(self):
         return not self.failures
 
+    @property
+    def suppression_constant(self):
+        return self.l1_norm * self.periodized_sup
+
     def to_dict(self):
-        return {
-            "l1_norm": self.l1_norm,
-            "periodized_sup": self.periodized_sup,
-            "ortho_residual": self.ortho_residual,
-            "lag_range": self.lag_range,
-            "tol": self.tol,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
+        return {**dataclasses.asdict(self), "failures": list(self.failures), "ok": self.ok}
 
 
 class GeneratorRejected(ValueError):
@@ -64,13 +60,13 @@ class GeneratorRejected(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class Generator:
-    """Validated generator plus its frame certificates."""
+    """Validated generator plus the report that certifies it."""
     f: StepFunction
-    l1_norm: float
-    periodized_sup: float
-    ortho_residual: float
-    suppression_constant: float
-    lag_range: int
+    report: ValidationReport
+
+    @property
+    def suppression_constant(self):
+        return self.report.suppression_constant
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,19 +98,12 @@ def generator_certificates(f, lag_range=None, tol=VALIDATION_TOL):
     return ValidationReport(l1, sup, residual, lag_range, tol, tuple(failures))
 
 
-def validate_generator(f, lag_range=None, tol=VALIDATION_TOL):
-    """Return a certified Generator or raise GeneratorRejected."""
-    report = generator_certificates(f, lag_range, tol)
+def validate_generator(f):
+    """A Generator certified at the default lag range and tol, or raise GeneratorRejected."""
+    report = generator_certificates(f)
     if not report.ok:
         raise GeneratorRejected(report)
-    return Generator(
-        f=f,
-        l1_norm=report.l1_norm,
-        periodized_sup=report.periodized_sup,
-        ortho_residual=report.ortho_residual,
-        suppression_constant=report.l1_norm * report.periodized_sup,
-        lag_range=report.lag_range,
-    )
+    return Generator(f, report)
 
 
 def rademacher_function(spec):

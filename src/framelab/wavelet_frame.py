@@ -28,7 +28,6 @@ what ``convergence_study`` tabulates.
 
 import dataclasses
 import functools
-import time
 
 import numpy as np
 
@@ -217,7 +216,6 @@ class StudyRow:
     p: float
     error: float
     oracle_bound: float
-    runtime_ms: float
 
 
 def convergence_study(ws, x, M_list, N_list):
@@ -233,14 +231,11 @@ def convergence_study(ws, x, M_list, N_list):
     for M in M_list:
         l, m = _pairs(-M, M)
         for N in N_list:
-            start = time.perf_counter()
             approx = box_reconstruct(ws, x, M, N)
             error = _lp_distance(cells, (approx.breakpoints, approx.values), ws.p)
             # np.max keeps a NaN, which Python's max would drop
             bound = float(np.max([
                 _lp_distance(y, _jump_sum(*_members(ws, *y, l, m, 1.0)), ws.p)
                 for _, _, y in _conjugated(ws, x, N)]))
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(StudyRow(M=M, N=N, p=ws.p, error=error,
-                                 oracle_bound=bound, runtime_ms=elapsed_ms))
+            rows.append(StudyRow(M=M, N=N, p=ws.p, error=error, oracle_bound=bound))
     return rows

@@ -3,8 +3,10 @@
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,8 +82,7 @@ def test_config_range_checks():
 
 # -- the kind registry ----------------------------------------------------------
 
-COMMON_FLAGS = {"-h", "--help", "--out", "--seed", "--tol", "--quiet", "--timings",
-                "--config"}
+COMMON_FLAGS = {"-h", "--help", "--out", "--seed", "--tol", "--quiet", "--config"}
 UNIT_GENERATOR = {"rademacher": {"coefficients": [[0, 1.0]]}}
 
 
@@ -184,6 +185,9 @@ def test_rejected_generator_exits_2_and_writes_report(tmp_path, capsys):
 @pytest.mark.parametrize("kind, flag, record", [
     ("validate-generator", "--generator",
      {"rademacher": {"coefficients": [["a", 1]]}}),
+    # a coefficient vector holds one value per index; no later one may win
+    ("validate-generator", "--generator",
+     {"rademacher": {"coefficients": [[0, 0.5], [0, 1.0]]}}),
     ("validate-generator", "--generator",
      {"step_function": {"breakpoints": ["x", 1], "values": [1.0]}}),
     ("validate-generator", "--generator",
@@ -208,7 +212,7 @@ def test_rejected_generator_exits_2_and_writes_report(tmp_path, capsys):
     ("validate-generator", "--generator",
      {"step_function": {"breakpoints": [0.5, 1.5 - 2e-14, 1.5 + 1e-14],
                         "values": [0.7071067811865546, 5001999.393226282]}}),
-], ids=["coefficient-index-text", "breakpoint-text", "breakpoints-decreasing",
+], ids=["coefficient-index-text", "coefficient-index-repeated", "breakpoint-text", "breakpoints-decreasing",
         "generator-value-nan", "target-value-inf", "indicator-inf",
         "breakpoints-merge", "indicator-merges", "breakpoints-merge-below-1",
         "indicator-merges-below-1", "fractional-parts-merge"])
@@ -325,7 +329,7 @@ def test_csv_report_is_byte_identical_across_reruns(tmp_path, cli_env):
         (tmp_path / "second.json").read_bytes()
 
 
-def test_csv_preamble_and_timings_column(tmp_path):
+def test_csv_preamble_and_columns(tmp_path, capsys):
     out = tmp_path / "study"
     assert main(["wavelet-reconstruct", "--M-list", "1", "--N-list", "1",
                  "--out", str(out), "--quiet"]) == 0
@@ -333,15 +337,12 @@ def test_csv_preamble_and_timings_column(tmp_path):
     assert lines[0].startswith(f"# artifact_version={ARTIFACT_VERSION} "
                                "config_digest=")
     assert "seed=0" in lines[0]
-    assert lines[1] == "M,N,p,error,oracle_bound,runtime_ms"
-    # runtime column stays empty unless timings are requested
-    assert all(line.endswith(",") for line in lines[2:])
-
-    timed = tmp_path / "timed"
-    assert main(["wavelet-reconstruct", "--M-list", "1", "--N-list", "1",
-                 "--out", str(timed), "--timings", "--quiet"]) == 0
-    timed_lines = (tmp_path / "timed.csv").read_text().splitlines()
-    assert all(float(line.rsplit(",", 1)[1]) >= 0.0 for line in timed_lines[2:])
+    assert lines[1] == "M,N,p,error,oracle_bound"
+    assert all(len(line.split(",")) == 5 and "" not in line.split(",")
+               for line in lines[2:])
+    # no wall-clock switch is left to break byte-identical reruns
+    assert main(["wavelet-reconstruct", "--timings", "--out", str(out)]) == 1
+    capsys.readouterr()
 
 
 def test_sampling_sweep_csv_has_exact_column(tmp_path):
@@ -388,10 +389,36 @@ def test_work_cap_admits_the_benchmark_and_test_generators():
     validate_config({"kind": "validate-generator", "params": {"generator": EIGHT_TERMS}})
     step = {"step_function": {"breakpoints": [0, 1e6], "values": [1e-3]}}
     assert cli._fold_work(step, 0) > MAX_FOLD_WORK
+    # the benchmark's sweep samples 16 / (1/256) + 1 points at 9 coordinates
+    sweep = {"generator": EIGHT_TERMS, "window": 4, "steps": [1 / 256, 0.37, 0.185]}
+    assert cli._sampling_work(sweep) == pytest.approx(
+        sum(16 / h + 1 + 9 for h in sweep["steps"]) * 9)
+    validate_config({"kind": "sampling-sweep", "params": sweep})
+    # criterion 9's steps, and the window's schema maximum at the default steps
+    two_terms = {"rademacher": {"coefficients": [[0, 0.6], [1, 0.8]]}}
+    validate_config({"kind": "sampling-sweep", "params": {
+        "generator": two_terms, "steps": [0.25] + [0.37 / 2 ** k for k in range(6)]}})
+    validate_config({"kind": "sampling-sweep", "params": {"window": 64}})
     # the dense biorthogonality matrix bounds its own window
     validate_config({"kind": "biorthogonality", "params": {"window": 512}})
     with pytest.raises(ConfigError):
         validate_config({"kind": "biorthogonality", "params": {"window": 513}})
+
+
+@pytest.mark.parametrize("step", ["1e-9", "0.001"])
+def test_oversized_sampling_lattice_is_a_config_error(tmp_path, capsys, step):
+    # 1e-9 would ask for 961 GiB of samples, 0.001 for seconds of work
+    tracemalloc.start()
+    try:
+        code = main(["sampling-sweep", "--window", "64", "--steps", step,
+                     "--out", str(tmp_path / "big")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "config error: sampling job too large" in capsys.readouterr().err
+    assert peak < 2 ** 20
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_huge_rademacher_coefficient_is_rejected_with_a_report(tmp_path, cli_env):
@@ -536,6 +563,25 @@ def test_non_finite_floats_are_written_as_strings():
         '{"a":"nan","b":["inf","-inf"],"c":"nan","d":0.5}'
 
 
+def assert_gate_lines(kind, out):
+    """Every FAIL line of ``out`` has the gate's form, and there is one."""
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails
+    for line in fails:
+        assert re.fullmatch(rf"FAIL {kind}: \S.*: \S+ exceeds \S+", line), line
+
+
+def test_gate_fails_above_the_bound_and_on_nan():
+    failures = []
+    cli._gate(failures, "at the bound", 1.0, 1.0)
+    assert failures == []
+    cli._gate(failures, "error at p=2.0", 1.5, 1.0)
+    cli._gate(failures, "nan value", math.nan, 1.0)
+    cli._gate(failures, "nan bound", 0.0, math.nan)
+    assert failures == ["error at p=2.0: 1.5 exceeds 1.0", "nan value: nan exceeds 1.0",
+                        "nan bound: 0.0 exceeds nan"]
+
+
 @pytest.mark.parametrize("kind, target, fake", [
     ("biorthogonality", "biorthogonality_matrix", lambda g, w: np.full((3, 3), math.nan)),
     ("reconstruct", "synthesis_over_set",
@@ -547,7 +593,7 @@ def test_nan_results_fail_their_check(tmp_path, monkeypatch, capsys, kind, targe
     monkeypatch.setattr(cli, target, fake)
     extra = {"reconstruct": ["--num-vectors", "2"], "young-fuzz": ["--draws", "2"]}
     assert main([kind, *extra.get(kind, []), "--out", str(tmp_path / "nan")]) == 3
-    assert "FAIL" in capsys.readouterr().out
+    assert_gate_lines(kind, capsys.readouterr().out)
     payload = strict_json((tmp_path / "nan.json").read_text())
     assert payload["passed"] is False
 
@@ -558,7 +604,9 @@ def test_identity_max_gap_keeps_a_nan_in_any_place(tmp_path, capsys):
                                            "values": [1e308, -1e308, 1e308, -1e308]}})
     assert main(["wavelet-identity", "--target", target, "--p-list", "2",
                  "--M-list", "1,2", "--N-list", "1", "--out", str(tmp_path / "gap")]) == 3
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert_gate_lines("wavelet-identity", out)
+    assert "FAIL wavelet-identity: identity gap at p=2.0 M=2 N=1: nan exceeds 1e-09" in out
     payload = strict_json((tmp_path / "gap.json").read_text())
     assert [g["gap"] for g in payload["gaps"]] == [0.0, "nan"]
     assert payload["max_gap"] == "nan"

@@ -284,7 +284,7 @@ def test_gram_residual_and_biorthogonality_match_reference():
     report = generator_certificates(NON_DYADIC)
     assert report.ortho_residual == pytest.approx(
         reference_ortho_residual(NON_DYADIC, report.lag_range), rel=1e-14)
-    wide = Generator(NON_DYADIC, 0.0, 0.0, 0.0, 0.0, 0)
+    wide = Generator(NON_DYADIC, None)
     assert np.max(np.abs(biorthogonality_matrix(wide, 4)
                          - reference_biorthogonality_matrix(wide, 4))) <= 1e-15
 
@@ -307,7 +307,7 @@ def test_synthesis_matches_reference(region):
         x = gaussian_vector(rng, 4)
         assert vector_gap(synthesis_over_set(g, x, region, 12),
                           reference_synthesis_over_set(g, x, region, 12)) <= 1e-14
-    g = Generator(NON_DYADIC, 0.0, 0.0, 0.0, 0.0, 0)
+    g = Generator(NON_DYADIC, None)
     x = CoordinateVector({-1: 0.3, 2: -1.1})
     assert vector_gap(synthesis_over_set(g, x, region, 6),
                       reference_synthesis_over_set(g, x, region, 6)) <= 1e-14
@@ -423,7 +423,7 @@ sup_grids = st.sampled_from(FOLD_GRIDS + [(65535.0, 0.1)])
 
 def build(quarters, halves, offset=0.0, scale=0.25):
     f = StepFunction([offset + q * scale for q in quarters], [h / 2 for h in halves])
-    return f, Generator(f, 0.0, 0.0, 0.0, 0.0, 0)
+    return f, Generator(f, None)
 
 
 def vector(raw):

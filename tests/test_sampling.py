@@ -68,7 +68,7 @@ def test_commensurate_step_rejects_irrational_grid():
     fake = types.SimpleNamespace(
         f=StepFunction([0.0, 1.0, np.sqrt(2.0)], [1.0, -1.0]))
     with pytest.raises(ValueError):
-        commensurate_step(fake, max_halvings=20)
+        commensurate_step(fake)
 
 
 def sample_frame(g, plan, window):
@@ -175,7 +175,7 @@ def test_incommensurate_refinement_shrinks_error():
 
 def test_sweep_of_a_nan_generator_reports_nan():
     f = StepFunction([0.0, 0.5, 1.0], [np.nan, 1.0])
-    g = Generator(f, np.nan, np.nan, np.nan, np.nan, 1)
+    g = Generator(f, None)
     for row in sampling_sweep(g, [0.25, 0.5], window=2):
         assert np.isnan(row.max_error)
         assert not row.exact

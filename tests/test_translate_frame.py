@@ -58,9 +58,9 @@ def test_sign_patterns_orthogonal_across_depths():
 
 def test_single_coefficient_certificates():
     g = single_coeff_generator()
-    assert g.l1_norm == pytest.approx(1.0, abs=1e-12)
-    assert g.periodized_sup == pytest.approx(1.0, abs=1e-12)
-    assert g.ortho_residual <= 1e-12
+    assert g.report.l1_norm == pytest.approx(1.0, abs=1e-12)
+    assert g.report.periodized_sup == pytest.approx(1.0, abs=1e-12)
+    assert g.report.ortho_residual <= 1e-12
     assert g.suppression_constant == pytest.approx(1.0, abs=1e-12)
     assert g.f.support() == (0.0, 1.0)
 
