@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 malformed config, 2 failed generator validation,
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -27,10 +28,10 @@ from .pettis import unconditionality_scan
 from .reports import (ARTIFACT_VERSION, config_digest, write_csv, write_json_report)
 from .sampling import sampling_sweep
 from .stepfn import MERGE_ULPS, StepFunction, _merge, haar_mother
-from .translate_frame import (GeneratorRejected, RademacherSpec, biorthogonality_matrix,
-                              build_rademacher_generator, generator_certificates,
-                              rademacher_function, synthesis_over_set,
-                              validate_generator, young_check)
+from .translate_frame import (GeneratorRejected, RademacherSpec, _young_sides,
+                              biorthogonality_matrix, build_rademacher_generator,
+                              generator_certificates, rademacher_function,
+                              synthesis_over_set, validate_generator, young_check)
 from .wavelet_frame import (WaveletSystem, convergence_study,
                             reconstruction_identity_gap)
 
@@ -363,17 +364,24 @@ def validate_config(raw):
 # -- object construction from config ------------------------------------------
 
 
+def _rademacher_spec(body):
+    coeffs = CoordinateVector({n: float(c) for n, c in body["coefficients"]})
+    return RademacherSpec(coefficients=coeffs, resolution=body.get("resolution", 1))
+
+
 def _generator_function(obj):
     """The candidate generator step function of a checked generator record."""
     [(key, body)] = obj.items()
     if key == "rademacher":
-        coeffs = CoordinateVector({n: float(c) for n, c in body["coefficients"]})
-        return rademacher_function(RademacherSpec(coefficients=coeffs,
-                                                  resolution=body.get("resolution", 1)))
+        return rademacher_function(_rademacher_spec(body))
     return StepFunction(body["breakpoints"], body["values"])
 
 
 def _build_generator(obj):
+    """The certified Generator of a checked generator record, or raise GeneratorRejected."""
+    [(key, body)] = obj.items()
+    if key == "rademacher":
+        return build_rademacher_generator(_rademacher_spec(body))
     return validate_generator(_generator_function(obj))
 
 
@@ -505,7 +513,7 @@ def _run_young_fuzz(params, seed, tol, rng):
         a = CoordinateVector({int(n): float(v)
                               for n, v in zip(idx, rng.standard_normal(size))})
         p = p_list[i % len(p_list)]
-        lhs, rhs = young_check(g.f, a, p)
+        lhs, rhs = _young_sides(g.fold, g.report.l1_norm, a, p)
         _gate(failures, f"series bound at draw {i}", lhs, rhs * (1.0 + 1e-12) + 1e-12)
         if rhs > 0:
             worst_ratio = _worst(worst_ratio, lhs / rhs)
@@ -742,10 +750,15 @@ def _collect_config(args):
     return raw
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`main`, built on its first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

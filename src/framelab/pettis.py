@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .lp import CoordinateVector
-from .stepfn import _folded
 from .translate_frame import _series
 
 
@@ -47,7 +46,7 @@ def unconditionality_scan(g, trials, window, p, seed=0):
         raise ValueError("scan requires p > 1")
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
-    _, grid, table = _folded(g.f)
+    _, grid, table = g.fold
     lens = np.diff(grid)
     suppression = [0.0]
     unconditional = [0.0]

@@ -10,6 +10,7 @@ the sweep quantifies against refinement.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -31,15 +32,26 @@ class SamplingPlan:
             raise TypeError("window must be an IntervalSet")
 
     def points(self):
-        """All lattice points inside the window, in increasing order."""
+        """All lattice points inside the window, in increasing order (read-only)."""
+        return self._points
+
+    @functools.cached_property
+    def _points(self):
+        """The lattice of :meth:`points`, filtered once per plan."""
         hull = self.window.hull()
         if hull is None:
-            return np.empty(0)
-        lo, hi = hull
-        j_min = math.ceil((lo - self.offset) / self.step - 1e-12)
-        j_max = math.floor((hi - self.offset) / self.step + 1e-12)
-        ts = self.offset + np.arange(j_min, j_max + 1) * self.step
-        return np.array([t for t in ts if self.window.contains(t)])
+            ts = np.empty(0)
+        else:
+            j_min = math.ceil((hull[0] - self.offset) / self.step - 1e-12)
+            j_max = math.floor((hull[1] - self.offset) / self.step + 1e-12)
+            ts = self.offset + np.arange(j_min, j_max + 1) * self.step
+            # half-open [l, r), as IntervalSet.contains
+            inside = np.zeros(ts.size, dtype=bool)
+            for l, r in self.window.intervals:
+                inside |= (l <= ts) & (ts < r)
+            ts = ts[inside]
+        ts.setflags(write=False)
+        return ts
 
 
 def _coefficient_rows(g, ts, window):

@@ -9,11 +9,13 @@ constant certificate is the product of the first two.
 
 Integer translates line up unit by unit, so every quantity here works on
 the unit fold of f (``stepfn._folded``): one fractional grid G on [0, 1)
-and a table F[j, i] = f(k0 + j + mid_i).  A translate series is a sum of
-shifted rows of F, the Gram lags are an autocorrelation of its rows, and
-synthesis is a correlation of the weighted series with F.  Every sum runs
-in a fixed order (explicit row loops, ``np.add.reduce`` along a chosen
-axis), never through a BLAS reduction.
+and a table F[j, i] = f(k0 + j + mid_i).  The fold is built once, when a
+generator is certified, and travels with it as ``Generator.fold``; a
+Rademacher generator hands over the rows it is filled from.  A translate
+series is a sum of shifted rows of F, the Gram lags are an autocorrelation
+of its rows, and synthesis is a correlation of the weighted series with F.
+Every sum runs in a fixed order (explicit row loops, ``np.add.reduce``
+along a chosen axis), never through a BLAS reduction.
 """
 
 import dataclasses
@@ -60,9 +62,21 @@ class GeneratorRejected(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class Generator:
-    """Validated generator plus the report that certifies it."""
+    """Validated generator plus the report that certifies it.
+
+    ``fold`` is the unit fold ``(k0, grid, table)`` of ``f``, built once at
+    certification; every translate-frame consumer reads it from here.  Left
+    out, it is folded from ``f``.  Its arrays are made read-only.
+    """
     f: StepFunction
     report: ValidationReport
+    fold: tuple = dataclasses.field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.fold is None:
+            object.__setattr__(self, "fold", _folded(self.f))
+        for array in self.fold[1:]:
+            array.setflags(write=False)
 
     @property
     def suppression_constant(self):
@@ -78,6 +92,11 @@ class RademacherSpec:
 
 def generator_certificates(f, lag_range=None, tol=VALIDATION_TOL):
     """Compute the validation report for a candidate generator."""
+    return _certificates(f, _folded(f), lag_range, tol)
+
+
+def _certificates(f, fold, lag_range, tol):
+    """The validation report of f, whose unit fold is ``fold``."""
     failures = []
     l1 = f.abs_integral()
     if f.is_zero() or l1 == 0.0:
@@ -86,7 +105,7 @@ def generator_certificates(f, lag_range=None, tol=VALIDATION_TOL):
     if lag_range is None:
         lo, hi = f.support()
         lag_range = int(math.ceil(hi - lo))
-    _, grid, table = _folded(f)
+    _, grid, table = fold
     # the lag -m equals the lag m, and lags past the table's rows are exactly 0
     lags = _gram_lags(grid, table, min(lag_range + 1, table.shape[0]))
     lags[0] -= 1.0
@@ -98,12 +117,18 @@ def generator_certificates(f, lag_range=None, tol=VALIDATION_TOL):
     return ValidationReport(l1, sup, residual, lag_range, tol, tuple(failures))
 
 
-def validate_generator(f):
-    """A Generator certified at the default lag range and tol, or raise GeneratorRejected."""
-    report = generator_certificates(f)
+def _certified(f, fold):
+    """f, whose unit fold is ``fold``, certified at the default lag range and tol
+    as a Generator, or raise GeneratorRejected."""
+    report = _certificates(f, fold, None, VALIDATION_TOL)
     if not report.ok:
         raise GeneratorRejected(report)
-    return Generator(f, report)
+    return Generator(f, report, fold)
+
+
+def validate_generator(f):
+    """A Generator certified at the default lag range and tol, or raise GeneratorRejected."""
+    return _certified(f, _folded(f))
 
 
 def rademacher_function(spec):
@@ -115,6 +140,15 @@ def rademacher_function(spec):
     is filled directly as a row of the finest depth's cells.  All
     breakpoints are dyadic rationals, hence exact in floats.  Raises
     GeneratorRejected for an empty or non-unit coefficient vector.
+    """
+    return _rademacher(spec)[0]
+
+
+def _rademacher(spec):
+    """(:func:`rademacher_function` of ``spec``, its unit fold).
+
+    The fold is the rows the function is filled from, on the finest
+    depth's grid, starting at the first index of the support.
     """
     coeffs = spec.coefficients
     if not isinstance(coeffs, CoordinateVector):
@@ -137,12 +171,14 @@ def rademacher_function(spec):
     for rank, (n, a) in enumerate(coeffs.items()):
         coarse = fine >> (depth - rank - spec.resolution)
         rows[n - support[0]] = np.where(coarse % 2 == 0, 1.0, -1.0) * float(a)
-    return _unfold(np.arange(fine.size + 1) / fine.size, [(float(support[0]), rows)])
+    k0 = float(support[0])
+    grid = np.arange(fine.size + 1) / fine.size
+    return _unfold(grid, [(k0, rows)]), (k0, grid, rows)
 
 
 def build_rademacher_generator(spec):
     """Certify :func:`rademacher_function` of ``spec`` as a Generator."""
-    return validate_generator(rademacher_function(spec))
+    return _certified(*_rademacher(spec))
 
 
 def _runs(x, units):
@@ -221,7 +257,7 @@ def synthesis_over_set(g, x, region, window):
         raise TypeError("region must be an IntervalSet or None")
     if x.is_zero() or g.f.is_zero():
         return CoordinateVector()
-    k0, grid, table = _folded(g.f)
+    k0, grid, table = g.fold
     units = table.shape[0]
     out = {}
     for n0, a in _runs(x, units):
@@ -248,7 +284,7 @@ def biorthogonality_matrix(g, window):
 
     Entry (i, j) is the Gram lag |i - j|, so the matrix is Toeplitz.
     """
-    _, grid, table = _folded(g.f)
+    _, grid, table = g.fold
     size = 2 * window + 1
     lags = np.zeros(size)
     count = min(size, table.shape[0])
@@ -266,14 +302,20 @@ def young_check(f, a, p):
     conjugate exponent.  lhs <= rhs always; equality holds for a unit
     indicator generator with a single coefficient.
     """
+    return _young_sides(_folded(f), f.abs_integral(), a, p)
+
+
+def _young_sides(fold, l1, a, p):
+    """:func:`young_check` of the f whose unit fold is ``fold`` and L1 norm ``l1``."""
     if not p > 1:
         raise ValueError("young_check requires p > 1")
-    _, grid, table = _folded(f)
+    _, grid, table = fold
     lhs = 0.0
-    if not (a.is_zero() or f.is_zero()):
+    # the zero function folds to a table with no rows
+    if not (a.is_zero() or table.shape[0] == 0):
         for _, run in _runs(a, table.shape[0]):
             series = _series(table, run)
             lhs += float(np.add.reduce((np.abs(series) ** p * np.diff(grid)).ravel()))
     pconj = p / (p - 1.0)
-    rhs = f.abs_integral() * a.norm(p) ** p * _periodized_sup(table) ** (p / pconj)
+    rhs = l1 * a.norm(p) ** p * _periodized_sup(table) ** (p / pconj)
     return lhs, rhs

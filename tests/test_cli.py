@@ -587,6 +587,7 @@ def test_gate_fails_above_the_bound_and_on_nan():
     ("reconstruct", "synthesis_over_set",
      lambda g, x, region, w: CoordinateVector({0: math.nan})),
     ("young-fuzz", "young_check", lambda f, a, p: (math.nan, math.nan)),
+    ("young-fuzz", "_young_sides", lambda fold, l1, a, p: (math.nan, math.nan)),
     ("wavelet-identity", "reconstruction_identity_gap", lambda ws, x, M, N: math.nan),
 ])
 def test_nan_results_fail_their_check(tmp_path, monkeypatch, capsys, kind, target, fake):
@@ -610,3 +611,76 @@ def test_identity_max_gap_keeps_a_nan_in_any_place(tmp_path, capsys):
     payload = strict_json((tmp_path / "gap.json").read_text())
     assert [g["gap"] for g in payload["gaps"]] == [0.0, "nan"]
     assert payload["max_gap"] == "nan"
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+PARSER_SEQUENCE = [
+    ["biorthogonality", "--window", "3", "--seed", "5", "--tol", "1e-9", "--quiet"],
+    ["biorthogonality", "--window", "2"],
+    ["counterexample", "--K", "20", "--reconstruction-limit", "5"],
+    ["counterexample", "--K", "abc"],
+    ["diagnostics", "--windoww", "5"],
+    ["counterexample", "--quiet"],
+    ["young-fuzz", "--draws", "4", "--p-list", "2,3", "--max-terms", "3", "--seed", "2"],
+    ["young-fuzz", "--draws", "2", "--quiet"],
+    ["validate-generator", "--generator", json.dumps(UNIT_GENERATOR), "--lag-range", "2"],
+    ["validate-generator", "--generator", json.dumps(UNIT_GENERATOR)],
+    ["diagnostics", "--window", "5", "--p", "3"],
+    ["diagnostics"],
+]
+PARSER_CODES = [0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def run_sequence(workdir, monkeypatch, capsys):
+    """(exit code, stdout, stderr, artifacts) of each PARSER_SEQUENCE call, run in workdir."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    results = []
+    for i, argv in enumerate(PARSER_SEQUENCE):
+        code = main([*argv, "--out", f"a{i}"])
+        out, err = capsys.readouterr()
+        artifacts = {p.name: p.read_bytes() for p in sorted(workdir.glob(f"a{i}.*"))}
+        results.append((code, out, err, artifacts))
+    return results
+
+
+def test_main_reuses_one_parser_without_leaking_options(tmp_path, monkeypatch, capsys):
+    cli._parser.cache_clear()
+    kept = run_sequence(tmp_path / "kept", monkeypatch, capsys)
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(PARSER_SEQUENCE) - 1)
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = run_sequence(tmp_path / "fresh", monkeypatch, capsys)
+    assert [r[0] for r in kept] == PARSER_CODES
+    assert kept == fresh
+    # --quiet, --window, --seed and --tol of one call do not reach the next
+    first, second = (strict_json(kept[i][3][f"a{i}.json"]) for i in (0, 1))
+    assert (first["window"], first["seed"], first["tol"]) == (3, 5, 1e-9)
+    assert (second["window"], second["seed"], second["tol"]) == (2, 0, 1e-10)
+    assert kept[0][1] == "" and kept[1][1].startswith("PASS biorthogonality")
+    assert kept[5][1] == "" and kept[6][1].startswith("PASS young-fuzz")
+    assert "--windoww" in kept[4][2] and kept[4][3] == {}
+
+
+def test_import_builds_no_parser_and_main_builds_one(tmp_path, cli_env):
+    code = "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    built.append(1)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "import framelab.cli as cli",
+        "print(len(built))",
+        "for i in range(3):",
+        "    cli.main(['counterexample', '--K', '3', '--out', f'c{i}', '--quiet'])",
+        "    print(len(built))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=cli_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the root parser, the run subcommand and one subparser per kind
+    assert proc.stdout.split() == ["0"] + [str(2 + len(KINDS))] * 3

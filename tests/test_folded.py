@@ -12,10 +12,14 @@ generator (``stepfn._folded``).  Each folded path is compared with
   so the folded results must equal the oracle exactly.
 
 A cost guard counts ``StepFunction`` constructions, so that a return to
-one object per translate or per trial shows without relying on wall time.
+one object per translate or per trial shows without relying on wall time,
+and a fold guard counts ``_folded`` calls, so that a consumer that folds
+the generator again instead of reading ``Generator.fold`` shows too.
 """
 
+import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +42,7 @@ from framelab import (
 )
 from framelab.pettis import _sign_parts
 from framelab.stepfn import _folded, _merge
-from framelab import translate_frame
+from framelab import cli, translate_frame
 from framelab.translate_frame import Generator, _series
 
 
@@ -561,3 +565,88 @@ def test_translate_paths_build_a_bounded_number_of_step_functions(monkeypatch):
         built = constructions(monkeypatch, run_large)
         assert built <= 2
         assert built == constructions(monkeypatch, run_small)
+
+
+# -- fold guard ------------------------------------------------------------------
+
+
+def folds(monkeypatch, run):
+    """``_folded`` calls made while ``run()`` executes, through any module's binding."""
+    count = [0]
+    original = _folded
+
+    def counting(f):
+        count[0] += 1
+        return original(f)
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("framelab") and getattr(module, "_folded", None) is original:
+                patch.setattr(module, "_folded", counting)
+        run()
+    return count[0]
+
+
+STEP_GENERATOR = {"step_function": {"breakpoints": [0.0, 0.5, 1.0], "values": [1.0, -1.0]}}
+
+
+@pytest.mark.parametrize("generator, expected", [
+    (None, 0),                  # the default Rademacher record hands its rows over
+    (STEP_GENERATOR, 1),        # a step function is folded once, at certification
+])
+def test_reconstruct_folds_its_generator_at_most_once(monkeypatch, tmp_path, generator,
+                                                      expected):
+    argv = ["reconstruct", "--num-vectors", "8", "--out", str(tmp_path / "r"), "--quiet"]
+    if generator is not None:
+        argv += ["--generator", json.dumps(generator)]
+    codes = []
+    assert folds(monkeypatch, lambda: codes.append(cli.main(argv))) == expected
+    assert codes == [0]
+
+
+def test_young_fuzz_folds_none_of_its_rademacher_draws(monkeypatch, tmp_path):
+    # the only folds left are the unit indicator's, one per exponent
+    def fuzz(draws):
+        return lambda: cli.main(["young-fuzz", "--draws", str(draws), "--p-list", "1.5,3",
+                                 "--out", str(tmp_path / "y"), "--quiet"])
+    assert folds(monkeypatch, fuzz(3)) == folds(monkeypatch, fuzz(40)) == 2
+
+
+def test_consumers_read_the_fold_the_generator_carries(monkeypatch):
+    g = gaussian_generator(np.random.default_rng(40))
+    x = gaussian_vector(np.random.default_rng(41), 4)
+    runs = [lambda: biorthogonality_matrix(g, 8),
+            lambda: unconditionality_scan(g, 5, 4, 2.0),
+            lambda: synthesis_over_set(g, x, None, 12),
+            lambda: synthesis_over_set(g, x, IntervalSet([(-1.5, 3.25)]), 12)]
+    assert [folds(monkeypatch, run) for run in runs] == [0] * len(runs)
+    # a Generator built without its fold folds f once, on construction
+    assert folds(monkeypatch, lambda: Generator(g.f, None)) == 1
+
+
+# 1-7 distinct indices in -9..9 (gaps, negative indices) and nonzero weights
+rademacher_specs = st.tuples(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=7, unique=True),
+    st.lists(st.integers(-8, 8).filter(bool), min_size=7, max_size=7),
+    st.integers(1, 3))
+
+
+@ORACLE
+@given(rademacher_specs)
+@example(([-4, -1, 0, 5], [3, -1, 2, 7, 1, 1, 1], 3))
+def test_rademacher_fold_is_the_fold_of_its_function_bit_for_bit(drawn):
+    indices, weights, resolution = drawn
+    vals = np.array(weights[:len(indices)], dtype=float)
+    vals /= math.sqrt(float(np.dot(vals, vals)))
+    spec = RademacherSpec(coefficients=CoordinateVector(
+        {n: float(v) for n, v in zip(indices, vals)}), resolution=resolution)
+    g = build_rademacher_generator(spec)
+    f = rademacher_function(spec)
+    assert g.f == f
+    assert g.report == generator_certificates(f)
+    k0, grid, table = g.fold
+    want_k0, want_grid, want_table = _folded(f)
+    assert type(k0) is float and k0 == want_k0 == min(indices)
+    for got, want in ((grid, want_grid), (table, want_table)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()

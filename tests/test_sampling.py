@@ -1,5 +1,6 @@
 """Tests for lattice sampling of translated-generator frames."""
 
+import math
 import types
 
 import numpy as np
@@ -54,6 +55,52 @@ def test_plan_points_half_open():
 def test_plan_points_skip_gaps():
     plan = SamplingPlan(step=0.5, window=IntervalSet([(0.0, 1.0), (2.0, 2.6)]))
     assert plan.points().tolist() == [0.0, 0.5, 2.0, 2.5]
+
+
+def reference_points(plan):
+    """The lattice filter SamplingPlan.points replaced: one contains() call per point."""
+    hull = plan.window.hull()
+    if hull is None:
+        return np.empty(0)
+    lo, hi = hull
+    j_min = math.ceil((lo - plan.offset) / plan.step - 1e-12)
+    j_max = math.floor((hi - plan.offset) / plan.step + 1e-12)
+    ts = plan.offset + np.arange(j_min, j_max + 1) * plan.step
+    return np.array([t for t in ts if plan.window.contains(t)])
+
+
+@pytest.mark.parametrize("step, pairs, offset", [
+    # lattice points on both ends of every interval: l is in, r is out
+    (0.25, [(0.0, 1.0), (1.5, 2.25), (3.0, 3.25)], 0.0),
+    (0.5, [(-2.0, -1.0), (-0.5, 0.5), (1.0, 1.5)], 0.0),
+    # a nonzero offset, with points on the ends of the shifted intervals
+    (0.25, [(0.125, 0.625), (1.375, 2.0), (2.125, 2.375)], 0.125),
+    (0.37, [(-1.63, 0.22), (0.96, 4.0)], 0.11),
+    # no lattice point falls in the gap or in the narrow piece
+    (1.0, [(0.0, 2.0), (2.2, 2.8), (5.0, 7.0)], 0.0),
+    (0.25, [], 0.0),
+])
+def test_plan_points_match_the_per_point_filter(step, pairs, offset):
+    plan = SamplingPlan(step=step, window=IntervalSet(pairs), offset=offset)
+    got, want = plan.points(), reference_points(plan)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert plan.points() is got and not got.flags.writeable
+
+
+def test_plan_points_match_the_per_point_filter_on_random_windows(random_interval_set):
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        window = random_interval_set(rng, -5.0, 5.0, max_pieces=5)
+        step = float(rng.choice([0.125, 0.25, 0.3, 1.0 / 3.0, float(rng.uniform(0.01, 1))]))
+        offset = float(rng.choice([0.0, 0.5, float(rng.uniform(-1, 1))]))
+        # put lattice points on some interval ends too
+        window = IntervalSet([(offset + round((l - offset) / step) * step,
+                               offset + round((r - offset) / step) * step)
+                              for l, r in window.intervals] if rng.random() < 0.5
+                             else window.intervals)
+        plan = SamplingPlan(step=step, window=window, offset=offset)
+        assert plan.points().tobytes() == reference_points(plan).tobytes()
 
 
 def test_commensurate_step_values():
