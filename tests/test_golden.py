@@ -1,15 +1,21 @@
-"""Byte-identity of the translate-frame CLI artifacts against pinned copies.
+"""Byte-identity of the CLI artifacts against pinned copies.
 
 Each config below runs through ``main`` and its JSON artifact (and CSV,
 where the kind writes one) must equal the file of the same name under
-``tests/golden`` byte for byte.  The pinned files were written by this
-same ``main`` before the unit fold of a generator moved onto ``Generator``
-and before the lattice filter of ``SamplingPlan.points`` was vectorised,
-so a change that claims to keep every artifact is held to it here.
+``tests/golden`` byte for byte.  The translate-frame files were written by
+this same ``main`` before the unit fold of a generator moved onto
+``Generator`` and before the lattice filter of ``SamplingPlan.points`` was
+vectorised; the wavelet, counterexample and diagnostics files before the
+cell-grid merge, the cell widths and the wavelet lattice dropped
+``np.unique``, ``np.diff`` and ``np.meshgrid``.  A change that claims to
+keep every artifact is held to it here.
 
 The generators are dyadic Rademacher generators like the benchmark's: six
 Gaussian unit-l2 coefficients at 0..5 (64 cells a unit), and four at
--2, 0, 1, 4, which leaves gaps in the support.
+-2, 0, 1, 4, which leaves gaps in the support.  The wavelet targets are
+the benchmark's three: the indicator of [0, 0.3), the Haar mother and a
+step function on sixteenths of [0, 1).  The wavelet-reconstruct run at
+M = 3, N = 8 is the benchmark's largest merge.
 """
 
 import json
@@ -26,6 +32,10 @@ CONTIGUOUS = {"rademacher": {"coefficients": [
     [3, -0.6804625584011997], [4, 0.2717565893119529], [5, -0.20181176564545122]]}}
 GAPPED = {"rademacher": {"coefficients": [[-2, 0.5], [0, -0.5], [1, 0.5], [4, 0.5]],
                          "resolution": 2}}
+INDICATOR = {"indicator": [0.0, 0.3]}
+HAAR = {"named": "haar"}
+STEP = {"step_function": {"breakpoints": [0.0, 0.1875, 0.5, 0.625, 0.8125, 1.0],
+                          "values": [0.42, -1.37, 0.8, 2.05, -0.61]}}
 
 CONFIGS = {
     "validate-generator": {"kind": "validate-generator", "seed": 777,
@@ -49,6 +59,32 @@ CONFIGS = {
     "sampling-sweep-gapped": {"kind": "sampling-sweep", "seed": 778,
                               "params": {"generator": GAPPED, "window": 1,
                                          "steps": [1.0 / 32.0, 0.3], "p": 3.0}},
+    "wavelet-reconstruct-haar": {"kind": "wavelet-reconstruct", "seed": 777,
+                                 "params": {"target": HAAR, "p": 1.5, "M_list": [1, 2, 3],
+                                            "N_list": [1, 2, 4]}},
+    "wavelet-reconstruct-indicator": {"kind": "wavelet-reconstruct", "seed": 777,
+                                      "params": {"target": INDICATOR, "p": 3.0,
+                                                 "M_list": [3], "N_list": [8]}},
+    "wavelet-reconstruct-step": {"kind": "wavelet-reconstruct", "seed": 777,
+                                 "params": {"target": STEP, "p": 2.0, "M_list": [1, 2],
+                                            "N_list": [1, 3]}},
+    "wavelet-identity-indicator": {"kind": "wavelet-identity", "seed": 777,
+                                   "params": {"target": INDICATOR, "p_list": [1.5, 2.0, 3.0],
+                                              "M_list": [1, 2], "N_list": [1, 2]}},
+    "wavelet-identity-haar": {"kind": "wavelet-identity", "seed": 777,
+                              "params": {"target": HAAR, "p_list": [2.0], "M_list": [2],
+                                         "N_list": [3]}},
+    "wavelet-identity-step": {"kind": "wavelet-identity", "seed": 777,
+                              "params": {"target": STEP, "p_list": [1.5, 3.0],
+                                         "M_list": [1, 2], "N_list": [2, 3]}},
+    "counterexample": {"kind": "counterexample", "seed": 777,
+                       "params": {"K": 50, "reconstruction_limit": 50}},
+    "counterexample-large": {"kind": "counterexample", "seed": 777,
+                             "params": {"K": 2000, "reconstruction_limit": 30}},
+    "diagnostics": {"kind": "diagnostics", "seed": 777,
+                    "params": {"window": 12, "p": 2.0}},
+    "diagnostics-wide": {"kind": "diagnostics", "seed": 777,
+                         "params": {"window": 60, "p": 3.0}},
 }
 
 
