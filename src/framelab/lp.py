@@ -61,7 +61,11 @@ class CoordinateVector:
 
     @classmethod
     def unit(cls, n, value=1):
-        return cls({n: value})
+        """``value`` at index n, set directly: one entry needs no ordering walk."""
+        n = index(n)
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "_entries", {n: value} if value != 0 else {})
+        return vec
 
     # -- queries -------------------------------------------------------------
 

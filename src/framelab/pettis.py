@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .lp import CoordinateVector
+from .stepfn import _widths
 from .translate_frame import _series
 
 
@@ -47,7 +48,7 @@ def unconditionality_scan(g, trials, window, p, seed=0):
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
     _, grid, table = g.fold
-    lens = np.diff(grid)
+    lens = _widths(grid)
     suppression = [0.0]
     unconditional = [0.0]
     for _ in range(trials):

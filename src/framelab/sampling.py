@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .intervals import IntervalSet
+from .stepfn import _widths
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,7 +134,7 @@ def commensurate_step(g):
     passes; generators built on dyadic grids succeed immediately.
     """
     bp = g.f.breakpoints
-    w = float(np.min(np.diff(bp)))
+    w = float(np.min(_widths(bp)))
     for _ in range(MAX_HALVINGS):
         ratios = bp / w
         unit = 1.0 / w

@@ -25,7 +25,7 @@ import numpy as np
 
 from .intervals import IntervalSet
 from .lp import CoordinateVector
-from .stepfn import StepFunction, _folded, _periodized_sup
+from .stepfn import StepFunction, _folded, _periodized_sup, _widths
 
 VALIDATION_TOL = 1e-10
 
@@ -191,7 +191,7 @@ def _runs(x, units):
     most 2 * units entries per support index.
     """
     support = np.array(x.support())
-    for run in np.split(support, np.flatnonzero(np.diff(support) >= 2 * units) + 1):
+    for run in np.split(support, np.flatnonzero(_widths(support) >= 2 * units) + 1):
         a = np.zeros(run[-1] - run[0] + 1)
         a[run - run[0]] = [x[n] for n in run.tolist()]
         yield int(run[0]), a
@@ -223,7 +223,7 @@ def _unfold(grid, runs):
 
 def _gram_lags(grid, table, count):
     """<f, f(. - m)> for m = 0 .. count - 1, from the rows of the fold of f."""
-    lens = np.diff(grid)
+    lens = _widths(grid)
     units = table.shape[0]
     return np.array([np.add.reduce((table[m:] * table[:units - m] * lens).ravel())
                      for m in range(count)])
@@ -234,7 +234,7 @@ def _cell_weights(start, units, grid, region):
 
     ``region=None`` means the whole line: every cell weighs its length.
     """
-    lens = np.diff(grid)
+    lens = _widths(grid)
     if region is None:
         return lens
     base = start + np.arange(units, dtype=float)[:, None]
@@ -315,7 +315,7 @@ def _young_sides(fold, l1, a, p):
     if not (a.is_zero() or table.shape[0] == 0):
         for _, run in _runs(a, table.shape[0]):
             series = _series(table, run)
-            lhs += float(np.add.reduce((np.abs(series) ** p * np.diff(grid)).ravel()))
+            lhs += float(np.add.reduce((np.abs(series) ** p * _widths(grid)).ravel()))
     pconj = p / (p - 1.0)
     rhs = l1 * a.norm(p) ** p * _periodized_sup(table) ** (p / pconj)
     return lhs, rhs

@@ -31,7 +31,7 @@ import functools
 
 import numpy as np
 
-from .stepfn import _EMPTY, StepFunction, _combined, _merge, haar_mother
+from .stepfn import _EMPTY, StepFunction, _combined, _merge, _widths, haar_mother
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,15 +82,15 @@ def member(ws, a, b, side="primal"):
 
 def _pairs(lo, hi):
     """Every (u, v) with lo <= u, v < hi as two float arrays, u outer."""
-    u, v = np.meshgrid(np.arange(lo, hi, dtype=float), np.arange(lo, hi, dtype=float),
-                       indexing="ij")
-    return u.ravel(), v.ravel()
+    side = np.arange(lo, hi, dtype=float)
+    return side.repeat(side.size), np.tile(side, side.size)
 
 
 def _box_lattice(M, N):
     """Snapped parameters (a, b) of every box cell, in the order r, l, s, m."""
-    r, l, s, m = (v.ravel() for v in np.meshgrid(
-        np.arange(N), np.arange(-M, M), np.arange(N), np.arange(-M, M), indexing="ij"))
+    r, l, s, m = np.indices((N, 2 * M, N, 2 * M)).reshape(4, -1)
+    l -= M
+    m -= M
     return l + r / N, m + s * 2.0 ** l / N
 
 
@@ -105,8 +105,8 @@ def _coefficients(ws, xb, xv, a, b):
     if xv.size == 0:
         return np.zeros(a.size)
     db, dv = ws._unit_cells["dual"]
-    X = np.concatenate(([0.0], np.cumsum(xv * np.diff(xb))))
-    rise = np.diff(np.interp((b[:, None] + db) * 2.0 ** (-a[:, None]), xb, X), axis=1)
+    X = np.concatenate(([0.0], np.cumsum(xv * _widths(xb))))
+    rise = _widths(np.interp((b[:, None] + db) * 2.0 ** (-a[:, None]), xb, X))
     return np.add.reduce(rise * dv, axis=1) * 2.0 ** (a / ws.p_conj)
 
 
@@ -137,8 +137,9 @@ def _jump_sum(bp, vals):
     if grid.size < 2:
         return _EMPTY, _EMPTY
     at = np.searchsorted(grid, bp, side="right") - 1
-    jumps = np.bincount(at.ravel(), np.diff(vals, axis=1, prepend=0.0, append=0.0).ravel(),
-                        grid.size)
+    padded = np.zeros((vals.shape[0], vals.shape[1] + 2))
+    padded[:, 1:-1] = vals
+    jumps = np.bincount(at.ravel(), _widths(padded).ravel(), grid.size)
     covering = np.cumsum(np.bincount(at[:, 0], minlength=grid.size)
                          - np.bincount(at[:, -1], minlength=grid.size))
     return grid, np.where(covering[:-1] > 0, np.cumsum(jumps)[:-1], 0.0)
@@ -152,7 +153,7 @@ def _lattice_sum(ws, x, a, b, weight):
 def _lp_distance(f, g, p):
     """||f - g||_p for step functions given as cells (breakpoints, values)."""
     grid, diff = _combined(f, g, np.subtract)
-    return float(np.add.reduce(np.abs(diff) ** p * np.diff(grid)) ** (1.0 / p))
+    return float(np.add.reduce(np.abs(diff) ** p * _widths(grid)) ** (1.0 / p))
 
 
 def _conjugated(ws, x, N):

@@ -13,8 +13,14 @@ antiderivative (``_coefficients``) and synthesis by one jump sort
   normalization 2^(a/p), 2^(a/q) is a power of two, which keeps every
   float sum exact, so the kernel must equal the oracle exactly.
 
-A cost guard counts ``StepFunction`` constructions, so that a return to
-one object per member shows without relying on wall time.
+The lattice itself is compared with the ``np.meshgrid`` code it replaced
+(``reference_pairs``, ``reference_box_lattice``), array for array.
+
+Two cost guards show a regression without relying on wall time: one counts
+``StepFunction`` constructions, so that a return to one object per member
+shows; the other counts calls of ``np.diff``, ``np.unique`` and
+``np.meshgrid``, whose wrappers cost more than the arithmetic on these
+small arrays, and the wavelet paths and the step-function algebra make none.
 """
 
 import math
@@ -37,7 +43,8 @@ from framelab import (
 )
 from framelab import wavelet_frame
 from framelab.stepfn import MERGE_ULPS, _merge
-from framelab.wavelet_frame import _coefficients, _jump_sum, _lattice_sum, _pairs
+from framelab.wavelet_frame import (_box_lattice, _coefficients, _jump_sum, _lattice_sum,
+                                    _pairs)
 
 
 # -- the replaced per-member code, verbatim ---------------------------------------
@@ -136,6 +143,20 @@ def reference_biorthogonality_residual(ws, window=4):
     return worst
 
 
+def reference_pairs(lo, hi):
+    """Every (u, v) with lo <= u, v < hi as two float arrays, u outer."""
+    u, v = np.meshgrid(np.arange(lo, hi, dtype=float), np.arange(lo, hi, dtype=float),
+                       indexing="ij")
+    return u.ravel(), v.ravel()
+
+
+def reference_box_lattice(M, N):
+    """Snapped parameters (a, b) of every box cell, in the order r, l, s, m."""
+    r, l, s, m = (v.ravel() for v in np.meshgrid(
+        np.arange(N), np.arange(-M, M), np.arange(N), np.arange(-M, M), indexing="ij"))
+    return l + r / N, m + s * 2.0 ** l / N
+
+
 # -- shared data -----------------------------------------------------------------
 
 
@@ -215,6 +236,20 @@ def test_biorthogonality_residual_matches_reference():
             gaps.append(np.abs(gram))
         assert float(np.max(gaps)) == pytest.approx(
             reference_biorthogonality_residual(ws, 2), rel=1e-12, abs=1e-15)
+
+
+def same_arrays(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want, strict=True))
+
+
+def test_lattices_match_the_meshgrid_lattices():
+    for M in range(1, 5):
+        assert same_arrays(_pairs(-M, M), reference_pairs(-M, M))
+        for N in range(1, 9):
+            assert same_arrays(_box_lattice(M, N), reference_box_lattice(M, N))
+    assert same_arrays(_pairs(-2, 3), reference_pairs(-2, 3))
+    assert same_arrays(_pairs(0, 0), reference_pairs(0, 0))
 
 
 def test_exact_zeros_survive_the_batched_paths():
@@ -420,3 +455,29 @@ def test_wavelet_paths_build_a_bounded_number_of_step_functions(monkeypatch):
         assert built <= 10
         assert built == constructions(
             monkeypatch, lambda: path(WaveletSystem.haar(2.0), x, 1, 1))
+
+
+def test_wavelet_paths_and_step_algebra_skip_the_numpy_wrappers(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        original = getattr(np, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    x = StepFunction.indicator(0.0, 0.3)
+    f, g = NON_DYADIC, haar_mother().translate(0.25)
+    for name in ("diff", "unique", "meshgrid"):
+        monkeypatch.setattr(np, name, counted(name))
+    for ws in (WaveletSystem.haar(2.0), SKEWED):
+        box_reconstruct(ws, x, 3, 8)
+        averaged_conjugate_reconstruction(ws, x, 2, 3)
+        convergence_study(ws, x, [1, 2], [1, 3])
+    f.add(g)
+    f.inner(g)
+    f.lp_norm(3.0)
+    monkeypatch.undo()
+    assert calls == {}

@@ -136,6 +136,19 @@ def test_shift_by_a_non_integer_raises():
         CoordinateVector.unit(2.0)
 
 
+def test_unit_checks_its_index_and_drops_a_zero():
+    with pytest.raises(TypeError):
+        CoordinateVector.unit(1.0)
+    with pytest.raises(TypeError):
+        CoordinateVector.unit(1.0, 0)
+    assert CoordinateVector.unit(3, 0).is_zero()
+    assert CoordinateVector.unit(3, 0.0) == CoordinateVector()
+    e = CoordinateVector.unit(np.int64(3), 2.5)
+    assert e.support() == (3,) and type(e.support()[0]) is int
+    assert e == CoordinateVector({3: 2.5})
+    assert isinstance(CoordinateVector.unit(-2)[-2], int)
+
+
 def test_numpy_integer_indices_become_python_ints():
     v = CoordinateVector({np.int64(3): 1.0, np.int32(-1): 2.0})
     assert v.support() == (-1, 3)

@@ -1,4 +1,10 @@
-"""Unit and property tests for the exact step-function calculus."""
+"""Unit and property tests for the exact step-function calculus.
+
+``reference_merge`` below is the cell-grid merge that deduplicated with
+``np.unique`` before masking the gaps, kept verbatim apart from its name;
+``_merge`` must return the same grid bit for bit on random ``hypothesis``
+input.
+"""
 
 import math
 from fractions import Fraction
@@ -9,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import IntervalSet, StepFunction, haar_mother
-from framelab.stepfn import MERGE_ULPS
+from framelab.stepfn import MERGE_ULPS, _merge
 
 
 def dyadic_step(rng, max_cells=6, depth=4, span=4):
@@ -233,6 +239,89 @@ def test_abs_integral_and_lp_norm():
     assert f.lp_norm(2) == pytest.approx(math.sqrt(6.0))
     with pytest.raises(ValueError):
         f.lp_norm(0.5)
+
+
+# -- the cell-grid merge against the np.unique merge it replaced -------------------------
+
+
+def reference_merge(points, magnitude=None):
+    """Sorted grid of ``points``, each point within MERGE_ULPS * np.spacing(magnitude)
+    of the one before it merged into that one; ``magnitude`` defaults to the
+    largest |point|.  Every cell grid is built here, and nowhere else."""
+    grid = np.unique(points)
+    if grid.size < 2:
+        return grid
+    if magnitude is None:
+        magnitude = max(-grid[0], grid[-1])
+    keep = np.ones(grid.size, dtype=bool)
+    keep[1:] = np.diff(grid) > MERGE_ULPS * np.spacing(magnitude)
+    return grid[keep]
+
+
+def assert_same_merge(points, magnitude=None):
+    got, want = _merge(points, magnitude), reference_merge(points, magnitude)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# anchors with exact copies, both zeros, and neighbours a number of ulps of
+# the anchor set's magnitude away: just inside, at and just outside the merge
+# distance, so the gap mask decides each neighbour as the unique merge did
+ULP_STEPS = [0, 1, MERGE_ULPS - 1, MERGE_ULPS, MERGE_ULPS + 1, 4 * MERGE_ULPS]
+anchors = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e5, 65536.0]),
+                             st.floats(-1e6, 1e6)), min_size=1, max_size=6)
+merge_inputs = st.tuples(anchors, st.lists(st.tuples(st.integers(0, 5),
+                                                     st.sampled_from(ULP_STEPS),
+                                                     st.sampled_from([-1, 1])),
+                                           max_size=12))
+
+
+def merge_points(drawn):
+    """The anchors, then one neighbour (anchor index, ulps, side) per entry."""
+    base, moves = drawn
+    unit = np.spacing(max(abs(t) for t in base))
+    near = [base[i % len(base)] + side * ulps * unit for i, ulps, side in moves]
+    return np.array(base + near, dtype=float)
+
+
+MERGE = settings(max_examples=300, deadline=None)
+
+
+@MERGE
+@given(merge_inputs)
+def test_merge_matches_the_unique_merge(drawn):
+    assert_same_merge(merge_points(drawn))
+
+
+@MERGE
+@given(merge_inputs, st.sampled_from([0.0, 1.0, 1e-3, 2.0 ** 20, 1e7]))
+def test_merge_matches_the_unique_merge_at_a_given_magnitude(drawn, magnitude):
+    assert_same_merge(merge_points(drawn), magnitude)
+
+
+@MERGE
+@given(merge_inputs)
+def test_merge_matches_the_unique_merge_on_rows(drawn):
+    points = merge_points(drawn)
+    if points.size % 2:
+        points = np.append(points, points[0])
+    assert_same_merge(points.reshape(2, -1))
+    assert_same_merge(points.reshape(-1, 2).T)
+
+
+def test_merge_matches_the_unique_merge_on_edge_cases():
+    for points in ([], [3.0], [-0.0, 0.0], [0.0, -0.0, 0.0], [1.0, 1.0, 1.0],
+                   [math.nan], [math.nan, math.nan], [1.0, math.nan, 0.0, math.nan],
+                   [2, 1, 2, 5]):
+        assert_same_merge(np.array(points))
+    # the gap between two equal infinities is NaN, not 0, so the mask drops
+    # the copy all the same; numpy flags that subtraction as invalid, which
+    # the unique merge never made (the CLI runs its jobs with it silenced)
+    with np.errstate(invalid="ignore"):
+        assert_same_merge(np.array([math.inf, math.inf, -math.inf, 0.0, -math.inf]))
+    # a duplicate of the first copy of a pair 64 ulps apart
+    within = MERGE_ULPS * np.spacing(1.0)
+    assert_same_merge(np.array([1.0, 1.0, 1.0 - within, 1.0 + within + np.spacing(1.0)]))
 
 
 # -- the exact rational oracle for add, inner and integrate ----------------------------
