@@ -1,22 +1,34 @@
-"""framelab: exact step-function calculus for continuous frame experiments."""
+"""framelab: exact step-function calculus for continuous frame experiments.
 
-from .intervals import IntervalSet
-from .lp import CoordinateVector
-from .stepfn import StepFunction, haar_mother
-from .translate_frame import (Generator, GeneratorRejected, RademacherSpec,
-                              ValidationReport, biorthogonality_matrix,
-                              build_rademacher_generator, generator_certificates,
-                              rademacher_function, synthesis_over_set,
-                              validate_generator, young_check)
-from .pettis import unconditionality_scan
-from .wavelet_frame import (StudyRow, WaveletSystem, averaged_conjugate_reconstruction,
-                            box_reconstruct, convergence_study, member,
-                            reconstruction_identity_gap)
-from .diagnostics import (CompletenessReport, CounterexampleReport, DiscreteFrame,
-                          SpaceTag, boundedly_complete_probe, counterexample_frame,
-                          counterexample_report, tail_dual_norm, unit_vector_frame)
-from .sampling import (SamplingPlan, SweepRow, commensurate_step, default_window,
-                       reconstruction_matrix, sampling_sweep)
+The public names load on first access (PEP 562 module ``__getattr__``), so
+``import framelab`` and ``import framelab.cli`` run none of the library
+modules: a caller compiles and imports only the modules whose names it reads.
+"""
+
+import importlib
+
+# the module that defines each name the package binds: ``__all__`` and
+# boundedly_complete_probe
+_SOURCES = {
+    "intervals": ("IntervalSet",),
+    "lp": ("CoordinateVector",),
+    "stepfn": ("StepFunction", "haar_mother"),
+    "translate_frame": ("Generator", "GeneratorRejected", "RademacherSpec",
+                        "ValidationReport", "biorthogonality_matrix",
+                        "build_rademacher_generator", "generator_certificates",
+                        "rademacher_function", "synthesis_over_set",
+                        "validate_generator", "young_check"),
+    "pettis": ("unconditionality_scan",),
+    "wavelet_frame": ("StudyRow", "WaveletSystem", "averaged_conjugate_reconstruction",
+                      "box_reconstruct", "convergence_study", "member",
+                      "reconstruction_identity_gap"),
+    "diagnostics": ("CompletenessReport", "CounterexampleReport", "DiscreteFrame",
+                    "SpaceTag", "boundedly_complete_probe", "counterexample_frame",
+                    "counterexample_report", "tail_dual_norm", "unit_vector_frame"),
+    "sampling": ("SamplingPlan", "SweepRow", "commensurate_step", "default_window",
+                 "reconstruction_matrix", "sampling_sweep"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -34,3 +46,17 @@ __all__ = [
     "tail_dual_norm", "unconditionality_scan", "unit_vector_frame",
     "validate_generator", "young_check",
 ]
+
+
+def __getattr__(name):
+    """Import the module that defines ``name`` and bind the name here."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

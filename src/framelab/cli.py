@@ -7,6 +7,11 @@ config file invocation of the same experiment are interchangeable and
 produce byte-identical reports.  Each kind is declared once, in ``KINDS``,
 by the decorator on its runner; config checks and flags derive from it.
 
+A run imports the library modules, and numpy, when its kind uses them, so
+the discrete kinds (``counterexample``, ``diagnostics``) never load numpy.
+Runners and record checks import names from their library module at call
+time, so a patch of the module's name reaches them.
+
 Exit codes: 0 success, 1 malformed config, 2 failed generator validation,
 3 invariant breach (the breach message names the violated assertion).
 """
@@ -19,21 +24,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .diagnostics import (SpaceTag, boundedly_complete_probe, counterexample_report,
-                          tail_dual_norms, unit_vector_frame)
-from .lp import CoordinateVector
-from .pettis import unconditionality_scan
 from .reports import (ARTIFACT_VERSION, config_digest, write_csv, write_json_report)
-from .sampling import sampling_sweep
-from .stepfn import MERGE_ULPS, StepFunction, _merge, haar_mother
-from .translate_frame import (GeneratorRejected, RademacherSpec, _young_sides,
-                              biorthogonality_matrix, build_rademacher_generator,
-                              generator_certificates, rademacher_function,
-                              synthesis_over_set, validate_generator, young_check)
-from .wavelet_frame import (WaveletSystem, convergence_study,
-                            reconstruction_identity_gap)
 
 MAX_WINDOW = 2 ** 14
 # the biorthogonality matrix is dense: (2 * 512 + 1)^2 entries is 8 MB
@@ -98,6 +89,7 @@ def _check_list(name, value, what, check, *bounds):
 
 
 def _check_generator(name, value):
+    import numpy as np
     if not isinstance(value, dict) or len(value) != 1:
         raise ConfigError(
             f"{name} must be an object with exactly one of 'rademacher' or 'step_function'")
@@ -196,6 +188,8 @@ def _cap(what, unit, work, cap):
 def _require_separated(name, points, reach=1.0):
     """Config error unless ``points`` increase and no two merge in a grid
     that reaches ``reach`` or their largest |point|."""
+    import numpy as np
+    from .stepfn import MERGE_ULPS, _merge
     points = np.array(points, dtype=float)
     magnitude = max(np.abs(points).max(initial=0.0), reach)
     if not np.array_equal(_merge(points, magnitude), points):
@@ -216,6 +210,7 @@ def _require_step_record(name, body):
 
 
 def _check_target(name, value):
+    import numpy as np
     if not isinstance(value, dict) or len(value) != 1:
         raise ConfigError(
             f"{name} must be an object with exactly one of 'named', 'indicator', 'step_function'")
@@ -365,12 +360,16 @@ def validate_config(raw):
 
 
 def _rademacher_spec(body):
+    from .lp import CoordinateVector
+    from .translate_frame import RademacherSpec
     coeffs = CoordinateVector({n: float(c) for n, c in body["coefficients"]})
     return RademacherSpec(coefficients=coeffs, resolution=body.get("resolution", 1))
 
 
 def _generator_function(obj):
     """The candidate generator step function of a checked generator record."""
+    from .stepfn import StepFunction
+    from .translate_frame import rademacher_function
     [(key, body)] = obj.items()
     if key == "rademacher":
         return rademacher_function(_rademacher_spec(body))
@@ -379,6 +378,7 @@ def _generator_function(obj):
 
 def _build_generator(obj):
     """The certified Generator of a checked generator record, or raise GeneratorRejected."""
+    from .translate_frame import build_rademacher_generator, validate_generator
     [(key, body)] = obj.items()
     if key == "rademacher":
         return build_rademacher_generator(_rademacher_spec(body))
@@ -386,6 +386,7 @@ def _build_generator(obj):
 
 
 def _build_target(obj):
+    from .stepfn import StepFunction, haar_mother
     [(key, body)] = obj.items()
     if key == "named":
         return haar_mother()
@@ -416,9 +417,22 @@ def _verdict(payload, failures, table=None):
                             failures=tuple(failures))
 
 
+def _numpy_kind(run):
+    """The runner of a kind that computes with numpy, run under ``np.errstate``:
+    an overflow leaves inf or NaN, which the report's checks fail on."""
+    @functools.wraps(run)
+    def run_quietly(params, seed, tol):
+        import numpy as np
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(params, seed, tol)
+    return run_quietly
+
+
 @_kind("validate-generator", 1e-10, generator=_generator(required=True),
        lag_range=_int(1, MAX_WINDOW, None))
-def _run_validate_generator(params, seed, tol, rng):
+@_numpy_kind
+def _run_validate_generator(params, seed, tol):
+    from .translate_frame import GeneratorRejected, generator_certificates
     f = _generator_function(params["generator"])
     report = generator_certificates(f, params["lag_range"], tol)
     if not report.ok:
@@ -429,7 +443,10 @@ def _run_validate_generator(params, seed, tol, rng):
 
 @_kind("biorthogonality", 1e-10, generator=_generator(),
        window=_int(1, MAX_GRAM_WINDOW, 8))
-def _run_biorthogonality(params, seed, tol, rng):
+@_numpy_kind
+def _run_biorthogonality(params, seed, tol):
+    import numpy as np
+    from .translate_frame import biorthogonality_matrix
     g = _build_generator(params["generator"])
     window = params["window"]
     mat = biorthogonality_matrix(g, window)
@@ -442,13 +459,18 @@ def _run_biorthogonality(params, seed, tol, rng):
 
 @_kind("reconstruct", 1e-10, generator=_generator(), window=_int(1, MAX_WINDOW, 8),
        num_vectors=_int(1, 10 ** 6, 100), p_list=_p_list())
-def _run_reconstruct(params, seed, tol, rng):
+@_numpy_kind
+def _run_reconstruct(params, seed, tol):
+    import numpy as np
+    from .lp import CoordinateVector
+    from .translate_frame import synthesis_over_set
     g = _build_generator(params["generator"])
     window = params["window"]
     lo, hi = g.f.support()
     spread = int(math.ceil(hi - lo))
     out_window = window + spread
     worst = {p: 0.0 for p in params["p_list"]}
+    rng = np.random.default_rng(seed)
     for _ in range(params["num_vectors"]):
         vals = rng.standard_normal(2 * window + 1)
         x = CoordinateVector({n - window: float(v) for n, v in enumerate(vals)})
@@ -468,7 +490,9 @@ def _run_reconstruct(params, seed, tol, rng):
 
 @_kind("suppression-scan", 1e-8, generator=_generator(), window=_int(1, MAX_WINDOW, 8),
        trials=_int(1, 10 ** 6, 200), p=_p())
-def _run_suppression_scan(params, seed, tol, rng):
+@_numpy_kind
+def _run_suppression_scan(params, seed, tol):
+    from .pettis import unconditionality_scan
     g = _build_generator(params["generator"])
     bs, bu = unconditionality_scan(g, params["trials"], params["window"],
                                    params["p"], seed)
@@ -490,22 +514,32 @@ def _run_suppression_scan(params, seed, tol, rng):
 
 
 def _random_unit_l2(rng, max_terms):
+    """Entries {index: value} of a random unit vector of l2 with at most
+    ``max_terms`` terms."""
+    import numpy as np
     size = int(rng.integers(1, max_terms + 1))
     idx = rng.choice(np.arange(-3, 4), size=size, replace=False)
     vals = rng.standard_normal(size)
     vals /= math.sqrt(float(np.dot(vals, vals)))
-    return CoordinateVector({int(n): float(v) for n, v in zip(idx, vals)})
+    return {int(n): float(v) for n, v in zip(idx, vals)}
 
 
 # max_terms <= 7: _random_unit_l2 draws that many distinct indices from -3..3
 @_kind("young-fuzz", 1e-12, draws=_int(1, 10 ** 6, 200), p_list=_p_list(),
        max_terms=_int(1, 7, 4))
-def _run_young_fuzz(params, seed, tol, rng):
+@_numpy_kind
+def _run_young_fuzz(params, seed, tol):
+    import numpy as np
+    from .lp import CoordinateVector
+    from .stepfn import StepFunction
+    from .translate_frame import (RademacherSpec, _young_sides, build_rademacher_generator,
+                                  young_check)
+    rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     failures = []
     p_list = params["p_list"]
     for i in range(params["draws"]):
-        coeffs = _random_unit_l2(rng, params["max_terms"])
+        coeffs = CoordinateVector(_random_unit_l2(rng, params["max_terms"]))
         spec = RademacherSpec(coefficients=coeffs, resolution=1)
         g = build_rademacher_generator(spec)
         size = int(rng.integers(1, 7))
@@ -529,7 +563,9 @@ def _run_young_fuzz(params, seed, tol, rng):
 
 @_kind("wavelet-reconstruct", 1e-9, target=_target(), p=_p(),
        M_list=_int_list(1, MAX_M, [1, 2, 3]), N_list=_int_list(1, MAX_N, [1, 2, 4]))
-def _run_wavelet_reconstruct(params, seed, tol, rng):
+@_numpy_kind
+def _run_wavelet_reconstruct(params, seed, tol):
+    from .wavelet_frame import WaveletSystem, convergence_study
     x = _build_target(params["target"])
     ws = WaveletSystem.haar(params["p"])
     rows = convergence_study(ws, x, params["M_list"], params["N_list"])
@@ -547,7 +583,9 @@ def _run_wavelet_reconstruct(params, seed, tol, rng):
 
 @_kind("wavelet-identity", 1e-9, target=_target(), p_list=_p_list(),
        M_list=_int_list(1, MAX_M, [1, 2]), N_list=_int_list(1, MAX_N, [1, 2]))
-def _run_wavelet_identity(params, seed, tol, rng):
+@_numpy_kind
+def _run_wavelet_identity(params, seed, tol):
+    from .wavelet_frame import WaveletSystem, reconstruction_identity_gap
     x = _build_target(params["target"])
     gaps = []
     max_gap = 0.0
@@ -565,7 +603,8 @@ def _run_wavelet_identity(params, seed, tol, rng):
 
 @_kind("counterexample", 0.0, K=_int(1, MAX_WINDOW, 50),
        reconstruction_limit=_int(1, MAX_WINDOW, 50))
-def _run_counterexample(params, seed, tol, rng):
+def _run_counterexample(params, seed, tol):
+    from .diagnostics import counterexample_report
     report = counterexample_report(params["K"], params["reconstruction_limit"])
     failures = []
     for name in report.CHECKS:
@@ -574,7 +613,10 @@ def _run_counterexample(params, seed, tol, rng):
 
 
 @_kind("diagnostics", 0.0, window=_int(2, MAX_WINDOW, 12), p=_p())
-def _run_diagnostics(params, seed, tol, rng):
+def _run_diagnostics(params, seed, tol):
+    from .diagnostics import (SpaceTag, boundedly_complete_probe, tail_dual_norms,
+                              unit_vector_frame)
+    from .lp import CoordinateVector
     window = params["window"]
     p = params["p"]
     failures = []
@@ -613,7 +655,9 @@ def _run_diagnostics(params, seed, tol, rng):
        steps=Param(lambda n, v: _check_list(n, v, "lattice steps", _check_step),
                    [1 / 3, 1 / 6, 1 / 12, 1 / 24], parse=_split(float)),
        window=_int(1, 64, 4), p=_p())
-def _run_sampling_sweep(params, seed, tol, rng):
+@_numpy_kind
+def _run_sampling_sweep(params, seed, tol):
+    from .sampling import sampling_sweep
     g = _build_generator(params["generator"])
     rows = sampling_sweep(g, params["steps"], params["window"],
                           p=params["p"], exact_tol=tol)
@@ -629,18 +673,23 @@ def _run_sampling_sweep(params, seed, tol, rng):
     return ExperimentResult(payload=payload, table=(header, table_rows))
 
 
+def _generator_rejected():
+    """The class GeneratorRejected, or ``()``, which matches nothing, when its
+    module was never imported, so that no run can have raised it.  An
+    ``except`` clause evaluates this only when its ``try`` block raises."""
+    translate_frame = sys.modules.get(f"{__package__}.translate_frame")
+    return translate_frame.GeneratorRejected if translate_frame else ()
+
+
 def execute(config, quiet=False):
     """Run a validated config; write reports; return the process exit code."""
     kind = config["kind"]
     digest = config_digest({"kind": kind, "seed": config["seed"],
                             "tol": config["tol"], "params": config["params"]})
-    rng = np.random.default_rng(config["seed"])
     try:
-        # an overflow leaves inf or NaN, which the report's checks fail on
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = KINDS[kind].run(config["params"], config["seed"], config["tol"], rng)
+        result = KINDS[kind].run(config["params"], config["seed"], config["tol"])
         code = 3 if result.failures else 0
-    except GeneratorRejected as exc:
+    except _generator_rejected() as exc:
         result = ExperimentResult(payload={"report": exc.report.to_dict()},
                                   failures=tuple(exc.report.failures))
         code = 2

@@ -8,6 +8,8 @@ Dyadic breakpoints and dyadic translations therefore compose without any
 drift, which is what the reconstruction experiments lean on.
 """
 
+import math
+
 import numpy as np
 
 from .intervals import IntervalSet
@@ -129,8 +131,13 @@ class StepFunction:
         if bp.size != expected:
             raise ValueError(
                 f"need {expected} breakpoints for {vals.size} cells, got {bp.size}")
-        if bp.size and not np.all(_widths(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        if bp.size:
+            if not np.all(_widths(bp) > 0):
+                raise ValueError("breakpoints must be strictly increasing")
+            # once they increase only an end can be infinite, and an infinite
+            # end would put its cell's midpoint at inf, where it reads 0
+            if not (math.isfinite(bp[0]) and math.isfinite(bp[-1])):
+                raise ValueError("breakpoints must be finite")
         bp, vals = _canonicalize(bp, vals)
         bp.setflags(write=False)
         vals.setflags(write=False)

@@ -3,11 +3,18 @@
 Every name in ``framelab.__all__`` must be read, as a name or as an
 attribute, somewhere in the library modules (which the CLI experiments
 run) or in the acceptance criteria.  A definition and an import do not
-count as a use.
+count as a use.  The package binds each name on first access (PEP 562), and
+a name resolves to the object its own module defines.
 """
 
 import ast
+import importlib
+import json
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import framelab
 
@@ -29,3 +36,32 @@ def used_names(path):
 def test_every_public_name_is_used_by_an_experiment_or_a_criterion():
     used = set().union(*(used_names(path) for path in USERS))
     assert sorted(set(framelab.__all__) - used) == []
+
+
+def test_every_public_name_resolves_to_the_object_its_module_defines():
+    for name in framelab.__all__:
+        value = getattr(framelab, name)
+        assert value.__module__.startswith("framelab.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_star_import_and_dir_list_every_public_name(tmp_path, cli_env):
+    # a fresh interpreter, where no name has been bound by an earlier access
+    script = "\n".join([
+        "import json, framelab",
+        "listed = dir(framelab)",
+        "namespace = {}",
+        "exec('from framelab import *', namespace)",
+        "print(json.dumps([listed, sorted(namespace)]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=cli_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    listed, bound = json.loads(proc.stdout)
+    assert sorted(set(framelab.__all__) - set(listed)) == []
+    assert sorted(set(bound) - {"__builtins__"}) == sorted(framelab.__all__)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        framelab.no_such_name

@@ -25,7 +25,7 @@ from framelab import (
     tail_dual_norm,
     unit_vector_frame,
 )
-from framelab import cli
+from framelab import cli, diagnostics
 from framelab.diagnostics import _restricted_dual_functional, tail_dual_norms
 
 
@@ -549,9 +549,10 @@ def test_cli_diagnostics_payload_equals_the_reference(tmp_path, monkeypatch):
         return (tmp_path / f"{name}_{p}.json").read_bytes()
 
     batched = {p: run("batched", p) for p in (1.5, 2, 2.5, 3, 4)}
-    monkeypatch.setattr(cli, "tail_dual_norms", lambda frame, f, nesting: [
+    # the runner imports these names from the diagnostics module at call time
+    monkeypatch.setattr(diagnostics, "tail_dual_norms", lambda frame, f, nesting: [
         reference_tail_dual_norm(frame, f, positions) for positions in nesting])
-    monkeypatch.setattr(cli, "boundedly_complete_probe",
+    monkeypatch.setattr(diagnostics, "boundedly_complete_probe",
                         reference_boundedly_complete_probe)
     for p, artifact in batched.items():
         assert artifact == run("reference", p)

@@ -37,6 +37,17 @@ def test_construction_validation():
         StepFunction([0.0, 0.0, 1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("breakpoints, values", [
+    ([0.0, math.inf], [1.0]),          # its sum with itself read as the zero function
+    ([-math.inf, 0.0], [2.0]),         # accepted with an infinite norm
+    ([0.0, 1.0, math.inf], [1.0, 2.0]),
+    ([-math.inf, 0.0, math.inf], [1.0, 2.0]),
+])
+def test_non_finite_breakpoints_are_rejected(breakpoints, values):
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        StepFunction(breakpoints, values)
+
+
 def test_zero_function_is_empty_cell_list():
     z = StepFunction.zero()
     assert z.is_zero()
