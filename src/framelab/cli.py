@@ -10,7 +10,9 @@ by the decorator on its runner; config checks and flags derive from it.
 A run imports the library modules, and numpy, when its kind uses them, so
 the discrete kinds (``counterexample``, ``diagnostics``) never load numpy.
 Runners and record checks import names from their library module at call
-time, so a patch of the module's name reaches them.
+time, so a patch of the module's name reaches them.  A public library name
+read from this module (``cli.StepFunction``) is looked up in its module on
+each access, so it too follows a patch.
 
 Exit codes: 0 success, 1 malformed config, 2 failed generator validation,
 3 invariant breach (the breach message names the violated assertion).
@@ -19,6 +21,7 @@ Exit codes: 0 success, 1 malformed config, 2 failed generator validation,
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import os
@@ -46,6 +49,19 @@ MAX_P = 16.0
 
 class ConfigError(ValueError):
     """Malformed experiment config; maps to exit code 1."""
+
+
+def __getattr__(name):
+    """The public library name ``name``, read from the module that defines it.
+
+    Nothing is cached here, so the value is the module's current binding,
+    a patched or traced one included.  The first access imports the module.
+    """
+    from . import _MODULE_OF
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 # -- param checks ---------------------------------------------------------------

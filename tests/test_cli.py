@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framelab import CoordinateVector, cli, translate_frame, wavelet_frame
+from framelab import CoordinateVector, cli, stepfn, translate_frame, wavelet_frame
 from framelab.cli import (KINDS, MAX_FOLD_WORK, MAX_LATTICE_WORK, MAX_M, MAX_N,
                           MAX_WINDOW, ConfigError, build_parser, main, validate_config)
 from framelab.reports import ARTIFACT_VERSION, canonical_json, config_digest
@@ -582,6 +582,15 @@ def test_gate_fails_above_the_bound_and_on_nan():
                         "nan bound: 0.0 exceeds nan"]
 
 
+NAN_GATES = {
+    "biorthogonality_matrix": "biorthogonality deviation:",
+    "synthesis_over_set": "reconstruction error at p=",
+    "young_check": "unit indicator equality gap:",
+    "_young_sides": "series bound at draw 0:",
+    "reconstruction_identity_gap": "identity gap at p=",
+}
+
+
 @pytest.mark.parametrize("kind, target, fake", [
     ("biorthogonality", "biorthogonality_matrix", lambda g, w: np.full((3, 3), math.nan)),
     ("reconstruct", "synthesis_over_set",
@@ -596,9 +605,27 @@ def test_nan_results_fail_their_check(tmp_path, monkeypatch, capsys, kind, targe
     monkeypatch.setattr(module, target, fake)
     extra = {"reconstruct": ["--num-vectors", "2"], "young-fuzz": ["--draws", "2"]}
     assert main([kind, *extra.get(kind, []), "--out", str(tmp_path / "nan")]) == 3
-    assert_gate_lines(kind, capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert_gate_lines(kind, out)
+    # the gate fed by the patched name fails; young_check calls _young_sides,
+    # so the _young_sides case also fails the equality gate
+    gate = NAN_GATES[target]
+    assert any(line.startswith(f"FAIL {kind}: {gate}") for line in out.splitlines()), out
     payload = strict_json((tmp_path / "nan.json").read_text())
     assert payload["passed"] is False
+
+
+def test_public_library_names_read_from_cli_follow_their_module(monkeypatch):
+    assert cli.StepFunction is stepfn.StepFunction
+    assert cli.young_check is translate_frame.young_check
+
+    def fake(f, a, p):
+        return 0.0, 0.0
+    monkeypatch.setattr(translate_frame, "young_check", fake)
+    assert cli.young_check is fake
+    for name in ("no_such_name", "_young_sides", "np"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
 
 
 def test_identity_max_gap_keeps_a_nan_in_any_place(tmp_path, capsys):
