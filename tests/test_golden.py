@@ -1,31 +1,48 @@
 """Byte-identity of the CLI artifacts against pinned copies.
 
-Each config below runs through ``main`` and its JSON artifact (and CSV,
-where the kind writes one) must equal the file of the same name under
+Each config below runs through ``main``; it must end with its exit code in
+``EXIT_CODES`` (0 when absent), and its JSON artifact (and CSV, where the
+kind writes one) must equal the file of the same name under
 ``tests/golden`` byte for byte.  The translate-frame files were written by
 this same ``main`` before the unit fold of a generator moved onto
 ``Generator`` and before the lattice filter of ``SamplingPlan.points`` was
 vectorised; the wavelet, counterexample and diagnostics files before the
 cell-grid merge, the cell widths and the wavelet lattice dropped
-``np.unique``, ``np.diff`` and ``np.meshgrid``.  A change that claims to
-keep every artifact is held to it here.
+``np.unique``, ``np.diff`` and ``np.meshgrid``; the validate-generator
+files other than the contiguous record's before that kind certified its
+generator through the same builder as the other generator kinds.  A change
+that claims to keep every artifact is held to it here.
 
 The generators are dyadic Rademacher generators like the benchmark's: six
 Gaussian unit-l2 coefficients at 0..5 (64 cells a unit), and four at
--2, 0, 1, 4, which leaves gaps in the support.  The wavelet targets are
-the benchmark's three: the indicator of [0, 0.3), the Haar mother and a
-step function on sixteenths of [0, 1).  The wavelet-reconstruct run at
-M = 3, N = 8 is the benchmark's largest merge.
+-2, 0, 1, 4, which leaves gaps in the support.  validate-generator also
+runs a step function that crosses a unit boundary, and three records it
+rejects: non-unit coefficients, a record that passes only at a nonzero
+tolerance, and the indicator of [0, 2).  The wavelet targets are the
+benchmark's three: the indicator of [0, 0.3), the Haar mother and a step
+function on sixteenths of [0, 1).  The wavelet-reconstruct run at M = 3,
+N = 8 is the benchmark's largest merge.
+
+Run as a script, ``python tests/test_golden.py`` writes every pinned file
+again with this checkout's ``main``, after every config has ended with its
+expected exit code.
 """
 
 import json
 import pathlib
+import shutil
+import sys
+import tempfile
 
 import pytest
 
-from framelab.cli import main
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+from framelab.cli import main  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden"
 
 CONTIGUOUS = {"rademacher": {"coefficients": [
     [0, -0.36416343372860027], [1, 0.029451595484672695], [2, -0.5375022521674642],
@@ -34,12 +51,34 @@ GAPPED = {"rademacher": {"coefficients": [[-2, 0.5], [0, -0.5], [1, 0.5], [4, 0.
                          "resolution": 2}}
 INDICATOR = {"indicator": [0.0, 0.3]}
 HAAR = {"named": "haar"}
+# unit norm, orthogonal to its translates, across the integer 0
+STEP_GENERATOR = {"step_function": {
+    "breakpoints": [-0.5, 0.0, 0.5, 1.0, 1.5],
+    "values": [0.7071067811865476, 0.7071067811865476, 0.7071067811865476,
+               -0.7071067811865476]}}
 STEP = {"step_function": {"breakpoints": [0.0, 0.1875, 0.5, 0.625, 0.8125, 1.0],
                           "values": [0.42, -1.37, 0.8, 2.05, -0.61]}}
 
 CONFIGS = {
     "validate-generator": {"kind": "validate-generator", "seed": 777,
                            "params": {"generator": CONTIGUOUS}},
+    "validate-generator-gapped": {"kind": "validate-generator", "seed": 777,
+                                  "params": {"generator": GAPPED, "lag_range": 7}},
+    "validate-generator-step": {"kind": "validate-generator", "seed": 777,
+                                "params": {"generator": STEP_GENERATOR}},
+    "validate-generator-non-unit": {
+        "kind": "validate-generator", "seed": 777,
+        "params": {"generator": {"rademacher": {"coefficients": [[0, 0.6], [1, 0.6]]}}}},
+    # squares sum to 1 + 1.6e-13: only a zero tolerance rejects it
+    "validate-generator-tol-0": {
+        "kind": "validate-generator", "seed": 777, "tol": 0.0,
+        "params": {"generator": {"rademacher": {"coefficients": [[0, 0.6],
+                                                                 [1, 0.8 + 1e-13]]}},
+                   "lag_range": 5}},
+    "validate-generator-indicator": {
+        "kind": "validate-generator", "seed": 777,
+        "params": {"generator": {"step_function": {"breakpoints": [0.0, 2.0],
+                                                   "values": [1.0]}}}},
     "biorthogonality": {"kind": "biorthogonality", "seed": 777,
                         "params": {"generator": CONTIGUOUS, "window": 6}},
     "reconstruct": {"kind": "reconstruct", "seed": 777,
@@ -88,14 +127,51 @@ CONFIGS = {
 }
 
 
+# the configs that end with an exit code other than 0
+EXIT_CODES = {
+    "validate-generator-non-unit": 2,
+    "validate-generator-tol-0": 2,
+    "validate-generator-indicator": 2,
+}
+
+
+def run(name, out_dir):
+    """Run config ``name`` through ``main``, writing into ``out_dir``; its exit code."""
+    config = out_dir / "config.json"
+    config.write_text(json.dumps(CONFIGS[name]))
+    return main(["run", str(config), "--out", str(out_dir / name), "--quiet"])
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifacts_match_the_pinned_copies(tmp_path, name):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(CONFIGS[name]))
-    assert main(["run", str(config), "--out", str(tmp_path / name), "--quiet"]) == 0
+    assert run(name, tmp_path) == EXIT_CODES.get(name, 0)
     pinned = sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
     assert pinned, f"no pinned artifact for {name}"
     written = sorted(p.name for p in tmp_path.glob(f"{name}.*"))
     assert written == pinned
     for fname in pinned:
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname
+
+
+def record():
+    """Write the pinned files of every config again; exit nonzero, writing
+    nothing, if a config ends with an exit code other than its expected one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        written = []
+        for name in sorted(CONFIGS):
+            out_dir = pathlib.Path(tmp) / name
+            out_dir.mkdir()
+            code, expected = run(name, out_dir), EXIT_CODES.get(name, 0)
+            if code != expected:
+                sys.exit(f"{name}: exit code {code}, expected {expected}")
+            written += sorted(out_dir.glob(f"{name}.*"))
+        for name in CONFIGS:
+            for old in GOLDEN.glob(f"{name}.*"):
+                old.unlink()
+        for path in written:
+            shutil.copyfile(path, GOLDEN / path.name)
+            print(f"pinned {GOLDEN / path.name}")
+
+
+if __name__ == "__main__":
+    record()
