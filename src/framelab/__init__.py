@@ -7,16 +7,14 @@ modules: a caller compiles and imports only the modules whose names it reads.
 
 import importlib
 
-# the module that defines each name the package binds: ``__all__`` and
-# boundedly_complete_probe
+# the module that defines each public name
 _SOURCES = {
     "intervals": ("IntervalSet",),
     "lp": ("CoordinateVector",),
     "stepfn": ("StepFunction", "haar_mother"),
     "translate_frame": ("Generator", "GeneratorRejected", "RademacherSpec",
                         "ValidationReport", "biorthogonality_matrix",
-                        "build_rademacher_generator", "generator_certificates",
-                        "rademacher_function", "synthesis_over_set",
+                        "build_rademacher_generator", "synthesis_over_set",
                         "validate_generator", "young_check"),
     "pettis": ("unconditionality_scan",),
     "wavelet_frame": ("StudyRow", "WaveletSystem", "averaged_conjugate_reconstruction",
@@ -32,20 +30,7 @@ _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompletenessReport", "CoordinateVector", "CounterexampleReport",
-    "DiscreteFrame", "Generator", "GeneratorRejected", "IntervalSet",
-    "RademacherSpec", "SamplingPlan", "SpaceTag", "StepFunction", "StudyRow",
-    "SweepRow", "ValidationReport", "WaveletSystem",
-    "averaged_conjugate_reconstruction", "biorthogonality_matrix",
-    "box_reconstruct", "build_rademacher_generator", "commensurate_step",
-    "convergence_study", "counterexample_frame", "counterexample_report",
-    "default_window", "generator_certificates", "haar_mother", "member",
-    "rademacher_function", "reconstruction_identity_gap",
-    "reconstruction_matrix", "sampling_sweep", "synthesis_over_set",
-    "tail_dual_norm", "unconditionality_scan", "unit_vector_frame",
-    "validate_generator", "young_check",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

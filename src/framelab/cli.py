@@ -375,30 +375,23 @@ def validate_config(raw):
 # -- object construction from config ------------------------------------------
 
 
-def _rademacher_spec(body):
+def _build_generator(record, lag_range=None, tol=None):
+    """The Generator of a checked generator record, certified over Gram lags up
+    to ``lag_range`` at ``tol`` (where None, the library's defaults), or raise
+    GeneratorRejected.  A Rademacher record is never folded: its generator
+    hands over the rows it is filled from."""
     from .lp import CoordinateVector
-    from .translate_frame import RademacherSpec
-    coeffs = CoordinateVector({n: float(c) for n, c in body["coefficients"]})
-    return RademacherSpec(coefficients=coeffs, resolution=body.get("resolution", 1))
-
-
-def _generator_function(obj):
-    """The candidate generator step function of a checked generator record."""
     from .stepfn import StepFunction
-    from .translate_frame import rademacher_function
-    [(key, body)] = obj.items()
+    from .translate_frame import (VALIDATION_TOL, RademacherSpec,
+                                  build_rademacher_generator, validate_generator)
+    tol = VALIDATION_TOL if tol is None else tol
+    [(key, body)] = record.items()
     if key == "rademacher":
-        return rademacher_function(_rademacher_spec(body))
-    return StepFunction(body["breakpoints"], body["values"])
-
-
-def _build_generator(obj):
-    """The certified Generator of a checked generator record, or raise GeneratorRejected."""
-    from .translate_frame import build_rademacher_generator, validate_generator
-    [(key, body)] = obj.items()
-    if key == "rademacher":
-        return build_rademacher_generator(_rademacher_spec(body))
-    return validate_generator(_generator_function(obj))
+        coeffs = CoordinateVector({n: float(c) for n, c in body["coefficients"]})
+        spec = RademacherSpec(coefficients=coeffs, resolution=body.get("resolution", 1))
+        return build_rademacher_generator(spec, lag_range, tol)
+    return validate_generator(StepFunction(body["breakpoints"], body["values"]),
+                              lag_range, tol)
 
 
 def _build_target(obj):
@@ -448,13 +441,9 @@ def _numpy_kind(run):
        lag_range=_int(1, MAX_WINDOW, None))
 @_numpy_kind
 def _run_validate_generator(params, seed, tol):
-    from .translate_frame import GeneratorRejected, generator_certificates
-    f = _generator_function(params["generator"])
-    report = generator_certificates(f, params["lag_range"], tol)
-    if not report.ok:
-        raise GeneratorRejected(report)
-    return ExperimentResult(payload={"report": report.to_dict(),
-                                     "suppression_constant": report.suppression_constant})
+    g = _build_generator(params["generator"], params["lag_range"], tol)
+    return ExperimentResult(payload={"report": g.report.to_dict(),
+                                     "suppression_constant": g.suppression_constant})
 
 
 @_kind("biorthogonality", 1e-10, generator=_generator(),
@@ -771,8 +760,17 @@ def _load_config_file(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # UnicodeDecodeError and json.JSONDecodeError are ValueErrors; a JSON text
+    # nested past the interpreter's recursion limit raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+
+
+def _require_out_directory(out_base):
+    # checked before the run, so that a job never runs only to fail its write
+    directory = os.path.dirname(os.path.abspath(out_base))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"out={out_base!r}: no directory {directory}")
 
 
 def _reject_config_overwrite(config_path, out_base):
@@ -803,7 +801,7 @@ def _collect_config(args):
             if text is not None:
                 try:
                     params[name] = spec.parse(text)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ConfigError(f"{_flag(name)}: {exc}") from None
         raw["params"] = params
     if args.out is not None:
@@ -828,6 +826,7 @@ def main(argv=None):
         return 0 if exc.code == 0 else 1
     try:
         config = validate_config(_collect_config(args))
+        _require_out_directory(config["out"])
         if args.config is not None:
             _reject_config_overwrite(args.config, config["out"])
     except ConfigError as exc:

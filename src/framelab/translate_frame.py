@@ -90,11 +90,6 @@ class RademacherSpec:
     resolution: int = 1
 
 
-def generator_certificates(f, lag_range=None, tol=VALIDATION_TOL):
-    """Compute the validation report for a candidate generator."""
-    return _certificates(f, _folded(f), lag_range, tol)
-
-
 def _certificates(f, fold, lag_range, tol):
     """The validation report of f, whose unit fold is ``fold``."""
     failures = []
@@ -117,38 +112,34 @@ def _certificates(f, fold, lag_range, tol):
     return ValidationReport(l1, sup, residual, lag_range, tol, tuple(failures))
 
 
-def _certified(f, fold):
-    """f, whose unit fold is ``fold``, certified at the default lag range and tol
-    as a Generator, or raise GeneratorRejected."""
-    report = _certificates(f, fold, None, VALIDATION_TOL)
+def _certified(f, fold, lag_range, tol):
+    """f, whose unit fold is ``fold``, certified as a Generator over Gram lags
+    up to ``lag_range`` (None: the width of the support) at ``tol``, or raise
+    GeneratorRejected with the report."""
+    report = _certificates(f, fold, lag_range, tol)
     if not report.ok:
         raise GeneratorRejected(report)
     return Generator(f, report, fold)
 
 
-def validate_generator(f):
-    """A Generator certified at the default lag range and tol, or raise GeneratorRejected."""
-    return _certified(f, _folded(f))
+def validate_generator(f, lag_range=None, tol=VALIDATION_TOL):
+    """A Generator certified over Gram lags up to ``lag_range`` (None: the width
+    of the support) at ``tol``, or raise GeneratorRejected."""
+    return _certified(f, _folded(f), lag_range, tol)
 
 
-def rademacher_function(spec):
-    """The uncertified step function sum_n a_n * (sign pattern translated to [n, n+1)).
+def _rademacher(spec):
+    """(The uncertified step function sum_n a_n * (sign pattern translated to
+    [n, n+1)), its unit fold).
 
     The active coefficient of rank j (by increasing index) gets the pattern
     of dyadic depth j + resolution, so distinct ranks are orthogonal on a
     shared unit interval and disjoint translates never interact.  Each unit
-    is filled directly as a row of the finest depth's cells.  All
-    breakpoints are dyadic rationals, hence exact in floats.  Raises
-    GeneratorRejected for an empty or non-unit coefficient vector.
-    """
-    return _rademacher(spec)[0]
-
-
-def _rademacher(spec):
-    """(:func:`rademacher_function` of ``spec``, its unit fold).
-
-    The fold is the rows the function is filled from, on the finest
-    depth's grid, starting at the first index of the support.
+    is filled directly as a row of the finest depth's cells; the fold is
+    those rows, on the finest depth's grid, starting at the first index of
+    the support.  All breakpoints are dyadic rationals, hence exact in
+    floats.  Raises GeneratorRejected for an empty or non-unit coefficient
+    vector.
     """
     coeffs = spec.coefficients
     if not isinstance(coeffs, CoordinateVector):
@@ -173,12 +164,13 @@ def _rademacher(spec):
         rows[n - support[0]] = np.where(coarse % 2 == 0, 1.0, -1.0) * float(a)
     k0 = float(support[0])
     grid = np.arange(fine.size + 1) / fine.size
-    return _unfold(grid, [(k0, rows)]), (k0, grid, rows)
+    return _unfold(k0, grid, rows), (k0, grid, rows)
 
 
-def build_rademacher_generator(spec):
-    """Certify :func:`rademacher_function` of ``spec`` as a Generator."""
-    return _certified(*_rademacher(spec))
+def build_rademacher_generator(spec, lag_range=None, tol=VALIDATION_TOL):
+    """The Rademacher generator of ``spec``, certified as by
+    :func:`validate_generator`, or raise GeneratorRejected."""
+    return _certified(*_rademacher(spec), lag_range, tol)
 
 
 def _runs(x, units):
@@ -210,15 +202,11 @@ def _series(table, a):
     return rows
 
 
-def _unfold(grid, runs):
-    """The step function holding rows[u] on [k + u, k + u + 1), cut by grid,
-    for each (k, rows) of ``runs`` (increasing, disjoint), and 0 between them."""
-    bps, vals = [], []
-    for k, rows in runs:
-        units = k + np.arange(rows.shape[0], dtype=float)
-        bps += [(units[:, None] + grid[:-1]).ravel(), [k + rows.shape[0]]]
-        vals += [rows.ravel(), [0.0]]
-    return StepFunction(np.concatenate(bps), np.concatenate(vals)[:-1])
+def _unfold(k, grid, rows):
+    """The step function holding rows[u] on [k + u, k + u + 1), cut by grid."""
+    units = k + np.arange(rows.shape[0], dtype=float)
+    return StepFunction(np.concatenate(((units[:, None] + grid[:-1]).ravel(),
+                                        [k + rows.shape[0]])), rows.ravel())
 
 
 def _gram_lags(grid, table, count):

@@ -306,6 +306,29 @@ def test_console_entry_point(tmp_path, cli_env):
     assert (tmp_path / "cx.json").exists()
 
 
+DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("args, config", [
+    (["validate-generator", "--generator", DEEP_JSON], None),
+    (["run", "deep.json"], DEEP_JSON.encode()),
+    (["run", "bad.json"], b"\xff\xfe"),
+    (["counterexample", "--out", "missing/x"], None),
+], ids=["flag-nested-too-deep", "config-nested-too-deep", "config-not-utf8",
+        "out-directory-missing"])
+def test_malformed_input_fails_closed(tmp_path, cli_env, args, config):
+    # each used to end in a traceback; the last one after running its job
+    if config is not None:
+        (tmp_path / args[1]).write_bytes(config)
+    before = sorted(tmp_path.rglob("*"))
+    proc = run_cli(args, cwd=tmp_path, env=cli_env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_json_report_is_byte_identical_across_reruns(tmp_path, cli_env):
     args = ["suppression-scan", "--trials", "25", "--window", "4",
             "--seed", "11", "--quiet"]

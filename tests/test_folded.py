@@ -34,8 +34,6 @@ from framelab import (
     StepFunction,
     biorthogonality_matrix,
     build_rademacher_generator,
-    generator_certificates,
-    rademacher_function,
     synthesis_over_set,
     unconditionality_scan,
     young_check,
@@ -43,21 +41,22 @@ from framelab import (
 from framelab.pettis import _sign_parts
 from framelab.stepfn import _folded, _merge
 from framelab import cli, translate_frame
-from framelab.translate_frame import Generator, _series
+from framelab.translate_frame import (VALIDATION_TOL, Generator, _certificates,
+                                      _rademacher, _series)
 
 
 def translate_series(f, x):
     """sum_n x_n * f(. - n) as a step function, from the fold kernels.
 
-    The dense runs of x are summed as rows of the fold of f and unfolded;
-    the kernels are looked up on the module, so a patched one is used.
+    The dense runs of x are summed as rows of the fold of f and unfolded
+    one run at a time; the runs are disjoint, so their sum is the series.
+    The kernels are looked up on the module, so a patched one is used.
     """
     if x.is_zero() or f.is_zero():
         return StepFunction.zero()
     k0, grid, table = _folded(f)
-    return translate_frame._unfold(grid, [
-        (k0 + n0, translate_frame._series(table, a))
-        for n0, a in translate_frame._runs(x, table.shape[0])])
+    return left_fold([translate_frame._unfold(k0 + n0, grid, translate_frame._series(table, a))
+                      for n0, a in translate_frame._runs(x, table.shape[0])])
 
 
 # -- the replaced per-translate code, verbatim ----------------------------------
@@ -260,7 +259,7 @@ def test_rademacher_rows_match_summed_patterns_bit_for_bit():
                 coefficients=CoordinateVector(
                     {int(n): float(v) for n, v in zip(idx, vals)}),
                 resolution=resolution)
-            assert rademacher_function(spec) == reference_rademacher_function(spec)
+            assert _rademacher(spec)[0] == reference_rademacher_function(spec)
 
 
 def test_translate_series_matches_reference():
@@ -279,13 +278,13 @@ def test_gram_residual_and_biorthogonality_match_reference():
     rng = np.random.default_rng(33)
     for _ in range(3):
         g = gaussian_generator(rng)
-        report = generator_certificates(g.f)
+        report = g.report
         assert report.lag_range == 8
         assert abs(report.ortho_residual
                    - reference_ortho_residual(g.f, report.lag_range)) <= 1e-15
         assert np.max(np.abs(biorthogonality_matrix(g, 16)
                              - reference_biorthogonality_matrix(g, 16))) <= 1e-15
-    report = generator_certificates(NON_DYADIC)
+    report = _certificates(NON_DYADIC, _folded(NON_DYADIC), None, VALIDATION_TOL)
     assert report.ortho_residual == pytest.approx(
         reference_ortho_residual(NON_DYADIC, report.lag_range), rel=1e-14)
     wide = Generator(NON_DYADIC, None)
@@ -465,7 +464,7 @@ def test_gram_lags_and_residual_are_exact(gen, grid):
     for i in range(2 * window + 1):
         for j in range(2 * window + 1):
             assert Fraction(float(mat[i, j])) == lags[abs(i - j)]
-    report = generator_certificates(f, lag_range=window)
+    report = _certificates(f, g.fold, window, VALIDATION_TOL)
     expected = max(abs(lag - (1 if m == 0 else 0)) for m, lag in enumerate(lags))
     assert Fraction(report.ortho_residual) == expected
 
@@ -604,6 +603,21 @@ def test_reconstruct_folds_its_generator_at_most_once(monkeypatch, tmp_path, gen
     assert codes == [0]
 
 
+@pytest.mark.parametrize("generator, expected", [
+    ({"rademacher": {"coefficients": [[0, 0.6], [1, 0.8]]}}, 0),
+    ({"rademacher": {"coefficients": [[-2, 0.5], [0, -0.5], [1, 0.5], [4, 0.5]],
+                     "resolution": 2}}, 0),
+    (STEP_GENERATOR, 1),
+], ids=["rademacher", "rademacher-gapped", "step-function"])
+def test_validate_generator_folds_only_a_step_function_record(monkeypatch, tmp_path,
+                                                              generator, expected):
+    argv = ["validate-generator", "--generator", json.dumps(generator), "--lag-range", "7",
+            "--out", str(tmp_path / "v"), "--quiet"]
+    codes = []
+    assert folds(monkeypatch, lambda: codes.append(cli.main(argv))) == expected
+    assert codes == [0]
+
+
 def test_young_fuzz_folds_none_of_its_rademacher_draws(monkeypatch, tmp_path):
     # the only folds left are the unit indicator's, one per exponent
     def fuzz(draws):
@@ -641,9 +655,9 @@ def test_rademacher_fold_is_the_fold_of_its_function_bit_for_bit(drawn):
     spec = RademacherSpec(coefficients=CoordinateVector(
         {n: float(v) for n, v in zip(indices, vals)}), resolution=resolution)
     g = build_rademacher_generator(spec)
-    f = rademacher_function(spec)
+    f = _rademacher(spec)[0]
     assert g.f == f
-    assert g.report == generator_certificates(f)
+    assert g.report == _certificates(f, _folded(f), None, VALIDATION_TOL)
     k0, grid, table = g.fold
     want_k0, want_grid, want_table = _folded(f)
     assert type(k0) is float and k0 == want_k0 == min(indices)

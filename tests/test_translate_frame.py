@@ -13,15 +13,13 @@ from framelab import (
     StepFunction,
     biorthogonality_matrix,
     build_rademacher_generator,
-    generator_certificates,
-    rademacher_function,
     synthesis_over_set,
     validate_generator,
     young_check,
 )
 from framelab.sampling import _coefficient_rows
 from framelab.stepfn import _folded
-from framelab.translate_frame import _series, _unfold
+from framelab.translate_frame import _rademacher, _series, _unfold
 
 
 def single_coeff_generator():
@@ -35,7 +33,7 @@ def two_coeff_generator():
 
 def sign_pattern(depth):
     """The single-coefficient Rademacher function: the sign pattern of 2^depth cells."""
-    return rademacher_function(RademacherSpec(coefficients={0: 1.0}, resolution=depth))
+    return _rademacher(RademacherSpec(coefficients={0: 1.0}, resolution=depth))[0]
 
 
 def test_sign_pattern_structure():
@@ -118,7 +116,7 @@ def test_zero_generator_rejected():
 
 
 def test_certificates_report_shape():
-    rep = generator_certificates(StepFunction.indicator(0.0, 1.0))
+    rep = validate_generator(StepFunction.indicator(0.0, 1.0)).report
     assert rep.ok
     assert rep.lag_range >= 1
     d = rep.to_dict()
@@ -143,7 +141,7 @@ def test_analysis_of_unit_vector_recovers_generator():
     g = two_coeff_generator()
     k0, grid, table = _folded(g.f)
     for n in (0, 5):
-        c = _unfold(grid, [(k0 + n, _series(table, np.ones(1)))])
+        c = _unfold(k0 + n, grid, _series(table, np.ones(1)))
         assert (c - g.f.translate(float(n))).lp_norm(2) == pytest.approx(0.0, abs=1e-12)
 
 
