@@ -10,8 +10,10 @@ vectorised; the wavelet, counterexample and diagnostics files before the
 cell-grid merge, the cell widths and the wavelet lattice dropped
 ``np.unique``, ``np.diff`` and ``np.meshgrid``; the validate-generator
 files other than the contiguous record's before that kind certified its
-generator through the same builder as the other generator kinds.  A change
-that claims to keep every artifact is held to it here.
+generator through the same builder as the other generator kinds; the
+counterexample and diagnostics runs at the discrete-frames benchmark's sizes
+before the triple frame was built with its coordinate index.  A change that
+claims to keep every artifact is held to it here.
 
 The generators are dyadic Rademacher generators like the benchmark's: six
 Gaussian unit-l2 coefficients at 0..5 (64 cells a unit), and four at
@@ -124,6 +126,13 @@ CONFIGS = {
                     "params": {"window": 12, "p": 2.0}},
     "diagnostics-wide": {"kind": "diagnostics", "seed": 777,
                          "params": {"window": 60, "p": 3.0}},
+    # the discrete-frames benchmark's sizes
+    "counterexample-bench": {"kind": "counterexample", "seed": 777,
+                             "params": {"K": 10000, "reconstruction_limit": 50}},
+    "diagnostics-bench-p2": {"kind": "diagnostics", "seed": 777,
+                             "params": {"window": 400, "p": 2.0}},
+    "diagnostics-bench-p4": {"kind": "diagnostics", "seed": 777,
+                             "params": {"window": 400, "p": 4.0}},
 }
 
 
