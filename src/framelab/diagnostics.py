@@ -75,9 +75,9 @@ class DiscreteFrame:
     def _coordinate_index(self):
         """Coordinate n -> [j, f_j[n], j', f_j'[n], ...] over the pairs whose
         functional is nonzero at n, in increasing position; built on first
-        use and kept with the frame.  One flat list per coordinate rather
-        than a tuple per pair leaves the garbage collector one object per
-        coordinate to track, not one per pair."""
+        use and kept with the frame, unless its builder handed it over with
+        the pairs.  One flat list per coordinate rather than a tuple per pair
+        leaves the garbage collector one object per coordinate to track."""
         index = {}
         for j, (_, fun) in enumerate(self.pairs):
             for n, c in fun._entries.items():
@@ -113,12 +113,16 @@ class DiscreteFrame:
         coordinate order; a pair whose functional misses the support of x, or
         pairs with x to 0, adds nothing and is skipped.
         """
-        coef = self._coefficients(x)
+        return self._synthesize(self._coefficients(x), positions)
+
+    def _synthesize(self, coef, positions=None):
+        """sum over the positions j of coef[j] * x_j, positions as in ``reconstruct``."""
         if positions is None:
             positions = sorted(coef)
-        else:
-            # range(...)[j] resolves negative positions and raises IndexError
-            # for out-of-range ones, exactly as self.pairs[j] does
+        elif not (isinstance(positions, range) and positions.step > 0
+                  and positions.start >= 0 and positions.stop <= len(self.pairs)):
+            # an increasing range of in-range positions is already resolved;
+            # range(...)[j] counts back from the end or raises, as pairs[j] does
             slots = range(len(self.pairs))
             positions = [slots[j] for j in positions]
         pairs = self.pairs
@@ -132,10 +136,9 @@ class DiscreteFrame:
 
 
 def unit_vector_frame(space, coordinates):
-    """The coordinate frame (e_n, e_n*) over the listed coordinates."""
-    pairs = tuple((CoordinateVector.unit(n), CoordinateVector.unit(n))
-                  for n in coordinates)
-    return DiscreteFrame(pairs=pairs, space=space)
+    """The coordinate frame (e_n, e_n*) over the listed coordinates; one vector is both."""
+    units = map(CoordinateVector.unit, coordinates)
+    return DiscreteFrame(pairs=tuple((e, e) for e in units), space=space)
 
 
 # -- tail functionals ---------------------------------------------------------
@@ -190,13 +193,6 @@ def _accumulate(total, terms):
     return touched, held
 
 
-def _tail_terms(frame, f, positions):
-    """(f(x_j), f_j) for each listed pair j."""
-    for j in positions:
-        vec, fun = frame.pairs[j]
-        yield f.pair(vec), fun
-
-
 def tail_dual_norms(frame, f, nesting):
     """Exact dual-space norms of the tail functionals outside each set of a chain.
 
@@ -221,7 +217,8 @@ def tail_dual_norms(frame, f, nesting):
     top = 0
     norms = []
     for added in [outside_last, *reversed(steps)]:
-        touched, held = _accumulate(total, _tail_terms(frame, f, added))
+        pairs = map(frame.pairs.__getitem__, added)
+        touched, held = _accumulate(total, ((f.pair(vec), fun) for vec, fun in pairs))
         if space.kind != "l1":
             norms.append(space.dual_norm(CoordinateVector(total)))
             continue
@@ -300,12 +297,18 @@ def counterexample_frame(K):
     e_1_star = CoordinateVector.unit(1)
     minus_e_1_star = CoordinateVector.unit(1, -1)
     pairs = []
+    # the coordinate index, filled with the pairs: block j meets coordinate j
+    # at its first position and coordinate 1 (``ones``) at its second and third
+    index, ones = {}, []
     for j in range(1, K + 1):
         e_j = CoordinateVector.unit(j)
-        pairs.append((e_j, e_j))
-        pairs.append((e_j, minus_e_1_star))
-        pairs.append((e_j, e_1_star))
-    return DiscreteFrame(pairs=tuple(pairs), space=SpaceTag.c0())
+        pairs += ((e_j, e_j), (e_j, minus_e_1_star), (e_j, e_1_star))
+        index[j] = [3 * j - 3, 1]
+        ones += (3 * j - 2, -1, 3 * j - 1, 1)
+    index[1] += ones
+    frame = DiscreteFrame(pairs=tuple(pairs), space=SpaceTag.c0())
+    object.__setattr__(frame, "_coordinate_index", index)
+    return frame
 
 
 def _restricted_dual_functional(f, positions_one_based, K):
@@ -360,26 +363,23 @@ def counterexample_report(K, reconstruction_limit=50):
     closed-form restricted dual functional against the direct sum.
     """
     frame = counterexample_frame(K)
-
-    full = True
-    for j in range(1, min(K, reconstruction_limit) + 1):
-        e = CoordinateVector.unit(j)
-        if frame.reconstruct(e) != e:
-            full = False
-            break
+    # e_1's coefficients, read once for the j = 1 check and the candidate
+    e_1 = CoordinateVector.unit(1)
+    coef_1 = frame._coefficients(e_1)
+    limit = min(K, reconstruction_limit)
+    full = limit < 1 or (frame._synthesize(coef_1) == e_1 and all(
+        frame.reconstruct(e) == e for e in map(CoordinateVector.unit, range(2, limit + 1))))
 
     # every third pair carries functional e_1*, so testing against e_1
     # accumulates one copy of each block vector
-    thirds = [j for j in range(len(frame.pairs)) if (j + 1) % 3 == 0]
-    candidate = frame.reconstruct(CoordinateVector.unit(1), thirds)
-    coords_one = (len(candidate) == K
-                  and all(candidate[j] == 1 for j in range(1, K + 1)))
+    candidate = frame._synthesize(coef_1, range(2, 3 * K, 3))
+    coords_one = candidate._entries == dict.fromkeys(range(1, K + 1), 1)
     escapes = coords_one and K >= 2  # constant nonzero coordinates never decay
 
     f = CoordinateVector({1: 3, 2: -2, 5: 7})
-    rng_positions = [n for n in range(1, 3 * K + 1) if n % 3 == 0]
+    rng_positions = range(3, 3 * K + 1, 3)
     series = _restricted_dual_functional(f, rng_positions, K)
-    listed = [frame.pairs[n - 1] for n in rng_positions]
+    listed = frame.pairs[2::3]  # the pairs at rng_positions
     # f(x_n) for each listed pair, taken once for both checks below
     weights = [f.pair(vec) for vec, _ in listed]
     direct_terms = {}

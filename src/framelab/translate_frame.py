@@ -290,11 +290,13 @@ def young_check(f, a, p):
     conjugate exponent.  lhs <= rhs always; equality holds for a unit
     indicator generator with a single coefficient.
     """
-    return _young_sides(_folded(f), f.abs_integral(), a, p)
+    fold = _folded(f)
+    return _young_sides(fold, f.abs_integral(), _periodized_sup(fold[2]), a, p)
 
 
-def _young_sides(fold, l1, a, p):
-    """:func:`young_check` of the f whose unit fold is ``fold`` and L1 norm ``l1``."""
+def _young_sides(fold, l1, sup, a, p):
+    """:func:`young_check` of the f whose unit fold is ``fold``, L1 norm ``l1``
+    and periodized sup of |f| ``sup``."""
     if not p > 1:
         raise ValueError("young_check requires p > 1")
     _, grid, table = fold
@@ -305,5 +307,5 @@ def _young_sides(fold, l1, a, p):
             series = _series(table, run)
             lhs += float(np.add.reduce((np.abs(series) ** p * _widths(grid)).ravel()))
     pconj = p / (p - 1.0)
-    rhs = l1 * a.norm(p) ** p * _periodized_sup(table) ** (p / pconj)
+    rhs = l1 * a.norm(p) ** p * sup ** (p / pconj)
     return lhs, rhs

@@ -619,7 +619,7 @@ NAN_GATES = {
     ("reconstruct", "synthesis_over_set",
      lambda g, x, region, w: CoordinateVector({0: math.nan})),
     ("young-fuzz", "young_check", lambda f, a, p: (math.nan, math.nan)),
-    ("young-fuzz", "_young_sides", lambda fold, l1, a, p: (math.nan, math.nan)),
+    ("young-fuzz", "_young_sides", lambda fold, l1, sup, a, p: (math.nan, math.nan)),
     ("wavelet-identity", "reconstruction_identity_gap", lambda ws, x, M, N: math.nan),
 ])
 def test_nan_results_fail_their_check(tmp_path, monkeypatch, capsys, kind, target, fake):

@@ -242,6 +242,83 @@ def test_indexed_reconstruct_matches_definition_on_triple_frame():
                 assert all(isinstance(v, int) for _, v in got.items())
 
 
+def _generic_index(frame):
+    """The coordinate index that the generic builder derives from the pairs."""
+    return DiscreteFrame(frame.pairs, frame.space)._coordinate_index
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 50, 2000])
+def test_handed_index_equals_the_generic_index(K):
+    frame = counterexample_frame(K)
+    assert frame._coordinate_index == _generic_index(frame)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300))
+def test_handed_index_equals_the_generic_index_for_any_K(K):
+    frame = counterexample_frame(K)
+    assert frame._coordinate_index == _generic_index(frame)
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2, 7, -1])
+def test_a_wrong_sign_in_the_handed_index_fails_the_report(monkeypatch, entry):
+    # entry i of coordinate 1's column: 0 is e_1* of block 1, 1 and 2 are the
+    # -e_1* and e_1* of block 1, 7 the -e_1* of block 4, -1 the e_1* of block K
+    K = 20
+    build = diagnostics.counterexample_frame
+
+    def planted(K):
+        frame = build(K)
+        column = frame._coordinate_index[1]
+        column[2 * entry + 1 if entry >= 0 else entry] *= -1
+        return frame
+
+    assert counterexample_report(K).ok
+    monkeypatch.setattr(diagnostics, "counterexample_frame", planted)
+    assert not counterexample_report(K).ok
+
+
+def test_ranges_resolve_as_their_lists():
+    frame = counterexample_frame(5)
+    x = CoordinateVector({1: 3, 2: -1, 4: 5})
+    for positions in (range(2, 15, 3), range(15), range(0, 15, 4), range(3, 3),
+                      range(14, -1, -1), range(-6, 0), range(-1, -16, -2)):
+        assert frame.reconstruct(x, positions) == frame.reconstruct(x, list(positions))
+        assert frame.reconstruct(x, positions) == _reconstruct_by_definition(
+            frame, x, list(positions))
+    for positions in (range(16), range(2, 18, 3), range(-16, 0)):
+        with pytest.raises(IndexError):
+            frame.reconstruct(x, positions)
+
+
+@pytest.mark.parametrize("K, limit", [(300, 20), (10, 50)])
+def test_report_reads_each_coefficient_set_once(monkeypatch, K, limit):
+    # e_2..e_limit, e_1 once for both of its checks, and x; the frame comes
+    # with its index, so the generic builder never runs
+    coefficient_calls = [0]
+    index_builds = [0]
+    coefficients = DiscreteFrame._coefficients
+    index = DiscreteFrame.__dict__["_coordinate_index"]
+    build = index.func
+
+    def counted_coefficients(self, x):
+        coefficient_calls[0] += 1
+        return coefficients(self, x)
+
+    def counted_build(self):
+        index_builds[0] += 1
+        return build(self)
+
+    monkeypatch.setattr(DiscreteFrame, "_coefficients", counted_coefficients)
+    monkeypatch.setattr(index, "func", counted_build)
+    assert counterexample_report(K, limit).ok
+    assert coefficient_calls[0] == min(K, limit) + 1
+    assert index_builds[0] == 0
+    # the counter sees a generic build
+    unit_vector_frame(SpaceTag.c0(), range(3)).reconstruct(CoordinateVector.unit(1))
+    assert index_builds[0] == 1
+
+
 def test_tail_functional_of_unit_frame_is_restriction():
     frame = unit_vector_frame(SpaceTag.lp(2.0), range(1, 5))
     f = CoordinateVector({1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0})
