@@ -415,8 +415,10 @@ class ExperimentResult:
 
 
 def _gate(failures, check, value, bound):
-    """Record a failure of ``check`` unless value <= bound; a NaN fails."""
-    if not value <= bound:
+    """Record a failure of ``check`` unless value <= bound and value is finite;
+    a NaN on either side fails, and so does an infinite value under an
+    infinite bound."""
+    if not (math.isfinite(value) and value <= bound):
         failures.append(f"{check}: {value!r} exceeds {bound!r}")
 
 

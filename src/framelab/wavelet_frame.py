@@ -12,18 +12,21 @@ times member over the box [-M, M]^2 collapses to an exact finite sum
 An independent route to the same sum conjugates the target by the
 fractional dilation-translation pair, applies the plain integer-grid
 partial reconstruction, transforms back and averages
-(``averaged_conjugate_reconstruction``).  Both routes run on one lattice
-kernel: every coefficient is a rise of the target's antiderivative across
-a member's cells, read for all members by one interpolation
-(``_coefficients``), and every sum of members is one sort of their jumps
-and one cumulative sum (``_jump_sum``).  What differs is the lattice and
-the target: the box sum takes the fractional lattice a = l + r/N,
-b = m + s 2^l / N against x, the averaged route the integer lattice
-(l, m) against each conjugated y_{r,s}, whose members it moves back one
-by one.  The two agree up to float rounding; their difference is the
-identity check the experiments report.  The reconstruction error of the
-box sum is bounded by the worst conjugated partial-sum error, which is
-what ``convergence_study`` tabulates.
+(``averaged_conjugate_reconstruction``).  The two agree up to float
+rounding; their difference is the identity check the experiments report.
+The reconstruction error of the box sum is bounded by the worst conjugated
+partial-sum error, which is what ``convergence_study`` tabulates.
+
+Every route runs on one lattice kernel, which works on rows of targets: x
+alone, or x and its N^2 conjugates y_{r,s} in one call.  Each coefficient
+is the rise of a target's antiderivative across a member's cells, read for
+every member of every row by one interpolation (``_interp``, np.interp's
+formula); each row's sum of members is one sort of their jumps and one
+cumulative sum along the row (``_jump_sum``); and the distance from each
+sum to its target is one pass for all rows (``_lp_distances``).  The box
+sum takes the fractional lattice a = l + r/N, b = m + s 2^l / N against x,
+the averaged route the integer lattice (l, m) against every y_{r,s} at once,
+whose members it then moves back by each row's pair.
 """
 
 import dataclasses
@@ -31,7 +34,7 @@ import functools
 
 import numpy as np
 
-from .stepfn import _EMPTY, StepFunction, _combined, _merge, _widths, haar_mother
+from .stepfn import MERGE_ULPS, StepFunction, _widths, haar_mother
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,6 +81,13 @@ def member(ws, a, b, side="primal"):
 
 
 # -- the lattice kernel -----------------------------------------------------------
+#
+# Targets sit in the rows of 2-D arrays of cells (breakpoints, values).  Each
+# lattice member names the target row it analyses and each sum of members is
+# a row of the output.  Sums are held as row-tagged cells (keys, values):
+# complex keys row + i point (``_keys``), which numpy sorts by row, then point,
+# and values[j] held from point j to the next point of its row, 0 after the
+# row's last point.  A single target is the one-row case.
 
 
 def _pairs(lo, hi):
@@ -94,77 +104,230 @@ def _box_lattice(M, N):
     return l + r / N, m + s * 2.0 ** l / N
 
 
-def _coefficients(ws, xb, xv, a, b):
-    """<x, dual(a_k, b_k)> for every k, for x with cells (xb, xv).
+@functools.lru_cache(maxsize=16)
+def _lattice(M, N):
+    """Members (a, b, row, weight) of the box sum of x (row 0, weight 1/N^2),
+    then of each y_{r,s}'s integer-lattice partial sum (row 1 + r N + s,
+    weight 1): two halves of one size.  Built once per (M, N), read only."""
+    if M < 1:
+        raise ValueError("M must be a positive integer")
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    a, b = _box_lattice(M, N)
+    l, m = _pairs(-M, M)
+    lattice = (np.concatenate((a, np.tile(l, N * N))),
+               np.concatenate((b, np.tile(m, N * N))),
+               np.arange(N * N + 1).repeat([a.size] + [l.size] * (N * N)),
+               np.concatenate((np.full(a.size, 1.0 / (N * N)), np.ones(a.size))))
+    for arr in lattice:
+        arr.setflags(write=False)
+    return lattice
+
+
+@functools.lru_cache(maxsize=16)
+def _offsets(N, p):
+    """Columns of Python scalars, one row per pair (r, s) in the order r, s:
+    2^(r/N), -s/N and 2^((-r/N)/p) take x to y_{r,s}; s/N, 2^(-(r/N)) and
+    2^((r/N)/p) move a member of y_{r,s}'s partial sum back.  Read only."""
+    columns = np.array([(2.0 ** (r / N), -s / N, 2.0 ** ((-r / N) / p),
+                         s / N, 2.0 ** (-(r / N)), 2.0 ** ((r / N) / p))
+                        for r in range(N) for s in range(N)])
+    columns.setflags(write=False)
+    return columns.T[:, :, None]
+
+
+def _conjugates(ws, x, N):
+    """Cells (xb, xv) of x, then of every y_{r,s}: x dilated by -r/N, then
+    translated by -s/N; one row each, in the order r, s."""
+    grow, shift, shrink = _offsets(N, ws.p)[:3]
+    return (np.concatenate((x.breakpoints[None], x.breakpoints * grow + shift)),
+            np.concatenate((x.values[None], x.values * shrink)))
+
+
+def _keys(rows, points):
+    """Complex keys rows + i points, flat, for ``rows`` that broadcast to ``points``."""
+    keys = np.empty(points.shape, dtype=complex)
+    keys.real = rows
+    keys.imag = points
+    return keys.ravel()
+
+
+def _interp(q, rows, xp, fp):
+    """``np.interp(q[k], xp[rows[k]], fp[rows[k]])`` for every k, bit for bit.
+
+    ``rows`` broadcasts to ``q``, which holds no NaN; each row of ``xp`` rises
+    through two points or more.  One search finds each point's cell
+    [xp[j], xp[j + 1]): j counts the row's inner points xp[1:-1] at or below
+    it.  np.interp's own formula reads the cell: fp[j] at or left of xp[j],
+    the row's last fp at or right of its last xp, between them
+    slope * (q - xp[j]) + fp[j] with the cell's slope
+    (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]), and np.interp's fallbacks
+    where that is NaN.
+    """
+    inner = _keys(np.arange(xp.shape[0])[:, None], xp[:, 1:-1])
+    j = inner.searchsorted(_keys(rows, q), side="right").reshape(q.shape)
+    # a count in row i starts at i (width - 2), the row's points at i width;
+    # in place from here on, as a batch of rows holds many points
+    j += 2 * rows
+    slopes = np.zeros(xp.shape)
+    slopes[:, :-1] = _widths(fp) / _widths(xp)
+    x, f = xp.ravel(), fp.ravel()
+    x0, f0, slope = x[j], f[j], slopes.ravel()[j]
+    out = q - x0
+    out *= slope
+    out += f0
+    nan = np.isnan(out)
+    if nan.any():
+        j += 1
+        out = np.where(nan, slope * (q - x[j]) + f[j], out)
+        out = np.where(np.isnan(out) & (f0 == f[j]), f0, out)
+    np.copyto(out, fp[rows, -1], where=q >= xp[rows, -1])
+    np.copyto(out, f0, where=q <= x0)
+    return out
+
+
+def _coefficients(ws, xb, xv, a, b, rows):
+    """<x, dual(a_k, b_k)> for every k, x the target with cells (xb, xv)[rows[k]].
 
     Over each cell of a dual member, the integral of x is the rise of its
-    piecewise linear antiderivative X, read at the member's breakpoints
+    piecewise linear antiderivative, read at the member's breakpoints
     (b_k + t_j) 2^(-a_k) by one interpolation for all k; each coefficient
     sums value times rise in cell order.
     """
-    if xv.size == 0:
+    if xv.shape[1] == 0:
         return np.zeros(a.size)
     db, dv = ws._unit_cells["dual"]
-    X = np.concatenate(([0.0], np.cumsum(xv * _widths(xb))))
-    rise = _widths(np.interp((b[:, None] + db) * 2.0 ** (-a[:, None]), xb, X))
+    X = np.zeros(xb.shape)
+    (xv * _widths(xb)).cumsum(axis=1, out=X[:, 1:])
+    rise = _widths(_interp((b[:, None] + db) * 2.0 ** (-a[:, None]), rows[:, None], xb, X))
     return np.add.reduce(rise * dv, axis=1) * 2.0 ** (a / ws.p_conj)
 
 
-def _members(ws, xb, xv, a, b, weight):
-    """Cells of weight * <x, dual_k> primal_k for each k whose coefficient is not 0.
+def _members(ws, xb, xv, a, b, rows, weight):
+    """Cells of weight * <x, dual_k> primal_k for each k whose coefficient is not
+    0, x the target rows[k]; ``weight`` is a scalar or one per member.
 
-    Returns ``(breakpoints, values)``, one row per kept member.
+    Returns ``(kept, breakpoints, values)``: the kept k, in order, and one
+    row of cells for each.
     """
-    coef = _coefficients(ws, xb, xv, a, b)
-    kept = coef != 0.0
+    coef = _coefficients(ws, xb, xv, a, b, rows)
+    kept = coef.nonzero()[0]
     a, b = a[kept, None], b[kept, None]
     pb, pv = ws._unit_cells["primal"]
-    return ((b + pb) * 2.0 ** (-a),
-            (pv * 2.0 ** (a / ws.p)) * (coef[kept, None] * weight))
+    return (kept, (b + pb) * 2.0 ** (-a),
+            (pv * 2.0 ** (a / ws.p)) * (coef * weight)[kept, None])
 
 
-def _jump_sum(bp, vals):
-    """Cells (grid, values) of the sum of the step functions in the rows of (bp, vals).
+def _merged(keys):
+    """``_merge`` within each row of the points in ``keys``.
 
-    Each row turns into jumps at its breakpoints.  The union of all
-    breakpoints is merged into one grid by ``_merge`` and each breakpoint
-    is placed at the last grid point at or below it; ``np.bincount`` adds
-    the jumps at their grid points in row order and one cumulative sum
-    gives the values.  A cell that no row covers is exactly 0: an integer
-    count of covering rows decides.
+    Returns ``(order, keep, starts)``: the sort of ``keys``, which sorted
+    points stay as grid points, and where each row starts among them.  A
+    row's magnitude is its largest |point|.
     """
-    grid = _merge(bp.ravel())
-    if grid.size < 2:
-        return _EMPTY, _EMPTY
-    at = np.searchsorted(grid, bp, side="right") - 1
+    order = keys.argsort()
+    ordered = keys[order]
+    rows, points = ordered.real, ordered.imag
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = rows[1:] != rows[:-1]
+    starts = keep.nonzero()[0]
+    tol = MERGE_ULPS * np.spacing(np.maximum.reduceat(np.abs(points), starts))
+    keep[1:] |= _widths(points) > tol[keep.cumsum()[1:] - 1]
+    return order, keep, starts
+
+
+def _jump_sum(rows, bp, vals):
+    """Row-tagged cells of the sums of the step functions with cells (bp[k], vals[k]):
+    row i sums the functions k with rows[k] = i.
+
+    Each function turns into jumps at its breakpoints.  Each row's
+    breakpoints are merged into one grid by ``_merged``, and each breakpoint
+    is placed at the grid point it merged into (``cumsum(keep) - 1``).
+    ``np.bincount`` adds the jumps at their grid points in input order and a
+    cumulative sum along each row gives the values.  A cell that no function
+    covers is exactly 0: an integer count of covering functions decides.  A
+    row whose grid has fewer than two points has no cell and is dropped.
+    """
+    keys = _keys(rows[:, None], bp)
+    order, keep, starts = _merged(keys)
+    grid = keys[order[keep]]
+    index = keep.cumsum() - 1
+    starts = index[starts]
+    at = np.empty(keys.size, dtype=np.intp)
+    at[order] = index
+    at = at.reshape(bp.shape)
+    del keys, order, keep, index     # a batch of rows holds many points
     padded = np.zeros((vals.shape[0], vals.shape[1] + 2))
     padded[:, 1:-1] = vals
     jumps = np.bincount(at.ravel(), _widths(padded).ravel(), grid.size)
-    covering = np.cumsum(np.bincount(at[:, 0], minlength=grid.size)
-                         - np.bincount(at[:, -1], minlength=grid.size))
-    return grid, np.where(covering[:-1] > 0, np.cumsum(jumps)[:-1], 0.0)
+    covering = (np.bincount(at[:, 0], minlength=grid.size)
+                - np.bincount(at[:, -1], minlength=grid.size)).cumsum()
+    # each row's running sum starts at 0: take it along a zero-padded table's rows
+    lengths = _widths(np.concatenate((starts, [grid.size])))
+    width = np.maximum.reduce(lengths, initial=0)
+    cell = np.arange(grid.size) + (np.arange(lengths.size) * width - starts).repeat(lengths)
+    table = np.zeros(lengths.size * width)
+    table[cell] = jumps
+    running = table.reshape(lengths.size, width).cumsum(axis=1).ravel()[cell]
+    values = np.where(covering > 0, running, 0.0)
+    if np.minimum.reduce(lengths, initial=2) == 1:
+        kept = (lengths > 1).repeat(lengths)
+        grid, values = grid[kept], values[kept]
+    return grid, values
+
+
+def _row_sums(terms, counts):
+    """``np.add.reduce`` of each row's run of ``terms``, the runs laid end to end.
+
+    The rows of one length are reduced as one 2-D array, which numpy sums
+    row by row as it sums a row alone; a zero-padded array or
+    ``np.add.reduceat`` would sum in another order.
+    """
+    sums = np.empty(counts.size)
+    ends = counts.cumsum()
+    for n in set(counts.tolist()):
+        rows = (counts == n).nonzero()[0]
+        sums[rows] = np.add.reduce(terms[(ends[rows] - n)[:, None] + np.arange(n)], axis=1)
+    return sums
+
+
+def _lp_distances(f, g, p, count):
+    """||f_i - g_i||_p for every row i < count of the row-tagged cells f and g,
+    each on the merged grid of its two rows, as ``_combined`` takes one pair."""
+    keys = np.concatenate((f[0], g[0]))
+    order, keep, _ = _merged(keys)
+    grid = keys[order[keep]]
+    rows, points = grid.real, grid.imag
+    cell = rows[:-1] == rows[1:]
+    mids = _keys(rows[:-1], 0.5 * (points[:-1] + points[1:]))[cell]
+    fm = np.concatenate(([0.0], f[1]))[f[0].searchsorted(mids, side="right")]
+    gm = np.concatenate(([0.0], g[1]))[g[0].searchsorted(mids, side="right")]
+    terms = np.abs(fm - gm) ** p * _widths(points)[cell]
+    sums = _row_sums(terms, np.bincount(mids.real.astype(np.intp), minlength=count))
+    # numpy's scalar power, as for one pair: its array power may round otherwise
+    return [s ** (1.0 / p) for s in sums]
+
+
+def _cells(rows, xb, xv):
+    """Row-tagged cells of the step functions with cells (xb[i], xv[i]) in rows[i]."""
+    values = np.zeros(xb.shape)
+    values[:, :xv.shape[1]] = xv
+    return _keys(rows, xb), values.ravel()
+
+
+def _step(cells, row):
+    """Row ``row`` of row-tagged cells as a StepFunction."""
+    keys, values = cells
+    lo, hi = keys.real.searchsorted((row - 0.5, row + 0.5))
+    return StepFunction(keys.imag[lo:hi], values[lo:max(hi - 1, lo)])
 
 
 def _lattice_sum(ws, x, a, b, weight):
     """weight * sum_k <x, dual(a_k, b_k)> primal(a_k, b_k) as one step function."""
-    return StepFunction(*_jump_sum(*_members(ws, x.breakpoints, x.values, a, b, weight)))
-
-
-def _lp_distance(f, g, p):
-    """||f - g||_p for step functions given as cells (breakpoints, values)."""
-    grid, diff = _combined(f, g, np.subtract)
-    return float(np.add.reduce(np.abs(diff) ** p * _widths(grid)) ** (1.0 / p))
-
-
-def _conjugated(ws, x, N):
-    """(r, s, cells of y_{r,s}) for every fractional pair.
-
-    y_{r,s} is x dilated by -r/N, then translated by -s/N.
-    """
-    for r in range(N):
-        for s in range(N):
-            yield (r, s, (x.breakpoints * 2.0 ** (r / N) + (-s / N),
-                          x.values * 2.0 ** ((-r / N) / ws.p)))
+    kept, bp, vals = _members(ws, x.breakpoints[None], x.values[None], a, b,
+                              np.zeros(a.size, dtype=np.intp), weight)
+    return _step(_jump_sum(np.zeros(kept.size, dtype=np.intp), bp, vals), 0)
 
 
 # -- reconstructions ---------------------------------------------------------------
@@ -178,11 +341,9 @@ def box_reconstruct(ws, x, M, N):
     N^-2 * sum over r, s, l, m of coefficient times primal member, with the
     snapped parameters a = l + r/N and b = m + s * 2^l / N.
     """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    return _lattice_sum(ws, x, *_box_lattice(M, N), 1.0 / (N * N))
+    a, b, _, _ = _lattice(M, N)
+    half = a.size // 2
+    return _lattice_sum(ws, x, a[:half], b[:half], 1.0 / (N * N))
 
 
 def averaged_conjugate_reconstruction(ws, x, M, N):
@@ -193,14 +354,13 @@ def averaged_conjugate_reconstruction(ws, x, M, N):
     them by s/N and dilating by r/N moves every member back, and all N^2
     sets are summed by one jump sort.
     """
-    weight = 1.0 / (N * N)
-    l, m = _pairs(-M, M)
-    bps, vals = [], []
-    for r, s, (yb, yv) in _conjugated(ws, x, N):
-        bp, v = _members(ws, yb, yv, l, m, 1.0)
-        bps.append((bp + s / N) * 2.0 ** (-(r / N)))
-        vals.append(v * 2.0 ** ((r / N) / ws.p) * weight)
-    return StepFunction(*_jump_sum(np.concatenate(bps), np.concatenate(vals)))
+    a, b, rows, weights = _lattice(M, N)
+    half = a.size // 2
+    kept, bp, vals = _members(ws, *_conjugates(ws, x, N), a[half:], b[half:], rows[half:],
+                              weights[half:])
+    back, shrink, grow = _offsets(N, ws.p)[3:, rows[half:][kept] - 1]
+    return _step(_jump_sum(np.zeros(kept.size, dtype=np.intp), (bp + back) * shrink,
+                           vals * grow * (1.0 / (N * N))), 0)
 
 
 def reconstruction_identity_gap(ws, x, M, N):
@@ -225,18 +385,26 @@ def convergence_study(ws, x, M_list, N_list):
     ``error`` is ||x - box_reconstruct||_p.  ``oracle_bound`` is the worst
     conjugated partial-sum error max_{r,s} ||y_{r,s} - P_M y_{r,s}||_p,
     which dominates the error because the fractional dilation-translation
-    pair is an isometry of Lp.
+    pair is an isometry of Lp.  Each row takes the box sum and the N^2
+    partial sums in one kernel call, and their N^2 + 1 distances in one
+    more.
     """
-    cells = (x.breakpoints, x.values)
     rows = []
     for M in M_list:
-        l, m = _pairs(-M, M)
         for N in N_list:
-            approx = box_reconstruct(ws, x, M, N)
-            error = _lp_distance(cells, (approx.breakpoints, approx.values), ws.p)
+            a, b, targets, weights = _lattice(M, N)
+            xb, xv = _conjugates(ws, x, N)
+            kept, bp, vals = _members(ws, xb, xv, a, b, targets, weights)
+            keys, values = _jump_sum(targets[kept], bp, vals)
+            # row 0, the box sum, is compared as box_reconstruct returns it
+            approx = _step((keys, values), 0)
+            box_keys, box_values = _cells(0.0, approx.breakpoints[None], approx.values[None])
+            split = keys.real.searchsorted(0.5)
+            sums = (np.concatenate((box_keys, keys[split:])),
+                    np.concatenate((box_values, values[split:])))
+            error, *bounds = _lp_distances(_cells(np.arange(N * N + 1)[:, None], xb, xv),
+                                           sums, ws.p, N * N + 1)
             # np.max keeps a NaN, which Python's max would drop
-            bound = float(np.max([
-                _lp_distance(y, _jump_sum(*_members(ws, *y, l, m, 1.0)), ws.p)
-                for _, _, y in _conjugated(ws, x, N)]))
-            rows.append(StudyRow(M=M, N=N, p=ws.p, error=error, oracle_bound=bound))
+            rows.append(StudyRow(M=M, N=N, p=ws.p, error=float(error),
+                                 oracle_bound=float(np.max(bounds))))
     return rows

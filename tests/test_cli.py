@@ -483,6 +483,19 @@ def test_overflowing_gram_lags_print_no_warning(tmp_path, cli_env):
     assert proc.returncode == 3
     assert proc.stderr == ""
     assert strict_json((tmp_path / "gap.json").read_text())["max_gap"] == "nan"
+    # an infinite error under an infinite oracle bound fails its gate as well
+    target = json.dumps({"step_function": {"breakpoints": [0, 0.5, 1],
+                                           "values": [1e308, 1e308]}})
+    proc = run_cli(["wavelet-reconstruct", "--target", target, "--p", "2",
+                    "--M-list", "1", "--N-list", "2", "--out", "box"],
+                   cwd=tmp_path, env=cli_env, timeout=5)
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert "FAIL wavelet-reconstruct: box error at M=1 N=2: inf exceeds inf" in \
+        proc.stdout.splitlines()
+    report = strict_json((tmp_path / "box.json").read_text())
+    assert report["rows"] == [{"M": 1, "N": 2, "error": "inf", "oracle_bound": "inf"}]
+    assert report["passed"] is False
 
 
 @pytest.mark.parametrize("breakpoints, values, residual", [
@@ -603,6 +616,16 @@ def test_gate_fails_above_the_bound_and_on_nan():
     cli._gate(failures, "nan bound", 0.0, math.nan)
     assert failures == ["error at p=2.0: 1.5 exceeds 1.0", "nan value: nan exceeds 1.0",
                         "nan bound: 0.0 exceeds nan"]
+
+
+def test_gate_fails_an_infinite_value_whatever_the_bound():
+    failures = []
+    cli._gate(failures, "finite under an infinite bound", 1.0, math.inf)
+    assert failures == []
+    cli._gate(failures, "inf under inf", math.inf, math.inf)
+    cli._gate(failures, "-inf under a finite bound", -math.inf, 1.0)
+    assert failures == ["inf under inf: inf exceeds inf",
+                        "-inf under a finite bound: -inf exceeds 1.0"]
 
 
 NAN_GATES = {

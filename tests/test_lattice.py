@@ -24,6 +24,7 @@ small arrays, and the wavelet paths and the step-function algebra make none.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -42,9 +43,11 @@ from framelab import (
     reconstruction_identity_gap,
 )
 from framelab import wavelet_frame
-from framelab.stepfn import MERGE_ULPS, _merge
-from framelab.wavelet_frame import (_box_lattice, _coefficients, _jump_sum, _lattice_sum,
-                                    _pairs)
+from framelab.cli import main
+from framelab.stepfn import _EMPTY, MERGE_ULPS, _combined, _merge, _widths
+from framelab.wavelet_frame import (_box_lattice, _coefficients, _conjugates, _interp,
+                                    _jump_sum, _keys, _lattice, _lattice_sum, _lp_distances,
+                                    _members, _merged, _pairs, _row_sums, _step)
 
 
 # -- the replaced per-member code, verbatim ---------------------------------------
@@ -143,6 +146,28 @@ def reference_biorthogonality_residual(ws, window=4):
     return worst
 
 
+def reference_jump_sum(bp, vals):
+    """Cells (grid, values) of the sum of the step functions in the rows of
+    (bp, vals): the one-row jump sum the row-tagged one replaced, verbatim."""
+    grid = _merge(bp.ravel())
+    if grid.size < 2:
+        return _EMPTY, _EMPTY
+    at = np.searchsorted(grid, bp, side="right") - 1
+    padded = np.zeros((vals.shape[0], vals.shape[1] + 2))
+    padded[:, 1:-1] = vals
+    jumps = np.bincount(at.ravel(), _widths(padded).ravel(), grid.size)
+    covering = np.cumsum(np.bincount(at[:, 0], minlength=grid.size)
+                         - np.bincount(at[:, -1], minlength=grid.size))
+    return grid, np.where(covering[:-1] > 0, np.cumsum(jumps)[:-1], 0.0)
+
+
+def reference_lp_distance(f, g, p):
+    """||f - g||_p for step functions given as cells (breakpoints, values): the
+    one-pair distance the row-tagged pass replaced, verbatim."""
+    grid, diff = _combined(f, g, np.subtract)
+    return float(np.add.reduce(np.abs(diff) ** p * _widths(grid)) ** (1.0 / p))
+
+
 def reference_pairs(lo, hi):
     """Every (u, v) with lo <= u, v < hi as two float arrays, u outer."""
     u, v = np.meshgrid(np.arange(lo, hi, dtype=float), np.arange(lo, hi, dtype=float),
@@ -224,16 +249,16 @@ def test_grid_partial_sum_matches_reference():
 
 
 def test_biorthogonality_residual_matches_reference():
-    # every primal member analysed against all dual members at once
+    # every primal member, one target row each, analysed against all dual
+    # members in one kernel call
     for ws in systems():
         n, k = _pairs(-2, 3)
         pb, pv = ws._unit_cells["primal"]
-        gaps = []
-        for i in range(n.size):
-            gram = _coefficients(ws, (pb + k[i]) * 2.0 ** (-n[i]),
-                                 pv * 2.0 ** (n[i] / ws.p), n, k)
-            gram[i] -= 1.0
-            gaps.append(np.abs(gram))
+        targets = ((pb + k[:, None]) * 2.0 ** (-n[:, None]),
+                   pv * 2.0 ** (n[:, None] / ws.p))
+        rows = np.arange(n.size).repeat(n.size)
+        gram = _coefficients(ws, *targets, np.tile(n, n.size), np.tile(k, n.size), rows)
+        gaps = np.abs(gram.reshape(n.size, n.size) - np.eye(n.size))
         assert float(np.max(gaps)) == pytest.approx(
             reference_biorthogonality_residual(ws, 2), rel=1e-12, abs=1e-15)
 
@@ -278,29 +303,148 @@ def test_uncovered_cells_are_exactly_zero():
     assert total.evaluate(np.array([-1.0, 1.5, 2.99, 4.5])).tolist() == [0.0] * 4
 
 
+def one_row_sum(bp, vals):
+    """Cells (grid, values) of the sum of the step functions in the rows of (bp, vals)."""
+    keys, values = _jump_sum(np.zeros(bp.shape[0], dtype=np.intp), bp, vals)
+    return keys.imag, values[:-1]
+
+
 def test_jump_sum_merges_breakpoints_within_merge_tol():
     # the merge distance is MERGE_ULPS ulps of the largest |point|, here 2
     within = MERGE_ULPS * np.spacing(2.0)
-    # the second row starts within it after the first ends: one grid point
+    # the second function starts within it after the first ends: one grid point
     bp = np.array([[0.0, 1.0], [1.0 + within, 2.0]])
-    grid, values = _jump_sum(bp, np.array([[1.0], [3.0]]))
+    grid, values = one_row_sum(bp, np.array([[1.0], [3.0]]))
     assert grid.tolist() == [0.0, 1.0, 2.0]
     assert values.tolist() == [1.0, 3.0]
     # a chain of points, each within it of the one before, is one grid point
     # even where the chain is longer than the distance
     bp = np.array([[0.0, 1.0], [1.0 + within, 2.0], [1.0 + 2 * within, 2.0]])
-    grid, values = _jump_sum(bp, np.array([[1.0], [3.0], [5.0]]))
+    grid, values = one_row_sum(bp, np.array([[1.0], [3.0], [5.0]]))
     assert grid.tolist() == [0.0, 1.0, 2.0]
     assert values.tolist() == [1.0, 8.0]
     # a 1e-13 gap is far wider at this magnitude: it stays, covered by no row
     bp = np.array([[0.0, 1.0], [1.0 + 1e-13, 2.0]])
-    grid, values = _jump_sum(bp, np.array([[1.0], [3.0]]))
+    grid, values = one_row_sum(bp, np.array([[1.0], [3.0]]))
     assert grid.tolist() == [0.0, 1.0, 1.0 + 1e-13, 2.0]
     assert values.tolist() == [1.0, 0.0, 3.0]
     # members snapped to thirds meet at points that differ in the last bits
     for ws in systems():
         total = box_reconstruct(ws, NON_DYADIC, 3, 3)
         assert np.array_equal(_merge(total.breakpoints), total.breakpoints)
+
+
+# -- the row kernel's building blocks, bit for bit ------------------------------
+
+
+def same_bits(got, want):
+    """Equal bit for bit, where a NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+grid_points = st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False)
+# repeats make equal-valued cells; the non-finite ones take np.interp's fallbacks
+grid_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def interpolations(draw):
+    """(q, rows, xp, fp): rows of rising xp, and points at breakpoints, at
+    signed zeros, outside the spans and between."""
+    count, width = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    xp = np.array([sorted(draw(st.lists(grid_points, min_size=width, max_size=width,
+                                        unique=True))) for _ in range(count)])
+    fp = np.array(draw(st.lists(st.lists(grid_values, min_size=width, max_size=width),
+                                min_size=count, max_size=count)))
+    rows, q = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        row = draw(st.integers(0, count - 1))
+        rows.append(row)
+        q.append(draw(st.one_of(st.sampled_from(list(xp[row])), st.sampled_from(
+            [0.0, -0.0, xp[row, 0] - 1.5, xp[row, -1] + 1.5]), grid_points)))
+    return np.array(q)[:, None], np.array(rows)[:, None], xp, fp
+
+
+@settings(max_examples=200, deadline=None)
+@given(interpolations())
+def test_interpolation_matches_np_interp_per_row(case):
+    q, rows, xp, fp = case
+    with np.errstate(all="ignore"):
+        got = _interp(q, rows, xp, fp)
+        want = [[np.interp(t, xp[i], fp[i])] for t, i in zip(q[:, 0], rows[:, 0])]
+    assert same_bits(got, want)
+
+
+run_lengths = st.one_of(st.integers(0, 150), st.sampled_from([0, 1, 7, 8, 9, 16, 128, 129]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(run_lengths, min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1))
+def test_grouped_row_sums_match_np_add_reduce_per_row(counts, seed):
+    rng = np.random.default_rng(seed)
+    counts = np.array(counts)
+    terms = rng.standard_normal(counts.sum()) * 10.0 ** rng.integers(-8, 9, counts.sum())
+    ends = np.cumsum(counts)
+    want = [np.add.reduce(terms[end - n:end]) for end, n in zip(ends, counts)]
+    assert same_bits(_row_sums(terms, counts), want)
+
+
+@st.composite
+def tagged_points(draw):
+    """Rows of points with runs a few ulps apart, some within the merge distance."""
+    rows, points = [], []
+    for row in range(draw(st.integers(1, 4))):
+        for base in draw(st.lists(st.floats(-300.0, 300.0, allow_nan=False), min_size=1,
+                                  max_size=5)):
+            for ulps in draw(st.lists(st.sampled_from([0, 1, 40, 64, 65, 200]),
+                                      max_size=3)) + [0]:
+                rows.append(row)
+                points.append(base + ulps * np.spacing(base))
+    order = draw(st.permutations(range(len(points))))
+    return np.array(rows)[order], np.array(points)[order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_points())
+def test_row_merge_matches_merge_per_row(case):
+    rows, points = case
+    order, keep, starts = _merged(_keys(rows, points))
+    grid = _keys(rows, points)[order[keep]]
+    assert np.array_equal(rows[order[starts]], np.unique(rows))
+    for row in set(rows.tolist()):
+        # a zero's sign follows the sort's order among equal points
+        assert (grid.imag[grid.real == row] + 0.0).tobytes() == \
+            (_merge(points[rows == row]) + 0.0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(systems()), st.sampled_from(targets() + [StepFunction.indicator(
+    -0.7, 2.1)]), st.integers(1, 3), st.integers(1, 4))
+def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N):
+    # every conjugate's partial sum and its distance, as the replaced code
+    # took them one conjugate at a time
+    a, b, targets, weights = _lattice(M, N)
+    xb, xv = _conjugates(ws, x, N)
+    kept, bp, vals = _members(ws, xb, xv, a, b, targets, weights)
+    rows = targets[kept]
+    keys, values = _jump_sum(rows, bp, vals)
+    sums = []
+    for i in range(N * N + 1):
+        grid, cells = reference_jump_sum(bp[rows == i], vals[rows == i])
+        mine = keys.real == i
+        assert (keys.imag[mine] + 0.0).tobytes() == (grid + 0.0).tobytes()
+        assert same_bits(values[mine][:-1], cells)
+        sums.append((grid, cells))
+    target_cells = _keys(np.arange(N * N + 1)[:, None], xb), np.concatenate(
+        (xv, np.zeros((N * N + 1, 1))), axis=1).ravel()
+    distances = _lp_distances(target_cells, (keys, values), ws.p, N * N + 1)
+    assert same_bits(distances, [reference_lp_distance((xb[i], xv[i]), sums[i], ws.p)
+                                 for i in range(N * N + 1)])
 
 
 # -- the exact rational oracle -------------------------------------------------------
@@ -371,36 +515,69 @@ def exact_setup(target, mother, dual, exps, lattice):
     return ws, dyadic_step(*target), a, b
 
 
-@ORACLE
-@given(dyadic_steps, mothers, mothers, exponents, lattices)
-def test_coefficients_are_exact(target, mother, dual, exps, lattice):
-    ws, x, a, b = exact_setup(target, mother, dual, exps, lattice)
-    got = _coefficients(ws, x.breakpoints, x.values, a, b)
-    xf = as_fractions(x)
-    for k in range(a.size):
-        dual_k = exact_member(as_fractions(ws.dual_mother), int(a[k]),
-                              Fraction(float(b[k])), exps[1])
-        assert Fraction(float(got[k])) == exact_inner(xf, dual_k)
+def dyadic_rows(x, N):
+    """Dyadic conjugates of x, for N in {1, 2, 4}: one row x(2^-u (t + s/N)) 2^-u
+    for each u in {0, 1} and s < N, as 2-D cell arrays and as exact cells."""
+    shifts = [(u, s / N) for u in (0, 1) for s in range(N)]
+    xb = np.array([x.breakpoints * 2.0 ** u - t for u, t in shifts])
+    xv = np.array([x.values * 2.0 ** -u for u, _ in shifts])
+    return xb, xv, [([Fraction(float(t)) for t in bp], [Fraction(float(v)) for v in vals])
+                    for bp, vals in zip(xb, xv)]
+
+
+conjugate_counts = st.sampled_from([1, 2, 4])
 
 
 @ORACLE
-@given(dyadic_steps, mothers, mothers, exponents, lattices)
-def test_synthesis_is_exact(target, mother, dual, exps, lattice):
+@given(dyadic_steps, mothers, mothers, exponents, lattices, conjugate_counts)
+def test_coefficients_are_exact(target, mother, dual, exps, lattice, N):
     ws, x, a, b = exact_setup(target, mother, dual, exps, lattice)
-    weight = 0.25
-    total = _lattice_sum(ws, x, a, b, weight)
-    xf = as_fractions(x)
+    # one kernel call for x alone, one for all its rows
+    alone = _coefficients(ws, x.breakpoints[None], x.values[None], a, b,
+                          np.zeros(a.size, dtype=np.intp))
+    xb, xv, rows = dyadic_rows(x, N)
+    together = _coefficients(ws, xb, xv, np.tile(a, len(rows)), np.tile(b, len(rows)),
+                             np.arange(len(rows)).repeat(a.size)).reshape(len(rows), a.size)
+    for got, xf in [(alone, as_fractions(x))] + list(zip(together, rows)):
+        for k in range(a.size):
+            dual_k = exact_member(as_fractions(ws.dual_mother), int(a[k]),
+                                  Fraction(float(b[k])), exps[1])
+            assert Fraction(float(got[k])) == exact_inner(xf, dual_k)
+
+
+def exact_sum(ws, xf, a, b, exps, weight):
+    """Exact pieces (breakpoints, values) of weight * <x, dual_k> primal_k for every k."""
     pieces = []
     for k in range(a.size):
         ak, bk = int(a[k]), Fraction(float(b[k]))
-        coef = exact_inner(xf, exact_member(as_fractions(ws.dual_mother), ak, bk,
-                                            exps[1]))
+        coef = exact_inner(xf, exact_member(as_fractions(ws.dual_mother), ak, bk, exps[1]))
         bp, vals = exact_member(as_fractions(ws.mother), ak, bk, exps[0])
         pieces.append((bp, [v * coef * Fraction(weight) for v in vals]))
+    return pieces
+
+
+def assert_exact(total, pieces):
     points = [t for bp, _ in pieces for t in bp] + [Fraction(-100), Fraction(100)]
     for _, _, mid in cells(points):
         exact = sum((exact_value(bp, vals, mid) for bp, vals in pieces), Fraction(0))
         assert Fraction(total(float(mid))) == exact
+
+
+@ORACLE
+@given(dyadic_steps, mothers, mothers, exponents, lattices, conjugate_counts)
+def test_synthesis_is_exact(target, mother, dual, exps, lattice, N):
+    ws, x, a, b = exact_setup(target, mother, dual, exps, lattice)
+    weight = 0.25
+    assert_exact(_lattice_sum(ws, x, a, b, weight),
+                 exact_sum(ws, as_fractions(x), a, b, exps, weight))
+    # every row's sum from one kernel call: each row is summed on its own
+    xb, xv, rows = dyadic_rows(x, N)
+    targets = np.arange(len(rows)).repeat(a.size)
+    kept, bp, vals = _members(ws, xb, xv, np.tile(a, len(rows)), np.tile(b, len(rows)),
+                              targets, np.full(targets.size, weight))
+    sums = _jump_sum(targets[kept], bp, vals)
+    for i, xf in enumerate(rows):
+        assert_exact(_step(sums, i), exact_sum(ws, xf, a, b, exps, weight))
 
 
 # -- NaN keeps its way to the report -----------------------------------------------
@@ -408,22 +585,90 @@ def test_synthesis_is_exact(target, mother, dual, exps, lattice):
 
 def test_study_keeps_a_nan_oracle_distance(monkeypatch):
     calls = [0]
-    original = wavelet_frame._lp_distance
+    original = wavelet_frame._row_sums
 
-    def one_nan(f, g, p):
+    def one_nan(terms, counts):
         calls[0] += 1
-        return math.nan if calls[0] == 3 else original(f, g, p)
+        sums = original(terms, counts)
+        sums[2] = math.nan
+        return sums
 
-    monkeypatch.setattr(wavelet_frame, "_lp_distance", one_nan)
+    monkeypatch.setattr(wavelet_frame, "_row_sums", one_nan)
     ws = WaveletSystem.haar(2.0)
     [row] = convergence_study(ws, StepFunction.indicator(0.0, 0.3), [1], [2])
-    # call 1 is the box error, calls 2..5 the four conjugated distances
-    assert calls[0] == 5
+    # one pass takes every distance of the row: row 0 is the box error, rows
+    # 1..4 the four conjugated partial-sum errors, and row 2 reads NaN
+    assert calls[0] == 1
     assert math.isfinite(row.error)
     assert math.isnan(row.oracle_bound)
 
 
 # -- cost guard ------------------------------------------------------------------
+
+
+KERNEL = ("_coefficients", "_interp", "_members", "_merged", "_jump_sum",
+          "_lp_distances", "_row_sums")
+
+
+def kernel_calls(monkeypatch, run):
+    """Calls of each kernel function while ``run()`` executes."""
+    counts = dict.fromkeys(KERNEL, 0)
+    for name in KERNEL:
+        def counting(*args, _name=name, _original=getattr(wavelet_frame, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(wavelet_frame, name, counting)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return counts
+
+
+def test_a_row_makes_one_kernel_pass_whatever_its_n(monkeypatch):
+    # the N^2 conjugates ride in rows of the same calls: a study row takes
+    # its coefficients, sums and distances once, as does the averaged route
+    for ws in (WaveletSystem.haar(2.0), SKEWED):
+        for path, calls in [
+                (lambda n: convergence_study(ws, NON_DYADIC, [3], [n]),
+                 {"_coefficients": 1, "_interp": 1, "_members": 1, "_merged": 2,
+                  "_jump_sum": 1, "_lp_distances": 1, "_row_sums": 1}),
+                (lambda n: averaged_conjugate_reconstruction(ws, NON_DYADIC, 3, n),
+                 {"_coefficients": 1, "_interp": 1, "_members": 1, "_merged": 1,
+                  "_jump_sum": 1, "_lp_distances": 0, "_row_sums": 0})]:
+            assert kernel_calls(monkeypatch, lambda: path(1)) == calls
+            assert kernel_calls(monkeypatch, lambda: path(8)) == calls
+
+
+def test_each_lattice_is_built_once_per_job(monkeypatch, tmp_path, capsys):
+    builds = []
+    original = wavelet_frame._box_lattice
+    monkeypatch.setattr(wavelet_frame, "_box_lattice",
+                        lambda M, N: builds.append((M, N)) or original(M, N))
+    wavelet_frame._lattice.cache_clear()
+    # three exponents, each with every (M, N)
+    assert main(["wavelet-identity", "--p-list", "1.5,2,3", "--M-list", "1,2",
+                 "--N-list", "1,2", "--out", str(tmp_path / "gap"), "--quiet"]) == 0
+    assert sorted(builds) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    capsys.readouterr()
+
+
+def test_a_cap_sized_row_holds_no_members_by_cells_table():
+    # M = 8, N = 16 is the schema's largest row: 2^17 lattice members read at
+    # three dual breakpoints each, against the 2000 cells of each of 257 rows
+    cells = 2000
+    x = StepFunction(np.linspace(0.0, 1.0, cells + 1), np.cos(np.arange(cells)))
+    ws = WaveletSystem.haar(2.0)
+    _lattice(8, 16)
+    tracemalloc.start()
+    try:
+        convergence_study(ws, x, [8], [16])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 8 bytes per member breakpoint and per row cell; a table of every
+    # member breakpoint against every cell would take 100 times the bound
+    assert peak < 16 * 8 * (2 ** 17 * 3 + 257 * (cells + 1))
 
 
 def constructions(monkeypatch, run):
