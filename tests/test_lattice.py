@@ -1,26 +1,34 @@
-"""The batched wavelet lattice kernel against two references.
+"""The batched wavelet lattice kernel against three references.
 
-Every wavelet sum runs on one kernel: coefficients from the target's
-antiderivative (``_coefficients``) and synthesis by one jump sort
-(``_jump_sum``).  Each path is compared with
+Every wavelet sum runs on one kernel, on rows of targets: coefficients
+from each target's antiderivative (``_coefficients``, read by ``_interp``),
+synthesis by one jump sort per row (``_jump_sum``) and every row's Lp
+distance in one pass (``_lp_distances``).  Each path is compared with
 
 * the per-member ``StepFunction`` code it replaced, kept verbatim below as
   the reference (``reference_*``, with the deleted balanced
   ``StepFunction.sum`` as ``reference_sum``), on Haar and non-Haar
   systems and on dyadic and non-dyadic targets;
+* the one-row code the row kernel replaced, bit for bit: ``np.interp``
+  per row, ``np.add.reduce`` per row, ``_merge`` per row, and the one-row
+  jump sum and Lp distance kept verbatim (``reference_jump_sum``,
+  ``reference_lp_distance``), driven by ``hypothesis``;
 * exact ``fractions.Fraction`` arithmetic on dyadic targets, mothers and
-  lattices, driven by ``hypothesis``; scales are chosen so that every
-  normalization 2^(a/p), 2^(a/q) is a power of two, which keeps every
-  float sum exact, so the kernel must equal the oracle exactly.
+  lattices, driven by ``hypothesis``, for one target and for several rows
+  in one call; scales are chosen so that every normalization 2^(a/p),
+  2^(a/q) is a power of two, which keeps every float sum exact, so the
+  kernel must equal the oracle exactly.
 
 The lattice itself is compared with the ``np.meshgrid`` code it replaced
 (``reference_pairs``, ``reference_box_lattice``), array for array.
 
-Two cost guards show a regression without relying on wall time: one counts
+Cost guards show a regression without relying on wall time: one counts
 ``StepFunction`` constructions, so that a return to one object per member
-shows; the other counts calls of ``np.diff``, ``np.unique`` and
-``np.meshgrid``, whose wrappers cost more than the arithmetic on these
-small arrays, and the wavelet paths and the step-function algebra make none.
+shows; one counts calls of ``np.diff``, ``np.unique`` and ``np.meshgrid``,
+whose wrappers cost more than the arithmetic on these small arrays, and
+the wavelet paths and the step-function algebra make none; one counts the
+kernel calls of a row, the same at N = 8 as at N = 1; one counts lattice
+builds in a job; and one bounds the memory of a schema-maximum row.
 """
 
 import math
@@ -45,9 +53,9 @@ from framelab import (
 from framelab import wavelet_frame
 from framelab.cli import main
 from framelab.stepfn import _EMPTY, MERGE_ULPS, _combined, _merge, _widths
-from framelab.wavelet_frame import (_box_lattice, _coefficients, _conjugates, _interp,
-                                    _jump_sum, _keys, _lattice, _lattice_sum, _lp_distances,
-                                    _members, _merged, _pairs, _row_sums, _step)
+from framelab.wavelet_frame import (_box_lattice, _cells, _coefficients, _conjugates,
+                                    _interp, _jump_sum, _keys, _lattice, _lattice_sum,
+                                    _lp_distances, _members, _merged, _pairs, _row_sums, _step)
 
 
 # -- the replaced per-member code, verbatim ---------------------------------------
@@ -440,9 +448,8 @@ def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N):
         assert (keys.imag[mine] + 0.0).tobytes() == (grid + 0.0).tobytes()
         assert same_bits(values[mine][:-1], cells)
         sums.append((grid, cells))
-    target_cells = _keys(np.arange(N * N + 1)[:, None], xb), np.concatenate(
-        (xv, np.zeros((N * N + 1, 1))), axis=1).ravel()
-    distances = _lp_distances(target_cells, (keys, values), ws.p, N * N + 1)
+    distances = _lp_distances(_cells(np.arange(N * N + 1)[:, None], xb, xv), (keys, values),
+                              ws.p, N * N + 1)
     assert same_bits(distances, [reference_lp_distance((xb[i], xv[i]), sums[i], ws.p)
                                  for i in range(N * N + 1)])
 
