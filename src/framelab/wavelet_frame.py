@@ -18,15 +18,17 @@ The reconstruction error of the box sum is bounded by the worst conjugated
 partial-sum error, which is what ``convergence_study`` tabulates.
 
 Every route runs on one lattice kernel, which works on rows of targets: x
-alone, or x and its N^2 conjugates y_{r,s} in one call.  Each coefficient
+alone, or a group of its conjugates y_{r,s} in one call.  Each coefficient
 is the rise of a target's antiderivative across a member's cells, read for
 every member of every row by one interpolation (``_interp``, np.interp's
 formula); each row's sum of members is one sort of their jumps and one
 cumulative sum along the row (``_jump_sum``); and the distance from each
 sum to its target is one pass for all rows (``_lp_distances``).  The box
-sum takes the fractional lattice a = l + r/N, b = m + s 2^l / N against x,
-the averaged route the integer lattice (l, m) against every y_{r,s} at once,
-whose members it then moves back by each row's pair.
+sum takes the fractional lattice a = l + r/N, b = m + s 2^l / N against x.
+The oracle bound and the averaged route take the integer lattice (l, m)
+against the conjugates, as many rows a call as a fixed size allows (all
+N^2 of them at the sizes the experiments use); the averaged route then
+moves every member back by its row's pair.
 """
 
 import dataclasses
@@ -87,61 +89,73 @@ def member(ws, a, b, side="primal"):
 # a row of the output.  Sums are held as row-tagged cells (keys, values):
 # complex keys row + i point (``_keys``), which numpy sorts by row, then point,
 # and values[j] held from point j to the next point of its row, 0 after the
-# row's last point.  A single target is the one-row case.
+# row's last point.  ``rows`` names the row of each member or function, or
+# holds one row for them all (``_ROW_0``).  A single target is the one-row
+# case, in which each step takes its 1-D form: np.interp, a sort and a search
+# of the points alone, one magnitude, one cumulative sum.
+
+# Target breakpoints and lattice members, over all its rows, that one kernel
+# call takes at most: a row's N^2 conjugates go in groups of as many as that
+# allows, and at least one, so that no call holds N^2 copies of a many-cell
+# target or of a large lattice at once.
+_GROUP_SIZE = 2 ** 13
+
+# Row 0 for every member or function: ``rows`` of a single row.
+_ROW_0 = np.zeros(1, dtype=np.intp)
+_ROW_0.setflags(write=False)
 
 
 def _pairs(lo, hi):
     """Every (u, v) with lo <= u, v < hi as two float arrays, u outer."""
     side = np.arange(lo, hi, dtype=float)
-    return side.repeat(side.size), np.tile(side, side.size)
+    return side.repeat(side.size), _tile(side, side.size)
+
+
+def _tile(a, n):
+    """``np.tile(a, n)`` for a 1-D ``a``, without its wrapper cost."""
+    return a[None].repeat(n, axis=0).ravel()
+
+
+def _check(M, N):
+    if M < 1:
+        raise ValueError("M must be a positive integer")
+    if N < 1:
+        raise ValueError("N must be a positive integer")
 
 
 def _box_lattice(M, N):
     """Snapped parameters (a, b) of every box cell, in the order r, l, s, m."""
+    _check(M, N)
     r, l, s, m = np.indices((N, 2 * M, N, 2 * M)).reshape(4, -1)
     l -= M
     m -= M
     return l + r / N, m + s * 2.0 ** l / N
 
 
-@functools.lru_cache(maxsize=16)
-def _lattice(M, N):
-    """Members (a, b, row, weight) of the box sum of x (row 0, weight 1/N^2),
-    then of each y_{r,s}'s integer-lattice partial sum (row 1 + r N + s,
-    weight 1): two halves of one size.  Built once per (M, N), read only."""
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    a, b = _box_lattice(M, N)
+def _conjugate_groups(ws, x, M, N):
+    """The conjugates y_{r,s} of x in the order r, s, in groups of rows, each
+    with the integer lattice (l, m) of [-M, M]^2 against every row.
+
+    y_{r,s} is x dilated by -r/N, then translated by -s/N.  A group holds
+    as many conjugates as ``_GROUP_SIZE`` allows.  Yields, per group, the
+    cells (yb, yv) with one row per conjugate; the lattice
+    (l, m, rows), each member with the row it analyses; and per row the
+    shift s/N, the scale 2^(-(r/N)) and the weight 2^((r/N)/p) that move
+    that row's members back.  Each factor is computed as a Python float,
+    as for one conjugate at a time.
+    """
+    _check(M, N)
+    offsets = np.array([(2.0 ** (r / N), -s / N, 2.0 ** ((-r / N) / ws.p),
+                         s / N, 2.0 ** (-(r / N)), 2.0 ** ((r / N) / ws.p))
+                        for r in range(N) for s in range(N)]).T[:, :, None]
     l, m = _pairs(-M, M)
-    lattice = (np.concatenate((a, np.tile(l, N * N))),
-               np.concatenate((b, np.tile(m, N * N))),
-               np.arange(N * N + 1).repeat([a.size] + [l.size] * (N * N)),
-               np.concatenate((np.full(a.size, 1.0 / (N * N)), np.ones(a.size))))
-    for arr in lattice:
-        arr.setflags(write=False)
-    return lattice
-
-
-@functools.lru_cache(maxsize=16)
-def _offsets(N, p):
-    """Columns of Python scalars, one row per pair (r, s) in the order r, s:
-    2^(r/N), -s/N and 2^((-r/N)/p) take x to y_{r,s}; s/N, 2^(-(r/N)) and
-    2^((r/N)/p) move a member of y_{r,s}'s partial sum back.  Read only."""
-    columns = np.array([(2.0 ** (r / N), -s / N, 2.0 ** ((-r / N) / p),
-                         s / N, 2.0 ** (-(r / N)), 2.0 ** ((r / N) / p))
-                        for r in range(N) for s in range(N)])
-    columns.setflags(write=False)
-    return columns.T[:, :, None]
-
-
-def _conjugates(ws, x, N):
-    """Cells (xb, xv) of x, then of every y_{r,s}: x dilated by -r/N, then
-    translated by -s/N; one row each, in the order r, s."""
-    grow, shift, shrink = _offsets(N, ws.p)[:3]
-    return (np.concatenate((x.breakpoints[None], x.breakpoints * grow + shift)),
-            np.concatenate((x.values[None], x.values * shrink)))
+    size = min(N * N, max(1, _GROUP_SIZE // (x.breakpoints.size + l.size)))
+    lattice = _tile(l, size), _tile(m, size), np.arange(size).repeat(l.size)
+    for lo in range(0, N * N, size):
+        grow, shift, shrink, *back = offsets[:, lo:lo + size]
+        n = grow.shape[0] * l.size
+        yield ((x.breakpoints * grow + shift, x.values * shrink),
+               (lattice[0][:n], lattice[1][:n], lattice[2][:n]), back)
 
 
 def _keys(rows, points):
@@ -153,7 +167,8 @@ def _keys(rows, points):
 
 
 def _interp(q, rows, xp, fp):
-    """``np.interp(q[k], xp[rows[k]], fp[rows[k]])`` for every k, bit for bit.
+    """``np.interp(q[k], xp[rows[k]], fp[rows[k]])`` for every k, bit for bit;
+    for a single row, np.interp itself.
 
     ``rows`` broadcasts to ``q``, which holds no NaN; each row of ``xp`` rises
     through two points or more.  One search finds each point's cell
@@ -164,6 +179,8 @@ def _interp(q, rows, xp, fp):
     (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]), and np.interp's fallbacks
     where that is NaN.
     """
+    if xp.shape[0] == 1:
+        return np.interp(q, xp[0], fp[0])
     inner = _keys(np.arange(xp.shape[0])[:, None], xp[:, 1:-1])
     j = inner.searchsorted(_keys(rows, q), side="right").reshape(q.shape)
     # a count in row i starts at i (width - 2), the row's points at i width;
@@ -199,13 +216,14 @@ def _coefficients(ws, xb, xv, a, b, rows):
     db, dv = ws._unit_cells["dual"]
     X = np.zeros(xb.shape)
     (xv * _widths(xb)).cumsum(axis=1, out=X[:, 1:])
-    rise = _widths(_interp((b[:, None] + db) * 2.0 ** (-a[:, None]), rows[:, None], xb, X))
+    q = (b[:, None] + db) * 2.0 ** (-a[:, None])
+    rise = _widths(_interp(q, rows[:, None], xb, X))
     return np.add.reduce(rise * dv, axis=1) * 2.0 ** (a / ws.p_conj)
 
 
 def _members(ws, xb, xv, a, b, rows, weight):
     """Cells of weight * <x, dual_k> primal_k for each k whose coefficient is not
-    0, x the target rows[k]; ``weight`` is a scalar or one per member.
+    0, x the target rows[k].
 
     Returns ``(kept, breakpoints, values)``: the kept k, in order, and one
     row of cells for each.
@@ -215,21 +233,28 @@ def _members(ws, xb, xv, a, b, rows, weight):
     a, b = a[kept, None], b[kept, None]
     pb, pv = ws._unit_cells["primal"]
     return (kept, (b + pb) * 2.0 ** (-a),
-            (pv * 2.0 ** (a / ws.p)) * (coef * weight)[kept, None])
+            (pv * 2.0 ** (a / ws.p)) * (coef[kept, None] * weight))
 
 
-def _merged(keys):
-    """``_merge`` within each row of the points in ``keys``.
+def _merged(keys, count):
+    """``_merge`` within each of the ``count`` rows of the points in ``keys``.
 
     Returns ``(order, keep, starts)``: the sort of ``keys``, which sorted
     points stay as grid points, and where each row starts among them.  A
-    row's magnitude is its largest |point|.
+    row's magnitude is its largest |point|; one row sorts by its points
+    alone, and its magnitude is that of them all.
     """
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    if count == 1:
+        order = keys.imag.argsort()
+        points = keys.imag[order]
+        magnitude = np.maximum.reduce(np.abs(points), initial=0.0)
+        keep[1:] = _widths(points) > MERGE_ULPS * np.spacing(magnitude)
+        return order, keep, _ROW_0[:keys.size]
     order = keys.argsort()
     ordered = keys[order]
     rows, points = ordered.real, ordered.imag
-    keep = np.empty(keys.size, dtype=bool)
-    keep[:1] = True
     keep[1:] = rows[1:] != rows[:-1]
     starts = keep.nonzero()[0]
     tol = MERGE_ULPS * np.spacing(np.maximum.reduceat(np.abs(points), starts))
@@ -237,9 +262,17 @@ def _merged(keys):
     return order, keep, starts
 
 
-def _jump_sum(rows, bp, vals):
+def _search(keys, queries, count):
+    """How many of the sorted ``keys`` lie at or below each of ``queries``, both
+    row-tagged, in ``count`` rows; one row is searched by its points alone."""
+    if count == 1:
+        return keys.imag.searchsorted(queries.imag, side="right")
+    return keys.searchsorted(queries, side="right")
+
+
+def _jump_sum(rows, bp, vals, count):
     """Row-tagged cells of the sums of the step functions with cells (bp[k], vals[k]):
-    row i sums the functions k with rows[k] = i.
+    row i < count sums the functions k with rows[k] = i.
 
     Each function turns into jumps at its breakpoints.  Each row's
     breakpoints are merged into one grid by ``_merged``, and each breakpoint
@@ -250,10 +283,11 @@ def _jump_sum(rows, bp, vals):
     row whose grid has fewer than two points has no cell and is dropped.
     """
     keys = _keys(rows[:, None], bp)
-    order, keep, starts = _merged(keys)
+    order, keep, starts = _merged(keys, count)
     grid = keys[order[keep]]
     index = keep.cumsum() - 1
     starts = index[starts]
+    lengths = _widths(np.concatenate((starts, [grid.size])))
     at = np.empty(keys.size, dtype=np.intp)
     at[order] = index
     at = at.reshape(bp.shape)
@@ -263,13 +297,15 @@ def _jump_sum(rows, bp, vals):
     jumps = np.bincount(at.ravel(), _widths(padded).ravel(), grid.size)
     covering = (np.bincount(at[:, 0], minlength=grid.size)
                 - np.bincount(at[:, -1], minlength=grid.size)).cumsum()
-    # each row's running sum starts at 0: take it along a zero-padded table's rows
-    lengths = _widths(np.concatenate((starts, [grid.size])))
-    width = np.maximum.reduce(lengths, initial=0)
-    cell = np.arange(grid.size) + (np.arange(lengths.size) * width - starts).repeat(lengths)
-    table = np.zeros(lengths.size * width)
-    table[cell] = jumps
-    running = table.reshape(lengths.size, width).cumsum(axis=1).ravel()[cell]
+    if count == 1:
+        running = jumps.cumsum()
+    else:
+        # each row's running sum starts at 0: take it along a zero-padded table's rows
+        width = np.maximum.reduce(lengths, initial=0)
+        cell = np.arange(grid.size) + (np.arange(lengths.size) * width - starts).repeat(lengths)
+        table = np.zeros(lengths.size * width)
+        table[cell] = jumps
+        running = table.reshape(lengths.size, width).cumsum(axis=1).ravel()[cell]
     values = np.where(covering > 0, running, 0.0)
     if np.minimum.reduce(lengths, initial=2) == 1:
         kept = (lengths > 1).repeat(lengths)
@@ -282,11 +318,15 @@ def _row_sums(terms, counts):
 
     The rows of one length are reduced as one 2-D array, which numpy sums
     row by row as it sums a row alone; a zero-padded array or
-    ``np.add.reduceat`` would sum in another order.
+    ``np.add.reduceat`` would sum in another order.  Rows all of one
+    length, a single row among them, are ``terms`` itself as that array.
     """
+    lengths = set(counts.tolist())
+    if len(lengths) == 1:
+        return np.add.reduce(terms.reshape(counts.size, lengths.pop()), axis=1)
     sums = np.empty(counts.size)
     ends = counts.cumsum()
-    for n in set(counts.tolist()):
+    for n in lengths:
         rows = (counts == n).nonzero()[0]
         sums[rows] = np.add.reduce(terms[(ends[rows] - n)[:, None] + np.arange(n)], axis=1)
     return sums
@@ -296,13 +336,13 @@ def _lp_distances(f, g, p, count):
     """||f_i - g_i||_p for every row i < count of the row-tagged cells f and g,
     each on the merged grid of its two rows, as ``_combined`` takes one pair."""
     keys = np.concatenate((f[0], g[0]))
-    order, keep, _ = _merged(keys)
+    order, keep, _ = _merged(keys, count)
     grid = keys[order[keep]]
     rows, points = grid.real, grid.imag
     cell = rows[:-1] == rows[1:]
     mids = _keys(rows[:-1], 0.5 * (points[:-1] + points[1:]))[cell]
-    fm = np.concatenate(([0.0], f[1]))[f[0].searchsorted(mids, side="right")]
-    gm = np.concatenate(([0.0], g[1]))[g[0].searchsorted(mids, side="right")]
+    fm = np.concatenate(([0.0], f[1]))[_search(f[0], mids, count)]
+    gm = np.concatenate(([0.0], g[1]))[_search(g[0], mids, count)]
     terms = np.abs(fm - gm) ** p * _widths(points)[cell]
     sums = _row_sums(terms, np.bincount(mids.real.astype(np.intp), minlength=count))
     # numpy's scalar power, as for one pair: its array power may round otherwise
@@ -316,18 +356,16 @@ def _cells(rows, xb, xv):
     return _keys(rows, xb), values.ravel()
 
 
-def _step(cells, row):
-    """Row ``row`` of row-tagged cells as a StepFunction."""
+def _function(cells):
+    """Row-tagged cells of a single row as a StepFunction."""
     keys, values = cells
-    lo, hi = keys.real.searchsorted((row - 0.5, row + 0.5))
-    return StepFunction(keys.imag[lo:hi], values[lo:max(hi - 1, lo)])
+    return StepFunction(keys.imag, values[:-1])
 
 
 def _lattice_sum(ws, x, a, b, weight):
     """weight * sum_k <x, dual(a_k, b_k)> primal(a_k, b_k) as one step function."""
-    kept, bp, vals = _members(ws, x.breakpoints[None], x.values[None], a, b,
-                              np.zeros(a.size, dtype=np.intp), weight)
-    return _step(_jump_sum(np.zeros(kept.size, dtype=np.intp), bp, vals), 0)
+    _, bp, vals = _members(ws, x.breakpoints[None], x.values[None], a, b, _ROW_0, weight)
+    return _function(_jump_sum(_ROW_0, bp, vals, 1))
 
 
 # -- reconstructions ---------------------------------------------------------------
@@ -341,9 +379,7 @@ def box_reconstruct(ws, x, M, N):
     N^-2 * sum over r, s, l, m of coefficient times primal member, with the
     snapped parameters a = l + r/N and b = m + s * 2^l / N.
     """
-    a, b, _, _ = _lattice(M, N)
-    half = a.size // 2
-    return _lattice_sum(ws, x, a[:half], b[:half], 1.0 / (N * N))
+    return _lattice_sum(ws, x, *_box_lattice(M, N), 1.0 / (N * N))
 
 
 def averaged_conjugate_reconstruction(ws, x, M, N):
@@ -354,13 +390,13 @@ def averaged_conjugate_reconstruction(ws, x, M, N):
     them by s/N and dilating by r/N moves every member back, and all N^2
     sets are summed by one jump sort.
     """
-    a, b, rows, weights = _lattice(M, N)
-    half = a.size // 2
-    kept, bp, vals = _members(ws, *_conjugates(ws, x, N), a[half:], b[half:], rows[half:],
-                              weights[half:])
-    back, shrink, grow = _offsets(N, ws.p)[3:, rows[half:][kept] - 1]
-    return _step(_jump_sum(np.zeros(kept.size, dtype=np.intp), (bp + back) * shrink,
-                           vals * grow * (1.0 / (N * N))), 0)
+    bps, vals = [], []
+    for y, (l, m, rows), (shift, scale, grow) in _conjugate_groups(ws, x, M, N):
+        kept, bp, v = _members(ws, *y, l, m, rows, 1.0)
+        rows = rows[kept]
+        bps.append((bp + shift[rows]) * scale[rows])
+        vals.append(v * grow[rows] * (1.0 / (N * N)))
+    return _function(_jump_sum(_ROW_0, np.concatenate(bps), np.concatenate(vals), 1))
 
 
 def reconstruction_identity_gap(ws, x, M, N):
@@ -385,25 +421,23 @@ def convergence_study(ws, x, M_list, N_list):
     ``error`` is ||x - box_reconstruct||_p.  ``oracle_bound`` is the worst
     conjugated partial-sum error max_{r,s} ||y_{r,s} - P_M y_{r,s}||_p,
     which dominates the error because the fractional dilation-translation
-    pair is an isometry of Lp.  Each row takes the box sum and the N^2
-    partial sums in one kernel call, and their N^2 + 1 distances in one
-    more.
+    pair is an isometry of Lp.  Each group of conjugates takes its partial
+    sums and their distances in one kernel call each.
     """
+    target = _cells(0, x.breakpoints[None], x.values[None])
     rows = []
     for M in M_list:
         for N in N_list:
-            a, b, targets, weights = _lattice(M, N)
-            xb, xv = _conjugates(ws, x, N)
-            kept, bp, vals = _members(ws, xb, xv, a, b, targets, weights)
-            keys, values = _jump_sum(targets[kept], bp, vals)
-            # row 0, the box sum, is compared as box_reconstruct returns it
-            approx = _step((keys, values), 0)
-            box_keys, box_values = _cells(0.0, approx.breakpoints[None], approx.values[None])
-            split = keys.real.searchsorted(0.5)
-            sums = (np.concatenate((box_keys, keys[split:])),
-                    np.concatenate((box_values, values[split:])))
-            error, *bounds = _lp_distances(_cells(np.arange(N * N + 1)[:, None], xb, xv),
-                                           sums, ws.p, N * N + 1)
+            approx = box_reconstruct(ws, x, M, N)
+            [error] = _lp_distances(
+                target, _cells(0, approx.breakpoints[None], approx.values[None]), ws.p, 1)
+            bounds = []
+            for (yb, yv), (l, m, targets), _ in _conjugate_groups(ws, x, M, N):
+                count = yb.shape[0]
+                kept, bp, vals = _members(ws, yb, yv, l, m, targets, 1.0)
+                bounds += _lp_distances(_cells(np.arange(count)[:, None], yb, yv),
+                                        _jump_sum(targets[kept], bp, vals, count),
+                                        ws.p, count)
             # np.max keeps a NaN, which Python's max would drop
             rows.append(StudyRow(M=M, N=N, p=ws.p, error=float(error),
                                  oracle_bound=float(np.max(bounds))))

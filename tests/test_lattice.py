@@ -28,7 +28,9 @@ shows; one counts calls of ``np.diff``, ``np.unique`` and ``np.meshgrid``,
 whose wrappers cost more than the arithmetic on these small arrays, and
 the wavelet paths and the step-function algebra make none; one counts the
 kernel calls of a row, the same at N = 8 as at N = 1; one counts lattice
-builds in a job; and one bounds the memory of a schema-maximum row.
+builds, one per row and none kept between jobs; and one bounds the memory
+of a schema-maximum row, on a few-cell and on a many-cell target, near the
+peak of the code that took one conjugate at a time.
 """
 
 import math
@@ -53,9 +55,10 @@ from framelab import (
 from framelab import wavelet_frame
 from framelab.cli import main
 from framelab.stepfn import _EMPTY, MERGE_ULPS, _combined, _merge, _widths
-from framelab.wavelet_frame import (_box_lattice, _cells, _coefficients, _conjugates,
-                                    _interp, _jump_sum, _keys, _lattice, _lattice_sum,
-                                    _lp_distances, _members, _merged, _pairs, _row_sums, _step)
+from framelab.wavelet_frame import (_ROW_0, _box_lattice, _cells, _coefficients,
+                                    _conjugate_groups, _interp, _jump_sum, _keys,
+                                    _lattice_sum, _lp_distances, _members, _merged, _pairs,
+                                    _row_sums)
 
 
 # -- the replaced per-member code, verbatim ---------------------------------------
@@ -313,8 +316,15 @@ def test_uncovered_cells_are_exactly_zero():
 
 def one_row_sum(bp, vals):
     """Cells (grid, values) of the sum of the step functions in the rows of (bp, vals)."""
-    keys, values = _jump_sum(np.zeros(bp.shape[0], dtype=np.intp), bp, vals)
+    keys, values = _jump_sum(_ROW_0, bp, vals, 1)
     return keys.imag, values[:-1]
+
+
+def row_function(cells, row):
+    """Row ``row`` of row-tagged cells as a StepFunction."""
+    keys, values = cells
+    mine = (keys.real == row).nonzero()[0]
+    return StepFunction(keys.imag[mine], values[mine][:-1])
 
 
 def test_jump_sum_merges_breakpoints_within_merge_tol():
@@ -421,7 +431,8 @@ def tagged_points(draw):
 @given(tagged_points())
 def test_row_merge_matches_merge_per_row(case):
     rows, points = case
-    order, keep, starts = _merged(_keys(rows, points))
+    # one row takes the sort and the magnitude of its points alone
+    order, keep, starts = _merged(_keys(rows, points), len(set(rows.tolist())))
     grid = _keys(rows, points)[order[keep]]
     assert np.array_equal(rows[order[starts]], np.unique(rows))
     for row in set(rows.tolist()):
@@ -432,26 +443,44 @@ def test_row_merge_matches_merge_per_row(case):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(systems()), st.sampled_from(targets() + [StepFunction.indicator(
-    -0.7, 2.1)]), st.integers(1, 3), st.integers(1, 4))
-def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N):
+    -0.7, 2.1)]), st.integers(1, 3), st.integers(1, 4), st.sampled_from([1, 40, 2 ** 13]))
+def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N, group):
     # every conjugate's partial sum and its distance, as the replaced code
-    # took them one conjugate at a time
-    a, b, targets, weights = _lattice(M, N)
-    xb, xv = _conjugates(ws, x, N)
-    kept, bp, vals = _members(ws, xb, xv, a, b, targets, weights)
-    rows = targets[kept]
-    keys, values = _jump_sum(rows, bp, vals)
-    sums = []
-    for i in range(N * N + 1):
-        grid, cells = reference_jump_sum(bp[rows == i], vals[rows == i])
-        mine = keys.real == i
-        assert (keys.imag[mine] + 0.0).tobytes() == (grid + 0.0).tobytes()
-        assert same_bits(values[mine][:-1], cells)
-        sums.append((grid, cells))
-    distances = _lp_distances(_cells(np.arange(N * N + 1)[:, None], xb, xv), (keys, values),
-                              ws.p, N * N + 1)
-    assert same_bits(distances, [reference_lp_distance((xb[i], xv[i]), sums[i], ws.p)
-                                 for i in range(N * N + 1)])
+    # took them one conjugate at a time, whatever the size of the groups
+    # the conjugates go in
+    saved, wavelet_frame._GROUP_SIZE = wavelet_frame._GROUP_SIZE, group
+    try:
+        groups = list(_conjugate_groups(ws, x, M, N))
+        [row] = convergence_study(ws, x, [M], [N])
+    finally:
+        wavelet_frame._GROUP_SIZE = saved
+    # one conjugate a group at the smallest size, all of them at the default
+    assert len(groups) == {1: N * N, 40: len(groups), 2 ** 13: 1}[group]
+    bounds = []
+    for (xb, xv), (l, m, targets), _ in groups:
+        count = xb.shape[0]
+        kept, bp, vals = _members(ws, xb, xv, l, m, targets, 1.0)
+        rows = targets[kept]
+        keys, values = _jump_sum(rows, bp, vals, count)
+        sums = []
+        for i in range(count):
+            grid, cells = reference_jump_sum(bp[rows == i], vals[rows == i])
+            mine = keys.real == i
+            assert (keys.imag[mine] + 0.0).tobytes() == (grid + 0.0).tobytes()
+            assert same_bits(values[mine][:-1], cells)
+            sums.append((grid, cells))
+        distances = _lp_distances(_cells(np.arange(count)[:, None], xb, xv), (keys, values),
+                                  ws.p, count)
+        want = [reference_lp_distance((xb[i], xv[i]), sums[i], ws.p) for i in range(count)]
+        assert same_bits(distances, want)
+        bounds += want
+    # the study row: the box error as the one-pair distance took it, and the
+    # worst of the conjugates' distances
+    approx = box_reconstruct(ws, x, M, N)
+    assert same_bits([row.error, row.oracle_bound],
+                     [reference_lp_distance((x.breakpoints, x.values),
+                                            (approx.breakpoints, approx.values), ws.p),
+                      np.max(bounds)])
 
 
 # -- the exact rational oracle -------------------------------------------------------
@@ -581,31 +610,32 @@ def test_synthesis_is_exact(target, mother, dual, exps, lattice, N):
     xb, xv, rows = dyadic_rows(x, N)
     targets = np.arange(len(rows)).repeat(a.size)
     kept, bp, vals = _members(ws, xb, xv, np.tile(a, len(rows)), np.tile(b, len(rows)),
-                              targets, np.full(targets.size, weight))
-    sums = _jump_sum(targets[kept], bp, vals)
+                              targets, weight)
+    sums = _jump_sum(targets[kept], bp, vals, len(rows))
     for i, xf in enumerate(rows):
-        assert_exact(_step(sums, i), exact_sum(ws, xf, a, b, exps, weight))
+        assert_exact(row_function(sums, i), exact_sum(ws, xf, a, b, exps, weight))
 
 
 # -- NaN keeps its way to the report -----------------------------------------------
 
 
 def test_study_keeps_a_nan_oracle_distance(monkeypatch):
-    calls = [0]
+    passes = []
     original = wavelet_frame._row_sums
 
     def one_nan(terms, counts):
-        calls[0] += 1
+        passes.append(counts.size)
         sums = original(terms, counts)
-        sums[2] = math.nan
+        if counts.size > 1:
+            sums[2] = math.nan
         return sums
 
     monkeypatch.setattr(wavelet_frame, "_row_sums", one_nan)
     ws = WaveletSystem.haar(2.0)
     [row] = convergence_study(ws, StepFunction.indicator(0.0, 0.3), [1], [2])
-    # one pass takes every distance of the row: row 0 is the box error, rows
-    # 1..4 the four conjugated partial-sum errors, and row 2 reads NaN
-    assert calls[0] == 1
+    # one pass takes the box error, one the four conjugated partial-sum
+    # errors, of which the third reads NaN
+    assert passes == [1, 4]
     assert math.isfinite(row.error)
     assert math.isnan(row.oracle_bound)
 
@@ -634,12 +664,13 @@ def kernel_calls(monkeypatch, run):
 
 def test_a_row_makes_one_kernel_pass_whatever_its_n(monkeypatch):
     # the N^2 conjugates ride in rows of the same calls: a study row takes
-    # its coefficients, sums and distances once, as does the averaged route
+    # the box sum's coefficients, sum and distance once and the conjugates'
+    # once, and the averaged route takes its coefficients and sum once
     for ws in (WaveletSystem.haar(2.0), SKEWED):
         for path, calls in [
                 (lambda n: convergence_study(ws, NON_DYADIC, [3], [n]),
-                 {"_coefficients": 1, "_interp": 1, "_members": 1, "_merged": 2,
-                  "_jump_sum": 1, "_lp_distances": 1, "_row_sums": 1}),
+                 {"_coefficients": 2, "_interp": 2, "_members": 2, "_merged": 4,
+                  "_jump_sum": 2, "_lp_distances": 2, "_row_sums": 2}),
                 (lambda n: averaged_conjugate_reconstruction(ws, NON_DYADIC, 3, n),
                  {"_coefficients": 1, "_interp": 1, "_members": 1, "_merged": 1,
                   "_jump_sum": 1, "_lp_distances": 0, "_row_sums": 0})]:
@@ -647,35 +678,56 @@ def test_a_row_makes_one_kernel_pass_whatever_its_n(monkeypatch):
             assert kernel_calls(monkeypatch, lambda: path(8)) == calls
 
 
-def test_each_lattice_is_built_once_per_job(monkeypatch, tmp_path, capsys):
-    builds = []
-    original = wavelet_frame._box_lattice
+def test_each_lattice_is_built_once_per_row(monkeypatch, tmp_path, capsys):
+    builds, tiles = [], [0]
+    original, tile = wavelet_frame._box_lattice, wavelet_frame._tile
     monkeypatch.setattr(wavelet_frame, "_box_lattice",
                         lambda M, N: builds.append((M, N)) or original(M, N))
-    wavelet_frame._lattice.cache_clear()
-    # three exponents, each with every (M, N)
-    assert main(["wavelet-identity", "--p-list", "1.5,2,3", "--M-list", "1,2",
-                 "--N-list", "1,2", "--out", str(tmp_path / "gap"), "--quiet"]) == 0
-    assert sorted(builds) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    monkeypatch.setattr(wavelet_frame, "_tile",
+                        lambda a, n: tiles.__setitem__(0, tiles[0] + 1) or tile(a, n))
+    grid = ["--M-list", "1,2", "--N-list", "1,2", "--quiet"]
+    # a study row builds its box lattice once, and nothing is kept for the
+    # next job, which builds its own
+    for run in range(2):
+        assert main(["wavelet-reconstruct", "--p", "2", "--out",
+                     str(tmp_path / f"study{run}")] + grid) == 0
+        assert builds == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        builds.clear()
+    # an identity gap builds it once for the box sum, at every exponent
+    assert main(["wavelet-identity", "--p-list", "1.5,2,3", "--out",
+                 str(tmp_path / "gap")] + grid) == 0
+    assert builds == [(1, 1), (1, 2), (2, 1), (2, 2)] * 3
+    # each call's conjugate lattice is built once, however many groups of
+    # conjugates read it: 16 groups tile it as often as one does
+    counts = []
+    for size in (1, 2 ** 13):
+        monkeypatch.setattr(wavelet_frame, "_GROUP_SIZE", size)
+        tiles[0] = 0
+        averaged_conjugate_reconstruction(WaveletSystem.haar(2.0), NON_DYADIC, 2, 4)
+        counts.append(tiles[0])
+    assert counts[0] == counts[1] > 0
     capsys.readouterr()
 
 
-def test_a_cap_sized_row_holds_no_members_by_cells_table():
-    # M = 8, N = 16 is the schema's largest row: 2^17 lattice members read at
-    # three dual breakpoints each, against the 2000 cells of each of 257 rows
-    cells = 2000
+@pytest.mark.parametrize("cells", [5, 2000])
+def test_a_cap_sized_row_stays_near_the_one_conjugate_peak(cells):
+    # M = 8, N = 16 is the schema's largest row: 2^16 box members, and 2^16
+    # more for the 256 conjugates, each a copy of the target's cells.  Taking
+    # one conjugate at a time, the replaced code peaked at 4.8 MB traced on
+    # either target; the row as one batch of N^2 + 1 rows, the box sum among
+    # them, took 37 MB on the few-cell target and 78 MB on the many-cell one
     x = StepFunction(np.linspace(0.0, 1.0, cells + 1), np.cos(np.arange(cells)))
     ws = WaveletSystem.haar(2.0)
-    _lattice(8, 16)
-    tracemalloc.start()
-    try:
-        convergence_study(ws, x, [8], [16])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 8 bytes per member breakpoint and per row cell; a table of every
-    # member breakpoint against every cell would take 100 times the bound
-    assert peak < 16 * 8 * (2 ** 17 * 3 + 257 * (cells + 1))
+    for path in (lambda: convergence_study(ws, x, [8], [16]),
+                 lambda: averaged_conjugate_reconstruction(ws, x, 8, 16)):
+        path()
+        tracemalloc.start()
+        try:
+            path()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6
 
 
 def constructions(monkeypatch, run):
