@@ -773,6 +773,9 @@ def _require_out_directory(out_base):
     directory = os.path.dirname(os.path.abspath(out_base))
     if not os.path.isdir(directory):
         raise ConfigError(f"out={out_base!r}: no directory {directory}")
+    for path in (out_base + ".json", out_base + ".csv"):
+        if os.path.isdir(path):
+            raise ConfigError(f"out={out_base!r}: {path} is a directory")
 
 
 def _reject_config_overwrite(config_path, out_base):
@@ -794,7 +797,7 @@ def _collect_config(args):
             raise ConfigError("config must be a JSON object")
         raw = dict(raw)
         raw["kind"] = args.command
-        params = raw.get("params") or {}
+        params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be an object")
         params = dict(params)

@@ -20,8 +20,8 @@ class IntervalSet:
         for l, r in pairs:
             l = float(l)
             r = float(r)
-            if r < l:
-                raise ValueError(f"interval [{l}, {r}) has negative length")
+            if not l <= r:
+                raise ValueError(f"interval [{l}, {r}) is NaN or of negative length")
             if r > l:
                 cleaned.append((l, r))
         cleaned.sort()

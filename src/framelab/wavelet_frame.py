@@ -19,11 +19,11 @@ partial-sum error, which is what ``convergence_study`` tabulates.
 
 Every route runs on one lattice kernel, which works on rows of targets: x
 alone, or a group of its conjugates y_{r,s} in one call.  Each coefficient
-is the rise of a target's antiderivative across a member's cells, read for
-every member of every row by one interpolation (``_interp``, np.interp's
-formula); each row's sum of members is one sort of their jumps and one
-cumulative sum along the row (``_jump_sum``); and the distance from each
-sum to its target is one pass for all rows (``_lp_distances``).  The box
+is the rise of a target's antiderivative across a member's cells, read by
+np.interp once per target row; each row's sum of members is one sort of
+their jumps and one cumulative sum along the row (``_jump_sum``); and the
+distance from each sum to its target is one merge for all rows and one
+np.add.reduce per row (``_lp_distances``).  The box
 sum takes the fractional lattice a = l + r/N, b = m + s 2^l / N against x.
 The oracle bound and the averaged route take the integer lattice (l, m)
 against the conjugates, as many rows a call as a fixed size allows (all
@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .stepfn import MERGE_ULPS, StepFunction, _widths, haar_mother
+from .stepfn import MERGE_ULPS, StepFunction, _merge, _widths, haar_mother
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,9 +90,11 @@ def member(ws, a, b, side="primal"):
 # complex keys row + i point (``_keys``), which numpy sorts by row, then point,
 # and values[j] held from point j to the next point of its row, 0 after the
 # row's last point.  ``rows`` names the row of each member or function, or
-# holds one row for them all (``_ROW_0``).  A single target is the one-row
-# case, in which each step takes its 1-D form: np.interp, a sort and a search
-# of the points alone, one magnitude, one cumulative sum.
+# holds one row for them all (``_ROW_0``).  Members come in row order, so a
+# row's members, and its cells of a merged grid, are one contiguous run: the
+# per-row steps, np.interp and np.add.reduce, take each run (``_runs``).  A
+# single target is the one-row case, in which the merge is ``_merge`` of the
+# points, and a search and the cumulative sum take the points alone.
 
 # Target breakpoints and lattice members, over all its rows, that one kernel
 # call takes at most: a row's N^2 conjugates go in groups of as many as that
@@ -166,49 +168,20 @@ def _keys(rows, points):
     return keys.ravel()
 
 
-def _interp(q, rows, xp, fp):
-    """``np.interp(q[k], xp[rows[k]], fp[rows[k]])`` for every k, bit for bit;
-    for a single row, np.interp itself.
-
-    ``rows`` broadcasts to ``q``, which holds no NaN; each row of ``xp`` rises
-    through two points or more.  One search finds each point's cell
-    [xp[j], xp[j + 1]): j counts the row's inner points xp[1:-1] at or below
-    it.  np.interp's own formula reads the cell: fp[j] at or left of xp[j],
-    the row's last fp at or right of its last xp, between them
-    slope * (q - xp[j]) + fp[j] with the cell's slope
-    (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]), and np.interp's fallbacks
-    where that is NaN.
-    """
-    if xp.shape[0] == 1:
-        return np.interp(q, xp[0], fp[0])
-    inner = _keys(np.arange(xp.shape[0])[:, None], xp[:, 1:-1])
-    j = inner.searchsorted(_keys(rows, q), side="right").reshape(q.shape)
-    # a count in row i starts at i (width - 2), the row's points at i width;
-    # in place from here on, as a batch of rows holds many points
-    j += 2 * rows
-    slopes = np.zeros(xp.shape)
-    slopes[:, :-1] = _widths(fp) / _widths(xp)
-    x, f = xp.ravel(), fp.ravel()
-    x0, f0, slope = x[j], f[j], slopes.ravel()[j]
-    out = q - x0
-    out *= slope
-    out += f0
-    nan = np.isnan(out)
-    if nan.any():
-        j += 1
-        out = np.where(nan, slope * (q - x[j]) + f[j], out)
-        out = np.where(np.isnan(out) & (f0 == f[j]), f0, out)
-    np.copyto(out, fp[rows, -1], where=q >= xp[rows, -1])
-    np.copyto(out, f0, where=q <= x0)
-    return out
+def _runs(a, rows, count):
+    """``a`` cut into the runs of rows 0 .. count - 1, ``rows`` nondecreasing:
+    ``np.split`` at the row starts, without its per-run wrapper cost."""
+    cuts = [0, *rows.searchsorted(np.arange(1, count)).tolist(), len(a)]
+    return [a[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
 def _coefficients(ws, xb, xv, a, b, rows):
-    """<x, dual(a_k, b_k)> for every k, x the target with cells (xb, xv)[rows[k]].
+    """<x, dual(a_k, b_k)> for every k, x the target with cells (xb, xv)[rows[k]];
+    ``rows`` does not decrease.
 
     Over each cell of a dual member, the integral of x is the rise of its
     piecewise linear antiderivative, read at the member's breakpoints
-    (b_k + t_j) 2^(-a_k) by one interpolation for all k; each coefficient
+    (b_k + t_j) 2^(-a_k) by np.interp, once per target row; each coefficient
     sums value times rise in cell order.
     """
     if xv.shape[1] == 0:
@@ -217,7 +190,8 @@ def _coefficients(ws, xb, xv, a, b, rows):
     X = np.zeros(xb.shape)
     (xv * _widths(xb)).cumsum(axis=1, out=X[:, 1:])
     q = (b[:, None] + db) * 2.0 ** (-a[:, None])
-    rise = _widths(_interp(q, rows[:, None], xb, X))
+    runs = _runs(q, rows, xb.shape[0])
+    rise = _widths(np.concatenate([np.interp(*row) for row in zip(runs, xb, X)]))
     return np.add.reduce(rise * dv, axis=1) * 2.0 ** (a / ws.p_conj)
 
 
@@ -239,27 +213,21 @@ def _members(ws, xb, xv, a, b, rows, weight):
 def _merged(keys, count):
     """``_merge`` within each of the ``count`` rows of the points in ``keys``.
 
-    Returns ``(order, keep, starts)``: the sort of ``keys``, which sorted
-    points stay as grid points, and where each row starts among them.  A
-    row's magnitude is its largest |point|; one row sorts by its points
-    alone, and its magnitude is that of them all.
+    Returns ``(grid, starts)``: the row-tagged grid points and where each
+    row starts among them.  A row's magnitude is its largest |point|; one
+    row is ``_merge`` of its points.
     """
-    keep = np.empty(keys.size, dtype=bool)
-    keep[:1] = True
     if count == 1:
-        order = keys.imag.argsort()
-        points = keys.imag[order]
-        magnitude = np.maximum.reduce(np.abs(points), initial=0.0)
-        keep[1:] = _widths(points) > MERGE_ULPS * np.spacing(magnitude)
-        return order, keep, _ROW_0[:keys.size]
-    order = keys.argsort()
-    ordered = keys[order]
-    rows, points = ordered.real, ordered.imag
+        return _keys(0, _merge(keys.imag)), _ROW_0[:keys.size]
+    grid = np.sort(keys)
+    rows, points = grid.real, grid.imag
+    keep = np.empty(grid.size, dtype=bool)
+    keep[:1] = True
     keep[1:] = rows[1:] != rows[:-1]
     starts = keep.nonzero()[0]
     tol = MERGE_ULPS * np.spacing(np.maximum.reduceat(np.abs(points), starts))
     keep[1:] |= _widths(points) > tol[keep.cumsum()[1:] - 1]
-    return order, keep, starts
+    return grid[keep], keep.cumsum()[starts] - 1
 
 
 def _search(keys, queries, count):
@@ -276,22 +244,17 @@ def _jump_sum(rows, bp, vals, count):
 
     Each function turns into jumps at its breakpoints.  Each row's
     breakpoints are merged into one grid by ``_merged``, and each breakpoint
-    is placed at the grid point it merged into (``cumsum(keep) - 1``).
+    is placed at the last grid point at or below it, the one it merged into.
     ``np.bincount`` adds the jumps at their grid points in input order and a
     cumulative sum along each row gives the values.  A cell that no function
     covers is exactly 0: an integer count of covering functions decides.  A
     row whose grid has fewer than two points has no cell and is dropped.
     """
     keys = _keys(rows[:, None], bp)
-    order, keep, starts = _merged(keys, count)
-    grid = keys[order[keep]]
-    index = keep.cumsum() - 1
-    starts = index[starts]
+    grid, starts = _merged(keys, count)
     lengths = _widths(np.concatenate((starts, [grid.size])))
-    at = np.empty(keys.size, dtype=np.intp)
-    at[order] = index
-    at = at.reshape(bp.shape)
-    del keys, order, keep, index     # a batch of rows holds many points
+    at = (_search(grid, keys, count) - 1).reshape(bp.shape)
+    del keys     # a batch of rows holds many points
     padded = np.zeros((vals.shape[0], vals.shape[1] + 2))
     padded[:, 1:-1] = vals
     jumps = np.bincount(at.ravel(), _widths(padded).ravel(), grid.size)
@@ -313,40 +276,18 @@ def _jump_sum(rows, bp, vals, count):
     return grid, values
 
 
-def _row_sums(terms, counts):
-    """``np.add.reduce`` of each row's run of ``terms``, the runs laid end to end.
-
-    The rows of one length are reduced as one 2-D array, which numpy sums
-    row by row as it sums a row alone; a zero-padded array or
-    ``np.add.reduceat`` would sum in another order.  Rows all of one
-    length, a single row among them, are ``terms`` itself as that array.
-    """
-    lengths = set(counts.tolist())
-    if len(lengths) == 1:
-        return np.add.reduce(terms.reshape(counts.size, lengths.pop()), axis=1)
-    sums = np.empty(counts.size)
-    ends = counts.cumsum()
-    for n in lengths:
-        rows = (counts == n).nonzero()[0]
-        sums[rows] = np.add.reduce(terms[(ends[rows] - n)[:, None] + np.arange(n)], axis=1)
-    return sums
-
-
 def _lp_distances(f, g, p, count):
     """||f_i - g_i||_p for every row i < count of the row-tagged cells f and g,
     each on the merged grid of its two rows, as ``_combined`` takes one pair."""
-    keys = np.concatenate((f[0], g[0]))
-    order, keep, _ = _merged(keys, count)
-    grid = keys[order[keep]]
+    grid, _ = _merged(np.concatenate((f[0], g[0])), count)
     rows, points = grid.real, grid.imag
     cell = rows[:-1] == rows[1:]
     mids = _keys(rows[:-1], 0.5 * (points[:-1] + points[1:]))[cell]
     fm = np.concatenate(([0.0], f[1]))[_search(f[0], mids, count)]
     gm = np.concatenate(([0.0], g[1]))[_search(g[0], mids, count)]
     terms = np.abs(fm - gm) ** p * _widths(points)[cell]
-    sums = _row_sums(terms, np.bincount(mids.real.astype(np.intp), minlength=count))
     # numpy's scalar power, as for one pair: its array power may round otherwise
-    return [s ** (1.0 / p) for s in sums]
+    return [np.add.reduce(run) ** (1.0 / p) for run in _runs(terms, mids.real, count)]
 
 
 def _cells(rows, xb, xv):

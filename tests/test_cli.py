@@ -287,12 +287,14 @@ def test_bad_flag_value_exits_1(tmp_path, capsys):
 
 
 def test_kind_config_file_params_must_be_an_object(tmp_path, capsys):
+    # a falsy non-object once fell back to the defaults and ran
     path = tmp_path / "params.json"
-    path.write_text(json.dumps({"params": [1]}))
-    assert main(["counterexample", "--config", str(path), "--K", "3",
-                 "--out", str(tmp_path / "cx")]) == 1
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "cx.json").exists()
+    for params in ([1], [], 0, None, "", False):
+        path.write_text(json.dumps({"params": params}))
+        assert main(["counterexample", "--config", str(path), "--K", "3",
+                     "--out", str(tmp_path / "cx")]) == 1, params
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "cx.json").exists()
 
 
 # -- subprocess behaviour and artifact determinism --------------------------------
@@ -309,17 +311,20 @@ def test_console_entry_point(tmp_path, cli_env):
 DEEP_JSON = "[" * 100_000
 
 
-@pytest.mark.parametrize("args, config", [
-    (["validate-generator", "--generator", DEEP_JSON], None),
-    (["run", "deep.json"], DEEP_JSON.encode()),
-    (["run", "bad.json"], b"\xff\xfe"),
-    (["counterexample", "--out", "missing/x"], None),
+@pytest.mark.parametrize("args, config, directory", [
+    (["validate-generator", "--generator", DEEP_JSON], None, None),
+    (["run", "deep.json"], DEEP_JSON.encode(), None),
+    (["run", "bad.json"], b"\xff\xfe", None),
+    (["counterexample", "--out", "missing/x"], None, None),
+    (["counterexample", "--out", "x"], None, "x.json"),
 ], ids=["flag-nested-too-deep", "config-nested-too-deep", "config-not-utf8",
-        "out-directory-missing"])
-def test_malformed_input_fails_closed(tmp_path, cli_env, args, config):
-    # each used to end in a traceback; the last one after running its job
+        "out-directory-missing", "out-artifact-is-a-directory"])
+def test_malformed_input_fails_closed(tmp_path, cli_env, args, config, directory):
+    # each used to end in a traceback; the last two after running their job
     if config is not None:
         (tmp_path / args[1]).write_bytes(config)
+    if directory is not None:
+        (tmp_path / directory).mkdir()
     before = sorted(tmp_path.rglob("*"))
     proc = run_cli(args, cwd=tmp_path, env=cli_env, timeout=60)
     assert proc.returncode == 1

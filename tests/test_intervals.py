@@ -19,6 +19,14 @@ def test_degenerate_pieces_dropped():
         IntervalSet([(2.0, 1.0)])
 
 
+@pytest.mark.parametrize("pair", [(0.0, float("nan")), (float("nan"), 1.0),
+                                  (float("nan"), float("nan"))])
+def test_nan_endpoint_raises(pair):
+    # neither r < l nor r > l holds for a NaN, which once made the set empty
+    with pytest.raises(ValueError, match="NaN"):
+        IntervalSet([(0.0, 1.0), pair])
+
+
 def test_measure_and_contains():
     s = IntervalSet([(0.0, 1.0), (2.0, 4.0)])
     assert s.measure() == 3.0

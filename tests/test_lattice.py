@@ -1,18 +1,19 @@
 """The batched wavelet lattice kernel against three references.
 
 Every wavelet sum runs on one kernel, on rows of targets: coefficients
-from each target's antiderivative (``_coefficients``, read by ``_interp``),
-synthesis by one jump sort per row (``_jump_sum``) and every row's Lp
-distance in one pass (``_lp_distances``).  Each path is compared with
+from each target's antiderivative (``_coefficients``, read by np.interp
+once per row), synthesis by one jump sort per row (``_jump_sum``) and
+every row's Lp distance from one merge and one np.add.reduce per row
+(``_lp_distances``).  Each path is compared with
 
 * the per-member ``StepFunction`` code it replaced, kept verbatim below as
   the reference (``reference_*``, with the deleted balanced
   ``StepFunction.sum`` as ``reference_sum``), on Haar and non-Haar
   systems and on dyadic and non-dyadic targets;
-* the one-row code the row kernel replaced, bit for bit: ``np.interp``
-  per row, ``np.add.reduce`` per row, ``_merge`` per row, and the one-row
-  jump sum and Lp distance kept verbatim (``reference_jump_sum``,
-  ``reference_lp_distance``), driven by ``hypothesis``;
+* the one-row code the row kernel replaced, bit for bit: ``_merge`` per
+  row, and the one-row jump sum and Lp distance kept verbatim
+  (``reference_jump_sum``, ``reference_lp_distance``), driven by
+  ``hypothesis``; and ``np.split`` for the row runs (``_runs``);
 * exact ``fractions.Fraction`` arithmetic on dyadic targets, mothers and
   lattices, driven by ``hypothesis``, for one target and for several rows
   in one call; scales are chosen so that every normalization 2^(a/p),
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelab import (
@@ -56,9 +57,8 @@ from framelab import wavelet_frame
 from framelab.cli import main
 from framelab.stepfn import _EMPTY, MERGE_ULPS, _combined, _merge, _widths
 from framelab.wavelet_frame import (_ROW_0, _box_lattice, _cells, _coefficients,
-                                    _conjugate_groups, _interp, _jump_sum, _keys,
-                                    _lattice_sum, _lp_distances, _members, _merged, _pairs,
-                                    _row_sums)
+                                    _conjugate_groups, _jump_sum, _keys, _lattice_sum,
+                                    _lp_distances, _members, _merged, _pairs, _runs)
 
 
 # -- the replaced per-member code, verbatim ---------------------------------------
@@ -363,53 +363,13 @@ def same_bits(got, want):
             and got[~nan].tobytes() == want[~nan].tobytes())
 
 
-grid_points = st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False)
-# repeats make equal-valued cells; the non-finite ones take np.interp's fallbacks
-grid_values = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan]),
-    st.floats(-1e3, 1e3, allow_nan=False))
-
-
-@st.composite
-def interpolations(draw):
-    """(q, rows, xp, fp): rows of rising xp, and points at breakpoints, at
-    signed zeros, outside the spans and between."""
-    count, width = draw(st.integers(1, 4)), draw(st.integers(2, 6))
-    xp = np.array([sorted(draw(st.lists(grid_points, min_size=width, max_size=width,
-                                        unique=True))) for _ in range(count)])
-    fp = np.array(draw(st.lists(st.lists(grid_values, min_size=width, max_size=width),
-                                min_size=count, max_size=count)))
-    rows, q = [], []
-    for _ in range(draw(st.integers(1, 12))):
-        row = draw(st.integers(0, count - 1))
-        rows.append(row)
-        q.append(draw(st.one_of(st.sampled_from(list(xp[row])), st.sampled_from(
-            [0.0, -0.0, xp[row, 0] - 1.5, xp[row, -1] + 1.5]), grid_points)))
-    return np.array(q)[:, None], np.array(rows)[:, None], xp, fp
-
-
-@settings(max_examples=200, deadline=None)
-@given(interpolations())
-def test_interpolation_matches_np_interp_per_row(case):
-    q, rows, xp, fp = case
-    with np.errstate(all="ignore"):
-        got = _interp(q, rows, xp, fp)
-        want = [[np.interp(t, xp[i], fp[i])] for t, i in zip(q[:, 0], rows[:, 0])]
-    assert same_bits(got, want)
-
-
-run_lengths = st.one_of(st.integers(0, 150), st.sampled_from([0, 1, 7, 8, 9, 16, 128, 129]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(run_lengths, min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1))
-def test_grouped_row_sums_match_np_add_reduce_per_row(counts, seed):
-    rng = np.random.default_rng(seed)
-    counts = np.array(counts)
-    terms = rng.standard_normal(counts.sum()) * 10.0 ** rng.integers(-8, 9, counts.sum())
-    ends = np.cumsum(counts)
-    want = [np.add.reduce(terms[end - n:end]) for end, n in zip(ends, counts)]
-    assert same_bits(_row_sums(terms, counts), want)
+def test_runs_are_np_split_at_the_row_starts():
+    a = np.arange(12.0).reshape(6, 2)
+    # rows 1 and 3 empty, and one row for every item (``_ROW_0``)
+    for rows, count in [(np.array([0, 0, 2, 2, 2, 4]), 5), (np.array([0, 1, 2, 3, 4, 5]), 6),
+                        (np.zeros(6, dtype=np.intp), 1), (_ROW_0, 1)]:
+        want = np.split(a, rows.searchsorted(np.arange(1, count)))
+        assert same_arrays(_runs(a, rows, count), want)
 
 
 @st.composite
@@ -429,12 +389,19 @@ def tagged_points(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tagged_points())
+# one row of signed zeros and of points within the merge distance of 1
+@example((np.zeros(5, dtype=np.intp),
+          np.array([1.0 + 40 * np.spacing(1.0), 0.0, 1.0, -0.0, 1.0 + 65 * np.spacing(1.0)])))
 def test_row_merge_matches_merge_per_row(case):
     rows, points = case
-    # one row takes the sort and the magnitude of its points alone
-    order, keep, starts = _merged(_keys(rows, points), len(set(rows.tolist())))
-    grid = _keys(rows, points)[order[keep]]
-    assert np.array_equal(rows[order[starts]], np.unique(rows))
+    count = len(set(rows.tolist()))
+    grid, starts = _merged(_keys(rows, points), count)
+    assert starts.tolist() == [i for i in range(grid.size)
+                               if i == 0 or grid.real[i] != grid.real[i - 1]]
+    assert grid.real[starts].tolist() == sorted(set(rows.tolist()))
+    if count == 1:
+        # one row is _merge itself, signed zeros and all
+        assert grid.imag.tobytes() == _merge(points).tobytes()
     for row in set(rows.tolist()):
         # a zero's sign follows the sort's order among equal points
         assert (grid.imag[grid.real == row] + 0.0).tobytes() == \
@@ -621,16 +588,16 @@ def test_synthesis_is_exact(target, mother, dual, exps, lattice, N):
 
 def test_study_keeps_a_nan_oracle_distance(monkeypatch):
     passes = []
-    original = wavelet_frame._row_sums
+    original = wavelet_frame._lp_distances
 
-    def one_nan(terms, counts):
-        passes.append(counts.size)
-        sums = original(terms, counts)
-        if counts.size > 1:
-            sums[2] = math.nan
-        return sums
+    def one_nan(f, g, p, count):
+        passes.append(count)
+        distances = original(f, g, p, count)
+        if count > 1:
+            distances[2] = math.nan
+        return distances
 
-    monkeypatch.setattr(wavelet_frame, "_row_sums", one_nan)
+    monkeypatch.setattr(wavelet_frame, "_lp_distances", one_nan)
     ws = WaveletSystem.haar(2.0)
     [row] = convergence_study(ws, StepFunction.indicator(0.0, 0.3), [1], [2])
     # one pass takes the box error, one the four conjugated partial-sum
@@ -643,8 +610,7 @@ def test_study_keeps_a_nan_oracle_distance(monkeypatch):
 # -- cost guard ------------------------------------------------------------------
 
 
-KERNEL = ("_coefficients", "_interp", "_members", "_merged", "_jump_sum",
-          "_lp_distances", "_row_sums")
+KERNEL = ("_coefficients", "_members", "_merged", "_jump_sum", "_lp_distances")
 
 
 def kernel_calls(monkeypatch, run):
@@ -669,11 +635,11 @@ def test_a_row_makes_one_kernel_pass_whatever_its_n(monkeypatch):
     for ws in (WaveletSystem.haar(2.0), SKEWED):
         for path, calls in [
                 (lambda n: convergence_study(ws, NON_DYADIC, [3], [n]),
-                 {"_coefficients": 2, "_interp": 2, "_members": 2, "_merged": 4,
-                  "_jump_sum": 2, "_lp_distances": 2, "_row_sums": 2}),
+                 {"_coefficients": 2, "_members": 2, "_merged": 4, "_jump_sum": 2,
+                  "_lp_distances": 2}),
                 (lambda n: averaged_conjugate_reconstruction(ws, NON_DYADIC, 3, n),
-                 {"_coefficients": 1, "_interp": 1, "_members": 1, "_merged": 1,
-                  "_jump_sum": 1, "_lp_distances": 0, "_row_sums": 0})]:
+                 {"_coefficients": 1, "_members": 1, "_merged": 1, "_jump_sum": 1,
+                  "_lp_distances": 0})]:
             assert kernel_calls(monkeypatch, lambda: path(1)) == calls
             assert kernel_calls(monkeypatch, lambda: path(8)) == calls
 
