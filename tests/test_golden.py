@@ -12,8 +12,10 @@ cell-grid merge, the cell widths and the wavelet lattice dropped
 files other than the contiguous record's before that kind certified its
 generator through the same builder as the other generator kinds; the
 counterexample and diagnostics runs at the discrete-frames benchmark's sizes
-before the triple frame was built with its coordinate index.  A change that
-claims to keep every artifact is held to it here.
+before the triple frame was built with its coordinate index; the young-fuzz
+run at the translate-scan benchmark's size before a young-fuzz job ran as
+one array program.  A change that claims to keep every artifact is held to
+it here.
 
 The generators are dyadic Rademacher generators like the benchmark's: six
 Gaussian unit-l2 coefficients at 0..5 (64 cells a unit), and four at
@@ -94,6 +96,11 @@ CONFIGS = {
                                     "p": 2.0}},
     "young-fuzz": {"kind": "young-fuzz", "seed": 777,
                    "params": {"draws": 15, "max_terms": 7, "p_list": [1.5, 2.0, 3.0]}},
+    # the translate-scan benchmark's size; its max_ratio sits one ulp above 1,
+    # so a moved last bit of any draw's lhs or rhs shows here
+    "young-fuzz-bench": {"kind": "young-fuzz", "seed": 775,
+                         "params": {"draws": 60, "max_terms": 7,
+                                    "p_list": [1.5, 2.0, 3.0]}},
     "sampling-sweep": {"kind": "sampling-sweep", "seed": 777,
                        "params": {"generator": CONTIGUOUS, "window": 2,
                                   "steps": [1.0 / 64.0, 0.37, 0.185], "p": 2.0}},
