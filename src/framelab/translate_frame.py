@@ -128,7 +128,7 @@ def validate_generator(f, lag_range=None, tol=VALIDATION_TOL):
     return _certified(f, _folded(f), lag_range, tol)
 
 
-def _rademacher(spec):
+def _rademacher(spec, lag_range=None, tol=VALIDATION_TOL):
     """(The uncertified step function sum_n a_n * (sign pattern translated to
     [n, n+1)), its unit fold).
 
@@ -139,23 +139,25 @@ def _rademacher(spec):
     those rows, on the finest depth's grid, starting at the first index of
     the support.  All breakpoints are dyadic rationals, hence exact in
     floats.  Raises GeneratorRejected for an empty or non-unit coefficient
-    vector.
+    vector, with a report at ``lag_range`` (None: the units the support
+    spans) and ``tol``.
     """
     coeffs = spec.coefficients
     if not isinstance(coeffs, CoordinateVector):
         coeffs = CoordinateVector(dict(coeffs))
+    support = coeffs.support()
+    if lag_range is None:
+        lag_range = support[-1] - support[0] + 1 if support else 0
     if coeffs.is_zero():
         raise GeneratorRejected(ValidationReport(
-            0.0, 0.0, math.inf, 0, VALIDATION_TOL,
-            ("coefficient vector is empty",)))
+            0.0, 0.0, math.inf, lag_range, tol, ("coefficient vector is empty",)))
     if not isinstance(spec.resolution, int) or spec.resolution < 1:
         raise ValueError("resolution must be a positive integer")
     l2 = coeffs.norm(2)
     if not (abs(l2 - 1.0) <= 1e-12):
         raise GeneratorRejected(ValidationReport(
-            0.0, 0.0, math.inf, 0, VALIDATION_TOL,
+            0.0, 0.0, math.inf, lag_range, tol,
             (f"coefficients must have unit l2 norm, got {l2!r}",)))
-    support = coeffs.support()
     depth = len(support) - 1 + spec.resolution
     fine = np.arange(2 ** depth)
     rows = np.zeros((support[-1] - support[0] + 1, fine.size))
@@ -170,7 +172,7 @@ def _rademacher(spec):
 def build_rademacher_generator(spec, lag_range=None, tol=VALIDATION_TOL):
     """The Rademacher generator of ``spec``, certified as by
     :func:`validate_generator`, or raise GeneratorRejected."""
-    return _certified(*_rademacher(spec), lag_range, tol)
+    return _certified(*_rademacher(spec, lag_range, tol), lag_range, tol)
 
 
 def _runs(x, units):

@@ -239,6 +239,19 @@ def test_rademacher_validation_applies_lag_range_and_tol(tmp_path):
     assert (report["lag_range"], report["tol"], report["ok"]) == (5, 0.0, False)
 
 
+@pytest.mark.parametrize("coefficients, failure", [
+    ([[0, 0.6], [1, 0.6]], "coefficients must have unit l2 norm, got 0.848528137423857"),
+    ([[0, 0.0]], "coefficient vector is empty"),
+], ids=["non-unit", "empty"])
+def test_rademacher_rejected_before_certification_reports_the_run(tmp_path, coefficients,
+                                                                   failure):
+    gen = json.dumps({"rademacher": {"coefficients": coefficients}})
+    assert main(["validate-generator", "--generator", gen, "--tol", "1e-6",
+                 "--lag-range", "5", "--out", str(tmp_path / "v"), "--quiet"]) == 2
+    report = json.loads((tmp_path / "v.json").read_text())["report"]
+    assert (report["lag_range"], report["tol"], report["failures"]) == (5, 1e-6, [failure])
+
+
 def test_tolerance_failure_exits_3(tmp_path):
     # the 0.6/0.8 generator leaves float dust, so a zero tolerance must trip
     out = tmp_path / "strict"
