@@ -520,18 +520,7 @@ def _run_suppression_scan(params, seed, tol):
     }, failures)
 
 
-def _random_unit_l2(rng, max_terms):
-    """Entries {index: value} of a random unit vector of l2 with at most
-    ``max_terms`` terms."""
-    import numpy as np
-    size = int(rng.integers(1, max_terms + 1))
-    idx = rng.choice(np.arange(-3, 4), size=size, replace=False)
-    vals = rng.standard_normal(size)
-    vals /= math.sqrt(float(np.dot(vals, vals)))
-    return {int(n): float(v) for n, v in zip(idx, vals)}
-
-
-# max_terms <= 7: _random_unit_l2 draws that many distinct indices from -3..3
+# max_terms <= 7: a draw takes that many distinct generator indices from -3..3
 @_kind("young-fuzz", 1e-12, draws=_int(1, 10 ** 6, 200), p_list=_p_list(),
        max_terms=_int(1, 7, 4))
 @_numpy_kind
@@ -539,22 +528,27 @@ def _run_young_fuzz(params, seed, tol):
     import numpy as np
     from .lp import CoordinateVector
     from .stepfn import StepFunction
-    from .translate_frame import (RademacherSpec, _young_sides, build_rademacher_generator,
-                                  young_check)
+    from .translate_frame import _young_bounds, young_check
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     failures = []
     p_list = params["p_list"]
-    for i in range(params["draws"]):
-        coeffs = CoordinateVector(_random_unit_l2(rng, params["max_terms"]))
-        spec = RademacherSpec(coefficients=coeffs, resolution=1)
-        g = build_rademacher_generator(spec)
-        size = int(rng.integers(1, 7))
-        idx = rng.choice(np.arange(-6, 7), size=size, replace=False)
-        a = CoordinateVector({int(n): float(v)
-                              for n, v in zip(idx, rng.standard_normal(size))})
-        p = p_list[i % len(p_list)]
-        lhs, rhs = _young_sides(g.fold, g.report.l1_norm, g.report.periodized_sup, a, p)
+
+    def draws():
+        """Each draw's random unit-l2 generator coefficients, its coefficient
+        sequence a and its exponent p, drawn from one RNG stream."""
+        for i in range(params["draws"]):
+            size = int(rng.integers(1, params["max_terms"] + 1))
+            idx = rng.choice(np.arange(-3, 4), size=size, replace=False)
+            vals = rng.standard_normal(size)
+            vals /= math.sqrt(float(np.dot(vals, vals)))
+            size = int(rng.integers(1, 7))
+            shifts = rng.choice(np.arange(-6, 7), size=size, replace=False)
+            yield (dict(zip(idx.tolist(), vals.tolist())),
+                   dict(zip(shifts.tolist(), rng.standard_normal(size).tolist())),
+                   p_list[i % len(p_list)])
+
+    for i, (lhs, rhs) in enumerate(_young_bounds(draws())):
         _gate(failures, f"series bound at draw {i}", lhs, rhs * (1.0 + 1e-12) + 1e-12)
         if rhs > 0:
             worst_ratio = _worst(worst_ratio, lhs / rhs)

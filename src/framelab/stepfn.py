@@ -114,6 +114,26 @@ def _periodized_sup(table):
     return float(np.add.reduce(np.abs(table), axis=0).max())
 
 
+def _abs_integrals(cells, counts, width):
+    """``abs_integral`` of each step function d on the cells of width ``width``
+    that hold cells[d, :counts[d]], the first and the last nonzero.
+
+    Equal neighbours merge as in :func:`_canonicalize`, and each sum is the
+    ``np.dot`` of |value| and width over the merged cells that
+    ``abs_integral`` takes, so the bits are the same.  A merged width is a
+    whole number of cells, so exact."""
+    new = np.ones(cells.shape, dtype=bool)
+    new[:, 1:] = cells[:, 1:] != cells[:, :-1]
+    at = np.flatnonzero(new & (np.arange(cells.shape[1]) < counts[:, None]))
+    rows = np.arange(cells.shape[0] + 1) * cells.shape[1]
+    cuts = np.searchsorted(at, rows)
+    ends = np.append(at[1:], 0)
+    ends[cuts[1:] - 1] = rows[:-1] + counts
+    values, widths = np.abs(cells.ravel()[at]), (ends - at) * width
+    return [float(np.dot(values[lo:hi], widths[lo:hi]))
+            for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+
+
 class StepFunction:
     """Piecewise constant function, zero outside its breakpoint span.
 

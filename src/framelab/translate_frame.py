@@ -19,13 +19,14 @@ along a chosen axis), never through a BLAS reduction.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 
 from .intervals import IntervalSet
 from .lp import CoordinateVector
-from .stepfn import StepFunction, _folded, _periodized_sup, _widths
+from .stepfn import StepFunction, _abs_integrals, _folded, _periodized_sup, _widths
 
 VALIDATION_TOL = 1e-10
 
@@ -192,15 +193,16 @@ def _runs(x, units):
 
 
 def _series(table, a):
-    """Rows of sum_k a[k] * f(. - k) on the units of the fold of f.
+    """Rows of sum_k a[k] * f(. - k) on the units of the fold of f, one series
+    for each index of the leading axes that ``table`` and ``a`` share.
 
     Row u holds unit k0 + u of the series (k0 from the fold of f).  Each
     row is summed in increasing k: for a fixed row, k = u - j rises as the
     table row j falls.
     """
-    rows = np.zeros((a.size + table.shape[0] - 1, table.shape[1]))
-    for j in range(table.shape[0] - 1, -1, -1):
-        rows[j:j + a.size] += a[:, None] * table[j]
+    rows = np.zeros(a.shape[:-1] + (a.shape[-1] + table.shape[-2] - 1, table.shape[-1]))
+    for j in range(table.shape[-2] - 1, -1, -1):
+        rows[..., j:j + a.shape[-1], :] += a[..., None] * table[..., j, None, :]
     return rows
 
 
@@ -292,16 +294,9 @@ def young_check(f, a, p):
     conjugate exponent.  lhs <= rhs always; equality holds for a unit
     indicator generator with a single coefficient.
     """
-    fold = _folded(f)
-    return _young_sides(fold, f.abs_integral(), _periodized_sup(fold[2]), a, p)
-
-
-def _young_sides(fold, l1, sup, a, p):
-    """:func:`young_check` of the f whose unit fold is ``fold``, L1 norm ``l1``
-    and periodized sup of |f| ``sup``."""
     if not p > 1:
         raise ValueError("young_check requires p > 1")
-    _, grid, table = fold
+    _, grid, table = _folded(f)
     lhs = 0.0
     # the zero function folds to a table with no rows
     if not (a.is_zero() or table.shape[0] == 0):
@@ -309,5 +304,100 @@ def _young_sides(fold, l1, sup, a, p):
             series = _series(table, run)
             lhs += float(np.add.reduce((np.abs(series) ** p * _widths(grid)).ravel()))
     pconj = p / (p - 1.0)
-    rhs = l1 * a.norm(p) ** p * sup ** (p / pconj)
+    rhs = f.abs_integral() * a.norm(p) ** p * _periodized_sup(table) ** (p / pconj)
     return lhs, rhs
+
+
+# Draws one young-fuzz kernel call holds.  A draw's fold is at most 7 x 128
+# cells and its series 19 x 128: about 70 KB with temporaries, under 20 MB a call.
+_YOUNG_CHUNK = 256
+
+
+def _young_bounds(draws):
+    """:func:`young_check`'s (lhs, rhs) of each draw of an iterable, computed
+    :data:`_YOUNG_CHUNK` draws at a time by :func:`_young_chunk`."""
+    draws = iter(draws)
+    while chunk := list(itertools.islice(draws, _YOUNG_CHUNK)):
+        yield from zip(*_young_chunk(chunk)[:2])
+
+
+def _entries(dicts):
+    """(dict, key, value) arrays of the nonzero entries of ``dicts``, by dict
+    and then by key: the order a CoordinateVector holds them in."""
+    which = np.repeat(np.arange(len(dicts)), [len(d) for d in dicts])
+    keys = np.fromiter(itertools.chain.from_iterable(dicts), int, which.size)
+    values = np.fromiter(itertools.chain.from_iterable(d.values() for d in dicts), float,
+                         which.size)
+    order = np.lexsort((keys, which))
+    order = order[values[order] != 0]
+    return which[order], keys[order], values[order]
+
+
+def _young_chunk(chunk):
+    """Lists (lhs, rhs, ||f||_1, periodized sup of |f|) of :func:`young_check`
+    over draws (coefficients, a, p): f the Rademacher generator of the dict
+    ``coefficients`` at resolution 1, a a dict of finite entries.
+
+    Every float is the per-draw code's.  Draws go in groups of one depth s
+    (number of coefficients) on 2^s cells, by p within a group; zero padding
+    of a group's folds and runs (``_runs``) moves no bit, as x + 0 is x, and
+    each sum whose order depends on its length runs on its own cells (lhs
+    per run, ||f||_1 per draw).  If an array certificate fails, each draw is
+    certified again by build_rademacher_generator, which raises.
+    """
+    def recertify():
+        for coefficients, _, _ in chunk:
+            build_rademacher_generator(RademacherSpec(coefficients), None, VALIDATION_TOL)
+
+    order = sorted(range(len(chunk)),
+                   key=lambda i: (sum(c != 0 for c in chunk[i][0].values()), chunk[i][2]))
+    ps = np.array([chunk[i][2] for i in order])
+    gd, gi, gv = _entries([chunk[i][0] for i in order])
+    sd, si, sv = _entries([chunk[i][1] for i in order])
+    if not np.all(np.abs(np.sqrt(np.bincount(gd, gv * gv, ps.size)) - 1.0) <= 1e-12):
+        recertify()
+    depth = np.bincount(gd, minlength=ps.size)
+    first = np.cumsum(depth) - depth
+    unit = gi - gi[first][gd]
+    units = unit[first + depth - 1] + 1
+    # a run of a starts at each draw's first entry and after each gap of 2 units or more
+    starts = np.ones(sd.size, dtype=bool)
+    starts[1:] = (sd[1:] != sd[:-1]) | (_widths(si) >= 2 * units[sd[1:]])
+    run = np.cumsum(starts) - 1
+    run_draw, offset = sd[starts], si - si[starts][run]
+    length = np.maximum.reduceat(offset, np.flatnonzero(starts)) + 1
+    sums, l1, sup, residual = (np.zeros(n) for n in (run_draw.size, *[ps.size] * 3))
+    for s in sorted(set(depth.tolist())):
+        lo, hi = np.searchsorted(depth, [s, s + 1]).tolist()
+        (e0, e1), (r0, r1), (f0, f1) = (np.searchsorted(k, [lo, hi]).tolist()
+                                        for k in (gd, run_draw, sd))
+        rows = np.zeros((hi - lo, units[lo:hi].max(), 2 ** s))
+        rank = np.arange(e0, e1) - first[gd[e0:e1]]
+        rows[gd[e0:e1] - lo, unit[e0:e1]] = (
+            1 - 2 * (np.arange(2 ** s) >> (s - 1 - rank[:, None]) & 1)) * gv[e0:e1, None]
+        sup[lo:hi] = np.add.reduce(np.abs(rows), axis=1).max(axis=1)
+        l1[lo:hi] = _abs_integrals(rows.reshape(hi - lo, -1), units[lo:hi] * 2 ** s, 2.0 ** -s)
+        gram = rows @ rows.transpose(0, 2, 1) * 2.0 ** -s
+        lags = [gram.trace(m, 1, 2) - (m == 0) for m in range(rows.shape[1])]
+        residual[lo:hi] = np.max(np.abs(lags), axis=0)
+        a = np.zeros((r1 - r0, length[r0:r1].max(initial=1)))
+        a[run[f0:f1] - r0, offset[f0:f1]] = sv[f0:f1]
+        series = _series(rows[run_draw[r0:r1] - lo], a)
+        rp = ps[run_draw[r0:r1]]
+        for p in sorted(set(rp.tolist())):
+            q = slice(np.searchsorted(rp, p), np.searchsorted(rp, p, "right"))
+            series[q] = np.abs(series[q]) ** p * 2.0 ** -s
+        counts = (length[r0:r1] + units[run_draw[r0:r1]] - 1) * 2 ** s
+        sums[r0:r1] = [np.add.reduce(x.ravel()[:n]) for x, n in zip(series, counts.tolist())]
+    if not np.all(residual <= VALIDATION_TOL):
+        recertify()
+    cuts = np.cumsum(np.bincount(sd, minlength=ps.size)).tolist()
+    values = sv.tolist()
+    rhs = [f1 * float(sum(abs(v) ** p for v in values[lo:hi]) ** (1.0 / p)) ** p
+           * top ** (p / (p / (p - 1.0)))
+           for f1, top, p, lo, hi in zip(l1.tolist(), sup.tolist(), ps.tolist(),
+                                          [0] + cuts[:-1], cuts)]
+    back = np.argsort(order)
+    return [np.asarray(x)[back].tolist()
+            for x in (np.bincount(run_draw, sums, ps.size), rhs, l1, sup)]
+

@@ -650,7 +650,7 @@ NAN_GATES = {
     "biorthogonality_matrix": "biorthogonality deviation:",
     "synthesis_over_set": "reconstruction error at p=",
     "young_check": "unit indicator equality gap:",
-    "_young_sides": "series bound at draw 0:",
+    "_young_bounds": "series bound at draw 0:",
     "reconstruction_identity_gap": "identity gap at p=",
 }
 
@@ -660,7 +660,7 @@ NAN_GATES = {
     ("reconstruct", "synthesis_over_set",
      lambda g, x, region, w: CoordinateVector({0: math.nan})),
     ("young-fuzz", "young_check", lambda f, a, p: (math.nan, math.nan)),
-    ("young-fuzz", "_young_sides", lambda fold, l1, sup, a, p: (math.nan, math.nan)),
+    ("young-fuzz", "_young_bounds", lambda draws: ((math.nan, math.nan) for _ in draws)),
     ("wavelet-identity", "reconstruction_identity_gap", lambda ws, x, M, N: math.nan),
 ])
 def test_nan_results_fail_their_check(tmp_path, monkeypatch, capsys, kind, target, fake):
@@ -671,8 +671,7 @@ def test_nan_results_fail_their_check(tmp_path, monkeypatch, capsys, kind, targe
     assert main([kind, *extra.get(kind, []), "--out", str(tmp_path / "nan")]) == 3
     out = capsys.readouterr().out
     assert_gate_lines(kind, out)
-    # the gate fed by the patched name fails; young_check calls _young_sides,
-    # so the _young_sides case also fails the equality gate
+    # the gate fed by the patched name fails
     gate = NAN_GATES[target]
     assert any(line.startswith(f"FAIL {kind}: {gate}") for line in out.splitlines()), out
     payload = strict_json((tmp_path / "nan.json").read_text())
@@ -687,7 +686,7 @@ def test_public_library_names_read_from_cli_follow_their_module(monkeypatch):
         return 0.0, 0.0
     monkeypatch.setattr(translate_frame, "young_check", fake)
     assert cli.young_check is fake
-    for name in ("no_such_name", "_young_sides", "np"):
+    for name in ("no_such_name", "_young_bounds", "np"):
         with pytest.raises(AttributeError):
             getattr(cli, name)
 
