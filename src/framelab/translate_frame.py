@@ -16,6 +16,14 @@ series is a sum of shifted rows of F, the Gram lags are an autocorrelation
 of its rows, and synthesis is a correlation of the weighted series with F.
 Every sum runs in a fixed order (explicit row loops, ``np.add.reduce``
 along a chosen axis), never through a BLAS reduction.
+
+A young-fuzz job is one array program per chunk of draws
+(``_young_chunk``), with no Generator, StepFunction or CoordinateVector
+per draw.  Its draws go in groups of one depth s on their own 2^s cells,
+and each group's folds and series are zero-padded; x + 0 is x, so the
+padding moves no bit.  A sum whose order depends on its length (a run's
+lhs, a draw's L1 norm, the ``np.dot`` of ``abs_integral``) runs on that
+run's or draw's own cells, so every bound equals the per-draw code's.
 """
 
 import dataclasses
@@ -377,16 +385,19 @@ def _young_chunk(chunk):
             1 - 2 * (np.arange(2 ** s) >> (s - 1 - rank[:, None]) & 1)) * gv[e0:e1, None]
         sup[lo:hi] = np.add.reduce(np.abs(rows), axis=1).max(axis=1)
         l1[lo:hi] = _abs_integrals(rows.reshape(hi - lo, -1), units[lo:hi] * 2 ** s, 2.0 ** -s)
-        gram = rows @ rows.transpose(0, 2, 1) * 2.0 ** -s
+        gram = np.einsum("dui,dvi->duv", rows, rows) * 2.0 ** -s
         lags = [gram.trace(m, 1, 2) - (m == 0) for m in range(rows.shape[1])]
         residual[lo:hi] = np.max(np.abs(lags), axis=0)
         a = np.zeros((r1 - r0, length[r0:r1].max(initial=1)))
         a[run[f0:f1] - r0, offset[f0:f1]] = sv[f0:f1]
         series = _series(rows[run_draw[r0:r1] - lo], a)
         rp = ps[run_draw[r0:r1]]
+        # |series| ** p * width in place; ** p takes np.square at p = 2, as before
+        np.abs(series, out=series)
         for p in sorted(set(rp.tolist())):
-            q = slice(np.searchsorted(rp, p), np.searchsorted(rp, p, "right"))
-            series[q] = np.abs(series[q]) ** p * 2.0 ** -s
+            q = series[np.searchsorted(rp, p):np.searchsorted(rp, p, "right")]
+            q **= p
+        series *= 2.0 ** -s
         counts = (length[r0:r1] + units[run_draw[r0:r1]] - 1) * 2 ** s
         sums[r0:r1] = [np.add.reduce(x.ravel()[:n]) for x, n in zip(series, counts.tolist())]
     if not np.all(residual <= VALIDATION_TOL):
