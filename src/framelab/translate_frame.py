@@ -360,6 +360,7 @@ def _young_chunk(chunk):
     order = sorted(range(len(chunk)),
                    key=lambda i: (sum(c != 0 for c in chunk[i][0].values()), chunk[i][2]))
     ps = np.array([chunk[i][2] for i in order])
+    # (draw, index, value) of each generator coefficient, and of each entry of a
     gd, gi, gv = _entries([chunk[i][0] for i in order])
     sd, si, sv = _entries([chunk[i][1] for i in order])
     if not np.all(np.abs(np.sqrt(np.bincount(gd, gv * gv, ps.size)) - 1.0) <= 1e-12):
@@ -376,6 +377,7 @@ def _young_chunk(chunk):
     length = np.maximum.reduceat(offset, np.flatnonzero(starts)) + 1
     sums, l1, sup, residual = (np.zeros(n) for n in (run_draw.size, *[ps.size] * 3))
     for s in sorted(set(depth.tolist())):
+        # the group's draws, generator coefficients, runs and entries of a
         lo, hi = np.searchsorted(depth, [s, s + 1]).tolist()
         (e0, e1), (r0, r1), (f0, f1) = (np.searchsorted(k, [lo, hi]).tolist()
                                         for k in (gd, run_draw, sd))
