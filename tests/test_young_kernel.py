@@ -105,7 +105,8 @@ young_draws = st.lists(st.builds(
 @example([gaussian_draw([0], 1, [-6, 6], 2.0, False)], 1)             # one draw, two runs
 @example([gaussian_draw([-3, -2, -1, 0, 1, 2, 3], 2, list(range(-6, 0)), p, True)
           for p in (1.5, 2.0, 3.0, 3.0)], 3)                           # every unit merges
-@example([gaussian_draw([-1, 1], seed, [-6, -2, 2, 6], 3.0, False) for seed in range(5)], 2)
+# two units, so each gap of 4 starts a new run: four runs a draw
+@example([gaussian_draw([0, 1], seed, [-6, -2, 2, 6], 3.0, False) for seed in range(5)], 2)
 def test_batched_draws_match_the_per_draw_code_bit_for_bit(draws, chunk):
     want = [reference_draw(*draw) for draw in draws]
     got = _young_chunk(draws)
