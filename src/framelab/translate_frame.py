@@ -21,9 +21,10 @@ A young-fuzz job is one array program per chunk of draws
 (``_young_chunk``), with no Generator, StepFunction or CoordinateVector
 per draw.  Its draws go in groups of one depth s on their own 2^s cells,
 and each group's folds and series are zero-padded; x + 0 is x, so the
-padding moves no bit.  A sum whose order depends on its length (a run's
-lhs, a draw's L1 norm, the ``np.dot`` of ``abs_integral``) runs on that
-run's or draw's own cells, so every bound equals the per-draw code's.
+padding moves no bit.  A sum whose order depends on its length runs on
+its own cells: a run's lhs by ``np.add.reduce``, a draw's L1 norm by the
+``np.dot`` that ``StepFunction.abs_integral`` takes (the one BLAS sum
+here).  So every bound equals the per-draw code's.
 """
 
 import dataclasses
