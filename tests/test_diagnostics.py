@@ -5,6 +5,7 @@ are compared exactly with the per-set code they replaced, kept below as
 ``reference_*``, on random integer frames from ``hypothesis``.
 """
 
+import gc
 import json
 import math
 from fractions import Fraction
@@ -412,12 +413,84 @@ def test_counterexample_frame_structure():
     frame = counterexample_frame(3)
     assert len(frame) == 9
     assert frame.space == SpaceTag.c0()
-    e2 = CoordinateVector.unit(2)
-    assert frame.pairs[3] == (e2, CoordinateVector.unit(2))
-    assert frame.pairs[4] == (e2, CoordinateVector.unit(1, -1))
-    assert frame.pairs[5] == (e2, CoordinateVector.unit(1))
     with pytest.raises(ValueError):
         counterexample_frame(0)
+
+
+def _block_by_block_frame(K):
+    """The triple frame's pairs built plainly, one new functional per pair."""
+    pairs = []
+    for j in range(1, K + 1):
+        e_j = CoordinateVector({j: 1})
+        pairs += [(e_j, CoordinateVector({j: 1})), (e_j, CoordinateVector({1: -1})),
+                  (e_j, CoordinateVector({1: 1}))]
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 50, 2000])
+def test_counterexample_frame_equals_the_block_by_block_frame(K):
+    pairs = counterexample_frame(K).pairs
+    assert pairs == _block_by_block_frame(K)
+    assert all(isinstance(v, int) for vec, fun in pairs for v in (*vec._entries.values(),
+                                                                 *fun._entries.values()))
+    # e_j is the vector of its block and its own functional; every block
+    # shares one -e_1* and one e_1*
+    assert all(pairs[3 * j][0] is pairs[3 * j][1] is pairs[3 * j + 1][0] is pairs[3 * j + 2][0]
+               for j in range(K))
+    assert len({id(fun) for _, fun in pairs[1::3]}) == 1
+    assert len({id(fun) for _, fun in pairs[2::3]}) == 1
+
+
+def test_counterexample_report_runs_no_garbage_collection():
+    assert gc.isenabled()
+    # A tuple freed onto a free list leaves the young generation's count
+    # raised, so a report run while the lists are empty ends with one young
+    # collection of its few survivors, after the frame is gone.  A first
+    # report fills the lists; a young collection, unlike a full one, leaves
+    # them filled and zeroes the count.
+    counterexample_report(10000, 50)
+    gc.collect(0)
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        assert counterexample_report(10000, 50).ok
+    finally:
+        gc.callbacks.remove(count)
+    assert generations == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("run", [counterexample_frame, counterexample_report])
+def test_a_collector_the_caller_paused_stays_paused(run):
+    gc.disable()
+    try:
+        run(20)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("run", [counterexample_frame, counterexample_report])
+def test_the_collector_is_restored_when_the_build_raises(monkeypatch, run):
+    unit = CoordinateVector.unit.__func__
+    enabled_during_build = []
+
+    def failing_unit(cls, n, value=1):
+        enabled_during_build.append(gc.isenabled())
+        if n == 7:
+            raise RuntimeError("planted failure at block 7")
+        return unit(cls, n, value)
+
+    monkeypatch.setattr(CoordinateVector, "unit", classmethod(failing_unit))
+    with pytest.raises(RuntimeError, match="block 7"):
+        run(20)
+    assert enabled_during_build and not any(enabled_during_build)
+    assert gc.isenabled()
 
 
 def test_counterexample_full_reconstruction_is_exact_integers():

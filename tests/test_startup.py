@@ -63,3 +63,15 @@ def test_a_run_loads_only_the_modules_its_kind_uses(tmp_path, cli_env, kind):
     assert (tmp_path / f"{kind}.json").exists()
     assert sorted(set(used) - loaded) == []
     assert sorted(set(absent) & loaded) == []
+
+
+def test_a_step_function_record_loads_no_masked_arrays(tmp_path, cli_env):
+    # np.unique imports numpy.ma, which a fresh process pays tens of ms to load
+    record = json.dumps({"step_function": {"breakpoints": [0.5, 1.5], "values": [1.0]}})
+    loaded = loaded_after(
+        "import framelab.cli\n"
+        f"assert framelab.cli.main(['validate-generator', '--generator', {record!r}]) == 0",
+        tmp_path, cli_env)
+    assert (tmp_path / "validate-generator.json").exists()
+    assert "numpy" in loaded
+    assert "numpy.ma" not in loaded
