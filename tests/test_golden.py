@@ -22,7 +22,9 @@ Gaussian unit-l2 coefficients at 0..5 (64 cells a unit), and four at
 -2, 0, 1, 4, which leaves gaps in the support.  validate-generator also
 runs a step function that crosses a unit boundary, and three records it
 rejects: non-unit coefficients, a record that passes only at a nonzero
-tolerance, and the indicator of [0, 2).  The wavelet targets are the
+tolerance, and the indicator of [0, 2).  The indicator of [-0.3, 0.7) was
+pinned before the unit fold kept every distinct fractional part: -0.3 lies
+in (-0.5, 0), where the fractional part t + 1 rounds.  The wavelet targets are the
 benchmark's three: the indicator of [0, 0.3), the Haar mother and a step
 function on sixteenths of [0, 1).  The wavelet-reconstruct run at M = 3,
 N = 8 is the benchmark's largest merge.
@@ -82,6 +84,11 @@ CONFIGS = {
     "validate-generator-indicator": {
         "kind": "validate-generator", "seed": 777,
         "params": {"generator": {"step_function": {"breakpoints": [0.0, 2.0],
+                                                   "values": [1.0]}}}},
+    # -0.3 + 1 rounds: the one kind of breakpoint whose fractional part is inexact
+    "validate-generator-negative-decimal": {
+        "kind": "validate-generator", "seed": 777,
+        "params": {"generator": {"step_function": {"breakpoints": [-0.3, 0.7],
                                                    "values": [1.0]}}}},
     "biorthogonality": {"kind": "biorthogonality", "seed": 777,
                         "params": {"generator": CONTIGUOUS, "window": 6}},
