@@ -117,7 +117,7 @@ def _certificates(f, fold, lag_range, tol):
     residual = float(np.max(np.abs(lags)))
     if not (residual <= tol):
         failures.append(
-            f"translates are not orthonormal: residual {residual:.3e} > {tol:.1e}")
+            f"translates are not orthonormal: residual {residual!r} exceeds {tol!r}")
     sup = _periodized_sup(table)
     return ValidationReport(l1, sup, residual, lag_range, tol, tuple(failures))
 

@@ -22,11 +22,13 @@ Gaussian unit-l2 coefficients at 0..5 (64 cells a unit), and four at
 -2, 0, 1, 4, which leaves gaps in the support.  validate-generator also
 runs a step function that crosses a unit boundary, and three records it
 rejects: non-unit coefficients, a record that passes only at a nonzero
-tolerance, and the indicator of [0, 2).  The indicator of [-0.3, 0.7) was
-pinned before the unit fold kept every distinct fractional part: -0.3 lies
-in (-0.5, 0), where the fractional part t + 1 rounds.  The wavelet targets are the
-benchmark's three: the indicator of [0, 0.3), the Haar mother and a step
-function on sixteenths of [0, 1).  The wavelet-reconstruct run at M = 3,
+tolerance, and the indicator of [0, 2); the last two were recorded again
+when their orthonormality failure began to print the residual and the
+tolerance in full.  The indicator of [-0.3, 0.7) was pinned before the unit
+fold kept every distinct fractional part: -0.3 lies in (-0.5, 0), where the
+fractional part t + 1 rounds.  The wavelet targets are the benchmark's
+three: the indicator of [0, 0.3), the Haar mother and a step function on
+sixteenths of [0, 1).  The wavelet-reconstruct run at M = 3,
 N = 8 is the benchmark's largest merge.
 
 Run as a script, ``python tests/test_golden.py`` writes every pinned file
