@@ -105,7 +105,6 @@ def _check_list(name, value, what, check, *bounds):
 
 
 def _check_generator(name, value):
-    import numpy as np
     if not isinstance(value, dict) or len(value) != 1:
         raise ConfigError(
             f"{name} must be an object with exactly one of 'rademacher' or 'step_function'")
@@ -134,13 +133,6 @@ def _check_generator(name, value):
         _check_int(f"{name}.rademacher.resolution", resolution, 1, 16)
     elif key == "step_function":
         _require_step_record(f"{name}.step_function", body)
-        # the unit fold merges fractional parts at magnitude 1; the parts are
-        # finite, so sorting and dropping equal neighbours is np.unique, which
-        # would import numpy.ma
-        bp = np.array(body["breakpoints"], dtype=float)
-        parts = np.sort(np.concatenate((bp - np.floor(bp), (0.0, 1.0))))
-        _require_separated(f"{name}.step_function's distinct fractional parts",
-                           parts[np.append(True, parts[1:] != parts[:-1])])
     else:
         raise ConfigError(f"{name} kind must be 'rademacher' or 'step_function', got {key!r}")
     return value

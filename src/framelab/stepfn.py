@@ -14,7 +14,7 @@ import numpy as np
 
 from .intervals import IntervalSet
 
-MERGE_ULPS = 64     # derived points (0.1 against 1.1 - 1) differ by a few ulps
+MERGE_ULPS = 64     # derived points (0.1 + 0.2 against 0.3) differ by a few ulps
 
 _EMPTY = np.empty(0, dtype=float)
 
@@ -54,9 +54,10 @@ def _widths(a):
 def _merge(points, magnitude=None):
     """Sorted grid of ``points``, each point within MERGE_ULPS * np.spacing(magnitude)
     of the one before it merged into that one; ``magnitude`` defaults to the
-    largest |point|.  Every cell grid is built by this rule: here, or row by
-    row in ``wavelet_frame._merged``, which calls this for a single row and
-    sorts several rows at once, each of which the tests hold equal to this.
+    largest |point|.  Every cell grid but the unit fold's is built by this
+    rule: here, or row by row in ``wavelet_frame._merged``, which calls this
+    for a single row and sorts several rows at once, each of which the tests
+    hold equal to this.
 
     One sort and one gap mask: an exact duplicate has gap 0 and is dropped,
     and the point after it sees the same gap as after the first copy."""
@@ -84,12 +85,18 @@ def _folded(f):
     """Cut f at the integers and fold it onto [0, 1).
 
     Returns ``(k0, grid, table)``: ``k0`` is the integer (held as a float)
-    where the first unit of the support starts, ``grid`` is the fractional
-    grid 0 = G[0] < ... < G[-1] = 1 of every breakpoint's fractional part
-    (exact but for a point in (-1, 0)), merged by :func:`_merge` at 1, and
-    ``table[j, i] = f(k0 + j + mid_i)`` holds one row per unit
-    [k0 + j, k0 + j + 1) of the support and one column per cell of ``grid``.
-    The zero function folds to a table with no rows.
+    where the first unit of the support starts, ``grid`` is the grid
+    0 = G[0] < ... < G[-1] = 1 of every distinct fractional part of a
+    breakpoint, and ``table[j, i] = f(k0 + j + mid_i)`` holds one row per
+    unit [k0 + j, k0 + j + 1) of the support and one column per cell of
+    ``grid``.  The zero function folds to a table with no rows.
+
+    No two parts merge, however close: a slice as narrow as the 8e-17
+    between 0.1 and 1.1 - 1 is a cell, on which units may overlap.  Each part
+    t - floor(t) is exact (Sterbenz's lemma for t in [-1, -0.5]) but for a t
+    in (-0.5, 0) whose t + 1 rounds.  Such a breakpoint lands within 2^-54
+    of its true place; one that rounds to 1.0 is the end point and starts
+    the next unit.
     """
     if f.values.size == 0:
         return 0.0, np.array([0.0, 1.0]), np.zeros((0, 1))
@@ -98,8 +105,8 @@ def _folded(f):
     k0 = float(whole[0])
     units = int(np.ceil(bp[-1]) - k0)
     frac = bp - whole
-    grid = _merge(np.concatenate((frac, (0.0, 1.0))))
-    grid[-1] = 1.0      # a part just below 1 may have absorbed the end point
+    grid = np.sort(np.concatenate((frac, (0.0, 1.0))))
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
     # f evaluated at k0 + j + mid_i may round onto a breakpoint far from 0, so
     # evaluate it on cell numbers j * cells + i, the breakpoints' among them
     cells = grid.size - 1

@@ -206,16 +206,10 @@ def test_rejected_generator_exits_2_and_writes_report(tmp_path, capsys):
      {"step_function": {"breakpoints": [0.25, 0.25 + 1e-14, 0.75],
                         "values": [1e14, 1.4142135623730951]}}),
     ("wavelet-identity", "--target", {"indicator": [0.5, 0.5 + 1e-14]}),
-    # 1.5 - 2e-14 and 1.5 + 1e-14 are apart, but the fractional part of
-    # 1.5 + 1e-14 folds into that of 0.5: the fold would read residual 0
-    # where <f, f> is 1.25
-    ("validate-generator", "--generator",
-     {"step_function": {"breakpoints": [0.5, 1.5 - 2e-14, 1.5 + 1e-14],
-                        "values": [0.7071067811865546, 5001999.393226282]}}),
 ], ids=["coefficient-index-text", "coefficient-index-repeated", "breakpoint-text", "breakpoints-decreasing",
         "generator-value-nan", "target-value-inf", "indicator-inf",
         "breakpoints-merge", "indicator-merges", "breakpoints-merge-below-1",
-        "indicator-merges-below-1", "fractional-parts-merge"])
+        "indicator-merges-below-1"])
 def test_malformed_record_is_a_config_error(tmp_path, capsys, kind, flag, record):
     code = main([kind, flag, json.dumps(record), "--out", str(tmp_path / "bad")])
     assert code == 1
@@ -520,10 +514,13 @@ def test_overflowing_gram_lags_print_no_warning(tmp_path, cli_env):
     # <f, f> is about 1e13: the 1e-13 wide cell is wider than the merge
     # distance at magnitude 1, so no grid drops it
     ([0, 1e-13, 1], [1e13, 1], 1e13),
-    # fractional parts 0.5 and 0.5 + 5e-10 from two units: the fold merges at
-    # magnitude 1 wherever the units lie, so lags 1 + 5e-10 and 5e-10 show
+    # fractional parts 0.5 and 0.5 + 5e-10 from two units: the fold keeps every
+    # distinct part wherever the units lie, so lags 1 + 5e-10 and 5e-10 show
     ([1e5 + 0.5, 1e5 + 1.5 + 5e-10], [1], 4.947651177644730e-10),
-], ids=["spike", "far-sliver"])
+    # fractional parts 0.5 - 2e-14, 0.5 and 0.5 + 1e-14 from two units: the
+    # fold keeps both slivers, where <f, f> is 1.25, so lag 0 reads 0.25
+    ([0.5, 1.5 - 2e-14, 1.5 + 1e-14], [0.7071067811865546, 5001999.393226282], 0.25),
+], ids=["spike", "far-sliver", "fractional-parts-merge"])
 def test_a_narrow_cell_generator_is_rejected(tmp_path, capsys, breakpoints, values,
                                              residual):
     gen = json.dumps({"step_function": {"breakpoints": breakpoints, "values": values}})
@@ -533,6 +530,28 @@ def test_a_narrow_cell_generator_is_rejected(tmp_path, capsys, breakpoints, valu
     assert report["ok"] is False
     assert report["ortho_residual"] == pytest.approx(residual, rel=1e-12)
     capsys.readouterr()
+
+
+# records the CLI refused while the unit fold merged their distinct
+# fractional parts, with each one's exit code now
+ONCE_REFUSED = {
+    "decimal": ({"breakpoints": [0.1, 1.1], "values": [1.0]}, 0),
+    "non-dyadic": ({"breakpoints": [0.1, 0.6, 1.1, 1.35, 2.1],
+                    "values": [0.5, -1.0, 0.75, 0.25]}, 2),
+    "fractional-parts": ({"breakpoints": [0.5, 1.5 - 2e-14, 1.5 + 1e-14],
+                          "values": [0.7071067811865546, 5001999.393226282]}, 2),
+}
+
+
+@pytest.mark.parametrize("kind", ["validate-generator", "biorthogonality", "reconstruct",
+                                  "suppression-scan", "sampling-sweep"])
+def test_a_once_refused_generator_ends_with_a_verdict(tmp_path, cli_env, kind):
+    for name, (record, code) in ONCE_REFUSED.items():
+        proc = run_cli([kind, "--generator", json.dumps({"step_function": record}),
+                        "--out", name, "--quiet"], cwd=tmp_path, env=cli_env, timeout=60)
+        assert proc.returncode == code, name
+        assert "Traceback" not in proc.stderr
+        assert strict_json((tmp_path / f"{name}.json").read_text())["kind"] == kind
 
 
 def test_target_cells_must_outlast_the_lattice_merge_distance(tmp_path, capsys):

@@ -26,7 +26,10 @@ tolerance, and the indicator of [0, 2); the last two were recorded again
 when their orthonormality failure began to print the residual and the
 tolerance in full.  The indicator of [-0.3, 0.7) was pinned before the unit
 fold kept every distinct fractional part: -0.3 lies in (-0.5, 0), where the
-fractional part t + 1 rounds.  The wavelet targets are the benchmark's
+fractional part t + 1 rounds.  Two records the CLI refused until then were
+pinned after it: the indicator of [0.1, 1.1), whose translates overlap on
+the 8.3e-17 between 0.1 and 1.1 - 1, and a non-dyadic record it rejects,
+whose periodized sup (1.75) is read on such a sliver.  The wavelet targets are the benchmark's
 three: the indicator of [0, 0.3), the Haar mother and a step function on
 sixteenths of [0, 1).  The wavelet-reconstruct run at M = 3,
 N = 8 is the benchmark's largest merge.
@@ -87,6 +90,15 @@ CONFIGS = {
         "kind": "validate-generator", "seed": 777,
         "params": {"generator": {"step_function": {"breakpoints": [0.0, 2.0],
                                                    "values": [1.0]}}}},
+    # fractional parts 0.1 and 1.1 - 1, 8.3e-17 apart: translates overlap there
+    "validate-generator-decimal": {
+        "kind": "validate-generator", "seed": 777,
+        "params": {"generator": {"step_function": {"breakpoints": [0.1, 1.1],
+                                                   "values": [1.0]}}}},
+    "validate-generator-non-dyadic": {
+        "kind": "validate-generator", "seed": 777,
+        "params": {"generator": {"step_function": {
+            "breakpoints": [0.1, 0.6, 1.1, 1.35, 2.1], "values": [0.5, -1.0, 0.75, 0.25]}}}},
     # -0.3 + 1 rounds: the one kind of breakpoint whose fractional part is inexact
     "validate-generator-negative-decimal": {
         "kind": "validate-generator", "seed": 777,
@@ -157,6 +169,7 @@ EXIT_CODES = {
     "validate-generator-non-unit": 2,
     "validate-generator-tol-0": 2,
     "validate-generator-indicator": 2,
+    "validate-generator-non-dyadic": 2,
 }
 
 

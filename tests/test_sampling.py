@@ -2,6 +2,7 @@
 
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,3 +227,34 @@ def test_sweep_of_a_nan_generator_reports_nan():
     for row in sampling_sweep(g, [0.25, 0.5], window=2):
         assert np.isnan(row.max_error)
         assert not row.exact
+
+
+# dyadic cells of width 1/4 and more, values on (1/2)Z: every sample and sum is exact
+DYADIC = StepFunction([-0.5, 0.0, 0.25, 1.0, 1.75], [0.5, -1.5, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.125])
+def test_rows_and_matrix_at_a_commensurate_step_equal_the_fraction_oracle(offset):
+    # the Riemann sum over one sample a lattice cell is the integral itself
+    g = Generator(DYADIC, None)
+    h = commensurate_step(g)
+    assert h == 0.25
+    plan = SamplingPlan(step=h, window=default_window(g, WINDOW), offset=offset)
+    bp = [Fraction(t) for t in DYADIC.breakpoints.tolist()]
+    cells = list(zip(bp[:-1], bp[1:], map(Fraction, DYADIC.values.tolist())))
+
+    def f(t):
+        return next((v for a, b, v in cells if a <= t < b), Fraction(0))
+
+    ts = [Fraction(t) for t in plan.points().tolist()]
+    ns, rows = _coefficient_rows(g, plan.points(), WINDOW)
+    assert ns.tolist() == list(range(-WINDOW, WINDOW + 1))
+    assert rows.tolist() == [[f(t - n) for n in ns.tolist()] for t in ts]
+    mat = reconstruction_matrix(g, plan, WINDOW)
+    for i, m in enumerate(ns.tolist()):
+        for j, n in enumerate(ns.tolist()):
+            riemann = Fraction(h) * sum((f(t - m) * f(t - n) for t in ts), Fraction(0))
+            points = sorted({t + k for a, b, _ in cells for t in (a, b) for k in (m, n)})
+            integral = sum(((hi - lo) * f((lo + hi) / 2 - m) * f((lo + hi) / 2 - n)
+                            for lo, hi in zip(points, points[1:])), Fraction(0))
+            assert mat[i, j] == riemann == integral
