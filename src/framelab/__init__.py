@@ -17,9 +17,8 @@ _SOURCES = {
                         "build_rademacher_generator", "synthesis_over_set",
                         "validate_generator", "young_check"),
     "pettis": ("unconditionality_scan",),
-    "wavelet_frame": ("StudyRow", "WaveletSystem", "averaged_conjugate_reconstruction",
-                      "box_reconstruct", "convergence_study", "member",
-                      "reconstruction_identity_gap"),
+    "wavelet_frame": ("StudyRow", "WaveletSystem", "convergence_study", "member",
+                      "reconstruction_identity_gap", "reconstruction_identity_gaps"),
     "diagnostics": ("CompletenessReport", "CounterexampleReport", "DiscreteFrame",
                     "SpaceTag", "boundedly_complete_probe", "counterexample_frame",
                     "counterexample_report", "tail_dual_norm", "unit_vector_frame"),

@@ -581,19 +581,19 @@ def _run_wavelet_reconstruct(params, seed, tol):
        M_list=_int_list(1, MAX_M, [1, 2]), N_list=_int_list(1, MAX_N, [1, 2]))
 @_numpy_kind
 def _run_wavelet_identity(params, seed, tol):
-    from .wavelet_frame import WaveletSystem, reconstruction_identity_gap
+    from .wavelet_frame import WaveletSystem, reconstruction_identity_gaps
     x = _build_target(params["target"])
+    p_list, M_list, N_list = params["p_list"], params["M_list"], params["N_list"]
     gaps = []
     max_gap = 0.0
     failures = []
-    for p in params["p_list"]:
-        ws = WaveletSystem.haar(p)
-        for M in params["M_list"]:
-            for N in params["N_list"]:
-                gap = reconstruction_identity_gap(ws, x, M, N)
-                gaps.append({"p": p, "M": M, "N": N, "gap": gap})
-                max_gap = _worst(max_gap, gap)
-                _gate(failures, f"identity gap at p={p} M={M} N={N}", gap, tol)
+    cells = [(p, M, N) for p in p_list for M in M_list for N in N_list]
+    results = reconstruction_identity_gaps([WaveletSystem.haar(p) for p in p_list], x,
+                                           M_list, N_list)
+    for (p, M, N), gap in zip(cells, results, strict=True):
+        gaps.append({"p": p, "M": M, "N": N, "gap": gap})
+        max_gap = _worst(max_gap, gap)
+        _gate(failures, f"identity gap at p={p} M={M} N={N}", gap, tol)
     return _verdict({"gaps": gaps, "max_gap": max_gap}, failures)
 
 

@@ -54,7 +54,7 @@ class CoordinateVector:
                     data[n] = c
             if not ordered:
                 data = {n: data[n] for n in sorted(data)}
-        object.__setattr__(self, "_entries", data)
+        _set_entries(self, data)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoordinateVector is immutable")
@@ -64,7 +64,7 @@ class CoordinateVector:
         """``value`` at index n, set directly: one entry needs no ordering walk."""
         n = index(n)
         vec = object.__new__(cls)
-        object.__setattr__(vec, "_entries", {n: value} if value != 0 else {})
+        _set_entries(vec, {n: value} if value != 0 else {})
         return vec
 
     # -- queries -------------------------------------------------------------
@@ -161,3 +161,8 @@ class CoordinateVector:
     def __repr__(self):
         body = ", ".join(f"{n}: {v}" for n, v in self.items())
         return f"CoordinateVector({{{body}}})"
+
+
+# the slot's own setter: it writes past the immutability guard in __setattr__
+# without object.__setattr__'s attribute lookup
+_set_entries = CoordinateVector._entries.__set__

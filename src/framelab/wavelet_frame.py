@@ -17,18 +17,20 @@ rounding; their difference is the identity check the experiments report.
 The reconstruction error of the box sum is bounded by the worst conjugated
 partial-sum error, which is what ``convergence_study`` tabulates.
 
-Every route runs on one lattice kernel, which works on rows of targets: x
-alone, or a group of its conjugates y_{r,s} in one call.  Each coefficient
-is the rise of a target's antiderivative across a member's cells, read by
-np.interp once per target row; each row's sum of members is one sort of
-their jumps and one cumulative sum along the row (``_jump_sum``); and the
-distance from each sum to its target is one merge for all rows and one
-np.add.reduce per row (``_lp_distances``).  The box
-sum takes the fractional lattice a = l + r/N, b = m + s 2^l / N against x.
-The oracle bound and the averaged route take the integer lattice (l, m)
-against the conjugates, as many rows a call as a fixed size allows (all
-N^2 of them at the sizes the experiments use); the averaged route then
-moves every member back by its row's pair.
+A job runs all its boxes (p, M, N) in one pass of one lattice kernel, which
+works on rows: each box sum is a row, and so is each conjugate y_{r,s} of
+each box.  Each coefficient is the rise of a target's antiderivative across
+a member's cells, read by np.interp once per target row; each row's sum of
+members is one sort of their jumps and one cumulative sum along the row
+(``_jump_sum``); and the distance from each sum to its target is one merge
+for all rows and one np.add.reduce per row (``_lp_distances``).  The box
+sums take the fractional lattices a = l + r/N, b = m + s 2^l / N against x.
+The oracle bounds and the averaged route take the integer lattices (l, m)
+against the conjugates; the averaged route then moves every member back by
+its row's pair.  Each member carries its row's exponent.  Rows go in groups
+of a fixed size, and a group builds each lattice it uses once; at the sizes
+the experiments use a group holds every row of a job, so a job makes as
+many kernel calls at nine boxes as at one and builds each lattice once.
 """
 
 import dataclasses
@@ -61,7 +63,8 @@ class WaveletSystem:
 
     @functools.cached_property
     def _unit_cells(self):
-        """Cells (breakpoints, values) of the primal and the dual member at (0, 0)."""
+        """Cells (breakpoints, values) of the primal and the dual member at (0, 0),
+        the same at every exponent."""
         cells = {}
         for side in ("primal", "dual"):
             f = member(self, 0.0, 0.0, side)
@@ -85,21 +88,26 @@ def member(ws, a, b, side="primal"):
 # -- the lattice kernel -----------------------------------------------------------
 #
 # Targets sit in the rows of 2-D arrays of cells (breakpoints, values).  Each
-# lattice member names the target row it analyses and each sum of members is
-# a row of the output.  Sums are held as row-tagged cells (keys, values):
-# complex keys row + i point (``_keys``), which numpy sorts by row, then point,
-# and values[j] held from point j to the next point of its row, 0 after the
-# row's last point.  ``rows`` names the row of each member or function, or
-# holds one row for them all (``_ROW_0``).  Members come in row order, so a
-# row's members, and its cells of a merged grid, are one contiguous run: the
-# per-row steps, np.interp and np.add.reduce, take each run (``_runs``).  A
-# single target is the one-row case, in which the merge is ``_merge`` of the
-# points, and a search and the cumulative sum take the points alone.
+# lattice member names the target row it analyses and carries its exponent p,
+# and each sum of members is a row of the output.  Sums are held as row-tagged
+# cells (keys, values): complex keys row + i point (``_keys``), which numpy
+# sorts by row, then point, and values[j] held from point j to the next point
+# of its row, a zero after the row's last point.  ``rows`` names the row of
+# each member or function, or holds one row for them all (``_ROW_0``).
+# Members come in row order, so a row's members, and its cells of a merged
+# grid, are one contiguous run: the per-row steps, np.interp and
+# np.add.reduce, take each run (``_runs``).  A single target is the one-row
+# case, in which the merge is ``_merge`` of the points, and a sort, a search
+# and the cumulative sum take the points alone.
+#
+# A job is a list of boxes (ws, M, N): the system, whose p is the box's
+# exponent, the box [-M, M]^2 and the resolution N.  Its boxes share one
+# mother and one dual wavelet.
 
 # Target breakpoints and lattice members, over all its rows, that one kernel
-# call takes at most: a row's N^2 conjugates go in groups of as many as that
-# allows, and at least one, so that no call holds N^2 copies of a many-cell
-# target or of a large lattice at once.
+# call takes at most: box sums and conjugates go in groups of as many rows as
+# that allows, and at least one, so that no call holds many copies of a
+# many-cell target or several large lattices at once.
 _GROUP_SIZE = 2 ** 13
 
 # Row 0 for every member or function: ``rows`` of a single row.
@@ -134,30 +142,54 @@ def _box_lattice(M, N):
     return l + r / N, m + s * 2.0 ** l / N
 
 
-def _conjugate_groups(ws, x, M, N):
-    """The conjugates y_{r,s} of x in the order r, s, in groups of rows, each
-    with the integer lattice (l, m) of [-M, M]^2 against every row.
+def _groups(costs):
+    """Runs [lo, hi) of consecutive rows whose ``costs`` sum to at most
+    ``_GROUP_SIZE``, or of a single row."""
+    lo, total = 0, 0
+    for i, cost in enumerate(costs):
+        if total + cost > _GROUP_SIZE and i > lo:
+            yield lo, i
+            lo, total = i, 0
+        total += cost
+    if costs:
+        yield lo, len(costs)
 
-    y_{r,s} is x dilated by -r/N, then translated by -s/N.  A group holds
-    as many conjugates as ``_GROUP_SIZE`` allows.  Yields, per group, the
-    cells (yb, yv) with one row per conjugate; the lattice
-    (l, m, rows), each member with the row it analyses; and per row the
-    shift s/N, the scale 2^(-(r/N)) and the weight 2^((r/N)/p) that move
-    that row's members back.  Each factor is computed as a Python float,
-    as for one conjugate at a time.
+
+def _per_member(values, sizes):
+    """``values[i]`` for each of the ``sizes[i]`` members of row i, or the one value
+    that every row holds, so that no array of copies is made."""
+    return values[0] if len(set(values)) == 1 else np.repeat(values, sizes)
+
+
+def _conjugate_groups(x, boxes):
+    """The conjugates y_{r,s} of x for every box, in the order box, r, s, in groups
+    of rows, each conjugate with the integer lattice (l, m) of [-M, M]^2.
+
+    y_{r,s} is x dilated by -r/N at the box's exponent, then translated by
+    -s/N.  A group holds as many conjugates as ``_GROUP_SIZE`` allows.
+    Yields, per group, the cells (yb, yv) with one row per conjugate; the
+    lattice (l, m, rows, p), each member with the row it analyses and its
+    exponent; and per row its box, and the shift s/N, the scale 2^(-(r/N)),
+    the weight 2^((r/N)/p) and the box's 1/N^2 that move that row's members
+    back and average them.  Each factor is computed as a Python float, as for
+    one conjugate at a time.  Each M's lattice is built once.
     """
-    _check(M, N)
-    offsets = np.array([(2.0 ** (r / N), -s / N, 2.0 ** ((-r / N) / ws.p),
-                         s / N, 2.0 ** (-(r / N)), 2.0 ** ((r / N) / ws.p))
-                        for r in range(N) for s in range(N)]).T[:, :, None]
-    l, m = _pairs(-M, M)
-    size = min(N * N, max(1, _GROUP_SIZE // (x.breakpoints.size + l.size)))
-    lattice = _tile(l, size), _tile(m, size), np.arange(size).repeat(l.size)
-    for lo in range(0, N * N, size):
-        grow, shift, shrink, *back = offsets[:, lo:lo + size]
-        n = grow.shape[0] * l.size
+    for _, M, N in boxes:
+        _check(M, N)
+    offsets = np.array([(2.0 ** (r / N), -s / N, 2.0 ** ((-r / N) / ws.p), s / N,
+                         2.0 ** (-(r / N)), 2.0 ** ((r / N) / ws.p), 1.0 / (N * N))
+                        for ws, _, N in boxes
+                        for r in range(N) for s in range(N)]).reshape(-1, 7).T[:, :, None]
+    box = [i for i, (_, _, N) in enumerate(boxes) for _ in range(N * N)]
+    lattices = {M: _pairs(-M, M) for M in dict.fromkeys(M for _, M, _ in boxes)}
+    sizes = [lattices[boxes[i][1]][0].size for i in box]
+    for lo, hi in _groups([x.breakpoints.size + size for size in sizes]):
+        l, m = (np.concatenate([lattices[boxes[i][1]][k] for i in box[lo:hi]]) for k in (0, 1))
+        grow, shift, shrink, *back = offsets[:, lo:hi]
         yield ((x.breakpoints * grow + shift, x.values * shrink),
-               (lattice[0][:n], lattice[1][:n], lattice[2][:n]), back)
+               (l, m, np.arange(hi - lo).repeat(sizes[lo:hi]),
+                _per_member([boxes[i][0].p for i in box[lo:hi]], sizes[lo:hi])),
+               (np.array(box[lo:hi]), *back))
 
 
 def _keys(rows, points):
@@ -175,9 +207,10 @@ def _runs(a, rows, count):
     return [a[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
-def _coefficients(ws, xb, xv, a, b, rows):
-    """<x, dual(a_k, b_k)> for every k, x the target with cells (xb, xv)[rows[k]];
-    ``rows`` does not decrease.
+def _coefficients(ws, xb, xv, a, b, rows, q):
+    """<x, dual(a_k, b_k)> for every k, the dual member at the conjugate exponent
+    q_k (one per member or one for all), x the target with cells
+    (xb, xv)[rows[k]]; ``rows`` does not decrease.
 
     Over each cell of a dual member, the integral of x is the rise of its
     piecewise linear antiderivative, read at the member's breakpoints
@@ -189,45 +222,75 @@ def _coefficients(ws, xb, xv, a, b, rows):
     db, dv = ws._unit_cells["dual"]
     X = np.zeros(xb.shape)
     (xv * _widths(xb)).cumsum(axis=1, out=X[:, 1:])
-    q = (b[:, None] + db) * 2.0 ** (-a[:, None])
-    runs = _runs(q, rows, xb.shape[0])
+    points = (b[:, None] + db) * 2.0 ** (-a[:, None])
+    runs = _runs(points, rows, xb.shape[0])
     rise = _widths(np.concatenate([np.interp(*row) for row in zip(runs, xb, X)]))
-    return np.add.reduce(rise * dv, axis=1) * 2.0 ** (a / ws.p_conj)
+    return np.add.reduce(rise * dv, axis=1) * 2.0 ** (a / q)
 
 
-def _members(ws, xb, xv, a, b, rows, weight):
-    """Cells of weight * <x, dual_k> primal_k for each k whose coefficient is not
-    0, x the target rows[k].
+def _members(ws, xb, xv, a, b, rows, p, weight):
+    """Cells of weight_k * <x, dual_k> primal_k at exponent p_k for each k whose
+    coefficient is not 0, x the target rows[k]; ``p`` and ``weight`` hold one
+    value per member or one for all.
 
     Returns ``(kept, breakpoints, values)``: the kept k, in order, and one
     row of cells for each.
     """
-    coef = _coefficients(ws, xb, xv, a, b, rows)
+    coef = _coefficients(ws, xb, xv, a, b, rows, p / (p - 1.0))
     kept = coef.nonzero()[0]
     a, b = a[kept, None], b[kept, None]
+    p, weight = (v[kept, None] if np.ndim(v) else v for v in (p, weight))
     pb, pv = ws._unit_cells["primal"]
-    return (kept, (b + pb) * 2.0 ** (-a),
-            (pv * 2.0 ** (a / ws.p)) * (coef[kept, None] * weight))
+    return (kept, (b + pb) * 2.0 ** (-a), (pv * 2.0 ** (a / p)) * (coef[kept, None] * weight))
+
+
+def _kept(grid, count):
+    """Which points of the sorted row-tagged ``grid`` stay when each of its
+    ``count`` rows is merged as ``stepfn._merge`` merges, and where each row
+    starts among them.  A row's magnitude is its largest |point|; one row
+    takes ``_merge``'s magnitude."""
+    rows, points = grid.real, grid.imag
+    keep = np.empty(grid.size, dtype=bool)
+    keep[:1] = True
+    if count == 1:
+        starts = _ROW_0[:grid.size]
+        if grid.size > 1:
+            keep[1:] = _widths(points) > MERGE_ULPS * np.spacing(max(-points[0], points[-1]))
+    else:
+        keep[1:] = rows[1:] != rows[:-1]
+        starts = keep.nonzero()[0]
+        tol = MERGE_ULPS * np.spacing(np.maximum.reduceat(np.abs(points), starts))
+        keep[1:] |= _widths(points) > tol[keep.cumsum()[1:] - 1]
+    return keep, starts
 
 
 def _merged(keys, count):
     """``_merge`` within each of the ``count`` rows of the points in ``keys``.
 
     Returns ``(grid, starts)``: the row-tagged grid points and where each
-    row starts among them.  A row's magnitude is its largest |point|; one
-    row is ``_merge`` of its points.
+    row starts among them, from one sort; one row is ``_merge`` of its
+    points.
     """
     if count == 1:
         return _keys(0, _merge(keys.imag)), _ROW_0[:keys.size]
     grid = np.sort(keys)
-    rows, points = grid.real, grid.imag
-    keep = np.empty(grid.size, dtype=bool)
-    keep[:1] = True
-    keep[1:] = rows[1:] != rows[:-1]
-    starts = keep.nonzero()[0]
-    tol = MERGE_ULPS * np.spacing(np.maximum.reduceat(np.abs(points), starts))
-    keep[1:] |= _widths(points) > tol[keep.cumsum()[1:] - 1]
+    keep, starts = _kept(grid, count)
     return grid[keep], keep.cumsum()[starts] - 1
+
+
+def _placed(keys, count):
+    """``_merged``'s ``(grid, starts)`` of ``keys``, and for each key the index of
+    the grid point it merged into, the last at or below it, read off the
+    argsort that builds the grid: one row argsorts its points alone."""
+    order = keys.imag.argsort() if count == 1 else keys.argsort()
+    grid = keys[order]
+    del keys     # a batch of rows holds many points
+    keep, starts = _kept(grid, count)
+    grid = grid[keep]
+    index = keep.cumsum() - 1
+    at = np.empty(order.size, dtype=np.intp)
+    at[order] = index
+    return grid, index[starts], at
 
 
 def _search(keys, queries, count):
@@ -243,18 +306,16 @@ def _jump_sum(rows, bp, vals, count):
     row i < count sums the functions k with rows[k] = i.
 
     Each function turns into jumps at its breakpoints.  Each row's
-    breakpoints are merged into one grid by ``_merged``, and each breakpoint
-    is placed at the last grid point at or below it, the one it merged into.
+    breakpoints are merged into one grid, and each breakpoint is placed at
+    the grid point it merged into, both from one argsort (``_placed``).
     ``np.bincount`` adds the jumps at their grid points in input order and a
     cumulative sum along each row gives the values.  A cell that no function
     covers is exactly 0: an integer count of covering functions decides.  A
     row whose grid has fewer than two points has no cell and is dropped.
     """
-    keys = _keys(rows[:, None], bp)
-    grid, starts = _merged(keys, count)
+    grid, starts, at = _placed(_keys(rows[:, None], bp), count)
     lengths = _widths(np.concatenate((starts, [grid.size])))
-    at = (_search(grid, keys, count) - 1).reshape(bp.shape)
-    del keys     # a batch of rows holds many points
+    at = at.reshape(bp.shape)
     padded = np.zeros((vals.shape[0], vals.shape[1] + 2))
     padded[:, 1:-1] = vals
     jumps = np.bincount(at.ravel(), _widths(padded).ravel(), grid.size)
@@ -276,18 +337,60 @@ def _jump_sum(rows, bp, vals, count):
     return grid, values
 
 
-def _lp_distances(f, g, p, count):
-    """||f_i - g_i||_p for every row i < count of the row-tagged cells f and g,
-    each on the merged grid of its two rows, as ``_combined`` takes one pair."""
+def _canonical(cells):
+    """Row-tagged cells with equal neighbours merged and zero cells trimmed at both
+    ends of each row, as ``stepfn._canonicalize`` takes one row.
+
+    A point stays where its value differs from the one before it in its row,
+    0 before the row's first point: so a NaN cell always stays, and 0.0 and
+    -0.0 count as equal.  A row of zeros keeps no point.
+    """
+    keys, values = cells
+    before = np.empty(values.size)
+    before[:1] = 0.0
+    before[1:] = values[:-1]
+    before[1:][keys.real[1:] != keys.real[:-1]] = 0.0
+    keep = values != before
+    return keys[keep], values[keep]
+
+
+def _differences(f, g, count):
+    """f_i - g_i for every row i < count of the row-tagged cells f and g, on the
+    merged grid of its two rows, as ``stepfn._combined`` takes one pair.
+
+    Returns the grid, which of its points start a cell of their row, the row
+    of each such cell and the difference on it.
+    """
     grid, _ = _merged(np.concatenate((f[0], g[0])), count)
     rows, points = grid.real, grid.imag
     cell = rows[:-1] == rows[1:]
     mids = _keys(rows[:-1], 0.5 * (points[:-1] + points[1:]))[cell]
     fm = np.concatenate(([0.0], f[1]))[_search(f[0], mids, count)]
     gm = np.concatenate(([0.0], g[1]))[_search(g[0], mids, count)]
-    terms = np.abs(fm - gm) ** p * _widths(points)[cell]
+    return grid, cell, mids.real, fm - gm
+
+
+def _lp_distances(f, g, p, count):
+    """||f_i - g_i||_p for every row i < count of the row-tagged cells f and g,
+    each on the merged grid of its two rows."""
+    grid, cell, rows, diff = _differences(f, g, count)
+    terms = np.abs(diff) ** p * _widths(grid.imag)[cell]
     # numpy's scalar power, as for one pair: its array power may round otherwise
-    return [np.add.reduce(run) ** (1.0 / p) for run in _runs(terms, mids.real, count)]
+    return [np.add.reduce(run) ** (1.0 / p) for run in _runs(terms, rows, count)]
+
+
+def _lp_norms(cells, exponents):
+    """||f_i||_p for every row i of the canonical row-tagged cells f, p the
+    row's exponent, as ``StepFunction.lp_norm`` takes one row: a scalar
+    power of |value| and one np.dot with the widths."""
+    keys, values = cells
+    rows, points = keys.real, keys.imag
+    cell = rows[:-1] == rows[1:]
+    count = len(exponents)
+    runs = zip(_runs(values[:-1][cell], rows[:-1][cell], count),
+               _runs(_widths(points)[cell], rows[:-1][cell], count))
+    return [float(np.dot(np.abs(v) ** p, w) ** (1.0 / p))
+            for p, (v, w) in zip(exponents, runs)]
 
 
 def _cells(rows, xb, xv):
@@ -303,10 +406,52 @@ def _function(cells):
     return StepFunction(keys.imag, values[:-1])
 
 
-def _lattice_sum(ws, x, a, b, weight):
-    """weight * sum_k <x, dual(a_k, b_k)> primal(a_k, b_k) as one step function."""
-    _, bp, vals = _members(ws, x.breakpoints[None], x.values[None], a, b, _ROW_0, weight)
-    return _function(_jump_sum(_ROW_0, bp, vals, 1))
+def _lattice_sums(ws, x, lattices):
+    """Canonical row-tagged cells of sum_k weight <x, dual(a_k, b_k)> primal(a_k, b_k)
+    at exponent p, one row for each lattice (a, b, p, weight), in one kernel call."""
+    sizes = [lattice[0].size for lattice in lattices]
+    a, b, p, weight = zip(*lattices)
+    # one lattice is taken as it is: a copy of a large one costs memory
+    a, b = (side[0] if len(side) == 1 else np.concatenate(side) for side in (a, b))
+    p, weight = _per_member(p, sizes), _per_member(weight, sizes)
+    kept, bp, vals = _members(ws, x.breakpoints[None], x.values[None], a, b, _ROW_0, p, weight)
+    rows = np.arange(len(lattices)).repeat(sizes)
+    return _canonical(_jump_sum(rows[kept], bp, vals, len(lattices)))
+
+
+def _box_sums(x, boxes):
+    """The box sums of x, canonical, one row per box, in groups of boxes whose
+    lattices hold at most ``_GROUP_SIZE`` members together, or of one box:
+    yields (lo, hi, cells) for boxes[lo:hi].
+
+    Each sum is N^-2 * sum over r, s, l, m of coefficient times primal member,
+    with the snapped parameters a = l + r/N and b = m + s * 2^l / N.  A group
+    builds each of its lattices once, whatever the exponents or repeats that
+    share it.
+    """
+    for lo, hi in _groups([(2 * M * N) ** 2 for _, M, N in boxes]):
+        lattices = {box: _box_lattice(*box) for box in dict.fromkeys(
+            (M, N) for _, M, N in boxes[lo:hi])}
+        yield lo, hi, _lattice_sums(boxes[0][0], x, [(*lattices[M, N], ws.p, 1.0 / (N * N))
+                                                   for ws, M, N in boxes[lo:hi]])
+
+
+def _averaged_sums(x, boxes):
+    """The averaged route's sum of x for each box, canonical, one row per box.
+
+    Each conjugated partial sum stays a set of member cells; translating
+    them by s/N and dilating by r/N moves every member back, and all the
+    boxes' sets are summed by one jump sort.
+    """
+    bps, vals, out = [], [], []
+    for y, (l, m, rows, p), (box, shift, scale, grow, weight) in _conjugate_groups(x, boxes):
+        kept, bp, v = _members(boxes[0][0], *y, l, m, rows, p, 1.0)
+        rows = rows[kept]
+        bps.append((bp + shift[rows]) * scale[rows])
+        vals.append(v * grow[rows] * weight[rows])
+        out.append(box[rows])
+    return _canonical(_jump_sum(np.concatenate(out), np.concatenate(bps),
+                                np.concatenate(vals), len(boxes)))
 
 
 # -- reconstructions ---------------------------------------------------------------
@@ -320,31 +465,41 @@ def box_reconstruct(ws, x, M, N):
     N^-2 * sum over r, s, l, m of coefficient times primal member, with the
     snapped parameters a = l + r/N and b = m + s * 2^l / N.
     """
-    return _lattice_sum(ws, x, *_box_lattice(M, N), 1.0 / (N * N))
+    [(_, _, cells)] = _box_sums(x, [(ws, M, N)])
+    return _function(cells)
 
 
 def averaged_conjugate_reconstruction(ws, x, M, N):
     """Second route to the box sum: conjugate, reconstruct on the integer grid,
-    transform back, average over the N^2 fractional offsets.
+    transform back, average over the N^2 fractional offsets."""
+    return _function(_averaged_sums(x, [(ws, M, N)]))
 
-    Each conjugated partial sum stays a set of member cells; translating
-    them by s/N and dilating by r/N moves every member back, and all N^2
-    sets are summed by one jump sort.
+
+def reconstruction_identity_gaps(systems, x, M_list, N_list):
+    """Lp distance between the direct box sum and the conjugate-averaged route
+    for every system, M and N, in that order, in one pass.
+
+    The systems share their mother and dual wavelet.  Each gap has the bits
+    of the one-box difference of the two routes' step functions: both sums
+    and their difference are canonical, and each norm is
+    ``StepFunction.lp_norm``'s.
     """
-    bps, vals = [], []
-    for y, (l, m, rows), (shift, scale, grow) in _conjugate_groups(ws, x, M, N):
-        kept, bp, v = _members(ws, *y, l, m, rows, 1.0)
-        rows = rows[kept]
-        bps.append((bp + shift[rows]) * scale[rows])
-        vals.append(v * grow[rows] * (1.0 / (N * N)))
-    return _function(_jump_sum(_ROW_0, np.concatenate(bps), np.concatenate(vals), 1))
+    if len({(ws.mother, ws.dual_mother) for ws in systems}) > 1:
+        raise ValueError("the systems must share their mother and dual wavelet")
+    boxes = [(ws, M, N) for ws in systems for M in M_list for N in N_list]
+    gaps = []
+    for lo, hi, direct in _box_sums(x, boxes):
+        grid, cell, _, diff = _differences(direct, _averaged_sums(x, boxes[lo:hi]), hi - lo)
+        values = np.zeros(grid.size)
+        values[:-1][cell] = diff
+        gaps += _lp_norms(_canonical((grid, values)), [ws.p for ws, _, _ in boxes[lo:hi]])
+    return gaps
 
 
 def reconstruction_identity_gap(ws, x, M, N):
     """Lp distance between the direct box sum and the conjugate-averaged route."""
-    direct = box_reconstruct(ws, x, M, N)
-    averaged = averaged_conjugate_reconstruction(ws, x, M, N)
-    return direct.add(averaged.scale(-1.0)).lp_norm(ws.p)
+    [gap] = reconstruction_identity_gaps([ws], x, [M], [N])
+    return gap
 
 
 @dataclasses.dataclass(frozen=True)
@@ -362,24 +517,24 @@ def convergence_study(ws, x, M_list, N_list):
     ``error`` is ||x - box_reconstruct||_p.  ``oracle_bound`` is the worst
     conjugated partial-sum error max_{r,s} ||y_{r,s} - P_M y_{r,s}||_p,
     which dominates the error because the fractional dilation-translation
-    pair is an isometry of Lp.  Each group of conjugates takes its partial
-    sums and their distances in one kernel call each.
+    pair is an isometry of Lp.  The box sums of all rows take their sums and
+    distances in one kernel call each, and so do the conjugates of all rows.
     """
-    target = _cells(0, x.breakpoints[None], x.values[None])
-    rows = []
-    for M in M_list:
-        for N in N_list:
-            approx = box_reconstruct(ws, x, M, N)
-            [error] = _lp_distances(
-                target, _cells(0, approx.breakpoints[None], approx.values[None]), ws.p, 1)
-            bounds = []
-            for (yb, yv), (l, m, targets), _ in _conjugate_groups(ws, x, M, N):
-                count = yb.shape[0]
-                kept, bp, vals = _members(ws, yb, yv, l, m, targets, 1.0)
-                bounds += _lp_distances(_cells(np.arange(count)[:, None], yb, yv),
-                                        _jump_sum(targets[kept], bp, vals, count),
-                                        ws.p, count)
-            # np.max keeps a NaN, which Python's max would drop
-            rows.append(StudyRow(M=M, N=N, p=ws.p, error=float(error),
-                                 oracle_bound=float(np.max(bounds))))
-    return rows
+    boxes = [(ws, M, N) for M in M_list for N in N_list]
+    errors = []
+    for lo, hi, sums in _box_sums(x, boxes):
+        target = _cells(np.arange(hi - lo)[:, None],
+                        np.broadcast_to(x.breakpoints, (hi - lo, x.breakpoints.size)),
+                        x.values[None])
+        errors += _lp_distances(target, sums, ws.p, hi - lo)
+    bounds = []
+    for (yb, yv), (l, m, targets, p), _ in _conjugate_groups(x, boxes):
+        count = yb.shape[0]
+        kept, bp, vals = _members(ws, yb, yv, l, m, targets, p, 1.0)
+        bounds += _lp_distances(_cells(np.arange(count)[:, None], yb, yv),
+                                _jump_sum(targets[kept], bp, vals, count), ws.p, count)
+    ends = np.cumsum([N * N for _, _, N in boxes]).tolist()
+    # np.max keeps a NaN, which Python's max would drop
+    return [StudyRow(M=M, N=N, p=ws.p, error=float(error),
+                     oracle_bound=float(np.max(bounds[end - N * N:end])))
+            for (_, M, N), error, end in zip(boxes, errors, ends)]

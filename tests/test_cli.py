@@ -670,7 +670,7 @@ NAN_GATES = {
     "synthesis_over_set": "reconstruction error at p=",
     "young_check": "unit indicator equality gap:",
     "_young_bounds": "series bound at draw 0:",
-    "reconstruction_identity_gap": "identity gap at p=",
+    "reconstruction_identity_gaps": "identity gap at p=",
 }
 
 
@@ -680,7 +680,8 @@ NAN_GATES = {
      lambda g, x, region, w: CoordinateVector({0: math.nan})),
     ("young-fuzz", "young_check", lambda f, a, p: (math.nan, math.nan)),
     ("young-fuzz", "_young_bounds", lambda draws: ((math.nan, math.nan) for _ in draws)),
-    ("wavelet-identity", "reconstruction_identity_gap", lambda ws, x, M, N: math.nan),
+    ("wavelet-identity", "reconstruction_identity_gaps",
+     lambda systems, x, Ms, Ns: [math.nan] * (len(systems) * len(Ms) * len(Ns))),
 ])
 def test_nan_results_fail_their_check(tmp_path, monkeypatch, capsys, kind, target, fake):
     # the runners import these names from their library module at call time

@@ -1,9 +1,10 @@
-"""The batched wavelet lattice kernel against three references.
+"""The batched wavelet lattice kernel against four references.
 
-Every wavelet sum runs on one kernel, on rows of targets: coefficients
-from each target's antiderivative (``_coefficients``, read by np.interp
-once per row), synthesis by one jump sort per row (``_jump_sum``) and
-every row's Lp distance from one merge and one np.add.reduce per row
+Every wavelet job runs on one kernel, on rows: each box (p, M, N) of a job
+is a row, and so is each of its conjugates.  Coefficients come from each
+target's antiderivative (``_coefficients``, read by np.interp once per
+row), synthesis from one jump sort per row (``_jump_sum``) and every row's
+Lp distance from one merge and one np.add.reduce per row
 (``_lp_distances``).  Each path is compared with
 
 * the per-member ``StepFunction`` code it replaced, kept verbatim below as
@@ -13,7 +14,12 @@ every row's Lp distance from one merge and one np.add.reduce per row
 * the one-row code the row kernel replaced, bit for bit: ``_merge`` per
   row, and the one-row jump sum and Lp distance kept verbatim
   (``reference_jump_sum``, ``reference_lp_distance``), driven by
-  ``hypothesis``; and ``np.split`` for the row runs (``_runs``);
+  ``hypothesis``; ``np.split`` for the row runs (``_runs``); and
+  ``stepfn._canonicalize`` for the row-wise canonical form (``_canonical``);
+* the one-box results, bit for bit: every gap and study row of a job,
+  boxes in any order and with repeats, against its box run alone, and a
+  one-box gap against the difference of the two routes' step functions,
+  the code the batched identity replaced (``two_routes_gap``);
 * exact ``fractions.Fraction`` arithmetic on dyadic targets, mothers and
   lattices, driven by ``hypothesis``, for one target and for several rows
   in one call; scales are chosen so that every normalization 2^(a/p),
@@ -27,11 +33,12 @@ Cost guards show a regression without relying on wall time: one counts
 ``StepFunction`` constructions, so that a return to one object per member
 shows; one counts calls of ``np.diff``, ``np.unique`` and ``np.meshgrid``,
 whose wrappers cost more than the arithmetic on these small arrays, and
-the wavelet paths and the step-function algebra make none; one counts the
-kernel calls of a row, the same at N = 8 as at N = 1; one counts lattice
-builds, one per row and none kept between jobs; and one bounds the memory
-of a schema-maximum row, on a few-cell and on a many-cell target, near the
-peak of the code that took one conjugate at a time.
+the wavelet paths and the step-function algebra make none; two count the
+kernel calls of a job, the same at N = 8 as at N = 1 and at nine boxes as
+at one; one counts lattice builds, one per job and none kept between
+jobs; and two bound the memory of schema-maximum rows, on a few-cell and
+on a many-cell target, near the peak of the code that took one conjugate
+at a time.
 """
 
 import math
@@ -46,19 +53,25 @@ from hypothesis import strategies as st
 from framelab import (
     StepFunction,
     WaveletSystem,
-    averaged_conjugate_reconstruction,
-    box_reconstruct,
     convergence_study,
     haar_mother,
     member,
     reconstruction_identity_gap,
+    reconstruction_identity_gaps,
 )
 from framelab import wavelet_frame
 from framelab.cli import main
-from framelab.stepfn import _EMPTY, MERGE_ULPS, _combined, _merge, _widths
-from framelab.wavelet_frame import (_ROW_0, _box_lattice, _cells, _coefficients,
-                                    _conjugate_groups, _jump_sum, _keys, _lattice_sum,
-                                    _lp_distances, _members, _merged, _pairs, _runs)
+from framelab.stepfn import _EMPTY, MERGE_ULPS, _canonicalize, _combined, _merge, _widths
+from framelab.wavelet_frame import (_ROW_0, _box_lattice, _canonical, _cells, _coefficients,
+                                    _conjugate_groups, _function, _jump_sum, _keys,
+                                    _lattice_sums, _lp_distances, _members, _merged, _pairs,
+                                    _placed, _runs, averaged_conjugate_reconstruction,
+                                    box_reconstruct)
+
+
+def _lattice_sum(ws, x, a, b, weight):
+    """weight * sum_k <x, dual(a_k, b_k)> primal(a_k, b_k) as one step function."""
+    return _function(_lattice_sums(ws, x, [(a, b, ws.p, weight)]))
 
 
 # -- the replaced per-member code, verbatim ---------------------------------------
@@ -268,7 +281,8 @@ def test_biorthogonality_residual_matches_reference():
         targets = ((pb + k[:, None]) * 2.0 ** (-n[:, None]),
                    pv * 2.0 ** (n[:, None] / ws.p))
         rows = np.arange(n.size).repeat(n.size)
-        gram = _coefficients(ws, *targets, np.tile(n, n.size), np.tile(k, n.size), rows)
+        gram = _coefficients(ws, *targets, np.tile(n, n.size), np.tile(k, n.size), rows,
+                             ws.p_conj)
         gaps = np.abs(gram.reshape(n.size, n.size) - np.eye(n.size))
         assert float(np.max(gaps)) == pytest.approx(
             reference_biorthogonality_residual(ws, 2), rel=1e-12, abs=1e-15)
@@ -395,9 +409,16 @@ def tagged_points(draw):
 def test_row_merge_matches_merge_per_row(case):
     rows, points = case
     count = len(set(rows.tolist()))
-    grid, starts = _merged(_keys(rows, points), count)
+    keys = _keys(rows, points)
+    grid, starts = _merged(keys, count)
     assert starts.tolist() == [i for i in range(grid.size)
                                if i == 0 or grid.real[i] != grid.real[i - 1]]
+    # the argsort builds the same grid and places each point at the last grid
+    # point at or below it, the one it merged into
+    placed, placed_starts, at = _placed(keys, count)
+    assert (placed + 0.0).tobytes() == (grid + 0.0).tobytes()
+    assert placed_starts.tolist() == starts.tolist()
+    assert at.tolist() == (grid.searchsorted(keys, side="right") - 1).tolist()
     assert grid.real[starts].tolist() == sorted(set(rows.tolist()))
     if count == 1:
         # one row is _merge itself, signed zeros and all
@@ -417,16 +438,16 @@ def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N, group):
     # the conjugates go in
     saved, wavelet_frame._GROUP_SIZE = wavelet_frame._GROUP_SIZE, group
     try:
-        groups = list(_conjugate_groups(ws, x, M, N))
+        groups = list(_conjugate_groups(x, [(ws, M, N)]))
         [row] = convergence_study(ws, x, [M], [N])
     finally:
         wavelet_frame._GROUP_SIZE = saved
     # one conjugate a group at the smallest size, all of them at the default
     assert len(groups) == {1: N * N, 40: len(groups), 2 ** 13: 1}[group]
     bounds = []
-    for (xb, xv), (l, m, targets), _ in groups:
+    for (xb, xv), (l, m, targets, p), _ in groups:
         count = xb.shape[0]
-        kept, bp, vals = _members(ws, xb, xv, l, m, targets, 1.0)
+        kept, bp, vals = _members(ws, xb, xv, l, m, targets, p, 1.0)
         rows = targets[kept]
         keys, values = _jump_sum(rows, bp, vals, count)
         sums = []
@@ -448,6 +469,100 @@ def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N, group):
                      [reference_lp_distance((x.breakpoints, x.values),
                                             (approx.breakpoints, approx.values), ws.p),
                       np.max(bounds)])
+
+
+def two_routes_gap(ws, x, M, N):
+    """The identity gap as the difference of the two routes' step functions: the
+    one-box definition the batched pass replaced."""
+    return box_reconstruct(ws, x, M, N).add(
+        averaged_conjugate_reconstruction(ws, x, M, N).scale(-1.0)).lp_norm(ws.p)
+
+
+# breakpoints on eighths, in whose sums the box and the averaged routes
+# differ in their last bits, and a target that overflows at some boxes
+OVERFLOWING = StepFunction([0.0, 0.25, 0.5, 0.75, 1.0], [1e308, -1e308, 1e308, -1e308])
+MOTHERS = [(haar_mother(), haar_mother()), (SKEWED.mother, SKEWED.dual_mother)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MOTHERS),
+       st.sampled_from(targets() + [StepFunction([-0.625, 0.125, 0.5, 1.875], [0.3, -1.1, 0.7]),
+                                    OVERFLOWING]),
+       st.lists(st.sampled_from([1.5, 2.0, 3.0, 2.5]), min_size=1, max_size=3),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.sampled_from([1, 40, 2 ** 13]))
+def test_batched_gaps_and_study_rows_equal_the_one_box_results(mothers, x, ps, M_list, N_list,
+                                                               group):
+    # boxes in any order and with repeats, in groups of any size: each result
+    # has the bits of its box run alone, and a one-box gap those of the
+    # difference of the two routes
+    systems = [WaveletSystem(*mothers, p) for p in ps]
+    boxes = [(ws, M, N) for ws in systems for M in M_list for N in N_list]
+    with np.errstate(over="ignore", invalid="ignore"):
+        saved, wavelet_frame._GROUP_SIZE = wavelet_frame._GROUP_SIZE, group
+        try:
+            gaps = reconstruction_identity_gaps(systems, x, M_list, N_list)
+            rows = convergence_study(systems[0], x, M_list, N_list)
+        finally:
+            wavelet_frame._GROUP_SIZE = saved
+        assert same_bits(gaps, [reconstruction_identity_gap(*box[:1], x, *box[1:])
+                                for box in boxes])
+        assert same_bits(gaps, [two_routes_gap(ws, x, M, N) for ws, M, N in boxes])
+        alone = [convergence_study(systems[0], x, [M], [N])[0]
+                 for M in M_list for N in N_list]
+    assert [(row.M, row.N, row.p) for row in rows] == [(row.M, row.N, row.p) for row in alone]
+    assert same_bits([(row.error, row.oracle_bound) for row in rows],
+                     [(row.error, row.oracle_bound) for row in alone])
+
+
+def test_an_overflowing_box_leaves_every_other_box_unchanged():
+    # some boxes stay finite, the others overflow to NaN or inf: at p = 3 a
+    # cube of 5e102 overflows, so some distances do and some do not
+    systems = [WaveletSystem.haar(2.0), WaveletSystem.haar(3.0)]
+    near = StepFunction([0.0, 0.25, 0.5, 0.75, 1.0], [5e102, -5e102, 5e102, -5e102])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = reconstruction_identity_gaps(systems, OVERFLOWING, [1, 2, 3], [1, 2])
+        alone = [reconstruction_identity_gap(ws, OVERFLOWING, M, N)
+                 for ws in systems for M in (1, 2, 3) for N in (1, 2)]
+        rows = convergence_study(systems[1], near, [1, 2, 3], [1, 2])
+        rows_alone = [convergence_study(systems[1], near, [M], [N])[0]
+                      for M in (1, 2, 3) for N in (1, 2)]
+    assert same_bits(gaps, alone)
+    assert 0 < sum(map(math.isfinite, gaps)) < len(gaps)
+    values = [(row.error, row.oracle_bound) for row in rows]
+    assert same_bits(values, [(row.error, row.oracle_bound) for row in rows_alone])
+    assert 0 < sum(math.isfinite(v) for pair in values for v in pair) < 2 * len(values)
+
+
+def test_systems_of_one_job_share_their_wavelets():
+    with pytest.raises(ValueError, match="share"):
+        reconstruction_identity_gaps([WaveletSystem.haar(2.0), SKEWED], NON_DYADIC, [1], [1])
+
+
+# values whose merges and trims _canonicalize decides by ==: NaN never equals
+# a neighbour, and 0.0 and -0.0 are one value
+cell_values = st.sampled_from([0.0, -0.0, math.nan, 1.0, -2.5, math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(cell_values, max_size=7), min_size=1, max_size=4))
+def test_row_canonical_form_is_canonicalize_per_row(rows):
+    keys, values, wanted = [], [], []
+    for row, cells in enumerate(rows):
+        bp = np.arange(len(cells) + 1) * 0.375 - 1.0 if cells else _EMPTY
+        # each row's cells and the zero after its last point
+        keys.append(_keys(row, bp))
+        values.append(np.array(cells + [0.0] if cells else []))
+        wanted.append(_canonicalize(bp, np.array(cells, dtype=float)))
+    got_keys, got_values = _canonical((np.concatenate(keys), np.concatenate(values)))
+    for row, (bp, vals) in enumerate(wanted):
+        mine = got_keys.real == row
+        assert got_keys.imag[mine].tobytes() == bp.tobytes()
+        # same bits, each zero's sign included, and a zero after the last point
+        assert same_bits(got_values[mine][:-1], vals)
+        assert got_values[mine][-1:].tolist() in ([], [0.0])
+    assert got_keys.real.tolist() == sorted(got_keys.real.tolist())
 
 
 # -- the exact rational oracle -------------------------------------------------------
@@ -537,10 +652,11 @@ def test_coefficients_are_exact(target, mother, dual, exps, lattice, N):
     ws, x, a, b = exact_setup(target, mother, dual, exps, lattice)
     # one kernel call for x alone, one for all its rows
     alone = _coefficients(ws, x.breakpoints[None], x.values[None], a, b,
-                          np.zeros(a.size, dtype=np.intp))
+                          np.zeros(a.size, dtype=np.intp), ws.p_conj)
     xb, xv, rows = dyadic_rows(x, N)
     together = _coefficients(ws, xb, xv, np.tile(a, len(rows)), np.tile(b, len(rows)),
-                             np.arange(len(rows)).repeat(a.size)).reshape(len(rows), a.size)
+                             np.arange(len(rows)).repeat(a.size),
+                             ws.p_conj).reshape(len(rows), a.size)
     for got, xf in [(alone, as_fractions(x))] + list(zip(together, rows)):
         for k in range(a.size):
             dual_k = exact_member(as_fractions(ws.dual_mother), int(a[k]),
@@ -577,7 +693,7 @@ def test_synthesis_is_exact(target, mother, dual, exps, lattice, N):
     xb, xv, rows = dyadic_rows(x, N)
     targets = np.arange(len(rows)).repeat(a.size)
     kept, bp, vals = _members(ws, xb, xv, np.tile(a, len(rows)), np.tile(b, len(rows)),
-                              targets, weight)
+                              targets, ws.p, weight)
     sums = _jump_sum(targets[kept], bp, vals, len(rows))
     for i, xf in enumerate(rows):
         assert_exact(row_function(sums, i), exact_sum(ws, xf, a, b, exps, weight))
@@ -610,7 +726,7 @@ def test_study_keeps_a_nan_oracle_distance(monkeypatch):
 # -- cost guard ------------------------------------------------------------------
 
 
-KERNEL = ("_coefficients", "_members", "_merged", "_jump_sum", "_lp_distances")
+KERNEL = ("_coefficients", "_members", "_merged", "_placed", "_jump_sum", "_lp_distances")
 
 
 def kernel_calls(monkeypatch, run):
@@ -635,43 +751,65 @@ def test_a_row_makes_one_kernel_pass_whatever_its_n(monkeypatch):
     for ws in (WaveletSystem.haar(2.0), SKEWED):
         for path, calls in [
                 (lambda n: convergence_study(ws, NON_DYADIC, [3], [n]),
-                 {"_coefficients": 2, "_members": 2, "_merged": 4, "_jump_sum": 2,
-                  "_lp_distances": 2}),
+                 {"_coefficients": 2, "_members": 2, "_merged": 2, "_placed": 2,
+                  "_jump_sum": 2, "_lp_distances": 2}),
                 (lambda n: averaged_conjugate_reconstruction(ws, NON_DYADIC, 3, n),
-                 {"_coefficients": 1, "_members": 1, "_merged": 1, "_jump_sum": 1,
-                  "_lp_distances": 0})]:
+                 {"_coefficients": 1, "_members": 1, "_merged": 0, "_placed": 1,
+                  "_jump_sum": 1, "_lp_distances": 0})]:
             assert kernel_calls(monkeypatch, lambda: path(1)) == calls
             assert kernel_calls(monkeypatch, lambda: path(8)) == calls
 
 
+def test_a_job_makes_as_many_kernel_calls_at_nine_boxes_as_at_one(monkeypatch):
+    # every box of a job is a row of the same calls: a study takes its box
+    # sums and their distances once and its conjugates once; an identity job
+    # takes its box sums once, its averaged sums once and its gaps from one
+    # merge, at every exponent
+    study = {"_coefficients": 2, "_members": 2, "_merged": 2, "_placed": 2, "_jump_sum": 2,
+             "_lp_distances": 2}
+    identity = {"_coefficients": 2, "_members": 2, "_merged": 1, "_placed": 2, "_jump_sum": 2,
+                "_lp_distances": 0}
+    for ws in (WaveletSystem.haar(2.0), SKEWED):
+        exponents = [WaveletSystem(ws.mother, ws.dual_mother, p) for p in (1.5, 2.0, 3.0)]
+        for job, calls in [
+                (lambda Ms, Ns: convergence_study(ws, NON_DYADIC, Ms, Ns), study),
+                (lambda Ms, Ns: reconstruction_identity_gaps([ws], NON_DYADIC, Ms, Ns),
+                 identity),
+                (lambda Ms, Ns: reconstruction_identity_gaps(exponents, NON_DYADIC, Ms, Ns),
+                 identity)]:
+            assert kernel_calls(monkeypatch, lambda: job([1], [1])) == calls
+            assert kernel_calls(monkeypatch, lambda: job([1, 2, 3], [1, 2, 4])) == calls
+
+
 def test_each_lattice_is_built_once_per_row(monkeypatch, tmp_path, capsys):
-    builds, tiles = [], [0]
-    original, tile = wavelet_frame._box_lattice, wavelet_frame._tile
+    builds, pairs = [], []
+    original, original_pairs = wavelet_frame._box_lattice, wavelet_frame._pairs
     monkeypatch.setattr(wavelet_frame, "_box_lattice",
                         lambda M, N: builds.append((M, N)) or original(M, N))
-    monkeypatch.setattr(wavelet_frame, "_tile",
-                        lambda a, n: tiles.__setitem__(0, tiles[0] + 1) or tile(a, n))
+    monkeypatch.setattr(wavelet_frame, "_pairs",
+                        lambda lo, hi: pairs.append((lo, hi)) or original_pairs(lo, hi))
     grid = ["--M-list", "1,2", "--N-list", "1,2", "--quiet"]
-    # a study row builds its box lattice once, and nothing is kept for the
-    # next job, which builds its own
+    # a job builds each box lattice and each integer lattice once, and nothing
+    # is kept for the next job, which builds its own
     for run in range(2):
         assert main(["wavelet-reconstruct", "--p", "2", "--out",
                      str(tmp_path / f"study{run}")] + grid) == 0
         assert builds == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert pairs == [(-1, 1), (-2, 2)]
         builds.clear()
-    # an identity gap builds it once for the box sum, at every exponent
-    assert main(["wavelet-identity", "--p-list", "1.5,2,3", "--out",
-                 str(tmp_path / "gap")] + grid) == 0
-    assert builds == [(1, 1), (1, 2), (2, 1), (2, 2)] * 3
-    # each call's conjugate lattice is built once, however many groups of
-    # conjugates read it: 16 groups tile it as often as one does
-    counts = []
+        pairs.clear()
+    # an identity job builds each once for all its exponents, and a box that
+    # repeats in the lists shares its lattice too
+    assert main(["wavelet-identity", "--p-list", "1.5,2,3", "--M-list", "2,1,2",
+                 "--N-list", "1,2", "--out", str(tmp_path / "gap"), "--quiet"]) == 0
+    assert builds == [(2, 1), (2, 2), (1, 1), (1, 2)]
+    assert pairs == [(-2, 2), (-1, 1)]
+    # an integer lattice is built once, however many groups of conjugates read it
     for size in (1, 2 ** 13):
         monkeypatch.setattr(wavelet_frame, "_GROUP_SIZE", size)
-        tiles[0] = 0
+        pairs.clear()
         averaged_conjugate_reconstruction(WaveletSystem.haar(2.0), NON_DYADIC, 2, 4)
-        counts.append(tiles[0])
-    assert counts[0] == counts[1] > 0
+        assert pairs == [(-2, 2)]
     capsys.readouterr()
 
 
@@ -694,6 +832,22 @@ def test_a_cap_sized_row_stays_near_the_one_conjugate_peak(cells):
         finally:
             tracemalloc.stop()
         assert peak < 7e6
+
+
+@pytest.mark.parametrize("cells", [5, 2000])
+def test_a_study_of_two_cap_sized_rows_stays_near_the_one_conjugate_peak(cells):
+    # two rows near the cap in one job: each box sum is a group of its own,
+    # so the two lattices and their members are never held at once
+    x = StepFunction(np.linspace(0.0, 1.0, cells + 1), np.cos(np.arange(cells)))
+    ws = WaveletSystem.haar(2.0)
+    convergence_study(ws, x, [8], [15, 16])
+    tracemalloc.start()
+    try:
+        convergence_study(ws, x, [8], [15, 16])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6
 
 
 def constructions(monkeypatch, run):

@@ -9,14 +9,24 @@ import pytest
 from framelab import (
     StepFunction,
     WaveletSystem,
-    averaged_conjugate_reconstruction,
-    box_reconstruct,
     convergence_study,
     haar_mother,
     member,
     reconstruction_identity_gap,
 )
-from framelab.wavelet_frame import _box_lattice, _lattice_sum, _pairs
+from framelab.wavelet_frame import (
+    _box_lattice,
+    _function,
+    _lattice_sums,
+    _pairs,
+    averaged_conjugate_reconstruction,
+    box_reconstruct,
+)
+
+
+def _lattice_sum(ws, x, a, b, weight):
+    """weight * sum_k <x, dual(a_k, b_k)> primal(a_k, b_k) as one step function."""
+    return _function(_lattice_sums(ws, x, [(a, b, ws.p, weight)]))
 
 
 def discrete_partial_reconstruct(ws, x, M):
