@@ -9,7 +9,6 @@ import importlib
 
 # the module that defines each public name
 _SOURCES = {
-    "intervals": ("IntervalSet",),
     "lp": ("CoordinateVector",),
     "stepfn": ("StepFunction", "haar_mother"),
     "translate_frame": ("Generator", "GeneratorRejected", "RademacherSpec",

@@ -476,7 +476,7 @@ def _run_reconstruct(params, seed, tol):
     for _ in range(params["num_vectors"]):
         vals = rng.standard_normal(2 * window + 1)
         x = CoordinateVector({n - window: float(v) for n, v in enumerate(vals)})
-        recon = synthesis_over_set(g, x, None, out_window)
+        recon = synthesis_over_set(g, x, out_window)
         diff = recon.sub(x)
         for p in params["p_list"]:
             denom = x.norm(p)

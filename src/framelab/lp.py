@@ -101,19 +101,6 @@ class CoordinateVector:
             return CoordinateVector()
         return CoordinateVector({n: c * v for n, v in self._entries.items()})
 
-    def shift(self, k):
-        """Move every entry from index n to index n + k."""
-        return CoordinateVector({n + k: v for n, v in self._entries.items()})
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     # -- norms and pairing -----------------------------------------------------
 
     def norm(self, p):

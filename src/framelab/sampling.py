@@ -15,22 +15,23 @@ import math
 
 import numpy as np
 
-from .intervals import IntervalSet
 from .stepfn import _widths
 
 
 @dataclasses.dataclass(frozen=True)
 class SamplingPlan:
-    """Lattice step, offset and parameter window; samples carry Riemann weight h."""
+    """Lattice step, offset and half open parameter window (lo, hi); samples
+    carry Riemann weight h."""
     step: float
-    window: IntervalSet
+    window: tuple
     offset: float = 0.0
 
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("lattice step must be positive")
-        if not isinstance(self.window, IntervalSet):
-            raise TypeError("window must be an IntervalSet")
+        lo, hi = map(float, self.window)
+        if not lo <= hi:
+            raise ValueError(f"interval [{lo}, {hi}) is NaN or of negative length")
 
     def points(self):
         """All lattice points inside the window, in increasing order (read-only)."""
@@ -39,18 +40,11 @@ class SamplingPlan:
     @functools.cached_property
     def _points(self):
         """The lattice of :meth:`points`, filtered once per plan."""
-        hull = self.window.hull()
-        if hull is None:
-            ts = np.empty(0)
-        else:
-            j_min = math.ceil((hull[0] - self.offset) / self.step - 1e-12)
-            j_max = math.floor((hull[1] - self.offset) / self.step + 1e-12)
-            ts = self.offset + np.arange(j_min, j_max + 1) * self.step
-            # half-open [l, r), as IntervalSet.contains
-            inside = np.zeros(ts.size, dtype=bool)
-            for l, r in self.window.intervals:
-                inside |= (l <= ts) & (ts < r)
-            ts = ts[inside]
+        lo, hi = map(float, self.window)
+        j_min = math.ceil((lo - self.offset) / self.step - 1e-12)
+        j_max = math.floor((hi - self.offset) / self.step + 1e-12)
+        ts = self.offset + np.arange(j_min, j_max + 1) * self.step
+        ts = ts[(lo <= ts) & (ts < hi)]
         ts.setflags(write=False)
         return ts
 
@@ -66,7 +60,7 @@ def _coefficient_rows(g, ts, window):
 def default_window(g, window):
     """Parameter window wide enough to cover every integrand for |n| <= window."""
     lo, hi = g.f.support()
-    return IntervalSet([(lo - window, hi + window)])
+    return (lo - window, hi + window)
 
 
 def reconstruction_matrix(g, plan, window):
@@ -105,9 +99,9 @@ def sampling_sweep(g, steps, window, p=2.0, offset=0.0, exact_tol=1e-10):
     step shrinks the error.
     """
     rows = []
-    region = default_window(g, window)
+    span = default_window(g, window)
     for h in steps:
-        plan = SamplingPlan(step=float(h), window=region, offset=offset)
+        plan = SamplingPlan(step=float(h), window=span, offset=offset)
         mat = reconstruction_matrix(g, plan, window)
         size = mat.shape[0]
         errors = []

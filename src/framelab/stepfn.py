@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .intervals import IntervalSet
-
 MERGE_ULPS = 64     # derived points (0.1 + 0.2 against 0.3) differ by a few ulps
 
 _EMPTY = np.empty(0, dtype=float)
@@ -179,10 +177,6 @@ class StepFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls((), ())
-
-    @classmethod
     def indicator(cls, a, b):
         """Indicator of the half open interval [a, b)."""
         if not b > a:
@@ -212,21 +206,14 @@ class StepFunction:
 
     # -- algebra -----------------------------------------------------------
 
-    def _combine(self, other, op):
-        return StepFunction(*_combined((self.breakpoints, self.values),
-                                       (other.breakpoints, other.values), op))
-
     def add(self, other):
-        return self._combine(other, np.add)
-
-    def multiply(self, other):
-        """Pointwise product."""
-        return self._combine(other, np.multiply)
+        return StepFunction(*_combined((self.breakpoints, self.values),
+                                       (other.breakpoints, other.values), np.add))
 
     def scale(self, c):
         c = float(c)
         if c == 0.0 or self.values.size == 0:
-            return StepFunction.zero()
+            return StepFunction()
         return StepFunction(self.breakpoints, self.values * c)
 
     def translate(self, b):
@@ -245,41 +232,7 @@ class StepFunction:
         return StepFunction(self.breakpoints * 2.0 ** (-a),
                             self.values * 2.0 ** (a / p))
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1.0))
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, StepFunction):
-            return self.multiply(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     # -- integrals and norms -------------------------------------------------
-
-    def integrate(self, region=None):
-        """Integral over an IntervalSet, or over the whole line if None."""
-        if self.values.size == 0:
-            return 0.0
-        lens = _widths(self.breakpoints)
-        if region is None:
-            return float(np.dot(self.values, lens))
-        if not isinstance(region, IntervalSet):
-            raise TypeError("region must be an IntervalSet or None")
-        total = 0.0
-        left = self.breakpoints[:-1]
-        right = self.breakpoints[1:]
-        for l, r in region.intervals:
-            overlap = np.minimum(right, r) - np.maximum(left, l)
-            np.clip(overlap, 0.0, None, out=overlap)
-            total += float(np.dot(self.values, overlap))
-        return total
 
     def abs_integral(self):
         """Integral of |f|; the L1 norm."""
@@ -302,15 +255,6 @@ class StepFunction:
         grid, product = _combined((self.breakpoints, self.values),
                                   (other.breakpoints, other.values), np.multiply)
         return float(np.dot(product, _widths(grid)))
-
-    def periodized_l1_sup(self):
-        """sup over t of the 1-periodization of |f|.
-
-        Finiteness is automatic for compactly supported step functions; the
-        point of computing it exactly is that it certifies the frame bound of
-        a translated generator.
-        """
-        return _periodized_sup(_folded(self)[2])
 
     # -- comparisons ---------------------------------------------------------
 

@@ -33,7 +33,6 @@ import math
 
 import numpy as np
 
-from .intervals import IntervalSet
 from .lp import CoordinateVector
 from .stepfn import StepFunction, _abs_integrals, _folded, _periodized_sup, _widths
 
@@ -230,46 +229,26 @@ def _gram_lags(grid, table, count):
                      for m in range(count)])
 
 
-def _cell_weights(start, units, grid, region):
-    """Measure of ``region`` in each cell [start + u + G_i, start + u + G_(i+1)).
+def synthesis_over_set(g, x, window):
+    """Reconstruction of x from its analysis function, over the whole line.
 
-    ``region=None`` means the whole line: every cell weighs its length.
+    Coordinate m is the integral of the analysis function times f(. - m),
+    for |m| <= window.  With a validated generator this returns x.
     """
-    lens = _widths(grid)
-    if region is None:
-        return lens
-    base = start + np.arange(units, dtype=float)[:, None]
-    left = base + grid[:-1]
-    right = base + grid[1:]
-    weights = np.zeros(left.shape)
-    for l, r in region.intervals:
-        weights += np.clip(np.minimum(right, r) - np.maximum(left, l), 0.0, None)
-    return weights
-
-
-def synthesis_over_set(g, x, region, window):
-    """Candidate restricted reconstruction of x over a parameter set.
-
-    Coordinate m is the integral over ``region`` of the analysis function
-    times f(. - m), for |m| <= window.  ``region=None`` means the whole
-    line; with full coverage and a validated generator this returns x.
-    """
-    if region is not None and not isinstance(region, IntervalSet):
-        raise TypeError("region must be an IntervalSet or None")
     if x.is_zero() or g.f.is_zero():
         return CoordinateVector()
-    k0, grid, table = g.fold
+    _, grid, table = g.fold
     units = table.shape[0]
+    lens = _widths(grid)
     out = {}
     for n0, a in _runs(x, units):
         series = _series(table, a)
-        # pad the series with units - 1 zero rows on both sides; padded row v
-        # is the unit first + v, and coordinate n0 - (units - 1) + k reads the
-        # padded rows k .. k + units - 1 against the table rows 0 .. units - 1
+        # pad the series with units - 1 zero rows on both sides; coordinate
+        # n0 - (units - 1) + k reads the padded rows k .. k + units - 1
+        # against the table rows 0 .. units - 1
         padded = np.zeros((series.shape[0] + 2 * (units - 1), series.shape[1]))
         padded[units - 1:units - 1 + series.shape[0]] = series
-        first = k0 + n0 - (units - 1)
-        weighted = padded * _cell_weights(first, padded.shape[0], grid, region)
+        weighted = padded * lens
         count = a.size + 2 * (units - 1)
         coords = np.zeros(count)
         for j in range(units):

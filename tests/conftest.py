@@ -3,10 +3,7 @@
 import os
 import pathlib
 
-import numpy as np
 import pytest
-
-from framelab import IntervalSet
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -24,13 +21,3 @@ def cli_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), inherited] if inherited else [str(SRC)])
     return env
-
-
-@pytest.fixture
-def random_interval_set():
-    """Draw a random interval set inside [lo, hi): ``draw(rng, lo, hi)``."""
-    def draw(rng, lo, hi, max_pieces=4):
-        n = int(rng.integers(1, max_pieces + 1))
-        points = np.sort(rng.uniform(lo, hi, size=2 * n))
-        return IntervalSet((points[2 * i], points[2 * i + 1]) for i in range(n))
-    return draw

@@ -82,7 +82,7 @@ def test_criterion_02_full_line_reconstruction():
         vals = rng.standard_normal(2 * window + 1)
         x = CoordinateVector({n - window: float(v)
                               for n, v in enumerate(vals)})
-        recon = synthesis_over_set(g, x, None, out_window)
+        recon = synthesis_over_set(g, x, out_window)
         diff = recon.sub(x)
         for p in P_GRID:
             worst[p] = max(worst[p], diff.norm(p) / x.norm(p))

@@ -2,9 +2,12 @@
 
 Every name in ``framelab.__all__`` must be read, as a name or as an
 attribute, somewhere in the library modules (which the CLI experiments
-run) or in the acceptance criteria.  A definition and an import do not
-count as a use.  The package binds each name on first access (PEP 562), and
-a name resolves to the object its own module defines.
+run) or in the acceptance criteria.  So must every public method of the
+value types ``StepFunction`` and ``CoordinateVector``, read as an attribute
+that is not numpy's (``np.multiply`` is not a read of a ``multiply``
+method).  A definition and an import do not count as a use.  The package
+binds each name on first access (PEP 562), and a name resolves to the
+object its own module defines.
 """
 
 import ast
@@ -13,10 +16,12 @@ import json
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
 import framelab
+from framelab import CoordinateVector, StepFunction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 USERS = [path for path in sorted((ROOT / "src" / "framelab").glob("*.py"))
@@ -36,6 +41,35 @@ def used_names(path):
 def test_every_public_name_is_used_by_an_experiment_or_a_criterion():
     used = set().union(*(used_names(path) for path in USERS))
     assert sorted(set(framelab.__all__) - used) == []
+
+
+VALUE_TYPES = (StepFunction, CoordinateVector)
+
+# methods no experiment reads, kept as the tests' named oracles
+ORACLES = {
+    "inner": "the exact integral of a product the wavelet and lattice kernels must match",
+    "lp_norm": "the Lp norm the wavelet and lattice tests measure reconstruction errors with",
+}
+
+
+def public_methods(cls):
+    return {name for name, value in vars(cls).items() if not name.startswith("_")
+            and isinstance(value, (types.FunctionType, classmethod, staticmethod))}
+
+
+def used_methods(path):
+    """The attribute names read in ``path``, numpy's aside."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "np")}
+
+
+def test_every_public_method_is_used_by_an_experiment_or_a_criterion():
+    used = set().union(*(used_methods(path) for path in USERS))
+    methods = set().union(*(public_methods(cls) for cls in VALUE_TYPES))
+    assert sorted(methods - used - set(ORACLES)) == []
+    # an oracle that an experiment comes to read needs no exception
+    assert sorted(set(ORACLES) & used) == []
 
 
 def test_every_public_name_resolves_to_the_object_its_module_defines():

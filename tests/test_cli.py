@@ -677,7 +677,7 @@ NAN_GATES = {
 @pytest.mark.parametrize("kind, target, fake", [
     ("biorthogonality", "biorthogonality_matrix", lambda g, w: np.full((3, 3), math.nan)),
     ("reconstruct", "synthesis_over_set",
-     lambda g, x, region, w: CoordinateVector({0: math.nan})),
+     lambda g, x, w: CoordinateVector({0: math.nan})),
     ("young-fuzz", "young_check", lambda f, a, p: (math.nan, math.nan)),
     ("young-fuzz", "_young_bounds", lambda draws: ((math.nan, math.nan) for _ in draws)),
     ("wavelet-identity", "reconstruction_identity_gaps",

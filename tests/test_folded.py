@@ -6,7 +6,10 @@ generator (``stepfn._folded``).  Each folded path is compared with
 * the per-translate ``StepFunction`` code it replaced, kept verbatim below
   as the reference (``reference_*``), on Gaussian and non-dyadic data;
   where it summed with the deleted ``StepFunction.sum`` it now adds one
-  term at a time (``left_fold``);
+  term at a time (``left_fold``), and where it used the deleted
+  ``multiply`` and ``integrate`` it takes the product from
+  ``stepfn._combined`` (``pointwise_product``) and the integral from
+  ``inner``;
 * exact ``fractions.Fraction`` arithmetic on dyadic generators, driven by
   ``hypothesis``; dyadic data with few bits keeps every float sum exact,
   so the folded results must equal the oracle exactly.  On tenths grids
@@ -35,7 +38,6 @@ from hypothesis import strategies as st
 
 from framelab import (
     CoordinateVector,
-    IntervalSet,
     RademacherSpec,
     StepFunction,
     biorthogonality_matrix,
@@ -45,7 +47,7 @@ from framelab import (
     young_check,
 )
 from framelab.pettis import _sign_parts
-from framelab.stepfn import _evaluate, _folded, _merge, _widths
+from framelab.stepfn import _combined, _evaluate, _folded, _merge, _periodized_sup, _widths
 from framelab import cli, translate_frame
 from framelab.translate_frame import (VALIDATION_TOL, Generator, _certificates,
                                       _rademacher, _series)
@@ -59,7 +61,7 @@ def translate_series(f, x):
     The kernels are looked up on the module, so a patched one is used.
     """
     if x.is_zero() or f.is_zero():
-        return StepFunction.zero()
+        return StepFunction()
     k0, grid, table = _folded(f)
     return left_fold([translate_frame._unfold(k0 + n0, grid, translate_frame._series(table, a))
                       for n0, a in translate_frame._runs(x, table.shape[0])])
@@ -70,7 +72,7 @@ def translate_series(f, x):
 
 def left_fold(funcs):
     """The sum of step functions, added one at a time from the left."""
-    total = StepFunction.zero()
+    total = StepFunction()
     for f in funcs:
         total = total.add(f)
     return total
@@ -134,19 +136,30 @@ def reference_periodized_l1_sup(self):
     return float(acc.max())
 
 
-def reference_synthesis_over_set(g, x, region, window):
+def reference_synthesis_over_set(g, x, window):
     c = reference_translate_series(g.f, x)
     out = {}
     for m in range(-window, window + 1):
-        val = c.multiply(g.f.translate(m)).integrate(region)
+        val = c.inner(g.f.translate(m))
         if val != 0.0:
             out[m] = val
     return CoordinateVector(out)
 
 
+def pointwise_product(c, d):
+    """The pointwise product c*d."""
+    return StepFunction(*_combined((c.breakpoints, c.values), (d.breakpoints, d.values),
+                                   np.multiply))
+
+
+def periodized_sup(f):
+    """sup over t of the 1-periodization of |f|, from the unit fold of f."""
+    return _periodized_sup(_folded(f)[2])
+
+
 def reference_sign_parts(c, d):
     """(positive part, negative part) of integral c*d."""
-    product = c.multiply(d)
+    product = pointwise_product(c, d)
     if product.is_zero():
         return 0.0, 0.0
     lens = np.diff(product.breakpoints)
@@ -189,7 +202,7 @@ def reference_scan(g, trials, window, p, seed=0):
         d = reference_translate_series(g.f, xs)
         best_suppression = max(best_suppression, max(reference_sign_parts(c, d)) / denom)
         best_unconditional = max(best_unconditional,
-                                 c.multiply(d).abs_integral() / denom)
+                                 pointwise_product(c, d).abs_integral() / denom)
     return best_suppression, best_unconditional
 
 
@@ -256,7 +269,7 @@ def test_fold_keeps_every_fractional_part():
     assert table.shape == (3, 5)
     # on the sliver [0.1, 1.1 - 1) the three units read 0.5, |-1| and 0.25
     bp, vals = as_fractions(NON_DYADIC)
-    assert NON_DYADIC.periodized_l1_sup() == 1.75 == reference_periodized_l1_sup(NON_DYADIC)
+    assert periodized_sup(NON_DYADIC) == 1.75 == reference_periodized_l1_sup(NON_DYADIC)
     assert exact_periodized_sup(bp, vals) == Fraction(7, 4)
     # shifted past the binade at 65536, 65535.1 and 65536.1 have fractional
     # parts 7.3e-12 apart.  Fractional parts past 1 are exact, so the fold
@@ -265,7 +278,7 @@ def test_fold_keeps_every_fractional_part():
     far = NON_DYADIC.translate(65535.0)
     k0, grid, table = _folded(far)
     assert (k0, grid.size, table.shape) == (65535.0, 6, (3, 5))
-    assert far.periodized_l1_sup() == reference_periodized_l1_sup(far) == 1.75
+    assert periodized_sup(far) == reference_periodized_l1_sup(far) == 1.75
     # the one inexact case: -0.3 + 1 rounds onto the fractional part of 0.7
     assert _folded(StepFunction([-0.3, 0.7], [1.0]))[1].tolist() == [0.0, 0.7, 1.0]
 
@@ -320,23 +333,22 @@ def test_periodized_sup_matches_reference():
     for _ in range(20):
         g = gaussian_generator(rng, int(rng.integers(1, 8)))
         # same cells, same per-column order (increasing unit): bit for bit
-        assert g.f.periodized_l1_sup() == reference_periodized_l1_sup(g.f)
+        assert periodized_sup(g.f) == reference_periodized_l1_sup(g.f)
         shifted = g.f.translate(0.375).scale(-1.5)
-        assert shifted.periodized_l1_sup() == reference_periodized_l1_sup(shifted)
+        assert periodized_sup(shifted) == reference_periodized_l1_sup(shifted)
 
 
-@pytest.mark.parametrize("region", [None, IntervalSet([(-2.3, 0.7), (1.25, 5.1)])])
-def test_synthesis_matches_reference(region):
+def test_synthesis_matches_reference():
     rng = np.random.default_rng(35)
     for _ in range(4):
         g = gaussian_generator(rng)
         x = gaussian_vector(rng, 4)
-        assert vector_gap(synthesis_over_set(g, x, region, 12),
-                          reference_synthesis_over_set(g, x, region, 12)) <= 1e-14
+        assert vector_gap(synthesis_over_set(g, x, 12),
+                          reference_synthesis_over_set(g, x, 12)) <= 1e-14
     g = Generator(NON_DYADIC, None)
     x = CoordinateVector({-1: 0.3, 2: -1.1})
-    assert vector_gap(synthesis_over_set(g, x, region, 6),
-                      reference_synthesis_over_set(g, x, region, 6)) <= 1e-14
+    assert vector_gap(synthesis_over_set(g, x, 6),
+                      reference_synthesis_over_set(g, x, 6)) <= 1e-14
 
 
 def test_scan_sign_parts_and_bounds_match_reference():
@@ -385,12 +397,12 @@ def test_far_apart_coefficients_fold_in_separate_runs(monkeypatch):
 
     monkeypatch.setattr(translate_frame, "_series", recording)
     series = translate_series(g.f, x)
-    y = synthesis_over_set(g, x, None, 120)
+    y = synthesis_over_set(g, x, 120)
     lhs, _ = young_check(g.f, x, 3.0)
     assert sizes == [4, 1, 11] * 3
     reference = reference_translate_series(g.f, x)
     assert max_gap(series, reference) <= 1e-14
-    assert vector_gap(y, reference_synthesis_over_set(g, x, None, 120)) <= 1e-14
+    assert vector_gap(y, reference_synthesis_over_set(g, x, 120)) <= 1e-14
     assert lhs == pytest.approx(reference.lp_norm(3.0) ** 3.0, rel=1e-13)
 
 
@@ -518,44 +530,25 @@ def test_gram_lags_and_residual_are_exact(gen, grid):
 @example(([-9, 1], [2]), (1.5, 0.1))        # 0.6 and 1.6 - 1 differ in the last bit
 def test_periodized_sup_is_exact(gen, grid):
     f, _ = build(*gen, *grid)
-    assert Fraction(f.periodized_l1_sup()) == exact_periodized_sup(*as_fractions(f))
+    assert Fraction(periodized_sup(f)) == exact_periodized_sup(*as_fractions(f))
 
 
 @ORACLE
-@given(dyadic_generators, dyadic_vectors,
-       st.one_of(st.none(), st.lists(st.integers(-24, 24), min_size=2, max_size=6,
-                                     unique=True)),
-       fold_grids)
-def test_synthesis_is_exact(gen, raw, region_quarters, grid):
+@given(dyadic_generators, dyadic_vectors, fold_grids)
+def test_synthesis_is_exact(gen, raw, grid):
     f, g = build(*gen, *grid)
     x = vector(raw)
     bp, vals = as_fractions(f)
     exact = exact_series(bp, vals, {n: Fraction(c) for n, c in x.items()})
-    region = None
-    pairs = []
-    reach = 0
-    if region_quarters is not None:
-        q = sorted(region_quarters)
-        pairs = [(grid[0] + q[i] / 4, grid[0] + q[i + 1] / 4)
-                 for i in range(0, len(q) - 1, 2)]
-        region = IntervalSet(pairs)
-        pairs = [(Fraction(l), Fraction(r)) for l, r in pairs]
-        # a region's weights read the cell ends k + u + G_i, which round (by
-        # at most half an ulp each) where tenths cross the binade at 65536
-        reach = Fraction(float(np.spacing(abs(grid[0]) + 32))) if slack(grid) else 0
-    ends = [t for pair in pairs for t in pair]
     window = 10
-    y = synthesis_over_set(g, x, region, window)
+    y = synthesis_over_set(g, x, window)
     for m in range(-window, window + 1):
-        total = size = heights = Fraction(0)
-        for a, b, mid in cells(shifted_points(bp, x.support()) + [t + m for t in bp]
-                               + ends):
-            height = exact(mid) * exact_value(bp, vals, mid - m)
-            heights += abs(height)
-            if region is None or any(l <= mid < r for l, r in pairs):
-                total += (b - a) * height
-                size += abs((b - a) * height)
-        assert abs(Fraction(y[m]) - total) <= slack(grid) * size + reach * heights
+        total = size = Fraction(0)
+        for a, b, mid in cells(shifted_points(bp, x.support()) + [t + m for t in bp]):
+            height = (b - a) * exact(mid) * exact_value(bp, vals, mid - m)
+            total += height
+            size += abs(height)
+        assert abs(Fraction(y[m]) - total) <= slack(grid) * size
 
 
 @ORACLE
@@ -731,10 +724,10 @@ def test_translate_paths_build_a_bounded_number_of_step_functions(monkeypatch):
     x = gaussian_vector(np.random.default_rng(38), 8)
     small = [lambda: biorthogonality_matrix(g, 1),
              lambda: unconditionality_scan(g, 2, 1, 2.0),
-             lambda: synthesis_over_set(g, CoordinateVector.unit(0), None, 1)]
+             lambda: synthesis_over_set(g, CoordinateVector.unit(0), 1)]
     large = [lambda: biorthogonality_matrix(g, 16),
              lambda: unconditionality_scan(g, 500, 8, 2.0),
-             lambda: synthesis_over_set(g, x, None, 16)]
+             lambda: synthesis_over_set(g, x, 16)]
     for run_small, run_large in zip(small, large):
         built = constructions(monkeypatch, run_large)
         assert built <= 2
@@ -806,8 +799,7 @@ def test_consumers_read_the_fold_the_generator_carries(monkeypatch):
     x = gaussian_vector(np.random.default_rng(41), 4)
     runs = [lambda: biorthogonality_matrix(g, 8),
             lambda: unconditionality_scan(g, 5, 4, 2.0),
-            lambda: synthesis_over_set(g, x, None, 12),
-            lambda: synthesis_over_set(g, x, IntervalSet([(-1.5, 3.25)]), 12)]
+            lambda: synthesis_over_set(g, x, 12)]
     assert [folds(monkeypatch, run) for run in runs] == [0] * len(runs)
     # a Generator built without its fold folds f once, on construction
     assert folds(monkeypatch, lambda: Generator(g.f, None)) == 1

@@ -81,7 +81,7 @@ def reference_sum(funcs):
     """Balanced pairwise summation of a sequence of step functions."""
     items = list(funcs)
     if not items:
-        return StepFunction.zero()
+        return StepFunction()
     while len(items) > 1:
         nxt = [items[i].add(items[i + 1]) for i in range(0, len(items) - 1, 2)]
         if len(items) % 2:

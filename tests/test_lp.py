@@ -57,14 +57,13 @@ def test_norm_values():
         v.norm(0.5)
 
 
-def test_add_sub_scale_shift_restrict():
+def test_add_sub_scale():
     v = CoordinateVector({0: 1.0, 1: 2.0})
     w = CoordinateVector({1: -2.0, 3: 4.0})
     assert v.add(w).support() == (0, 3)       # coordinate 1 cancels exactly
     assert v.sub(v).is_zero()
     assert v.scale(0.0).is_zero()
     assert v.scale(2.0)[1] == 4.0
-    assert v.shift(5).support() == (5, 6)
 
 
 def test_pair_is_symmetric_and_bilinear():
@@ -127,13 +126,6 @@ def test_norm_survives_float_overflow():
 def test_non_integral_index_raises(entries):
     with pytest.raises(TypeError):
         CoordinateVector(entries)
-
-
-def test_shift_by_a_non_integer_raises():
-    with pytest.raises(TypeError):
-        CoordinateVector({1: 1.0}).shift(0.5)
-    with pytest.raises(TypeError):
-        CoordinateVector.unit(2.0)
 
 
 def test_unit_checks_its_index_and_drops_a_zero():
@@ -215,19 +207,6 @@ class SortingVector:
             return SortingVector()
         return SortingVector({n: c * v for n, v in self._entries.items()})
 
-    def shift(self, k):
-        """Move every entry from index n to index n + k."""
-        return SortingVector({n + k: v for n, v in self._entries.items()})
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     # -- norms and pairing -----------------------------------------------------
 
     def norm(self, p):
@@ -293,8 +272,7 @@ def _constructions(cls, entries, other, c, k):
     a = cls(dict(entries))
     b = cls(dict(other))
     return [a, b, cls(entries), cls((n, v) for n, v in entries),
-            a.add(b), a.sub(b), a + b, a - b, -a, a.scale(c), a.shift(k),
-            a.shift(-abs(k) - 1), cls.unit(k, c)]
+            a.add(b), a.sub(b), a.scale(c), cls.unit(k, c)]
 
 
 @settings(max_examples=200, deadline=None)

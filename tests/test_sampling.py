@@ -10,7 +10,6 @@ import pytest
 from framelab import (
     CoordinateVector,
     DiscreteFrame,
-    IntervalSet,
     RademacherSpec,
     SamplingPlan,
     SpaceTag,
@@ -36,71 +35,69 @@ def two_coeff_generator():
 
 
 def test_plan_validation():
-    window = IntervalSet([(0.0, 1.0)])
+    window = (0.0, 1.0)
     with pytest.raises(ValueError):
         SamplingPlan(step=0.0, window=window)
     with pytest.raises(TypeError):
-        SamplingPlan(step=0.5, window=(0.0, 1.0))
+        SamplingPlan(step=0.5, window=None)
+    for bad in ((math.nan, 1.0), (0.0, math.nan), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="is NaN or of negative length"):
+            SamplingPlan(step=0.5, window=bad)
 
 
 def test_plan_points_half_open():
-    plan = SamplingPlan(step=0.25, window=IntervalSet([(0.0, 1.0)]))
+    plan = SamplingPlan(step=0.25, window=(0.0, 1.0))
     assert plan.points().tolist() == [0.0, 0.25, 0.5, 0.75]
-    shifted = SamplingPlan(step=0.25, window=IntervalSet([(0.0, 1.0)]),
-                           offset=0.1)
+    shifted = SamplingPlan(step=0.25, window=(0.0, 1.0), offset=0.1)
     assert shifted.points().tolist() == pytest.approx([0.1, 0.35, 0.6, 0.85])
-    empty = SamplingPlan(step=0.25, window=IntervalSet.empty())
+    empty = SamplingPlan(step=0.25, window=(1.0, 1.0))
     assert empty.points().size == 0
 
 
-def test_plan_points_skip_gaps():
-    plan = SamplingPlan(step=0.5, window=IntervalSet([(0.0, 1.0), (2.0, 2.6)]))
-    assert plan.points().tolist() == [0.0, 0.5, 2.0, 2.5]
+def test_plan_points_outside_the_window_are_dropped():
+    # lattice points on both sides of the window
+    plan = SamplingPlan(step=0.5, window=(0.1, 2.6))
+    assert plan.points().tolist() == [0.5, 1.0, 1.5, 2.0, 2.5]
 
 
 def reference_points(plan):
-    """The lattice filter SamplingPlan.points replaced: one contains() call per point."""
-    hull = plan.window.hull()
-    if hull is None:
-        return np.empty(0)
-    lo, hi = hull
+    """The lattice filter SamplingPlan.points replaced: one test per point."""
+    lo, hi = plan.window
     j_min = math.ceil((lo - plan.offset) / plan.step - 1e-12)
     j_max = math.floor((hi - plan.offset) / plan.step + 1e-12)
     ts = plan.offset + np.arange(j_min, j_max + 1) * plan.step
-    return np.array([t for t in ts if plan.window.contains(t)])
+    return np.array([t for t in ts if lo <= t < hi])
 
 
 @pytest.mark.parametrize("step, pairs, offset", [
-    # lattice points on both ends of every interval: l is in, r is out
-    (0.25, [(0.0, 1.0), (1.5, 2.25), (3.0, 3.25)], 0.0),
-    (0.5, [(-2.0, -1.0), (-0.5, 0.5), (1.0, 1.5)], 0.0),
-    # a nonzero offset, with points on the ends of the shifted intervals
-    (0.25, [(0.125, 0.625), (1.375, 2.0), (2.125, 2.375)], 0.125),
-    (0.37, [(-1.63, 0.22), (0.96, 4.0)], 0.11),
-    # no lattice point falls in the gap or in the narrow piece
-    (1.0, [(0.0, 2.0), (2.2, 2.8), (5.0, 7.0)], 0.0),
-    (0.25, [], 0.0),
+    # lattice points on both ends of the window: lo is in, hi is out
+    (0.25, (0.0, 1.0), 0.0),
+    (0.5, (-2.0, -1.0), 0.0),
+    # a nonzero offset, with points on the ends of the shifted window
+    (0.25, (0.125, 0.625), 0.125),
+    (0.37, (-1.63, 0.22), 0.11),
+    # no lattice point falls in the narrow window
+    (1.0, (2.2, 2.8), 0.0),
+    (0.25, (0.5, 0.5), 0.0),
 ])
 def test_plan_points_match_the_per_point_filter(step, pairs, offset):
-    plan = SamplingPlan(step=step, window=IntervalSet(pairs), offset=offset)
+    plan = SamplingPlan(step=step, window=pairs, offset=offset)
     got, want = plan.points(), reference_points(plan)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
     assert plan.points() is got and not got.flags.writeable
 
 
-def test_plan_points_match_the_per_point_filter_on_random_windows(random_interval_set):
+def test_plan_points_match_the_per_point_filter_on_random_windows():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        window = random_interval_set(rng, -5.0, 5.0, max_pieces=5)
+        lo, hi = np.sort(rng.uniform(-5.0, 5.0, size=2)).tolist()
         step = float(rng.choice([0.125, 0.25, 0.3, 1.0 / 3.0, float(rng.uniform(0.01, 1))]))
         offset = float(rng.choice([0.0, 0.5, float(rng.uniform(-1, 1))]))
-        # put lattice points on some interval ends too
-        window = IntervalSet([(offset + round((l - offset) / step) * step,
-                               offset + round((r - offset) / step) * step)
-                              for l, r in window.intervals] if rng.random() < 0.5
-                             else window.intervals)
-        plan = SamplingPlan(step=step, window=window, offset=offset)
+        # put lattice points on the window's ends too
+        if rng.random() < 0.5:
+            lo, hi = (offset + round((t - offset) / step) * step for t in (lo, hi))
+        plan = SamplingPlan(step=step, window=(lo, hi), offset=offset)
         assert plan.points().tobytes() == reference_points(plan).tobytes()
 
 
@@ -132,7 +129,7 @@ def sample_frame(g, plan, window):
 def test_sample_frame_pairs_carry_riemann_weight():
     # four samples of e_0 on [0, 1), each weighted by h = 1/4, sum to e_0
     g = validate_generator(StepFunction.indicator(0.0, 1.0))
-    plan = SamplingPlan(step=0.25, window=IntervalSet([(0.0, 1.0)]))
+    plan = SamplingPlan(step=0.25, window=(0.0, 1.0))
     _, rows = _coefficient_rows(g, plan.points(), window=2)
     assert rows.tolist() == [[0.0, 0.0, 1.0, 0.0, 0.0]] * 4
     mat = reconstruction_matrix(g, plan, window=2)
@@ -141,7 +138,7 @@ def test_sample_frame_pairs_carry_riemann_weight():
 
 def test_empty_window_gives_empty_frame():
     g = validate_generator(StepFunction.indicator(0.0, 1.0))
-    plan = SamplingPlan(step=0.25, window=IntervalSet.empty())
+    plan = SamplingPlan(step=0.25, window=(0.0, 0.0))
     _, rows = _coefficient_rows(g, plan.points(), window=2)
     assert rows.shape == (0, 5)
     assert not reconstruction_matrix(g, plan, window=2).any()
@@ -149,8 +146,7 @@ def test_empty_window_gives_empty_frame():
 
 def test_default_window_covers_all_integrands():
     g = two_coeff_generator()
-    region = default_window(g, WINDOW)
-    assert region.to_pairs() == ((-WINDOW, 2.0 + WINDOW),)
+    assert default_window(g, WINDOW) == (-WINDOW, 2.0 + WINDOW)
 
 
 def test_reconstruction_matrix_symmetric():
@@ -176,18 +172,16 @@ def test_indicator_lattice_exact_at_offset_half():
     assert rows[0].exact
 
 
-def test_lattice_sums_match_set_restricted_integrals():
-    # at a commensurate step the lattice sum over any aligned subwindow
-    # equals the corresponding restricted synthesis integral
+def test_lattice_sums_match_the_synthesis_integrals():
+    # at a commensurate step the lattice sum over a window that covers
+    # every integrand equals the synthesis integral over the line
     g = two_coeff_generator()
     h = commensurate_step(g)
-    region = IntervalSet([(0.0, 0.5), (1.25, 2.0)])
-    plan = SamplingPlan(step=h, window=region)
+    plan = SamplingPlan(step=h, window=default_window(g, WINDOW))
     mat = reconstruction_matrix(g, plan, WINDOW)
     ns = list(range(-WINDOW, WINDOW + 1))
     for i, n in enumerate(ns):
-        syn = synthesis_over_set(g, CoordinateVector.unit(n), region,
-                                 window=WINDOW)
+        syn = synthesis_over_set(g, CoordinateVector.unit(n), window=WINDOW)
         expected = np.array([syn[m] for m in ns])
         assert np.allclose(mat[i], expected, rtol=0, atol=1e-12)
 

@@ -12,8 +12,8 @@ import sys
 import pytest
 
 # what the discrete kinds (pure integer lp and diagnostics arithmetic) never load
-NOT_DISCRETE = ("numpy", "framelab.stepfn", "framelab.intervals", "framelab.translate_frame",
-                "framelab.pettis", "framelab.wavelet_frame", "framelab.sampling")
+NOT_DISCRETE = ("numpy", "framelab.stepfn", "framelab.translate_frame", "framelab.pettis",
+                "framelab.wavelet_frame", "framelab.sampling")
 
 
 def loaded_after(code, cwd, env):
@@ -42,7 +42,7 @@ def test_a_public_name_loads_only_its_own_modules(tmp_path, cli_env):
     loaded = loaded_after("import framelab\nframelab.CoordinateVector", tmp_path, cli_env)
     assert framelab_modules(loaded) == ["framelab", "framelab.lp"]
     loaded = loaded_after("from framelab import StepFunction", tmp_path, cli_env)
-    assert framelab_modules(loaded) == ["framelab", "framelab.intervals", "framelab.stepfn"]
+    assert framelab_modules(loaded) == ["framelab", "framelab.stepfn"]
 
 
 # kind: (modules its run loads, modules its run never loads)

@@ -8,7 +8,6 @@ import pytest
 from framelab import (
     CoordinateVector,
     GeneratorRejected,
-    IntervalSet,
     RademacherSpec,
     StepFunction,
     biorthogonality_matrix,
@@ -43,7 +42,7 @@ def test_sign_pattern_structure():
         assert r.support() == (0.0, 1.0)
         assert set(r.values.tolist()) == {1.0, -1.0}
         assert r.values[0] == 1.0
-        assert r.integrate() == 0.0
+        assert r.inner(StepFunction.indicator(0.0, 1.0)) == 0.0
         assert r.lp_norm(2) == 1.0
 
 
@@ -112,7 +111,7 @@ def test_wide_indicator_rejected():
 
 def test_zero_generator_rejected():
     with pytest.raises(GeneratorRejected):
-        validate_generator(StepFunction.zero())
+        validate_generator(StepFunction())
 
 
 def test_certificates_report_shape():
@@ -142,38 +141,40 @@ def test_analysis_of_unit_vector_recovers_generator():
     k0, grid, table = _folded(g.f)
     for n in (0, 5):
         c = _unfold(k0 + n, grid, _series(table, np.ones(1)))
-        assert (c - g.f.translate(float(n))).lp_norm(2) == pytest.approx(0.0, abs=1e-12)
+        gap = c.add(g.f.translate(float(n)).scale(-1.0))
+        assert gap.lp_norm(2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_line_synthesis_recovers_coordinates():
     rng = np.random.default_rng(15)
     g = two_coeff_generator()
-    line = IntervalSet([(-40.0, 40.0)])
     for _ in range(10):
         idx = rng.choice(np.arange(-6, 7), size=4, replace=False)
         x = CoordinateVector({int(i): float(v)
                               for i, v in zip(idx, rng.standard_normal(4))})
-        y = synthesis_over_set(g, x, line, window=16)
+        y = synthesis_over_set(g, x, window=16)
         assert (y.sub(x)).norm(2) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_restricted_synthesis_hand_case():
-    # generator = indicator of [0, 1); x = e_0; E = [0, 1/2)
-    # coordinate 0 integrates the indicator over E, all others vanish
+def test_synthesis_hand_case():
+    # generator = indicator of [0, 1); x = e_0
+    # coordinate 0 integrates the indicator over the line, all others vanish
     g = validate_generator(StepFunction.indicator(0.0, 1.0))
-    y = synthesis_over_set(g, CoordinateVector.unit(0),
-                           IntervalSet([(0.0, 0.5)]), window=4)
-    assert y == CoordinateVector({0: 0.5})
+    y = synthesis_over_set(g, CoordinateVector.unit(0), window=4)
+    assert y == CoordinateVector({0: 1.0})
 
 
 def test_synthesis_shift_covariance_exact():
     # dyadic data keeps every intermediate quantity exactly representable
     g = two_coeff_generator()
     x = CoordinateVector({0: 1.0, 1: -0.5, 3: 0.25})
-    region = IntervalSet([(0.25, 1.75)])
     k = 3
-    direct = synthesis_over_set(g, x.shift(k), region.shift(k), window=12)
-    assert direct == synthesis_over_set(g, x, region, window=12).shift(k)
+
+    def shift(v):
+        return CoordinateVector({n + k: c for n, c in v.items()})
+
+    assert synthesis_over_set(g, shift(x), window=12) == shift(
+        synthesis_over_set(g, x, window=12))
 
 
 def test_biorthogonality_matrix_is_identity():

@@ -288,6 +288,6 @@ def test_a_young_fuzz_run_loads_the_modules_the_per_draw_code_loaded(tmp_path, c
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     assert sorted(m for m in loaded if m.split(".")[0] == "framelab") == [
-        "framelab", "framelab.cli", "framelab.intervals", "framelab.lp", "framelab.reports",
-        "framelab.stepfn", "framelab.translate_frame"]
+        "framelab", "framelab.cli", "framelab.lp", "framelab.reports", "framelab.stepfn",
+        "framelab.translate_frame"]
     assert "numpy.ma" not in loaded
