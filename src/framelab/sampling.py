@@ -1,7 +1,7 @@
 """Lattice sampling of translated-generator frames.
 
 Replacing the reconstruction integral by a Riemann sum over the lattice
-t_j = offset + j*h turns the continuous family into a discrete frame with
+t_j = j*h turns the continuous family into a discrete frame with
 weighted functionals h * f_t.  When h is commensurate with the cell grid
 of every integrand, each lattice cell holds exactly one sample and the
 Riemann sum IS the integral, so reconstruction is exact up to float
@@ -20,18 +20,19 @@ from .stepfn import _widths
 
 @dataclasses.dataclass(frozen=True)
 class SamplingPlan:
-    """Lattice step, offset and half open parameter window (lo, hi); samples
-    carry Riemann weight h."""
+    """Lattice step h and half open parameter window (lo, hi); the lattice is
+    h * Z, and samples carry Riemann weight h."""
     step: float
     window: tuple
-    offset: float = 0.0
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("lattice step must be positive")
         lo, hi = map(float, self.window)
         if not lo <= hi:
             raise ValueError(f"interval [{lo}, {hi}) is NaN or of negative length")
+        # an infinite end has no last lattice index, and past 2^53 not every index is a float
+        if not (0 < self.step < math.inf and max(-lo, hi) / self.step <= 2.0 ** 53):
+            raise ValueError(f"lattice step {self.step!r} on [{lo}, {hi}) must be positive and "
+                             "finite, with every lattice index in the window within 2^53")
 
     def points(self):
         """All lattice points inside the window, in increasing order (read-only)."""
@@ -41,9 +42,9 @@ class SamplingPlan:
     def _points(self):
         """The lattice of :meth:`points`, filtered once per plan."""
         lo, hi = map(float, self.window)
-        j_min = math.ceil((lo - self.offset) / self.step - 1e-12)
-        j_max = math.floor((hi - self.offset) / self.step + 1e-12)
-        ts = self.offset + np.arange(j_min, j_max + 1) * self.step
+        j_min = math.ceil(lo / self.step - 1e-12)
+        j_max = math.floor(hi / self.step + 1e-12)
+        ts = np.arange(j_min, j_max + 1) * self.step
         ts = ts[(lo <= ts) & (ts < hi)]
         ts.setflags(write=False)
         return ts
@@ -52,8 +53,6 @@ class SamplingPlan:
 def _coefficient_rows(g, ts, window):
     """Matrix F[j, i] = f(t_j - n_i) for the window coordinates n_i."""
     ns = np.arange(-window, window + 1)
-    if len(ts) == 0:
-        return ns, np.zeros((0, ns.size))
     return ns, g.f.evaluate(np.asarray(ts)[:, None] - ns[None, :])
 
 
@@ -90,7 +89,7 @@ class SweepRow:
     exact: bool
 
 
-def sampling_sweep(g, steps, window, p=2.0, offset=0.0, exact_tol=1e-10):
+def sampling_sweep(g, steps, window, p=2.0, exact_tol=1e-10):
     """Reconstruction error of the sampled frame for each lattice step.
 
     ``max_error`` is the worst lp error over all unit vectors in the
@@ -101,7 +100,7 @@ def sampling_sweep(g, steps, window, p=2.0, offset=0.0, exact_tol=1e-10):
     rows = []
     span = default_window(g, window)
     for h in steps:
-        plan = SamplingPlan(step=float(h), window=span, offset=offset)
+        plan = SamplingPlan(step=float(h), window=span)
         mat = reconstruction_matrix(g, plan, window)
         size = mat.shape[0]
         errors = []

@@ -113,10 +113,12 @@ def _folded(f):
     return k0, grid, table.reshape(units, cells)
 
 
-def _periodized_sup(table):
-    """Largest column sum of |table|, summed in increasing row: for the
-    table of the unit fold of f, the sup of the 1-periodization of |f|."""
-    return float(np.add.reduce(np.abs(table), axis=0).max())
+def _periodized_sup(tables):
+    """Largest column sum of |table| of each table (units, cells) along the
+    leading axes, summed in increasing row: for the table of the unit fold
+    of f, the sup of the 1-periodization of |f|.  A zero row adds nothing,
+    so zero padding moves no bit."""
+    return np.add.reduce(np.abs(tables), axis=-2).max(axis=-1)
 
 
 def _abs_integrals(cells, counts, width):

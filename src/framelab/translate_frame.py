@@ -17,14 +17,18 @@ of its rows, and synthesis is a correlation of the weighted series with F.
 Every sum runs in a fixed order (explicit row loops, ``np.add.reduce``
 along a chosen axis), never through a BLAS reduction.
 
-A young-fuzz job is one array program per chunk of draws
-(``_young_chunk``), with no Generator, StepFunction or CoordinateVector
-per draw.  Its draws go in groups of one depth s on their own 2^s cells,
-and each group's folds and series are zero-padded; x + 0 is x, so the
-padding moves no bit.  A sum whose order depends on its length runs on
-its own cells: a run's lhs by ``np.add.reduce``, a draw's L1 norm by the
-``np.dot`` that ``StepFunction.abs_integral`` takes (the one BLAS sum
-here).  So every bound equals the per-draw code's.
+One certifier (``_signs``, ``_gram_lags``, ``stepfn._periodized_sup``)
+serves a generator and a stack of folds along leading axes: a young-fuzz
+chunk of draws (``_young_chunk``), one array program with no Generator,
+StepFunction or CoordinateVector per draw.  Its draws go in groups of one
+depth s on their own 2^s cells, and each group's folds and series are
+zero-padded; x + 0 is x, so the padding moves no bit of a row-by-row sum.
+A sum whose order depends on its length runs on its own cells (a run's
+lhs; a draw's L1 norm, by the ``np.dot`` of ``StepFunction.abs_integral``,
+the one BLAS sum here), so every bound equals the per-draw code's.  Only
+the Gram lags run padded, within a few roundings of a draw's own: they
+just gate the chunk, which a failure certifies again draw by draw, so a
+reported residual is always summed on a generator's own cells.
 """
 
 import dataclasses
@@ -74,16 +78,14 @@ class Generator:
     """Validated generator plus the report that certifies it.
 
     ``fold`` is the unit fold ``(k0, grid, table)`` of ``f``, built once at
-    certification; every translate-frame consumer reads it from here.  Left
-    out, it is folded from ``f``.  Its arrays are made read-only.
+    certification; every translate-frame consumer reads it from here.  Its
+    arrays are made read-only.
     """
     f: StepFunction
     report: ValidationReport
-    fold: tuple = dataclasses.field(default=None, repr=False, compare=False)
+    fold: tuple = dataclasses.field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.fold is None:
-            object.__setattr__(self, "fold", _folded(self.f))
         for array in self.fold[1:]:
             array.setflags(write=False)
 
@@ -99,34 +101,27 @@ class RademacherSpec:
     resolution: int = 1
 
 
-def _certificates(f, fold, lag_range, tol):
-    """The validation report of f, whose unit fold is ``fold``."""
-    failures = []
+def _certified(f, fold, lag_range, tol):
+    """f, whose unit fold is ``fold``, certified as a Generator over Gram lags
+    up to ``lag_range`` (None: the width of the support) at ``tol``, or raise
+    GeneratorRejected with the report."""
     l1 = f.abs_integral()
     if f.is_zero() or l1 == 0.0:
-        failures.append("generator is the zero function")
-        return ValidationReport(l1, 0.0, math.inf, 0, tol, tuple(failures))
+        raise GeneratorRejected(ValidationReport(
+            l1, 0.0, math.inf, 0, tol, ("generator is the zero function",)))
     if lag_range is None:
         lo, hi = f.support()
         lag_range = int(math.ceil(hi - lo))
     _, grid, table = fold
     # the lag -m equals the lag m, and lags past the table's rows are exactly 0
-    lags = _gram_lags(grid, table, min(lag_range + 1, table.shape[0]))
+    lags = _gram_lags(_widths(grid), table, min(lag_range + 1, table.shape[0]))
     lags[0] -= 1.0
     residual = float(np.max(np.abs(lags)))
-    if not (residual <= tol):
-        failures.append(
-            f"translates are not orthonormal: residual {residual!r} exceeds {tol!r}")
-    sup = _periodized_sup(table)
-    return ValidationReport(l1, sup, residual, lag_range, tol, tuple(failures))
-
-
-def _certified(f, fold, lag_range, tol):
-    """f, whose unit fold is ``fold``, certified as a Generator over Gram lags
-    up to ``lag_range`` (None: the width of the support) at ``tol``, or raise
-    GeneratorRejected with the report."""
-    report = _certificates(f, fold, lag_range, tol)
-    if not report.ok:
+    failures = () if residual <= tol else (
+        f"translates are not orthonormal: residual {residual!r} exceeds {tol!r}",)
+    report = ValidationReport(l1, float(_periodized_sup(table)), residual, lag_range, tol,
+                              failures)
+    if failures:
         raise GeneratorRejected(report)
     return Generator(f, report, fold)
 
@@ -137,9 +132,16 @@ def validate_generator(f, lag_range=None, tol=VALIDATION_TOL):
     return _certified(f, _folded(f), lag_range, tol)
 
 
-def _rademacher(spec, lag_range=None, tol=VALIDATION_TOL):
-    """(The uncertified step function sum_n a_n * (sign pattern translated to
-    [n, n+1)), its unit fold).
+def _signs(depth, ranks, resolution):
+    """One row of 2^depth cells for each rank r of array ``ranks``: the sign
+    pattern of dyadic depth r + resolution, +1 on its even cells and -1 on
+    its odd ones."""
+    return 1 - 2 * (np.arange(2 ** depth) >> (depth - resolution - ranks[:, None]) & 1)
+
+
+def build_rademacher_generator(spec, lag_range=None, tol=VALIDATION_TOL):
+    """The generator sum_n a_n * (sign pattern translated to [n, n+1)),
+    certified as by :func:`validate_generator`, or raise GeneratorRejected.
 
     The active coefficient of rank j (by increasing index) gets the pattern
     of dyadic depth j + resolution, so distinct ranks are orthogonal on a
@@ -147,9 +149,9 @@ def _rademacher(spec, lag_range=None, tol=VALIDATION_TOL):
     is filled directly as a row of the finest depth's cells; the fold is
     those rows, on the finest depth's grid, starting at the first index of
     the support.  All breakpoints are dyadic rationals, hence exact in
-    floats.  Raises GeneratorRejected for an empty or non-unit coefficient
-    vector, with a report at ``lag_range`` (None: the units the support
-    spans) and ``tol``.
+    floats.  An empty or non-unit coefficient vector is rejected before
+    certification, with a report at ``lag_range`` (None: the units the
+    support spans) and ``tol``.
     """
     coeffs = spec.coefficients
     if not isinstance(coeffs, CoordinateVector):
@@ -168,20 +170,12 @@ def _rademacher(spec, lag_range=None, tol=VALIDATION_TOL):
             0.0, 0.0, math.inf, lag_range, tol,
             (f"coefficients must have unit l2 norm, got {l2!r}",)))
     depth = len(support) - 1 + spec.resolution
-    fine = np.arange(2 ** depth)
-    rows = np.zeros((support[-1] - support[0] + 1, fine.size))
-    for rank, (n, a) in enumerate(coeffs.items()):
-        coarse = fine >> (depth - rank - spec.resolution)
-        rows[n - support[0]] = np.where(coarse % 2 == 0, 1.0, -1.0) * float(a)
+    rows = np.zeros((support[-1] - support[0] + 1, 2 ** depth))
+    ranks, values = np.arange(len(support)), [[float(coeffs[n])] for n in support]
+    rows[np.array(support) - support[0]] = _signs(depth, ranks, spec.resolution) * values
     k0 = float(support[0])
-    grid = np.arange(fine.size + 1) / fine.size
-    return _unfold(k0, grid, rows), (k0, grid, rows)
-
-
-def build_rademacher_generator(spec, lag_range=None, tol=VALIDATION_TOL):
-    """The Rademacher generator of ``spec``, certified as by
-    :func:`validate_generator`, or raise GeneratorRejected."""
-    return _certified(*_rademacher(spec, lag_range, tol), lag_range, tol)
+    grid = np.arange(rows.shape[1] + 1) / rows.shape[1]
+    return _certified(_unfold(k0, grid, rows), (k0, grid, rows), lag_range, tol)
 
 
 def _runs(x, units):
@@ -221,11 +215,15 @@ def _unfold(k, grid, rows):
                                         [k + rows.shape[0]])), rows.ravel())
 
 
-def _gram_lags(grid, table, count):
-    """<f, f(. - m)> for m = 0 .. count - 1, from the rows of the fold of f."""
-    lens = _widths(grid)
-    units = table.shape[0]
-    return np.array([np.add.reduce((table[m:] * table[:units - m] * lens).ravel())
+def _gram_lags(lens, tables, count):
+    """<f, f(. - m)> for m = 0 .. count - 1 (the leading axis of the result),
+    from the rows of the fold table of f on cells of widths ``lens``; one f
+    for each table (units, cells) along the leading axes of ``tables``.
+    Each lag is one ``np.add.reduce`` over that table's raveled products,
+    whose grouping depends on the number of rows."""
+    units = tables.shape[-2]
+    return np.array([np.add.reduce((tables[..., m:, :] * tables[..., :units - m, :] * lens)
+                                   .reshape(tables.shape[:-2] + (-1,)), axis=-1)
                      for m in range(count)])
 
 
@@ -268,7 +266,7 @@ def biorthogonality_matrix(g, window):
     size = 2 * window + 1
     lags = np.zeros(size)
     count = min(size, table.shape[0])
-    lags[:count] = _gram_lags(grid, table, count)
+    lags[:count] = _gram_lags(_widths(grid), table, count)
     offsets = np.arange(size)
     return lags[np.abs(offsets[:, None] - offsets[None, :])]
 
@@ -292,7 +290,7 @@ def young_check(f, a, p):
             series = _series(table, run)
             lhs += float(np.add.reduce((np.abs(series) ** p * _widths(grid)).ravel()))
     pconj = p / (p - 1.0)
-    rhs = f.abs_integral() * a.norm(p) ** p * _periodized_sup(table) ** (p / pconj)
+    rhs = f.abs_integral() * a.norm(p) ** p * float(_periodized_sup(table)) ** (p / pconj)
     return lhs, rhs
 
 
@@ -363,12 +361,11 @@ def _young_chunk(chunk):
                                         for k in (gd, run_draw, sd))
         rows = np.zeros((hi - lo, units[lo:hi].max(), 2 ** s))
         rank = np.arange(e0, e1) - first[gd[e0:e1]]
-        rows[gd[e0:e1] - lo, unit[e0:e1]] = (
-            1 - 2 * (np.arange(2 ** s) >> (s - 1 - rank[:, None]) & 1)) * gv[e0:e1, None]
-        sup[lo:hi] = np.add.reduce(np.abs(rows), axis=1).max(axis=1)
+        rows[gd[e0:e1] - lo, unit[e0:e1]] = _signs(s, rank, 1) * gv[e0:e1, None]
+        sup[lo:hi] = _periodized_sup(rows)
         l1[lo:hi] = _abs_integrals(rows.reshape(hi - lo, -1), units[lo:hi] * 2 ** s, 2.0 ** -s)
-        gram = np.einsum("dui,dvi->duv", rows, rows) * 2.0 ** -s
-        lags = [gram.trace(m, 1, 2) - (m == 0) for m in range(rows.shape[1])]
+        lags = _gram_lags(np.full(2 ** s, 2.0 ** -s), rows, rows.shape[1])
+        lags[0] -= 1.0
         residual[lo:hi] = np.max(np.abs(lags), axis=0)
         a = np.zeros((r1 - r0, length[r0:r1].max(initial=1)))
         a[run[f0:f1] - r0, offset[f0:f1]] = sv[f0:f1]

@@ -44,13 +44,14 @@ from framelab import (
     build_rademacher_generator,
     synthesis_over_set,
     unconditionality_scan,
+    validate_generator,
     young_check,
 )
 from framelab.pettis import _sign_parts
 from framelab.stepfn import _combined, _evaluate, _folded, _merge, _periodized_sup, _widths
 from framelab import cli, translate_frame
-from framelab.translate_frame import (VALIDATION_TOL, Generator, _certificates,
-                                      _rademacher, _series)
+from framelab.translate_frame import (VALIDATION_TOL, Generator, GeneratorRejected,
+                                      _certified, _series)
 
 
 def translate_series(f, x):
@@ -209,6 +210,19 @@ def reference_scan(g, trials, window, p, seed=0):
 # -- shared data -----------------------------------------------------------------
 
 
+def uncertified(f):
+    """f as a Generator with no report, on its own unit fold."""
+    return Generator(f, None, _folded(f))
+
+
+def certificates(g, lag_range):
+    """The validation report of g's function at ``lag_range``, passed or not."""
+    try:
+        return _certified(g.f, g.fold, lag_range, VALIDATION_TOL).report
+    except GeneratorRejected as rejected:
+        return rejected.report
+
+
 def gaussian_generator(rng, terms=8):
     vals = rng.standard_normal(terms)
     vals /= math.sqrt(float(np.dot(vals, vals)))
@@ -294,7 +308,7 @@ def test_rademacher_rows_match_summed_patterns_bit_for_bit():
                 coefficients=CoordinateVector(
                     {int(n): float(v) for n, v in zip(idx, vals)}),
                 resolution=resolution)
-            assert _rademacher(spec)[0] == reference_rademacher_function(spec)
+            assert build_rademacher_generator(spec).f == reference_rademacher_function(spec)
 
 
 def test_translate_series_matches_reference():
@@ -320,10 +334,10 @@ def test_gram_residual_and_biorthogonality_match_reference():
                    - reference_ortho_residual(g.f, report.lag_range)) <= 1e-15
         assert np.max(np.abs(biorthogonality_matrix(g, 16)
                              - reference_biorthogonality_matrix(g, 16))) <= 1e-15
-    report = _certificates(NON_DYADIC, _folded(NON_DYADIC), None, VALIDATION_TOL)
+    wide = uncertified(NON_DYADIC)
+    report = certificates(wide, None)
     assert report.ortho_residual == pytest.approx(
         reference_ortho_residual(NON_DYADIC, report.lag_range), rel=1e-14)
-    wide = Generator(NON_DYADIC, None)
     assert np.max(np.abs(biorthogonality_matrix(wide, 4)
                          - reference_biorthogonality_matrix(wide, 4))) <= 1e-15
 
@@ -345,7 +359,7 @@ def test_synthesis_matches_reference():
         x = gaussian_vector(rng, 4)
         assert vector_gap(synthesis_over_set(g, x, 12),
                           reference_synthesis_over_set(g, x, 12)) <= 1e-14
-    g = Generator(NON_DYADIC, None)
+    g = uncertified(NON_DYADIC)
     x = CoordinateVector({-1: 0.3, 2: -1.1})
     assert vector_gap(synthesis_over_set(g, x, 6),
                       reference_synthesis_over_set(g, x, 6)) <= 1e-14
@@ -479,7 +493,7 @@ def slack(grid):
 
 def build(quarters, halves, offset=0.0, scale=0.25):
     f = StepFunction([offset + q * scale for q in quarters], [h / 2 for h in halves])
-    return f, Generator(f, None)
+    return f, uncertified(f)
 
 
 def vector(raw):
@@ -519,7 +533,7 @@ def test_gram_lags_and_residual_are_exact(gen, grid):
         for j in range(2 * window + 1):
             lag = abs(i - j)
             assert abs(Fraction(float(mat[i, j])) - lags[lag]) <= slack(grid) * sizes[lag]
-    report = _certificates(f, g.fold, window, VALIDATION_TOL)
+    report = certificates(g, window)
     expected = max(abs(lag - (1 if m == 0 else 0)) for m, lag in enumerate(lags))
     assert abs(Fraction(report.ortho_residual) - expected) <= slack(grid) * max(sizes)
 
@@ -801,8 +815,6 @@ def test_consumers_read_the_fold_the_generator_carries(monkeypatch):
             lambda: unconditionality_scan(g, 5, 4, 2.0),
             lambda: synthesis_over_set(g, x, 12)]
     assert [folds(monkeypatch, run) for run in runs] == [0] * len(runs)
-    # a Generator built without its fold folds f once, on construction
-    assert folds(monkeypatch, lambda: Generator(g.f, None)) == 1
 
 
 # 1-7 distinct indices in -9..9 (gaps, negative indices) and nonzero weights
@@ -822,9 +834,9 @@ def test_rademacher_fold_is_the_fold_of_its_function_bit_for_bit(drawn):
     spec = RademacherSpec(coefficients=CoordinateVector(
         {n: float(v) for n, v in zip(indices, vals)}), resolution=resolution)
     g = build_rademacher_generator(spec)
-    f = _rademacher(spec)[0]
+    f = reference_rademacher_function(spec)
     assert g.f == f
-    assert g.report == _certificates(f, _folded(f), None, VALIDATION_TOL)
+    assert g.report == validate_generator(f).report
     k0, grid, table = g.fold
     want_k0, want_grid, want_table = _folded(f)
     assert type(k0) is float and k0 == want_k0 == min(indices)

@@ -22,7 +22,7 @@ from framelab import (
 )
 from framelab import pettis
 from framelab.pettis import _sign_parts
-from framelab.stepfn import _combined
+from framelab.stepfn import _combined, _folded
 from framelab.translate_frame import Generator
 
 
@@ -136,7 +136,7 @@ def test_scan_keeps_a_nan_ratio(monkeypatch):
 
 def test_scan_of_a_nan_generator_reports_nan():
     f = StepFunction([0.0, 0.5, 1.0], [math.nan, 1.0])
-    bs, bu = unconditionality_scan(Generator(f, None), trials=3,
+    bs, bu = unconditionality_scan(Generator(f, None, _folded(f)), trials=3,
                                    window=1, p=2.0)
     assert math.isnan(bs) and math.isnan(bu)
 

@@ -23,6 +23,7 @@ from framelab import (
     validate_generator,
 )
 from framelab.sampling import _coefficient_rows
+from framelab.stepfn import _folded
 from framelab.translate_frame import Generator
 
 WINDOW = 4
@@ -45,11 +46,42 @@ def test_plan_validation():
             SamplingPlan(step=0.5, window=bad)
 
 
+@pytest.mark.parametrize("step, window", [
+    (math.inf, (0.0, 1.0)),
+    (math.nan, (0.0, 1.0)),
+    (-math.inf, (0.0, 1.0)),
+], ids=["inf", "nan", "-inf"])
+def test_plan_rejects_a_non_finite_step(step, window):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        SamplingPlan(step=step, window=window)
+
+
+@pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)],
+                         ids=["inf-hi", "inf-lo", "both"])
+def test_plan_rejects_a_non_finite_end(window):
+    with pytest.raises(ValueError, match="within 2\\^53"):
+        SamplingPlan(step=0.5, window=window)
+
+
+@pytest.mark.parametrize("step, window", [
+    (0.5, (0.0, 1e308)),                    # hi / step overflows to inf
+    (5e-324, (0.0, 1.0)),                   # so does 1 / step
+    (1.0, (-2.0 ** 53 - 2.0, 0.0)),         # past 2^53 not every index is a float
+], ids=["1e308", "subnormal-step", "past-2^53"])
+def test_plan_rejects_an_index_range_that_overflows(step, window):
+    # each of these raised OverflowError (or allocated the range) in points()
+    with pytest.raises(ValueError, match="within 2\\^53"):
+        SamplingPlan(step=step, window=window)
+
+
+def test_plan_admits_indices_up_to_2_to_the_53():
+    edge = SamplingPlan(step=1.0, window=(2.0 ** 53 - 2.0, 2.0 ** 53))
+    assert edge.points().tolist() == [2.0 ** 53 - 2.0, 2.0 ** 53 - 1.0]
+
+
 def test_plan_points_half_open():
     plan = SamplingPlan(step=0.25, window=(0.0, 1.0))
     assert plan.points().tolist() == [0.0, 0.25, 0.5, 0.75]
-    shifted = SamplingPlan(step=0.25, window=(0.0, 1.0), offset=0.1)
-    assert shifted.points().tolist() == pytest.approx([0.1, 0.35, 0.6, 0.85])
     empty = SamplingPlan(step=0.25, window=(1.0, 1.0))
     assert empty.points().size == 0
 
@@ -63,25 +95,26 @@ def test_plan_points_outside_the_window_are_dropped():
 def reference_points(plan):
     """The lattice filter SamplingPlan.points replaced: one test per point."""
     lo, hi = plan.window
-    j_min = math.ceil((lo - plan.offset) / plan.step - 1e-12)
-    j_max = math.floor((hi - plan.offset) / plan.step + 1e-12)
-    ts = plan.offset + np.arange(j_min, j_max + 1) * plan.step
+    j_min = math.ceil(lo / plan.step - 1e-12)
+    j_max = math.floor(hi / plan.step + 1e-12)
+    ts = np.arange(j_min, j_max + 1) * plan.step
     return np.array([t for t in ts if lo <= t < hi])
 
 
-@pytest.mark.parametrize("step, pairs, offset", [
+@pytest.mark.parametrize("step, pairs", [
     # lattice points on both ends of the window: lo is in, hi is out
-    (0.25, (0.0, 1.0), 0.0),
-    (0.5, (-2.0, -1.0), 0.0),
-    # a nonzero offset, with points on the ends of the shifted window
-    (0.25, (0.125, 0.625), 0.125),
-    (0.37, (-1.63, 0.22), 0.11),
+    (0.25, (0.0, 1.0)),
+    (0.5, (-2.0, -1.0)),
+    # ends off the lattice; decimal ends: -4 * 0.37 is -1.48, but 6 * 0.37
+    # rounds below 2.22, so that point is in
+    (0.25, (0.125, 0.625)),
+    (0.37, (-1.48, 2.22)),
     # no lattice point falls in the narrow window
-    (1.0, (2.2, 2.8), 0.0),
-    (0.25, (0.5, 0.5), 0.0),
+    (1.0, (2.2, 2.8)),
+    (0.25, (0.5, 0.5)),
 ])
-def test_plan_points_match_the_per_point_filter(step, pairs, offset):
-    plan = SamplingPlan(step=step, window=pairs, offset=offset)
+def test_plan_points_match_the_per_point_filter(step, pairs):
+    plan = SamplingPlan(step=step, window=pairs)
     got, want = plan.points(), reference_points(plan)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
@@ -93,11 +126,10 @@ def test_plan_points_match_the_per_point_filter_on_random_windows():
     for _ in range(200):
         lo, hi = np.sort(rng.uniform(-5.0, 5.0, size=2)).tolist()
         step = float(rng.choice([0.125, 0.25, 0.3, 1.0 / 3.0, float(rng.uniform(0.01, 1))]))
-        offset = float(rng.choice([0.0, 0.5, float(rng.uniform(-1, 1))]))
         # put lattice points on the window's ends too
         if rng.random() < 0.5:
-            lo, hi = (offset + round((t - offset) / step) * step for t in (lo, hi))
-        plan = SamplingPlan(step=step, window=(lo, hi), offset=offset)
+            lo, hi = (round(t / step) * step for t in (lo, hi))
+        plan = SamplingPlan(step=step, window=(lo, hi))
         assert plan.points().tobytes() == reference_points(plan).tobytes()
 
 
@@ -167,9 +199,10 @@ def test_commensurate_lattice_reconstructs_exactly():
 
 
 def test_indicator_lattice_exact_at_offset_half():
-    g = validate_generator(StepFunction.indicator(0.0, 1.0))
-    rows = sampling_sweep(g, [1.0], WINDOW, offset=0.5)
-    assert rows[0].exact
+    # the indicator of [-1/2, 1/2) sits half a step off the integer lattice
+    g = validate_generator(StepFunction.indicator(-0.5, 0.5))
+    rows = sampling_sweep(g, [1.0], WINDOW)
+    assert rows[0].exact and rows[0].num_samples == 2 * WINDOW + 1
 
 
 def test_lattice_sums_match_the_synthesis_integrals():
@@ -217,7 +250,7 @@ def test_incommensurate_refinement_shrinks_error():
 
 def test_sweep_of_a_nan_generator_reports_nan():
     f = StepFunction([0.0, 0.5, 1.0], [np.nan, 1.0])
-    g = Generator(f, None)
+    g = Generator(f, None, _folded(f))
     for row in sampling_sweep(g, [0.25, 0.5], window=2):
         assert np.isnan(row.max_error)
         assert not row.exact
@@ -227,15 +260,17 @@ def test_sweep_of_a_nan_generator_reports_nan():
 DYADIC = StepFunction([-0.5, 0.0, 0.25, 1.0, 1.75], [0.5, -1.5, 1.0, 2.0])
 
 
-@pytest.mark.parametrize("offset", [0.0, 0.125])
-def test_rows_and_matrix_at_a_commensurate_step_equal_the_fraction_oracle(offset):
-    # the Riemann sum over one sample a lattice cell is the integral itself
-    g = Generator(DYADIC, None)
-    h = commensurate_step(g)
-    assert h == 0.25
-    plan = SamplingPlan(step=h, window=default_window(g, WINDOW), offset=offset)
-    bp = [Fraction(t) for t in DYADIC.breakpoints.tolist()]
-    cells = list(zip(bp[:-1], bp[1:], map(Fraction, DYADIC.values.tolist())))
+@pytest.mark.parametrize("shift", [0.0, 0.125])
+def test_rows_and_matrix_at_a_commensurate_step_equal_the_fraction_oracle(shift):
+    # the Riemann sum over one sample a lattice cell is the integral itself,
+    # the sample at the cell's left end or, shifted by h / 2, at its middle
+    f = DYADIC.translate(shift)
+    g = Generator(f, None, _folded(f))
+    assert commensurate_step(g) == 0.25 - shift
+    h = 0.25
+    plan = SamplingPlan(step=h, window=default_window(g, WINDOW))
+    bp = [Fraction(t) for t in f.breakpoints.tolist()]
+    cells = list(zip(bp[:-1], bp[1:], map(Fraction, f.values.tolist())))
 
     def f(t):
         return next((v for a, b, v in cells if a <= t < b), Fraction(0))

@@ -18,7 +18,7 @@ from framelab import (
 )
 from framelab.sampling import _coefficient_rows
 from framelab.stepfn import _folded
-from framelab.translate_frame import _rademacher, _series, _unfold
+from framelab.translate_frame import _series, _unfold
 
 
 def single_coeff_generator():
@@ -32,7 +32,8 @@ def two_coeff_generator():
 
 def sign_pattern(depth):
     """The single-coefficient Rademacher function: the sign pattern of 2^depth cells."""
-    return _rademacher(RademacherSpec(coefficients={0: 1.0}, resolution=depth))[0]
+    return build_rademacher_generator(RademacherSpec(coefficients={0: 1.0},
+                                                     resolution=depth)).f
 
 
 def test_sign_pattern_structure():

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from framelab import CoordinateVector, RademacherSpec, StepFunction, build_rademacher_generator
 from framelab import cli, translate_frame
 from framelab.stepfn import _abs_integrals, _periodized_sup, _widths
-from framelab.translate_frame import (GeneratorRejected, Generator, _rademacher, _runs,
+from framelab.translate_frame import (GeneratorRejected, Generator, _runs,
                                       _series, _young_bounds, _young_chunk)
 
 
@@ -133,7 +133,8 @@ def test_merged_unit_boundaries_match_abs_integral(signs):
     # hold the same value, and the canonical function merges them
     c = 1.0 / math.sqrt(len(signs))
     spec = RademacherSpec({n: s * c for n, s in enumerate(signs)})
-    f, (_, grid, table) = _rademacher(spec)
+    g = build_rademacher_generator(spec)
+    f, (_, grid, table) = g.f, g.fold
     merges = sum(b == -a for a, b in zip(signs, signs[1:]))
     assert merges and f.values.size == sum(2 ** (r + 1) for r in range(len(signs))) - merges
     [l1] = _abs_integrals(table.reshape(1, -1), np.array([table.size]), 1.0 / table.shape[1])
@@ -160,7 +161,8 @@ def test_young_sides_are_exact_on_dyadic_draws(raw):
                       {n: k / 4 for n, k in a.items()}, p))
     lhs, rhs, _, _ = _young_chunk(draws)
     for (coefficients, a, p), got_lhs, got_rhs in zip(draws, lhs, rhs):
-        f, (_, _, table) = _rademacher(RademacherSpec(coefficients))
+        g = build_rademacher_generator(RademacherSpec(coefficients))
+        f, (_, _, table) = g.f, g.fold
         bp = [Fraction(float(t)) for t in f.breakpoints]
         vals = [Fraction(float(v)) for v in f.values]
 
