@@ -30,6 +30,33 @@ def sup_abs(values):
     return top
 
 
+def _power_sum(values, p):
+    """sum of |v| ** p, left to right in an explicit loop (Python 3.12's sum()
+    of floats compensates); inf when a power leaves the float range."""
+    total = 0
+    try:
+        for v in values:
+            total += abs(v) ** p
+    except OverflowError:
+        return math.inf
+    return total
+
+
+def _norm(values, p):
+    """lp norm of a sequence of values; p is a real >= 1 or math.inf."""
+    if p == math.inf:
+        return float(sup_abs(values))
+    if not p >= 1:
+        raise ValueError("norm requires p >= 1 or p = inf")
+    total = _power_sum(values, p)
+    if total == math.inf:
+        # a p-th power left the float range: rescale by the largest entry
+        big = float(sup_abs(values))
+        if big < math.inf:
+            return big * _norm([v / big for v in values], p)
+    return float(total ** (1.0 / p))
+
+
 class CoordinateVector:
     """Immutable sparse vector {index: value} with exact zero dropping.
 
@@ -107,21 +134,7 @@ class CoordinateVector:
         """lp norm; p may be any real >= 1 or math.inf (the sup norm)."""
         if not self._entries:
             return 0.0
-        if p == math.inf:
-            return float(sup_abs(self._entries.values()))
-        if not p >= 1:
-            raise ValueError("norm requires p >= 1 or p = inf")
-        try:
-            total = sum(abs(v) ** p for v in self._entries.values())
-        except OverflowError:
-            total = math.inf
-        if total == math.inf:
-            # a p-th power left the float range: rescale by the largest entry
-            big = float(sup_abs(self._entries.values()))
-            if big < math.inf:
-                return big * CoordinateVector(
-                    {n: v / big for n, v in self._entries.items()}).norm(p)
-        return float(total ** (1.0 / p))
+        return _norm(self._entries.values(), p)
 
     def pair(self, other):
         """Duality pairing sum_n x_n f_n; exact for integer entries."""

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .lp import CoordinateVector
+from .lp import _norm
 from .stepfn import _widths
 from .translate_frame import _series
 
@@ -20,14 +20,16 @@ from .translate_frame import _series
 def _sign_parts(vals, lens):
     """Integrals of the positive and of the negative part (both >= 0).
 
-    ``vals * lens`` are the signed cell integrals; each part is summed by
-    ``np.add.reduce`` in cell order.  A NaN cell makes both parts NaN.
+    ``vals *= lens`` (in place) gives the signed cell integrals; each part is
+    summed by ``np.add.reduce`` in cell order, the negative one negated after
+    the sum (exact, and 0.0 - 0.0 is +0.0).  A NaN cell makes both parts NaN.
     """
-    weighted = (vals * lens).ravel()
+    weighted = np.multiply(vals, lens, out=vals).ravel()
     if np.isnan(weighted).any():
         return math.nan, math.nan
-    return (float(np.add.reduce(weighted[weighted > 0])),
-            float(np.add.reduce(-weighted[weighted < 0])))
+    # np.compress picks the cells boolean indexing would, in half the time
+    return (float(np.add.reduce(np.compress(weighted > 0, weighted))),
+            float(0.0 - np.add.reduce(np.compress(weighted < 0, weighted))))
 
 
 def unconditionality_scan(g, trials, window, p, seed=0):
@@ -52,13 +54,14 @@ def unconditionality_scan(g, trials, window, p, seed=0):
     suppression = [0.0]
     unconditional = [0.0]
     for _ in range(trials):
-        x = rng.standard_normal(2 * window + 1)
-        xs = rng.standard_normal(2 * window + 1)
-        denom = (CoordinateVector(enumerate(x.tolist())).norm(p)
-                 * CoordinateVector(enumerate(xs.tolist())).norm(q))
+        # x then x*, drawn as one stream
+        pair = rng.standard_normal((2, 2 * window + 1))
+        denom = _norm(pair[0].tolist(), p) * _norm(pair[1].tolist(), q)
         if denom < 1e-9:
             continue
-        pos, neg = _sign_parts(_series(table, x) * _series(table, xs), lens)
+        product = _series(table, pair[0])
+        product *= _series(table, pair[1])
+        pos, neg = _sign_parts(product, lens)
         suppression.append(max(pos, neg) / denom)
         unconditional.append((pos + neg) / denom)
     # np.max keeps a NaN, which Python's max would drop

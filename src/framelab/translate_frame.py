@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .lp import CoordinateVector
+from .lp import CoordinateVector, _norm
 from .stepfn import StepFunction, _abs_integrals, _folded, _periodized_sup, _widths
 
 VALIDATION_TOL = 1e-10
@@ -198,13 +198,22 @@ def _series(table, a):
     """Rows of sum_k a[k] * f(. - k) on the units of the fold of f, one series
     for each index of the leading axes that ``table`` and ``a`` share.
 
-    Row u holds unit k0 + u of the series (k0 from the fold of f).  Each
-    row is summed in increasing k: for a fixed row, k = u - j rises as the
-    table row j falls.
+    Row u holds unit k0 + u of the series (k0 from the fold of f), summed in
+    increasing k.  One short run adds a[k] * table to rows k.., a contiguous
+    block a coefficient; a stack of runs or a long one adds table row j
+    times a to rows j.. for falling j, an outer product a row, whose
+    elements cost about twice a block's.  With a numpy call worth about 3000
+    added elements, the blocks win while n * (3000 - block) < units * 3000.
     """
-    rows = np.zeros(a.shape[:-1] + (a.shape[-1] + table.shape[-2] - 1, table.shape[-1]))
-    for j in range(table.shape[-2] - 1, -1, -1):
-        rows[..., j:j + a.shape[-1], :] += a[..., None] * table[..., j, None, :]
+    units, n = table.shape[-2], a.shape[-1]
+    rows = np.zeros(a.shape[:-1] + (n + units - 1, table.shape[-1]))
+    if a.ndim == 1 and n * (3000 - table.size) < units * 3000:
+        # a Python float scales a table faster than a numpy scalar does
+        for k, c in enumerate(a.tolist()):
+            rows[k:k + units] += c * table
+    else:
+        for j in range(units - 1, -1, -1):
+            rows[..., j:j + n, :] += a[..., None] * table[..., j, None, :]
     return rows
 
 
@@ -227,34 +236,40 @@ def _gram_lags(lens, tables, count):
                      for m in range(count)])
 
 
+def _synthesis(g, n0, a, window):
+    """Coordinates m = -window .. window, at m + window, of the synthesis of
+    the dense run x_(n0 + k) = a[k]: as in :func:`synthesis_over_set`."""
+    _, grid, table = g.fold
+    units = table.shape[0]
+    # pad the series with units - 1 zero rows on both sides; coordinate
+    # n0 - (units - 1) + k reads the padded rows k .. k + units - 1
+    # against the table rows 0 .. units - 1
+    count = a.size + 2 * (units - 1)
+    weighted = np.zeros((count + units - 1, table.shape[1]))
+    weighted[units - 1:count] = _series(table, a) * _widths(grid)
+    coords = np.zeros(count)
+    for j in range(units):
+        coords += np.add.reduce(weighted[j:j + count] * table[j], axis=1)
+    ms = np.arange(count) + (n0 - (units - 1))
+    keep = np.abs(ms) <= window
+    out = np.zeros(2 * window + 1)
+    out[ms[keep] + window] = coords[keep]
+    return out
+
+
 def synthesis_over_set(g, x, window):
     """Reconstruction of x from its analysis function, over the whole line.
 
     Coordinate m is the integral of the analysis function times f(. - m),
-    for |m| <= window.  With a validated generator this returns x.
+    for |m| <= window.  With a validated generator this returns x.  The
+    dense runs of x go through :func:`_synthesis` on disjoint coordinates.
     """
     if x.is_zero() or g.f.is_zero():
         return CoordinateVector()
-    _, grid, table = g.fold
-    units = table.shape[0]
-    lens = _widths(grid)
-    out = {}
-    for n0, a in _runs(x, units):
-        series = _series(table, a)
-        # pad the series with units - 1 zero rows on both sides; coordinate
-        # n0 - (units - 1) + k reads the padded rows k .. k + units - 1
-        # against the table rows 0 .. units - 1
-        padded = np.zeros((series.shape[0] + 2 * (units - 1), series.shape[1]))
-        padded[units - 1:units - 1 + series.shape[0]] = series
-        weighted = padded * lens
-        count = a.size + 2 * (units - 1)
-        coords = np.zeros(count)
-        for j in range(units):
-            coords += np.add.reduce(weighted[j:j + count] * table[j], axis=1)
-        ms = np.arange(count) + (n0 - (units - 1))
-        keep = (np.abs(ms) <= window) & (coords != 0.0)
-        out.update(zip(ms[keep].tolist(), coords[keep].tolist()))
-    return CoordinateVector(out)
+    coords = np.zeros(2 * window + 1)
+    for n0, a in _runs(x, g.fold[2].shape[0]):
+        coords += _synthesis(g, n0, a, window)
+    return CoordinateVector(zip(range(-window, window + 1), coords.tolist()))
 
 
 def biorthogonality_matrix(g, window):
@@ -383,7 +398,7 @@ def _young_chunk(chunk):
         recertify()
     cuts = np.cumsum(np.bincount(sd, minlength=ps.size)).tolist()
     values = sv.tolist()
-    rhs = [f1 * float(sum(abs(v) ** p for v in values[lo:hi]) ** (1.0 / p)) ** p
+    rhs = [f1 * _norm(values[lo:hi], p) ** p
            * top ** (p / (p / (p - 1.0)))
            for f1, top, p, lo, hi in zip(l1.tolist(), sup.tolist(), ps.tolist(),
                                           [0] + cuts[:-1], cuts)]

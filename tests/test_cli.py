@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framelab import CoordinateVector, cli, stepfn, translate_frame, wavelet_frame
+from framelab import cli, stepfn, translate_frame, wavelet_frame
 from framelab.cli import (KINDS, MAX_FOLD_WORK, MAX_LATTICE_WORK, MAX_M, MAX_N,
                           MAX_WINDOW, ConfigError, build_parser, main, validate_config)
 from framelab.reports import ARTIFACT_VERSION, canonical_json, config_digest
@@ -667,7 +667,7 @@ def test_gate_fails_an_infinite_value_whatever_the_bound():
 
 NAN_GATES = {
     "biorthogonality_matrix": "biorthogonality deviation:",
-    "synthesis_over_set": "reconstruction error at p=",
+    "_synthesis": "reconstruction error at p=",
     "young_check": "unit indicator equality gap:",
     "_young_bounds": "series bound at draw 0:",
     "reconstruction_identity_gaps": "identity gap at p=",
@@ -676,8 +676,7 @@ NAN_GATES = {
 
 @pytest.mark.parametrize("kind, target, fake", [
     ("biorthogonality", "biorthogonality_matrix", lambda g, w: np.full((3, 3), math.nan)),
-    ("reconstruct", "synthesis_over_set",
-     lambda g, x, w: CoordinateVector({0: math.nan})),
+    ("reconstruct", "_synthesis", lambda g, n0, a, w: np.full(2 * w + 1, math.nan)),
     ("young-fuzz", "young_check", lambda f, a, p: (math.nan, math.nan)),
     ("young-fuzz", "_young_bounds", lambda draws: ((math.nan, math.nan) for _ in draws)),
     ("wavelet-identity", "reconstruction_identity_gaps",

@@ -51,7 +51,7 @@ from framelab.pettis import _sign_parts
 from framelab.stepfn import _combined, _evaluate, _folded, _merge, _periodized_sup, _widths
 from framelab import cli, translate_frame
 from framelab.translate_frame import (VALIDATION_TOL, Generator, GeneratorRejected,
-                                      _certified, _series)
+                                      _certified, _series, _synthesis)
 
 
 def translate_series(f, x):
@@ -563,6 +563,48 @@ def test_synthesis_is_exact(gen, raw, grid):
             total += height
             size += abs(height)
         assert abs(Fraction(y[m]) - total) <= slack(grid) * size
+
+
+# runs of x from a negative index on, after gaps of 0-16 zero entries: a gap
+# of 2 * units or more splits the runs (``_runs``), a shorter one does not
+gapped_runs = st.tuples(st.integers(-24, -1), st.lists(
+    st.tuples(st.integers(0, 16), st.lists(st.integers(-4, 4).filter(bool), min_size=1,
+                                           max_size=3)), min_size=1, max_size=3))
+
+
+@ORACLE
+@given(dyadic_generators, gapped_runs, fold_grids)
+@example(([0, 24], [1]), (-20, [(0, [1, -2]), (12, [3]), (11, [-1])]), (0.0, 0.25))
+def test_synthesis_of_gapped_dense_runs_is_exact(gen, drawn, grid):
+    # the 6-unit example splits at its gap of 12 and not at its gap of 11
+    f, g = build(*gen, *grid)
+    n0, runs = drawn
+    entries, n = {}, n0
+    for gap, values in runs:
+        n += gap
+        for v in values:
+            entries[n] = Fraction(v, 2)
+            n += 1
+    x = CoordinateVector({n: float(c) for n, c in entries.items()})
+    span = g.fold[2].shape[0]
+    window = max(-n0, n) + span
+    y = synthesis_over_set(g, x, window)
+    # the dense core over the whole span of x, its gaps included
+    dense = _synthesis(g, n0, np.array([x[k] for k in range(n0, n)]), window)
+    bp, vals = as_fractions(f)
+    for m in range(-window, window + 1):
+        near = {k: c for k, c in entries.items() if abs(k - m) <= span}
+        if not near:
+            assert y[m] == dense[m + window] == 0.0
+            continue
+        exact = exact_series(bp, vals, near)
+        total = size = Fraction(0)
+        for a, b, mid in cells(shifted_points(bp, near) + [t + m for t in bp]):
+            height = (b - a) * exact(mid) * exact_value(bp, vals, mid - m)
+            total += height
+            size += abs(height)
+        assert abs(Fraction(y[m]) - total) <= slack(grid) * size
+        assert abs(Fraction(float(dense[m + window])) - total) <= slack(grid) * size
 
 
 @ORACLE

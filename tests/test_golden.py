@@ -34,13 +34,22 @@ three: the indicator of [0, 0.3), the Haar mother and a step function on
 sixteenths of [0, 1).  The wavelet-reconstruct run at M = 3,
 N = 8 is the benchmark's largest merge.
 
+Every config runs a second time with ``sum`` in each framelab module
+replaced by an emulation of Python 3.12's compensated ``sum()``
+(``compensated_sum``), and must match the same pins: no pinned float may
+rest on where a Python float sum rounds.
+
 Run as a script, ``python tests/test_golden.py`` writes every pinned file
 again with this checkout's ``main``, after every config has ended with its
 expected exit code.
 """
 
+import builtins
+import importlib
 import json
+import math
 import pathlib
+import pkgutil
 import shutil
 import sys
 import tempfile
@@ -189,6 +198,50 @@ def test_artifacts_match_the_pinned_copies(tmp_path, name):
     assert written == pinned
     for fname in pinned:
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 computes it ("Changed in version 3.12" in the docs
+    of ``sum``), emulated: exact ints first, then Neumaier's compensated sum
+    of exact floats, with ints added as floats, and the compensation added
+    at the end only if it is nonzero and finite; any other item hands the
+    rest to the plain left-to-right sum."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if not isinstance(item, int):
+                break
+    if type(total) is not float:
+        return builtins.sum(items, total)
+    c = 0.0
+    for x in items:
+        if type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        elif isinstance(x, int):
+            total += float(x)
+        else:
+            return builtins.sum(items, total + (c if c and math.isfinite(c) else 0.0) + x)
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_the_emulated_sum_compensates():
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
+    assert compensated_sum([3, True, 2]) == 6 and type(compensated_sum([1, 2])) is int
+    assert compensated_sum([]) == 0 and compensated_sum([-0.0], -0.0) == -0.0
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifacts_match_under_a_compensated_sum(tmp_path, monkeypatch, name):
+    package = importlib.import_module("framelab")
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"framelab.{info.name}")
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    test_artifacts_match_the_pinned_copies(tmp_path, name)
 
 
 def record():

@@ -35,7 +35,8 @@ def pointwise_product(c, d):
 def sign_parts(c, d):
     """(positive part, negative part) of the integral of c*d."""
     cd = pointwise_product(c, d)
-    return _sign_parts(cd.values, np.diff(cd.breakpoints))
+    # _sign_parts scales its cells in place, and a StepFunction's are read-only
+    return _sign_parts(cd.values.copy(), np.diff(cd.breakpoints))
 
 
 def integral_over(f, pairs):
