@@ -16,7 +16,7 @@ _SOURCES = {
                         "build_rademacher_generator", "synthesis_over_set",
                         "validate_generator", "young_check"),
     "pettis": ("unconditionality_scan",),
-    "wavelet_frame": ("StudyRow", "WaveletSystem", "convergence_study", "member",
+    "wavelet_frame": ("StudyRow", "WaveletSystem", "convergence_study",
                       "reconstruction_identity_gap", "reconstruction_identity_gaps"),
     "diagnostics": ("CompletenessReport", "CounterexampleReport", "DiscreteFrame",
                     "SpaceTag", "boundedly_complete_probe", "counterexample_frame",

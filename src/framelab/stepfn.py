@@ -218,22 +218,6 @@ class StepFunction:
             return StepFunction()
         return StepFunction(self.breakpoints, self.values * c)
 
-    def translate(self, b):
-        """t -> f(t - b)."""
-        if self.values.size == 0:
-            return self
-        return StepFunction(self.breakpoints + float(b), self.values)
-
-    def dilate(self, a, p):
-        """Lp normalized dyadic dilation t -> 2^(a/p) f(2^a t); needs p > 1."""
-        if not p > 1:
-            raise ValueError("dilation exponent requires p > 1")
-        if self.values.size == 0:
-            return self
-        a = float(a)
-        return StepFunction(self.breakpoints * 2.0 ** (-a),
-                            self.values * 2.0 ** (a / p))
-
     # -- integrals and norms -------------------------------------------------
 
     def abs_integral(self):
@@ -268,7 +252,8 @@ class StepFunction:
                 and np.array_equal(self.values, other.values))
 
     def __hash__(self):
-        return hash((self.breakpoints.tobytes(), self.values.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ holds equal
+        return hash(((self.breakpoints + 0.0).tobytes(), (self.values + 0.0).tobytes()))
 
     def __repr__(self):
         if self.values.size == 0:
@@ -277,6 +262,9 @@ class StepFunction:
         return f"StepFunction({self.values.size} cells on [{lo}, {hi}))"
 
 
+_HAAR = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
+
+
 def haar_mother():
-    """The Haar step: +1 on [0, 1/2), -1 on [1/2, 1)."""
-    return StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
+    """The Haar step: +1 on [0, 1/2), -1 on [1/2, 1), one immutable object."""
+    return _HAAR

@@ -35,6 +35,7 @@ many kernel calls at nine boxes as at one and builds each lattice once.
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -49,8 +50,9 @@ class WaveletSystem:
     p: float
 
     def __post_init__(self):
-        if not 1.0 < self.p:
-            raise ValueError("p must exceed 1")
+        # a NaN fails both comparisons; an infinite p has no finite conjugate
+        if not 1.0 < self.p < math.inf:
+            raise ValueError("p must exceed 1 and be finite")
 
     @property
     def p_conj(self):
@@ -64,25 +66,11 @@ class WaveletSystem:
     @functools.cached_property
     def _unit_cells(self):
         """Cells (breakpoints, values) of the primal and the dual member at (0, 0),
-        the same at every exponent."""
-        cells = {}
-        for side in ("primal", "dual"):
-            f = member(self, 0.0, 0.0, side)
-            cells[side] = (f.breakpoints, f.values)
-        return cells
-
-
-def member(ws, a, b, side="primal"):
-    """Family member at parameters (a, b): dilate by a after translating by b.
-
-    ``side="primal"`` uses the mother and exponent p, ``side="dual"`` the
-    dual mother and the conjugate exponent.
-    """
-    if side == "primal":
-        return ws.mother.translate(b).dilate(a, ws.p)
-    if side == "dual":
-        return ws.dual_mother.translate(b).dilate(a, ws.p_conj)
-    raise ValueError("side must be 'primal' or 'dual'")
+        the same at every exponent: each is its mother's own cells, for
+        translating by 0 adds +0.0 to each breakpoint, turning a -0.0 into
+        0.0, and dilating by 0 scales by 2^0 = 1."""
+        return {side: (f.breakpoints + 0.0, f.values)
+                for side, f in (("primal", self.mother), ("dual", self.dual_mother))}
 
 
 # -- the lattice kernel -----------------------------------------------------------

@@ -9,7 +9,8 @@ generator (``stepfn._folded``).  Each folded path is compared with
   term at a time (``left_fold``), and where it used the deleted
   ``multiply`` and ``integrate`` it takes the product from
   ``stepfn._combined`` (``pointwise_product``) and the integral from
-  ``inner``;
+  ``inner``, and it takes each translate from the deleted
+  ``StepFunction.translate``, kept in ``reference_orbit``;
 * exact ``fractions.Fraction`` arithmetic on dyadic generators, driven by
   ``hypothesis``; dyadic data with few bits keeps every float sum exact,
   so the folded results must equal the oracle exactly.  On tenths grids
@@ -53,6 +54,8 @@ from framelab import cli, translate_frame
 from framelab.translate_frame import (VALIDATION_TOL, Generator, GeneratorRejected,
                                       _certified, _series, _synthesis)
 
+from reference_orbit import translate
+
 
 def translate_series(f, x):
     """sum_n x_n * f(. - n) as a step function, from the fold kernels.
@@ -81,13 +84,13 @@ def left_fold(funcs):
 
 def reference_translate_series(f, x):
     """sum_n x_n * f(. - n) as a step function."""
-    return left_fold([f.translate(n).scale(c) for n, c in x.items()])
+    return left_fold([translate(f, n).scale(c) for n, c in x.items()])
 
 
 def reference_ortho_residual(f, lag_range):
     residual = 0.0
     for m in range(-lag_range, lag_range + 1):
-        val = f.inner(f.translate(m))
+        val = f.inner(translate(f, m))
         target = 1.0 if m == 0 else 0.0
         residual = max(residual, abs(val - target))
     return residual
@@ -96,7 +99,7 @@ def reference_ortho_residual(f, lag_range):
 def reference_biorthogonality_matrix(g, window):
     """Matrix of inner products of integer translates; identity certifies the frame."""
     ns = range(-window, window + 1)
-    translates = [g.f.translate(n) for n in ns]
+    translates = [translate(g.f, n) for n in ns]
     size = 2 * window + 1
     mat = np.zeros((size, size))
     for i, fi in enumerate(translates):
@@ -141,7 +144,7 @@ def reference_synthesis_over_set(g, x, window):
     c = reference_translate_series(g.f, x)
     out = {}
     for m in range(-window, window + 1):
-        val = c.inner(g.f.translate(m))
+        val = c.inner(translate(g.f, m))
         if val != 0.0:
             out[m] = val
     return CoordinateVector(out)
@@ -182,7 +185,7 @@ def reference_rademacher_function(spec):
     coeffs = spec.coefficients
     pieces = []
     for rank, (n, a) in enumerate(coeffs.items()):
-        pieces.append(reference_sign_pattern(rank + spec.resolution).translate(n).scale(a))
+        pieces.append(translate(reference_sign_pattern(rank + spec.resolution), n).scale(a))
     return left_fold(pieces)
 
 
@@ -289,7 +292,7 @@ def test_fold_keeps_every_fractional_part():
     # parts 7.3e-12 apart.  Fractional parts past 1 are exact, so the fold
     # keeps that sliver, where three units overlap, and reads it by cell
     # number although one ulp of 65536 is wider than the sliver.
-    far = NON_DYADIC.translate(65535.0)
+    far = translate(NON_DYADIC, 65535.0)
     k0, grid, table = _folded(far)
     assert (k0, grid.size, table.shape) == (65535.0, 6, (3, 5))
     assert periodized_sup(far) == reference_periodized_l1_sup(far) == 1.75
@@ -348,7 +351,7 @@ def test_periodized_sup_matches_reference():
         g = gaussian_generator(rng, int(rng.integers(1, 8)))
         # same cells, same per-column order (increasing unit): bit for bit
         assert periodized_sup(g.f) == reference_periodized_l1_sup(g.f)
-        shifted = g.f.translate(0.375).scale(-1.5)
+        shifted = translate(g.f, 0.375).scale(-1.5)
         assert periodized_sup(shifted) == reference_periodized_l1_sup(shifted)
 
 

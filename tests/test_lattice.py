@@ -9,8 +9,12 @@ Lp distance from one merge and one np.add.reduce per row
 
 * the per-member ``StepFunction`` code it replaced, kept verbatim below as
   the reference (``reference_*``, with the deleted balanced
-  ``StepFunction.sum`` as ``reference_sum``), on Haar and non-Haar
-  systems and on dyadic and non-dyadic targets;
+  ``StepFunction.sum`` as ``reference_sum``), each member built by the
+  deleted ``member``, ``translate`` and ``dilate`` kept in
+  ``reference_orbit``, on Haar and non-Haar systems and on dyadic and
+  non-dyadic targets; the kernel's cells of the members at (0, 0), its
+  only reading of the orbit, equal that ``member``'s bit for bit, driven
+  by ``hypothesis``;
 * the one-row code the row kernel replaced, bit for bit: ``_merge`` per
   row, and the one-row jump sum and Lp distance kept verbatim
   (``reference_jump_sum``, ``reference_lp_distance``), driven by
@@ -29,11 +33,12 @@ Lp distance from one merge and one np.add.reduce per row
 The lattice itself is compared with the ``np.meshgrid`` code it replaced
 (``reference_pairs``, ``reference_box_lattice``), array for array.
 
-Cost guards show a regression without relying on wall time: one counts
-``StepFunction`` constructions, so that a return to one object per member
-shows; one counts calls of ``np.diff``, ``np.unique`` and ``np.meshgrid``,
-whose wrappers cost more than the arithmetic on these small arrays, and
-the wavelet paths and the step-function algebra make none; two count the
+Cost guards show a regression without relying on wall time: two count
+``StepFunction`` constructions, so that a return to one object per member,
+or to a system built member by member, shows; one counts calls of
+``np.diff``, ``np.unique`` and ``np.meshgrid``, whose wrappers cost more
+than the arithmetic on these small arrays, and the wavelet paths and the
+step-function algebra make none; two count the
 kernel calls of a job, the same at N = 8 as at N = 1 and at nine boxes as
 at one; one counts lattice builds, one per job and none kept between
 jobs; and two bound the memory of schema-maximum rows, on a few-cell and
@@ -41,6 +46,7 @@ on a many-cell target, near the peak of the code that took one conjugate
 at a time.
 """
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -55,7 +61,6 @@ from framelab import (
     WaveletSystem,
     convergence_study,
     haar_mother,
-    member,
     reconstruction_identity_gap,
     reconstruction_identity_gaps,
 )
@@ -67,6 +72,8 @@ from framelab.wavelet_frame import (_ROW_0, _box_lattice, _canonical, _cells, _c
                                     _lattice_sums, _lp_distances, _members, _merged, _pairs,
                                     _placed, _runs, averaged_conjugate_reconstruction,
                                     box_reconstruct)
+
+from reference_orbit import dilate, member, translate
 
 
 def _lattice_sum(ws, x, a, b, weight):
@@ -119,7 +126,7 @@ def reference_conjugated_targets(ws, x, M, N):
     out = []
     for r in range(N):
         for s in range(N):
-            y = x.dilate(-r / N, ws.p).translate(-s / N)
+            y = translate(dilate(x, -r / N, ws.p), -s / N)
             out.append((r, s, y, reference_discrete_partial_reconstruct(ws, y, M)))
     return out
 
@@ -128,7 +135,7 @@ def reference_averaged_conjugate_reconstruction(ws, x, M, N):
     weight = 1.0 / (N * N)
     terms = []
     for r, s, _, partial in reference_conjugated_targets(ws, x, M, N):
-        back = partial.translate(s / N).dilate(r / N, ws.p)
+        back = dilate(translate(partial, s / N), r / N, ws.p)
         terms.append(back.scale(weight))
     return reference_sum(terms)
 
@@ -291,6 +298,27 @@ def test_biorthogonality_residual_matches_reference():
 def same_arrays(got, want):
     return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
                for g, w in zip(got, want, strict=True))
+
+
+# a mother on random non-dyadic breakpoints, zero cells and all
+random_mothers = st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=6, unique=True).flatmap(
+    lambda bp: st.builds(StepFunction, st.just(sorted(bp)),
+                         st.lists(st.floats(-4.0, 4.0), min_size=len(bp) - 1,
+                                  max_size=len(bp) - 1)))
+SIGNED_ZERO = StepFunction([-0.0, 0.5, 1.0], [1.0, -1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_mothers, random_mothers, st.floats(1.0001, 16.0))
+@example(haar_mother(), haar_mother(), 2.0)
+@example(SKEWED.mother, SKEWED.dual_mother, SKEWED.p)
+@example(SIGNED_ZERO, SIGNED_ZERO, 1.0001)
+@example(SIGNED_ZERO, NON_DYADIC, 16.0)
+def test_unit_cells_are_the_members_at_the_origin(mother, dual, p):
+    ws = WaveletSystem(mother, dual, p)
+    for side in ("primal", "dual"):
+        f = member(ws, 0.0, 0.0, side)
+        assert same_arrays(ws._unit_cells[side], (f.breakpoints, f.values))
 
 
 def test_lattices_match_the_meshgrid_lattices():
@@ -538,6 +566,14 @@ def test_an_overflowing_box_leaves_every_other_box_unchanged():
 def test_systems_of_one_job_share_their_wavelets():
     with pytest.raises(ValueError, match="share"):
         reconstruction_identity_gaps([WaveletSystem.haar(2.0), SKEWED], NON_DYADIC, [1], [1])
+
+
+def test_mothers_equal_up_to_a_signed_zero_are_shared():
+    # -0.0 and 0.0 are one breakpoint, so the systems share their mother
+    systems = [WaveletSystem(SIGNED_ZERO, SIGNED_ZERO, 2.0), WaveletSystem.haar(3.0)]
+    gaps = reconstruction_identity_gaps(systems, NON_DYADIC, [1, 2], [1, 2])
+    assert same_bits(gaps, [reconstruction_identity_gap(WaveletSystem.haar(p), NON_DYADIC, M, N)
+                            for p in (2.0, 3.0) for M in (1, 2) for N in (1, 2)])
 
 
 # values whose merges and trims _canonicalize decides by ==: NaN never equals
@@ -868,7 +904,8 @@ def constructions(monkeypatch, run):
 
 
 def test_wavelet_paths_build_a_bounded_number_of_step_functions(monkeypatch):
-    # each run builds its own system, so the cached unit members count too
+    # each run builds its own system, which builds nothing: the Haar mother
+    # is one object and the unit cells are its cells
     x = StepFunction.indicator(0.0, 0.3)
     paths = [box_reconstruct, averaged_conjugate_reconstruction,
              reconstruction_identity_gap,
@@ -876,9 +913,29 @@ def test_wavelet_paths_build_a_bounded_number_of_step_functions(monkeypatch):
     for path in paths:
         built = constructions(
             monkeypatch, lambda: path(WaveletSystem.haar(2.0), x, 4, 8))
-        assert built <= 10
+        assert built <= 1
         assert built == constructions(
             monkeypatch, lambda: path(WaveletSystem.haar(2.0), x, 1, 1))
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    ("wavelet-reconstruct", ["--p", "2", "--M-list", "1,2,3", "--N-list", "1,2,4"]),
+    ("wavelet-reconstruct", ["--p", "3", "--M-list", "3", "--N-list", "8"]),
+    ("wavelet-identity", ["--p-list", "1.5,2,3", "--M-list", "1,2", "--N-list", "1,2"]),
+], ids=["reconstruct", "reconstruct-large", "identity"])
+def test_a_wavelet_job_builds_only_its_target(monkeypatch, tmp_path, capsys, kind, sizes):
+    # at the benchmark's sizes: the target once to check it and once to run;
+    # the Haar target is the Haar mother itself
+    targets = [({"indicator": [0.0, 0.3]}, 2),
+               ({"step_function": {"breakpoints": [-0.5, 0.25, 1.0], "values": [1.0, -2.0]}}, 2),
+               ({"named": "haar"}, 0)]
+    for i, (target, built) in enumerate(targets):
+        args = [kind, "--target", json.dumps(target), "--out", str(tmp_path / f"job{i}"),
+                "--quiet"] + sizes
+        codes = []
+        assert constructions(monkeypatch, lambda: codes.append(main(args))) == built
+        assert codes == [0]
+        capsys.readouterr()
 
 
 def test_wavelet_paths_and_step_algebra_skip_the_numpy_wrappers(monkeypatch):
@@ -893,7 +950,7 @@ def test_wavelet_paths_and_step_algebra_skip_the_numpy_wrappers(monkeypatch):
         return wrapper
 
     x = StepFunction.indicator(0.0, 0.3)
-    f, g = NON_DYADIC, haar_mother().translate(0.25)
+    f, g = NON_DYADIC, translate(haar_mother(), 0.25)
     for name in ("diff", "unique", "meshgrid"):
         monkeypatch.setattr(np, name, counted(name))
     for ws in (WaveletSystem.haar(2.0), SKEWED):

@@ -26,6 +26,8 @@ from framelab.sampling import _coefficient_rows
 from framelab.stepfn import _folded
 from framelab.translate_frame import Generator
 
+from reference_orbit import translate
+
 WINDOW = 4
 
 
@@ -264,7 +266,7 @@ DYADIC = StepFunction([-0.5, 0.0, 0.25, 1.0, 1.75], [0.5, -1.5, 1.0, 2.0])
 def test_rows_and_matrix_at_a_commensurate_step_equal_the_fraction_oracle(shift):
     # the Riemann sum over one sample a lattice cell is the integral itself,
     # the sample at the cell's left end or, shifted by h / 2, at its middle
-    f = DYADIC.translate(shift)
+    f = translate(DYADIC, shift)
     g = Generator(f, None, _folded(f))
     assert commensurate_step(g) == 0.25 - shift
     h = 0.25

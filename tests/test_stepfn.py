@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from framelab import StepFunction, haar_mother
 from framelab.stepfn import MERGE_ULPS, _folded, _merge, _periodized_sup
 
+from reference_orbit import dilate, translate
+
 
 def dyadic_step(rng, max_cells=6, depth=4, span=4):
     """Random step function on a dyadic grid; exact under float arithmetic."""
@@ -46,6 +48,29 @@ def test_construction_validation():
 def test_non_finite_breakpoints_are_rejected(breakpoints, values):
     with pytest.raises(ValueError, match="breakpoints must be finite"):
         StepFunction(breakpoints, values)
+
+
+def test_equal_functions_hash_equal_across_signed_zeros():
+    # __eq__ holds -0.0 and 0.0 equal, in a breakpoint and in an interior value
+    pairs = [(StepFunction([-0.0, 1.0], [1.0]), StepFunction([0.0, 1.0], [1.0])),
+             (StepFunction([0.0, 1.0, 2.0, 3.0], [1.0, -0.0, 2.0]),
+              StepFunction([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0]))]
+    for f, g in pairs:
+        assert f == g
+        assert hash(f) == hash(g)
+        assert len({f, g}) == 1
+
+
+def test_haar_mother_is_one_immutable_object():
+    f = haar_mother()
+    assert f is haar_mother()
+    assert f == StepFunction([0.0, 0.5, 1.0], [1.0, -1.0])
+    for array in (f.breakpoints, f.values):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 2.0
+    with pytest.raises(AttributeError):
+        f.values = np.zeros(2)
 
 
 def test_zero_function_is_empty_cell_list():
@@ -119,7 +144,7 @@ def test_scale_and_subtract():
 
 def test_translate_preserves_values():
     f = haar_mother()
-    g = f.translate(3.0)
+    g = translate(f, 3.0)
     assert g.support() == (3.0, 4.0)
     assert g(3.25) == 1.0 and g(3.75) == -1.0
     assert np.array_equal(g.values, f.values)
@@ -127,19 +152,19 @@ def test_translate_preserves_values():
 
 def test_dilate_haar_example():
     # 2^(1/2) f(2t): +sqrt(2) on [0, 1/4), -sqrt(2) on [1/4, 1/2)
-    d = haar_mother().dilate(1, 2)
+    d = dilate(haar_mother(), 1, 2)
     assert d.breakpoints.tolist() == [0.0, 0.25, 0.5]
     assert d.values.tolist() == [math.sqrt(2.0), -math.sqrt(2.0)]
 
 
 def test_dilate_requires_p_above_one():
     with pytest.raises(ValueError):
-        haar_mother().dilate(1, 1.0)
+        dilate(haar_mother(), 1, 1.0)
 
 
 def test_dilate_zero_is_identity():
     f = haar_mother()
-    assert f.dilate(0, 2) == f
+    assert dilate(f, 0, 2) == f
 
 
 def test_integral_linearity():
@@ -161,8 +186,8 @@ def test_lp_norm_translation_invariance_exact():
         f = dyadic_step(rng)
         k = int(rng.integers(-10, 11))
         # integer shifts of dyadic breakpoints are exact in floats
-        assert f.translate(k).lp_norm(2) == f.lp_norm(2)
-        assert f.translate(k).lp_norm(1.5) == f.lp_norm(1.5)
+        assert translate(f, k).lp_norm(2) == f.lp_norm(2)
+        assert translate(f, k).lp_norm(1.5) == f.lp_norm(1.5)
 
 
 def test_dilation_isometry():
@@ -171,7 +196,7 @@ def test_dilation_isometry():
         f = dyadic_step(rng)
         a = float(rng.uniform(-4, 4))
         p = float(rng.uniform(1.1, 5.0))
-        assert f.dilate(a, p).lp_norm(p) == pytest.approx(f.lp_norm(p), rel=1e-12)
+        assert dilate(f, a, p).lp_norm(p) == pytest.approx(f.lp_norm(p), rel=1e-12)
 
 
 def test_holder_inequality():
@@ -193,8 +218,8 @@ def test_dilate_translate_commutation():
         a = float(rng.uniform(-3, 3))
         b = float(rng.uniform(-2, 2))
         p = float(rng.uniform(1.5, 4.0))
-        lhs = f.translate(b).dilate(a, p)
-        rhs = f.dilate(a, p).translate(2.0 ** (-a) * b)
+        lhs = dilate(translate(f, b), a, p)
+        rhs = translate(dilate(f, a, p), 2.0 ** (-a) * b)
         assert np.allclose(lhs(ts), rhs(ts), rtol=0, atol=1e-12)
 
 
@@ -221,7 +246,7 @@ def test_periodized_sup_integer_translation_invariant():
     for _ in range(20):
         f = dyadic_step(rng)
         k = int(rng.integers(-7, 8))
-        assert periodized_sup(f.translate(k)) == pytest.approx(periodized_sup(f), rel=1e-12)
+        assert periodized_sup(translate(f, k)) == pytest.approx(periodized_sup(f), rel=1e-12)
 
 
 def test_abs_integral_and_lp_norm():

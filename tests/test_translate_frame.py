@@ -20,6 +20,8 @@ from framelab.sampling import _coefficient_rows
 from framelab.stepfn import _folded
 from framelab.translate_frame import _series, _unfold
 
+from reference_orbit import translate
+
 
 def single_coeff_generator():
     return build_rademacher_generator(RademacherSpec(coefficients={0: 1.0}))
@@ -142,7 +144,7 @@ def test_analysis_of_unit_vector_recovers_generator():
     k0, grid, table = _folded(g.f)
     for n in (0, 5):
         c = _unfold(k0 + n, grid, _series(table, np.ones(1)))
-        gap = c.add(g.f.translate(float(n)).scale(-1.0))
+        gap = c.add(translate(g.f, float(n)).scale(-1.0))
         assert gap.lp_norm(2) == pytest.approx(0.0, abs=1e-12)
 
 
