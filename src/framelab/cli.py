@@ -7,6 +7,12 @@ config file invocation of the same experiment are interchangeable and
 produce byte-identical reports.  Each kind is declared once, in ``KINDS``,
 by the decorator on its runner; config checks and flags derive from it.
 
+Each record is parsed once: a param's check turns its value, given or
+default, into what the runner takes (an uncertified ``RademacherSpec`` or
+``StepFunction`` generator, a target ``StepFunction``), and the work caps
+size a job from those objects.  The runner certifies a generator; the
+config digest is taken over the JSON records.
+
 A run imports the library modules, and numpy, when its kind uses them, so
 the discrete kinds (``counterexample``, ``diagnostics``) never load numpy.
 Runners and record checks import names from their library module at call
@@ -105,63 +111,65 @@ def _check_list(name, value, what, check, *bounds):
 
 
 def _check_generator(name, value):
+    """The uncertified generator of a generator record: a ``RademacherSpec``
+    or a ``StepFunction``."""
     if not isinstance(value, dict) or len(value) != 1:
         raise ConfigError(
             f"{name} must be an object with exactly one of 'rademacher' or 'step_function'")
     key = next(iter(value))
     body = value[key]
-    if key == "rademacher":
-        if not isinstance(body, dict):
-            raise ConfigError(f"{name}.rademacher must be an object")
-        unknown = set(body) - {"coefficients", "resolution"}
-        if unknown:
-            raise ConfigError(f"unknown rademacher fields: {sorted(unknown)}")
-        coeffs = body.get("coefficients")
-        if (not isinstance(coeffs, list) or not coeffs
-                or not all(isinstance(e, list) and len(e) == 2 for e in coeffs)):
-            raise ConfigError(
-                f"{name}.rademacher.coefficients must be a list of [index, value] pairs")
-        for i, (n, c) in enumerate(coeffs):
-            _check_int(f"{name}.rademacher.coefficients[{i}] index", n,
-                       -MAX_WINDOW, MAX_WINDOW)
-            if not _is_real(c):
-                raise ConfigError(f"{name}.rademacher.coefficients[{i}] value "
-                                  "must be a finite number")
-        if len({n for n, _ in coeffs}) != len(coeffs):
-            raise ConfigError(f"{name}.rademacher.coefficients repeats an index")
-        resolution = body.get("resolution", 1)
-        _check_int(f"{name}.rademacher.resolution", resolution, 1, 16)
-    elif key == "step_function":
-        _require_step_record(f"{name}.step_function", body)
-    else:
+    if key == "step_function":
+        return _check_step_record(f"{name}.step_function", body)
+    if key != "rademacher":
         raise ConfigError(f"{name} kind must be 'rademacher' or 'step_function', got {key!r}")
-    return value
+    if not isinstance(body, dict):
+        raise ConfigError(f"{name}.rademacher must be an object")
+    unknown = set(body) - {"coefficients", "resolution"}
+    if unknown:
+        raise ConfigError(f"unknown rademacher fields: {sorted(unknown)}")
+    coeffs = body.get("coefficients")
+    if (not isinstance(coeffs, list) or not coeffs
+            or not all(isinstance(e, list) and len(e) == 2 for e in coeffs)):
+        raise ConfigError(
+            f"{name}.rademacher.coefficients must be a list of [index, value] pairs")
+    for i, (n, c) in enumerate(coeffs):
+        _check_int(f"{name}.rademacher.coefficients[{i}] index", n,
+                   -MAX_WINDOW, MAX_WINDOW)
+        if not _is_real(c):
+            raise ConfigError(f"{name}.rademacher.coefficients[{i}] value "
+                              "must be a finite number")
+    if len({n for n, _ in coeffs}) != len(coeffs):
+        raise ConfigError(f"{name}.rademacher.coefficients repeats an index")
+    resolution = body.get("resolution", 1)
+    _check_int(f"{name}.rademacher.resolution", resolution, 1, 16)
+    from .lp import CoordinateVector
+    from .translate_frame import RademacherSpec
+    return RademacherSpec(CoordinateVector({n: float(c) for n, c in coeffs}), resolution)
 
 
-def _units(generator):
-    """Unit intervals [n, n + 1) that the support of a checked generator record meets."""
-    [(key, body)] = generator.items()
-    if key == "rademacher":
-        indices = [n for n, _ in body["coefficients"]]
-        return max(indices) - min(indices) + 1
-    return math.ceil(body["breakpoints"][-1]) - math.floor(body["breakpoints"][0])
+def _fold_shape(generator):
+    """(units, cells) of the unit fold of a parsed generator: the unit
+    intervals [n, n + 1) its support meets (none for an empty support), and
+    the fractional cells per unit (a Rademacher spec's finest sign pattern's
+    2^depth, a step function's at most one per breakpoint plus one)."""
+    from .translate_frame import RademacherSpec
+    if isinstance(generator, RademacherSpec):
+        n = generator.coefficients.support()
+        if not n:
+            return 0, 0
+        return n[-1] - n[0] + 1, 2 ** min(len(n) - 1 + generator.resolution, 64)
+    lo, hi = generator.support() or (0.0, 0.0)
+    return math.ceil(hi) - math.floor(lo), generator.breakpoints.size + 1
 
 
 def _fold_work(generator, window):
-    """Cell products the unit fold of a checked generator record costs a job.
+    """Cell products the unit fold of a parsed generator costs a job.
 
-    The fold holds units x cells entries, cells being the fractional cells
-    per unit (for a Rademacher record the finest sign pattern's 2^depth, for
-    a step function at most one per breakpoint plus one).  Its Gram lags
+    The fold holds units x cells entries (see _fold_shape).  Its Gram lags
     correlate each entry with up to ``units`` rows, and a series over the
     2 * window + 1 translates of a window adds one row per translate.
     """
-    [(key, body)] = generator.items()
-    if key == "rademacher":
-        cells = 2 ** min(len(body["coefficients"]) - 1 + body.get("resolution", 1), 64)
-    else:
-        cells = len(body["breakpoints"]) + 1
-    units = _units(generator)
+    units, cells = _fold_shape(generator)
     return units * cells * (units + 2 * window + 1)
 
 
@@ -172,7 +180,7 @@ def _sampling_work(params):
     most width / h + 1 samples, and one square matrix over the coordinates.
     """
     coords = 2 * params["window"] + 1
-    width = _units(params["generator"]) + 2 * params["window"]
+    width = _fold_shape(params["generator"])[0] + 2 * params["window"]
     return sum(width / h + 1 + coords for h in params["steps"]) * coords
 
 
@@ -207,7 +215,8 @@ def _require_separated(name, points, reach=1.0):
         raise ConfigError(f"{name} must rise by over {MERGE_ULPS} ulps of {magnitude:g}")
 
 
-def _require_step_record(name, body):
+def _check_step_record(name, body):
+    """The StepFunction of a {breakpoints, values} record."""
     if not isinstance(body, dict) or set(body) != {"breakpoints", "values"}:
         raise ConfigError(f"{name} must be {{breakpoints: [...], values: [...]}}")
     bp, vals = body["breakpoints"], body["values"]
@@ -218,10 +227,13 @@ def _require_step_record(name, body):
     if not all(_is_real(v) for v in bp + vals):
         raise ConfigError(f"{name} breakpoints and values must be finite numbers")
     _require_separated(f"{name}.breakpoints", bp)
+    from .stepfn import StepFunction
+    return StepFunction(bp, vals)
 
 
 def _check_target(name, value):
-    import numpy as np
+    """The StepFunction of a target record."""
+    from .stepfn import StepFunction, haar_mother
     if not isinstance(value, dict) or len(value) != 1:
         raise ConfigError(
             f"{name} must be an object with exactly one of 'named', 'indicator', 'step_function'")
@@ -230,21 +242,23 @@ def _check_target(name, value):
     if key == "named":
         if body != "haar":
             raise ConfigError(f"{name}.named must be 'haar'")
+        target = haar_mother()
     elif key == "indicator":
         if (not isinstance(body, list) or len(body) != 2
                 or not all(_is_real(v) for v in body) or not body[0] < body[1]):
             raise ConfigError(f"{name}.indicator must be [a, b] with finite a < b")
+        target = StepFunction.indicator(float(body[0]), float(body[1]))
     elif key == "step_function":
-        _require_step_record(f"{name}.step_function", body)
+        target = _check_step_record(f"{name}.step_function", body)
     else:
         raise ConfigError(f"{name} kind must be 'named', 'indicator' or 'step_function'")
     # The errors compare the target and its conjugates (scaled by up to 2,
     # shifted by up to 1) with lattice sums whose members reach 2^MAX_M past
     # them; at twice that magnitude no rounding closes a cell.
-    bp = _build_target(value).breakpoints
-    reach = 2.0 * (2.0 * float(np.abs(bp).max(initial=0.0)) + 1.0 + 2.0 ** MAX_M)
-    _require_separated(f"{name} breakpoints", bp, reach)
-    return value
+    lo, hi = target.support() or (0.0, 0.0)
+    reach = 2.0 * (2.0 * max(-lo, hi) + 1.0 + 2.0 ** MAX_M)
+    _require_separated(f"{name} breakpoints", target.breakpoints, reach)
+    return target
 
 
 def _worst(a, b):
@@ -260,7 +274,8 @@ class Param:
     """One experiment parameter: config check, default, and flag text parser.
 
     Its flag is ``"--" + name.replace("_", "-")``; ``parse`` turns the flag
-    text into the config value, which then goes through ``check``.
+    text into the config value, and ``check(name, value)`` turns a config
+    value, given or default, into the value the runner takes.
     """
     check: object
     default: object = None
@@ -324,7 +339,8 @@ def _target():
 
 
 def validate_config(raw):
-    """Normalize a raw config dict; unknown fields are rejected."""
+    """The checked config of a raw config dict: its params as the runners take
+    them, and the digest of their JSON.  Unknown fields are rejected."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - {"kind", "seed", "tol", "out", "params"}
@@ -338,6 +354,7 @@ def validate_config(raw):
     tol = raw.get("tol", KINDS[kind].tol)
     if not (_is_real(tol) and tol >= 0):
         raise ConfigError("tol must be a finite nonnegative number")
+    tol = float(tol)
     out = raw.get("out", kind)
     if not isinstance(out, str) or not out:
         raise ConfigError("out must be a nonempty path string")
@@ -348,14 +365,17 @@ def validate_config(raw):
     unknown = set(raw_params) - set(schema)
     if unknown:
         raise ConfigError(f"unknown params for {kind}: {sorted(unknown)}")
-    params = {}
+    params, records = {}, {}
     for name, spec in schema.items():
-        if name in raw_params:
-            params[name] = spec.check(name, raw_params[name])
+        value = raw_params.get(name, spec.default)
+        if name in raw_params or value is not None:
+            params[name] = spec.check(name, value)
         elif spec.required:
             raise ConfigError(f"missing required param: {name}")
         else:
-            params[name] = spec.default
+            params[name] = None     # derived at run time
+        # a record's own JSON, not its parsed object, goes into the digest
+        records[name] = value if isinstance(value, dict) else params[name]
     if params.get("generator") is not None:
         _cap("generator", "unit fold cell products",
              _fold_work(params["generator"], params.get("window", 0)), MAX_FOLD_WORK)
@@ -363,40 +383,20 @@ def validate_config(raw):
         _cap("wavelet job", "lattice members", _lattice_work(params), MAX_LATTICE_WORK)
     if "steps" in params:
         _cap("sampling job", "matrix entries", _sampling_work(params), MAX_SAMPLING_WORK)
-    return {"kind": kind, "seed": seed, "tol": float(tol), "out": out,
-            "params": params}
+    digest = config_digest({"kind": kind, "seed": seed, "tol": tol, "params": records})
+    return {"kind": kind, "seed": seed, "tol": tol, "out": out, "params": params,
+            "digest": digest}
 
 
-# -- object construction from config ------------------------------------------
-
-
-def _build_generator(record, lag_range=None, tol=None):
-    """The Generator of a checked generator record, certified over Gram lags up
-    to ``lag_range`` at ``tol`` (where None, the library's defaults), or raise
-    GeneratorRejected.  A Rademacher record is never folded: its generator
-    hands over the rows it is filled from."""
-    from .lp import CoordinateVector
-    from .stepfn import StepFunction
-    from .translate_frame import (VALIDATION_TOL, RademacherSpec,
-                                  build_rademacher_generator, validate_generator)
-    tol = VALIDATION_TOL if tol is None else tol
-    [(key, body)] = record.items()
-    if key == "rademacher":
-        coeffs = CoordinateVector({n: float(c) for n, c in body["coefficients"]})
-        spec = RademacherSpec(coefficients=coeffs, resolution=body.get("resolution", 1))
-        return build_rademacher_generator(spec, lag_range, tol)
-    return validate_generator(StepFunction(body["breakpoints"], body["values"]),
-                              lag_range, tol)
-
-
-def _build_target(obj):
-    from .stepfn import StepFunction, haar_mother
-    [(key, body)] = obj.items()
-    if key == "named":
-        return haar_mother()
-    if key == "indicator":
-        return StepFunction.indicator(float(body[0]), float(body[1]))
-    return StepFunction(body["breakpoints"], body["values"])
+def _certify(generator, *bounds):
+    """The Generator of a parsed generator, certified over Gram lags up to
+    ``bounds`` = (lag_range, tol) (the library's defaults where absent), or
+    raise GeneratorRejected.  A Rademacher spec is never folded: its
+    generator hands over the rows it is filled from."""
+    from .translate_frame import RademacherSpec, build_rademacher_generator, validate_generator
+    if isinstance(generator, RademacherSpec):
+        return build_rademacher_generator(generator, *bounds)
+    return validate_generator(generator, *bounds)
 
 
 # -- experiment runners -----------------------------------------------------------
@@ -438,7 +438,7 @@ def _numpy_kind(run):
        lag_range=_int(1, MAX_WINDOW, None))
 @_numpy_kind
 def _run_validate_generator(params, seed, tol):
-    g = _build_generator(params["generator"], params["lag_range"], tol)
+    g = _certify(params["generator"], params["lag_range"], tol)
     return ExperimentResult(payload={"report": g.report.to_dict(),
                                      "suppression_constant": g.suppression_constant})
 
@@ -449,7 +449,7 @@ def _run_validate_generator(params, seed, tol):
 def _run_biorthogonality(params, seed, tol):
     import numpy as np
     from .translate_frame import biorthogonality_matrix
-    g = _build_generator(params["generator"])
+    g = _certify(params["generator"])
     window = params["window"]
     mat = biorthogonality_matrix(g, window)
     deviation = float(np.max(np.abs(mat - np.eye(mat.shape[0]))))
@@ -466,7 +466,7 @@ def _run_reconstruct(params, seed, tol):
     import numpy as np
     from .lp import _norm
     from .translate_frame import _synthesis
-    g = _build_generator(params["generator"])
+    g = _certify(params["generator"])
     window = params["window"]
     lo, hi = g.f.support()
     spread = int(math.ceil(hi - lo))
@@ -494,7 +494,7 @@ def _run_reconstruct(params, seed, tol):
 @_numpy_kind
 def _run_suppression_scan(params, seed, tol):
     from .pettis import unconditionality_scan
-    g = _build_generator(params["generator"])
+    g = _certify(params["generator"])
     bs, bu = unconditionality_scan(g, params["trials"], params["window"],
                                    params["p"], seed)
     failures = []
@@ -561,9 +561,8 @@ def _run_young_fuzz(params, seed, tol):
 @_numpy_kind
 def _run_wavelet_reconstruct(params, seed, tol):
     from .wavelet_frame import WaveletSystem, convergence_study
-    x = _build_target(params["target"])
     ws = WaveletSystem.haar(params["p"])
-    rows = convergence_study(ws, x, params["M_list"], params["N_list"])
+    rows = convergence_study(ws, params["target"], params["M_list"], params["N_list"])
     failures = []
     for row in rows:
         _gate(failures, f"box error at M={row.M} N={row.N}", row.error,
@@ -581,14 +580,13 @@ def _run_wavelet_reconstruct(params, seed, tol):
 @_numpy_kind
 def _run_wavelet_identity(params, seed, tol):
     from .wavelet_frame import WaveletSystem, reconstruction_identity_gaps
-    x = _build_target(params["target"])
     p_list, M_list, N_list = params["p_list"], params["M_list"], params["N_list"]
     gaps = []
     max_gap = 0.0
     failures = []
     cells = [(p, M, N) for p in p_list for M in M_list for N in N_list]
-    results = reconstruction_identity_gaps([WaveletSystem.haar(p) for p in p_list], x,
-                                           M_list, N_list)
+    results = reconstruction_identity_gaps([WaveletSystem.haar(p) for p in p_list],
+                                           params["target"], M_list, N_list)
     for (p, M, N), gap in zip(cells, results, strict=True):
         gaps.append({"p": p, "M": M, "N": N, "gap": gap})
         max_gap = _worst(max_gap, gap)
@@ -653,7 +651,7 @@ def _run_diagnostics(params, seed, tol):
 @_numpy_kind
 def _run_sampling_sweep(params, seed, tol):
     from .sampling import sampling_sweep
-    g = _build_generator(params["generator"])
+    g = _certify(params["generator"])
     rows = sampling_sweep(g, params["steps"], params["window"],
                           p=params["p"], exact_tol=tol)
     header = ["h", "num_samples", "max_error", "exact"]
@@ -679,8 +677,6 @@ def _generator_rejected():
 def execute(config, quiet=False):
     """Run a validated config; write reports; return the process exit code."""
     kind = config["kind"]
-    digest = config_digest({"kind": kind, "seed": config["seed"],
-                            "tol": config["tol"], "params": config["params"]})
     try:
         result = KINDS[kind].run(config["params"], config["seed"], config["tol"])
         code = 3 if result.failures else 0
@@ -691,7 +687,7 @@ def execute(config, quiet=False):
     payload = {
         "kind": kind,
         "artifact_version": ARTIFACT_VERSION,
-        "config_digest": digest,
+        "config_digest": config["digest"],
         "seed": config["seed"],
         "tol": config["tol"],
     }
@@ -701,7 +697,7 @@ def execute(config, quiet=False):
     written = [json_path]
     if result.table is not None:
         csv_path = config["out"] + ".csv"
-        write_csv(csv_path, *result.table, digest, config["seed"])
+        write_csv(csv_path, *result.table, config["digest"], config["seed"])
         written.append(csv_path)
     if not quiet:
         if result.failures:
@@ -756,24 +752,26 @@ def _load_config_file(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
 
 
-def _require_out_directory(out_base):
-    # checked before the run, so that a job never runs only to fail its write
+def _check_out(out_base, config_path):
+    """Config error unless the artifacts <out>.json and <out>.csv can be
+    written, checked before the run so that a job never runs only to fail its
+    write.  Neither may land on the input config ``config_path``: that would
+    destroy it and make the run unrepeatable."""
     directory = os.path.dirname(os.path.abspath(out_base))
     if not os.path.isdir(directory):
         raise ConfigError(f"out={out_base!r}: no directory {directory}")
     for path in (out_base + ".json", out_base + ".csv"):
         if os.path.isdir(path):
             raise ConfigError(f"out={out_base!r}: {path} is a directory")
-
-
-def _reject_config_overwrite(config_path, out_base):
-    # Artifacts land at <out>.json/<out>.csv; writing one over the input
-    # config would destroy it and make the run unrepeatable.
-    target = os.path.abspath(config_path)
-    for path in (out_base + ".json", out_base + ".csv"):
-        if os.path.abspath(path) == target:
-            raise ConfigError(
-                f"out={out_base!r} would overwrite the config file {config_path}")
+        try:
+            os.stat(path)
+        except FileNotFoundError:
+            pass
+        # a name the system refuses: a NUL byte, or a name or path too long
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"out={out_base!r} cannot be written: {exc}") from None
+        if config_path is not None and os.path.abspath(path) == os.path.abspath(config_path):
+            raise ConfigError(f"out={out_base!r} would overwrite the config file {config_path}")
 
 
 def _collect_config(args):
@@ -819,9 +817,7 @@ def main(argv=None):
         return 0 if exc.code == 0 else 1
     try:
         config = validate_config(_collect_config(args))
-        _require_out_directory(config["out"])
-        if args.config is not None:
-            _reject_config_overwrite(args.config, config["out"])
+        _check_out(config["out"], args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -324,10 +324,14 @@ DEEP_JSON = "[" * 100_000
     (["run", "bad.json"], b"\xff\xfe", None),
     (["counterexample", "--out", "missing/x"], None, None),
     (["counterexample", "--out", "x"], None, "x.json"),
+    (["run", "nul.json"], json.dumps({"kind": "counterexample", "out": "out/a\0b"}).encode(),
+     "out"),
+    (["counterexample", "--out", "a" * 300], None, None),
 ], ids=["flag-nested-too-deep", "config-nested-too-deep", "config-not-utf8",
-        "out-directory-missing", "out-artifact-is-a-directory"])
+        "out-directory-missing", "out-artifact-is-a-directory", "out-null-byte",
+        "out-name-too-long"])
 def test_malformed_input_fails_closed(tmp_path, cli_env, args, config, directory):
-    # each used to end in a traceback; the last two after running their job
+    # each used to end in a traceback; the last four after running their job
     if config is not None:
         (tmp_path / args[1]).write_bytes(config)
     if directory is not None:
@@ -398,6 +402,11 @@ def test_sampling_sweep_csv_has_exact_column(tmp_path):
 EIGHT_TERMS = {"rademacher": {"coefficients": [[n, 1 / math.sqrt(8)] for n in range(8)]}}
 
 
+def parsed(record):
+    """The uncertified generator the runners take for a generator record."""
+    return cli._check_generator("generator", record)
+
+
 @pytest.mark.parametrize("args", [
     ["validate-generator", "--generator",
      json.dumps({"step_function": {"breakpoints": [0, 1e308], "values": [1]}})],
@@ -416,17 +425,17 @@ def test_oversized_generator_is_a_config_error(tmp_path, cli_env, args):
 
 def test_work_cap_admits_the_benchmark_and_test_generators():
     # the benchmark's 8-coefficient generator folds to 8 units x 256 cells
-    assert cli._fold_work(EIGHT_TERMS, 16) == 8 * 256 * (8 + 33)
+    assert cli._fold_work(parsed(EIGHT_TERMS), 16) == 8 * 256 * (8 + 33)
     for kind, window in (("biorthogonality", 16), ("reconstruct", 8),
                          ("suppression-scan", 8), ("sampling-sweep", 4)):
         validate_config({"kind": kind, "params": {"generator": EIGHT_TERMS,
                                                   "window": window}})
     validate_config({"kind": "validate-generator", "params": {"generator": EIGHT_TERMS}})
     step = {"step_function": {"breakpoints": [0, 1e6], "values": [1e-3]}}
-    assert cli._fold_work(step, 0) > MAX_FOLD_WORK
+    assert cli._fold_work(parsed(step), 0) > MAX_FOLD_WORK
     # the benchmark's sweep samples 16 / (1/256) + 1 points at 9 coordinates
     sweep = {"generator": EIGHT_TERMS, "window": 4, "steps": [1 / 256, 0.37, 0.185]}
-    assert cli._sampling_work(sweep) == pytest.approx(
+    assert cli._sampling_work({**sweep, "generator": parsed(EIGHT_TERMS)}) == pytest.approx(
         sum(16 / h + 1 + 9 for h in sweep["steps"]) * 9)
     validate_config({"kind": "sampling-sweep", "params": sweep})
     # criterion 9's steps, and the window's schema maximum at the default steps
@@ -438,6 +447,33 @@ def test_work_cap_admits_the_benchmark_and_test_generators():
     validate_config({"kind": "biorthogonality", "params": {"window": 512}})
     with pytest.raises(ConfigError):
         validate_config({"kind": "biorthogonality", "params": {"window": 513}})
+
+
+@pytest.mark.parametrize("record, work, failure", [
+    # one unit of 2 sign cells, and of at most 3 cells (0, 1 and one per breakpoint)
+    ({"rademacher": {"coefficients": [[0, 1.0], [16384, 0.0]]}}, 1 * 2 * (1 + 1), None),
+    ({"step_function": {"breakpoints": [0, 1, 1000000], "values": [1.0, 0.0]}},
+     1 * 3 * (1 + 1), None),
+    ({"rademacher": {"coefficients": [[0, 0.0]]}}, 0, "coefficient vector is empty"),
+    ({"step_function": {"breakpoints": [0, 1], "values": [0.0]}}, 0,
+     "generator is the zero function"),
+], ids=["rademacher-trailing-zero", "step-trailing-zero-cell", "rademacher-zero",
+        "step-zero"])
+def test_work_cap_sizes_the_parsed_generator(tmp_path, record, work, failure):
+    # the cap reads the function, not the record's text: zero coefficients and
+    # zero end cells add no unit, and an empty support costs no work
+    assert cli._fold_work(parsed(record), 0) == work
+    out = tmp_path / "v"
+    code = main(["validate-generator", "--generator", json.dumps(record),
+                 "--out", str(out), "--quiet"])
+    report = json.loads((tmp_path / "v.json").read_text())["report"]
+    if failure is not None:
+        assert (code, report["failures"]) == (2, [failure])
+        return
+    assert code == 0
+    assert main(["validate-generator", "--generator", json.dumps(UNIT_GENERATOR),
+                 "--out", str(tmp_path / "unit"), "--quiet"]) == 0
+    assert report == json.loads((tmp_path / "unit.json").read_text())["report"]
 
 
 @pytest.mark.parametrize("step", ["1e-9", "0.001"])

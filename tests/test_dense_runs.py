@@ -117,8 +117,13 @@ def gaussian_record(seed, terms):
     return {"rademacher": {"coefficients": [[n, v] for n, v in enumerate(vals.tolist())]}}
 
 
+def certified(record):
+    """The Generator the CLI runs for a generator record."""
+    return cli._certify(cli._check_generator("generator", record))
+
+
 def gaussian_generator(seed, terms):
-    return cli._build_generator(gaussian_record(seed, terms))
+    return certified(gaussian_record(seed, terms))
 
 
 def with_specials(rng, array, specials):
@@ -232,8 +237,7 @@ def test_reconstruct_error_equals_the_coordinate_vector_route(tmp_path):
         assert cli.main(["run", str(path), "--out", str(tmp_path / f"out{terms}"),
                          "--quiet"]) == 0
         got = json.loads((tmp_path / f"out{terms}.json").read_text())["max_relative_error"]
-        want = reference_reconstruct_errors(cli._build_generator(record), window, 4, p_list,
-                                            seed)
+        want = reference_reconstruct_errors(certified(record), window, 4, p_list, seed)
         assert got == {str(p): err for p, err in want.items()}
         assert all(err > 0.0 for err in want.values()) == (terms > 1)
 

@@ -739,10 +739,9 @@ step_records = st.one_of(
 def test_the_fold_equals_the_merged_fold_wherever_the_cli_admitted_it(record):
     breakpoints, values = record
     try:
-        cli._require_step_record("record", {"breakpoints": breakpoints, "values": values})
+        f = cli._check_step_record("record", {"breakpoints": breakpoints, "values": values})
     except cli.ConfigError:
         return      # refused before any fold
-    f = StepFunction(breakpoints, values)
     k0, grid, table = _folded(f)
     old_k0, old_grid, old_table = merged_folded(f)
     assert np.all(_widths(grid) > 0)

@@ -34,7 +34,10 @@ three: the indicator of [0, 0.3), the Haar mother and a step function on
 sixteenths of [0, 1).  The wavelet-reconstruct run at M = 3,
 N = 8 is the benchmark's largest merge.
 
-Every config runs a second time with ``sum`` in each framelab module
+Every config runs a second time as subcommand flags (records as inline
+JSON, lists as comma-joined ``repr`` texts), and must match the same pins.
+
+Every config runs a third time with ``sum`` in each framelab module
 replaced by an emulation of Python 3.12's compensated ``sum()``
 (``compensated_sum``), and must match the same pins: no pinned float may
 rest on where a Python float sum rounds.
@@ -182,22 +185,50 @@ EXIT_CODES = {
 }
 
 
-def run(name, out_dir):
-    """Run config ``name`` through ``main``, writing into ``out_dir``; its exit code."""
-    config = out_dir / "config.json"
-    config.write_text(json.dumps(CONFIGS[name]))
-    return main(["run", str(config), "--out", str(out_dir / name), "--quiet"])
+def flag_text(value):
+    """The flag text of a config value: inline JSON for a record, comma-joined
+    ``repr`` for a list, and ``repr`` for a number."""
+    if isinstance(value, dict):
+        return json.dumps(value)
+    if isinstance(value, list):
+        return ",".join(map(repr, value))
+    return repr(value)
+
+
+def run(name, out_dir, form="config"):
+    """Run config ``name`` through ``main``, writing into ``out_dir``; its exit code.
+
+    In the ``"config"`` form the config goes in a config file; in the
+    ``"flags"`` form the same config goes as subcommand flags."""
+    config = CONFIGS[name]
+    if form == "config":
+        path = out_dir / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["run", str(path)]
+    else:
+        argv = [config["kind"], "--seed", str(config["seed"])]
+        if "tol" in config:
+            argv += ["--tol", repr(config["tol"])]
+        for param, value in config["params"].items():
+            argv += ["--" + param.replace("_", "-"), flag_text(value)]
+    return main([*argv, "--out", str(out_dir / name), "--quiet"])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_artifacts_match_the_pinned_copies(tmp_path, name):
-    assert run(name, tmp_path) == EXIT_CODES.get(name, 0)
+def test_artifacts_match_the_pinned_copies(tmp_path, name, form="config"):
+    assert run(name, tmp_path, form) == EXIT_CODES.get(name, 0)
     pinned = sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
     assert pinned, f"no pinned artifact for {name}"
     written = sorted(p.name for p in tmp_path.glob(f"{name}.*"))
     assert written == pinned
     for fname in pinned:
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_flag_runs_match_the_pinned_copies(tmp_path, name):
+    # the flag texts go through each Param's parse before its check
+    test_artifacts_match_the_pinned_copies(tmp_path, name, form="flags")
 
 
 def compensated_sum(iterable, /, start=0):
