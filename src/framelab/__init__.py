@@ -17,7 +17,7 @@ _SOURCES = {
                         "validate_generator", "young_check"),
     "pettis": ("unconditionality_scan",),
     "wavelet_frame": ("StudyRow", "WaveletSystem", "convergence_study",
-                      "reconstruction_identity_gap", "reconstruction_identity_gaps"),
+                      "reconstruction_identity_gaps"),
     "diagnostics": ("CompletenessReport", "CounterexampleReport", "DiscreteFrame",
                     "SpaceTag", "boundedly_complete_probe", "counterexample_frame",
                     "counterexample_report", "tail_dual_norm", "unit_vector_frame"),

@@ -245,7 +245,7 @@ def _check_target(name, value):
         target = haar_mother()
     elif key == "indicator":
         if (not isinstance(body, list) or len(body) != 2
-                or not all(_is_real(v) for v in body) or not body[0] < body[1]):
+                or not all(_is_real(v) for v in body) or not float(body[0]) < float(body[1])):
             raise ConfigError(f"{name}.indicator must be [a, b] with finite a < b")
         target = StepFunction.indicator(float(body[0]), float(body[1]))
     elif key == "step_function":

@@ -70,9 +70,6 @@ class DiscreteFrame:
     pairs: tuple
     space: SpaceTag
 
-    def __len__(self):
-        return len(self.pairs)
-
     @functools.cached_property
     def _coordinate_index(self):
         """Coordinate n -> [j, f_j[n], j', f_j'[n], ...] over the pairs whose

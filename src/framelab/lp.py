@@ -106,9 +106,6 @@ class CoordinateVector:
     def __getitem__(self, n):
         return self._entries.get(n, 0)
 
-    def __len__(self):
-        return len(self._entries)
-
     def is_zero(self):
         return not self._entries
 
@@ -154,9 +151,6 @@ class CoordinateVector:
         if not isinstance(other, CoordinateVector):
             return NotImplemented
         return self._entries == other._entries
-
-    def __hash__(self):
-        return hash(tuple(self._entries.items()))
 
     def __repr__(self):
         body = ", ".join(f"{n}: {v}" for n, v in self.items())

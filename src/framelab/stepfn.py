@@ -54,8 +54,7 @@ def _merge(points, magnitude=None):
     of the one before it merged into that one; ``magnitude`` defaults to the
     largest |point|.  Every cell grid but the unit fold's is built by this
     rule: here, or row by row in ``wavelet_frame._merged`` and ``_placed``,
-    which sort several rows at once (``_merged`` calls this for a single
-    row), each of which the tests hold equal to this.
+    which sort several rows at once and which the tests hold equal to this.
 
     One sort and one gap mask: an exact duplicate has gap 0 and is dropped,
     and the point after it sees the same gap as after the first copy."""
@@ -211,12 +210,6 @@ class StepFunction:
     def add(self, other):
         return StepFunction(*_combined((self.breakpoints, self.values),
                                        (other.breakpoints, other.values), np.add))
-
-    def scale(self, c):
-        c = float(c)
-        if c == 0.0 or self.values.size == 0:
-            return StepFunction()
-        return StepFunction(self.breakpoints, self.values * c)
 
     # -- integrals and norms -------------------------------------------------
 

@@ -6,14 +6,14 @@ members the conjugate-exponent normalization of the dual wavelet.  The
 continuous parameters (a, b) are snapped to a resolution-N lattice whose
 translation step scales with the integer part of a; on each lattice cell
 the snapped member is constant, so the double integral of coefficient
-times member over the box [-M, M]^2 collapses to an exact finite sum
-(``box_reconstruct``).
+times member over the box [-M, M]^2 collapses to an exact finite sum, the
+box sum (``_box_sums``).
 
 An independent route to the same sum conjugates the target by the
 fractional dilation-translation pair, applies the plain integer-grid
-partial reconstruction, transforms back and averages
-(``averaged_conjugate_reconstruction``).  The two agree up to float
-rounding; their difference is the identity check the experiments report.
+partial reconstruction, transforms back and averages (``_averaged_sums``).
+The two agree up to float rounding; their difference is the identity check
+the experiments report.
 The reconstruction error of the box sum is bounded by the worst conjugated
 partial-sum error, which is what ``convergence_study`` tabulates.
 
@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .stepfn import MERGE_ULPS, StepFunction, _merge, _widths, haar_mother
+from .stepfn import MERGE_ULPS, StepFunction, _widths, haar_mother
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,10 +53,6 @@ class WaveletSystem:
         # a NaN fails both comparisons; an infinite p has no finite conjugate
         if not 1.0 < self.p < math.inf:
             raise ValueError("p must exceed 1 and be finite")
-
-    @property
-    def p_conj(self):
-        return self.p / (self.p - 1.0)
 
     @classmethod
     def haar(cls, p):
@@ -85,8 +81,8 @@ class WaveletSystem:
 # Members come in row order, so a row's members, and its cells of a merged
 # grid, are one contiguous run: the per-row steps, np.interp and
 # np.add.reduce, take each run (``_runs``).  A single target is the one-row
-# case, in which the merge is ``_merge`` of the points, and a sort, a search
-# and the cumulative sum take the points alone.
+# case, in which the merge takes ``_merge``'s magnitude, and the argsort and
+# the cumulative sum of a jump sum take the points alone.
 #
 # A job is a list of boxes (ws, M, N): the system, whose p is the box's
 # exponent, the box [-M, M]^2 and the resolution N.  Its boxes share one
@@ -240,6 +236,7 @@ def _kept(grid, count):
     rows, points = grid.real, grid.imag
     keep = np.empty(grid.size, dtype=bool)
     keep[:1] = True
+    # one row takes no per-row maxima: two cap-sized rows peak at 6.5 MB traced, 7.2 without
     if count == 1:
         starts = _ROW_0[:grid.size]
         if grid.size > 1:
@@ -253,14 +250,11 @@ def _kept(grid, count):
 
 
 def _merged(keys, count):
-    """``_merge`` within each of the ``count`` rows of the points in ``keys``.
+    """``stepfn._merge`` within each of the ``count`` rows of the points in ``keys``.
 
     Returns ``(grid, starts)``: the row-tagged grid points and where each
-    row starts among them, from one sort; one row is ``_merge`` of its
-    points.
+    row starts among them, from one sort.
     """
-    if count == 1:
-        return _keys(0, _merge(keys.imag)), _ROW_0[:keys.size]
     grid = np.sort(keys)
     keep, starts = _kept(grid, count)
     return grid[keep], keep.cumsum()[starts] - 1
@@ -270,6 +264,7 @@ def _placed(keys, count):
     """``_merged``'s ``(grid, starts)`` of ``keys``, and for each key the index of
     the grid point it merged into, the last at or below it, read off the
     argsort that builds the grid: one row argsorts its points alone."""
+    # float keys sort 3x faster than complex at a cap-sized row; no memory bound rests here
     order = keys.imag.argsort() if count == 1 else keys.argsort()
     grid = keys[order]
     del keys     # a batch of rows holds many points
@@ -279,14 +274,6 @@ def _placed(keys, count):
     at = np.empty(order.size, dtype=np.intp)
     at[order] = index
     return grid, index[starts], at
-
-
-def _search(keys, queries, count):
-    """How many of the sorted ``keys`` lie at or below each of ``queries``, both
-    row-tagged, in ``count`` rows; one row is searched by its points alone."""
-    if count == 1:
-        return keys.imag.searchsorted(queries.imag, side="right")
-    return keys.searchsorted(queries, side="right")
 
 
 def _jump_sum(rows, bp, vals, count):
@@ -309,6 +296,7 @@ def _jump_sum(rows, bp, vals, count):
     jumps = np.bincount(at.ravel(), _widths(padded).ravel(), grid.size)
     covering = (np.bincount(at[:, 0], minlength=grid.size)
                 - np.bincount(at[:, -1], minlength=grid.size)).cumsum()
+    # one row needs no padded table; no memory bound rests here, the peak comes earlier
     if count == 1:
         running = jumps.cumsum()
     else:
@@ -353,8 +341,8 @@ def _differences(f, g, count):
     rows, points = grid.real, grid.imag
     cell = rows[:-1] == rows[1:]
     mids = _keys(rows[:-1], 0.5 * (points[:-1] + points[1:]))[cell]
-    fm = np.concatenate(([0.0], f[1]))[_search(f[0], mids, count)]
-    gm = np.concatenate(([0.0], g[1]))[_search(g[0], mids, count)]
+    fm = np.concatenate(([0.0], f[1]))[f[0].searchsorted(mids, side="right")]
+    gm = np.concatenate(([0.0], g[1]))[g[0].searchsorted(mids, side="right")]
     return grid, cell, mids.real, fm - gm
 
 
@@ -386,12 +374,6 @@ def _cells(rows, xb, xv):
     values = np.zeros(xb.shape)
     values[:, :xv.shape[1]] = xv
     return _keys(rows, xb), values.ravel()
-
-
-def _function(cells):
-    """Row-tagged cells of a single row as a StepFunction."""
-    keys, values = cells
-    return StepFunction(keys.imag, values[:-1])
 
 
 def _lattice_sums(ws, x, lattices):
@@ -445,24 +427,6 @@ def _averaged_sums(x, boxes):
 # -- reconstructions ---------------------------------------------------------------
 
 
-def box_reconstruct(ws, x, M, N):
-    """Exact value of the snapped reconstruction integral over the box [-M, M]^2.
-
-    The snapped member is constant on each parameter lattice cell of area
-    1/N^2, so the double integral equals the cell sum
-    N^-2 * sum over r, s, l, m of coefficient times primal member, with the
-    snapped parameters a = l + r/N and b = m + s * 2^l / N.
-    """
-    [(_, _, cells)] = _box_sums(x, [(ws, M, N)])
-    return _function(cells)
-
-
-def averaged_conjugate_reconstruction(ws, x, M, N):
-    """Second route to the box sum: conjugate, reconstruct on the integer grid,
-    transform back, average over the N^2 fractional offsets."""
-    return _function(_averaged_sums(x, [(ws, M, N)]))
-
-
 def reconstruction_identity_gaps(systems, x, M_list, N_list):
     """Lp distance between the direct box sum and the conjugate-averaged route
     for every system, M and N, in that order, in one pass.
@@ -484,12 +448,6 @@ def reconstruction_identity_gaps(systems, x, M_list, N_list):
     return gaps
 
 
-def reconstruction_identity_gap(ws, x, M, N):
-    """Lp distance between the direct box sum and the conjugate-averaged route."""
-    [gap] = reconstruction_identity_gaps([ws], x, [M], [N])
-    return gap
-
-
 @dataclasses.dataclass(frozen=True)
 class StudyRow:
     M: int
@@ -502,7 +460,7 @@ class StudyRow:
 def convergence_study(ws, x, M_list, N_list):
     """Error table for box reconstruction of x over a grid of (M, N).
 
-    ``error`` is ||x - box_reconstruct||_p.  ``oracle_bound`` is the worst
+    ``error`` is ||x - box sum||_p.  ``oracle_bound`` is the worst
     conjugated partial-sum error max_{r,s} ||y_{r,s} - P_M y_{r,s}||_p,
     which dominates the error because the fractional dilation-translation
     pair is an isometry of Lp.  The box sums of all rows take their sums and

@@ -40,7 +40,7 @@ from framelab import (
     convergence_study,
     counterexample_report,
     haar_mother,
-    reconstruction_identity_gap,
+    reconstruction_identity_gaps,
     sampling_sweep,
     synthesis_over_set,
     tail_dual_norm,
@@ -155,12 +155,9 @@ def test_criterion_04_series_norm_bound():
 def test_criterion_05_reconstruction_identity():
     start = time.perf_counter()
     x = StepFunction.indicator(0.0, 0.3)
-    worst = 0.0
-    for p in P_GRID:
-        ws = WaveletSystem.haar(p)
-        for M in (1, 2, 3):
-            for N in (1, 2, 4):
-                worst = max(worst, reconstruction_identity_gap(ws, x, M, N))
+    gaps = reconstruction_identity_gaps([WaveletSystem.haar(p) for p in P_GRID], x,
+                                        (1, 2, 3), (1, 2, 4))
+    worst = max(gaps)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert elapsed < 60.0

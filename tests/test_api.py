@@ -1,13 +1,24 @@
-"""The public API holds only what the experiments and the acceptance criteria use.
+"""The library holds only what the experiments and the acceptance criteria run.
 
 Every name in ``framelab.__all__`` must be read, as a name or as an
 attribute, somewhere in the library modules (which the CLI experiments
-run) or in the acceptance criteria.  So must every public method of the
-value types ``StepFunction`` and ``CoordinateVector``, read as an attribute
-that is not numpy's (``np.multiply`` is not a read of a ``multiply``
-method).  A definition and an import do not count as a use.  The package
-binds each name on first access (PEP 562), and a name resolves to the
-object its own module defines.
+run) or in the acceptance criteria; a definition and an import do not count
+as a use.  The package binds each name on first access (PEP 562), and a
+name resolves to the object its own module defines.
+
+Every function and method defined in ``src/framelab`` must be called when
+every ``tests/test_golden.py`` config runs through that file's ``run`` and
+acceptance criteria 1-9 run, all in one fresh interpreter under
+``sys.setprofile`` (criterion 10 runs the CLI in subprocesses, which the
+profiler does not see).  A fresh interpreter, so that what runs when a
+module is imported counts.  ``EXEMPT`` names the functions no experiment
+calls that stay, each with its reason; an exempt function that comes to be
+called needs no exemption, and fails the rule too.
+
+Run as a script, ``python tests/test_api.py`` prints each function that was
+never called, as ``module:line qualname``, exempt ones with their reason,
+and exits nonzero if the rule fails; the rule's failure message is the
+same lines.
 """
 
 import ast
@@ -16,16 +27,43 @@ import json
 import pathlib
 import subprocess
 import sys
-import types
+import tempfile
 
 import pytest
 
-import framelab
-from framelab import CoordinateVector, StepFunction
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-USERS = [path for path in sorted((ROOT / "src" / "framelab").glob("*.py"))
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+
+import framelab  # noqa: E402
+
+PACKAGE = ROOT / "src" / "framelab"
+USERS = [path for path in sorted(PACKAGE.glob("*.py"))
          if path.name != "__init__.py"] + [ROOT / "tests" / "test_acceptance.py"]
+CRITERIA = [f"test_criterion_{i:02d}_" for i in range(1, 10)]
+
+# functions no experiment or criterion calls, kept, as module:qualname
+EXEMPT = {
+    "framelab.stepfn:StepFunction.add":
+        "the benchmark's tracer test wraps it (bench/tests/test_perfbench.py)",
+    "framelab.stepfn:StepFunction.inner":
+        "the exact integral of a product the wavelet and lattice kernels must match",
+    "framelab.stepfn:_combined": "the one merge behind inner and add",
+    "framelab.stepfn:StepFunction.lp_norm":
+        "the Lp norm the wavelet and lattice tests measure reconstruction errors with",
+    "framelab.stepfn:StepFunction.__eq__":
+        "reconstruction_identity_gaps compares mothers that are equal but distinct objects",
+    "framelab.stepfn:StepFunction.__repr__": "a readable object in a failing test",
+    "framelab.lp:CoordinateVector.__repr__": "a readable object in a failing test",
+    "framelab.stepfn:StepFunction.__setattr__": "the immutability guard only refuses writes",
+    "framelab.lp:CoordinateVector.__setattr__": "the immutability guard only refuses writes",
+    "framelab.cli:console_main": "the installed entry point; a subprocess test runs it",
+    "framelab:__dir__": "dir(framelab); a subprocess test reads it",
+    "framelab.translate_frame:_young_chunk.<locals>.recertify":
+        "runs only when a chunk's array certificate fails",
+    "framelab.diagnostics:DiscreteFrame._coordinate_index":
+        "indexes a frame whose builder hands no index over; no experiment builds one",
+}
 
 
 def used_names(path):
@@ -43,33 +81,90 @@ def test_every_public_name_is_used_by_an_experiment_or_a_criterion():
     assert sorted(set(framelab.__all__) - used) == []
 
 
-VALUE_TYPES = (StepFunction, CoordinateVector)
+def defined_functions():
+    """Every ``def`` in the package: (file, first line of its code) -> (module,
+    def line, qualname).  A code object's first line is its first
+    decorator's."""
+    found = {}
 
-# methods no experiment reads, kept as the tests' named oracles
-ORACLES = {
-    "inner": "the exact integral of a product the wavelet and lattice kernels must match",
-    "lp_norm": "the Lp norm the wavelet and lattice tests measure reconstruction errors with",
-}
+    def visit(node, module, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, path, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                found[str(path), first] = (module, child.lineno, prefix + child.name)
+                visit(child, module, path, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, module, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "framelab" if path.stem == "__init__" else f"framelab.{path.stem}"
+        visit(ast.parse(path.read_text(), filename=str(path)), module, path.resolve(), "")
+    return found
 
 
-def public_methods(cls):
-    return {name for name, value in vars(cls).items() if not name.startswith("_")
-            and isinstance(value, (types.FunctionType, classmethod, staticmethod))}
+def called_code(run):
+    """(file, first line) of every Python function called while ``run()`` runs."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return {(code.co_filename, code.co_firstlineno) for code in codes}
 
 
-def used_methods(path):
-    """The attribute names read in ``path``, numpy's aside."""
-    return {node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.Attribute)
-            and not (isinstance(node.value, ast.Name) and node.value.id == "np")}
+def run_experiments():
+    """Every golden config, through ``test_golden.run``, then criteria 1-9."""
+    import test_golden
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(test_golden.CONFIGS):
+            out_dir = pathlib.Path(tmp) / name
+            out_dir.mkdir()
+            code = test_golden.run(name, out_dir)
+            assert code == test_golden.EXIT_CODES.get(name, 0), (name, code)
+    import test_acceptance
+    for prefix in CRITERIA:
+        [criterion] = [f for n, f in vars(test_acceptance).items() if n.startswith(prefix)]
+        criterion()
 
 
-def test_every_public_method_is_used_by_an_experiment_or_a_criterion():
-    used = set().union(*(used_methods(path) for path in USERS))
-    methods = set().union(*(public_methods(cls) for cls in VALUE_TYPES))
-    assert sorted(methods - used - set(ORACLES)) == []
-    # an oracle that an experiment comes to read needs no exception
-    assert sorted(set(ORACLES) & used) == []
+def reachability():
+    """(lines, ok): a ``module:line qualname`` line for each function never
+    called, and for each exempt one that was, and whether the rule holds.
+    An exemption that names no function fails the rule too."""
+    called = called_code(run_experiments)
+    defined = defined_functions()
+    names = {f"{module}:{qualname}" for module, _, qualname in defined.values()}
+    lines = [f"{name}  # exempt, but no such function" for name in EXEMPT if name not in names]
+    ok = not lines
+    for key, (module, line, qualname) in sorted(defined.items(), key=lambda item: item[1]):
+        name = f"{module}:{qualname}"
+        text = f"{module}:{line} {qualname}"
+        if key not in called and name in EXEMPT:
+            lines.append(f"{text}  # exempt: {EXEMPT[name]}")
+        elif key not in called:
+            lines.append(text)
+            ok = False
+        elif name in EXEMPT:
+            lines.append(f"{text}  # exempt, but called")
+            ok = False
+    return lines, ok
+
+
+def test_every_function_runs_in_an_experiment_or_a_criterion(cli_env):
+    # the modules are imported afresh under the profiler, so import-time
+    # calls count, and criteria 1-9 print their PASS lines to a pipe
+    proc = subprocess.run([sys.executable, __file__], env=cli_env,
+                          capture_output=True, text=True, timeout=600)
+    assert [line for line in proc.stdout.splitlines() if "# exempt: " not in line] == []
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_public_name_resolves_to_the_object_its_module_defines():
@@ -99,3 +194,12 @@ def test_star_import_and_dir_list_every_public_name(tmp_path, cli_env):
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         framelab.no_such_name
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    with contextlib.redirect_stdout(io.StringIO()):
+        lines, ok = reachability()
+    print("\n".join(lines))
+    sys.exit(0 if ok else 1)

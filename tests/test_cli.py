@@ -327,9 +327,12 @@ DEEP_JSON = "[" * 100_000
     (["run", "nul.json"], json.dumps({"kind": "counterexample", "out": "out/a\0b"}).encode(),
      "out"),
     (["counterexample", "--out", "a" * 300], None, None),
+    # integer ends 2^53 and 2^53 + 1 round to one float
+    (["wavelet-identity", "--target",
+      json.dumps({"indicator": [9007199254740992, 9007199254740993]})], None, None),
 ], ids=["flag-nested-too-deep", "config-nested-too-deep", "config-not-utf8",
         "out-directory-missing", "out-artifact-is-a-directory", "out-null-byte",
-        "out-name-too-long"])
+        "out-name-too-long", "indicator-ends-round-to-one-float"])
 def test_malformed_input_fails_closed(tmp_path, cli_env, args, config, directory):
     # each used to end in a traceback; the last four after running their job
     if config is not None:

@@ -411,7 +411,7 @@ def test_suppression_bound_of_triple_frame():
 
 def test_counterexample_frame_structure():
     frame = counterexample_frame(3)
-    assert len(frame) == 9
+    assert len(frame.pairs) == 9
     assert frame.space == SpaceTag.c0()
     with pytest.raises(ValueError):
         counterexample_frame(0)
@@ -506,7 +506,7 @@ def test_counterexample_restricted_sum_is_all_ones():
     frame = counterexample_frame(K)
     thirds = [j for j in range(len(frame.pairs)) if (j + 1) % 3 == 0]
     candidate = frame.reconstruct(CoordinateVector.unit(1), thirds)
-    assert len(candidate) == K
+    assert len(candidate.support()) == K
     assert all(candidate[j] == 1 for j in range(1, K + 1))
 
 

@@ -54,7 +54,7 @@ from framelab import cli, translate_frame
 from framelab.translate_frame import (VALIDATION_TOL, Generator, GeneratorRejected,
                                       _certified, _series, _synthesis)
 
-from reference_orbit import translate
+from reference_orbit import scale, translate
 
 
 def translate_series(f, x):
@@ -84,7 +84,7 @@ def left_fold(funcs):
 
 def reference_translate_series(f, x):
     """sum_n x_n * f(. - n) as a step function."""
-    return left_fold([translate(f, n).scale(c) for n, c in x.items()])
+    return left_fold([scale(translate(f, n), c) for n, c in x.items()])
 
 
 def reference_ortho_residual(f, lag_range):
@@ -185,7 +185,7 @@ def reference_rademacher_function(spec):
     coeffs = spec.coefficients
     pieces = []
     for rank, (n, a) in enumerate(coeffs.items()):
-        pieces.append(translate(reference_sign_pattern(rank + spec.resolution), n).scale(a))
+        pieces.append(scale(translate(reference_sign_pattern(rank + spec.resolution), n), a))
     return left_fold(pieces)
 
 
@@ -351,7 +351,7 @@ def test_periodized_sup_matches_reference():
         g = gaussian_generator(rng, int(rng.integers(1, 8)))
         # same cells, same per-column order (increasing unit): bit for bit
         assert periodized_sup(g.f) == reference_periodized_l1_sup(g.f)
-        shifted = translate(g.f, 0.375).scale(-1.5)
+        shifted = scale(translate(g.f, 0.375), -1.5)
         assert periodized_sup(shifted) == reference_periodized_l1_sup(shifted)
 
 

@@ -61,24 +61,23 @@ from framelab import (
     WaveletSystem,
     convergence_study,
     haar_mother,
-    reconstruction_identity_gap,
     reconstruction_identity_gaps,
 )
 from framelab import wavelet_frame
 from framelab.cli import main
 from framelab.stepfn import _EMPTY, MERGE_ULPS, _canonicalize, _combined, _merge, _widths
 from framelab.wavelet_frame import (_ROW_0, _box_lattice, _canonical, _cells, _coefficients,
-                                    _conjugate_groups, _function, _jump_sum, _keys,
-                                    _lattice_sums, _lp_distances, _members, _merged, _pairs,
-                                    _placed, _runs, averaged_conjugate_reconstruction,
-                                    box_reconstruct)
+                                    _conjugate_groups, _jump_sum, _keys, _lattice_sums,
+                                    _lp_distances, _members, _merged, _pairs, _placed, _runs)
 
-from reference_orbit import dilate, member, translate
+from reference_boxes import (averaged_conjugate_reconstruction, box_reconstruct, function,
+                             reconstruction_identity_gap)
+from reference_orbit import dilate, member, p_conj, scale, translate
 
 
 def _lattice_sum(ws, x, a, b, weight):
     """weight * sum_k <x, dual(a_k, b_k)> primal(a_k, b_k) as one step function."""
-    return _function(_lattice_sums(ws, x, [(a, b, ws.p, weight)]))
+    return function(_lattice_sums(ws, x, [(a, b, ws.p, weight)]))
 
 
 # -- the replaced per-member code, verbatim ---------------------------------------
@@ -103,7 +102,7 @@ def reference_discrete_partial_reconstruct(ws, x, M):
         for m in range(-M, M):
             coef = x.inner(member(ws, l, m, "dual"))
             if coef != 0.0:
-                terms.append(member(ws, l, m, "primal").scale(coef))
+                terms.append(scale(member(ws, l, m, "primal"), coef))
     return reference_sum(terms)
 
 
@@ -118,7 +117,7 @@ def reference_box_reconstruct(ws, x, M, N):
                     b = m + s * (2.0 ** l) / N
                     coef = x.inner(member(ws, a, b, "dual"))
                     if coef != 0.0:
-                        terms.append(member(ws, a, b, "primal").scale(coef * weight))
+                        terms.append(scale(member(ws, a, b, "primal"), coef * weight))
     return reference_sum(terms)
 
 
@@ -136,17 +135,17 @@ def reference_averaged_conjugate_reconstruction(ws, x, M, N):
     terms = []
     for r, s, _, partial in reference_conjugated_targets(ws, x, M, N):
         back = dilate(translate(partial, s / N), r / N, ws.p)
-        terms.append(back.scale(weight))
+        terms.append(scale(back, weight))
     return reference_sum(terms)
 
 
 def reference_study_row(ws, x, M, N):
     """(error, oracle_bound) of one convergence_study row."""
     approx = reference_box_reconstruct(ws, x, M, N)
-    error = x.add(approx.scale(-1.0)).lp_norm(ws.p)
+    error = x.add(scale(approx, -1.0)).lp_norm(ws.p)
     bound = 0.0
     for _, _, y, partial in reference_conjugated_targets(ws, x, M, N):
-        bound = max(bound, y.add(partial.scale(-1.0)).lp_norm(ws.p))
+        bound = max(bound, y.add(scale(partial, -1.0)).lp_norm(ws.p))
     return error, bound
 
 
@@ -161,7 +160,7 @@ def reference_grid_partial_sum(ws, x, M, N, keep):
         b = m + s * (2.0 ** l) / N
         coef = x.inner(member(ws, a, b, "dual"))
         if coef != 0.0:
-            terms.append(member(ws, a, b, "primal").scale(coef * weight))
+            terms.append(scale(member(ws, a, b, "primal"), coef * weight))
     return reference_sum(terms)
 
 
@@ -224,7 +223,7 @@ NON_DYADIC = StepFunction([-0.3, 0.1, 0.65, 1.7], [0.9, -1.3, 0.4])
 
 
 def gap(f, g, p):
-    return f.add(g.scale(-1.0)).lp_norm(p)
+    return f.add(scale(g, -1.0)).lp_norm(p)
 
 
 def systems():
@@ -289,7 +288,7 @@ def test_biorthogonality_residual_matches_reference():
                    pv * 2.0 ** (n[:, None] / ws.p))
         rows = np.arange(n.size).repeat(n.size)
         gram = _coefficients(ws, *targets, np.tile(n, n.size), np.tile(k, n.size), rows,
-                             ws.p_conj)
+                             p_conj(ws))
         gaps = np.abs(gram.reshape(n.size, n.size) - np.eye(n.size))
         assert float(np.max(gaps)) == pytest.approx(
             reference_biorthogonality_residual(ws, 2), rel=1e-12, abs=1e-15)
@@ -503,7 +502,7 @@ def two_routes_gap(ws, x, M, N):
     """The identity gap as the difference of the two routes' step functions: the
     one-box definition the batched pass replaced."""
     return box_reconstruct(ws, x, M, N).add(
-        averaged_conjugate_reconstruction(ws, x, M, N).scale(-1.0)).lp_norm(ws.p)
+        scale(averaged_conjugate_reconstruction(ws, x, M, N), -1.0)).lp_norm(ws.p)
 
 
 # breakpoints on eighths, in whose sums the box and the averaged routes
@@ -663,7 +662,7 @@ ORACLE = settings(max_examples=40, deadline=None)
 def exact_setup(target, mother, dual, exps, lattice):
     p, q, step = exps
     ws = WaveletSystem(dyadic_step(*mother), dyadic_step(*dual), float(p))
-    assert ws.p_conj == float(q)
+    assert p_conj(ws) == float(q)
     a = np.array([float(step * u) for u, _ in lattice])
     b = np.array([v / 4 for _, v in lattice])
     return ws, dyadic_step(*target), a, b
@@ -688,11 +687,11 @@ def test_coefficients_are_exact(target, mother, dual, exps, lattice, N):
     ws, x, a, b = exact_setup(target, mother, dual, exps, lattice)
     # one kernel call for x alone, one for all its rows
     alone = _coefficients(ws, x.breakpoints[None], x.values[None], a, b,
-                          np.zeros(a.size, dtype=np.intp), ws.p_conj)
+                          np.zeros(a.size, dtype=np.intp), p_conj(ws))
     xb, xv, rows = dyadic_rows(x, N)
     together = _coefficients(ws, xb, xv, np.tile(a, len(rows)), np.tile(b, len(rows)),
                              np.arange(len(rows)).repeat(a.size),
-                             ws.p_conj).reshape(len(rows), a.size)
+                             p_conj(ws)).reshape(len(rows), a.size)
     for got, xf in [(alone, as_fractions(x))] + list(zip(together, rows)):
         for k in range(a.size):
             dual_k = exact_member(as_fractions(ws.dual_mother), int(a[k]),

@@ -233,7 +233,7 @@ def test_restricted_lattice_sums_respect_suppression_constant():
         coords = rng.choice(np.arange(-WINDOW, WINDOW + 1), 3, replace=False)
         x = CoordinateVector({int(n): float(v)
                               for n, v in zip(coords, rng.standard_normal(3))})
-        positions = [j for j in range(len(frame)) if rng.random() < 0.5]
+        positions = [j for j in range(len(frame.pairs)) if rng.random() < 0.5]
         restricted = frame.reconstruct(x, positions)
         assert frame.space.norm(restricted) <= (
             g.suppression_constant * x.norm(2.0) + 1e-8)

