@@ -535,7 +535,7 @@ def _run_young_fuzz(params, seed, tol):
             size = int(rng.integers(1, params["max_terms"] + 1))
             idx = rng.choice(np.arange(-3, 4), size=size, replace=False)
             vals = rng.standard_normal(size)
-            vals /= math.sqrt(float(np.dot(vals, vals)))
+            vals /= math.sqrt(float(np.add.reduce(vals * vals)))
             size = int(rng.integers(1, 7))
             shifts = rng.choice(np.arange(-6, 7), size=size, replace=False)
             yield (dict(zip(idx.tolist(), vals.tolist())),

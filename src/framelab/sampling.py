@@ -67,17 +67,14 @@ def reconstruction_matrix(g, plan, window):
 
     Row n holds the coordinates of sum_j h * f_{t_j}(e_n) * x_{t_j}, which
     is the Riemann sum approximation of the restricted reconstruction
-    integral.  Built with sequential dot products so reruns are bit stable.
+    integral.  Each entry is one np.add.reduce of the products of two
+    coefficient columns, along contiguous memory, so reruns are bit stable.
     """
-    ts = plan.points()
-    _, rows = _coefficient_rows(g, ts, window)
-    size = rows.shape[1]
-    mat = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i, size):
-            val = plan.step * float(np.dot(rows[:, i], rows[:, j]))
-            mat[i, j] = val
-            mat[j, i] = val
+    cols = _coefficient_rows(g, plan.points(), window)[1].T.copy()
+    mat = np.zeros((len(cols), len(cols)))
+    for i in range(len(cols)):
+        mat[i, i:] = plan.step * np.add.reduce(cols[i] * cols[i:], axis=1)
+        mat[i:, i] = mat[i, i:]
     return mat
 
 
@@ -97,6 +94,9 @@ def sampling_sweep(g, steps, window, p=2.0, exact_tol=1e-10):
     with the generator grid come out exact; refining an incommensurate
     step shrinks the error.
     """
+    # a NaN fails both comparisons; below 1 the sum is no norm
+    if not 1.0 <= p < math.inf:
+        raise ValueError("p must be at least 1 and finite")
     rows = []
     span = default_window(g, window)
     for h in steps:

@@ -125,7 +125,7 @@ def _abs_integrals(cells, counts, width):
     that hold cells[d, :counts[d]], the first and the last nonzero.
 
     Equal neighbours merge as in :func:`_canonicalize`, and each sum is the
-    ``np.dot`` of |value| and width over the merged cells that
+    np.add.reduce of |value| times width over the merged cells that
     ``abs_integral`` takes, so the bits are the same.  A merged width is a
     whole number of cells, so exact."""
     new = np.ones(cells.shape, dtype=bool)
@@ -135,8 +135,8 @@ def _abs_integrals(cells, counts, width):
     cuts = np.searchsorted(at, rows)
     ends = np.append(at[1:], 0)
     ends[cuts[1:] - 1] = rows[:-1] + counts
-    values, widths = np.abs(cells.ravel()[at]), (ends - at) * width
-    return [float(np.dot(values[lo:hi], widths[lo:hi]))
+    terms = np.abs(cells.ravel()[at]) * ((ends - at) * width)
+    return [float(np.add.reduce(terms[lo:hi]))
             for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
 
 
@@ -217,15 +217,15 @@ class StepFunction:
         """Integral of |f|; the L1 norm."""
         if self.values.size == 0:
             return 0.0
-        return float(np.dot(np.abs(self.values), _widths(self.breakpoints)))
+        return float(np.add.reduce(np.abs(self.values) * _widths(self.breakpoints)))
 
     def lp_norm(self, p):
         if not p >= 1:
             raise ValueError("lp_norm requires p >= 1")
         if self.values.size == 0:
             return 0.0
-        lens = _widths(self.breakpoints)
-        return float(np.dot(np.abs(self.values) ** p, lens) ** (1.0 / p))
+        return float(np.add.reduce(np.abs(self.values) ** p * _widths(self.breakpoints))
+                     ** (1.0 / p))
 
     def inner(self, other):
         """Exact integral of the pointwise product of two step functions."""
@@ -233,7 +233,7 @@ class StepFunction:
             return 0.0
         grid, product = _combined((self.breakpoints, self.values),
                                   (other.breakpoints, other.values), np.multiply)
-        return float(np.dot(product, _widths(grid)))
+        return float(np.add.reduce(product * _widths(grid)))
 
     # -- comparisons ---------------------------------------------------------
 

@@ -24,9 +24,9 @@ StepFunction or CoordinateVector per draw.  Its draws go in groups of one
 depth s on their own 2^s cells, and each group's folds and series are
 zero-padded; x + 0 is x, so the padding moves no bit of a row-by-row sum.
 A sum whose order depends on its length runs on its own cells (a run's
-lhs; a draw's L1 norm, by the ``np.dot`` of ``StepFunction.abs_integral``,
-the one BLAS sum here), so every bound equals the per-draw code's.  Only
-the Gram lags run padded, within a few roundings of a draw's own: they
+lhs; a draw's L1 norm, by the np.add.reduce of
+``StepFunction.abs_integral``), so every bound equals the per-draw code's.
+Only the Gram lags run padded, within a few roundings of a draw's own: they
 just gate the chunk, which a failure certifies again draw by draw, so a
 reported residual is always summed on a generator's own cells.
 """
@@ -101,6 +101,11 @@ class RademacherSpec:
     resolution: int = 1
 
 
+def _check_lag_range(lag_range):
+    if not (lag_range is None or isinstance(lag_range, (int, np.integer)) and lag_range >= 0):
+        raise ValueError(f"lag_range must be a nonnegative integer or None, got {lag_range!r}")
+
+
 def _certified(f, fold, lag_range, tol):
     """f, whose unit fold is ``fold``, certified as a Generator over Gram lags
     up to ``lag_range`` (None: the width of the support) at ``tol``, or raise
@@ -129,6 +134,7 @@ def _certified(f, fold, lag_range, tol):
 def validate_generator(f, lag_range=None, tol=VALIDATION_TOL):
     """A Generator certified over Gram lags up to ``lag_range`` (None: the width
     of the support) at ``tol``, or raise GeneratorRejected."""
+    _check_lag_range(lag_range)
     return _certified(f, _folded(f), lag_range, tol)
 
 
@@ -153,6 +159,7 @@ def build_rademacher_generator(spec, lag_range=None, tol=VALIDATION_TOL):
     certification, with a report at ``lag_range`` (None: the units the
     support spans) and ``tol``.
     """
+    _check_lag_range(lag_range)
     coeffs = spec.coefficients
     if not isinstance(coeffs, CoordinateVector):
         coeffs = CoordinateVector(dict(coeffs))
@@ -295,8 +302,9 @@ def young_check(f, a, p):
     conjugate exponent.  lhs <= rhs always; equality holds for a unit
     indicator generator with a single coefficient.
     """
-    if not p > 1:
-        raise ValueError("young_check requires p > 1")
+    # a NaN fails both comparisons; an infinite p has no finite conjugate
+    if not 1.0 < p < math.inf:
+        raise ValueError("young_check requires 1 < p < inf")
     _, grid, table = _folded(f)
     lhs = 0.0
     # the zero function folds to a table with no rows

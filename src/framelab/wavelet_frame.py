@@ -12,8 +12,8 @@ box sum (``_box_sums``).
 An independent route to the same sum conjugates the target by the
 fractional dilation-translation pair, applies the plain integer-grid
 partial reconstruction, transforms back and averages (``_averaged_sums``).
-The two agree up to float rounding; their difference is the identity check
-the experiments report.
+The two agree up to float rounding; the Lp distance between them is the
+identity check the experiments report.
 The reconstruction error of the box sum is bounded by the worst conjugated
 partial-sum error, which is what ``convergence_study`` tabulates.
 
@@ -22,15 +22,16 @@ works on rows: each box sum is a row, and so is each conjugate y_{r,s} of
 each box.  Each coefficient is the rise of a target's antiderivative across
 a member's cells, read by np.interp once per target row; each row's sum of
 members is one sort of their jumps and one cumulative sum along the row
-(``_jump_sum``); and the distance from each sum to its target is one merge
-for all rows and one np.add.reduce per row (``_lp_distances``).  The box
-sums take the fractional lattices a = l + r/N, b = m + s 2^l / N against x.
-The oracle bounds and the averaged route take the integer lattices (l, m)
-against the conjugates; the averaged route then moves every member back by
-its row's pair.  Each member carries its row's exponent.  Rows go in groups
-of a fixed size, and a group builds each lattice it uses once; at the sizes
-the experiments use a group holds every row of a job, so a job makes as
-many kernel calls at nine boxes as at one and builds each lattice once.
+(``_jump_sum``); and every Lp distance, from a sum to its target or between
+the two routes' sums, is one merge for all rows and one np.add.reduce per
+row (``_lp_distances``).  The box sums take the fractional lattices
+a = l + r/N, b = m + s 2^l / N against x.  The oracle bounds and the
+averaged route take the integer lattices (l, m) against the conjugates; the
+averaged route then moves every member back by its row's pair.  Each member
+carries its row's exponent.  Rows go in groups of a fixed size, and a group
+builds each lattice it uses once; at the sizes the experiments use a group
+holds every row of a job, so a job makes as many kernel calls at nine boxes
+as at one and builds each lattice once.
 """
 
 import dataclasses
@@ -330,43 +331,26 @@ def _canonical(cells):
     return keys[keep], values[keep]
 
 
-def _differences(f, g, count):
-    """f_i - g_i for every row i < count of the row-tagged cells f and g, on the
-    merged grid of its two rows, as ``stepfn._combined`` takes one pair.
-
-    Returns the grid, which of its points start a cell of their row, the row
-    of each such cell and the difference on it.
-    """
+def _lp_distances(f, g, exponents):
+    """||f_i - g_i||_p for every row i of the row-tagged cells f and g, p the
+    row's exponent in ``exponents``, each on the merged grid of its two rows,
+    as ``stepfn._combined`` takes one pair.  A run of rows that share an
+    exponent takes one array power."""
+    count = len(exponents)
     grid, _ = _merged(np.concatenate((f[0], g[0])), count)
     rows, points = grid.real, grid.imag
     cell = rows[:-1] == rows[1:]
     mids = _keys(rows[:-1], 0.5 * (points[:-1] + points[1:]))[cell]
-    fm = np.concatenate(([0.0], f[1]))[f[0].searchsorted(mids, side="right")]
-    gm = np.concatenate(([0.0], g[1]))[g[0].searchsorted(mids, side="right")]
-    return grid, cell, mids.real, fm - gm
-
-
-def _lp_distances(f, g, p, count):
-    """||f_i - g_i||_p for every row i < count of the row-tagged cells f and g,
-    each on the merged grid of its two rows."""
-    grid, cell, rows, diff = _differences(f, g, count)
-    terms = np.abs(diff) ** p * _widths(grid.imag)[cell]
+    fm, gm = (np.concatenate(([0.0], v))[k.searchsorted(mids, side="right")] for k, v in (f, g))
+    terms, rows = np.abs(fm - gm), mids.real
+    firsts = [i for i, p in enumerate(exponents) if i == 0 or p != exponents[i - 1]]
+    cuts = [*rows.searchsorted(firsts).tolist(), rows.size]
+    for i, lo, hi in zip(firsts, cuts, cuts[1:]):
+        terms[lo:hi] **= exponents[i]
+    terms *= _widths(points)[cell]
     # numpy's scalar power, as for one pair: its array power may round otherwise
-    return [np.add.reduce(run) ** (1.0 / p) for run in _runs(terms, rows, count)]
-
-
-def _lp_norms(cells, exponents):
-    """||f_i||_p for every row i of the canonical row-tagged cells f, p the
-    row's exponent, as ``StepFunction.lp_norm`` takes one row: a scalar
-    power of |value| and one np.dot with the widths."""
-    keys, values = cells
-    rows, points = keys.real, keys.imag
-    cell = rows[:-1] == rows[1:]
-    count = len(exponents)
-    runs = zip(_runs(values[:-1][cell], rows[:-1][cell], count),
-               _runs(_widths(points)[cell], rows[:-1][cell], count))
-    return [float(np.dot(np.abs(v) ** p, w) ** (1.0 / p))
-            for p, (v, w) in zip(exponents, runs)]
+    return [float(np.add.reduce(run) ** (1.0 / p))
+            for p, run in zip(exponents, _runs(terms, rows, count))]
 
 
 def _cells(rows, xb, xv):
@@ -431,20 +415,18 @@ def reconstruction_identity_gaps(systems, x, M_list, N_list):
     """Lp distance between the direct box sum and the conjugate-averaged route
     for every system, M and N, in that order, in one pass.
 
-    The systems share their mother and dual wavelet.  Each gap has the bits
-    of the one-box difference of the two routes' step functions: both sums
-    and their difference are canonical, and each norm is
-    ``StepFunction.lp_norm``'s.
+    The systems share their mother and dual wavelet.  Each gap is the
+    ``_lp_distances`` of the two routes' canonical sums at its system's
+    exponent, as ``convergence_study`` takes its errors, and has the bits of
+    the one-pair distance between the two routes' step functions.
     """
     if len({(ws.mother, ws.dual_mother) for ws in systems}) > 1:
         raise ValueError("the systems must share their mother and dual wavelet")
     boxes = [(ws, M, N) for ws in systems for M in M_list for N in N_list]
     gaps = []
     for lo, hi, direct in _box_sums(x, boxes):
-        grid, cell, _, diff = _differences(direct, _averaged_sums(x, boxes[lo:hi]), hi - lo)
-        values = np.zeros(grid.size)
-        values[:-1][cell] = diff
-        gaps += _lp_norms(_canonical((grid, values)), [ws.p for ws, _, _ in boxes[lo:hi]])
+        gaps += _lp_distances(direct, _averaged_sums(x, boxes[lo:hi]),
+                              [ws.p for ws, _, _ in boxes[lo:hi]])
     return gaps
 
 
@@ -472,15 +454,15 @@ def convergence_study(ws, x, M_list, N_list):
         target = _cells(np.arange(hi - lo)[:, None],
                         np.broadcast_to(x.breakpoints, (hi - lo, x.breakpoints.size)),
                         x.values[None])
-        errors += _lp_distances(target, sums, ws.p, hi - lo)
+        errors += _lp_distances(target, sums, [ws.p] * (hi - lo))
     bounds = []
     for (yb, yv), (l, m, targets, p), _ in _conjugate_groups(x, boxes):
         count = yb.shape[0]
         kept, bp, vals = _members(ws, yb, yv, l, m, targets, p, 1.0)
         bounds += _lp_distances(_cells(np.arange(count)[:, None], yb, yv),
-                                _jump_sum(targets[kept], bp, vals, count), ws.p, count)
+                                _jump_sum(targets[kept], bp, vals, count), [ws.p] * count)
     ends = np.cumsum([N * N for _, _, N in boxes]).tolist()
     # np.max keeps a NaN, which Python's max would drop
-    return [StudyRow(M=M, N=N, p=ws.p, error=float(error),
+    return [StudyRow(M=M, N=N, p=ws.p, error=error,
                      oracle_bound=float(np.max(bounds[end - N * N:end])))
             for (_, M, N), error, end in zip(boxes, errors, ends)]

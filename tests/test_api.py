@@ -15,6 +15,11 @@ module is imported counts.  ``EXEMPT`` names the functions no experiment
 calls that stay, each with its reason; an exempt function that comes to be
 called needs no exemption, and fails the rule too.
 
+The library sums in one way, by np.add.reduce: no module in ``src/framelab``
+may call a numpy product that sums through BLAS or in an order of its own
+(``BLAS_SUMS``), as ``np.dot``, an array's ``.dot`` or the ``@`` operator;
+their sums depend on the CPU's BLAS kernel.
+
 Run as a script, ``python tests/test_api.py`` prints each function that was
 never called, as ``module:line qualname``, exempt ones with their reason,
 and exits nonzero if the rule fails; the rule's failure message is the
@@ -165,6 +170,41 @@ def test_every_function_runs_in_an_experiment_or_a_criterion(cli_env):
                           capture_output=True, text=True, timeout=600)
     assert [line for line in proc.stdout.splitlines() if "# exempt: " not in line] == []
     assert proc.returncode == 0, proc.stderr
+
+
+# numpy products whose sums BLAS or an einsum path orders; ``inner`` counts
+# only as numpy's, for StepFunction.inner sums by np.add.reduce
+BLAS_SUMS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+
+
+def blas_sums(path):
+    """``module:line: text`` of each BLAS-summing name or ``@`` in the module at
+    ``path``, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_SUMS:
+            numpy = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            hit = numpy or node.attr != "inner"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            hit = any(alias.name in BLAS_SUMS for alias in node.names)
+        else:
+            hit = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        if hit:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{path.name}:{line}: {text}" for line, _, text in sorted(found)]
+
+
+def test_the_library_sums_without_blas():
+    assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in blas_sums(path)] == []
+
+
+def test_the_blas_guard_finds_each_form(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import numpy as np\nfrom numpy import einsum\n"
+                    "a = np.dot(x, y)\nb = x.dot(y)\nc = x @ y\nx @= y\n"
+                    "d = np.inner(x, y)\ne = f.inner(g)\n")
+    assert [hit.split(": ")[1] for hit in blas_sums(path)] == [
+        "from numpy import einsum", "np.dot", "x.dot", "x @ y", "x @= y", "np.inner"]
 
 
 def test_every_public_name_resolves_to_the_object_its_module_defines():

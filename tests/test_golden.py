@@ -14,8 +14,14 @@ generator through the same builder as the other generator kinds; the
 counterexample and diagnostics runs at the discrete-frames benchmark's sizes
 before the triple frame was built with its coordinate index; the young-fuzz
 run at the translate-scan benchmark's size before a young-fuzz job ran as
-one array program.  A change that claims to keep every artifact is held to
-it here.
+one array program.  Six files were recorded again, in their last bits only,
+when every sum of the library became an np.add.reduce of the products and
+each identity gap the Lp distance the convergence study takes: the
+validate-generator run's ``l1_norm`` and ``suppression_constant``, which
+``np.dot`` had summed; the suppression-scan's ``suppression_constant`` and
+upper bracket; the sampling-sweep's ``max_error`` at h = 1/64 and 0.185, in
+its JSON and CSV; and the Haar and step wavelet-identity gaps.  A change
+that claims to keep every artifact is held to it here.
 
 The generators are dyadic Rademacher generators like the benchmark's: six
 Gaussian unit-l2 coefficients at 0..5 (64 cells a unit), and four at
@@ -42,9 +48,16 @@ replaced by an emulation of Python 3.12's compensated ``sum()``
 (``compensated_sum``), and must match the same pins: no pinned float may
 rest on where a Python float sum rounds.
 
+Every config runs again in a subprocess under each profile of ``PROFILES``,
+kernels that other CPUs pick, set by environment only, and must match the
+same pins: OpenBLAS's Haswell kernel, and glibc's libm without its AVX2 and
+FMA variants.  A profile the machine cannot take is skipped, with the reason.
+
 Run as a script, ``python tests/test_golden.py`` writes every pinned file
 again with this checkout's ``main``, after every config has ended with its
-expected exit code.
+expected exit code; ``python tests/test_golden.py --check`` writes nothing
+and exits nonzero, naming each config whose exit code or artifacts differ
+from the pins.
 """
 
 import builtins
@@ -52,8 +65,10 @@ import importlib
 import json
 import math
 import pathlib
+import os
 import pkgutil
 import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -275,18 +290,60 @@ def test_artifacts_match_under_a_compensated_sum(tmp_path, monkeypatch, name):
     test_artifacts_match_the_pinned_copies(tmp_path, name)
 
 
+# Kernel profiles of other CPUs, each set by environment alone, and the numpy CPU
+# feature it needs, or None: OpenBLAS's Haswell kernel needs AVX2, and numpy
+# ignores a feature the machine lacks.
+PROFILES = {
+    "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, "AVX2"),
+    "glibc-without-avx2-fma": ({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}, None),
+}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_artifacts_match_under_other_cpu_kernels(profile):
+    from numpy._core._multiarray_umath import __cpu_features__
+    env, needs = PROFILES[profile]
+    if needs is not None and not __cpu_features__.get(needs):
+        pytest.skip(f"profile {profile} needs {needs}, which this CPU lacks")
+    done = subprocess.run([sys.executable, __file__, "--check"], env={**os.environ, **env},
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+
+
+def run_every_config(tmp):
+    """Run every config in the config form, each in its own directory under
+    ``tmp``; yield its name, its exit code and the files it wrote."""
+    for name in sorted(CONFIGS):
+        out_dir = pathlib.Path(tmp) / name
+        out_dir.mkdir()
+        code = run(name, out_dir)
+        yield name, code, sorted(out_dir.glob(f"{name}.*"))
+
+
+def check():
+    """Run every config; exit nonzero, naming each config whose exit code or
+    artifacts differ from the pins."""
+    def contents(paths):
+        return {path.name: path.read_bytes() for path in paths}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        differing = [name for name, code, written in run_every_config(tmp)
+                     if code != EXIT_CODES.get(name, 0) or not written
+                     or contents(written) != contents(GOLDEN.glob(f"{name}.*"))]
+    if differing:
+        sys.exit("differ from the pins: " + ", ".join(differing))
+
+
 def record():
     """Write the pinned files of every config again; exit nonzero, writing
     nothing, if a config ends with an exit code other than its expected one."""
     with tempfile.TemporaryDirectory() as tmp:
         written = []
-        for name in sorted(CONFIGS):
-            out_dir = pathlib.Path(tmp) / name
-            out_dir.mkdir()
-            code, expected = run(name, out_dir), EXIT_CODES.get(name, 0)
+        for name, code, files in run_every_config(tmp):
+            expected = EXIT_CODES.get(name, 0)
             if code != expected:
                 sys.exit(f"{name}: exit code {code}, expected {expected}")
-            written += sorted(out_dir.glob(f"{name}.*"))
+            written += files
         for name in CONFIGS:
             for old in GOLDEN.glob(f"{name}.*"):
                 old.unlink()
@@ -296,4 +353,6 @@ def record():
 
 
 if __name__ == "__main__":
-    record()
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/test_golden.py [--check]")
+    check() if sys.argv[1:] else record()

@@ -22,8 +22,8 @@ Lp distance from one merge and one np.add.reduce per row
   ``stepfn._canonicalize`` for the row-wise canonical form (``_canonical``);
 * the one-box results, bit for bit: every gap and study row of a job,
   boxes in any order and with repeats, against its box run alone, and a
-  one-box gap against the difference of the two routes' step functions,
-  the code the batched identity replaced (``two_routes_gap``);
+  one-box gap against the one-pair distance between the two routes' step
+  functions (``two_routes_gap``, by ``reference_lp_distance``);
 * exact ``fractions.Fraction`` arithmetic on dyadic targets, mothers and
   lattices, driven by ``hypothesis``, for one target and for several rows
   in one call; scales are chosen so that every normalization 2^(a/p),
@@ -485,7 +485,7 @@ def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N, group):
             assert same_bits(values[mine][:-1], cells)
             sums.append((grid, cells))
         distances = _lp_distances(_cells(np.arange(count)[:, None], xb, xv), (keys, values),
-                                  ws.p, count)
+                                  [ws.p] * count)
         want = [reference_lp_distance((xb[i], xv[i]), sums[i], ws.p) for i in range(count)]
         assert same_bits(distances, want)
         bounds += want
@@ -499,10 +499,10 @@ def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N, group):
 
 
 def two_routes_gap(ws, x, M, N):
-    """The identity gap as the difference of the two routes' step functions: the
-    one-box definition the batched pass replaced."""
-    return box_reconstruct(ws, x, M, N).add(
-        scale(averaged_conjugate_reconstruction(ws, x, M, N), -1.0)).lp_norm(ws.p)
+    """The identity gap as the one-pair distance between the two routes' step
+    functions, as the study's errors are held to it."""
+    f, g = box_reconstruct(ws, x, M, N), averaged_conjugate_reconstruction(ws, x, M, N)
+    return reference_lp_distance((f.breakpoints, f.values), (g.breakpoints, g.values), ws.p)
 
 
 # breakpoints on eighths, in whose sums the box and the averaged routes
@@ -741,9 +741,10 @@ def test_study_keeps_a_nan_oracle_distance(monkeypatch):
     passes = []
     original = wavelet_frame._lp_distances
 
-    def one_nan(f, g, p, count):
+    def one_nan(f, g, exponents):
+        count = len(exponents)
         passes.append(count)
-        distances = original(f, g, p, count)
+        distances = original(f, g, exponents)
         if count > 1:
             distances[2] = math.nan
         return distances
@@ -799,11 +800,11 @@ def test_a_job_makes_as_many_kernel_calls_at_nine_boxes_as_at_one(monkeypatch):
     # every box of a job is a row of the same calls: a study takes its box
     # sums and their distances once and its conjugates once; an identity job
     # takes its box sums once, its averaged sums once and its gaps from one
-    # merge, at every exponent
+    # merge and one distance pass, at every exponent
     study = {"_coefficients": 2, "_members": 2, "_merged": 2, "_placed": 2, "_jump_sum": 2,
              "_lp_distances": 2}
     identity = {"_coefficients": 2, "_members": 2, "_merged": 1, "_placed": 2, "_jump_sum": 2,
-                "_lp_distances": 0}
+                "_lp_distances": 1}
     for ws in (WaveletSystem.haar(2.0), SKEWED):
         exponents = [WaveletSystem(ws.mother, ws.dual_mother, p) for p in (1.5, 2.0, 3.0)]
         for job, calls in [

@@ -258,6 +258,13 @@ def test_sweep_of_a_nan_generator_reports_nan():
         assert not row.exact
 
 
+@pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+def test_sweep_rejects_an_exponent_outside_one_to_inf(p):
+    # at p = inf the sweep once reported a max_error of 1.0, below 1 no norm, a NaN NaN
+    with pytest.raises(ValueError, match="p must"):
+        sampling_sweep(two_coeff_generator(), [0.25], WINDOW, p=p)
+
+
 # dyadic cells of width 1/4 and more, values on (1/2)Z: every sample and sum is exact
 DYADIC = StepFunction([-0.5, 0.0, 0.25, 1.0, 1.75], [0.5, -1.5, 1.0, 2.0])
 

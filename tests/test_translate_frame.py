@@ -117,6 +117,15 @@ def test_zero_generator_rejected():
         validate_generator(StepFunction())
 
 
+@pytest.mark.parametrize("lag_range", [-1, 1.5, "2"])
+def test_a_bad_lag_range_is_refused_by_name(lag_range):
+    # a negative range once reached the Gram lags as an empty table, an IndexError
+    with pytest.raises(ValueError, match="lag_range"):
+        validate_generator(StepFunction.indicator(0.0, 1.0), lag_range)
+    with pytest.raises(ValueError, match="lag_range"):
+        build_rademacher_generator(RademacherSpec(coefficients={0: 1.0}), lag_range)
+
+
 def test_certificates_report_shape():
     rep = validate_generator(StepFunction.indicator(0.0, 1.0)).report
     assert rep.ok
@@ -210,6 +219,8 @@ def test_young_equality_for_unit_indicator():
 
 
 def test_young_check_rejects_bad_p():
-    with pytest.raises(ValueError):
-        young_check(StepFunction.indicator(0.0, 1.0),
-                    CoordinateVector.unit(0), 1.0)
+    # at p = inf both sides read inf, which would pass any lhs <= rhs gate
+    for p in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            young_check(StepFunction.indicator(0.0, 1.0),
+                        CoordinateVector.unit(0), p)
