@@ -64,8 +64,8 @@ import builtins
 import importlib
 import json
 import math
-import pathlib
 import os
+import pathlib
 import pkgutil
 import shutil
 import subprocess
@@ -290,9 +290,9 @@ def test_artifacts_match_under_a_compensated_sum(tmp_path, monkeypatch, name):
     test_artifacts_match_the_pinned_copies(tmp_path, name)
 
 
-# Kernel profiles of other CPUs, each set by environment alone, and the numpy CPU
-# feature it needs, or None: OpenBLAS's Haswell kernel needs AVX2, and numpy
-# ignores a feature the machine lacks.
+# Kernel profiles of other CPUs, each set by environment alone, and the CPU
+# feature it needs, as numpy reports it, or None: OpenBLAS's Haswell kernel
+# runs only on a CPU with AVX2.
 PROFILES = {
     "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, "AVX2"),
     "glibc-without-avx2-fma": ({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}, None),

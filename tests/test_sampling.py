@@ -260,7 +260,7 @@ def test_sweep_of_a_nan_generator_reports_nan():
 
 @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
 def test_sweep_rejects_an_exponent_outside_one_to_inf(p):
-    # at p = inf the sweep once reported a max_error of 1.0, below 1 no norm, a NaN NaN
+    # p = inf would read every error as 1.0 and a NaN p as NaN; below 1 there is no norm
     with pytest.raises(ValueError, match="p must"):
         sampling_sweep(two_coeff_generator(), [0.25], WINDOW, p=p)
 

@@ -119,7 +119,7 @@ def test_zero_generator_rejected():
 
 @pytest.mark.parametrize("lag_range", [-1, 1.5, "2"])
 def test_a_bad_lag_range_is_refused_by_name(lag_range):
-    # a negative range once reached the Gram lags as an empty table, an IndexError
+    # a negative range would reach the Gram lags as an empty table, an IndexError
     with pytest.raises(ValueError, match="lag_range"):
         validate_generator(StepFunction.indicator(0.0, 1.0), lag_range)
     with pytest.raises(ValueError, match="lag_range"):
