@@ -26,7 +26,8 @@ that claims to keep every artifact is held to it here.
 The generators are dyadic Rademacher generators like the benchmark's: six
 Gaussian unit-l2 coefficients at 0..5 (64 cells a unit), and four at
 -2, 0, 1, 4, which leaves gaps in the support.  validate-generator also
-runs a step function that crosses a unit boundary, and three records it
+runs a step function that crosses a unit boundary, which reconstruct runs
+at its defaults too, and three records it
 rejects: non-unit coefficients, a record that passes only at a nonzero
 tolerance, and the indicator of [0, 2); the last two were recorded again
 when their orthonormality failure began to print the residual and the
@@ -139,6 +140,9 @@ CONFIGS = {
     "reconstruct-gapped": {"kind": "reconstruct", "seed": 778,
                            "params": {"generator": GAPPED, "window": 5, "num_vectors": 3,
                                       "p_list": [2.0]}},
+    # support [-0.5, 1.5]: two units wide, three fold rows
+    "reconstruct-step": {"kind": "reconstruct", "seed": 777,
+                         "params": {"generator": STEP_GENERATOR}},
     "suppression-scan": {"kind": "suppression-scan", "seed": 777,
                          "params": {"generator": CONTIGUOUS, "window": 4, "trials": 6,
                                     "p": 2.0}},
