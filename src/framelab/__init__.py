@@ -11,10 +11,10 @@ import importlib
 _SOURCES = {
     "lp": ("CoordinateVector",),
     "stepfn": ("StepFunction", "haar_mother"),
-    "translate_frame": ("Generator", "GeneratorRejected", "RademacherSpec",
-                        "ValidationReport", "biorthogonality_matrix",
-                        "build_rademacher_generator", "synthesis_over_set",
-                        "validate_generator", "young_check"),
+    "reports": ("GeneratorRejected",),
+    "translate_frame": ("Generator", "RademacherSpec", "ValidationReport",
+                        "biorthogonality_matrix", "build_rademacher_generator",
+                        "synthesis_over_set", "validate_generator", "young_check"),
     "pettis": ("unconditionality_scan",),
     "wavelet_frame": ("StudyRow", "WaveletSystem", "convergence_study",
                       "reconstruction_identity_gaps"),

@@ -33,7 +33,8 @@ import math
 import os
 import sys
 
-from .reports import (ARTIFACT_VERSION, config_digest, write_csv, write_json_report)
+from .reports import (ARTIFACT_VERSION, GeneratorRejected, config_digest, write_csv,
+                      write_json_report)
 
 MAX_WINDOW = 2 ** 14
 # the biorthogonality matrix is dense: (2 * 512 + 1)^2 entries is 8 MB
@@ -468,8 +469,8 @@ def _run_reconstruct(params, seed, tol):
     from .translate_frame import _synthesis
     g = _certify(params["generator"])
     window = params["window"]
-    lo, hi = g.f.support()
-    spread = int(math.ceil(hi - lo))
+    # no coordinate of the synthesis lies a fold's row count or more past the window
+    spread = g.fold[2].shape[0]
     worst = {p: 0.0 for p in params["p_list"]}
     rng = np.random.default_rng(seed)
     for _ in range(params["num_vectors"]):
@@ -666,21 +667,13 @@ def _run_sampling_sweep(params, seed, tol):
     return ExperimentResult(payload=payload, table=(header, table_rows))
 
 
-def _generator_rejected():
-    """The class GeneratorRejected, or ``()``, which matches nothing, when its
-    module was never imported, so that no run can have raised it.  An
-    ``except`` clause evaluates this only when its ``try`` block raises."""
-    translate_frame = sys.modules.get(f"{__package__}.translate_frame")
-    return translate_frame.GeneratorRejected if translate_frame else ()
-
-
 def execute(config, quiet=False):
     """Run a validated config; write reports; return the process exit code."""
     kind = config["kind"]
     try:
         result = KINDS[kind].run(config["params"], config["seed"], config["tol"])
         code = 3 if result.failures else 0
-    except _generator_rejected() as exc:
+    except GeneratorRejected as exc:
         result = ExperimentResult(payload={"report": exc.report.to_dict()},
                                   failures=tuple(exc.report.failures))
         code = 2

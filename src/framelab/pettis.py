@@ -45,8 +45,9 @@ def unconditionality_scan(g, trials, window, p, seed=0):
     parts.  Degenerate pairs with ||x||*||x*|| < 1e-9 are skipped; a NaN
     ratio makes its bound NaN.
     """
-    if not p > 1:
-        raise ValueError("scan requires p > 1")
+    # a NaN fails both comparisons; an infinite p has no finite conjugate
+    if not 1.0 < p < math.inf:
+        raise ValueError("unconditionality_scan requires 1 < p < inf")
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
     _, grid, table = g.fold

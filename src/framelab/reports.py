@@ -16,6 +16,15 @@ import math
 ARTIFACT_VERSION = "0.2.0"
 
 
+class GeneratorRejected(ValueError):
+    """Raised when a candidate generator fails a validation condition; the
+    CLI, which imports this numpy-free module at start-up, writes its report."""
+
+    def __init__(self, report):
+        super().__init__("; ".join(report.failures))
+        self.report = report
+
+
 def sanitize(obj):
     """Coerce numpy scalars and containers to plain JSON-ready Python values.
 

@@ -123,11 +123,12 @@ MAX_HALVINGS = 40
 def commensurate_step(g):
     """A lattice step h with every breakpoint of the generator in h*Z and 1/h integer.
 
-    Starts from the narrowest cell and halves until the divisibility test
-    passes; generators built on dyadic grids succeed immediately.
+    Starts from the largest power of two not above the narrowest cell and
+    halves until the divisibility test passes, so a dyadic grid succeeds
+    whatever its narrowest cell (3/8 gives 1/8).
     """
     bp = g.f.breakpoints
-    w = float(np.min(_widths(bp)))
+    w = math.ldexp(0.5, math.frexp(float(np.min(_widths(bp))))[1])
     for _ in range(MAX_HALVINGS):
         ratios = bp / w
         unit = 1.0 / w

@@ -120,26 +120,6 @@ def _periodized_sup(tables):
     return np.add.reduce(np.abs(tables), axis=-2).max(axis=-1)
 
 
-def _abs_integrals(cells, counts, width):
-    """``abs_integral`` of each step function d on the cells of width ``width``
-    that hold cells[d, :counts[d]], the first and the last nonzero.
-
-    Equal neighbours merge as in :func:`_canonicalize`, and each sum is the
-    np.add.reduce of |value| times width over the merged cells that
-    ``abs_integral`` takes, so the bits are the same.  A merged width is a
-    whole number of cells, so exact."""
-    new = np.ones(cells.shape, dtype=bool)
-    new[:, 1:] = cells[:, 1:] != cells[:, :-1]
-    at = np.flatnonzero(new & (np.arange(cells.shape[1]) < counts[:, None]))
-    rows = np.arange(cells.shape[0] + 1) * cells.shape[1]
-    cuts = np.searchsorted(at, rows)
-    ends = np.append(at[1:], 0)
-    ends[cuts[1:] - 1] = rows[:-1] + counts
-    terms = np.abs(cells.ravel()[at]) * ((ends - at) * width)
-    return [float(np.add.reduce(terms[lo:hi]))
-            for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
-
-
 class StepFunction:
     """Piecewise constant function, zero outside its breakpoint span.
 
@@ -220,8 +200,9 @@ class StepFunction:
         return float(np.add.reduce(np.abs(self.values) * _widths(self.breakpoints)))
 
     def lp_norm(self, p):
-        if not p >= 1:
-            raise ValueError("lp_norm requires p >= 1")
+        # a NaN fails both comparisons; at p = inf every nonzero norm would read 1
+        if not 1.0 <= p < math.inf:
+            raise ValueError("lp_norm requires 1 <= p < inf")
         if self.values.size == 0:
             return 0.0
         return float(np.add.reduce(np.abs(self.values) ** p * _widths(self.breakpoints))

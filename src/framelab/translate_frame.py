@@ -14,21 +14,25 @@ generator is certified, and travels with it as ``Generator.fold``; a
 Rademacher generator hands over the rows it is filled from.  A translate
 series is a sum of shifted rows of F, the Gram lags are an autocorrelation
 of its rows, and synthesis is a correlation of the weighted series with F.
+Every certificate comes from the fold: the L1 norm is one np.add.reduce of
+|F| times the cell widths (``_l1_norm``), the periodized sup the largest
+column sum of |F|, and f gives only a step generator's default lag range.
 Every sum runs in a fixed order (explicit row loops, ``np.add.reduce``
 along a chosen axis), never through a BLAS reduction.
 
-One certifier (``_signs``, ``_gram_lags``, ``stepfn._periodized_sup``)
-serves a generator and a stack of folds along leading axes: a young-fuzz
-chunk of draws (``_young_chunk``), one array program with no Generator,
-StepFunction or CoordinateVector per draw.  Its draws go in groups of one
-depth s on their own 2^s cells, and each group's folds and series are
+One certifier (``_signs``, ``_gram_lags``, ``_l1_norm``,
+``stepfn._periodized_sup``) serves a generator and a young-fuzz chunk of
+draws (``_young_chunk``), one array program with no Generator,
+StepFunction or CoordinateVector per draw; the sign fill, the lags and the
+sup take a stack of folds along leading axes.  Its draws go in groups of
+one depth s on their own 2^s cells, and each group's folds and series are
 zero-padded; x + 0 is x, so the padding moves no bit of a row-by-row sum.
 A sum whose order depends on its length runs on its own cells (a run's
-lhs; a draw's L1 norm, by the np.add.reduce of
-``StepFunction.abs_integral``), so every bound equals the per-draw code's.
-Only the Gram lags run padded, within a few roundings of a draw's own: they
-just gate the chunk, which a failure certifies again draw by draw, so a
-reported residual is always summed on a generator's own cells.
+lhs; a draw's L1 norm, on its own fold rows), so every bound equals the
+per-draw code's.  Only the Gram lags run padded, within a few roundings
+of a draw's own: they just gate the chunk, which a failure certifies again
+draw by draw, so a reported residual is always summed on a generator's own
+cells.
 """
 
 import dataclasses
@@ -38,7 +42,8 @@ import math
 import numpy as np
 
 from .lp import CoordinateVector, _norm
-from .stepfn import StepFunction, _abs_integrals, _folded, _periodized_sup, _widths
+from .reports import GeneratorRejected
+from .stepfn import StepFunction, _folded, _periodized_sup, _widths
 
 VALIDATION_TOL = 1e-10
 
@@ -63,14 +68,6 @@ class ValidationReport:
 
     def to_dict(self):
         return {**dataclasses.asdict(self), "failures": list(self.failures), "ok": self.ok}
-
-
-class GeneratorRejected(ValueError):
-    """Raised when a candidate generator fails a validation condition."""
-
-    def __init__(self, report):
-        super().__init__("; ".join(report.failures))
-        self.report = report
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,20 +103,28 @@ def _check_lag_range(lag_range):
         raise ValueError(f"lag_range must be a nonnegative integer or None, got {lag_range!r}")
 
 
+def _l1_norm(lens, table):
+    """||f||_1 from the unit fold table of f on cells of widths ``lens``: one
+    np.add.reduce over the raveled table, grouped by its length."""
+    return float(np.add.reduce((np.abs(table) * lens).ravel()))
+
+
 def _certified(f, fold, lag_range, tol):
     """f, whose unit fold is ``fold``, certified as a Generator over Gram lags
     up to ``lag_range`` (None: the width of the support) at ``tol``, or raise
-    GeneratorRejected with the report."""
-    l1 = f.abs_integral()
-    if f.is_zero() or l1 == 0.0:
+    GeneratorRejected with the report.  Every certificate is read from the
+    fold; f only gives a default ``lag_range``."""
+    _, grid, table = fold
+    lens = _widths(grid)
+    l1 = _l1_norm(lens, table)
+    if l1 == 0.0:
         raise GeneratorRejected(ValidationReport(
             l1, 0.0, math.inf, 0, tol, ("generator is the zero function",)))
     if lag_range is None:
         lo, hi = f.support()
         lag_range = int(math.ceil(hi - lo))
-    _, grid, table = fold
     # the lag -m equals the lag m, and lags past the table's rows are exactly 0
-    lags = _gram_lags(_widths(grid), table, min(lag_range + 1, table.shape[0]))
+    lags = _gram_lags(lens, table, min(lag_range + 1, table.shape[0]))
     lags[0] -= 1.0
     residual = float(np.max(np.abs(lags)))
     failures = () if residual <= tol else (
@@ -271,7 +276,7 @@ def synthesis_over_set(g, x, window):
     for |m| <= window.  With a validated generator this returns x.  The
     dense runs of x go through :func:`_synthesis` on disjoint coordinates.
     """
-    if x.is_zero() or g.f.is_zero():
+    if x.is_zero():
         return CoordinateVector()
     coords = np.zeros(2 * window + 1)
     for n0, a in _runs(x, g.fold[2].shape[0]):
@@ -313,7 +318,8 @@ def young_check(f, a, p):
             series = _series(table, run)
             lhs += float(np.add.reduce((np.abs(series) ** p * _widths(grid)).ravel()))
     pconj = p / (p - 1.0)
-    rhs = f.abs_integral() * a.norm(p) ** p * float(_periodized_sup(table)) ** (p / pconj)
+    rhs = (_l1_norm(_widths(grid), table) * a.norm(p) ** p
+           * float(_periodized_sup(table)) ** (p / pconj))
     return lhs, rhs
 
 
@@ -385,9 +391,10 @@ def _young_chunk(chunk):
         rows = np.zeros((hi - lo, units[lo:hi].max(), 2 ** s))
         rank = np.arange(e0, e1) - first[gd[e0:e1]]
         rows[gd[e0:e1] - lo, unit[e0:e1]] = _signs(s, rank, 1) * gv[e0:e1, None]
+        lens = np.full(2 ** s, 2.0 ** -s)
         sup[lo:hi] = _periodized_sup(rows)
-        l1[lo:hi] = _abs_integrals(rows.reshape(hi - lo, -1), units[lo:hi] * 2 ** s, 2.0 ** -s)
-        lags = _gram_lags(np.full(2 ** s, 2.0 ** -s), rows, rows.shape[1])
+        l1[lo:hi] = [_l1_norm(lens, r[:n]) for r, n in zip(rows, units[lo:hi].tolist())]
+        lags = _gram_lags(lens, rows, rows.shape[1])
         lags[0] -= 1.0
         residual[lo:hi] = np.max(np.abs(lags), axis=0)
         a = np.zeros((r1 - r0, length[r0:r1].max(initial=1)))

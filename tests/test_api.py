@@ -23,13 +23,17 @@ their sums depend on the CPU's BLAS kernel.
 Run as a script, ``python tests/test_api.py`` prints each function that was
 never called, as ``module:line qualname``, exempt ones with their reason,
 and exits nonzero if the rule fails; the rule's failure message is the
-same lines.
+same lines.  ``python tests/test_api.py --lines`` runs the same experiments
+in the same fresh interpreter under ``sys.settrace`` instead, and prints
+each statement of ``src/framelab`` that never ran, as ``module:line text``,
+with the count on stderr.  It only informs, and exits 0.
 """
 
 import ast
 import importlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,9 +42,10 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
+    # the package is first imported under the script's profiler or tracer
     sys.path.insert(0, str(ROOT / "src"))
-
-import framelab  # noqa: E402
+else:
+    import framelab
 
 PACKAGE = ROOT / "src" / "framelab"
 USERS = [path for path in sorted(PACKAGE.glob("*.py"))
@@ -56,6 +61,10 @@ EXEMPT = {
     "framelab.stepfn:_combined": "the one merge behind inner and add",
     "framelab.stepfn:StepFunction.lp_norm":
         "the Lp norm the wavelet and lattice tests measure reconstruction errors with",
+    "framelab.stepfn:StepFunction.abs_integral":
+        "the L1 norm on canonical cells the tests hold the fold's L1 certificate to",
+    "framelab.stepfn:StepFunction.is_zero":
+        "the zero test of the tests' reference code; certification reads the fold",
     "framelab.stepfn:StepFunction.__eq__":
         "reconstruction_identity_gaps compares mothers that are equal but distinct objects",
     "framelab.stepfn:StepFunction.__repr__": "a readable object in a failing test",
@@ -163,6 +172,48 @@ def reachability():
     return lines, ok
 
 
+def executed_lines(run):
+    """(file, line) of every line of the package run while ``run()`` runs."""
+    lines = set()
+    package = str(PACKAGE.resolve())
+
+    def line(frame, event, arg):
+        if event == "line":
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(package) else None
+
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def unrun_statements(lines):
+    """(``module:line text`` of each statement of the package not in ``lines``,
+    number of statements).  A statement ran if its first line did, or a
+    decorated definition's decorator line; a docstring is no statement."""
+    found, count = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "framelab" if path.stem == "__init__" else f"framelab.{path.stem}"
+        source, file = path.read_text(), str(path.resolve())
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if not isinstance(node, ast.stmt) or (
+                    isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)):
+                continue
+            count += 1
+            marks = [node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())]
+            if not any((file, mark) in lines for mark in marks):
+                text = source.splitlines()[node.lineno - 1].strip()
+                found.append((module, node.lineno, text))
+    return [f"{module}:{line} {text}" for module, line, text in sorted(found)], count
+
+
 def test_every_function_runs_in_an_experiment_or_a_criterion(cli_env):
     # the modules are imported afresh under the profiler, so import-time
     # calls count, and criteria 1-9 print their PASS lines to a pipe
@@ -170,6 +221,20 @@ def test_every_function_runs_in_an_experiment_or_a_criterion(cli_env):
                           capture_output=True, text=True, timeout=600)
     assert [line for line in proc.stdout.splitlines() if "# exempt: " not in line] == []
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_lines_tool_prints_each_statement_that_never_ran(cli_env):
+    proc = subprocess.run([sys.executable, __file__, "--lines"], env=cli_env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    unrun = proc.stdout.splitlines()
+    assert all(re.fullmatch(r"framelab(\.\w+)?:\d+ \S.*", line) for line in unrun)
+    # the installed entry point runs only in a subprocess test
+    assert [line for line in unrun if line.startswith("framelab.cli:")
+            and line.endswith(" sys.exit(main())")]
+    unrun_count, total = map(int, re.fullmatch(r"(\d+) of (\d+) statements never ran\n",
+                                               proc.stderr).groups())
+    assert unrun_count == len(unrun) < total
 
 
 # numpy products whose sums BLAS or an einsum path orders; ``inner`` counts
@@ -239,6 +304,14 @@ def test_an_unknown_name_raises_attribute_error():
 if __name__ == "__main__":
     import contextlib
     import io
+    if sys.argv[1:] not in ([], ["--lines"]):
+        sys.exit("usage: python tests/test_api.py [--lines]")
+    if sys.argv[1:]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            unrun, count = unrun_statements(executed_lines(run_experiments))
+        print("\n".join(unrun))
+        print(f"{len(unrun)} of {count} statements never ran", file=sys.stderr)
+        sys.exit(0)
     with contextlib.redirect_stdout(io.StringIO()):
         lines, ok = reachability()
     print("\n".join(lines))

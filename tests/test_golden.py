@@ -20,15 +20,19 @@ each identity gap the Lp distance the convergence study takes: the
 validate-generator run's ``l1_norm`` and ``suppression_constant``, which
 ``np.dot`` had summed; the suppression-scan's ``suppression_constant`` and
 upper bracket; the sampling-sweep's ``max_error`` at h = 1/64 and 0.185, in
-its JSON and CSV; and the Haar and step wavelet-identity gaps.  A change
-that claims to keep every artifact is held to it here.
+its JSON and CSV; and the Haar and step wavelet-identity gaps.  Two were
+recorded again, in their last bits only, when every generator's L1 norm
+came to be summed on the cells of its unit fold: the validate-generator
+run's ``l1_norm`` and ``suppression_constant``, and the suppression-scan's
+``suppression_constant`` and upper bracket.  A change that claims to keep
+every artifact is held to it here.
 
 The generators are dyadic Rademacher generators like the benchmark's: six
 Gaussian unit-l2 coefficients at 0..5 (64 cells a unit), and four at
 -2, 0, 1, 4, which leaves gaps in the support.  validate-generator also
 runs a step function that crosses a unit boundary, which reconstruct runs
-at its defaults too, and three records it
-rejects: non-unit coefficients, a record that passes only at a nonzero
+at its defaults too, and three records it rejects: non-unit
+coefficients, a record that passes only at a nonzero
 tolerance, and the indicator of [0, 2); the last two were recorded again
 when their orthonormality failure began to print the residual and the
 tolerance in full.  The indicator of [-0.3, 0.7) was pinned before the unit

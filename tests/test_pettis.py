@@ -116,6 +116,14 @@ def test_scan_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("p", [1.0, math.inf, math.nan])
+def test_scan_rejects_an_exponent_outside_one_to_inf(p):
+    # at p = inf the conjugate is NaN, and the scan died inside the lp norm
+    g = build_rademacher_generator(RademacherSpec(coefficients={0: 1.0}))
+    with pytest.raises(ValueError, match="unconditionality_scan requires 1 < p < inf"):
+        unconditionality_scan(g, trials=2, window=1, p=p)
+
+
 def random_step(rng):
     n = int(rng.integers(1, 6))
     grid = np.sort(rng.choice(np.arange(-80, 81), size=n + 1, replace=False)) / 16.0

@@ -141,6 +141,10 @@ def test_commensurate_step_values():
     assert commensurate_step(single) == 0.5
     flat = validate_generator(StepFunction.indicator(0.0, 1.0))
     assert commensurate_step(flat) == 1.0
+    # a narrowest cell of 3/8: halving it never reaches 1/8
+    c = 1.0 / math.sqrt(0.75)
+    three_eighths = validate_generator(StepFunction([0.0, 0.375, 0.75], [c, -c]))
+    assert commensurate_step(three_eighths) == 0.125
 
 
 def test_commensurate_step_rejects_irrational_grid():

@@ -258,6 +258,13 @@ def test_abs_integral_and_lp_norm():
         f.lp_norm(0.5)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_lp_norm_rejects_an_infinite_or_nan_exponent(p):
+    # at p = inf every nonzero function read 1.0, whatever its sup
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        StepFunction([0.0, 1.0], [2.0]).lp_norm(p)
+
+
 # -- the cell-grid merge against the np.unique merge it replaced -------------------------
 
 

@@ -9,8 +9,9 @@ is held to
   L1 norm and periodized sup equal bit for bit, driven by ``hypothesis``
   over Gaussian draws of 1-7 coefficients, sequences split into runs by
   gaps, one or several exponents, and chunk boundaries;
-* ``StepFunction.abs_integral`` where neighbouring units merge a cell
-  (a_(n+1) = -a_n);
+* one L1 norm, summed on the fold's own cells, for a draw, its generator
+  and ``young_check``, near the exact integral where neighbouring units
+  merge a cell of the canonical function (a_(n+1) = -a_n);
 * exact ``fractions.Fraction`` arithmetic on dyadic draws.
 
 A cost guard counts the objects a young-fuzz job builds, a memory test
@@ -34,9 +35,9 @@ from hypothesis import strategies as st
 
 from framelab import CoordinateVector, RademacherSpec, StepFunction, build_rademacher_generator
 from framelab import cli, translate_frame
-from framelab.stepfn import _abs_integrals, _periodized_sup, _widths
-from framelab.translate_frame import (GeneratorRejected, Generator, _runs,
-                                      _series, _young_bounds, _young_chunk)
+from framelab.stepfn import _periodized_sup, _widths
+from framelab.translate_frame import (GeneratorRejected, Generator, _runs, _series,
+                                      _young_bounds, _young_chunk, young_check)
 
 
 # -- the replaced per-draw code, verbatim ---------------------------------------
@@ -130,16 +131,33 @@ def test_zero_entries_are_dropped_as_a_coordinate_vector_drops_them():
 @pytest.mark.parametrize("signs", [(1, -1), (1, -1, 1), (1, 1, -1, 1, 1, -1, 1)])
 def test_merged_unit_boundaries_match_abs_integral(signs):
     # a_(n+1) = -a_n: the last cell of unit n and the first of unit n + 1
-    # hold the same value, and the canonical function merges them
+    # hold the same value, and the canonical function merges them, while
+    # every L1 norm sums the fold's own cells
     c = 1.0 / math.sqrt(len(signs))
     spec = RademacherSpec({n: s * c for n, s in enumerate(signs)})
     g = build_rademacher_generator(spec)
-    f, (_, grid, table) = g.f, g.fold
+    f = g.f
     merges = sum(b == -a for a, b in zip(signs, signs[1:]))
     assert merges and f.values.size == sum(2 ** (r + 1) for r in range(len(signs))) - merges
-    [l1] = _abs_integrals(table.reshape(1, -1), np.array([table.size]), 1.0 / table.shape[1])
-    assert l1.hex() == f.abs_integral().hex()
-    assert _young_chunk([(spec.coefficients, {0: 1.0}, 2.0)])[2][0] == f.abs_integral()
+    original, seen = translate_frame._l1_norm, []
+
+    def recording(lens, table):
+        seen.append(original(lens, table))
+        return seen[-1]
+
+    with mock.patch.object(translate_frame, "_l1_norm", recording):
+        young_check(f, CoordinateVector({0: 1.0}), 2.0)
+    [l1_in_young_check] = seen
+    l1 = g.report.l1_norm
+    assert _young_chunk([(spec.coefficients, {0: 1.0}, 2.0)])[2][0].hex() == l1.hex()
+    assert l1_in_young_check.hex() == l1.hex()
+    # the exact integral of |f| over its canonical cells; the float sums of
+    # the fold (896 cells at seven signs) and of those cells are within 2 ulps
+    bp = [Fraction(float(t)) for t in f.breakpoints]
+    exact = sum((hi - lo) * abs(Fraction(float(v)))
+                for lo, hi, v in zip(bp, bp[1:], f.values))
+    for value in (l1, f.abs_integral()):
+        assert abs(Fraction(value) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
 
 # dyadic unit-l2 generators: one coefficient +-1 or four of +-1/2; a on (1/4)Z
