@@ -43,7 +43,8 @@ the 8.3e-17 between 0.1 and 1.1 - 1, and a non-dyadic record it rejects,
 whose periodized sup (1.75) is read on such a sliver.  The wavelet targets are the benchmark's
 three: the indicator of [0, 0.3), the Haar mother and a step function on
 sixteenths of [0, 1).  The wavelet-reconstruct run at M = 3,
-N = 8 is the benchmark's largest merge.
+N = 8 is the benchmark's largest merge; the one at N = 1 on the step target
+makes every kernel call, its one conjugate's included, a single row.
 
 Every config runs a second time as subcommand flags (records as inline
 JSON, lists as comma-joined ``repr`` texts), and must match the same pins.
@@ -172,6 +173,10 @@ CONFIGS = {
     "wavelet-reconstruct-step": {"kind": "wavelet-reconstruct", "seed": 777,
                                  "params": {"target": STEP, "p": 2.0, "M_list": [1, 2],
                                             "N_list": [1, 3]}},
+    # N = 1: every kernel call, the conjugates' too, takes a single row
+    "wavelet-reconstruct-one-row": {"kind": "wavelet-reconstruct", "seed": 777,
+                                    "params": {"target": STEP, "p": 3.0, "M_list": [2],
+                                               "N_list": [1]}},
     "wavelet-identity-indicator": {"kind": "wavelet-identity", "seed": 777,
                                    "params": {"target": INDICATOR, "p_list": [1.5, 2.0, 3.0],
                                               "M_list": [1, 2], "N_list": [1, 2]}},
