@@ -595,7 +595,8 @@ def _run_wavelet_identity(params, seed, tol):
     return _verdict({"gaps": gaps, "max_gap": max_gap}, failures)
 
 
-@_kind("counterexample", 0.0, K=_int(1, MAX_WINDOW, 50),
+# one block's every-third candidate is e_1, finitely supported: it cannot leave c0
+@_kind("counterexample", 0.0, K=_int(2, MAX_WINDOW, 50),
        reconstruction_limit=_int(1, MAX_WINDOW, 50))
 def _run_counterexample(params, seed, tol):
     from .diagnostics import counterexample_report

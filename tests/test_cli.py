@@ -293,6 +293,16 @@ def test_bad_flag_value_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_one_block_is_a_config_error(tmp_path, capsys):
+    # with one block the every-third candidate is e_1, which has finite
+    # support and cannot leave c0: K = 1 once ran and could only fail
+    out = tmp_path / "one"
+    assert main(["counterexample", "--K", "1", "--out", str(out)]) == 1
+    assert "K must lie in [2, " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["counterexample", "--K", "2", "--out", str(out), "--quiet"]) == 0
+
+
 def test_kind_config_file_params_must_be_an_object(tmp_path, capsys):
     # a falsy non-object once fell back to the defaults and ran
     path = tmp_path / "params.json"

@@ -541,6 +541,14 @@ def test_counterexample_report_all_green():
     assert report.dual_action_matches_sum
 
 
+def test_one_block_fails_only_the_escape_check():
+    # the CLI refuses K = 1; the report says why: e_1 stays in c0
+    report = counterexample_report(1)
+    assert not report.ok
+    assert [name for name in report.CHECKS if not getattr(report, name)] == [
+        "restricted_escapes_c0"]
+
+
 # -- the replaced per-set code ---------------------------------------------------
 
 
