@@ -81,9 +81,8 @@ class WaveletSystem:
 # each member or function, or holds one row for them all (``_ROW_0``).
 # Members come in row order, so a row's members, and its cells of a merged
 # grid, are one contiguous run: the per-row steps, np.interp and
-# np.add.reduce, take each run (``_runs``).  A single target is the one-row
-# case, in which the merge takes ``_merge``'s magnitude, and the argsort and
-# the cumulative sum of a jump sum take the points alone.
+# np.add.reduce, take each run (``_runs``).  One row takes the same code as
+# many: a single target's sums and distances are the one-row case of it.
 #
 # A job is a list of boxes (ws, M, N): the system, whose p is the box's
 # exponent, the box [-M, M]^2 and the resolution N.  Its boxes share one
@@ -103,12 +102,8 @@ _ROW_0.setflags(write=False)
 def _pairs(lo, hi):
     """Every (u, v) with lo <= u, v < hi as two float arrays, u outer."""
     side = np.arange(lo, hi, dtype=float)
-    return side.repeat(side.size), _tile(side, side.size)
-
-
-def _tile(a, n):
-    """``np.tile(a, n)`` for a 1-D ``a``, without its wrapper cost."""
-    return a[None].repeat(n, axis=0).ravel()
+    # np.tile(side, side.size), without its wrapper cost
+    return side.repeat(side.size), side[None].repeat(side.size, axis=0).ravel()
 
 
 def _check(M, N):
@@ -229,47 +224,42 @@ def _members(ws, xb, xv, a, b, rows, p, weight):
     return (kept, (b + pb) * 2.0 ** (-a), (pv * 2.0 ** (a / p)) * (coef[kept, None] * weight))
 
 
-def _kept(grid, count):
-    """Which points of the sorted row-tagged ``grid`` stay when each of its
-    ``count`` rows is merged as ``stepfn._merge`` merges, and where each row
-    starts among them.  A row's magnitude is its largest |point|; one row
-    takes ``_merge``'s magnitude."""
+def _kept(grid):
+    """Which points of the sorted row-tagged ``grid`` stay when each of its rows
+    is merged as ``stepfn._merge`` merges, and where each row starts among
+    them.  A row's magnitude is its largest |point|."""
     rows, points = grid.real, grid.imag
     keep = np.empty(grid.size, dtype=bool)
     keep[:1] = True
-    # one row takes no per-row maxima: two cap-sized rows peak at 6.5 MB traced, 7.2 without
-    if count == 1:
-        starts = _ROW_0[:grid.size]
-        if grid.size > 1:
-            keep[1:] = _widths(points) > MERGE_ULPS * np.spacing(max(-points[0], points[-1]))
-    else:
-        keep[1:] = rows[1:] != rows[:-1]
-        starts = keep.nonzero()[0]
-        tol = MERGE_ULPS * np.spacing(np.maximum.reduceat(np.abs(points), starts))
-        keep[1:] |= _widths(points) > tol[keep.cumsum()[1:] - 1]
+    keep[1:] = rows[1:] != rows[:-1]
+    starts = keep.nonzero()[0]
+    tol = MERGE_ULPS * np.spacing(np.maximum.reduceat(np.abs(points), starts))
+    # repeated over each row's points, with no per-point row index: two cap-sized
+    # rows peak at 6.7 MB traced this way, 7.2 MB through such an index
+    tol = tol.repeat(_widths(np.append(starts, grid.size)))
+    keep[1:] |= _widths(points) > tol[1:]
     return keep, starts
 
 
-def _merged(keys, count):
-    """``stepfn._merge`` within each of the ``count`` rows of the points in ``keys``.
+def _merged(keys):
+    """``stepfn._merge`` within each row of the points in ``keys``.
 
     Returns ``(grid, starts)``: the row-tagged grid points and where each
     row starts among them, from one sort.
     """
     grid = np.sort(keys)
-    keep, starts = _kept(grid, count)
+    keep, starts = _kept(grid)
     return grid[keep], keep.cumsum()[starts] - 1
 
 
-def _placed(keys, count):
+def _placed(keys):
     """``_merged``'s ``(grid, starts)`` of ``keys``, and for each key the index of
     the grid point it merged into, the last at or below it, read off the
-    argsort that builds the grid: one row argsorts its points alone."""
-    # float keys sort 3x faster than complex at a cap-sized row; no memory bound rests here
-    order = keys.imag.argsort() if count == 1 else keys.argsort()
+    argsort that builds the grid."""
+    order = keys.argsort()
     grid = keys[order]
     del keys     # a batch of rows holds many points
-    keep, starts = _kept(grid, count)
+    keep, starts = _kept(grid)
     grid = grid[keep]
     index = keep.cumsum() - 1
     at = np.empty(order.size, dtype=np.intp)
@@ -277,19 +267,20 @@ def _placed(keys, count):
     return grid, index[starts], at
 
 
-def _jump_sum(rows, bp, vals, count):
+def _jump_sum(rows, bp, vals):
     """Row-tagged cells of the sums of the step functions with cells (bp[k], vals[k]):
-    row i < count sums the functions k with rows[k] = i.
+    row i sums the functions k with rows[k] = i.
 
     Each function turns into jumps at its breakpoints.  Each row's
     breakpoints are merged into one grid, and each breakpoint is placed at
     the grid point it merged into, both from one argsort (``_placed``).
-    ``np.bincount`` adds the jumps at their grid points in input order and a
-    cumulative sum along each row gives the values.  A cell that no function
+    ``np.bincount`` adds the jumps at their grid points in input order, and
+    a cumulative sum along each row of a zero-padded table, so that each
+    row's running sum starts at 0, gives the values.  A cell that no function
     covers is exactly 0: an integer count of covering functions decides.  A
     row whose grid has fewer than two points has no cell and is dropped.
     """
-    grid, starts, at = _placed(_keys(rows[:, None], bp), count)
+    grid, starts, at = _placed(_keys(rows[:, None], bp))
     lengths = _widths(np.concatenate((starts, [grid.size])))
     at = at.reshape(bp.shape)
     padded = np.zeros((vals.shape[0], vals.shape[1] + 2))
@@ -297,16 +288,11 @@ def _jump_sum(rows, bp, vals, count):
     jumps = np.bincount(at.ravel(), _widths(padded).ravel(), grid.size)
     covering = (np.bincount(at[:, 0], minlength=grid.size)
                 - np.bincount(at[:, -1], minlength=grid.size)).cumsum()
-    # one row needs no padded table; no memory bound rests here, the peak comes earlier
-    if count == 1:
-        running = jumps.cumsum()
-    else:
-        # each row's running sum starts at 0: take it along a zero-padded table's rows
-        width = np.maximum.reduce(lengths, initial=0)
-        cell = np.arange(grid.size) + (np.arange(lengths.size) * width - starts).repeat(lengths)
-        table = np.zeros(lengths.size * width)
-        table[cell] = jumps
-        running = table.reshape(lengths.size, width).cumsum(axis=1).ravel()[cell]
+    width = np.maximum.reduce(lengths, initial=0)
+    cell = np.arange(grid.size) + (np.arange(lengths.size) * width - starts).repeat(lengths)
+    table = np.zeros(lengths.size * width)
+    table[cell] = jumps
+    running = table.reshape(lengths.size, width).cumsum(axis=1).ravel()[cell]
     values = np.where(covering > 0, running, 0.0)
     if np.minimum.reduce(lengths, initial=2) == 1:
         kept = (lengths > 1).repeat(lengths)
@@ -336,8 +322,7 @@ def _lp_distances(f, g, exponents):
     row's exponent in ``exponents``, each on the merged grid of its two rows,
     as ``stepfn._combined`` takes one pair.  A run of rows that share an
     exponent takes one array power."""
-    count = len(exponents)
-    grid, _ = _merged(np.concatenate((f[0], g[0])), count)
+    grid, _ = _merged(np.concatenate((f[0], g[0])))
     rows, points = grid.real, grid.imag
     cell = rows[:-1] == rows[1:]
     mids = _keys(rows[:-1], 0.5 * (points[:-1] + points[1:]))[cell]
@@ -350,7 +335,7 @@ def _lp_distances(f, g, exponents):
     terms *= _widths(points)[cell]
     # numpy's scalar power, as for one pair: its array power may round otherwise
     return [float(np.add.reduce(run) ** (1.0 / p))
-            for p, run in zip(exponents, _runs(terms, rows, count))]
+            for p, run in zip(exponents, _runs(terms, rows, len(exponents)))]
 
 
 def _cells(rows, xb, xv):
@@ -370,7 +355,7 @@ def _lattice_sums(ws, x, lattices):
     p, weight = _per_member(p, sizes), _per_member(weight, sizes)
     kept, bp, vals = _members(ws, x.breakpoints[None], x.values[None], a, b, _ROW_0, p, weight)
     rows = np.arange(len(lattices)).repeat(sizes)
-    return _canonical(_jump_sum(rows[kept], bp, vals, len(lattices)))
+    return _canonical(_jump_sum(rows[kept], bp, vals))
 
 
 def _box_sums(x, boxes):
@@ -404,8 +389,7 @@ def _averaged_sums(x, boxes):
         bps.append((bp + shift[rows]) * scale[rows])
         vals.append(v * grow[rows] * weight[rows])
         out.append(box[rows])
-    return _canonical(_jump_sum(np.concatenate(out), np.concatenate(bps),
-                                np.concatenate(vals), len(boxes)))
+    return _canonical(_jump_sum(np.concatenate(out), np.concatenate(bps), np.concatenate(vals)))
 
 
 # -- reconstructions ---------------------------------------------------------------
@@ -460,7 +444,7 @@ def convergence_study(ws, x, M_list, N_list):
         count = yb.shape[0]
         kept, bp, vals = _members(ws, yb, yv, l, m, targets, p, 1.0)
         bounds += _lp_distances(_cells(np.arange(count)[:, None], yb, yv),
-                                _jump_sum(targets[kept], bp, vals, count), [ws.p] * count)
+                                _jump_sum(targets[kept], bp, vals), [ws.p] * count)
     ends = np.cumsum([N * N for _, _, N in boxes]).tolist()
     # np.max keeps a NaN, which Python's max would drop
     return [StudyRow(M=M, N=N, p=ws.p, error=error,

@@ -357,7 +357,7 @@ def test_uncovered_cells_are_exactly_zero():
 
 def one_row_sum(bp, vals):
     """Cells (grid, values) of the sum of the step functions in the rows of (bp, vals)."""
-    keys, values = _jump_sum(_ROW_0, bp, vals, 1)
+    keys, values = _jump_sum(_ROW_0, bp, vals)
     return keys.imag, values[:-1]
 
 
@@ -437,12 +437,12 @@ def test_row_merge_matches_merge_per_row(case):
     rows, points = case
     count = len(set(rows.tolist()))
     keys = _keys(rows, points)
-    grid, starts = _merged(keys, count)
+    grid, starts = _merged(keys)
     assert starts.tolist() == [i for i in range(grid.size)
                                if i == 0 or grid.real[i] != grid.real[i - 1]]
     # the argsort builds the same grid and places each point at the last grid
     # point at or below it, the one it merged into
-    placed, placed_starts, at = _placed(keys, count)
+    placed, placed_starts, at = _placed(keys)
     assert (placed + 0.0).tobytes() == (grid + 0.0).tobytes()
     assert placed_starts.tolist() == starts.tolist()
     assert at.tolist() == (grid.searchsorted(keys, side="right") - 1).tolist()
@@ -476,7 +476,7 @@ def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N, group):
         count = xb.shape[0]
         kept, bp, vals = _members(ws, xb, xv, l, m, targets, p, 1.0)
         rows = targets[kept]
-        keys, values = _jump_sum(rows, bp, vals, count)
+        keys, values = _jump_sum(rows, bp, vals)
         sums = []
         for i in range(count):
             grid, cells = reference_jump_sum(bp[rows == i], vals[rows == i])
@@ -729,7 +729,7 @@ def test_synthesis_is_exact(target, mother, dual, exps, lattice, N):
     targets = np.arange(len(rows)).repeat(a.size)
     kept, bp, vals = _members(ws, xb, xv, np.tile(a, len(rows)), np.tile(b, len(rows)),
                               targets, ws.p, weight)
-    sums = _jump_sum(targets[kept], bp, vals, len(rows))
+    sums = _jump_sum(targets[kept], bp, vals)
     for i, xf in enumerate(rows):
         assert_exact(row_function(sums, i), exact_sum(ws, xf, a, b, exps, weight))
 
