@@ -52,6 +52,9 @@ MAX_SAMPLING_WORK = 2 ** 20
 MAX_M = 8
 MAX_N = 16
 MAX_P = 16.0
+# entries of a list param; the longest a default, a criterion or a benchmark
+# job takes is the 8-entry M_list at the lattice cap
+MAX_LIST = 64
 
 
 class ConfigError(ValueError):
@@ -108,6 +111,8 @@ def _check_step(name, value):
 def _check_list(name, value, what, check, *bounds):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a nonempty list of {what}")
+    if len(value) > MAX_LIST:
+        raise ConfigError(f"{name} must hold at most {MAX_LIST} {what}, got {len(value)}")
     return [check(f"{name}[{i}]", v, *bounds) for i, v in enumerate(value)]
 
 

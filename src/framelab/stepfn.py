@@ -166,9 +166,6 @@ class StepFunction:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self):
-        return self.values.size == 0
-
     def support(self):
         """(left, right) span of the nonzero cells, or None for the zero function."""
         if self.values.size == 0:
@@ -190,31 +187,6 @@ class StepFunction:
     def add(self, other):
         return StepFunction(*_combined((self.breakpoints, self.values),
                                        (other.breakpoints, other.values), np.add))
-
-    # -- integrals and norms -------------------------------------------------
-
-    def abs_integral(self):
-        """Integral of |f|; the L1 norm."""
-        if self.values.size == 0:
-            return 0.0
-        return float(np.add.reduce(np.abs(self.values) * _widths(self.breakpoints)))
-
-    def lp_norm(self, p):
-        # a NaN fails both comparisons; at p = inf every nonzero norm would read 1
-        if not 1.0 <= p < math.inf:
-            raise ValueError("lp_norm requires 1 <= p < inf")
-        if self.values.size == 0:
-            return 0.0
-        return float(np.add.reduce(np.abs(self.values) ** p * _widths(self.breakpoints))
-                     ** (1.0 / p))
-
-    def inner(self, other):
-        """Exact integral of the pointwise product of two step functions."""
-        if self.values.size == 0 or other.values.size == 0:
-            return 0.0
-        grid, product = _combined((self.breakpoints, self.values),
-                                  (other.breakpoints, other.values), np.multiply)
-        return float(np.add.reduce(product * _widths(grid)))
 
     # -- comparisons ---------------------------------------------------------
 

@@ -162,7 +162,9 @@ def build_rademacher_generator(spec, lag_range=None, tol=VALIDATION_TOL):
     the support.  All breakpoints are dyadic rationals, hence exact in
     floats.  An empty or non-unit coefficient vector is rejected before
     certification, with a report at ``lag_range`` (None: the units the
-    support spans) and ``tol``.
+    support spans) and ``tol``; a non-unit one reports the L1 norm and the
+    periodized sup of its fold, and an ortho residual of inf, as its Gram
+    lags are not taken.
     """
     _check_lag_range(lag_range)
     coeffs = spec.coefficients
@@ -176,17 +178,17 @@ def build_rademacher_generator(spec, lag_range=None, tol=VALIDATION_TOL):
             0.0, 0.0, math.inf, lag_range, tol, ("coefficient vector is empty",)))
     if not isinstance(spec.resolution, int) or spec.resolution < 1:
         raise ValueError("resolution must be a positive integer")
-    l2 = coeffs.norm(2)
-    if not (abs(l2 - 1.0) <= 1e-12):
-        raise GeneratorRejected(ValidationReport(
-            0.0, 0.0, math.inf, lag_range, tol,
-            (f"coefficients must have unit l2 norm, got {l2!r}",)))
     depth = len(support) - 1 + spec.resolution
     rows = np.zeros((support[-1] - support[0] + 1, 2 ** depth))
     ranks, values = np.arange(len(support)), [[float(coeffs[n])] for n in support]
     rows[np.array(support) - support[0]] = _signs(depth, ranks, spec.resolution) * values
     k0 = float(support[0])
     grid = np.arange(rows.shape[1] + 1) / rows.shape[1]
+    l2 = coeffs.norm(2)
+    if not (abs(l2 - 1.0) <= 1e-12):
+        raise GeneratorRejected(ValidationReport(
+            _l1_norm(_widths(grid), rows), float(_periodized_sup(rows)), math.inf, lag_range,
+            tol, (f"coefficients must have unit l2 norm, got {l2!r}",)))
     return _certified(_unfold(k0, grid, rows), (k0, grid, rows), lag_range, tol)
 
 

@@ -56,15 +56,7 @@ CRITERIA = [f"test_criterion_{i:02d}_" for i in range(1, 10)]
 EXEMPT = {
     "framelab.stepfn:StepFunction.add":
         "the benchmark's tracer test wraps it (bench/tests/test_perfbench.py)",
-    "framelab.stepfn:StepFunction.inner":
-        "the exact integral of a product the wavelet and lattice kernels must match",
-    "framelab.stepfn:_combined": "the one merge behind inner and add",
-    "framelab.stepfn:StepFunction.lp_norm":
-        "the Lp norm the wavelet and lattice tests measure reconstruction errors with",
-    "framelab.stepfn:StepFunction.abs_integral":
-        "the L1 norm on canonical cells the tests hold the fold's L1 certificate to",
-    "framelab.stepfn:StepFunction.is_zero":
-        "the zero test of the tests' reference code; certification reads the fold",
+    "framelab.stepfn:_combined": "the merge behind add",
     "framelab.stepfn:StepFunction.__eq__":
         "reconstruction_identity_gaps compares mothers that are equal but distinct objects",
     "framelab.stepfn:StepFunction.__repr__": "a readable object in a failing test",

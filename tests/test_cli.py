@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -436,6 +437,22 @@ def test_oversized_generator_is_a_config_error(tmp_path, cli_env, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind, param, entry", [
+    ("reconstruct", "p_list", 2.0), ("wavelet-identity", "M_list", 1),
+    ("sampling-sweep", "steps", 0.25)])
+def test_a_list_param_longer_than_its_cap_is_a_config_error(tmp_path, capsys, kind, param,
+                                                            entry):
+    # each exponent costs reconstruct two norms a vector: 20,000 took 6.7 s
+    assert cli.validate_config({"kind": kind, "params": {param: [entry] * cli.MAX_LIST}})
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"params": {param: [entry] * 65}}))
+    start = time.perf_counter()
+    assert main([kind, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert f"config error: {param} must hold at most 64" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_work_cap_admits_the_benchmark_and_test_generators():
     # the benchmark's 8-coefficient generator folds to 8 units x 256 cells
     assert cli._fold_work(parsed(EIGHT_TERMS), 16) == 8 * 256 * (8 + 33)
@@ -622,15 +639,21 @@ def test_target_cells_must_outlast_the_lattice_merge_distance(tmp_path, capsys):
     assert rows[0]["error"] == pytest.approx(math.sqrt(1e11), rel=1e-3)
 
 
-@pytest.mark.parametrize("args", [
-    ["wavelet-reconstruct", "--M-list", ",".join(["8"] * 9), "--N-list", "16"],
-    ["wavelet-identity", "--p-list", "1.5,2,3", "--M-list", "8,8,8", "--N-list", "16"],
-    ["wavelet-reconstruct", "--M-list", ",".join(["8"] * 1000), "--N-list", "16"],
-], ids=["nine-max-rows", "identity-nine-max-rows", "thousand-max-rows"])
-def test_oversized_wavelet_job_is_a_config_error(tmp_path, cli_env, args):
+@pytest.mark.parametrize("args, error", [
+    (["wavelet-reconstruct", "--M-list", ",".join(["8"] * 9), "--N-list", "16"],
+     "wavelet job too large"),
+    (["wavelet-identity", "--p-list", "1.5,2,3", "--M-list", "8,8,8", "--N-list", "16"],
+     "wavelet job too large"),
+    (["wavelet-reconstruct", "--M-list", ",".join(["8"] * 64), "--N-list", "16"],
+     "wavelet job too large"),
+    # a list past MAX_LIST is refused before its work is counted
+    (["wavelet-reconstruct", "--M-list", ",".join(["8"] * 1000), "--N-list", "16"],
+     "M_list must hold at most 64"),
+], ids=["nine-max-rows", "identity-nine-max-rows", "sixty-four-max-rows", "thousand-max-rows"])
+def test_oversized_wavelet_job_is_a_config_error(tmp_path, cli_env, args, error):
     proc = run_cli([*args, "--out", "big"], cwd=tmp_path, env=cli_env, timeout=5)
     assert proc.returncode == 1
-    assert "config error: wavelet job too large" in proc.stderr
+    assert f"config error: {error}" in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

@@ -59,7 +59,7 @@ def reference_synthesis_over_set(g, x, window):
     Coordinate m is the integral of the analysis function times f(. - m),
     for |m| <= window.  With a validated generator this returns x.
     """
-    if x.is_zero() or g.f.is_zero():
+    if x.is_zero() or g.f.values.size == 0:
         return CoordinateVector()
     _, grid, table = g.fold
     units = table.shape[0]

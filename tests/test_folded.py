@@ -7,14 +7,16 @@ generator (``stepfn._folded``).  Each folded path is compared with
   as the reference (``reference_*``), on Gaussian and non-dyadic data;
   where it summed with the deleted ``StepFunction.sum`` it now adds one
   term at a time (``left_fold``), and where it used the deleted
-  ``multiply`` and ``integrate`` it takes the product from
-  ``stepfn._combined`` (``pointwise_product``) and the integral from
-  ``inner``, and it takes each translate from the deleted
+  ``multiply`` it takes the product from ``stepfn._combined``
+  (``pointwise_product``), and it takes each translate from the deleted
   ``StepFunction.translate``, kept in ``reference_orbit``;
-* exact ``fractions.Fraction`` arithmetic on dyadic generators, driven by
-  ``hypothesis``; dyadic data with few bits keeps every float sum exact,
-  so the folded results must equal the oracle exactly.  On tenths grids
-  cell widths round, and a sum is held within a stated bound instead.
+* the exact oracle of ``tests/exact.py``: the Gram lags, the
+  biorthogonality matrix, synthesis and the young lhs on the same data,
+  within the bounds the deleted ``StepFunction.inner`` and ``lp_norm``
+  were held to; and on dyadic generators, driven by ``hypothesis``, where
+  few bits keep every float sum exact, so the folded results must equal
+  the oracle.  On tenths grids cell widths round, and a sum is held within
+  a stated bound instead.
 
 The fold keeps every distinct fractional part.  The fold that merged parts
 within 64 ulps of 1 is kept verbatim too, with the CLI check that refused
@@ -54,6 +56,7 @@ from framelab import cli, translate_frame
 from framelab.translate_frame import (VALIDATION_TOL, Generator, GeneratorRejected,
                                       _certified, _series, _synthesis)
 
+import exact
 from reference_orbit import scale, translate
 
 
@@ -64,7 +67,7 @@ def translate_series(f, x):
     one run at a time; the runs are disjoint, so their sum is the series.
     The kernels are looked up on the module, so a patched one is used.
     """
-    if x.is_zero() or f.is_zero():
+    if x.is_zero() or f.values.size == 0:
         return StepFunction()
     k0, grid, table = _folded(f)
     return left_fold([translate_frame._unfold(k0 + n0, grid, translate_frame._series(table, a))
@@ -85,30 +88,6 @@ def left_fold(funcs):
 def reference_translate_series(f, x):
     """sum_n x_n * f(. - n) as a step function."""
     return left_fold([scale(translate(f, n), c) for n, c in x.items()])
-
-
-def reference_ortho_residual(f, lag_range):
-    residual = 0.0
-    for m in range(-lag_range, lag_range + 1):
-        val = f.inner(translate(f, m))
-        target = 1.0 if m == 0 else 0.0
-        residual = max(residual, abs(val - target))
-    return residual
-
-
-def reference_biorthogonality_matrix(g, window):
-    """Matrix of inner products of integer translates; identity certifies the frame."""
-    ns = range(-window, window + 1)
-    translates = [translate(g.f, n) for n in ns]
-    size = 2 * window + 1
-    mat = np.zeros((size, size))
-    for i, fi in enumerate(translates):
-        for j, fj in enumerate(translates):
-            if j < i:
-                mat[i, j] = mat[j, i]
-            else:
-                mat[i, j] = fi.inner(fj)
-    return mat
 
 
 def reference_periodized_l1_sup(self):
@@ -140,16 +119,6 @@ def reference_periodized_l1_sup(self):
     return float(acc.max())
 
 
-def reference_synthesis_over_set(g, x, window):
-    c = reference_translate_series(g.f, x)
-    out = {}
-    for m in range(-window, window + 1):
-        val = c.inner(translate(g.f, m))
-        if val != 0.0:
-            out[m] = val
-    return CoordinateVector(out)
-
-
 def pointwise_product(c, d):
     """The pointwise product c*d."""
     return StepFunction(*_combined((c.breakpoints, c.values), (d.breakpoints, d.values),
@@ -164,7 +133,7 @@ def periodized_sup(f):
 def reference_sign_parts(c, d):
     """(positive part, negative part) of integral c*d."""
     product = pointwise_product(c, d)
-    if product.is_zero():
+    if product.values.size == 0:
         return 0.0, 0.0
     lens = np.diff(product.breakpoints)
     vals = product.values
@@ -205,8 +174,8 @@ def reference_scan(g, trials, window, p, seed=0):
         c = reference_translate_series(g.f, x)
         d = reference_translate_series(g.f, xs)
         best_suppression = max(best_suppression, max(reference_sign_parts(c, d)) / denom)
-        best_unconditional = max(best_unconditional,
-                                 pointwise_product(c, d).abs_integral() / denom)
+        # the integral of |c d| is the sum of its sign parts
+        best_unconditional = max(best_unconditional, sum(reference_sign_parts(c, d)) / denom)
     return best_suppression, best_unconditional
 
 
@@ -255,16 +224,14 @@ def fold_cell_gap(f, x):
     """Largest |series - exact| of sum_n x_n f(. - n) over the fold's cells:
     the rows the fold kernels sum for each run of x against a ``Fraction``
     series at the exact midpoint of each cell k0 + n0 + u + [G_i, G_(i+1))."""
-    bp, vals = as_fractions(f)
-    exact = exact_series(bp, vals, {n: Fraction(c) for n, c in x.items()})
+    series = exact.series(exact.of(f), x)
     k0, grid, table = _folded(f)
-    mids = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(grid[:-1].tolist(),
-                                                            grid[1:].tolist())]
+    mids = [mid for _, _, mid in exact.cells(map(Fraction, grid.tolist()))]
     gap = 0.0
     for n0, a in translate_frame._runs(x, table.shape[0]):
         for u, row in enumerate(translate_frame._series(table, a).tolist()):
-            start = Fraction(int(k0) + n0 + u)
-            gap = max([gap] + [abs(v - float(exact(start + mid)))
+            start = int(k0) + n0 + u
+            gap = max([gap] + [abs(v - float(exact.value(series, start + mid)))
                                for v, mid in zip(row, mids)])
     return gap
 
@@ -285,9 +252,8 @@ def test_fold_keeps_every_fractional_part():
     assert 1.1 - 1.0 > 0.1
     assert table.shape == (3, 5)
     # on the sliver [0.1, 1.1 - 1) the three units read 0.5, |-1| and 0.25
-    bp, vals = as_fractions(NON_DYADIC)
     assert periodized_sup(NON_DYADIC) == 1.75 == reference_periodized_l1_sup(NON_DYADIC)
-    assert exact_periodized_sup(bp, vals) == Fraction(7, 4)
+    assert exact_periodized_sup(exact.of(NON_DYADIC)) == Fraction(7, 4)
     # shifted past the binade at 65536, 65535.1 and 65536.1 have fractional
     # parts 7.3e-12 apart.  Fractional parts past 1 are exact, so the fold
     # keeps that sliver, where three units overlap, and reads it by cell
@@ -333,16 +299,15 @@ def test_gram_residual_and_biorthogonality_match_reference():
         g = gaussian_generator(rng)
         report = g.report
         assert report.lag_range == 8
-        assert abs(report.ortho_residual
-                   - reference_ortho_residual(g.f, report.lag_range)) <= 1e-15
-        assert np.max(np.abs(biorthogonality_matrix(g, 16)
-                             - reference_biorthogonality_matrix(g, 16))) <= 1e-15
+        lags = exact_lags(g.f)
+        assert abs(report.ortho_residual - ortho_residual(lags[:9])) <= 1e-15
+        assert np.max(np.abs(biorthogonality_matrix(g, 16) - gram_matrix(lags, 16))) <= 1e-15
     wide = uncertified(NON_DYADIC)
     report = certificates(wide, None)
+    lags = exact_lags(NON_DYADIC)
     assert report.ortho_residual == pytest.approx(
-        reference_ortho_residual(NON_DYADIC, report.lag_range), rel=1e-14)
-    assert np.max(np.abs(biorthogonality_matrix(wide, 4)
-                         - reference_biorthogonality_matrix(wide, 4))) <= 1e-15
+        ortho_residual(lags[:report.lag_range + 1]), rel=1e-14)
+    assert np.max(np.abs(biorthogonality_matrix(wide, 4) - gram_matrix(lags, 4))) <= 1e-15
 
 
 def test_periodized_sup_matches_reference():
@@ -360,12 +325,10 @@ def test_synthesis_matches_reference():
     for _ in range(4):
         g = gaussian_generator(rng)
         x = gaussian_vector(rng, 4)
-        assert vector_gap(synthesis_over_set(g, x, 12),
-                          reference_synthesis_over_set(g, x, 12)) <= 1e-14
+        assert vector_gap(synthesis_over_set(g, x, 12), exact_synthesis(g.f, x, 12)) <= 1e-14
     g = uncertified(NON_DYADIC)
     x = CoordinateVector({-1: 0.3, 2: -1.1})
-    assert vector_gap(synthesis_over_set(g, x, 6),
-                      reference_synthesis_over_set(g, x, 6)) <= 1e-14
+    assert vector_gap(synthesis_over_set(g, x, 6), exact_synthesis(g.f, x, 6)) <= 1e-14
 
 
 def test_scan_sign_parts_and_bounds_match_reference():
@@ -397,7 +360,7 @@ def test_young_lhs_matches_reference():
         p = (1.5, 2.0, 3.0)[i % 3]
         lhs, _ = young_check(f, a, p)
         assert lhs == pytest.approx(
-            reference_translate_series(f, a).lp_norm(p) ** p, rel=1e-13)
+            float(exact.power_integral(exact.series(exact.of(f), a), p)), rel=1e-13)
 
 
 def test_far_apart_coefficients_fold_in_separate_runs(monkeypatch):
@@ -417,56 +380,60 @@ def test_far_apart_coefficients_fold_in_separate_runs(monkeypatch):
     y = synthesis_over_set(g, x, 120)
     lhs, _ = young_check(g.f, x, 3.0)
     assert sizes == [4, 1, 11] * 3
-    reference = reference_translate_series(g.f, x)
-    assert max_gap(series, reference) <= 1e-14
-    assert vector_gap(y, reference_synthesis_over_set(g, x, 120)) <= 1e-14
-    assert lhs == pytest.approx(reference.lp_norm(3.0) ** 3.0, rel=1e-13)
+    assert max_gap(series, reference_translate_series(g.f, x)) <= 1e-14
+    assert vector_gap(y, exact_synthesis(g.f, x, 120)) <= 1e-14
+    assert lhs == pytest.approx(
+        float(exact.power_integral(exact.series(exact.of(g.f), x), 3)), rel=1e-13)
 
 
 # -- the exact rational oracle ---------------------------------------------------
 
 
-def exact_value(bp, vals, t):
-    for left, right, v in zip(bp[:-1], bp[1:], vals):
-        if left <= t < right:
-            return v
-    return Fraction(0)
+def exact_lags(f):
+    """The Gram lags <f, f(. - m)> of a StepFunction f, for every m below the
+    width of its support; every later lag is 0."""
+    lo, hi = f.support()
+    f = exact.of(f)
+    return [exact.inner(f, exact.translate(f, m)) for m in range(math.ceil(hi - lo))]
 
 
-def exact_series(bp, vals, x):
-    return lambda t: sum((c * exact_value(bp, vals, t - n) for n, c in x.items()),
-                         Fraction(0))
+def ortho_residual(lags):
+    return float(max(abs(lag - (m == 0)) for m, lag in enumerate(lags)))
 
 
-def cells(points):
-    pts = sorted(set(points))
-    return [(a, b, (a + b) / 2) for a, b in zip(pts[:-1], pts[1:])]
+def gram_matrix(lags, window):
+    """The biorthogonality matrix at ``window``: entry (i, j) is lag |i - j|."""
+    index = np.arange(2 * window + 1)
+    return np.array([float(v) for v in lags] + [0.0] * index.size)[abs(index[:, None] - index)]
 
 
-def shifted_points(bp, shifts):
-    return [b + n for b in bp for n in shifts]
+def exact_synthesis(f, x, window):
+    """Coordinates m of the synthesis of x, |m| <= window: sum_n x_n times
+    the lag m - n, exact, each rounded once."""
+    lags = exact_lags(f) + [0] * (window + max(map(abs, x.support())))
+    return CoordinateVector({m: float(sum(Fraction(c) * lags[abs(m - n)] for n, c in x.items()))
+                             for m in range(-window, window + 1)})
 
 
-def exact_periodized_sup(bp, vals):
-    """sup of the 1-periodization of |f|, f the step function on (bp, vals)."""
-    points = {Fraction(0), Fraction(1)} | {b - math.floor(b) for b in bp}
-    units = range(math.floor(bp[0]), math.ceil(bp[-1]))
-    return max(sum(abs(exact_value(bp, vals, mid + k)) for k in units)
-               for _, _, mid in cells(points))
+def lag_and_size(series, f, m):
+    """<series, f(. - m)> and the integral of |series f(. - m)|, the scale of
+    its rounding, for exact cells."""
+    shifted = exact.translate(f, m)
+    terms = [(b - a) * exact.value(series, mid) * exact.value(shifted, mid)
+             for a, b, mid in exact.cells(series[0] + shifted[0])]
+    return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
 
 
-def as_fractions(f):
-    return ([Fraction(float(t)) for t in f.breakpoints],
-            [Fraction(float(v)) for v in f.values])
+def exact_periodized_sup(f):
+    """sup of the 1-periodization of |f| for the exact cells f."""
+    points = {Fraction(0), Fraction(1)} | {b - math.floor(b) for b in f[0]}
+    units = range(math.floor(f[0][0]), math.ceil(f[0][-1]))
+    return max(sum(abs(exact.value(f, mid + k)) for k in units)
+               for _, _, mid in exact.cells(points))
 
 
 # breakpoints on (1/4)Z, values and coefficients on (1/2)Z: every float sum stays exact
-dyadic_generators = st.lists(st.integers(-12, 12), min_size=2, max_size=6,
-                             unique=True).flatmap(
-    lambda qs: st.tuples(
-        st.just(sorted(qs)),
-        st.lists(st.integers(-4, 4), min_size=len(qs) - 1,
-                 max_size=len(qs) - 1).filter(any)))
+dyadic_generators = exact.integer_cells(nonzero=True)
 dyadic_vectors = st.dictionaries(st.integers(-4, 4), st.integers(-4, 4).filter(bool),
                                  min_size=1, max_size=5)
 
@@ -494,8 +461,8 @@ def slack(grid):
     return SLACK if grid in TENTHS_GRIDS else 0
 
 
-def build(quarters, halves, offset=0.0, scale=0.25):
-    f = StepFunction([offset + q * scale for q in quarters], [h / 2 for h in halves])
+def build(drawn, offset=0.0, step=0.25):
+    f = exact.dyadic(drawn, offset, step)
     return f, uncertified(f)
 
 
@@ -509,28 +476,22 @@ ORACLE = settings(max_examples=40, deadline=None)
 @ORACLE
 @given(dyadic_generators, dyadic_vectors)
 def test_translate_series_is_exact(gen, raw):
-    f, _ = build(*gen)
+    f, _ = build(gen)
     x = vector(raw)
-    bp, vals = as_fractions(f)
-    exact = exact_series(bp, vals, {n: Fraction(c) for n, c in x.items()})
+    want = exact.series(exact.of(f), x)
     series = translate_series(f, x)
-    for _, _, mid in cells(shifted_points(bp, x.support())):
-        assert Fraction(float(series(float(mid)))) == exact(mid)
+    for _, _, mid in exact.cells(want[0]):
+        assert Fraction(float(series(float(mid)))) == exact.value(want, mid)
 
 
 @ORACLE
 @given(dyadic_generators, fold_grids)
 @example(([-9, 1], [2]), (1.5, 0.1))        # lag 1 is the sliver [0.6 + 1, 1.6)
 def test_gram_lags_and_residual_are_exact(gen, grid):
-    f, g = build(*gen, *grid)
-    bp, vals = as_fractions(f)
+    f, g = build(gen, *grid)
     window = 4
-    lags, sizes = [], []
-    for m in range(2 * window + 1):
-        terms = [(b - a) * exact_value(bp, vals, mid) * exact_value(bp, vals, mid - m)
-                 for a, b, mid in cells(bp + [t + m for t in bp])]
-        lags.append(sum(terms, Fraction(0)))
-        sizes.append(sum(map(abs, terms), Fraction(0)))
+    lags, sizes = zip(*(lag_and_size(exact.of(f), exact.of(f), m)
+                        for m in range(2 * window + 1)))
     mat = biorthogonality_matrix(g, window)
     for i in range(2 * window + 1):
         for j in range(2 * window + 1):
@@ -546,25 +507,20 @@ def test_gram_lags_and_residual_are_exact(gen, grid):
 @example(([1, 11], [1]), (65535.0, 0.1))    # units 0 and 1 overlap on the sliver
 @example(([-9, 1], [2]), (1.5, 0.1))        # 0.6 and 1.6 - 1 differ in the last bit
 def test_periodized_sup_is_exact(gen, grid):
-    f, _ = build(*gen, *grid)
-    assert Fraction(periodized_sup(f)) == exact_periodized_sup(*as_fractions(f))
+    f, _ = build(gen, *grid)
+    assert Fraction(periodized_sup(f)) == exact_periodized_sup(exact.of(f))
 
 
 @ORACLE
 @given(dyadic_generators, dyadic_vectors, fold_grids)
 def test_synthesis_is_exact(gen, raw, grid):
-    f, g = build(*gen, *grid)
+    f, g = build(gen, *grid)
     x = vector(raw)
-    bp, vals = as_fractions(f)
-    exact = exact_series(bp, vals, {n: Fraction(c) for n, c in x.items()})
+    series = exact.series(exact.of(f), x)
     window = 10
     y = synthesis_over_set(g, x, window)
     for m in range(-window, window + 1):
-        total = size = Fraction(0)
-        for a, b, mid in cells(shifted_points(bp, x.support()) + [t + m for t in bp]):
-            height = (b - a) * exact(mid) * exact_value(bp, vals, mid - m)
-            total += height
-            size += abs(height)
+        total, size = lag_and_size(series, exact.of(f), m)
         assert abs(Fraction(y[m]) - total) <= slack(grid) * size
 
 
@@ -580,7 +536,7 @@ gapped_runs = st.tuples(st.integers(-24, -1), st.lists(
 @example(([0, 24], [1]), (-20, [(0, [1, -2]), (12, [3]), (11, [-1])]), (0.0, 0.25))
 def test_synthesis_of_gapped_dense_runs_is_exact(gen, drawn, grid):
     # the 6-unit example splits at its gap of 12 and not at its gap of 11
-    f, g = build(*gen, *grid)
+    f, g = build(gen, *grid)
     n0, runs = drawn
     entries, n = {}, n0
     for gap, values in runs:
@@ -594,18 +550,12 @@ def test_synthesis_of_gapped_dense_runs_is_exact(gen, drawn, grid):
     y = synthesis_over_set(g, x, window)
     # the dense core over the whole span of x, its gaps included
     dense = _synthesis(g, n0, np.array([x[k] for k in range(n0, n)]), window)
-    bp, vals = as_fractions(f)
     for m in range(-window, window + 1):
         near = {k: c for k, c in entries.items() if abs(k - m) <= span}
         if not near:
             assert y[m] == dense[m + window] == 0.0
             continue
-        exact = exact_series(bp, vals, near)
-        total = size = Fraction(0)
-        for a, b, mid in cells(shifted_points(bp, near) + [t + m for t in bp]):
-            height = (b - a) * exact(mid) * exact_value(bp, vals, mid - m)
-            total += height
-            size += abs(height)
+        total, size = lag_and_size(exact.series(exact.of(f), near), exact.of(f), m)
         assert abs(Fraction(y[m]) - total) <= slack(grid) * size
         assert abs(Fraction(float(dense[m + window])) - total) <= slack(grid) * size
 
@@ -614,17 +564,15 @@ def test_synthesis_of_gapped_dense_runs_is_exact(gen, drawn, grid):
 @given(dyadic_generators, st.lists(st.integers(-4, 4), min_size=5, max_size=5),
        st.lists(st.integers(-4, 4), min_size=5, max_size=5))
 def test_scan_sign_parts_are_exact(gen, xa, xb):
-    f, _ = build(*gen)
-    bp, vals = as_fractions(f)
+    f, _ = build(gen)
     _, grid, table = _folded(f)
     a = np.array(xa) / 2
     b = np.array(xb) / 2
     pos, neg = _sign_parts(_series(table, a) * _series(table, b), np.diff(grid))
-    ca = exact_series(bp, vals, {n: Fraction(c) for n, c in enumerate(a.tolist())})
-    cb = exact_series(bp, vals, {n: Fraction(c) for n, c in enumerate(b.tolist())})
+    ca, cb = (exact.series(exact.of(f), dict(enumerate(c.tolist()))) for c in (a, b))
     exact_pos = exact_neg = Fraction(0)
-    for lo, hi, mid in cells(shifted_points(bp, range(5))):
-        v = (hi - lo) * ca(mid) * cb(mid)
+    for lo, hi, mid in exact.cells(ca[0] + cb[0]):
+        v = (hi - lo) * exact.value(ca, mid) * exact.value(cb, mid)
         exact_pos += max(v, 0)
         exact_neg += max(-v, 0)
     assert Fraction(pos) == exact_pos

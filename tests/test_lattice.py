@@ -7,14 +7,14 @@ row), synthesis from one jump sort per row (``_jump_sum``) and every row's
 Lp distance from one merge and one np.add.reduce per row
 (``_lp_distances``).  Each path is compared with
 
-* the per-member ``StepFunction`` code it replaced, kept verbatim below as
-  the reference (``reference_*``, with the deleted balanced
-  ``StepFunction.sum`` as ``reference_sum``), each member built by the
-  deleted ``member``, ``translate`` and ``dilate`` kept in
-  ``reference_orbit``, on Haar and non-Haar systems and on dyadic and
-  non-dyadic targets; the kernel's cells of the members at (0, 0), its
-  only reading of the orbit, equal that ``member``'s bit for bit, driven
-  by ``hypothesis``;
+* the per-member sums it replaced (``reference_*``), taken by
+  ``tests/exact.py`` on each member's float cells as the deleted ``member``,
+  ``translate`` and ``dilate`` (kept in ``reference_orbit``) build them, on
+  Haar and non-Haar systems and dyadic and non-dyadic targets: each sum
+  within 1e-13 in L1, where a grid point merged a few ulps off counts an
+  ulp (in Lp ulp^(1/p)), each study row within a relative 1e-12; the
+  kernel's cells of the members at (0, 0), its only reading of the orbit,
+  equal that ``member``'s bit for bit, driven by ``hypothesis``;
 * the one-row code the row kernel replaced, bit for bit: ``_merge`` per
   row, and the one-row jump sum and Lp distance kept verbatim
   (``reference_jump_sum``, ``reference_lp_distance``), driven by
@@ -24,9 +24,8 @@ Lp distance from one merge and one np.add.reduce per row
   boxes in any order and with repeats, against its box run alone, and a
   one-box gap against the one-pair distance between the two routes' step
   functions (``two_routes_gap``, by ``reference_lp_distance``);
-* exact ``fractions.Fraction`` arithmetic on dyadic targets, mothers and
-  lattices, driven by ``hypothesis``, for one target and for several rows
-  in one call; scales are chosen so that every normalization 2^(a/p),
+* the exact oracle on dyadic targets, mothers and lattices, driven by
+  ``hypothesis``, for one target and for several rows in one call; scales are chosen so that every normalization 2^(a/p),
   2^(a/q) is a power of two, which keeps every float sum exact, so the
   kernel must equal the oracle exactly.
 
@@ -70,9 +69,10 @@ from framelab.wavelet_frame import (_ROW_0, _box_lattice, _canonical, _cells, _c
                                     _conjugate_groups, _jump_sum, _keys, _lattice_sums,
                                     _lp_distances, _members, _merged, _pairs, _placed, _runs)
 
+import exact
 from reference_boxes import (averaged_conjugate_reconstruction, box_reconstruct, function,
                              reconstruction_identity_gap)
-from reference_orbit import dilate, member, p_conj, scale, translate
+from reference_orbit import dilate, member, p_conj, translate
 
 
 def _lattice_sum(ws, x, a, b, weight):
@@ -80,45 +80,28 @@ def _lattice_sum(ws, x, a, b, weight):
     return function(_lattice_sums(ws, x, [(a, b, ws.p, weight)]))
 
 
-# -- the replaced per-member code, verbatim ---------------------------------------
+# -- the replaced per-member code, on the exact oracle ----------------------------------
 
 
-def reference_sum(funcs):
-    """Balanced pairwise summation of a sequence of step functions."""
-    items = list(funcs)
-    if not items:
-        return StepFunction()
-    while len(items) > 1:
-        nxt = [items[i].add(items[i + 1]) for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
+def exact_lattice_sum(ws, x, params, weight=1):
+    """weight * sum_k <x, dual(a_k, b_k)> primal(a_k, b_k) over the (a_k, b_k)
+    of ``params``, exact on the cells of x and of each member as ``member``
+    builds it in floats."""
+    x = exact.of(x)
+    terms = []
+    for a, b in params:
+        coef = exact.inner(x, exact.of(member(ws, a, b, "dual")))
+        if coef:
+            terms.append(exact.scale(exact.of(member(ws, a, b, "primal")), coef * weight))
+    return exact.add(*terms)
 
 
 def reference_discrete_partial_reconstruct(ws, x, M):
-    terms = []
-    for l in range(-M, M):
-        for m in range(-M, M):
-            coef = x.inner(member(ws, l, m, "dual"))
-            if coef != 0.0:
-                terms.append(scale(member(ws, l, m, "primal"), coef))
-    return reference_sum(terms)
+    return exact_lattice_sum(ws, x, zip(*reference_pairs(-M, M)))
 
 
 def reference_box_reconstruct(ws, x, M, N):
-    weight = 1.0 / (N * N)
-    terms = []
-    for r in range(N):
-        for l in range(-M, M):
-            a = l + r / N
-            for s in range(N):
-                for m in range(-M, M):
-                    b = m + s * (2.0 ** l) / N
-                    coef = x.inner(member(ws, a, b, "dual"))
-                    if coef != 0.0:
-                        terms.append(scale(member(ws, a, b, "primal"), coef * weight))
-    return reference_sum(terms)
+    return exact_lattice_sum(ws, x, zip(*reference_box_lattice(M, N)), Fraction(1, N * N))
 
 
 def reference_conjugated_targets(ws, x, M, N):
@@ -131,49 +114,28 @@ def reference_conjugated_targets(ws, x, M, N):
 
 
 def reference_averaged_conjugate_reconstruction(ws, x, M, N):
-    weight = 1.0 / (N * N)
+    # each partial sum taken back by the float factors that ``dilate`` reads
     terms = []
     for r, s, _, partial in reference_conjugated_targets(ws, x, M, N):
-        back = dilate(translate(partial, s / N), r / N, ws.p)
-        terms.append(scale(back, weight))
-    return reference_sum(terms)
+        back = exact.dilate(exact.translate(partial, Fraction(s, N)), Fraction(2.0 ** (r / N)))
+        terms.append(exact.scale(back, Fraction(2.0 ** (r / N / ws.p)) / (N * N)))
+    return exact.add(*terms)
 
 
 def reference_study_row(ws, x, M, N):
     """(error, oracle_bound) of one convergence_study row."""
-    approx = reference_box_reconstruct(ws, x, M, N)
-    error = x.add(scale(approx, -1.0)).lp_norm(ws.p)
-    bound = 0.0
-    for _, _, y, partial in reference_conjugated_targets(ws, x, M, N):
-        bound = max(bound, y.add(scale(partial, -1.0)).lp_norm(ws.p))
-    return error, bound
-
-
-def reference_grid_partial_sum(ws, x, M, N, keep):
-    keep = set(keep)
-    weight = 1.0 / (N * N)
-    terms = []
-    for (l, m, r, s) in keep:
-        if not (-M <= l < M and -M <= m < M and 0 <= r < N and 0 <= s < N):
-            raise ValueError(f"cell {(l, m, r, s)} outside the box grid")
-        a = l + r / N
-        b = m + s * (2.0 ** l) / N
-        coef = x.inner(member(ws, a, b, "dual"))
-        if coef != 0.0:
-            terms.append(scale(member(ws, a, b, "primal"), coef * weight))
-    return reference_sum(terms)
+    def distance(f, g):
+        return float(exact.lp_norm(exact.add(exact.of(f), exact.scale(g, -1)), ws.p))
+    return distance(x, reference_box_reconstruct(ws, x, M, N)), max(
+        distance(y, partial) for _, _, y, partial in reference_conjugated_targets(ws, x, M, N))
 
 
 def reference_biorthogonality_residual(ws, window=4):
     rng = range(-window, window + 1)
-    primal = {(n, k): member(ws, n, k, "primal") for n in rng for k in rng}
-    dual = {(n, k): member(ws, n, k, "dual") for n in rng for k in rng}
-    worst = 0.0
-    for (n, k), fp in primal.items():
-        for (n2, k2), fd in dual.items():
-            target = 1.0 if (n, k) == (n2, k2) else 0.0
-            worst = max(worst, abs(fp.inner(fd) - target))
-    return worst
+    primal = {(n, k): exact.of(member(ws, n, k, "primal")) for n in rng for k in rng}
+    dual = {(n, k): exact.of(member(ws, n, k, "dual")) for n in rng for k in rng}
+    return float(max(abs(exact.inner(fp, fd) - (key == other))
+                     for key, fp in primal.items() for other, fd in dual.items()))
 
 
 def reference_jump_sum(bp, vals):
@@ -222,8 +184,9 @@ SKEWED = WaveletSystem(StepFunction([0.0, 0.25, 0.75, 1.0], [1.0, -0.5, 0.3]),
 NON_DYADIC = StepFunction([-0.3, 0.1, 0.65, 1.7], [0.9, -1.3, 0.4])
 
 
-def gap(f, g, p):
-    return f.add(scale(g, -1.0)).lp_norm(p)
+def gap(f, g):
+    """||f - g||_1 of a StepFunction f and exact cells g."""
+    return float(exact.l1(exact.add(exact.of(f), exact.scale(g, -1))))
 
 
 def systems():
@@ -241,10 +204,10 @@ def test_discrete_and_box_sums_match_reference():
     for ws in systems():
         for x in targets():
             assert gap(_lattice_sum(ws, x, *_pairs(-2, 2), 1.0),
-                       reference_discrete_partial_reconstruct(ws, x, 2), ws.p) <= 1e-13
+                       reference_discrete_partial_reconstruct(ws, x, 2)) <= 1e-13
             for M, N in ((1, 1), (2, 3), (3, 4)):
                 assert gap(box_reconstruct(ws, x, M, N),
-                           reference_box_reconstruct(ws, x, M, N), ws.p) <= 1e-13
+                           reference_box_reconstruct(ws, x, M, N)) <= 1e-13
 
 
 def test_averaged_route_matches_reference():
@@ -252,8 +215,7 @@ def test_averaged_route_matches_reference():
         for x in targets():
             for M, N in ((1, 1), (2, 2), (2, 3)):
                 assert gap(averaged_conjugate_reconstruction(ws, x, M, N),
-                           reference_averaged_conjugate_reconstruction(ws, x, M, N),
-                           ws.p) <= 1e-13
+                           reference_averaged_conjugate_reconstruction(ws, x, M, N)) <= 1e-13
 
 
 def test_study_rows_match_reference():
@@ -274,8 +236,9 @@ def test_grid_partial_sum_matches_reference():
         for x in targets():
             kept = [c for c in cells if rng.random() < 0.4]
             l, m, r, s = np.array(kept, dtype=float).T
-            assert gap(_lattice_sum(ws, x, l + r / 3, m + s * 2.0 ** l / 3, 1.0 / 9),
-                       reference_grid_partial_sum(ws, x, 2, 3, kept), ws.p) <= 1e-13
+            a, b = l + r / 3, m + s * 2.0 ** l / 3
+            assert gap(_lattice_sum(ws, x, a, b, 1.0 / 9),
+                       exact_lattice_sum(ws, x, zip(a, b), Fraction(1, 9))) <= 1e-13
 
 
 def test_biorthogonality_residual_matches_reference():
@@ -603,54 +566,18 @@ def test_row_canonical_form_is_canonicalize_per_row(rows):
 # -- the exact rational oracle -------------------------------------------------------
 
 
-def exact_value(bp, vals, t):
-    for left, right, v in zip(bp[:-1], bp[1:], vals):
-        if left <= t < right:
-            return v
-    return Fraction(0)
-
-
-def as_fractions(f):
-    return ([Fraction(float(t)) for t in f.breakpoints],
-            [Fraction(float(v)) for v in f.values])
-
-
-def cells(points):
-    pts = sorted(set(points))
-    return [(a, b, (a + b) / 2) for a, b in zip(pts[:-1], pts[1:])]
-
-
 def exact_member(shape, a, b, exponent):
-    """Breakpoints and values of 2^(a/exponent) shape(2^a t - b), in Fractions."""
-    bp, vals = shape
+    """2^(a/exponent) shape(2^a t - b) of the exact cells ``shape``."""
     power = Fraction(a) / exponent
     assert power.denominator == 1
-    return ([(t + b) / Fraction(2) ** a for t in bp],
-            [v * Fraction(2) ** int(power) for v in vals])
-
-
-def exact_inner(f, g):
-    return sum(((hi - lo) * exact_value(*f, mid) * exact_value(*g, mid)
-                for lo, hi, mid in cells(f[0] + g[0])), Fraction(0))
-
-
-def dyadic_step(quarters, halves):
-    return StepFunction([q / 4 for q in quarters], [h / 2 for h in halves])
+    return exact.scale(exact.dilate(exact.translate(shape, b), Fraction(2) ** a),
+                       Fraction(2) ** int(power))
 
 
 # breakpoints on (1/4)Z, values on (1/2)Z; with power-of-two normalizations
 # every float sum below stays exact
-dyadic_steps = st.lists(st.integers(-12, 12), min_size=2, max_size=6,
-                        unique=True).flatmap(
-    lambda qs: st.tuples(
-        st.just(sorted(qs)),
-        st.lists(st.integers(-4, 4), min_size=len(qs) - 1,
-                 max_size=len(qs) - 1).filter(any)))
-mothers = st.lists(st.integers(0, 8), min_size=2, max_size=4, unique=True).flatmap(
-    lambda qs: st.tuples(
-        st.just(sorted(qs)),
-        st.lists(st.integers(-2, 2), min_size=len(qs) - 1,
-                 max_size=len(qs) - 1).filter(any)))
+dyadic_steps = exact.integer_cells(nonzero=True)
+mothers = exact.integer_cells((0, 8), (-2, 2), 4, nonzero=True)
 # (p, q, scale step): 2^(a/p) and 2^(a/q) are powers of two for a in step * Z
 exponents = st.sampled_from([(2, 2, 2), (Fraction(3, 2), 3, 3)])
 lattices = st.lists(st.tuples(st.integers(-1, 1), st.integers(-8, 8)),
@@ -661,11 +588,11 @@ ORACLE = settings(max_examples=40, deadline=None)
 
 def exact_setup(target, mother, dual, exps, lattice):
     p, q, step = exps
-    ws = WaveletSystem(dyadic_step(*mother), dyadic_step(*dual), float(p))
+    ws = WaveletSystem(exact.dyadic(mother), exact.dyadic(dual), float(p))
     assert p_conj(ws) == float(q)
     a = np.array([float(step * u) for u, _ in lattice])
     b = np.array([v / 4 for _, v in lattice])
-    return ws, dyadic_step(*target), a, b
+    return ws, exact.dyadic(target), a, b
 
 
 def dyadic_rows(x, N):
@@ -674,8 +601,7 @@ def dyadic_rows(x, N):
     shifts = [(u, s / N) for u in (0, 1) for s in range(N)]
     xb = np.array([x.breakpoints * 2.0 ** u - t for u, t in shifts])
     xv = np.array([x.values * 2.0 ** -u for u, _ in shifts])
-    return xb, xv, [([Fraction(float(t)) for t in bp], [Fraction(float(v)) for v in vals])
-                    for bp, vals in zip(xb, xv)]
+    return xb, xv, [exact.of(row) for row in zip(xb, xv)]
 
 
 conjugate_counts = st.sampled_from([1, 2, 4])
@@ -692,11 +618,11 @@ def test_coefficients_are_exact(target, mother, dual, exps, lattice, N):
     together = _coefficients(ws, xb, xv, np.tile(a, len(rows)), np.tile(b, len(rows)),
                              np.arange(len(rows)).repeat(a.size),
                              p_conj(ws)).reshape(len(rows), a.size)
-    for got, xf in [(alone, as_fractions(x))] + list(zip(together, rows)):
+    for got, xf in [(alone, exact.of(x))] + list(zip(together, rows)):
         for k in range(a.size):
-            dual_k = exact_member(as_fractions(ws.dual_mother), int(a[k]),
+            dual_k = exact_member(exact.of(ws.dual_mother), int(a[k]),
                                   Fraction(float(b[k])), exps[1])
-            assert Fraction(float(got[k])) == exact_inner(xf, dual_k)
+            assert Fraction(float(got[k])) == exact.inner(xf, dual_k)
 
 
 def exact_sum(ws, xf, a, b, exps, weight):
@@ -704,17 +630,16 @@ def exact_sum(ws, xf, a, b, exps, weight):
     pieces = []
     for k in range(a.size):
         ak, bk = int(a[k]), Fraction(float(b[k]))
-        coef = exact_inner(xf, exact_member(as_fractions(ws.dual_mother), ak, bk, exps[1]))
-        bp, vals = exact_member(as_fractions(ws.mother), ak, bk, exps[0])
-        pieces.append((bp, [v * coef * Fraction(weight) for v in vals]))
+        coef = exact.inner(xf, exact_member(exact.of(ws.dual_mother), ak, bk, exps[1]))
+        primal = exact_member(exact.of(ws.mother), ak, bk, exps[0])
+        pieces.append(exact.scale(primal, coef * Fraction(weight)))
     return pieces
 
 
 def assert_exact(total, pieces):
-    points = [t for bp, _ in pieces for t in bp] + [Fraction(-100), Fraction(100)]
-    for _, _, mid in cells(points):
-        exact = sum((exact_value(bp, vals, mid) for bp, vals in pieces), Fraction(0))
-        assert Fraction(total(float(mid))) == exact
+    want = exact.add(*pieces)
+    for _, _, mid in exact.cells(want[0] + [-100, 100]):
+        assert Fraction(total(float(mid))) == exact.value(want, mid)
 
 
 @ORACLE
@@ -723,7 +648,7 @@ def test_synthesis_is_exact(target, mother, dual, exps, lattice, N):
     ws, x, a, b = exact_setup(target, mother, dual, exps, lattice)
     weight = 0.25
     assert_exact(_lattice_sum(ws, x, a, b, weight),
-                 exact_sum(ws, as_fractions(x), a, b, exps, weight))
+                 exact_sum(ws, exact.of(x), a, b, exps, weight))
     # every row's sum from one kernel call: each row is summed on its own
     xb, xv, rows = dyadic_rows(x, N)
     targets = np.arange(len(rows)).repeat(a.size)
@@ -958,7 +883,5 @@ def test_wavelet_paths_and_step_algebra_skip_the_numpy_wrappers(monkeypatch):
         averaged_conjugate_reconstruction(ws, x, 2, 3)
         convergence_study(ws, x, [1, 2], [1, 3])
     f.add(g)
-    f.inner(g)
-    f.lp_norm(3.0)
     monkeypatch.undo()
     assert calls == {}

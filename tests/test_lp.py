@@ -3,6 +3,8 @@
 ``SortingVector`` below is the implementation that sorted its keys on every
 query, kept verbatim apart from its name; the order-invariant tests compare
 the kept-in-order vector with it bit for bit on random ``hypothesis`` input.
+``lp._power_sum`` and ``lp._norm``, behind every lp norm, are held within
+stated ulp bounds of the decimal oracle of ``tests/exact.py``.
 """
 
 import math
@@ -13,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import CoordinateVector
-from framelab.lp import sup_abs
+from framelab.lp import _norm, _power_sum, sup_abs
+
+import exact
 
 
 def random_vector(rng, max_support=8, span=20):
@@ -289,3 +293,52 @@ def test_pairing_and_equality_match_the_sorting_vector(entries, other):
     assert _bits(w.pair(u)) == _bits(ref_w.pair(ref_u))
     assert (u == w) == (ref_u == ref_w)
     assert u == CoordinateVector(u.items()) == CoordinateVector(reversed(u.items()))
+
+
+# -- the lp kernels against the exact oracle ---------------------------------------
+#
+# ``_power_sum`` of n values is within n + 1 ulps of the 60-digit sum: each
+# power is within an ulp of its term (2 ulps of the sum in all), and each of
+# the n - 1 additions rounds by an ulp of the sum at most.  ``_norm`` is
+# within 2 (n + 1) / p + 3 + |ln T| / 2 ulps of the 60-digit root: the root
+# takes 1 / p of the sum's relative error, and rounds once, as do the
+# division by the largest entry and the product with it after an overflow;
+# the float 1.0 / p, within 2^-54 of 1 / p, moves T ** (1 / p) by a
+# relative |ln T| 2^-54, T the sum the root is taken of.
+
+LP_EXPONENTS = (1.5, 2.0, 3.0, 1.7)      # 1.7 takes decimal's ``**``, not a square root
+
+
+def lp_values(seed, count=40, scale=1.0):
+    """Lists of 1-20 Gaussian values over six decades, times ``scale``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 21))
+        yield (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n) * scale).tolist()
+
+
+def norm_bound(values, p):
+    if _power_sum(values, p) == math.inf:
+        # the root is taken of the entries over the largest, whose sum lies in [1, n]
+        log = math.log(len(values))
+    else:
+        log = abs(float(exact.power_sum(values, p).ln()))
+    return 2 * (len(values) + 1) / p + 3 + log / 2
+
+
+@pytest.mark.parametrize("p", LP_EXPONENTS)
+def test_power_sum_is_within_n_plus_one_ulps_of_the_exact_sum(p):
+    for values in lp_values(41):
+        assert exact.ulps(_power_sum(values, p), exact.power_sum(values, p)) <= len(values) + 1
+
+
+@pytest.mark.parametrize("p", LP_EXPONENTS)
+def test_norm_is_within_its_bound_of_the_exact_norm(p):
+    # random values past the float range take the rescale, as do the cases
+    # of test_norm_survives_float_overflow at most exponents
+    overflowing = list(lp_values(43, 10, 1e300))
+    assert all(_power_sum(values, p) == math.inf for values in overflowing)
+    overflowing += [[1e308], [1e200, -1e200], [1e300, 2e300], [1e300, -3e-300, 5e299]]
+    for values in list(lp_values(42)) + overflowing:
+        want = exact.root(exact.power_sum(values, p), p)
+        assert exact.ulps(_norm(values, p), want) <= norm_bound(values, p)

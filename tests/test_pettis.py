@@ -10,7 +10,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from framelab import (
     CoordinateVector,
@@ -25,6 +24,7 @@ from framelab.pettis import _sign_parts
 from framelab.stepfn import _combined, _folded
 from framelab.translate_frame import Generator
 
+import exact
 from reference_orbit import scale
 
 
@@ -155,43 +155,25 @@ def test_scan_of_a_nan_generator_reports_nan():
 # -- the exact rational oracle ---------------------------------------------------
 
 
-def exact_cells(f):
-    """(left, right, value) of each cell of f, in Fractions."""
-    bp = [Fraction(t) for t in f.breakpoints.tolist()]
-    return list(zip(bp[:-1], bp[1:], map(Fraction, f.values.tolist())))
-
-
-def exact_at(cells, t):
-    return next((v for a, b, v in cells if a <= t < b), Fraction(0))
-
-
-def exact_parts(c, d, points):
-    """(positive part, negative part, integral of |c| |d|) of c*d over the
-    cells between ``points``; c and d map a Fraction to a pair (value, |value|)."""
-    pos = neg = size = Fraction(0)
-    points = sorted(set(points))
-    for lo, hi in zip(points, points[1:]):
-        (cv, ca), (dv, da) = c((lo + hi) / 2), d((lo + hi) / 2)
-        pos += max((hi - lo) * cv * dv, 0)
-        neg += max(-(hi - lo) * cv * dv, 0)
-        size += (hi - lo) * ca * da
-    return pos, neg, size
+def exact_parts(c, d):
+    """(positive part, negative part) of the integral of c d, for exact cells c and d."""
+    pos = neg = Fraction(0)
+    for lo, hi, mid in exact.cells(c[0] + d[0]):
+        v = (hi - lo) * exact.value(c, mid) * exact.value(d, mid)
+        pos += max(v, 0)
+        neg += max(-v, 0)
+    return pos, neg
 
 
 # breakpoints on (1/8)Z and values on (1/2)Z: every product and sum is exact
-dyadic_steps = st.lists(st.integers(-40, 40), min_size=2, max_size=6, unique=True).flatmap(
-    lambda qs: st.lists(st.integers(-6, 6), min_size=len(qs) - 1, max_size=len(qs) - 1).map(
-        lambda hs: StepFunction(sorted(q / 8 for q in qs), [h / 2 for h in hs])))
+dyadic_steps = exact.integer_cells((-40, 40), (-6, 6)).map(
+    lambda drawn: exact.dyadic(drawn, 0.0, 1 / 8, 1 / 2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(dyadic_steps, dyadic_steps)
 def test_sign_parts_equal_the_fraction_oracle(c, d):
-    cc, dc = exact_cells(c), exact_cells(d)
-    pos, neg, _ = exact_parts(lambda t: (exact_at(cc, t),) * 2,
-                              lambda t: (exact_at(dc, t),) * 2,
-                              [t for a, b, _ in cc + dc for t in (a, b)])
-    assert sign_parts(c, d) == (pos, neg)
+    assert sign_parts(c, d) == exact_parts(exact.of(c), exact.of(d))
 
 
 def test_a_suppression_scan_ratio_equals_the_fraction_oracle():
@@ -205,17 +187,12 @@ def test_a_suppression_scan_ratio_equals_the_fraction_oracle():
     x, xs = (rng.standard_normal(2 * window + 1).tolist() for _ in range(2))
     denom = Fraction(CoordinateVector(enumerate(x)).norm(p)
                      * CoordinateVector(enumerate(xs)).norm(p / (p - 1.0)))
-    cells = exact_cells(g.f)
-
-    def series(coefficients):
-        def at(t):
-            terms = [Fraction(a) * exact_at(cells, t - k) for k, a in enumerate(coefficients)]
-            return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
-        return at
-
-    pos, neg, size = exact_parts(series(x), series(xs),
-                                 [t + k for a, b, _ in cells for t in (a, b)
-                                  for k in range(len(x))])
+    f = exact.of(g.f)
+    pos, neg = exact_parts(exact.series(f, enumerate(x)), exact.series(f, enumerate(xs)))
+    # the integral of |series| * |series|, each summing the magnitudes of its terms
+    f = f[0], [abs(v) for v in f[1]]
+    size = sum(exact_parts(exact.series(f, enumerate(map(abs, x))),
+                           exact.series(f, enumerate(map(abs, xs)))))
     slack = Fraction(1, 2 ** 44) * size / denom
     assert abs(Fraction(suppression) - max(pos, neg) / denom) <= slack
     assert abs(Fraction(unconditional) - (pos + neg) / denom) <= slack

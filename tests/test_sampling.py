@@ -26,6 +26,7 @@ from framelab.sampling import _coefficient_rows
 from framelab.stepfn import _folded
 from framelab.translate_frame import Generator
 
+import exact
 from reference_orbit import translate
 
 WINDOW = 4
@@ -282,21 +283,15 @@ def test_rows_and_matrix_at_a_commensurate_step_equal_the_fraction_oracle(shift)
     assert commensurate_step(g) == 0.25 - shift
     h = 0.25
     plan = SamplingPlan(step=h, window=default_window(g, WINDOW))
-    bp = [Fraction(t) for t in f.breakpoints.tolist()]
-    cells = list(zip(bp[:-1], bp[1:], map(Fraction, f.values.tolist())))
-
-    def f(t):
-        return next((v for a, b, v in cells if a <= t < b), Fraction(0))
-
+    f = exact.of(f)
     ts = [Fraction(t) for t in plan.points().tolist()]
     ns, rows = _coefficient_rows(g, plan.points(), WINDOW)
     assert ns.tolist() == list(range(-WINDOW, WINDOW + 1))
-    assert rows.tolist() == [[f(t - n) for n in ns.tolist()] for t in ts]
+    assert rows.tolist() == [[exact.value(f, t - n) for n in ns.tolist()] for t in ts]
     mat = reconstruction_matrix(g, plan, WINDOW)
     for i, m in enumerate(ns.tolist()):
         for j, n in enumerate(ns.tolist()):
-            riemann = Fraction(h) * sum((f(t - m) * f(t - n) for t in ts), Fraction(0))
-            points = sorted({t + k for a, b, _ in cells for t in (a, b) for k in (m, n)})
-            integral = sum(((hi - lo) * f((lo + hi) / 2 - m) * f((lo + hi) / 2 - n)
-                            for lo, hi in zip(points, points[1:])), Fraction(0))
+            riemann = Fraction(h) * sum((exact.value(f, t - m) * exact.value(f, t - n)
+                                         for t in ts), Fraction(0))
+            integral = exact.inner(exact.translate(f, m), exact.translate(f, n))
             assert mat[i, j] == riemann == integral

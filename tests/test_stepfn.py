@@ -17,17 +17,9 @@ from hypothesis import strategies as st
 from framelab import StepFunction, haar_mother
 from framelab.stepfn import MERGE_ULPS, _folded, _merge, _periodized_sup
 
+import exact
+from exact import random_dyadic_step as dyadic_step
 from reference_orbit import dilate, scale, translate
-
-
-def dyadic_step(rng, max_cells=6, depth=4, span=4):
-    """Random step function on a dyadic grid; exact under float arithmetic."""
-    n_cells = int(rng.integers(1, max_cells + 1))
-    grid = rng.choice(np.arange(-span * 2 ** depth, span * 2 ** depth),
-                      size=n_cells + 1, replace=False)
-    grid = np.sort(grid) / 2.0 ** depth
-    vals = rng.standard_normal(n_cells)
-    return StepFunction(grid, vals)
 
 
 def test_construction_validation():
@@ -75,11 +67,9 @@ def test_haar_mother_is_one_immutable_object():
 
 def test_zero_function_is_empty_cell_list():
     z = StepFunction()
-    assert z.is_zero()
+    assert z.breakpoints.size == z.values.size == 0
     assert z.support() is None
     assert z.evaluate(0.3) == 0.0
-    assert z.abs_integral() == 0.0
-    assert z.lp_norm(2) == 0.0
     assert StepFunction([0.0, 1.0], [0.0]) == z
 
 
@@ -129,16 +119,16 @@ def test_combine_merges_close_breakpoints():
 def test_a_narrow_spike_keeps_its_mass():
     # 1e13 on a 1e-13 wide cell: no grid may merge the cell away
     f = StepFunction([0.0, 1e-13], [1e13])
-    assert f.abs_integral() == 1.0
-    assert f.inner(f) == 1e13
-    assert f.add(StepFunction.indicator(0.0, 1.0)).abs_integral() == 2.0
+    total = f.add(StepFunction.indicator(0.0, 1.0))
+    assert total.breakpoints.tolist() == [0.0, 1e-13, 1.0]
+    assert exact.l1(exact.of(total)) == exact.l1(exact.of(f)) + 1
 
 
 def test_scale_and_subtract():
     f = StepFunction.indicator(0.0, 1.0)
     assert scale(f, 0.0) == StepFunction()
     assert scale(f, 2.0)(0.5) == 2.0
-    assert f.add(scale(f, -1.0)).is_zero()
+    assert f.add(scale(f, -1.0)) == StepFunction()
     assert scale(f, -1.0)(0.5) == -1.0
 
 
@@ -174,39 +164,11 @@ def test_integral_linearity():
         g = dyadic_step(rng)
         alpha, beta = rng.standard_normal(2)
         # the integral over [lo, hi) is the inner product with its indicator
-        window = StepFunction.indicator(*np.sort(rng.uniform(-5, 5, 2)))
-        lhs = scale(f, alpha).add(scale(g, beta)).inner(window)
-        rhs = alpha * f.inner(window) + beta * g.inner(window)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_lp_norm_translation_invariance_exact():
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        f = dyadic_step(rng)
-        k = int(rng.integers(-10, 11))
-        # integer shifts of dyadic breakpoints are exact in floats
-        assert translate(f, k).lp_norm(2) == f.lp_norm(2)
-        assert translate(f, k).lp_norm(1.5) == f.lp_norm(1.5)
-
-
-def test_dilation_isometry():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        f = dyadic_step(rng)
-        a = float(rng.uniform(-4, 4))
-        p = float(rng.uniform(1.1, 5.0))
-        assert dilate(f, a, p).lp_norm(p) == pytest.approx(f.lp_norm(p), rel=1e-12)
-
-
-def test_holder_inequality():
-    rng = np.random.default_rng(6)
-    for _ in range(60):
-        f = dyadic_step(rng)
-        g = dyadic_step(rng)
-        p = float(rng.uniform(1.1, 4.0))
-        q = p / (p - 1.0)
-        assert abs(f.inner(g)) <= f.lp_norm(p) * g.lp_norm(q) + 1e-12
+        window = exact.of(StepFunction.indicator(*np.sort(rng.uniform(-5, 5, 2))))
+        lhs = exact.inner(exact.of(scale(f, alpha).add(scale(g, beta))), window)
+        rhs = (Fraction(alpha) * exact.inner(exact.of(f), window)
+               + Fraction(beta) * exact.inner(exact.of(g), window))
+        assert float(lhs) == pytest.approx(float(rhs), rel=1e-12, abs=1e-12)
 
 
 def test_dilate_translate_commutation():
@@ -247,22 +209,6 @@ def test_periodized_sup_integer_translation_invariant():
         f = dyadic_step(rng)
         k = int(rng.integers(-7, 8))
         assert periodized_sup(translate(f, k)) == pytest.approx(periodized_sup(f), rel=1e-12)
-
-
-def test_abs_integral_and_lp_norm():
-    f = StepFunction([0.0, 1.0, 3.0], [2.0, -1.0])
-    assert f.abs_integral() == 4.0
-    assert f.lp_norm(1) == 4.0
-    assert f.lp_norm(2) == pytest.approx(math.sqrt(6.0))
-    with pytest.raises(ValueError):
-        f.lp_norm(0.5)
-
-
-@pytest.mark.parametrize("p", [math.inf, math.nan])
-def test_lp_norm_rejects_an_infinite_or_nan_exponent(p):
-    # at p = inf every nonzero function read 1.0, whatever its sup
-    with pytest.raises(ValueError, match="1 <= p < inf"):
-        StepFunction([0.0, 1.0], [2.0]).lp_norm(p)
 
 
 # -- the cell-grid merge against the np.unique merge it replaced -------------------------
@@ -348,56 +294,30 @@ def test_merge_matches_the_unique_merge_on_edge_cases():
     assert_same_merge(np.array([1.0, 1.0, 1.0 - within, 1.0 + within + np.spacing(1.0)]))
 
 
-# -- the exact rational oracle for add and inner ----------------------------
-
-
-def exact_value(f, t):
-    for left, right, v in zip(f.breakpoints[:-1], f.breakpoints[1:], f.values):
-        if Fraction(float(left)) <= t < Fraction(float(right)):
-            return Fraction(float(v))
-    return Fraction(0)
-
-
-def exact_cells(*point_lists):
-    pts = sorted({Fraction(float(t)) for points in point_lists for t in points})
-    return [(a, b, (a + b) / 2) for a, b in zip(pts[:-1], pts[1:])]
+# -- the exact rational oracle for add ---------------------------------------------
 
 
 def exact_steps_on(offset, scale):
     """Step functions with breakpoints on offset + scale * Z and values on (1/4)Z."""
-    return st.lists(st.integers(-32, 32), min_size=2, max_size=7, unique=True).flatmap(
-        lambda qs: st.tuples(st.just(sorted(qs)),
-                             st.lists(st.integers(-8, 8), min_size=len(qs) - 1,
-                                      max_size=len(qs) - 1))).map(
-        lambda e: StepFunction([offset + q * scale for q in e[0]], [v / 4 for v in e[1]]))
+    return exact.integer_cells((-32, 32), (-8, 8), 7).map(
+        lambda drawn: exact.dyadic(drawn, offset, scale, 1 / 4))
 
 
 # values on (1/4)Z and (offset, scale of f, scale of g): breakpoints on (1/8)Z;
 # cells of 2^-42 (2.3e-13), narrower than 1e-12, alone and beside (1/8)Z;
 # and offsets of 1e5 and across the binade at
-# 65536, where one ulp is wider than 1e-12.  Every sum and product stays
-# exact, and every cell is wider than the merge distance, so no grid drops one.
+# 65536, where one ulp is wider than 1e-12.  Every sum stays exact, and every
+# cell is wider than the merge distance, so no grid drops one.
 exact_pairs = st.sampled_from([
     (0.0, 1 / 8, 1 / 8), (0.0, 2.0 ** -42, 2.0 ** -42), (0.0, 2.0 ** -42, 1 / 8),
     (65536.0, 2.0 ** -28, 1 / 8), (65536.0, 1 / 8, 1 / 8), (1e5, 1 / 8, 1 / 8),
 ]).flatmap(lambda g: st.tuples(exact_steps_on(g[0], g[1]), exact_steps_on(g[0], g[2])))
 
-EXACT = settings(max_examples=60, deadline=None)
 
-
-@EXACT
+@settings(max_examples=60, deadline=None)
 @given(exact_pairs)
 def test_add_is_exact(pair):
     f, g = pair
-    total = f.add(g)
-    for _, _, mid in exact_cells(f.breakpoints, g.breakpoints, [0.0]):
-        assert Fraction(total(float(mid))) == exact_value(f, mid) + exact_value(g, mid)
-
-
-@EXACT
-@given(exact_pairs)
-def test_inner_is_exact(pair):
-    f, g = pair
-    exact = sum(((b - a) * exact_value(f, mid) * exact_value(g, mid)
-                 for a, b, mid in exact_cells(f.breakpoints, g.breakpoints)), Fraction(0))
-    assert Fraction(f.inner(g)) == exact
+    total, f, g = exact.of(f.add(g)), exact.of(f), exact.of(g)
+    for _, _, mid in exact.cells(f[0] + g[0] + [0]):
+        assert exact.value(total, mid) == exact.value(f, mid) + exact.value(g, mid)

@@ -1,6 +1,7 @@
 """Tests for integer-translate frames built from a compactly supported generator."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from framelab.sampling import _coefficient_rows
 from framelab.stepfn import _folded
 from framelab.translate_frame import _series, _unfold
 
-from reference_orbit import scale, translate
+import exact
+from reference_orbit import translate
 
 
 def single_coeff_generator():
@@ -45,15 +47,15 @@ def test_sign_pattern_structure():
         assert r.support() == (0.0, 1.0)
         assert set(r.values.tolist()) == {1.0, -1.0}
         assert r.values[0] == 1.0
-        assert r.inner(StepFunction.indicator(0.0, 1.0)) == 0.0
-        assert r.lp_norm(2) == 1.0
+        assert exact.inner(exact.of(r), exact.of(StepFunction.indicator(0.0, 1.0))) == 0
+        assert exact.power_integral(exact.of(r), 2) == 1
 
 
 def test_sign_patterns_orthogonal_across_depths():
     # exact on the shared dyadic grid
     for d1 in range(1, 5):
         for d2 in range(d1 + 1, 6):
-            assert sign_pattern(d1).inner(sign_pattern(d2)) == 0.0
+            assert exact.inner(exact.of(sign_pattern(d1)), exact.of(sign_pattern(d2))) == 0
 
 
 def test_single_coefficient_certificates():
@@ -95,6 +97,19 @@ def test_rademacher_spec_validation():
     with pytest.raises(ValueError):
         build_rademacher_generator(
             RademacherSpec(coefficients={0: 1.0}, resolution=0))
+
+
+@pytest.mark.parametrize("coefficients", [{0: 0.6, 1: 0.6}, {0: 0.5}, {-3: 0.25, 2: -2.5}])
+def test_a_non_unit_record_reports_the_certificates_of_its_fold(coefficients):
+    # the record is filled before it is rejected, and its Gram lags are not taken
+    with pytest.raises(GeneratorRejected) as rejected:
+        build_rademacher_generator(RademacherSpec(coefficients))
+    report = rejected.value.report
+    assert report.failures[0].startswith("coefficients must have unit l2 norm")
+    assert report.ortho_residual == math.inf
+    # each coefficient c fills a unit with |c| on every cell
+    assert exact.ulps(report.l1_norm, sum(abs(Fraction(c)) for c in coefficients.values())) <= 2
+    assert report.periodized_sup == sum(abs(c) for c in coefficients.values())
 
 
 def test_indicator_is_a_valid_generator():
@@ -153,8 +168,8 @@ def test_analysis_of_unit_vector_recovers_generator():
     k0, grid, table = _folded(g.f)
     for n in (0, 5):
         c = _unfold(k0 + n, grid, _series(table, np.ones(1)))
-        gap = c.add(scale(translate(g.f, float(n)), -1.0))
-        assert gap.lp_norm(2) == pytest.approx(0.0, abs=1e-12)
+        gap = exact.add(exact.of(c), exact.scale(exact.of(translate(g.f, n)), -1))
+        assert exact.power_integral(gap, 2) <= 1e-24     # an L2 norm of at most 1e-12
 
 
 def test_full_line_synthesis_recovers_coordinates():

@@ -20,7 +20,21 @@ from framelab.wavelet_frame import (
 
 from reference_boxes import (averaged_conjugate_reconstruction, box_reconstruct, function,
                              reconstruction_identity_gap)
-from reference_orbit import dilate, member, scale, translate
+import exact
+from reference_orbit import dilate, member, translate
+
+
+def distance(f, g, p=2):
+    """||f - g||_p of two StepFunctions, exact up to the decimal root."""
+    return float(exact.lp_norm(exact.add(exact.of(f), exact.scale(exact.of(g), -1)), p))
+
+
+def norm(f, p=2):
+    return float(exact.lp_norm(exact.of(f), p))
+
+
+def inner(f, g):
+    return float(exact.inner(exact.of(f), exact.of(g)))
 
 
 def _lattice_sum(ws, x, a, b, weight):
@@ -45,7 +59,7 @@ def test_system_validation():
 def test_mother_is_unit_norm_in_every_exponent():
     # |values| = 1 on a support of measure one
     for p in (1.5, 2.0, 3.0, 7.0):
-        assert haar_mother().lp_norm(p) == 1.0
+        assert exact.lp_norm(exact.of(haar_mother()), p) == 1
 
 
 def test_member_primal_and_dual_normalization():
@@ -86,8 +100,8 @@ def test_adjoint_transfer_identity():
         b = float(rng.uniform(-3, 3))
         p = float(rng.uniform(1.2, 4.0))
         q = p / (p - 1.0)
-        lhs = dilate(translate(u, b), a, p).inner(v)
-        rhs = u.inner(translate(dilate(v, -a, q), -b))
+        lhs = inner(dilate(translate(u, b), a, p), v)
+        rhs = inner(u, translate(dilate(v, -a, q), -b))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -100,16 +114,16 @@ def test_biorthogonality_residual_haar():
         for i, (n, k) in enumerate(grid):
             primal = member(ws, n, k, "primal")
             for j, dual in enumerate(duals):
-                assert abs(primal.inner(dual) - (i == j)) <= 1e-12
+                assert abs(inner(primal, dual) - (i == j)) <= 1e-12
 
 
 def test_basis_member_reconstructs_exactly():
     ws = WaveletSystem.haar(2.0)
     x = haar_mother()
     approx = discrete_partial_reconstruct(ws, x, M=1)
-    assert x.add(scale(approx, -1.0)).lp_norm(2) == 0.0
+    assert distance(x, approx) == 0.0
     # at N=1 the box sum degenerates to the integer-grid partial sum
-    assert x.add(scale(box_reconstruct(ws, x, 1, 1), -1.0)).lp_norm(2) == 0.0
+    assert distance(x, box_reconstruct(ws, x, 1, 1)) == 0.0
 
 
 def test_partial_reconstruction_error_frozen_value():
@@ -121,15 +135,14 @@ def test_partial_reconstruction_error_frozen_value():
     # 0.55^2*0.3 + 0.45^2*0.2 + 0.15^2*1.5 = 0.165.
     ws = WaveletSystem.haar(2.0)
     x = StepFunction.indicator(0.0, 0.3)
-    err = x.add(scale(discrete_partial_reconstruct(ws, x, M=1), -1.0)).lp_norm(2)
+    err = distance(x, discrete_partial_reconstruct(ws, x, M=1))
     assert err == pytest.approx(math.sqrt(0.165), abs=1e-12)
 
 
 def test_box_equals_discrete_at_unit_resolution():
     ws = WaveletSystem.haar(2.0)
     x = StepFunction([0.0, 0.5, 1.25], [1.0, -2.0])
-    diff = box_reconstruct(ws, x, 2, 1).add(scale(discrete_partial_reconstruct(ws, x, 2), -1.0))
-    assert diff.lp_norm(2) <= 1e-12
+    assert distance(box_reconstruct(ws, x, 2, 1), discrete_partial_reconstruct(ws, x, 2)) <= 1e-12
 
 
 def test_two_reconstruction_routes_agree():
@@ -162,7 +175,7 @@ def test_grid_partial_sum_full_grid_matches_box():
     a, b = _box_lattice(2, 2)
     assert a.size == 4 * 4 * 2 * 2
     total = _lattice_sum(ws, x, a[::-1], b[::-1], 1.0 / 4)
-    assert total.add(scale(box_reconstruct(ws, x, 2, 2), -1.0)).lp_norm(2) <= 1e-12
+    assert distance(total, box_reconstruct(ws, x, 2, 2)) <= 1e-12
 
 
 def test_grid_partial_sum_complement_additivity():
@@ -174,7 +187,7 @@ def test_grid_partial_sum_complement_additivity():
         mask = rng.random(a.size) < 0.5
         together = _lattice_sum(ws, x, a[mask], b[mask], 1.0 / 4).add(
             _lattice_sum(ws, x, a[~mask], b[~mask], 1.0 / 4))
-        assert together.add(scale(box_reconstruct(ws, x, 2, 2), -1.0)).lp_norm(2) <= 1e-12
+        assert distance(together, box_reconstruct(ws, x, 2, 2)) <= 1e-12
 
 
 def test_grid_partial_sum_triangle_bound():
@@ -185,13 +198,13 @@ def test_grid_partial_sum_triangle_bound():
     a, b = _box_lattice(M, N)
     budget = 0.0
     for ak, bk in zip(a, b):
-        coef = x.inner(member(ws, ak, bk, "dual"))
-        budget += abs(coef) * member(ws, ak, bk, "primal").lp_norm(2) / (N * N)
+        coef = inner(x, member(ws, ak, bk, "dual"))
+        budget += abs(coef) * norm(member(ws, ak, bk, "primal")) / (N * N)
     rng = np.random.default_rng(26)
     for _ in range(25):
         mask = rng.random(a.size) < rng.uniform(0.2, 0.8)
         partial = _lattice_sum(ws, x, a[mask], b[mask], 1.0 / (N * N))
-        assert partial.lp_norm(2) <= budget + 1e-12
+        assert norm(partial) <= budget + 1e-12
 
 
 def test_grid_partial_sum_orthonormal_case_has_unit_constant():
@@ -207,8 +220,7 @@ def test_grid_partial_sum_orthonormal_case_has_unit_constant():
         g = StepFunction(grid, rng.standard_normal(3))
         mask = rng.random(a.size) < 0.5
         partial = _lattice_sum(ws, x, a[mask], b[mask], 1.0)
-        assert abs(g.inner(partial)) <= (
-            g.lp_norm(2) * x.lp_norm(2) * (1.0 + 1e-12) + 1e-12)
+        assert abs(inner(g, partial)) <= norm(g) * norm(x) * (1.0 + 1e-12) + 1e-12
 
 
 def test_averaged_route_is_isometric_in_the_window():
@@ -216,4 +228,4 @@ def test_averaged_route_is_isometric_in_the_window():
     ws = WaveletSystem.haar(2.0)
     x = haar_mother()
     out = averaged_conjugate_reconstruction(ws, x, 1, 1)
-    assert x.add(scale(out, -1.0)).lp_norm(2) <= 1e-12
+    assert distance(x, out) <= 1e-12

@@ -12,7 +12,7 @@ is held to
 * one L1 norm, summed on the fold's own cells, for a draw, its generator
   and ``young_check``, near the exact integral where neighbouring units
   merge a cell of the canonical function (a_(n+1) = -a_n);
-* exact ``fractions.Fraction`` arithmetic on dyadic draws.
+* the exact oracle of ``tests/exact.py`` on dyadic draws.
 
 A cost guard counts the objects a young-fuzz job builds, a memory test
 bounds a job's traced peak by its chunk size, and a fresh interpreter shows
@@ -38,6 +38,8 @@ from framelab import cli, translate_frame
 from framelab.stepfn import _periodized_sup, _widths
 from framelab.translate_frame import (GeneratorRejected, Generator, _runs, _series,
                                       _young_bounds, _young_chunk, young_check)
+
+import exact
 
 
 # -- the replaced per-draw code, verbatim ---------------------------------------
@@ -151,13 +153,9 @@ def test_merged_unit_boundaries_match_abs_integral(signs):
     l1 = g.report.l1_norm
     assert _young_chunk([(spec.coefficients, {0: 1.0}, 2.0)])[2][0].hex() == l1.hex()
     assert l1_in_young_check.hex() == l1.hex()
-    # the exact integral of |f| over its canonical cells; the float sums of
-    # the fold (896 cells at seven signs) and of those cells are within 2 ulps
-    bp = [Fraction(float(t)) for t in f.breakpoints]
-    exact = sum((hi - lo) * abs(Fraction(float(v)))
-                for lo, hi, v in zip(bp, bp[1:], f.values))
-    for value in (l1, f.abs_integral()):
-        assert abs(Fraction(value) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+    # the exact integral of |f| over its canonical cells; the float sum of
+    # the fold (896 cells at seven signs) is within 2 ulps
+    assert exact.ulps(l1, exact.l1(exact.of(f))) <= 2
 
 
 # dyadic unit-l2 generators: one coefficient +-1 or four of +-1/2; a on (1/4)Z
@@ -180,19 +178,10 @@ def test_young_sides_are_exact_on_dyadic_draws(raw):
     lhs, rhs, _, _ = _young_chunk(draws)
     for (coefficients, a, p), got_lhs, got_rhs in zip(draws, lhs, rhs):
         g = build_rademacher_generator(RademacherSpec(coefficients))
-        f, (_, _, table) = g.f, g.fold
-        bp = [Fraction(float(t)) for t in f.breakpoints]
-        vals = [Fraction(float(v)) for v in f.values]
-
-        def value(t):
-            return next((v for lo, hi, v in zip(bp, bp[1:], vals) if lo <= t < hi),
-                        Fraction(0))
-        points = sorted({b + n for b in bp for n in a} | set(bp))
+        f, (_, _, table) = exact.of(g.f), g.fold
         q = int(p)
-        exact_lhs = sum(((hi - lo) * abs(sum(Fraction(c) * value((lo + hi) / 2 - n)
-                                             for n, c in a.items())) ** q
-                         for lo, hi in zip(points, points[1:])), Fraction(0))
-        l1 = sum((hi - lo) * abs(v) for lo, hi, v in zip(bp, bp[1:], vals))
+        exact_lhs = exact.power_integral(exact.series(f, a), q)
+        l1 = exact.l1(f)
         sup = Fraction(_periodized_sup(table))
         exact_rhs = l1 * sum(abs(Fraction(c)) ** q for c in a.values()) * sup ** (q - 1)
         assert Fraction(got_lhs) == exact_lhs
