@@ -35,7 +35,8 @@ at its defaults too, and three records it rejects: non-unit
 coefficients, a record that passes only at a nonzero
 tolerance, and the indicator of [0, 2); the last two were recorded again
 when their orthonormality failure began to print the residual and the
-tolerance in full.  The indicator of [-0.3, 0.7) was pinned before the unit
+tolerance in full, the first when its report began to hold the L1 norm
+and periodized sup of its fold.  The indicator of [-0.3, 0.7) was pinned before the unit
 fold kept every distinct fractional part: -0.3 lies in (-0.5, 0), where the
 fractional part t + 1 rounds.  Two records the CLI refused until then were
 pinned after it: the indicator of [0.1, 1.1), whose translates overlap on
