@@ -614,8 +614,8 @@ def _run_counterexample(params, seed, tol):
 
 @_kind("diagnostics", 0.0, window=_int(2, MAX_WINDOW, 12), p=_p())
 def _run_diagnostics(params, seed, tol):
-    from .diagnostics import (DiscreteFrame, SpaceTag, boundedly_complete_probe,
-                              tail_dual_norms, unit_vector_frame)
+    from .diagnostics import (SpaceTag, boundedly_complete_probe, tail_dual_norms,
+                              unit_vector_frame)
     from .lp import CoordinateVector
     window = params["window"]
     p = params["p"]
@@ -627,14 +627,14 @@ def _run_diagnostics(params, seed, tol):
     l1_tails = tail_dual_norms(frame_l1, ones, nesting[:-1])
     _gate(failures, "l1 all-ones tail norms other than 1", sum(v != 1.0 for v in l1_tails), 0)
 
-    frame_lp = DiscreteFrame(frame_l1.pairs, SpaceTag.lp(p))
+    frame_lp = unit_vector_frame(SpaceTag.lp(p), range(window))
     support = min(6, window)
     f = CoordinateVector({n: 1.0 / (n + 1) for n in range(support)})
     lp_tails = tail_dual_norms(frame_lp, f, nesting)
     _gate(failures, "lp tail norms past the functional support other than 0",
           sum(v != 0.0 for v in lp_tails[support - 1:]), 0)
 
-    frame_c0 = DiscreteFrame(frame_l1.pairs, SpaceTag.c0())
+    frame_c0 = unit_vector_frame(SpaceTag.c0(), range(window))
     probe = boundedly_complete_probe(frame_c0, ones, nesting)
     _gate(failures, "c0 all-ones increments other than 1",
           sum(v != 1.0 for v in probe.increments), 0)

@@ -1,15 +1,14 @@
 """Discrete frame diagnostics: tail functionals, completeness probes, and
 an exact sign-cancellation counterexample.
 
-A DiscreteFrame is a finite list of (vector, functional) pairs over a
+A DiscreteFrame is a finite family of (vector, functional) pairs over a
 tagged sequence space.  The probes mirror the structural dichotomies of
 frame theory: decaying tail functional norms witness a shrinking family,
 Cauchy partial sums against double-dual coefficients witness bounded
 completeness, and the alternating triple frame below shows how a family
 can reconstruct every vector from the full index set while a restricted
 index set pushes the candidate limit out of c0 entirely.  That frame is
-built from integer data and every check on it is exact integer
-arithmetic.
+built from integer data and every check on it is exact integer arithmetic.
 """
 
 import contextlib
@@ -17,8 +16,9 @@ import dataclasses
 import functools
 import gc
 import math
+from operator import index
 
-from .lp import CoordinateVector, sup_abs
+from .lp import CoordinateVector, _adopt, sup_abs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,37 +49,54 @@ class SpaceTag:
         return cls("l1")
 
     def norm(self, v):
-        if self.kind == "lp":
-            return v.norm(self.p)
-        if self.kind == "c0":
-            return v.norm(math.inf)
-        return v.norm(1)
+        return v.norm(self.p if self.kind == "lp" else math.inf if self.kind == "c0" else 1)
 
     def dual_norm(self, v):
         """Norm in the dual space: lq for lp, l1 for c0, sup for l1."""
         if self.kind == "lp":
             return v.norm(self.p / (self.p - 1.0))
-        if self.kind == "c0":
-            return v.norm(1)
-        return v.norm(math.inf)
+        return v.norm(1 if self.kind == "c0" else math.inf)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class DiscreteFrame:
-    """Finite family of (vector, functional) pairs over a tagged space."""
-    pairs: tuple
+    """Finite family of pairs (x_j, f_j), a vector and a functional, over a tagged space.
+
+    Its working form is two columns, one entry per pair: ``_vectors[j]`` and
+    ``_functionals[j]`` are the entries dicts of x_j and f_j, {n: value} in
+    increasing n as a ``CoordinateVector`` keeps them; a dict may fill several
+    entries.  ``pairs`` is the tuple of (x_j, f_j) the constructor takes, or
+    for a frame built from columns a view derived on first read.
+    """
+    _vectors: list
+    _functionals: list
     space: SpaceTag
+
+    def __init__(self, pairs, space):
+        self.__dict__.update(pairs=pairs, space=space, _vectors=[v._entries for v, _ in pairs],
+                             _functionals=[f._entries for _, f in pairs])
+
+    @classmethod
+    def _of_columns(cls, vectors, functionals, space):
+        """The frame that holds the given columns as they are."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(_vectors=vectors, _functionals=functionals, space=space)
+        return frame
+
+    @functools.cached_property
+    def pairs(self):
+        """(x_j, f_j) for each j, vectors over the column dicts."""
+        return tuple(zip(map(_adopt, self._vectors), map(_adopt, self._functionals)))
 
     @functools.cached_property
     def _coordinate_index(self):
         """Coordinate n -> [j, f_j[n], j', f_j'[n], ...] over the pairs whose
-        functional is nonzero at n, in increasing position; built on first
-        use and kept with the frame, unless its builder handed it over with
-        the pairs.  One flat list per coordinate rather than a tuple per pair
+        functional is nonzero at n, in increasing j; built on first use unless
+        the frame's builder handed it over.  One flat list per coordinate
         leaves the garbage collector one object per coordinate to track."""
         index = {}
-        for j, (_, fun) in enumerate(self.pairs):
-            for n, c in fun._entries.items():
+        for j, fun in enumerate(self._functionals):
+            for n, c in fun.items():
                 column = index.get(n)
                 if column is None:
                     index[n] = [j, c]
@@ -89,11 +106,8 @@ class DiscreteFrame:
 
     def _coefficients(self, x):
         """Position j -> f_j(x) for every pair whose functional meets the
-        support of x.
-
-        Each f_j(x) adds f_j[n] * x[n] to 0 in increasing n, the terms and
-        the order of ``CoordinateVector.pair``, so floats round alike.
-        """
+        support of x, in one pass over the coordinate index.  Each f_j(x) adds
+        f_j[n] * x[n] to 0 in increasing n, as ``CoordinateVector.pair`` does."""
         index = self._coordinate_index
         coef = {}
         for n, v in x._entries.items():
@@ -107,37 +121,35 @@ class DiscreteFrame:
 
         Positions default to all pairs in increasing order; explicit positions
         keep their order and repeats, a negative one counts from the end and
-        an out-of-range one raises IndexError.  Every coefficient f_j(x) comes
-        from one pass over the coordinate index, walking x in increasing
-        coordinate order; a pair whose functional misses the support of x, or
-        pairs with x to 0, adds nothing and is skipped.
+        an out-of-range one raises IndexError.  A pair with f_j(x) = 0 adds
+        nothing and is skipped.
         """
         return self._synthesize(self._coefficients(x), positions)
 
     def _synthesize(self, coef, positions=None):
         """sum over the positions j of coef[j] * x_j, positions as in ``reconstruct``."""
+        vectors = self._vectors
         if positions is None:
             positions = sorted(coef)
         elif not (isinstance(positions, range) and positions.step > 0
-                  and positions.start >= 0 and positions.stop <= len(self.pairs)):
+                  and positions.start >= 0 and positions.stop <= len(vectors)):
             # an increasing range of in-range positions is already resolved;
-            # range(...)[j] counts back from the end or raises, as pairs[j] does
-            slots = range(len(self.pairs))
+            # range(...)[j] counts back from the end or raises, as vectors[j] does
+            slots = range(len(vectors))
             positions = [slots[j] for j in positions]
-        pairs = self.pairs
         total = {}
         for j in positions:
             c = coef.get(j, 0)
             if c != 0:
-                for n, v in pairs[j][0]._entries.items():
+                for n, v in vectors[j].items():
                     total[n] = total.get(n, 0) + c * v
         return CoordinateVector(total)
 
 
 def unit_vector_frame(space, coordinates):
-    """The coordinate frame (e_n, e_n*) over the listed coordinates; one vector is both."""
-    units = map(CoordinateVector.unit, coordinates)
-    return DiscreteFrame(pairs=tuple((e, e) for e in units), space=space)
+    """The coordinate frame (e_n, e_n*) over the listed coordinates; one column is both."""
+    units = [{index(n): 1} for n in coordinates]
+    return DiscreteFrame._of_columns(units, units, space)
 
 
 # -- tail functionals ---------------------------------------------------------
@@ -147,14 +159,11 @@ _NOT_A_CHAIN = "nesting is not a chain: a set holds a position its successor lac
 
 
 def _resolved(frame, positions):
-    """Pair positions resolved as ``reconstruct`` resolves them.
-
-    ``range(len(frame.pairs))[j]`` counts a negative position from the end
-    and raises IndexError for an out-of-range one.  A nonempty step-1 range
-    of in-range positions stays a range, so that two of them with the same
-    start are compared and diffed in O(1).
-    """
-    slots = range(len(frame.pairs))
+    """Pair positions resolved as ``reconstruct`` resolves them: a negative
+    one counts from the end, an out-of-range one raises IndexError.  A
+    nonempty step-1 range of in-range positions stays a range, so that two
+    of them with the same start are compared and diffed in O(1)."""
+    slots = range(len(frame._vectors))
     if (isinstance(positions, range) and positions and positions.step == 1
             and positions.start >= 0 and positions.stop <= len(slots)):
         return positions
@@ -176,11 +185,9 @@ def _added(small, big):
 
 
 def _accumulate(total, terms):
-    """Add c * v_n to coordinate n of ``total`` for each (c, v) of ``terms``.
-
-    Zero weights c are skipped.  Returns the coordinates touched and whether
-    any of them was already held when it was touched.
-    """
+    """Add c * v_n to coordinate n of ``total`` for each (c, v) of ``terms``,
+    skipping zero weights c; returns the coordinates touched and whether any
+    of them was already held when it was touched."""
     touched = []
     held = False
     for c, vec in terms:
@@ -196,28 +203,25 @@ def tail_dual_norms(frame, f, nesting):
     """Exact dual-space norms of the tail functionals outside each set of a chain.
 
     ``nesting`` must be nested, E_1 inside E_2 inside ..., or ValueError is
-    raised; positions resolve as in ``reconstruct``.  The chain is walked
-    from its last set backwards: the tail outside E_k is the tail outside
-    E_{k+1} plus the pairs in E_{k+1} but not in E_k, so f meets each frame
-    vector once.  The l1 tag's dual (sup) norm is a running maximum,
-    recomputed over the tail only when a step changes a coordinate the tail
-    already holds; the other dual norms are summed over the whole tail in
-    coordinate order.  Integer data stay exact; with float data, a
-    coordinate that several pairs touch may be summed in another order than
-    for a single set, whose tail adds its pairs in increasing position.
+    raised; positions resolve as in ``reconstruct``.  Walked from the last
+    set backwards, the tail outside E_k is the tail outside E_{k+1} plus the
+    pairs in E_{k+1} but not in E_k, so f meets each frame vector once.  The
+    l1 tag's dual (sup) norm is a running maximum, recomputed over the tail
+    only when a step changes a coordinate the tail holds; the other dual
+    norms sum the whole tail in coordinate order.  Integer data stay exact;
+    with floats, a coordinate that several pairs touch may sum in another
+    order than for one set, whose tail adds its pairs in increasing position.
     """
     sets = [_resolved(frame, positions) for positions in nesting]
     steps = [_added(a, b) for a, b in zip(sets, sets[1:])]
     if not sets:
         return []
-    space = frame.space
-    outside_last = [j for j in range(len(frame.pairs)) if j not in sets[-1]]
-    total = {}
-    top = 0
-    norms = []
+    space, vectors, functionals = frame.space, frame._vectors, frame._functionals
+    outside_last = [j for j in range(len(vectors)) if j not in sets[-1]]
+    total, top, norms = {}, 0, []
     for added in [outside_last, *reversed(steps)]:
-        pairs = map(frame.pairs.__getitem__, added)
-        touched, held = _accumulate(total, ((f.pair(vec), fun) for vec, fun in pairs))
+        touched, held = _accumulate(
+            total, ((f.pair(_adopt(vectors[j])), functionals[j]) for j in added))
         if space.kind != "l1":
             norms.append(space.dual_norm(CoordinateVector(total)))
             continue
@@ -231,14 +235,10 @@ def tail_dual_norms(frame, f, nesting):
 
 
 def tail_dual_norm(frame, f, positions):
-    """Exact dual-space norm of the tail functional outside the given positions.
-
-    The one-set case of ``tail_dual_norms``; for the tails outside each set
-    of a nested chain, call that function once, so that each tail is built
-    from the next by adding only the pairs the smaller set lacks.  For a
-    unit-vector frame this is just the dual norm of f restricted to the
-    coordinates not covered by ``positions``.
-    """
+    """Exact dual-space norm of the tail functional outside the given positions:
+    the one-set case of ``tail_dual_norms``, which builds each tail of a nested
+    chain from the next.  For a unit-vector frame this is the dual norm of f
+    restricted to the coordinates that ``positions`` leaves out."""
     return tail_dual_norms(frame, f, [positions])[0]
 
 
@@ -260,20 +260,19 @@ class CompletenessReport:
 def boundedly_complete_probe(frame, xss, nesting, tol=1e-10):
     """Norms of partial-sum increments against double-dual coefficients.
 
-    ``xss`` plays the role of a double-dual element acting on the frame
-    functionals by coordinate pairing.  ``nesting`` must be nested, E_1
-    inside E_2 inside ..., or ValueError is raised; positions resolve as in
-    ``reconstruct``.  For each consecutive pair E inside F the report holds
-    || P_F(xss) - P_E(xss) || in the frame's space norm, computed from the
-    pairs in F but not in E alone.  A flat, non-decaying increment sequence
-    flags the limit as escaping the space.
+    ``xss`` is a double-dual element acting on the frame functionals by
+    coordinate pairing.  ``nesting`` must be nested, E_1 inside E_2 inside
+    ..., or ValueError is raised; positions resolve as in ``reconstruct``.
+    For each consecutive E inside F the report holds || P_F(xss) - P_E(xss) ||
+    in the frame's space norm, from the pairs in F but not in E alone.  A
+    flat, non-decaying increment sequence flags the limit as escaping the space.
     """
     sets = [_resolved(frame, positions) for positions in nesting]
     increments = []
     for small, big in zip(sets, sets[1:]):
-        pairs = [frame.pairs[j] for j in _added(small, big)]
         total = {}
-        _accumulate(total, ((xss.pair(fun), vec) for vec, fun in pairs))
+        _accumulate(total, ((xss.pair(_adopt(frame._functionals[j])), frame._vectors[j])
+                            for j in _added(small, big)))
         increments.append(float(frame.space.norm(CoordinateVector(total))))
     return CompletenessReport(increments=tuple(increments), tol=tol)
 
@@ -304,46 +303,43 @@ def counterexample_frame(K):
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
-    # vectors are immutable, so e_j serves as both vector and functional of
-    # block j and every block shares one e_1* and one -e_1*
-    e_1_star = CoordinateVector.unit(1)
-    minus_e_1_star = CoordinateVector.unit(1, -1)
-    pairs = []
-    # the coordinate index, filled with the pairs: block j meets coordinate j
-    # at its first position and coordinate 1 (``ones``) at its second and third
-    index, ones = {}, []
+    # no entries dict is written to: block j's {j: 1} is its three vectors and
+    # its first functional, and every block shares one -e_1* and one e_1*
+    minus_e_1_star, e_1_star = {1: -1}, {1: 1}
+    vectors, functionals = [], []
+    # the coordinate index, filled alongside: block j meets coordinate j at its
+    # first position and coordinate 1 (``ones``) at its second and third
+    coordinate_index, ones = {}, []
     for j in range(1, K + 1):
-        e_j = CoordinateVector.unit(j)
-        pairs += ((e_j, e_j), (e_j, minus_e_1_star), (e_j, e_1_star))
-        index[j] = [3 * j - 3, 1]
+        e_j = {j: 1}
+        vectors += (e_j, e_j, e_j)
+        functionals += (e_j, minus_e_1_star, e_1_star)
+        coordinate_index[j] = [3 * j - 3, 1]
         ones += (3 * j - 2, -1, 3 * j - 1, 1)
-    index[1] += ones
-    frame = DiscreteFrame(pairs=tuple(pairs), space=SpaceTag.c0())
-    object.__setattr__(frame, "_coordinate_index", index)
+    coordinate_index[1] += ones
+    frame = DiscreteFrame._of_columns(vectors, functionals, SpaceTag.c0())
+    frame.__dict__["_coordinate_index"] = coordinate_index
     return frame
 
 
 def _restricted_dual_functional(f, positions_one_based, K):
-    """Closed form for the restricted dual functional of the triple frame.
-
-    Splits the index set by residue mod 3: residue-1 indices contribute
-    f(e_j) e_j*, residue-0 indices contribute f(e_j) e_1*, residue-2
-    indices contribute -f(e_j) e_1*, with j the block of the index.  Exact
-    for integer-valued f.
-    """
+    """Closed form for the restricted dual functional of the triple frame: with
+    j the block of index n, n = 1 mod 3 adds f(e_j) e_j*, n = 0 mod 3 adds
+    f(e_j) e_1* and n = 2 mod 3 adds -f(e_j) e_1*.  Exact for integer f."""
+    get = f._entries.get
     total = {}
     for n in positions_one_based:
         if not 1 <= n <= 3 * K:
             raise ValueError(f"index {n} outside the frame")
         if n % 3 == 1:
             j = (n + 2) // 3
-            total[j] = total.get(j, 0) + f[j]
+            total[j] = total.get(j, 0) + get(j, 0)
         elif n % 3 == 0:
             j = n // 3
-            total[1] = total.get(1, 0) + f[j]
+            total[1] = total.get(1, 0) + get(j, 0)
         else:
             j = (n + 1) // 3
-            total[1] = total.get(1, 0) - f[j]
+            total[1] = total.get(1, 0) - get(j, 0)
     return CoordinateVector(total)
 
 
@@ -392,11 +388,16 @@ def counterexample_report(K, reconstruction_limit=50):
     f = CoordinateVector({1: 3, 2: -2, 5: 7})
     rng_positions = range(3, 3 * K + 1, 3)
     series = _restricted_dual_functional(f, rng_positions, K)
-    listed = frame.pairs[2::3]  # the pairs at rng_positions
-    # f(x_n) for each listed pair, taken once for both checks below
-    weights = [f.pair(vec) for vec, _ in listed]
+    # f(x_n) summed directly over the vector at each n, once for both checks below
+    get = f._entries.get
+    weights = []
+    for vec in frame._vectors[2::3]:
+        w = 0
+        for n, v in vec.items():
+            w += get(n, 0) * v
+        weights.append(w)
     direct_terms = {}
-    _accumulate(direct_terms, zip(weights, (fun for _, fun in listed)))
+    _accumulate(direct_terms, zip(weights, frame._functionals[2::3]))
     series_ok = series == CoordinateVector(direct_terms)
 
     x = CoordinateVector({1: 2, 2: -1, 5: 4})
@@ -404,11 +405,4 @@ def counterexample_report(K, reconstruction_limit=50):
     rhs = sum(coef.get(n - 1, 0) * w for n, w in zip(rng_positions, weights))
     action_ok = series.pair(x) == rhs
 
-    return CounterexampleReport(
-        K=K,
-        full_reconstruction_exact=full,
-        restricted_coordinates_all_one=coords_one,
-        restricted_escapes_c0=escapes,
-        dual_series_matches_direct=series_ok,
-        dual_action_matches_sum=action_ok,
-    )
+    return CounterexampleReport(K, full, coords_one, escapes, series_ok, action_ok)

@@ -90,9 +90,7 @@ class CoordinateVector:
     def unit(cls, n, value=1):
         """``value`` at index n, set directly: one entry needs no ordering walk."""
         n = index(n)
-        vec = object.__new__(cls)
-        _set_entries(vec, {n: value} if value != 0 else {})
-        return vec
+        return _adopt({n: value} if value != 0 else {})
 
     # -- queries -------------------------------------------------------------
 
@@ -160,3 +158,10 @@ class CoordinateVector:
 # the slot's own setter: it writes past the immutability guard in __setattr__
 # without object.__setattr__'s attribute lookup
 _set_entries = CoordinateVector._entries.__set__
+
+
+def _adopt(entries):
+    """The vector over ``entries``, shared: a dict in increasing index order, no zeros."""
+    vec = object.__new__(CoordinateVector)
+    _set_entries(vec, entries)
+    return vec

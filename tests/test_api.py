@@ -67,8 +67,15 @@ EXEMPT = {
     "framelab:__dir__": "dir(framelab); a subprocess test reads it",
     "framelab.translate_frame:_young_chunk.<locals>.recertify":
         "runs only when a chunk's array certificate fails",
+    "framelab.diagnostics:DiscreteFrame.__init__":
+        "the public constructor from pairs; the tests use it, experiments build from columns",
+    "framelab.diagnostics:DiscreteFrame.pairs":
+        "the pairs view of the columns; the tests and bench/spans.py read it",
     "framelab.diagnostics:DiscreteFrame._coordinate_index":
-        "indexes a frame whose builder hands no index over; no experiment builds one",
+        "indexes a frame whose builder hands no index over, as the constructor and "
+        "unit_vector_frame do; no experiment reconstructs with such a frame",
+    "framelab.lp:CoordinateVector.items":
+        "the tests read a vector's entries with it; the frames read their columns' dicts",
 }
 
 

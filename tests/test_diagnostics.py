@@ -5,6 +5,8 @@ are compared exactly with the per-set code they replaced, kept below as
 ``reference_*``, on random integer frames from ``hypothesis``.
 """
 
+import dataclasses
+import functools
 import gc
 import json
 import math
@@ -26,7 +28,7 @@ from framelab import (
     tail_dual_norm,
     unit_vector_frame,
 )
-from framelab import cli, diagnostics
+from framelab import cli, diagnostics, lp
 from framelab.diagnostics import _restricted_dual_functional, tail_dual_norms
 
 
@@ -209,9 +211,138 @@ def test_indexed_reconstruct_is_exact_on_fractions(case):
         assert all(isinstance(v, (Fraction, int)) for v in got._entries.values())
 
 
+# -- the tuple-based frame that the columns replaced ---------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class TupleFrame:
+    """Finite family of (vector, functional) pairs over a tagged space."""
+    pairs: tuple
+    space: SpaceTag
+
+    @functools.cached_property
+    def _coordinate_index(self):
+        """Coordinate n -> [j, f_j[n], j', f_j'[n], ...] over the pairs whose
+        functional is nonzero at n, in increasing position; built on first
+        use and kept with the frame, unless its builder handed it over with
+        the pairs.  One flat list per coordinate rather than a tuple per pair
+        leaves the garbage collector one object per coordinate to track."""
+        index = {}
+        for j, (_, fun) in enumerate(self.pairs):
+            for n, c in fun._entries.items():
+                column = index.get(n)
+                if column is None:
+                    index[n] = [j, c]
+                else:
+                    column += (j, c)
+        return index
+
+    def _coefficients(self, x):
+        """Position j -> f_j(x) for every pair whose functional meets the
+        support of x.
+
+        Each f_j(x) adds f_j[n] * x[n] to 0 in increasing n, the terms and
+        the order of ``CoordinateVector.pair``, so floats round alike.
+        """
+        index = self._coordinate_index
+        coef = {}
+        for n, v in x._entries.items():
+            column = iter(index.get(n, ()))
+            for j, c in zip(column, column):
+                coef[j] = coef.get(j, 0) + c * v
+        return coef
+
+    def reconstruct(self, x, positions=None):
+        """sum over j of f_j(x) * x_j, restricted to the given pair positions.
+
+        Positions default to all pairs in increasing order; explicit positions
+        keep their order and repeats, a negative one counts from the end and
+        an out-of-range one raises IndexError.  Every coefficient f_j(x) comes
+        from one pass over the coordinate index, walking x in increasing
+        coordinate order; a pair whose functional misses the support of x, or
+        pairs with x to 0, adds nothing and is skipped.
+        """
+        return self._synthesize(self._coefficients(x), positions)
+
+    def _synthesize(self, coef, positions=None):
+        """sum over the positions j of coef[j] * x_j, positions as in ``reconstruct``."""
+        if positions is None:
+            positions = sorted(coef)
+        elif not (isinstance(positions, range) and positions.step > 0
+                  and positions.start >= 0 and positions.stop <= len(self.pairs)):
+            # an increasing range of in-range positions is already resolved;
+            # range(...)[j] counts back from the end or raises, as pairs[j] does
+            slots = range(len(self.pairs))
+            positions = [slots[j] for j in positions]
+        pairs = self.pairs
+        total = {}
+        for j in positions:
+            c = coef.get(j, 0)
+            if c != 0:
+                for n, v in pairs[j][0]._entries.items():
+                    total[n] = total.get(n, 0) + c * v
+        return CoordinateVector(total)
+
+
+def _entry_bits(vec):
+    return [(n, _bits(v)) for n, v in vec._entries.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_frames(float_entries | fraction_entries))
+def test_column_frames_equal_the_tuple_frame_bit_for_bit(case):
+    pool, pairs, plain_x, positions = case
+    shared = [CoordinateVector(d) for d in pool]
+    tuple_pairs = tuple((shared[v], shared[f]) for v, f in pairs)
+    reference = TupleFrame(pairs=tuple_pairs, space=SpaceTag.c0())
+    columns = DiscreteFrame._of_columns([shared[v]._entries for v, _ in pairs],
+                                        [shared[f]._entries for _, f in pairs], SpaceTag.c0())
+    x = CoordinateVector(plain_x)
+    for frame in (columns, DiscreteFrame(pairs=tuple_pairs, space=SpaceTag.c0())):
+        assert [(_entry_bits(vec), _entry_bits(fun)) for vec, fun in frame.pairs] == \
+            [(_entry_bits(vec), _entry_bits(fun)) for vec, fun in reference.pairs]
+        assert [(j, _bits(c)) for j, c in frame._coefficients(x).items()] == \
+            [(j, _bits(c)) for j, c in reference._coefficients(x).items()]
+        try:
+            expected = _entry_bits(reference.reconstruct(x, positions))
+        except IndexError:
+            with pytest.raises(IndexError):
+                frame.reconstruct(x, positions)
+        else:
+            assert _entry_bits(frame.reconstruct(x, positions)) == expected
+
+
+def test_the_report_builds_no_vector_per_pair(monkeypatch):
+    # every CoordinateVector is built by the constructor, by ``unit`` or by
+    # the wrapper that adopts an entries dict, counted where it is looked up
+    built = {}
+
+    def counted(name, build):
+        def count(*args, **kwargs):
+            built[name] = built.get(name, 0) + 1
+            return build(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr(CoordinateVector, "__init__",
+                        counted("init", CoordinateVector.__init__))
+    monkeypatch.setattr(CoordinateVector, "unit",
+                        classmethod(counted("unit", CoordinateVector.unit.__func__)))
+    for module in (lp, diagnostics):
+        monkeypatch.setattr(module, "_adopt", counted("adopt", module._adopt))
+    counts = []
+    for K in (60, 10000):
+        built.clear()
+        assert counterexample_report(K, 50).ok
+        counts.append(dict(built))
+    # e_1 .. e_50 (a unit each, which adopts its dict) and one result per
+    # reconstruction and check: 155, at any K
+    assert counts[0] == counts[1]
+    assert sum(counts[1].values()) <= 200
+
+
 def test_analysis_operator_pairs_no_vectors(monkeypatch):
-    # f_j(x) comes from the coordinate index; CoordinateVector.pair is left
-    # to the report's f(x_n) weights, once per listed pair, and one check
+    # f_j(x) comes from the coordinate index and the report's f(x_n) weights
+    # from the vector column; CoordinateVector.pair is left to one check
     K = 10000
     calls = [0]
     pair = CoordinateVector.pair
@@ -225,7 +356,7 @@ def test_analysis_operator_pairs_no_vectors(monkeypatch):
     assert counterexample_frame(K).reconstruct(e_1) == e_1
     assert calls[0] == 0
     assert counterexample_report(K, 50).ok
-    assert calls[0] <= K + 1
+    assert calls[0] <= 1
 
 
 def test_indexed_reconstruct_matches_definition_on_triple_frame():
@@ -429,16 +560,18 @@ def _block_by_block_frame(K):
 
 @pytest.mark.parametrize("K", [1, 2, 3, 50, 2000])
 def test_counterexample_frame_equals_the_block_by_block_frame(K):
-    pairs = counterexample_frame(K).pairs
+    frame = counterexample_frame(K)
+    pairs = frame.pairs
     assert pairs == _block_by_block_frame(K)
     assert all(isinstance(v, int) for vec, fun in pairs for v in (*vec._entries.values(),
                                                                  *fun._entries.values()))
-    # e_j is the vector of its block and its own functional; every block
-    # shares one -e_1* and one e_1*
-    assert all(pairs[3 * j][0] is pairs[3 * j][1] is pairs[3 * j + 1][0] is pairs[3 * j + 2][0]
+    # block j's entries dict {j: 1} is its three vectors and its first
+    # functional; every block shares one {1: -1} and one {1: 1}
+    vectors, functionals = frame._vectors, frame._functionals
+    assert all(vectors[3 * j] is functionals[3 * j] is vectors[3 * j + 1] is vectors[3 * j + 2]
                for j in range(K))
-    assert len({id(fun) for _, fun in pairs[1::3]}) == 1
-    assert len({id(fun) for _, fun in pairs[2::3]}) == 1
+    assert len({id(fun) for fun in functionals[1::3]}) == 1
+    assert len({id(fun) for fun in functionals[2::3]}) == 1
 
 
 def test_counterexample_report_runs_no_garbage_collection():
@@ -477,16 +610,18 @@ def test_a_collector_the_caller_paused_stays_paused(run):
 
 @pytest.mark.parametrize("run", [counterexample_frame, counterexample_report])
 def test_the_collector_is_restored_when_the_build_raises(monkeypatch, run):
-    unit = CoordinateVector.unit.__func__
+    # the build steps through its blocks with the module's ``range``; the
+    # planted one fails on the step to block 7
     enabled_during_build = []
 
-    def failing_unit(cls, n, value=1):
-        enabled_during_build.append(gc.isenabled())
-        if n == 7:
-            raise RuntimeError("planted failure at block 7")
-        return unit(cls, n, value)
+    def failing_range(*bounds):
+        for j in range(*bounds):
+            enabled_during_build.append(gc.isenabled())
+            if j == 7:
+                raise RuntimeError("planted failure at block 7")
+            yield j
 
-    monkeypatch.setattr(CoordinateVector, "unit", classmethod(failing_unit))
+    monkeypatch.setattr(diagnostics, "range", failing_range, raising=False)
     with pytest.raises(RuntimeError, match="block 7"):
         run(20)
     assert enabled_during_build and not any(enabled_during_build)
