@@ -53,8 +53,8 @@ def _merge(points, magnitude=None):
     """Sorted grid of ``points``, each point within MERGE_ULPS * np.spacing(magnitude)
     of the one before it merged into that one; ``magnitude`` defaults to the
     largest |point|.  Every cell grid but the unit fold's is built by this
-    rule: here, or row by row in ``wavelet_frame._merged`` and ``_placed``,
-    which sort several rows at once and which the tests hold equal to this.
+    rule: here, or row by row in ``wavelet_frame._placed``, which sorts
+    several rows at once and which the tests hold equal to this.
 
     One sort and one gap mask: an exact duplicate has gap 0 and is dropped,
     and the point after it sees the same gap as after the first copy."""

@@ -75,10 +75,14 @@ class WaveletSystem:
 # Targets sit in the rows of 2-D arrays of cells (breakpoints, values).  Each
 # lattice member names the target row it analyses and carries its exponent p,
 # and each sum of members is a row of the output.  Sums are held as row-tagged
-# cells (keys, values): complex keys row + i point (``_keys``), which numpy
-# sorts by row, then point, and values[j] held from point j to the next point
-# of its row, a zero after the row's last point.  ``rows`` names the row of
-# each member or function, or holds one row for them all (``_ROW_0``).
+# cells (rows, points, values), three flat arrays ordered by row, then point:
+# values[j] is held from points[j] to the next point of its row, a zero after
+# the row's last point.  One merge builds every grid (``_placed``): an
+# unstable argsort of the points, then a stable argsort of their rows, and
+# each point is placed at the grid point it merged into.  The float sort may
+# put -0.0 and 0.0 in either order, so a grid point at zero takes the sign
+# of whichever came first; no result reads that sign, for both zeros merge
+# into that one point and give the same widths and mids.
 # Members come in row order, so a row's members, and its cells of a merged
 # grid, are one contiguous run: the per-row steps, np.interp and
 # np.add.reduce, take each run (``_runs``).  One row takes the same code as
@@ -91,10 +95,12 @@ class WaveletSystem:
 # Target breakpoints and lattice members, over all its rows, that one kernel
 # call takes at most: box sums and conjugates go in groups of as many rows as
 # that allows, and at least one, so that no call holds many copies of a
-# many-cell target or several large lattices at once.
+# many-cell target or several large lattices at once.  Every row costs at
+# least one, so a call's row ids stay below 2^13, well inside the np.uint16
+# that ``_placed`` sorts them as: numpy radix-sorts 16-bit integers.
 _GROUP_SIZE = 2 ** 13
 
-# Row 0 for every member or function: ``rows`` of a single row.
+# Row 0 for every member: the ``rows`` of a single target.
 _ROW_0 = np.zeros(1, dtype=np.intp)
 _ROW_0.setflags(write=False)
 
@@ -172,14 +178,6 @@ def _conjugate_groups(x, boxes):
                (np.array(box[lo:hi]), *back))
 
 
-def _keys(rows, points):
-    """Complex keys rows + i points, flat, for ``rows`` that broadcast to ``points``."""
-    keys = np.empty(points.shape, dtype=complex)
-    keys.real = rows
-    keys.imag = points
-    return keys.ravel()
-
-
 def _runs(a, rows, count):
     """``a`` cut into the runs of rows 0 .. count - 1, ``rows`` nondecreasing:
     ``np.split`` at the row starts, without its per-run wrapper cost."""
@@ -224,47 +222,37 @@ def _members(ws, xb, xv, a, b, rows, p, weight):
     return (kept, (b + pb) * 2.0 ** (-a), (pv * 2.0 ** (a / p)) * (coef[kept, None] * weight))
 
 
-def _kept(grid):
-    """Which points of the sorted row-tagged ``grid`` stay when each of its rows
-    is merged as ``stepfn._merge`` merges, and where each row starts among
-    them.  A row's magnitude is its largest |point|."""
-    rows, points = grid.real, grid.imag
-    keep = np.empty(grid.size, dtype=bool)
+def _kept(rows, points):
+    """Which of the row-tagged ``points``, sorted by row, then point, stay when
+    each row is merged as ``stepfn._merge`` merges, and where each row starts
+    among them.  A row's magnitude is its largest |point|."""
+    keep = np.empty(points.size, dtype=bool)
     keep[:1] = True
     keep[1:] = rows[1:] != rows[:-1]
     starts = keep.nonzero()[0]
     tol = MERGE_ULPS * np.spacing(np.maximum.reduceat(np.abs(points), starts))
     # repeated over each row's points, with no per-point row index: two cap-sized
     # rows peak at 6.7 MB traced this way, 7.2 MB through such an index
-    tol = tol.repeat(_widths(np.append(starts, grid.size)))
+    tol = tol.repeat(_widths(np.concatenate((starts, [points.size]))))
     keep[1:] |= _widths(points) > tol[1:]
     return keep, starts
 
 
-def _merged(keys):
-    """``stepfn._merge`` within each row of the points in ``keys``.
-
-    Returns ``(grid, starts)``: the row-tagged grid points and where each
-    row starts among them, from one sort.
-    """
-    grid = np.sort(keys)
-    keep, starts = _kept(grid)
-    return grid[keep], keep.cumsum()[starts] - 1
-
-
-def _placed(keys):
-    """``_merged``'s ``(grid, starts)`` of ``keys``, and for each key the index of
-    the grid point it merged into, the last at or below it, read off the
-    argsort that builds the grid."""
-    order = keys.argsort()
-    grid = keys[order]
-    del keys     # a batch of rows holds many points
-    keep, starts = _kept(grid)
-    grid = grid[keep]
+def _placed(rows, points):
+    """``stepfn._merge`` within each row of the row-tagged ``points``:
+    ``(rows, grid, starts, at)``, the grid's rows and points, where each row
+    starts among them, and for each point the index of the grid point it
+    merged into, the last of its row at or below it.  One order gives both:
+    an unstable argsort of the points, then a stable argsort of their rows
+    as np.uint16 (see ``_GROUP_SIZE``)."""
+    order = points.argsort()
+    order = order[rows[order].astype(np.uint16).argsort(kind="stable")]
+    rows, points = rows[order], points[order]
+    keep, starts = _kept(rows, points)
     index = keep.cumsum() - 1
     at = np.empty(order.size, dtype=np.intp)
     at[order] = index
-    return grid, index[starts], at
+    return rows[keep], points[keep], index[starts], at
 
 
 def _jump_sum(rows, bp, vals):
@@ -273,14 +261,14 @@ def _jump_sum(rows, bp, vals):
 
     Each function turns into jumps at its breakpoints.  Each row's
     breakpoints are merged into one grid, and each breakpoint is placed at
-    the grid point it merged into, both from one argsort (``_placed``).
+    the grid point it merged into, both from one order (``_placed``).
     ``np.bincount`` adds the jumps at their grid points in input order, and
     a cumulative sum along each row of a zero-padded table, so that each
     row's running sum starts at 0, gives the values.  A cell that no function
     covers is exactly 0: an integer count of covering functions decides.  A
     row whose grid has fewer than two points has no cell and is dropped.
     """
-    grid, starts, at = _placed(_keys(rows[:, None], bp))
+    rows, grid, starts, at = _placed(rows.repeat(bp.shape[1]), bp.ravel())
     lengths = _widths(np.concatenate((starts, [grid.size])))
     at = at.reshape(bp.shape)
     padded = np.zeros((vals.shape[0], vals.shape[1] + 2))
@@ -296,8 +284,8 @@ def _jump_sum(rows, bp, vals):
     values = np.where(covering > 0, running, 0.0)
     if np.minimum.reduce(lengths, initial=2) == 1:
         kept = (lengths > 1).repeat(lengths)
-        grid, values = grid[kept], values[kept]
-    return grid, values
+        rows, grid, values = rows[kept], grid[kept], values[kept]
+    return rows, grid, values
 
 
 def _canonical(cells):
@@ -308,41 +296,51 @@ def _canonical(cells):
     0 before the row's first point: so a NaN cell always stays, and 0.0 and
     -0.0 count as equal.  A row of zeros keeps no point.
     """
-    keys, values = cells
+    rows, points, values = cells
     before = np.empty(values.size)
     before[:1] = 0.0
     before[1:] = values[:-1]
-    before[1:][keys.real[1:] != keys.real[:-1]] = 0.0
+    before[1:][rows[1:] != rows[:-1]] = 0.0
     keep = values != before
-    return keys[keep], values[keep]
+    return rows[keep], points[keep], values[keep]
 
 
 def _lp_distances(f, g, exponents):
     """||f_i - g_i||_p for every row i of the row-tagged cells f and g, p the
     row's exponent in ``exponents``, each on the merged grid of its two rows,
-    as ``stepfn._combined`` takes one pair.  A run of rows that share an
-    exponent takes one array power."""
-    grid, _ = _merged(np.concatenate((f[0], g[0])))
-    rows, points = grid.real, grid.imag
+    as ``stepfn._combined`` takes one pair.
+
+    Each side's value on a cell is read off the merge's placement: a point
+    placed at grid point i counts from cell i if it is at or below that
+    cell's mid, and from cell i + 1 otherwise, so the running count of a
+    side's points is, on each cell, the number of them at or below its mid,
+    the index of its value there.  A run of rows that share an exponent takes
+    one array power."""
+    points = np.concatenate((f[1], g[1]))
+    rows, grid, _, at = _placed(np.concatenate((f[0], g[0])), points)
+    # the last grid point starts no cell: no point counts past it
+    mids = np.full(grid.size, math.inf)
+    mids[:-1] = 0.5 * (grid[:-1] + grid[1:])
+    after, split = at + (points > mids[at]), f[1].size
     cell = rows[:-1] == rows[1:]
-    mids = _keys(rows[:-1], 0.5 * (points[:-1] + points[1:]))[cell]
-    fm, gm = (np.concatenate(([0.0], v))[k.searchsorted(mids, side="right")] for k, v in (f, g))
-    terms, rows = np.abs(fm - gm), mids.real
+    fm, gm = (np.concatenate(([0.0], v))[np.bincount(i, minlength=grid.size).cumsum()[:-1][cell]]
+              for i, v in ((after[:split], f[2]), (after[split:], g[2])))
+    terms, rows = np.abs(fm - gm), rows[:-1][cell]
     firsts = [i for i, p in enumerate(exponents) if i == 0 or p != exponents[i - 1]]
     cuts = [*rows.searchsorted(firsts).tolist(), rows.size]
     for i, lo, hi in zip(firsts, cuts, cuts[1:]):
         terms[lo:hi] **= exponents[i]
-    terms *= _widths(points)[cell]
+    terms *= _widths(grid)[cell]
     # numpy's scalar power, as for one pair: its array power may round otherwise
     return [float(np.add.reduce(run) ** (1.0 / p))
             for p, run in zip(exponents, _runs(terms, rows, len(exponents)))]
 
 
-def _cells(rows, xb, xv):
-    """Row-tagged cells of the step functions with cells (xb[i], xv[i]) in rows[i]."""
+def _cells(xb, xv):
+    """Row-tagged cells of the step functions with cells (xb[i], xv[i]) in row i."""
     values = np.zeros(xb.shape)
     values[:, :xv.shape[1]] = xv
-    return _keys(rows, xb), values.ravel()
+    return np.arange(xb.shape[0]).repeat(xb.shape[1]), xb.ravel(), values.ravel()
 
 
 def _lattice_sums(ws, x, lattices):
@@ -435,15 +433,13 @@ def convergence_study(ws, x, M_list, N_list):
     boxes = [(ws, M, N) for M in M_list for N in N_list]
     errors = []
     for lo, hi, sums in _box_sums(x, boxes):
-        target = _cells(np.arange(hi - lo)[:, None],
-                        np.broadcast_to(x.breakpoints, (hi - lo, x.breakpoints.size)),
-                        x.values[None])
+        target = _cells(x.breakpoints[None].repeat(hi - lo, axis=0), x.values[None])
         errors += _lp_distances(target, sums, [ws.p] * (hi - lo))
     bounds = []
     for (yb, yv), (l, m, targets, p), _ in _conjugate_groups(x, boxes):
         count = yb.shape[0]
         kept, bp, vals = _members(ws, yb, yv, l, m, targets, p, 1.0)
-        bounds += _lp_distances(_cells(np.arange(count)[:, None], yb, yv),
+        bounds += _lp_distances(_cells(yb, yv),
                                 _jump_sum(targets[kept], bp, vals), [ws.p] * count)
     ends = np.cumsum([N * N for _, _, N in boxes]).tolist()
     # np.max keeps a NaN, which Python's max would drop

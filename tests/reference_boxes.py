@@ -14,8 +14,8 @@ from framelab.wavelet_frame import _averaged_sums, _box_sums
 
 def function(cells):
     """Row-tagged cells of a single row as a StepFunction."""
-    keys, values = cells
-    return StepFunction(keys.imag, values[:-1])
+    _, points, values = cells
+    return StepFunction(points, values[:-1])
 
 
 def box_reconstruct(ws, x, M, N):

@@ -20,6 +20,10 @@ may call a numpy product that sums through BLAS or in an order of its own
 (``BLAS_SUMS``), as ``np.dot``, an array's ``.dot`` or the ``@`` operator;
 their sums depend on the CPU's BLAS kernel.
 
+The library holds step functions in real arrays only (``complex_uses``): no
+module in ``src/framelab`` may name a complex type or dtype, write a complex
+literal, or read ``.real`` or ``.imag``.
+
 Run as a script, ``python tests/test_api.py`` prints each function that was
 never called, as ``module:line qualname``, exempt ones with their reason,
 and exits nonzero if the rule fails; the rule's failure message is the
@@ -269,6 +273,46 @@ def test_the_blas_guard_finds_each_form(tmp_path):
                     "d = np.inner(x, y)\ne = f.inner(g)\n")
     assert [hit.split(": ")[1] for hit in blas_sums(path)] == [
         "from numpy import einsum", "np.dot", "x.dot", "x @ y", "x @= y", "np.inner"]
+
+
+COMPLEX = {"complex", "complex64", "complex128", "complex256", "complexfloating",
+           "csingle", "cdouble", "clongdouble"}
+# a complex dtype as a string: a name, a kind-and-size code or a one-letter code
+COMPLEX_DTYPE = re.compile(r"[<>=|]?(complex\d*|c(8|16|32)|[FDG])")
+
+
+def complex_uses(path):
+    """``module:line: text`` of each complex type, dtype string or literal and
+    each ``.real`` or ``.imag`` read in the module at ``path``, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in COMPLEX or node.attr in ("real", "imag")
+        elif isinstance(node, ast.Name):
+            hit = node.id in COMPLEX
+        elif isinstance(node, ast.Constant):
+            hit = isinstance(node.value, complex) or (
+                isinstance(node.value, str) and bool(COMPLEX_DTYPE.fullmatch(node.value)))
+        else:
+            hit = False
+        if hit:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{path.name}:{line}: {text}" for line, _, text in sorted(found)]
+
+
+def test_the_library_holds_no_complex_array():
+    assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in complex_uses(path)] == []
+
+
+def test_the_complex_guard_finds_each_form(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import numpy as np\n"
+                    "a = np.empty(3, dtype=complex)\nb = np.zeros(3, dtype='<c16')\n"
+                    "c = x.astype(np.complex128)\nd = x.astype('complex64')\n"
+                    "e = x.real\nf = x.imag\ng = 1j\nh = np.dtype('D')\n"
+                    "i = np.zeros(3, dtype=np.intp).astype('f8')\nj = ('Dyadic', 'c0')\n")
+    assert [hit.split(": ")[1] for hit in complex_uses(path)] == [
+        "complex", "'<c16'", "np.complex128", "'complex64'", "x.real", "x.imag", "1j", "'D'"]
 
 
 def test_every_public_name_resolves_to_the_object_its_module_defines():

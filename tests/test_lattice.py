@@ -16,9 +16,13 @@ Lp distance from one merge and one np.add.reduce per row
   kernel's cells of the members at (0, 0), its only reading of the orbit,
   equal that ``member``'s bit for bit, driven by ``hypothesis``;
 * the one-row code the row kernel replaced, bit for bit: ``_merge`` per
-  row, and the one-row jump sum and Lp distance kept verbatim
-  (``reference_jump_sum``, ``reference_lp_distance``), driven by
-  ``hypothesis``; ``np.split`` for the row runs (``_runs``); and
+  row for the merge and its placements (``_placed``, blind to a zero's
+  sign, which no result reads), and the one-row jump sum and Lp distance
+  kept verbatim (``reference_jump_sum``, ``reference_lp_distance``), driven
+  by ``hypothesis``: the distances also on drawn rows whose merge chains
+  reach past a cell's mid, with NaN, signed zero and infinite values, and
+  the sums on a call of 512 rows, more than a byte can name;
+  ``np.split`` for the row runs (``_runs``); and
   ``stepfn._canonicalize`` for the row-wise canonical form (``_canonical``);
 * the one-box results, bit for bit: every gap and study row of a job,
   boxes in any order and with repeats, against its box run alone, and a
@@ -66,8 +70,8 @@ from framelab import wavelet_frame
 from framelab.cli import main
 from framelab.stepfn import _EMPTY, MERGE_ULPS, _canonicalize, _combined, _merge, _widths
 from framelab.wavelet_frame import (_ROW_0, _box_lattice, _canonical, _cells, _coefficients,
-                                    _conjugate_groups, _jump_sum, _keys, _lattice_sums,
-                                    _lp_distances, _members, _merged, _pairs, _placed, _runs)
+                                    _conjugate_groups, _jump_sum, _lattice_sums, _lp_distances,
+                                    _members, _pairs, _placed, _runs)
 
 import exact
 from reference_boxes import (averaged_conjugate_reconstruction, box_reconstruct, function,
@@ -320,15 +324,15 @@ def test_uncovered_cells_are_exactly_zero():
 
 def one_row_sum(bp, vals):
     """Cells (grid, values) of the sum of the step functions in the rows of (bp, vals)."""
-    keys, values = _jump_sum(_ROW_0, bp, vals)
-    return keys.imag, values[:-1]
+    _, grid, values = _jump_sum(np.zeros(len(bp), dtype=np.intp), bp, vals)
+    return grid, values[:-1]
 
 
 def row_function(cells, row):
     """Row ``row`` of row-tagged cells as a StepFunction."""
-    keys, values = cells
-    mine = (keys.real == row).nonzero()[0]
-    return StepFunction(keys.imag[mine], values[mine][:-1])
+    rows, points, values = cells
+    mine = (rows == row).nonzero()[0]
+    return StepFunction(points[mine], values[mine][:-1])
 
 
 def test_jump_sum_merges_breakpoints_within_merge_tol():
@@ -398,25 +402,88 @@ def tagged_points(draw):
           np.array([1.0 + 40 * np.spacing(1.0), 0.0, 1.0, -0.0, 1.0 + 65 * np.spacing(1.0)])))
 def test_row_merge_matches_merge_per_row(case):
     rows, points = case
-    count = len(set(rows.tolist()))
-    keys = _keys(rows, points)
-    grid, starts = _merged(keys)
+    grid_rows, grid, starts, at = _placed(rows, points)
     assert starts.tolist() == [i for i in range(grid.size)
-                               if i == 0 or grid.real[i] != grid.real[i - 1]]
-    # the argsort builds the same grid and places each point at the last grid
-    # point at or below it, the one it merged into
-    placed, placed_starts, at = _placed(keys)
-    assert (placed + 0.0).tobytes() == (grid + 0.0).tobytes()
-    assert placed_starts.tolist() == starts.tolist()
-    assert at.tolist() == (grid.searchsorted(keys, side="right") - 1).tolist()
-    assert grid.real[starts].tolist() == sorted(set(rows.tolist()))
-    if count == 1:
-        # one row is _merge itself, signed zeros and all
-        assert grid.imag.tobytes() == _merge(points).tobytes()
+                               if i == 0 or grid_rows[i] != grid_rows[i - 1]]
+    assert grid_rows[starts].tolist() == sorted(set(rows.tolist()))
+    assert grid_rows.tolist() == sorted(grid_rows.tolist())
     for row in set(rows.tolist()):
-        # a zero's sign follows the sort's order among equal points
-        assert (grid.imag[grid.real == row] + 0.0).tobytes() == \
-            (_merge(points[rows == row]) + 0.0).tobytes()
+        mine = rows == row
+        want = _merge(points[mine])
+        # a zero's sign follows the sort's order among equal points, which no
+        # result reads
+        assert (grid[grid_rows == row] + 0.0).tobytes() == (want + 0.0).tobytes()
+        # each point is placed at the last grid point of its row at or below
+        # it, the one it merged into
+        first = starts[grid_rows[starts] == row][0]
+        assert at[mine].tolist() == (want.searchsorted(points[mine], side="right") - 1
+                                     + first).tolist()
+
+
+# values whose merges and trims _canonicalize decides by ==: NaN never equals
+# a neighbour, and 0.0 and -0.0 are one value
+cell_values = st.sampled_from([0.0, -0.0, math.nan, 1.0, -2.5, math.inf])
+
+
+@st.composite
+def row_pairs(draw):
+    """Cells (breakpoints, values) of two functions f and g in each of 1-4 rows,
+    and each row's exponent.  In a row both draw their points from the same
+    bases, each in a chain of steps a few ulps long, so that their points
+    interleave, merge, and reach past the mid of the cell they merged into."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        bases = draw(st.lists(st.floats(-300.0, 300.0, allow_nan=False), max_size=4))
+        sides = []
+        for _ in "fg":
+            points = {base + ulps * np.spacing(base) for base in bases for ulps in np.cumsum(
+                [0] + draw(st.lists(st.sampled_from([1, 40, 64, 65, 200]), max_size=4)))}
+            bp = np.array(sorted(points)) if len(points) > 1 else _EMPTY
+            sides.append((bp, np.array(draw(st.lists(cell_values, min_size=max(bp.size - 1, 0),
+                                                      max_size=max(bp.size - 1, 0))))))
+        rows.append((*sides, draw(st.sampled_from([1.5, 2.0, 3.0]))))
+    return rows
+
+
+def tagged(cells):
+    """Row-tagged cells of the functions with cells ``cells[i]`` in row i."""
+    return tuple(np.concatenate(parts) for parts in zip(*[
+        (np.full(bp.size, i), bp, np.append(vals, 0.0) if bp.size else _EMPTY)
+        for i, (bp, vals) in enumerate(cells)]))
+
+
+# in one row, f's points 1, 1 + 64u, 1 + 128u and 1 + 192u (u = spacing(1))
+# merge into the grid point 1, whose cell ends at g's 1 + 257u: the mid of
+# that cell is 1 + 128.5u, and f's value past it is read on the next cell
+ULP = np.spacing(1.0)
+PAST_THE_MID = [(1.0 + np.array([0.0, 64.0, 128.0, 192.0, 350.0]) * ULP,
+                 np.array([1.0, -2.5, 3.0, 7.0])),
+                (1.0 + np.array([0.0, 257.0, 450.0]) * ULP, np.array([0.5, -1.0])), 2.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs())
+@example([PAST_THE_MID])
+@example([PAST_THE_MID, ((np.array([-0.0, 0.5]), np.array([math.nan])), (_EMPTY, _EMPTY), 3.0),
+          ((_EMPTY, _EMPTY), (np.array([0.0, 2.0]), np.array([-0.0])), 1.5)])
+def test_row_distances_match_the_one_pair_distance(rows):
+    # each side's value on each cell, read off the merge's own placement, has
+    # the bits the one-pair distance reads by searching each cell's mid
+    f, g, exponents = zip(*rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _lp_distances(tagged(f), tagged(g), list(exponents))
+        want = [reference_lp_distance(*row) for row in rows]
+    assert same_bits(got, want)
+
+
+def test_a_merge_chain_reaches_past_its_cells_mid():
+    # the case above does what it says: a point placed at a grid point lies
+    # past the mid of that grid point's cell
+    f, g, _ = PAST_THE_MID
+    points = np.concatenate((f[0], g[0]))
+    _, grid, _, at = _placed(np.zeros(points.size, dtype=np.intp), points)
+    assert grid.tolist() == [1.0, 1.0 + 257 * ULP, 1.0 + 350 * ULP, 1.0 + 450 * ULP]
+    assert at[3] == 0 and points[3] > 0.5 * (grid[0] + grid[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,16 +506,15 @@ def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N, group):
         count = xb.shape[0]
         kept, bp, vals = _members(ws, xb, xv, l, m, targets, p, 1.0)
         rows = targets[kept]
-        keys, values = _jump_sum(rows, bp, vals)
+        total = _jump_sum(rows, bp, vals)
         sums = []
         for i in range(count):
             grid, cells = reference_jump_sum(bp[rows == i], vals[rows == i])
-            mine = keys.real == i
-            assert (keys.imag[mine] + 0.0).tobytes() == (grid + 0.0).tobytes()
-            assert same_bits(values[mine][:-1], cells)
+            mine = total[0] == i
+            assert (total[1][mine] + 0.0).tobytes() == (grid + 0.0).tobytes()
+            assert same_bits(total[2][mine][:-1], cells)
             sums.append((grid, cells))
-        distances = _lp_distances(_cells(np.arange(count)[:, None], xb, xv), (keys, values),
-                                  [ws.p] * count)
+        distances = _lp_distances(_cells(xb, xv), total, [ws.p] * count)
         want = [reference_lp_distance((xb[i], xv[i]), sums[i], ws.p) for i in range(count)]
         assert same_bits(distances, want)
         bounds += want
@@ -459,6 +525,29 @@ def test_row_sums_and_distances_match_the_one_row_code(ws, x, M, N, group):
                      [reference_lp_distance((x.breakpoints, x.values),
                                             (approx.breakpoints, approx.values), ws.p),
                       np.max(bounds)])
+
+
+def test_a_call_of_more_rows_than_a_byte_names_sums_each_row_alone():
+    # M = 1 and M = 2 at N = 16: the 512 conjugates of the study go in one
+    # group, so one call sorts row ids past 2^8; each row's sum and distance
+    # has the bits of the one-row code, and the study's bounds are theirs
+    ws, x = WaveletSystem.haar(2.0), NON_DYADIC
+    [((xb, xv), (l, m, targets, p), _)] = _conjugate_groups(x, [(ws, 1, 16), (ws, 2, 16)])
+    count = xb.shape[0]
+    assert count == 512
+    kept, bp, vals = _members(ws, xb, xv, l, m, targets, p, 1.0)
+    rows = targets[kept]
+    total = _jump_sum(rows, bp, vals)
+    want = []
+    for i in range(count):
+        grid, cells = reference_jump_sum(bp[rows == i], vals[rows == i])
+        mine = total[0] == i
+        assert (total[1][mine] + 0.0).tobytes() == (grid + 0.0).tobytes()
+        assert same_bits(total[2][mine][:-1], cells)
+        want.append(reference_lp_distance((xb[i], xv[i]), (grid, cells), ws.p))
+    assert same_bits(_lp_distances(_cells(xb, xv), total, [ws.p] * count), want)
+    study = convergence_study(ws, x, [1, 2], [16])
+    assert same_bits([row.oracle_bound for row in study], [max(want[:256]), max(want[256:])])
 
 
 def two_routes_gap(ws, x, M, N):
@@ -538,29 +627,26 @@ def test_mothers_equal_up_to_a_signed_zero_are_shared():
                             for p in (2.0, 3.0) for M in (1, 2) for N in (1, 2)])
 
 
-# values whose merges and trims _canonicalize decides by ==: NaN never equals
-# a neighbour, and 0.0 and -0.0 are one value
-cell_values = st.sampled_from([0.0, -0.0, math.nan, 1.0, -2.5, math.inf])
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(cell_values, max_size=7), min_size=1, max_size=4))
 def test_row_canonical_form_is_canonicalize_per_row(rows):
-    keys, values, wanted = [], [], []
+    tags, points, values, wanted = [], [], [], []
     for row, cells in enumerate(rows):
         bp = np.arange(len(cells) + 1) * 0.375 - 1.0 if cells else _EMPTY
         # each row's cells and the zero after its last point
-        keys.append(_keys(row, bp))
+        tags.append(np.full(bp.size, row))
+        points.append(bp)
         values.append(np.array(cells + [0.0] if cells else []))
         wanted.append(_canonicalize(bp, np.array(cells, dtype=float)))
-    got_keys, got_values = _canonical((np.concatenate(keys), np.concatenate(values)))
+    got_rows, got_points, got_values = _canonical(tuple(map(np.concatenate,
+                                                            (tags, points, values))))
     for row, (bp, vals) in enumerate(wanted):
-        mine = got_keys.real == row
-        assert got_keys.imag[mine].tobytes() == bp.tobytes()
+        mine = got_rows == row
+        assert got_points[mine].tobytes() == bp.tobytes()
         # same bits, each zero's sign included, and a zero after the last point
         assert same_bits(got_values[mine][:-1], vals)
         assert got_values[mine][-1:].tolist() in ([], [0.0])
-    assert got_keys.real.tolist() == sorted(got_keys.real.tolist())
+    assert got_rows.tolist() == sorted(got_rows.tolist())
 
 
 # -- the exact rational oracle -------------------------------------------------------
@@ -687,7 +773,7 @@ def test_study_keeps_a_nan_oracle_distance(monkeypatch):
 # -- cost guard ------------------------------------------------------------------
 
 
-KERNEL = ("_coefficients", "_members", "_merged", "_placed", "_jump_sum", "_lp_distances")
+KERNEL = ("_coefficients", "_members", "_placed", "_jump_sum", "_lp_distances")
 
 
 def kernel_calls(monkeypatch, run):
@@ -712,11 +798,11 @@ def test_a_row_makes_one_kernel_pass_whatever_its_n(monkeypatch):
     for ws in (WaveletSystem.haar(2.0), SKEWED):
         for path, calls in [
                 (lambda n: convergence_study(ws, NON_DYADIC, [3], [n]),
-                 {"_coefficients": 2, "_members": 2, "_merged": 2, "_placed": 2,
-                  "_jump_sum": 2, "_lp_distances": 2}),
+                 {"_coefficients": 2, "_members": 2, "_placed": 4, "_jump_sum": 2,
+                  "_lp_distances": 2}),
                 (lambda n: averaged_conjugate_reconstruction(ws, NON_DYADIC, 3, n),
-                 {"_coefficients": 1, "_members": 1, "_merged": 0, "_placed": 1,
-                  "_jump_sum": 1, "_lp_distances": 0})]:
+                 {"_coefficients": 1, "_members": 1, "_placed": 1, "_jump_sum": 1,
+                  "_lp_distances": 0})]:
             assert kernel_calls(monkeypatch, lambda: path(1)) == calls
             assert kernel_calls(monkeypatch, lambda: path(8)) == calls
 
@@ -726,9 +812,9 @@ def test_a_job_makes_as_many_kernel_calls_at_nine_boxes_as_at_one(monkeypatch):
     # sums and their distances once and its conjugates once; an identity job
     # takes its box sums once, its averaged sums once and its gaps from one
     # merge and one distance pass, at every exponent
-    study = {"_coefficients": 2, "_members": 2, "_merged": 2, "_placed": 2, "_jump_sum": 2,
+    study = {"_coefficients": 2, "_members": 2, "_placed": 4, "_jump_sum": 2,
              "_lp_distances": 2}
-    identity = {"_coefficients": 2, "_members": 2, "_merged": 1, "_placed": 2, "_jump_sum": 2,
+    identity = {"_coefficients": 2, "_members": 2, "_placed": 3, "_jump_sum": 2,
                 "_lp_distances": 1}
     for ws in (WaveletSystem.haar(2.0), SKEWED):
         exponents = [WaveletSystem(ws.mother, ws.dual_mother, p) for p in (1.5, 2.0, 3.0)]
