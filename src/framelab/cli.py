@@ -9,9 +9,9 @@ by the decorator on its runner; config checks and flags derive from it.
 
 Each record is parsed once: a param's check turns its value, given or
 default, into what the runner takes (an uncertified ``RademacherSpec`` or
-``StepFunction`` generator, a target ``StepFunction``), and the work caps
-size a job from those objects.  The runner certifies a generator; the
-config digest is taken over the JSON records.
+``StepFunction`` generator, a target ``StepFunction``), and the kind's
+``work`` sizes the job from those objects against the one cap ``MAX_WORK``.
+The runner certifies a generator; the digest is taken over the JSON records.
 
 A run imports the library modules, and numpy, when its kind uses them, so
 the discrete kinds (``counterexample``, ``diagnostics``) never load numpy.
@@ -31,6 +31,7 @@ import importlib
 import json
 import math
 import os
+import stat
 import sys
 
 from .reports import (ARTIFACT_VERSION, GeneratorRejected, config_digest, write_csv,
@@ -39,21 +40,18 @@ from .reports import (ARTIFACT_VERSION, GeneratorRejected, config_digest, write_
 MAX_WINDOW = 2 ** 14
 # the biorthogonality matrix is dense: (2 * 512 + 1)^2 entries is 8 MB
 MAX_GRAM_WINDOW = 2 ** 9
-# Cap on the work the unit fold of a generator costs one job, in cell
-# products (see _fold_work).  It also bounds the tables the job holds:
-# 2^22 float64 cells is 32 MB.
-MAX_FOLD_WORK = 2 ** 22
-# Cap on the lattice members one wavelet job evaluates (see _lattice_work):
-# eight rows at the schema maximum M = 8, N = 16.
-MAX_LATTICE_WORK = 2 ** 20
-# Cap on the matrix entries one sampling-sweep job fills (see
-# _sampling_work); 2^20 float64 entries is 8 MB.
-MAX_SAMPLING_WORK = 2 ** 20
+# Cap on the work of one job, in cell operations: elements a kernel's array
+# fills, or entries a per-entry loop visits (see Kind.work).  It also bounds
+# the tables a job holds: 2^22 float64 cells is 32 MB.
+MAX_WORK = 2 ** 22
+# the cell operations of a wavelet lattice member and of a sampling-sweep
+# matrix entry: each restates its kind's former cap of 2^20 of them
+_MEMBER_WORK = _ENTRY_WORK = 4
 MAX_M = 8
 MAX_N = 16
 MAX_P = 16.0
 # entries of a list param; the longest a default, a criterion or a benchmark
-# job takes is the 8-entry M_list at the lattice cap
+# job takes is the 8-entry M_list at the work cap
 MAX_LIST = 64
 
 
@@ -155,9 +153,10 @@ def _check_generator(name, value):
 
 def _fold_shape(generator):
     """(units, cells) of the unit fold of a parsed generator: the unit
-    intervals [n, n + 1) its support meets (none for an empty support), and
-    the fractional cells per unit (a Rademacher spec's finest sign pattern's
-    2^depth, a step function's at most one per breakpoint plus one)."""
+    intervals [n, n + 1) its support meets (none for an empty support; for a
+    step function a float, inf past the largest one), and the fractional cells
+    per unit (a Rademacher spec's finest sign pattern's 2^depth, a step
+    function's at most one per breakpoint plus one)."""
     from .translate_frame import RademacherSpec
     if isinstance(generator, RademacherSpec):
         n = generator.coefficients.support()
@@ -165,11 +164,11 @@ def _fold_shape(generator):
             return 0, 0
         return n[-1] - n[0] + 1, 2 ** min(len(n) - 1 + generator.resolution, 64)
     lo, hi = generator.support() or (0.0, 0.0)
-    return math.ceil(hi) - math.floor(lo), generator.breakpoints.size + 1
+    return float(math.ceil(hi)) - math.floor(lo), generator.breakpoints.size + 1
 
 
 def _fold_work(generator, window):
-    """Cell products the unit fold of a parsed generator costs a job.
+    """Cell products one pass of the unit fold of a parsed generator costs.
 
     The fold holds units x cells entries (see _fold_shape).  Its Gram lags
     correlate each entry with up to ``units`` rows, and a series over the
@@ -179,35 +178,12 @@ def _fold_work(generator, window):
     return units * cells * (units + 2 * window + 1)
 
 
-def _sampling_work(params):
-    """Matrix entries a sampling-sweep job fills, a float that may be inf.
-
-    Each step h fills one row of the 2 window + 1 coordinates for each of at
-    most width / h + 1 samples, and one square matrix over the coordinates.
-    """
-    coords = 2 * params["window"] + 1
-    width = _fold_shape(params["generator"])[0] + 2 * params["window"]
-    return sum(width / h + 1 + coords for h in params["steps"]) * coords
-
-
-def _lattice_work(params):
-    """Lattice members a wavelet job evaluates.
-
-    Each (M, N) row sums (2M)^2 N^2 members for the box, as many again for
-    the conjugate route (the oracle bound or the averaged sum), once per
-    exponent.
-    """
-    members = sum(2 * (2 * M) ** 2 * N ** 2
-                  for M in params["M_list"] for N in params["N_list"])
-    return members * len(params.get("p_list", [params.get("p")]))
-
-
-def _cap(what, unit, work, cap):
-    """Config error when a job's estimated ``work`` (an int, or a float that may
-    be inf) exceeds ``cap``."""
-    if work > cap:
-        raise ConfigError(f"{what} too large: about 2^{math.log2(work):.1f} {unit}, "
-                          f"over the cap of 2^{math.log2(cap):.0f}")
+def _cap(kind, work):
+    """Config error unless a job's ``work`` (an int, or a float that may be inf)
+    is within MAX_WORK; a NaN is refused too."""
+    if not work <= MAX_WORK:
+        raise ConfigError(f"{kind} job too large: about 2^{math.log2(work):.1f} cell "
+                          f"operations, over the cap of 2^{math.log2(MAX_WORK):.0f}")
 
 
 def _require_separated(name, points, reach=1.0):
@@ -217,8 +193,9 @@ def _require_separated(name, points, reach=1.0):
     from .stepfn import MERGE_ULPS, _merge
     points = np.array(points, dtype=float)
     magnitude = max(np.abs(points).max(initial=0.0), reach)
-    if not np.array_equal(_merge(points, magnitude), points):
-        raise ConfigError(f"{name} must rise by over {MERGE_ULPS} ulps of {magnitude:g}")
+    with np.errstate(over="ignore"):    # a width past the largest float is inf, apart
+        if not np.array_equal(_merge(points, magnitude), points):
+            raise ConfigError(f"{name} must rise by over {MERGE_ULPS} ulps of {magnitude:g}")
 
 
 def _check_step_record(name, body):
@@ -291,19 +268,21 @@ class Param:
 
 @dataclasses.dataclass(frozen=True)
 class Kind:
-    """One experiment kind: its runner, default tolerance and parameters."""
+    """One experiment kind: its runner, default tolerance and parameters, and
+    ``work(params)``, a job's cell operations (repetitions x one pass)."""
     run: object
     tol: float
+    work: object
     params: dict
 
 
 KINDS = {}
 
 
-def _kind(name, tol, **params):
+def _kind(name, tol, work, **params):
     """Register the decorated runner as experiment kind ``name``."""
     def register(run):
-        KINDS[name] = Kind(run, tol, params)
+        KINDS[name] = Kind(run, tol, work, params)
         return run
     return register
 
@@ -382,13 +361,7 @@ def validate_config(raw):
             params[name] = None     # derived at run time
         # a record's own JSON, not its parsed object, goes into the digest
         records[name] = value if isinstance(value, dict) else params[name]
-    if params.get("generator") is not None:
-        _cap("generator", "unit fold cell products",
-             _fold_work(params["generator"], params.get("window", 0)), MAX_FOLD_WORK)
-    if "M_list" in params:
-        _cap("wavelet job", "lattice members", _lattice_work(params), MAX_LATTICE_WORK)
-    if "steps" in params:
-        _cap("sampling job", "matrix entries", _sampling_work(params), MAX_SAMPLING_WORK)
+    _cap(kind, KINDS[kind].work(params))
     digest = config_digest({"kind": kind, "seed": seed, "tol": tol, "params": records})
     return {"kind": kind, "seed": seed, "tol": tol, "out": out, "params": params,
             "digest": digest}
@@ -440,8 +413,8 @@ def _numpy_kind(run):
     return run_quietly
 
 
-@_kind("validate-generator", 1e-10, generator=_generator(required=True),
-       lag_range=_int(1, MAX_WINDOW, None))
+@_kind("validate-generator", 1e-10, lambda q: _fold_work(q["generator"], 0),
+       generator=_generator(required=True), lag_range=_int(1, MAX_WINDOW, None))
 @_numpy_kind
 def _run_validate_generator(params, seed, tol):
     g = _certify(params["generator"], params["lag_range"], tol)
@@ -449,8 +422,8 @@ def _run_validate_generator(params, seed, tol):
                                      "suppression_constant": g.suppression_constant})
 
 
-@_kind("biorthogonality", 1e-10, generator=_generator(),
-       window=_int(1, MAX_GRAM_WINDOW, 8))
+@_kind("biorthogonality", 1e-10, lambda q: _fold_work(q["generator"], q["window"]),
+       generator=_generator(), window=_int(1, MAX_GRAM_WINDOW, 8))
 @_numpy_kind
 def _run_biorthogonality(params, seed, tol):
     import numpy as np
@@ -465,8 +438,16 @@ def _run_biorthogonality(params, seed, tol):
                      "max_abs_deviation": deviation}, failures)
 
 
-@_kind("reconstruct", 1e-10, generator=_generator(), window=_int(1, MAX_WINDOW, 8),
-       num_vectors=_int(1, 10 ** 6, 100), p_list=_p_list())
+def _reconstruct_work(q):
+    """A vector's synthesis pass of the fold, and for each exponent the norms of
+    x (2 window + 1 entries) and its error (2 (window + units) + 1 entries)."""
+    units = _fold_shape(q["generator"])[0]
+    norms = len(q["p_list"]) * 2 * (2 * q["window"] + units + 1)
+    return q["num_vectors"] * (_fold_work(q["generator"], q["window"]) + norms)
+
+
+@_kind("reconstruct", 1e-10, _reconstruct_work, generator=_generator(),
+       window=_int(1, MAX_WINDOW, 8), num_vectors=_int(1, 10 ** 6, 100), p_list=_p_list())
 @_numpy_kind
 def _run_reconstruct(params, seed, tol):
     import numpy as np
@@ -495,8 +476,17 @@ def _run_reconstruct(params, seed, tol):
                     failures)
 
 
-@_kind("suppression-scan", 1e-8, generator=_generator(), window=_int(1, MAX_WINDOW, 8),
-       trials=_int(1, 10 ** 6, 200), p=_p())
+def _scan_work(q):
+    """A trial's two series passes of the fold, their product on its 2 window +
+    units rows of cells, and two norms of 2 window + 1 entries."""
+    units, cells = _fold_shape(q["generator"])
+    window = q["window"]
+    return q["trials"] * (2 * _fold_work(q["generator"], window)
+                          + (2 * window + units) * cells + 2 * (2 * window + 1))
+
+
+@_kind("suppression-scan", 1e-8, _scan_work, generator=_generator(),
+       window=_int(1, MAX_WINDOW, 8), trials=_int(1, 10 ** 6, 200), p=_p())
 @_numpy_kind
 def _run_suppression_scan(params, seed, tol):
     from .pettis import unconditionality_scan
@@ -509,20 +499,17 @@ def _run_suppression_scan(params, seed, tol):
     _gate(failures, "suppression lower bound over the unconditional bound", bs, bu + tol)
     _gate(failures, "unconditional bound over twice the suppression bound", bu,
           2.0 * bs + tol)
-    return _verdict({
-        "suppression_constant": g.suppression_constant,
-        "suppression_lower_bound": bs,
-        "unconditional_lower_bound": bu,
-        "bracket": [bs, g.suppression_constant],
-        "trials": params["trials"],
-        "window": params["window"],
-        "p": params["p"],
-    }, failures)
+    return _verdict({"suppression_constant": g.suppression_constant,
+                     "suppression_lower_bound": bs, "unconditional_lower_bound": bu,
+                     "bracket": [bs, g.suppression_constant], "trials": params["trials"],
+                     "window": params["window"], "p": params["p"]}, failures)
 
 
-# max_terms <= 7: a draw takes that many distinct generator indices from -3..3
-@_kind("young-fuzz", 1e-12, draws=_int(1, 10 ** 6, 200), p_list=_p_list(),
-       max_terms=_int(1, 7, 4))
+# max_terms <= 7: a draw takes that many distinct generator indices from -3..3.
+# Its worst draw: a fold pass over 7 units of 2^max_terms cells and the 13
+# shifts -6..6 of a, 7 x (7 + 13) rows, and the |series|^p pass of 7 + 13 rows.
+@_kind("young-fuzz", 1e-12, lambda q: q["draws"] * (7 + 1) * (7 + 13) * 2 ** q["max_terms"],
+       draws=_int(1, 10 ** 6, 200), p_list=_p_list(), max_terms=_int(1, 7, 4))
 @_numpy_kind
 def _run_young_fuzz(params, seed, tol):
     import numpy as np
@@ -562,8 +549,14 @@ def _run_young_fuzz(params, seed, tol):
                      "equality_gap": equality_gap}, failures)
 
 
-@_kind("wavelet-reconstruct", 1e-9, target=_target(), p=_p(),
-       M_list=_int_list(1, MAX_M, [1, 2, 3]), N_list=_int_list(1, MAX_N, [1, 2, 4]))
+def _members(q):
+    """Lattice members a wavelet job evaluates an exponent: each (M, N) row sums
+    (2M)^2 N^2 for the box and as many for the oracle bound or averaged sum."""
+    return sum(2 * (2 * M) ** 2 * N ** 2 for M in q["M_list"] for N in q["N_list"])
+
+
+@_kind("wavelet-reconstruct", 1e-9, lambda q: _MEMBER_WORK * _members(q), target=_target(),
+       p=_p(), M_list=_int_list(1, MAX_M, [1, 2, 3]), N_list=_int_list(1, MAX_N, [1, 2, 4]))
 @_numpy_kind
 def _run_wavelet_reconstruct(params, seed, tol):
     from .wavelet_frame import WaveletSystem, convergence_study
@@ -581,8 +574,9 @@ def _run_wavelet_reconstruct(params, seed, tol):
                     failures, table=(header, table_rows))
 
 
-@_kind("wavelet-identity", 1e-9, target=_target(), p_list=_p_list(),
-       M_list=_int_list(1, MAX_M, [1, 2]), N_list=_int_list(1, MAX_N, [1, 2]))
+@_kind("wavelet-identity", 1e-9, lambda q: _MEMBER_WORK * len(q["p_list"]) * _members(q),
+       target=_target(), p_list=_p_list(), M_list=_int_list(1, MAX_M, [1, 2]),
+       N_list=_int_list(1, MAX_N, [1, 2]))
 @_numpy_kind
 def _run_wavelet_identity(params, seed, tol):
     from .wavelet_frame import WaveletSystem, reconstruction_identity_gaps
@@ -600,9 +594,10 @@ def _run_wavelet_identity(params, seed, tol):
     return _verdict({"gaps": gaps, "max_gap": max_gap}, failures)
 
 
-# one block's every-third candidate is e_1, finitely supported: it cannot leave c0
-@_kind("counterexample", 0.0, K=_int(2, MAX_WINDOW, 50),
-       reconstruction_limit=_int(1, MAX_WINDOW, 50))
+# one block's every-third candidate is e_1, finitely supported: it cannot leave
+# c0.  The work: the triple frame's 3K pairs, and a reconstruction per j <= limit.
+@_kind("counterexample", 0.0, lambda q: 3 * q["K"] + q["reconstruction_limit"],
+       K=_int(2, MAX_WINDOW, 50), reconstruction_limit=_int(1, MAX_WINDOW, 50))
 def _run_counterexample(params, seed, tol):
     from .diagnostics import counterexample_report
     report = counterexample_report(params["K"], params["reconstruction_limit"])
@@ -612,7 +607,8 @@ def _run_counterexample(params, seed, tol):
     return _verdict(dataclasses.asdict(report), failures)
 
 
-@_kind("diagnostics", 0.0, window=_int(2, MAX_WINDOW, 12), p=_p())
+# three unit frames of ``window`` pairs, each walked once along its chain
+@_kind("diagnostics", 0.0, lambda q: 3 * q["window"], window=_int(2, MAX_WINDOW, 12), p=_p())
 def _run_diagnostics(params, seed, tol):
     from .diagnostics import (SpaceTag, boundedly_complete_probe, tail_dual_norms,
                               unit_vector_frame)
@@ -651,7 +647,18 @@ def _run_diagnostics(params, seed, tol):
     }, failures)
 
 
-@_kind("sampling-sweep", 1e-10, generator=_generator(),
+def _sweep_work(q):
+    """The fold's pass, and the matrix entries each step h fills: a row of the
+    2 window + 1 coordinates for each of at most width / h + 1 samples (width
+    the unit span plus 2 window), and a square matrix over the coordinates."""
+    g, window = q["generator"], q["window"]
+    coords = 2 * window + 1
+    width = _fold_shape(g)[0] + 2 * window
+    entries = sum(width / h + 1 + coords for h in q["steps"]) * coords
+    return _fold_work(g, window) + _ENTRY_WORK * entries
+
+
+@_kind("sampling-sweep", 1e-10, _sweep_work, generator=_generator(),
        steps=Param(lambda n, v: _check_list(n, v, "lattice steps", _check_step),
                    [1 / 3, 1 / 6, 1 / 12, 1 / 24], parse=_split(float)),
        window=_int(1, 64, 4), p=_p())
@@ -683,21 +690,13 @@ def execute(config, quiet=False):
         result = ExperimentResult(payload={"report": exc.report.to_dict()},
                                   failures=tuple(exc.report.failures))
         code = 2
-    payload = {
-        "kind": kind,
-        "artifact_version": ARTIFACT_VERSION,
-        "config_digest": config["digest"],
-        "seed": config["seed"],
-        "tol": config["tol"],
-    }
-    payload.update(result.payload)
-    json_path = config["out"] + ".json"
-    write_json_report(json_path, payload)
-    written = [json_path]
+    written = [config["out"] + ".json"]
+    write_json_report(written[0], {"kind": kind, "artifact_version": ARTIFACT_VERSION,
+                                   "config_digest": config["digest"], "seed": config["seed"],
+                                   "tol": config["tol"], **result.payload})
     if result.table is not None:
-        csv_path = config["out"] + ".csv"
-        write_csv(csv_path, *result.table, config["digest"], config["seed"])
-        written.append(csv_path)
+        written.append(config["out"] + ".csv")
+        write_csv(written[1], *result.table, config["digest"], config["seed"])
     if not quiet:
         if result.failures:
             for failure in result.failures:
@@ -754,22 +753,23 @@ def _load_config_file(path):
 def _check_out(out_base, config_path):
     """Config error unless the artifacts <out>.json and <out>.csv can be
     written, checked before the run so that a job never runs only to fail its
-    write.  Neither may land on the input config ``config_path``: that would
-    destroy it and make the run unrepeatable."""
+    write.  One that exists must be a regular file (a FIFO would block the
+    write) other than the input config ``config_path`` under any name: that
+    would destroy it and make the run unrepeatable."""
     directory = os.path.dirname(os.path.abspath(out_base))
     if not os.path.isdir(directory):
         raise ConfigError(f"out={out_base!r}: no directory {directory}")
     for path in (out_base + ".json", out_base + ".csv"):
-        if os.path.isdir(path):
-            raise ConfigError(f"out={out_base!r}: {path} is a directory")
         try:
-            os.stat(path)
+            status = os.stat(path)
         except FileNotFoundError:
-            pass
+            continue
         # a name the system refuses: a NUL byte, or a name or path too long
         except (OSError, ValueError) as exc:
             raise ConfigError(f"out={out_base!r} cannot be written: {exc}") from None
-        if config_path is not None and os.path.abspath(path) == os.path.abspath(config_path):
+        if not stat.S_ISREG(status.st_mode):
+            raise ConfigError(f"out={out_base!r}: {path} is not a regular file")
+        if config_path is not None and os.path.samefile(path, config_path):
             raise ConfigError(f"out={out_base!r} would overwrite the config file {config_path}")
 
 

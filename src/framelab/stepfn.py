@@ -140,7 +140,7 @@ class StepFunction:
             raise ValueError(
                 f"need {expected} breakpoints for {vals.size} cells, got {bp.size}")
         if bp.size:
-            if not np.all(_widths(bp) > 0):
+            if not np.all(bp[1:] > bp[:-1]):
                 raise ValueError("breakpoints must be strictly increasing")
             # once they increase only an end can be infinite, and an infinite
             # end would put its cell's midpoint at inf, where it reads 0

@@ -11,6 +11,11 @@ writes every Rademacher sign pattern.  They are held to
 * the per-table results on zero-padded stacks: the periodized sup bit for
   bit, and the Gram lags within the rounding bound of a sum, since padding
   changes the grouping of ``np.add.reduce``;
+* the exact oracle (``tests/exact.py``): each Gram lag m within the
+  summation bound gamma_(n + 2) sum |products| (and an underflow term) of
+  ``inner(f, translate(f, m))``
+  for the step function f its fold holds, and every ``_signs`` row equal to
+  the sign pattern's definition, read at the exact midpoint of each cell;
 * the per-draw certifier on the batched orthonormality gate of
   ``_young_chunk``: on every draw of the young-fuzz-bench pin and on both
   rejection cases of ``tests/test_young_kernel.py``, the batched residual
@@ -22,6 +27,7 @@ A cost guard counts ``np.einsum`` and ``_signs`` calls.
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +37,9 @@ from hypothesis import strategies as st
 from framelab import RademacherSpec, StepFunction, build_rademacher_generator, cli
 from framelab import translate_frame
 from framelab.stepfn import _folded, _periodized_sup, _widths
-from framelab.translate_frame import GeneratorRejected, _gram_lags, _young_chunk
+from framelab.translate_frame import GeneratorRejected, _gram_lags, _signs, _young_chunk
+
+import exact
 
 
 # -- the replaced one-table code, verbatim -----------------------------------------
@@ -103,6 +111,68 @@ def test_one_table_lags_and_sup_equal_the_replaced_code_bit_for_bit(fold):
         want = reference_gram_lags(grid, table, count)
         assert (got.shape, bits(got)) == (want.shape, bits(want))
     assert bits([_periodized_sup(table)]) == bits([reference_periodized_sup(table)])
+
+
+# -- the exact oracle ----------------------------------------------------------------
+
+
+def fold_function(k0, grid, table):
+    """The exact step function a fold holds: table[u, i] on
+    [k0 + u + grid[i], k0 + u + grid[i + 1])."""
+    return exact.add(*(([Fraction(k0) + u + Fraction(t) for t in grid.tolist()],
+                        [Fraction(v) for v in row.tolist()])
+                       for u, row in enumerate(table)))
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u) at u = 2^-53: the relative error bound
+    of k roundings."""
+    return Fraction(k, 2 ** 53 - k)
+
+
+# 1-4 distinct indices in -4..4 and resolution 1-2: at most 9 units of 32 cells
+small_rademacher = st.builds(
+    rademacher_fold,
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(-8, 8).filter(bool), min_size=6, max_size=6),
+    st.integers(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(tenths.map(_folded), non_dyadic.map(_folded), small_rademacher))
+@example(_folded(StepFunction([0.1, 0.6, 1.1, 1.35, 2.1], [0.5, -1.0, 0.75, 0.25])))
+@example(_folded(StepFunction([-0.3, 0.7], [1.0])))
+@example(_folded(StepFunction([0.0, 5e-324], [1.0])))
+def test_gram_lags_are_the_exact_inner_products_within_a_summation_bound(fold):
+    # a lag sums n = (units - m) * cells products a * b * width, each width a
+    # rounded difference: three roundings a product and n - 1 in the sum, so
+    # the error is within gamma_(n + 2) of the exact sum of |products|, plus
+    # 2^-1073 a product for the two products' underflow (a 5e-324 wide cell)
+    k0, grid, table = fold
+    units, cells = table.shape
+    f = fold_function(k0, grid, table)
+    size = (f[0], [abs(v) for v in f[1]])
+    lags = _gram_lags(_widths(grid), table, units)
+    for m, lag in enumerate(lags.tolist()):
+        n = (units - m) * cells
+        want = exact.inner(f, exact.translate(f, m))
+        bound = (gamma(n + 2) * exact.inner(size, exact.translate(size, m))
+                 + Fraction(n, 2 ** 1073))
+        assert abs(Fraction(lag) - want) <= bound, m
+
+
+def test_signs_are_the_sign_patterns_at_each_cell_midpoint():
+    # rank r's row is the pattern of dyadic depth d = r + resolution: +1 on
+    # its even cells of width 2^-d, -1 on its odd ones, on 2^depth cells
+    for depth in range(1, 11):
+        for resolution in range(1, min(depth, 3) + 1):
+            ranks = np.arange(depth - resolution + 1)
+            rows = _signs(depth, ranks, resolution)
+            assert rows.shape == (ranks.size, 2 ** depth)
+            for r, row in zip(ranks.tolist(), rows.tolist()):
+                mids = (Fraction(2 * i + 1, 2 ** (depth + 1)) for i in range(2 ** depth))
+                assert row == [1 - 2 * (math.floor(t * 2 ** (r + resolution)) % 2)
+                               for t in mids], (depth, resolution, r)
 
 
 def padded(tables):

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from framelab import cli, stepfn, translate_frame, wavelet_frame
-from framelab.cli import (KINDS, MAX_FOLD_WORK, MAX_LATTICE_WORK, MAX_M, MAX_N,
-                          MAX_WINDOW, ConfigError, build_parser, main, validate_config)
+from framelab.cli import (KINDS, MAX_M, MAX_N, MAX_WINDOW, MAX_WORK, ConfigError,
+                          build_parser, main, validate_config)
 from framelab.reports import ARTIFACT_VERSION, canonical_json, config_digest
 
 
@@ -289,6 +290,35 @@ def test_run_refuses_to_overwrite_its_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_artifact_path_that_is_a_fifo_is_refused(tmp_path, capsys):
+    # writing the report to a FIFO once blocked the run after its job, until killed
+    os.mkfifo(tmp_path / "f.json")
+    assert main(["counterexample", "--K", "2", "--out", str(tmp_path / "f")]) == 1
+    assert "f.json is not a regular file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+
+@pytest.mark.parametrize("link", ["symlinked-directory", "hard-link"])
+def test_run_refuses_to_overwrite_its_config_under_another_name(tmp_path, capsys, link):
+    # a path compared by its text once let link/cfg.json overwrite real/cfg.json
+    real = tmp_path / "real"
+    real.mkdir()
+    path = real / "cfg.json"
+    config = {"kind": "counterexample", "params": {"K": 5}}
+    path.write_text(json.dumps(config))
+    if link == "hard-link":
+        os.link(path, real / "other.json")
+        out = real / "other"
+    else:
+        (tmp_path / "link").symlink_to(real, target_is_directory=True)
+        out = tmp_path / "link" / "cfg"
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert "would overwrite the config file" in capsys.readouterr().err
+    assert json.loads(path.read_text()) == config
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_bad_flag_value_exits_1(tmp_path, capsys):
     assert main(["counterexample", "--K", "0"]) == 1
     capsys.readouterr()
@@ -433,7 +463,7 @@ def parsed(record):
 def test_oversized_generator_is_a_config_error(tmp_path, cli_env, args):
     proc = run_cli([*args, "--out", "big"], cwd=tmp_path, env=cli_env, timeout=2)
     assert proc.returncode == 1
-    assert "config error: generator too large" in proc.stderr
+    assert f"config error: {args[0]} job too large" in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 
@@ -456,17 +486,21 @@ def test_a_list_param_longer_than_its_cap_is_a_config_error(tmp_path, capsys, ki
 def test_work_cap_admits_the_benchmark_and_test_generators():
     # the benchmark's 8-coefficient generator folds to 8 units x 256 cells
     assert cli._fold_work(parsed(EIGHT_TERMS), 16) == 8 * 256 * (8 + 33)
-    for kind, window in (("biorthogonality", 16), ("reconstruct", 8),
-                         ("suppression-scan", 8), ("sampling-sweep", 4)):
-        validate_config({"kind": kind, "params": {"generator": EIGHT_TERMS,
-                                                  "window": window}})
+    # at the benchmark's sizes: the cap counts every vector and trial, and the
+    # default 100 vectors or 200 trials of this generator are over it
+    for kind, params in (("biorthogonality", {"window": 16}),
+                         ("reconstruct", {"window": 8, "num_vectors": 8}),
+                         ("suppression-scan", {"window": 8, "trials": 30}),
+                         ("sampling-sweep", {"window": 4})):
+        validate_config({"kind": kind, "params": {"generator": EIGHT_TERMS, **params}})
     validate_config({"kind": "validate-generator", "params": {"generator": EIGHT_TERMS}})
     step = {"step_function": {"breakpoints": [0, 1e6], "values": [1e-3]}}
-    assert cli._fold_work(parsed(step), 0) > MAX_FOLD_WORK
-    # the benchmark's sweep samples 16 / (1/256) + 1 points at 9 coordinates
+    assert cli._fold_work(parsed(step), 0) > MAX_WORK
+    # the benchmark's sweep samples 16 / (1/256) + 1 points at 9 coordinates,
+    # each matrix entry 4 cell operations on top of the fold's pass
     sweep = {"generator": EIGHT_TERMS, "window": 4, "steps": [1 / 256, 0.37, 0.185]}
-    assert cli._sampling_work({**sweep, "generator": parsed(EIGHT_TERMS)}) == pytest.approx(
-        sum(16 / h + 1 + 9 for h in sweep["steps"]) * 9)
+    assert KINDS["sampling-sweep"].work({**sweep, "generator": parsed(EIGHT_TERMS)}) == \
+        pytest.approx(8 * 256 * (8 + 9) + 4 * sum(16 / h + 1 + 9 for h in sweep["steps"]) * 9)
     validate_config({"kind": "sampling-sweep", "params": sweep})
     # criterion 9's steps, and the window's schema maximum at the default steps
     two_terms = {"rademacher": {"coefficients": [[0, 0.6], [1, 0.8]]}}
@@ -517,7 +551,7 @@ def test_oversized_sampling_lattice_is_a_config_error(tmp_path, capsys, step):
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert "config error: sampling job too large" in capsys.readouterr().err
+    assert "config error: sampling-sweep job too large" in capsys.readouterr().err
     assert peak < 2 ** 20
     assert list(tmp_path.iterdir()) == []
 
@@ -641,11 +675,11 @@ def test_target_cells_must_outlast_the_lattice_merge_distance(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, error", [
     (["wavelet-reconstruct", "--M-list", ",".join(["8"] * 9), "--N-list", "16"],
-     "wavelet job too large"),
+     "wavelet-reconstruct job too large"),
     (["wavelet-identity", "--p-list", "1.5,2,3", "--M-list", "8,8,8", "--N-list", "16"],
-     "wavelet job too large"),
+     "wavelet-identity job too large"),
     (["wavelet-reconstruct", "--M-list", ",".join(["8"] * 64), "--N-list", "16"],
-     "wavelet job too large"),
+     "wavelet-reconstruct job too large"),
     # a list past MAX_LIST is refused before its work is counted
     (["wavelet-reconstruct", "--M-list", ",".join(["8"] * 1000), "--N-list", "16"],
      "M_list must hold at most 64"),
@@ -683,13 +717,16 @@ def test_schema_maximum_frame_job_runs_and_passes(tmp_path, cli_env, kind, flags
 
 
 def test_lattice_cap_admits_the_benchmark_and_default_jobs():
-    # one schema-maximum row, and eight of them, fit under the cap
+    # one schema-maximum row, and eight of them, fit under the cap; a member
+    # weighs 4 cell operations, so eight rows sit exactly at it
     row = {"M_list": [MAX_M], "N_list": [MAX_N]}
-    assert cli._lattice_work({**row, "p": 2.0}) == 2 * (2 * MAX_M) ** 2 * MAX_N ** 2
+    assert KINDS["wavelet-reconstruct"].work(row) == 4 * 2 * (2 * MAX_M) ** 2 * MAX_N ** 2
+    assert KINDS["wavelet-reconstruct"].work({"M_list": [MAX_M] * 8, "N_list": [MAX_N]}) \
+        == MAX_WORK
     validate_config({"kind": "wavelet-reconstruct",
                      "params": {"M_list": [MAX_M] * 8, "N_list": [MAX_N]}})
-    assert cli._lattice_work({**row, "p_list": [1.5, 2.0]}) == \
-        2 * cli._lattice_work({**row, "p": 2.0})
+    assert KINDS["wavelet-identity"].work({**row, "p_list": [1.5, 2.0]}) == \
+        2 * KINDS["wavelet-reconstruct"].work(row)
     # the benchmark's wavelet-grid jobs and every kind's defaults
     for params in ({"M_list": [1, 2, 3], "N_list": [1, 2, 4]},
                    {"M_list": [3], "N_list": [8]}):
@@ -699,7 +736,7 @@ def test_lattice_cap_admits_the_benchmark_and_default_jobs():
                                 "N_list": [1, 2]}})
     for kind in ("wavelet-reconstruct", "wavelet-identity"):
         config = validate_config({"kind": kind})
-        assert cli._lattice_work(config["params"]) <= MAX_LATTICE_WORK
+        assert KINDS[kind].work(config["params"]) <= MAX_WORK
 
 
 def test_non_finite_floats_are_written_as_strings():
