@@ -18,7 +18,7 @@ import gc
 import math
 from operator import index
 
-from .lp import CoordinateVector, _adopt, sup_abs
+from .lp import CoordinateVector, _adopt, _pair, sup_abs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,12 +205,14 @@ def tail_dual_norms(frame, f, nesting):
     ``nesting`` must be nested, E_1 inside E_2 inside ..., or ValueError is
     raised; positions resolve as in ``reconstruct``.  Walked from the last
     set backwards, the tail outside E_k is the tail outside E_{k+1} plus the
-    pairs in E_{k+1} but not in E_k, so f meets each frame vector once.  The
-    l1 tag's dual (sup) norm is a running maximum, recomputed over the tail
-    only when a step changes a coordinate the tail holds; the other dual
-    norms sum the whole tail in coordinate order.  Integer data stay exact;
-    with floats, a coordinate that several pairs touch may sum in another
-    order than for one set, whose tail adds its pairs in increasing position.
+    pairs in E_{k+1} but not in E_k, so f meets each frame vector once.  A
+    step that changes no coordinate the tail holds keeps the last norm, which
+    is exact: the tail holds the same entries in the same order.  The l1 tag's
+    dual (sup) norm is a running maximum, recomputed over the tail only when a
+    step changes a coordinate the tail already held; the other dual norms sum
+    the whole tail in coordinate order.  Integer data stay exact; with floats,
+    a coordinate that several pairs touch may sum in another order than for
+    one set, whose tail adds its pairs in increasing position.
     """
     sets = [_resolved(frame, positions) for positions in nesting]
     steps = [_added(a, b) for a, b in zip(sets, sets[1:])]
@@ -218,18 +220,16 @@ def tail_dual_norms(frame, f, nesting):
         return []
     space, vectors, functionals = frame.space, frame._vectors, frame._functionals
     outside_last = [j for j in range(len(vectors)) if j not in sets[-1]]
-    total, top, norms = {}, 0, []
+    total, top, norm, norms = {}, 0, 0.0, []
     for added in [outside_last, *reversed(steps)]:
         touched, held = _accumulate(
-            total, ((f.pair(_adopt(vectors[j])), functionals[j]) for j in added))
-        if space.kind != "l1":
-            norms.append(space.dual_norm(CoordinateVector(total)))
-            continue
-        if held:
-            top = sup_abs(total.values())
+            total, ((_pair(f._entries, vectors[j]), functionals[j]) for j in added))
+        if touched and space.kind != "l1":
+            norm = space.dual_norm(CoordinateVector(total))
         elif touched:
-            top = sup_abs([top, *(total[n] for n in touched)])
-        norms.append(float(top))
+            top = sup_abs(total.values() if held else [top, *(total[n] for n in touched)])
+            norm = float(top)
+        norms.append(norm)
     norms.reverse()
     return norms
 
@@ -271,7 +271,7 @@ def boundedly_complete_probe(frame, xss, nesting, tol=1e-10):
     increments = []
     for small, big in zip(sets, sets[1:]):
         total = {}
-        _accumulate(total, ((xss.pair(_adopt(frame._functionals[j])), frame._vectors[j])
+        _accumulate(total, ((_pair(xss._entries, frame._functionals[j]), frame._vectors[j])
                             for j in _added(small, big)))
         increments.append(float(frame.space.norm(CoordinateVector(total))))
     return CompletenessReport(increments=tuple(increments), tol=tol)
@@ -303,20 +303,21 @@ def counterexample_frame(K):
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
-    # no entries dict is written to: block j's {j: 1} is its three vectors and
-    # its first functional, and every block shares one -e_1* and one e_1*
-    minus_e_1_star, e_1_star = {1: -1}, {1: 1}
-    vectors, functionals = [], []
-    # the coordinate index, filled alongside: block j meets coordinate j at its
-    # first position and coordinate 1 (``ones``) at its second and third
-    coordinate_index, ones = {}, []
-    for j in range(1, K + 1):
-        e_j = {j: 1}
-        vectors += (e_j, e_j, e_j)
-        functionals += (e_j, minus_e_1_star, e_1_star)
-        coordinate_index[j] = [3 * j - 3, 1]
-        ones += (3 * j - 2, -1, 3 * j - 1, 1)
+    # the coordinate index: block j meets coordinate j at its first position
+    # and coordinate 1 (``ones``) at its second and third
+    coordinate_index = {j: [3 * j - 3, 1] for j in range(1, K + 1)}
+    ones = [0, -1, 0, 1] * K
+    ones[0::4] = range(1, 3 * K, 3)
+    ones[2::4] = range(2, 3 * K, 3)
     coordinate_index[1] += ones
+    # no entries dict is written to: block j's {j: 1}, keyed by the index's own
+    # int j, is its three vectors and its first functional, and every block
+    # shares one -e_1* and one e_1*
+    blocks = [{j: 1} for j in coordinate_index]
+    vectors = blocks * 3
+    vectors[0::3] = vectors[1::3] = vectors[2::3] = blocks
+    functionals = [None, {1: -1}, {1: 1}] * K
+    functionals[0::3] = blocks
     frame = DiscreteFrame._of_columns(vectors, functionals, SpaceTag.c0())
     frame.__dict__["_coordinate_index"] = coordinate_index
     return frame

@@ -133,15 +133,7 @@ class CoordinateVector:
 
     def pair(self, other):
         """Duality pairing sum_n x_n f_n; exact for integer entries."""
-        if len(other._entries) < len(self._entries):
-            small, big = other._entries, self._entries
-        else:
-            small, big = self._entries, other._entries
-        total = 0
-        for n, c in small.items():
-            if n in big:
-                total += c * big[n]
-        return total
+        return _pair(self._entries, other._entries)
 
     # -- comparisons -------------------------------------------------------------
 
@@ -158,6 +150,16 @@ class CoordinateVector:
 # the slot's own setter: it writes past the immutability guard in __setattr__
 # without object.__setattr__'s attribute lookup
 _set_entries = CoordinateVector._entries.__set__
+
+
+def _pair(a, b):
+    """sum of a[n] * b[n] in the order of the shorter entries dict, ``a`` on a tie."""
+    small, big = (b, a) if len(b) < len(a) else (a, b)
+    total = 0
+    for n, c in small.items():
+        if n in big:
+            total += c * big[n]
+    return total
 
 
 def _adopt(entries):

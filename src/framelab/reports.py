@@ -7,11 +7,17 @@ ends and a mandatory header.  Every file embeds the artifact version and
 a digest of the config that produced it.  JSON has no token for a
 non-finite float, so one is written as the string Python's ``repr`` gives
 it, "inf", "-inf" or "nan", the same text a CSV cell holds.
+
+A JSON report is the text of ``json.dumps(sanitize(payload), sort_keys=True,
+indent=2, allow_nan=False)``, written in one walk of the payload, as ``json``'s
+C encoder takes no ``indent``.  A JSON leaf and a CSV cell pass one rule,
+``_leaf``: a numpy scalar's ``.item()``, then a finite float's ``repr``.
 """
 
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quoted
 
 ARTIFACT_VERSION = "0.2.0"
 
@@ -25,6 +31,16 @@ class GeneratorRejected(ValueError):
         self.report = report
 
 
+def _leaf(obj):
+    """A JSON leaf: a numpy scalar as its Python value, a non-finite float as its repr."""
+    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
+        obj = obj.item()
+    if isinstance(obj, float):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else repr(obj)
+    return obj
+
+
 def sanitize(obj):
     """Coerce numpy scalars and containers to plain JSON-ready Python values.
 
@@ -34,14 +50,7 @@ def sanitize(obj):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        obj = obj.item()
-    if isinstance(obj, float):
-        obj = float(obj)
-        return obj if math.isfinite(obj) else repr(obj)
-    return obj
+    return _leaf(obj)
 
 
 def canonical_json(obj):
@@ -55,13 +64,12 @@ def config_digest(config):
 
 
 def format_cell(value):
-    """Stable text form for one CSV cell."""
+    """Stable text form for one CSV cell, by the leaf rule of the JSON text."""
+    value = _leaf(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 
@@ -74,7 +82,35 @@ def write_csv(path, header, rows, digest, seed):
         fh.write("\n".join(lines) + "\n")
 
 
+# the JSON text of a leaf of each plain type; bool comes before int, its base
+_SCALAR_TEXT = {bool: lambda v: "true" if v else "false", type(None): lambda v: "null",
+                str: _quoted, int: int.__repr__,
+                float: lambda v: repr(v) if math.isfinite(v) else _quoted(repr(v))}
+
+
+def _json_text(obj, indent):
+    """``json.dumps(sanitize(obj), sort_keys=True, indent=2, allow_nan=False)``,
+    ``obj`` starting on a line whose ``indent`` is a newline and spaces."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    if isinstance(obj, (dict, list, tuple)):
+        inner = indent + "  "
+        if isinstance(obj, dict):
+            items = {str(k): v for k, v in obj.items()}
+            parts = [f"{_quoted(k)}: {_json_text(items[k], inner)}" for k in sorted(items)]
+            ends = "{}"
+        else:
+            parts, ends = [_json_text(v, inner) for v in obj], "[]"
+        return ends[0] + inner + ("," + inner).join(parts) + indent + ends[1] if parts else ends
+    obj = _leaf(obj)
+    for cls, text in _SCALAR_TEXT.items():
+        if isinstance(obj, cls):
+            return text(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def write_json_report(path, payload):
-    text = json.dumps(sanitize(payload), sort_keys=True, indent=2, allow_nan=False)
+    text = _json_text(payload, "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")

@@ -340,6 +340,49 @@ def test_the_report_builds_no_vector_per_pair(monkeypatch):
     assert sum(counts[1].values()) <= 200
 
 
+@diagnostics._collector_paused()
+def reference_counterexample_frame(K):
+    """The per-block loop that built the triple frame before the slice build."""
+    if K < 1:
+        raise ValueError("K must be a positive integer")
+    # no entries dict is written to: block j's {j: 1} is its three vectors and
+    # its first functional, and every block shares one -e_1* and one e_1*
+    minus_e_1_star, e_1_star = {1: -1}, {1: 1}
+    vectors, functionals = [], []
+    # the coordinate index, filled alongside: block j meets coordinate j at its
+    # first position and coordinate 1 (``ones``) at its second and third
+    coordinate_index, ones = {}, []
+    for j in range(1, K + 1):
+        e_j = {j: 1}
+        vectors += (e_j, e_j, e_j)
+        functionals += (e_j, minus_e_1_star, e_1_star)
+        coordinate_index[j] = [3 * j - 3, 1]
+        ones += (3 * j - 2, -1, 3 * j - 1, 1)
+    coordinate_index[1] += ones
+    frame = DiscreteFrame._of_columns(vectors, functionals, SpaceTag.c0())
+    frame.__dict__["_coordinate_index"] = coordinate_index
+    return frame
+
+
+@pytest.mark.parametrize("K", [2, 3, 50, 10000])
+def test_the_slice_built_frame_equals_the_loop_build(K):
+    frame, reference = counterexample_frame(K), reference_counterexample_frame(K)
+    assert frame._vectors == reference._vectors
+    assert frame._functionals == reference._functionals
+    assert frame._coordinate_index == reference._coordinate_index
+    assert list(frame._coordinate_index) == list(reference._coordinate_index)
+    # block j's {j: 1} is its three vectors and its first functional; every
+    # second functional is one -e_1* and every third one e_1*
+    vectors, functionals = frame._vectors, frame._functionals
+    minus_e_1_star, e_1_star = functionals[1], functionals[2]
+    assert (minus_e_1_star, e_1_star) == ({1: -1}, {1: 1})
+    for b in range(0, 3 * K, 3):
+        e_j = vectors[b]
+        assert vectors[b + 1] is e_j and vectors[b + 2] is e_j and functionals[b] is e_j
+        assert functionals[b + 1] is minus_e_1_star and functionals[b + 2] is e_1_star
+    assert len({id(v) for v in vectors}) == K
+
+
 def test_analysis_operator_pairs_no_vectors(monkeypatch):
     # f_j(x) comes from the coordinate index and the report's f(x_n) weights
     # from the vector column; CoordinateVector.pair is left to one check
@@ -449,6 +492,61 @@ def test_report_reads_each_coefficient_set_once(monkeypatch, K, limit):
     # the counter sees a generic build
     unit_vector_frame(SpaceTag.c0(), range(3)).reconstruct(CoordinateVector.unit(1))
     assert index_builds[0] == 1
+
+
+def _count_norms_and_builds(monkeypatch):
+    """Calls of ``lp._norm``, ``CoordinateVector.__init__`` and ``_adopt`` (as
+    each module looks it up), counted by name into the dict returned."""
+    calls = {}
+
+    def counted(name, call):
+        def count(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return call(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr(lp, "_norm", counted("norm", lp._norm))
+    monkeypatch.setattr(CoordinateVector, "__init__",
+                        counted("init", CoordinateVector.__init__))
+    for module in (lp, diagnostics):
+        monkeypatch.setattr(module, "_adopt", counted("adopt", module._adopt))
+    return calls
+
+
+@pytest.mark.parametrize("space", [SpaceTag.lp(1.5), SpaceTag.lp(4.0), SpaceTag.c0()])
+def test_the_tail_walk_sums_a_tail_only_when_it_changes(monkeypatch, space):
+    # the diagnostics runner's lp chain: window 400, a functional of support
+    # 6; only the steps that add a pair inside the support change the tail
+    window, support = 400, 6
+    frame = unit_vector_frame(space, range(window))
+    f = CoordinateVector({n: 1.0 / (n + 1) for n in range(support)})
+    nesting = [range(j + 1) for j in range(window)]
+    expected = [reference_tail_dual_norm(frame, f, positions) for positions in nesting]
+    calls = _count_norms_and_builds(monkeypatch)
+    assert tail_dual_norms(frame, f, nesting) == expected
+    assert calls.get("norm", 0) <= support + 1
+    assert calls.get("init", 0) <= support + 1
+    assert "adopt" not in calls
+
+
+def test_the_walkers_build_no_vector_per_pairing_step(monkeypatch):
+    # 400 pairings over three steps: a vector per step at most, none per pairing
+    window = 400
+    nesting = [range(0), range(100), range(200), range(window)]
+    ones = CoordinateVector({n: 1 for n in range(window)})
+    frames = {tag: unit_vector_frame(tag, range(window))
+              for tag in (SpaceTag.lp(2.0), SpaceTag.c0(), SpaceTag.l1())}
+    calls = _count_norms_and_builds(monkeypatch)
+    for frame in frames.values():
+        calls.clear()
+        assert tail_dual_norms(frame, ones, nesting) != []
+        assert calls.get("init", 0) <= len(nesting)
+        assert "adopt" not in calls
+    calls.clear()
+    probe = boundedly_complete_probe(frames[SpaceTag.c0()], ones, nesting)
+    assert probe.increments == (1.0, 1.0, 1.0)
+    assert calls.get("init", 0) <= len(nesting) - 1
+    assert "adopt" not in calls
 
 
 def test_tail_functional_of_unit_frame_is_restriction():
