@@ -58,51 +58,26 @@ class SpaceTag:
         return v.norm(1 if self.kind == "c0" else math.inf)
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True)
 class DiscreteFrame:
     """Finite family of pairs (x_j, f_j), a vector and a functional, over a tagged space.
 
-    Its working form is two columns, one entry per pair: ``_vectors[j]`` and
+    It holds two columns, one entry per pair: ``_vectors[j]`` and
     ``_functionals[j]`` are the entries dicts of x_j and f_j, {n: value} in
     increasing n as a ``CoordinateVector`` keeps them; a dict may fill several
-    entries.  ``pairs`` is the tuple of (x_j, f_j) the constructor takes, or
-    for a frame built from columns a view derived on first read.
+    entries.  The builder hands ``_coordinate_index`` over with them: n ->
+    [j, f_j[n], j', f_j'[n], ...] over the pairs whose functional is nonzero at
+    n, in increasing j, one flat list per coordinate for the collector to track.
     """
     _vectors: list
     _functionals: list
+    _coordinate_index: dict
     space: SpaceTag
-
-    def __init__(self, pairs, space):
-        self.__dict__.update(pairs=pairs, space=space, _vectors=[v._entries for v, _ in pairs],
-                             _functionals=[f._entries for _, f in pairs])
-
-    @classmethod
-    def _of_columns(cls, vectors, functionals, space):
-        """The frame that holds the given columns as they are."""
-        frame = object.__new__(cls)
-        frame.__dict__.update(_vectors=vectors, _functionals=functionals, space=space)
-        return frame
 
     @functools.cached_property
     def pairs(self):
         """(x_j, f_j) for each j, vectors over the column dicts."""
         return tuple(zip(map(_adopt, self._vectors), map(_adopt, self._functionals)))
-
-    @functools.cached_property
-    def _coordinate_index(self):
-        """Coordinate n -> [j, f_j[n], j', f_j'[n], ...] over the pairs whose
-        functional is nonzero at n, in increasing j; built on first use unless
-        the frame's builder handed it over.  One flat list per coordinate
-        leaves the garbage collector one object per coordinate to track."""
-        index = {}
-        for j, fun in enumerate(self._functionals):
-            for n, c in fun.items():
-                column = index.get(n)
-                if column is None:
-                    index[n] = [j, c]
-                else:
-                    column += (j, c)
-        return index
 
     def _coefficients(self, x):
         """Position j -> f_j(x) for every pair whose functional meets the
@@ -128,17 +103,8 @@ class DiscreteFrame:
 
     def _synthesize(self, coef, positions=None):
         """sum over the positions j of coef[j] * x_j, positions as in ``reconstruct``."""
-        vectors = self._vectors
-        if positions is None:
-            positions = sorted(coef)
-        elif not (isinstance(positions, range) and positions.step > 0
-                  and positions.start >= 0 and positions.stop <= len(vectors)):
-            # an increasing range of in-range positions is already resolved;
-            # range(...)[j] counts back from the end or raises, as vectors[j] does
-            slots = range(len(vectors))
-            positions = [slots[j] for j in positions]
-        total = {}
-        for j in positions:
+        vectors, total = self._vectors, {}
+        for j in sorted(coef) if positions is None else _slots(self, positions):
             c = coef.get(j, 0)
             if c != 0:
                 for n, v in vectors[j].items():
@@ -146,10 +112,25 @@ class DiscreteFrame:
         return CoordinateVector(total)
 
 
+def _slots(frame, positions):
+    """Positions as ``reconstruct`` resolves them: an increasing in-range range as
+    it is, others as a list through range(len)[j], which counts back or raises."""
+    if (isinstance(positions, range) and positions.step > 0
+            and positions.start >= 0 and positions.stop <= len(frame._vectors)):
+        return positions
+    slots = range(len(frame._vectors))
+    return [slots[j] for j in positions]
+
+
 def unit_vector_frame(space, coordinates):
-    """The coordinate frame (e_n, e_n*) over the listed coordinates; one column is both."""
-    units = [{index(n): 1} for n in coordinates]
-    return DiscreteFrame._of_columns(units, units, space)
+    """The coordinate frame (e_n, e_n*) over the listed coordinates; one column
+    is both.  A coordinate listed twice raises ValueError."""
+    keys = list(map(index, coordinates))
+    coordinate_index = {n: [j, 1] for j, n in enumerate(keys)}
+    if len(coordinate_index) < len(keys):
+        raise ValueError("a coordinate is listed twice")
+    units = [{n: 1} for n in keys]
+    return DiscreteFrame(units, units, coordinate_index, space)
 
 
 # -- tail functionals ---------------------------------------------------------
@@ -159,15 +140,12 @@ _NOT_A_CHAIN = "nesting is not a chain: a set holds a position its successor lac
 
 
 def _resolved(frame, positions):
-    """Pair positions resolved as ``reconstruct`` resolves them: a negative
-    one counts from the end, an out-of-range one raises IndexError.  A
-    nonempty step-1 range of in-range positions stays a range, so that two
-    of them with the same start are compared and diffed in O(1)."""
-    slots = range(len(frame._vectors))
-    if (isinstance(positions, range) and positions and positions.step == 1
-            and positions.start >= 0 and positions.stop <= len(slots)):
+    """Pair positions resolved as in ``reconstruct``, as a set, or as a nonempty
+    step-1 range, so that two with one start are compared and diffed in O(1)."""
+    positions = _slots(frame, positions)
+    if isinstance(positions, range) and positions and positions.step == 1:
         return positions
-    return frozenset(slots[j] for j in positions)
+    return frozenset(positions)
 
 
 def _added(small, big):
@@ -318,9 +296,7 @@ def counterexample_frame(K):
     vectors[0::3] = vectors[1::3] = vectors[2::3] = blocks
     functionals = [None, {1: -1}, {1: 1}] * K
     functionals[0::3] = blocks
-    frame = DiscreteFrame._of_columns(vectors, functionals, SpaceTag.c0())
-    frame.__dict__["_coordinate_index"] = coordinate_index
-    return frame
+    return DiscreteFrame(vectors, functionals, coordinate_index, SpaceTag.c0())
 
 
 def _restricted_dual_functional(f, positions_one_based, K):

@@ -14,6 +14,8 @@ sorting.
 import math
 from operator import index
 
+_FLOAT_MAX = math.nextafter(math.inf, 0)  # the largest finite float
+
 
 def sup_abs(values):
     """Largest |v| over the values (0 when there are none), or NaN if any v is.
@@ -43,18 +45,21 @@ def _power_sum(values, p):
 
 
 def _norm(values, p):
-    """lp norm of a sequence of values; p is a real >= 1 or math.inf."""
-    if p == math.inf:
-        return float(sup_abs(values))
+    """lp norm of a sequence of values, p a real >= 1 or math.inf; a sum past the
+    float range is rescaled by the largest entry, and an entry past it gives inf."""
     if not p >= 1:
         raise ValueError("norm requires p >= 1 or p = inf")
-    total = _power_sum(values, p)
-    if total == math.inf:
-        # a p-th power left the float range: rescale by the largest entry
+    if p != math.inf:
+        total = _power_sum(values, p)
+        if not total > _FLOAT_MAX:
+            return float(total ** (1.0 / p))
+    try:
         big = float(sup_abs(values))
-        if big < math.inf:
-            return big * _norm([v / big for v in values], p)
-    return float(total ** (1.0 / p))
+    except OverflowError:
+        return math.inf
+    if p == math.inf or not big < math.inf:
+        return big
+    return big * _norm([v / big for v in values], p)
 
 
 class CoordinateVector:
@@ -96,10 +101,6 @@ class CoordinateVector:
 
     def support(self):
         return tuple(self._entries)
-
-    def items(self):
-        """Entries in increasing index order: the order the vector holds them in."""
-        return self._entries.items()
 
     def __getitem__(self, n):
         return self._entries.get(n, 0)
@@ -143,7 +144,7 @@ class CoordinateVector:
         return self._entries == other._entries
 
     def __repr__(self):
-        body = ", ".join(f"{n}: {v}" for n, v in self.items())
+        body = ", ".join(f"{n}: {v}" for n, v in self._entries.items())
         return f"CoordinateVector({{{body}}})"
 
 

@@ -72,6 +72,7 @@ def dilate(f, c):
 
 def series(f, x):
     """sum_n x_n f(. - n) for a dict or vector x, or (n, x_n) pairs."""
+    x = getattr(x, "_entries", x)
     items = x.items() if hasattr(x, "items") else x
     return add(*(scale(translate(f, n), Fraction(c)) for n, c in items))
 

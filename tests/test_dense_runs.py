@@ -219,7 +219,7 @@ def test_dense_core_coordinates_equal_synthesis_over_set(terms, n0, runs, seed):
         dense = _synthesis(g, n0, a, w)
         assert dense.shape == (2 * w + 1,)
         assert CoordinateVector(zip(range(-w, w + 1), dense.tolist())) == want
-        for m, v in want.items():
+        for m, v in want._entries.items():
             assert dense[m + w].hex() == v.hex()
 
 

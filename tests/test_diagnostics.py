@@ -77,13 +77,13 @@ def _reconstruct_by_definition(frame, x, positions=None):
         vec, fun = frame.pairs[j]
         c = fun.pair(x)
         if c != 0:
-            for n, v in vec.items():
+            for n, v in vec._entries.items():
                 total[n] = total.get(n, 0) + c * v
     return CoordinateVector(total)
 
 
 def test_indexed_reconstruct_matches_definition():
-    frame = DiscreteFrame(pairs=(
+    frame = frame_of_pairs((
         (CoordinateVector({1: 1.5, 4: -2.0}), CoordinateVector({1: 0.5, 2: 0.5})),
         (CoordinateVector({2: 3.0}), CoordinateVector({3: 1.0})),
         (CoordinateVector({1: -1.0, 3: 0.25}), CoordinateVector({2: 2.0, 4: -1.0})),
@@ -93,7 +93,7 @@ def test_indexed_reconstruct_matches_definition():
         (CoordinateVector({7: 1.0}), CoordinateVector({1: 1.0})),
         (CoordinateVector({7: 1e16}), CoordinateVector({1: 1.0})),
         (CoordinateVector({7: -1e16}), CoordinateVector({1: 1.0})),
-    ), space=SpaceTag.lp(2.0))
+    ), SpaceTag.lp(2.0))
     several = CoordinateVector({1: 1.0, 2: -1.0, 3: 0.5, 4: 4.0})
     # reaches pairs 2 and 3 only through their functionals' later coordinates
     late = CoordinateVector({3: 2.0, 4: -0.5})
@@ -173,8 +173,7 @@ def plain_frames(draw, entries):
 
 def _check_indexed_reconstruct(pool, pairs, plain_x, positions):
     shared = [CoordinateVector(d) for d in pool]
-    frame = DiscreteFrame(pairs=tuple((shared[v], shared[f]) for v, f in pairs),
-                          space=SpaceTag.c0())
+    frame = frame_of_pairs([(shared[v], shared[f]) for v, f in pairs], SpaceTag.c0())
     x = CoordinateVector(plain_x)
     if positions is not None and any(not -len(pairs) <= j < len(pairs)
                                       for j in positions):
@@ -284,6 +283,14 @@ class TupleFrame:
         return CoordinateVector(total)
 
 
+def frame_of_pairs(pairs, space):
+    """The DiscreteFrame of the pairs: their entries dicts as its columns, and
+    the coordinate index that ``TupleFrame`` derives from the pairs."""
+    pairs = tuple(pairs)
+    return DiscreteFrame([v._entries for v, _ in pairs], [f._entries for _, f in pairs],
+                         TupleFrame(pairs, space)._coordinate_index, space)
+
+
 def _entry_bits(vec):
     return [(n, _bits(v)) for n, v in vec._entries.items()]
 
@@ -295,21 +302,19 @@ def test_column_frames_equal_the_tuple_frame_bit_for_bit(case):
     shared = [CoordinateVector(d) for d in pool]
     tuple_pairs = tuple((shared[v], shared[f]) for v, f in pairs)
     reference = TupleFrame(pairs=tuple_pairs, space=SpaceTag.c0())
-    columns = DiscreteFrame._of_columns([shared[v]._entries for v, _ in pairs],
-                                        [shared[f]._entries for _, f in pairs], SpaceTag.c0())
+    frame = frame_of_pairs(tuple_pairs, SpaceTag.c0())
     x = CoordinateVector(plain_x)
-    for frame in (columns, DiscreteFrame(pairs=tuple_pairs, space=SpaceTag.c0())):
-        assert [(_entry_bits(vec), _entry_bits(fun)) for vec, fun in frame.pairs] == \
-            [(_entry_bits(vec), _entry_bits(fun)) for vec, fun in reference.pairs]
-        assert [(j, _bits(c)) for j, c in frame._coefficients(x).items()] == \
-            [(j, _bits(c)) for j, c in reference._coefficients(x).items()]
-        try:
-            expected = _entry_bits(reference.reconstruct(x, positions))
-        except IndexError:
-            with pytest.raises(IndexError):
-                frame.reconstruct(x, positions)
-        else:
-            assert _entry_bits(frame.reconstruct(x, positions)) == expected
+    assert [(_entry_bits(vec), _entry_bits(fun)) for vec, fun in frame.pairs] == \
+        [(_entry_bits(vec), _entry_bits(fun)) for vec, fun in reference.pairs]
+    assert [(j, _bits(c)) for j, c in frame._coefficients(x).items()] == \
+        [(j, _bits(c)) for j, c in reference._coefficients(x).items()]
+    try:
+        expected = _entry_bits(reference.reconstruct(x, positions))
+    except IndexError:
+        with pytest.raises(IndexError):
+            frame.reconstruct(x, positions)
+    else:
+        assert _entry_bits(frame.reconstruct(x, positions)) == expected
 
 
 def test_the_report_builds_no_vector_per_pair(monkeypatch):
@@ -359,9 +364,7 @@ def reference_counterexample_frame(K):
         coordinate_index[j] = [3 * j - 3, 1]
         ones += (3 * j - 2, -1, 3 * j - 1, 1)
     coordinate_index[1] += ones
-    frame = DiscreteFrame._of_columns(vectors, functionals, SpaceTag.c0())
-    frame.__dict__["_coordinate_index"] = coordinate_index
-    return frame
+    return DiscreteFrame(vectors, functionals, coordinate_index, SpaceTag.c0())
 
 
 @pytest.mark.parametrize("K", [2, 3, 50, 10000])
@@ -414,12 +417,26 @@ def test_indexed_reconstruct_matches_definition_on_triple_frame():
             for positions in (None, thirds, shuffled):
                 got = frame.reconstruct(x, positions)
                 assert got == _reconstruct_by_definition(frame, x, positions)
-                assert all(isinstance(v, int) for _, v in got.items())
+                assert all(isinstance(v, int) for v in got._entries.values())
 
 
 def _generic_index(frame):
-    """The coordinate index that the generic builder derives from the pairs."""
-    return DiscreteFrame(frame.pairs, frame.space)._coordinate_index
+    """The coordinate index that ``frame_of_pairs`` derives from the frame's pairs."""
+    return frame_of_pairs(frame.pairs, frame.space)._coordinate_index
+
+
+@pytest.mark.parametrize("coordinates", [range(400), range(-5, 6), range(-20, 40, 3),
+                                         [7, -2, 40, 0, 3], np.arange(3), []])
+def test_the_unit_frame_hands_over_the_generic_index(coordinates):
+    frame = unit_vector_frame(SpaceTag.c0(), coordinates)
+    assert list(frame._coordinate_index.items()) == list(_generic_index(frame).items())
+
+
+def test_the_unit_frame_refuses_a_repeated_or_non_integer_coordinate():
+    with pytest.raises(ValueError, match="listed twice"):
+        unit_vector_frame(SpaceTag.c0(), [0, 1, 0])
+    with pytest.raises(TypeError):
+        unit_vector_frame(SpaceTag.c0(), [0, 1.0])
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 50, 2000])
@@ -468,30 +485,17 @@ def test_ranges_resolve_as_their_lists():
 
 @pytest.mark.parametrize("K, limit", [(300, 20), (10, 50)])
 def test_report_reads_each_coefficient_set_once(monkeypatch, K, limit):
-    # e_2..e_limit, e_1 once for both of its checks, and x; the frame comes
-    # with its index, so the generic builder never runs
+    # e_2..e_limit, e_1 once for both of its checks, and x
     coefficient_calls = [0]
-    index_builds = [0]
     coefficients = DiscreteFrame._coefficients
-    index = DiscreteFrame.__dict__["_coordinate_index"]
-    build = index.func
 
     def counted_coefficients(self, x):
         coefficient_calls[0] += 1
         return coefficients(self, x)
 
-    def counted_build(self):
-        index_builds[0] += 1
-        return build(self)
-
     monkeypatch.setattr(DiscreteFrame, "_coefficients", counted_coefficients)
-    monkeypatch.setattr(index, "func", counted_build)
     assert counterexample_report(K, limit).ok
     assert coefficient_calls[0] == min(K, limit) + 1
-    assert index_builds[0] == 0
-    # the counter sees a generic build
-    unit_vector_frame(SpaceTag.c0(), range(3)).reconstruct(CoordinateVector.unit(1))
-    assert index_builds[0] == 1
 
 
 def _count_norms_and_builds(monkeypatch):
@@ -731,7 +735,7 @@ def test_counterexample_full_reconstruction_is_exact_integers():
     x = CoordinateVector({1: 5, 3: -7, 12: 2})
     y = frame.reconstruct(x)
     assert y == x
-    assert all(isinstance(v, int) for _, v in y.items())
+    assert all(isinstance(v, int) for v in y._entries.values())
 
 
 def test_counterexample_restricted_sum_is_all_ones():
@@ -756,7 +760,7 @@ def test_restricted_dual_functional_matches_direct_sum():
         for n in subset:
             vec, fun = frame.pairs[n - 1]
             w = f.pair(vec)
-            for idx, v in fun.items():
+            for idx, v in fun._entries.items():
                 direct[idx] = direct.get(idx, 0) + w * v
         assert series == CoordinateVector(direct)
     with pytest.raises(ValueError):
@@ -800,7 +804,7 @@ def reference_tail_functional(frame, f, positions):
         vec, fun = frame.pairs[j]
         weight = f.pair(vec)
         if weight != 0:
-            for n, v in fun.items():
+            for n, v in fun._entries.items():
                 total[n] = total.get(n, 0) + weight * v
     return CoordinateVector(total)
 
@@ -817,7 +821,7 @@ def reference_boundedly_complete_probe(frame, xss, nesting, tol=1e-10):
             vec, fun = frame.pairs[j]
             c = xss.pair(fun)
             if c != 0:
-                for n, v in vec.items():
+                for n, v in vec._entries.items():
                     total[n] = total.get(n, 0) + c * v
         partials.append(CoordinateVector(total))
     increments = tuple(
@@ -849,7 +853,7 @@ def frames_and_chains(draw):
     """
     size = draw(st.integers(0, 9))
     pairs = tuple(draw(st.tuples(vectors, vectors)) for _ in range(size))
-    frame = DiscreteFrame(pairs=pairs, space=draw(st.sampled_from(SPACES)))
+    frame = frame_of_pairs(pairs, draw(st.sampled_from(SPACES)))
     if draw(st.booleans()):
         start = draw(st.integers(0, size))
         stops = sorted(draw(st.lists(st.integers(start, size), max_size=6)))
@@ -907,11 +911,11 @@ def test_float_unit_frames_equal_the_reference(values, space, data):
 def test_single_set_keeps_the_increasing_position_order():
     # coordinate 1 sums to 0.0 in increasing position order and to 1.0 in
     # decreasing order; one set is summed in increasing order, as before
-    frame = DiscreteFrame(pairs=(
+    frame = frame_of_pairs((
         (CoordinateVector.unit(0), CoordinateVector({1: 1.0})),
         (CoordinateVector.unit(0), CoordinateVector({1: 1e16})),
         (CoordinateVector.unit(0), CoordinateVector({1: -1e16})),
-    ), space=SpaceTag.l1())
+    ), SpaceTag.l1())
     f = CoordinateVector.unit(0)
     assert reference_tail_functional(frame, f, []).is_zero()
     assert tail_dual_norm(frame, f, []) == 0.0
@@ -921,10 +925,10 @@ def test_single_set_keeps_the_increasing_position_order():
 def test_running_sup_recomputes_when_a_held_coordinate_drops():
     # the tail outside {0} holds -3 at coordinate 0; adding pair 0 cancels it,
     # so the sup norm falls from 3 to 1 and must be recomputed, not kept
-    frame = DiscreteFrame(pairs=(
+    frame = frame_of_pairs((
         (CoordinateVector.unit(0), CoordinateVector({0: 3})),
         (CoordinateVector.unit(0), CoordinateVector({0: -3, 1: 1})),
-    ), space=SpaceTag.l1())
+    ), SpaceTag.l1())
     f = CoordinateVector.unit(0)
     chain = [range(0), range(1), range(2)]
     assert tail_dual_norms(frame, f, chain) == [1.0, 3.0, 0.0]
@@ -1026,10 +1030,10 @@ def test_running_sup_keeps_a_nan():
     assert all(math.isnan(v) for v in norms[:3])
     assert norms[3:] == [2.0, 0.0]
     # a NaN made by inf - inf at a coordinate the tail already holds
-    frame = DiscreteFrame(pairs=(
+    frame = frame_of_pairs((
         (CoordinateVector.unit(0), CoordinateVector({0: -math.inf})),
         (CoordinateVector.unit(0), CoordinateVector({0: math.inf, 1: 1.0})),
-    ), space=SpaceTag.l1())
+    ), SpaceTag.l1())
     norms = tail_dual_norms(frame, CoordinateVector.unit(0), [range(0), range(1)])
     assert math.isnan(norms[0])
     assert norms[1] == math.inf

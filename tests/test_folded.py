@@ -87,7 +87,7 @@ def left_fold(funcs):
 
 def reference_translate_series(f, x):
     """sum_n x_n * f(. - n) as a step function."""
-    return left_fold([scale(translate(f, n), c) for n, c in x.items()])
+    return left_fold([scale(translate(f, n), c) for n, c in x._entries.items()])
 
 
 def reference_periodized_l1_sup(self):
@@ -153,7 +153,7 @@ def reference_sign_pattern(depth):
 def reference_rademacher_function(spec):
     coeffs = spec.coefficients
     pieces = []
-    for rank, (n, a) in enumerate(coeffs.items()):
+    for rank, (n, a) in enumerate(coeffs._entries.items()):
         pieces.append(scale(translate(reference_sign_pattern(rank + spec.resolution), n), a))
     return left_fold(pieces)
 
@@ -411,7 +411,8 @@ def exact_synthesis(f, x, window):
     """Coordinates m of the synthesis of x, |m| <= window: sum_n x_n times
     the lag m - n, exact, each rounded once."""
     lags = exact_lags(f) + [0] * (window + max(map(abs, x.support())))
-    return CoordinateVector({m: float(sum(Fraction(c) * lags[abs(m - n)] for n, c in x.items()))
+    terms = x._entries.items()
+    return CoordinateVector({m: float(sum(Fraction(c) * lags[abs(m - n)] for n, c in terms))
                              for m in range(-window, window + 1)})
 
 

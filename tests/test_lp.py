@@ -46,7 +46,7 @@ def test_unit_and_to_entries():
     assert e[4] == 1 and e.support() == (4,)
     v = CoordinateVector([(0, 1.0), (2, 3.0)])
     assert v[2] == 3.0
-    assert list(v.items()) == [(0, 1.0), (2, 3.0)]
+    assert list(v._entries.items()) == [(0, 1.0), (2, 3.0)]
 
 
 def test_norm_values():
@@ -97,7 +97,7 @@ def test_holder_and_triangle():
 
 def test_items_sorted_and_equality():
     v = CoordinateVector({5: 1.0, -2: 2.0, 3: 3.0})
-    assert [i for i, _ in v.items()] == [-2, 3, 5]
+    assert list(v._entries) == [-2, 3, 5]
     assert v == CoordinateVector({3: 3.0, 5: 1.0, -2: 2.0})
     assert v != CoordinateVector({3: 3.0})
 
@@ -112,6 +112,14 @@ def test_norm_survives_float_overflow():
     # integer entries keep their exact sums
     assert CoordinateVector({0: 3, 1: 4}).norm(2) == 5.0
     assert CoordinateVector({n: 1 for n in range(10 ** 3)}).norm(1) == 1000.0
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 2.0, 3.0, math.inf])
+def test_integer_entries_past_the_float_range(p):
+    # an int sum past the float range rescales as a float one does; an entry past it gives inf
+    assert CoordinateVector({0: 10 ** 200}).norm(p) == CoordinateVector({0: 1e200}).norm(p) \
+        == pytest.approx(1e200, rel=1e-12)
+    assert CoordinateVector({0: 10 ** 400}).norm(p) == math.inf
 
 
 # -- indices are integers ------------------------------------------------------
@@ -277,7 +285,7 @@ def test_every_construction_keeps_entries_in_index_order(entries, other, c, k):
     for v, ref in zip(_constructions(CoordinateVector, entries, other, c, k),
                       _constructions(SortingVector, entries, other, c, k)):
         assert list(v._entries) == sorted(v._entries)
-        assert [(n, _bits(x)) for n, x in v.items()] == \
+        assert [(n, _bits(x)) for n, x in v._entries.items()] == \
             [(n, _bits(x)) for n, x in ref.items()]
         assert v.support() == ref.support()
         for p in NORM_EXPONENTS:
@@ -292,7 +300,8 @@ def test_pairing_and_equality_match_the_sorting_vector(entries, other):
     assert _bits(u.pair(w)) == _bits(ref_u.pair(ref_w))
     assert _bits(w.pair(u)) == _bits(ref_w.pair(ref_u))
     assert (u == w) == (ref_u == ref_w)
-    assert u == CoordinateVector(u.items()) == CoordinateVector(reversed(u.items()))
+    items = u._entries.items()
+    assert u == CoordinateVector(items) == CoordinateVector(reversed(items))
 
 
 # -- the lp kernels against the exact oracle ---------------------------------------

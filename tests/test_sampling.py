@@ -9,7 +9,6 @@ import pytest
 
 from framelab import (
     CoordinateVector,
-    DiscreteFrame,
     RademacherSpec,
     SamplingPlan,
     SpaceTag,
@@ -28,6 +27,7 @@ from framelab.translate_frame import Generator
 
 import exact
 from reference_orbit import translate
+from test_diagnostics import frame_of_pairs
 
 WINDOW = 4
 
@@ -162,7 +162,7 @@ def sample_frame(g, plan, window):
     for row in rows:
         vec = CoordinateVector(zip(ns.tolist(), row.tolist()))
         pairs.append((vec, vec.scale(plan.step)))
-    return DiscreteFrame(pairs=tuple(pairs), space=SpaceTag.lp(2.0))
+    return frame_of_pairs(pairs, SpaceTag.lp(2.0))
 
 
 def test_sample_frame_pairs_carry_riemann_weight():

@@ -198,7 +198,7 @@ def test_synthesis_shift_covariance_exact():
     k = 3
 
     def shift(v):
-        return CoordinateVector({n + k: c for n, c in v.items()})
+        return CoordinateVector({n + k: c for n, c in v._entries.items()})
 
     assert synthesis_over_set(g, shift(x), window=12) == shift(
         synthesis_over_set(g, x, window=12))
